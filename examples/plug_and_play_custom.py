@@ -22,13 +22,13 @@ Run:  python examples/plug_and_play_custom.py
 """
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from repro import Session
 from repro.core import MAX, ParamSpec, PIEProgram
 from repro.engineapi.registry import register_program
 from repro.engineapi.report import format_report
 from repro.graph.generators import random_weighted_digraph
-from repro.utils.heap import IndexedHeap
 
 
 @dataclass(frozen=True)
@@ -39,23 +39,31 @@ class WidestPathQuery:
 def widest_paths(graph, seeds, known=None):
     """Sequential bottleneck-capacity search (fattest-first Dijkstra)."""
     known = known or {}
-    heap = IndexedHeap()
+    offered = {}  # widest capacity queued per vertex so far
+    # (-capacity, insertion counter, vertex): max-heap via negation;
+    # the counter breaks ties so vertex ids are never compared
+    heap = []
+    pushed = 0
     for v, cap in seeds.items():
         if v in graph and cap > known.get(v, 0.0):
-            heap.push(v, -cap)  # max-heap via negation
+            offered[v] = cap
+            heappush(heap, (-cap, pushed, v))
+            pushed += 1
     updates = {}
     while heap:
-        v, neg = heap.pop()
+        neg, _, v = heappop(heap)
         cap = -neg
-        if cap <= updates.get(v, known.get(v, 0.0)):
-            continue
+        if cap < offered[v]:
+            continue  # lazy deletion: a wider offer was queued later
         updates[v] = cap
         for edge in graph.out_edges(v):
             through = min(cap, edge.weight)
-            if through > updates.get(edge.dst, known.get(edge.dst, 0.0)):
-                # push_if_lower = improve-only: a later, narrower offer
-                # must not downgrade a queued wider one.
-                heap.push_if_lower(edge.dst, -through)
+            if through > offered.get(edge.dst, known.get(edge.dst, 0.0)):
+                # improve-only: a later, narrower offer must not
+                # downgrade a queued wider one.
+                offered[edge.dst] = through
+                heappush(heap, (-through, pushed, edge.dst))
+                pushed += 1
     return updates
 
 

@@ -9,10 +9,10 @@ is exactly the reuse the PIE model advertises.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Hashable, Mapping
 
 from repro.graph.digraph import Graph
-from repro.utils.heap import IndexedHeap
 
 VertexId = Hashable
 
@@ -24,9 +24,14 @@ def dijkstra(
     graph: Graph,
     seeds: Mapping[VertexId, float],
     known: Mapping[VertexId, float] | None = None,
-    heap_factory=IndexedHeap,
 ) -> tuple[dict[VertexId, float], int]:
     """Multi-seed Dijkstra with optional prior distances.
+
+    The queue is the C ``heapq`` with lazy deletion: instead of a
+    decrease-key, a better offer for a queued vertex is pushed beside
+    the old one and the stale entry is skipped when it surfaces.
+    Entries are ``(cost, insertion counter, vertex)``, so equal costs
+    pop in insertion order and vertex ids are never compared.
 
     Args:
         graph: the (fragment-local) graph.
@@ -35,36 +40,40 @@ def dijkstra(
             (and its edges only re-relaxed) if the new cost improves on
             ``known`` — this is what makes the incremental call *bounded*
             by the affected region instead of the fragment size.
-        heap_factory: priority-queue implementation —
-            :class:`~repro.utils.heap.IndexedHeap` (default) or
-            :class:`~repro.utils.pairing_heap.PairingHeap`, the
-            Fredman–Tarjan-class structure the paper cites.
 
     Returns:
         (distance updates, settled count). ``distance updates`` contains
         every vertex whose distance improved (including seeds that did).
     """
-    dist: dict[VertexId, float] = {}
-    prior = known or {}
-    heap = heap_factory()
+    prior_get = (known or {}).get
+    # best cost offered to each vertex so far; an entry is pushed only
+    # when it strictly lowers this, so of a vertex's queued entries
+    # exactly the newest equals it and every other one is stale
+    tentative: dict[VertexId, float] = {}
+    tentative_get = tentative.get
+    heap: list[tuple[float, int, VertexId]] = []
+    pushed = 0
     for v, cost in seeds.items():
-        if v in graph and cost < prior.get(v, INF):
-            heap.push_if_lower(v, cost)
-    settled = 0
+        if v in graph and cost < prior_get(v, INF):
+            tentative[v] = cost
+            heappush(heap, (cost, pushed, v))
+            pushed += 1
+    dist: dict[VertexId, float] = {}
+    # iter_out streams (dst, weight) pairs straight off the store —
+    # for CSR that's a zero-copy walk of the row arrays
+    iter_out = graph.iter_out
     while heap:
-        v, cost = heap.pop()
-        if cost >= dist.get(v, prior.get(v, INF)):
+        cost, _, v = heappop(heap)
+        if cost > tentative[v]:
             continue
         dist[v] = cost
-        settled += 1
-        # iter_out streams (dst, weight) pairs straight off the store —
-        # for CSR that's a zero-copy walk of the row arrays
-        for dst, weight in graph.iter_out(v):
-            candidate = cost + weight
-            best = dist.get(dst, prior.get(dst, INF))
-            if candidate < best:
-                heap.push_if_lower(dst, candidate)
-    return dist, settled
+        for dst, weight in iter_out(v):
+            offer = cost + weight
+            if offer < tentative_get(dst, INF) and offer < prior_get(dst, INF):
+                tentative[dst] = offer
+                heappush(heap, (offer, pushed, dst))
+                pushed += 1
+    return dist, len(dist)
 
 
 def single_source(graph: Graph, source: VertexId) -> dict[VertexId, float]:

@@ -72,10 +72,17 @@ def _work_mark(program) -> int | None:
 
 
 def _work_since(program, mark: int | None) -> int | None:
-    """Settled-vertex work recorded since ``mark`` (None = no probe)."""
+    """Settled-vertex work recorded since ``mark`` (None = no probe).
+
+    Reading consumes the log: a standing query's program lives as long
+    as the service and appends one record per PEval/IncEval call, so a
+    log nobody empties grows with every ΔG batch.
+    """
     if mark is None:
         return None
-    return sum(settled for _, _, settled in program.work_log[mark:])
+    work = sum(settled for _, _, settled in program.work_log[mark:])
+    program.work_log.clear()
+    return work
 
 
 @dataclass

@@ -1,57 +1,10 @@
 """Property-based tests (hypothesis) for core data structures."""
 
-import heapq
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.dsu import DisjointSet
-from repro.utils.heap import IndexedHeap
 from repro.utils.sizeof import value_size
-
-
-# ----------------------------------------------------------------- heap
-@given(st.lists(st.tuples(st.integers(0, 50), st.floats(-1e6, 1e6))))
-def test_heap_pops_match_sorted_final_priorities(ops):
-    """After arbitrary push/update ops, pops come out sorted and reflect
-    the last priority written per key."""
-    heap = IndexedHeap()
-    final = {}
-    for key, prio in ops:
-        heap.push(key, prio)
-        final[key] = prio
-    popped = []
-    while heap:
-        key, prio = heap.pop()
-        assert final[key] == prio
-        popped.append(prio)
-    assert popped == sorted(popped)
-    assert len(popped) == len(final)
-
-
-@given(st.lists(st.tuples(st.integers(0, 30), st.floats(0, 100)), min_size=1))
-def test_heap_push_if_lower_tracks_minimum(ops):
-    heap = IndexedHeap()
-    best = {}
-    for key, prio in ops:
-        heap.push_if_lower(key, prio)
-        best[key] = min(best.get(key, float("inf")), prio)
-    while heap:
-        key, prio = heap.pop()
-        assert prio == best.pop(key)
-    assert not best
-
-
-@given(
-    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=200),
-)
-def test_heap_agrees_with_heapq(priorities):
-    heap = IndexedHeap()
-    for i, p in enumerate(priorities):
-        heap.push(i, p)
-    expected = sorted(priorities)
-    got = [heap.pop()[1] for _ in range(len(priorities))]
-    assert got == expected
 
 
 # ------------------------------------------------------------------ dsu

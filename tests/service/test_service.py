@@ -1,6 +1,8 @@
 """GrapeService behavior: caching across versions, standing queries,
 backpressure, and report determinism."""
 
+import random
+
 import pytest
 
 from repro.algorithms.sequential.dijkstra import INF, single_source
@@ -217,6 +219,43 @@ def test_incremental_repair_does_less_work_than_recompute():
     assert standing["full_work"] > 0
     assert standing["incremental_work"] < standing["full_work"]
     assert standing["work_ratio"] < 1.0
+
+
+class _TallyLog(list):
+    """A work log that sums every record appended to it, so the total
+    survives the service emptying the list."""
+
+    total = 0
+
+    def append(self, record):
+        self.total += record[2]
+        super().append(record)
+
+
+def test_standing_work_log_stays_bounded_over_many_batches():
+    """A standing program lives as long as the service; its work log
+    must not grow with the number of ΔG batches served."""
+    service = _service(rows=8, cols=8)
+    service.register_standing("hub", "sssp", {"source": 0})
+    service.register_standing("comp", "cc", {})
+    logs = {}
+    for name in ("hub", "comp"):
+        program = service._standing[name].program
+        logs[name] = program.work_log = _TallyLog()
+    rng = random.Random(4)
+    graph = service.session.graph
+    batches = 0
+    while batches < 200:
+        u, v = rng.sample(range(64), 2)
+        if graph.has_edge(u, v):
+            continue
+        service.apply_updates([(u, v, rng.uniform(0.1, 2.0))])
+        batches += 1
+        assert all(len(log) == 0 for log in logs.values())
+    for standing in service.report().standing:
+        assert standing["repairs"] == 200
+        assert standing["incremental_work"] == logs[standing["name"]].total
+        assert standing["incremental_work"] > 0
 
 
 def test_standing_repair_reseeds_cache_at_new_version():
