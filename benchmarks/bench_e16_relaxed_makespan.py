@@ -2,9 +2,10 @@
 
 E12 showed *why* BSP barriers hurt: each superstep costs its slowest
 worker, so a skewed partition idles every light fragment at the heavy
-fragment's pace. ``mode="relaxed"`` replaces the barrier with
-per-channel FIFO drains, letting light fragments run ahead while the
-Assurance Theorem keeps the answers exact. This bench measures how
+fragment's pace. ``mode="relaxed"`` times the same direct-routing
+rounds on per-worker clocks instead of a barrier, letting light
+fragments run ahead while the Assurance Theorem keeps the answers
+exact. This bench measures how
 much of the barrier slack the pipeline reclaims on a deliberately
 skewed road:40x40 partition and — the whole point of the gate —
 asserts in the same run that the relaxed answers, fixpoint traces and

@@ -3,7 +3,7 @@
 BSP systems (and GRAPE's prototype) checkpoint at superstep barriers so
 a worker failure costs only the rounds since the last checkpoint. The
 simulated counterpart: a :class:`CheckpointPolicy` tells the engine to
-persist its :class:`~repro.core.incremental.EngineState` to the
+persist its :class:`~repro.core.delta.EngineState` to the
 simulated DFS every N IncEval rounds; after a (simulated) crash, the
 engine's supervisor recovers *in-run* — and a dead process can be
 revived manually via ``GrapeEngine.resume_from_checkpoint`` — by
@@ -23,7 +23,7 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass
 
-from repro.core.incremental import EngineState
+from repro.core.delta import EngineState
 from repro.errors import StorageError
 from repro.storage.dfs import SimulatedDFS
 

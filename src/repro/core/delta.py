@@ -26,9 +26,6 @@ Batch semantics: ops apply in order, but one batch may touch each edge
 at most once — an insert-then-delete of the same edge would let the
 safe and unsafe repair paths disagree about the final graph, so
 :func:`apply_delta` rejects duplicate edge references up front.
-
-``repro.core.incremental`` remains as a deprecated shim
-(``EdgeInsertion``/``apply_insertions``) for one release.
 """
 
 from __future__ import annotations

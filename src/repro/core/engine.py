@@ -40,7 +40,7 @@ deterministically (simulated backend only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Generic, Hashable
 
 from repro.core.assurance import MonotonicityChecker
@@ -52,6 +52,7 @@ from repro.core.termination import FixpointGuard
 from repro.errors import (
     FatalWorkerFailure,
     ProgramError,
+    StaleStateError,
     StorageError,
     WorkerFailure,
 )
@@ -65,13 +66,13 @@ from repro.runtime.cluster import Cluster
 from repro.runtime.costmodel import CostModel
 from repro.runtime.message import COORDINATOR
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.mpi_sim import QuiescenceDetector
 
 VertexId = Hashable
 
 #: Superstep engine modes: ``"strict"`` is the BSP lockstep of the
-#: paper; ``"relaxed"`` pipelines IncEval waves over per-channel FIFOs
-#: (aggregator-monotone programs only; byte-identical answers).
+#: paper; ``"relaxed"`` runs the same direct-routing rounds against
+#: per-worker virtual clocks instead of a barrier (aggregator-monotone
+#: programs only; byte-identical answers).
 MODES = ("strict", "relaxed")
 
 
@@ -123,14 +124,18 @@ class GrapeEngine:
         max_supersteps: fixed-point cap for non-monotonic programs.
         routing: ``"coordinator"`` (paper default) or ``"direct"``.
         mode: ``"strict"`` (BSP lockstep, default) or ``"relaxed"`` —
-            IncEval waves pipeline over per-channel FIFOs and terminate
-            via a double-counting quiescence check instead of the
-            barrier vote. Relaxed mode is restricted at bind time to
-            aggregator-monotone programs (grape-lint direction
-            inference; the Assurance Theorem's precondition) and
-            reproduces the strict ``routing="direct"`` dataflow
-            exactly, so answers, repair stats and checkpoints stay
-            byte-identical; only virtual-time scheduling differs.
+            the same fixpoint loop over the same direct-routing
+            mailboxes (peer-to-peer whatever ``routing`` says), but
+            each IncEval round is a *wave* timed on per-worker virtual
+            clocks: a worker starts once its own mail has arrived
+            instead of waiting for the slowest lane. Termination is the
+            ordinary "nothing pending, no worker active" test. Relaxed
+            mode is restricted at bind time to aggregator-monotone
+            programs (grape-lint direction inference; the Assurance
+            Theorem's precondition); its dataflow *is* strict
+            ``routing="direct"``'s, so answers, repair stats and
+            checkpoints are byte-identical and only virtual-time
+            scheduling differs.
         supervision: retry/backoff/recovery knobs (defaults to
             :class:`~repro.core.supervisor.SupervisionPolicy`).
         repair_fraction: cold-start fallback of the adaptive repair
@@ -201,6 +206,8 @@ class GrapeEngine:
         self.strict_monotonic = strict_monotonic
         self.max_supersteps = max_supersteps
         self.routing = routing
+        #: relaxed waves always route peer-to-peer, whatever ``routing``.
+        self._direct = routing == "direct" or mode == "relaxed"
         self.supervision = supervision or SupervisionPolicy()
         self.repair_fraction = repair_fraction
         self.repair_policy = repair_policy or AdaptiveRepairPolicy(
@@ -210,9 +217,6 @@ class GrapeEngine:
         #: Optional :class:`~repro.obs.Tracer` — a pure observer; never
         #: feeds back into the computation (see tests/property purity).
         self.tracer = tracer
-        #: Relaxed-mode channel entries emitted inside strict phases,
-        #: awaiting a ``send_clock`` stamp at the phase's barrier.
-        self._unstamped: list = []
 
     # ------------------------------------------------------------------
     def run(
@@ -235,11 +239,7 @@ class GrapeEngine:
         :class:`~repro.runtime.faults.FaultPlan` in ``faults`` the run
         executes under that plan's deterministic fault schedule.
         """
-        self._require_relaxable(program)
-        cluster = self._make_cluster(f"grape[{program.name}]", faults)
-        supervisor = Supervisor(
-            self.supervision, cluster.metrics.faults, tracer=self.tracer
-        )
+        cluster, supervisor = self._start_run("grape", program, faults)
         n = cluster.num_workers
         spec = program.param_spec(query)
         checker: MonotonicityChecker | None = None
@@ -251,41 +251,24 @@ class GrapeEngine:
             observers = [checker.observer(wid) for wid in range(n)]
 
         self.backend.bind(program, query, observers)
-        guard = FixpointGuard(max_supersteps=self.max_supersteps)
-        rounds: list[RoundInfo] = []
 
         # ---------------- Superstep 0: PEval ----------------
         # Transient failures are retried in place; a fatal loss here
         # propagates (no snapshot of this run can exist before round 1).
-        with cluster.superstep("peval") as step:
-            self.backend.execute(
-                step,
-                supervisor,
-                [WorkerCall(wid, "peval") for wid in range(n)],
-                on_result=lambda wid, changes: (
-                    self._emit(step, wid, changes) if changes else None
-                ),
-            )
-        self._stamp_pending(cluster)
+        self._ship_step(
+            cluster, supervisor, "peval",
+            [WorkerCall(wid, "peval") for wid in range(n)],
+        )
 
         # ---------------- IncEval rounds ----------------
-        self._fixpoint(
-            cluster, program, query, guard, rounds, checkpoint, supervisor,
-            checker,
+        rounds = self._fixpoint(
+            cluster, program, query, checkpoint, supervisor, checker
         )
 
         answer = self._assemble(cluster, program, query, supervisor)
         self._observe_restart(cluster)
 
-        state = None
-        if keep_state:
-            partials, params = self.backend.pull_state()
-            state = EngineState(
-                partials=partials,
-                params=params,
-                program_name=program.name,
-                num_fragments=n,
-            )
+        state = self._snapshot(program) if keep_state else None
         if self.tracer is not None:
             self.tracer.run_end(cluster.metrics)
         return GrapeResult(
@@ -362,15 +345,9 @@ class GrapeEngine:
         aggregator raises :class:`~repro.errors.StaleStateError` up
         front instead of failing deep inside the fixpoint.
         """
-        self._require_relaxable(program)
         self._check_state(program, query, state)
-        cluster = self._make_cluster(f"grape-inc[{program.name}]", faults)
-        supervisor = Supervisor(
-            self.supervision, cluster.metrics.faults, tracer=self.tracer
-        )
+        cluster, supervisor = self._start_run("grape-inc", program, faults)
         n = cluster.num_workers
-        guard = FixpointGuard(max_supersteps=self.max_supersteps)
-        rounds: list[RoundInfo] = []
         repair = DeltaRepairStats()
 
         if touched is None:
@@ -429,38 +406,25 @@ class GrapeEngine:
                     repair.resets += self.backend.invoke(
                         wid, "reset_params", region=region
                     )
-                with cluster.superstep("repair") as step:
-                    self.backend.execute(
-                        step,
-                        supervisor,
-                        [
-                            WorkerCall(wid, "repair", {"region": set(region)})
-                            for wid, region in sorted(invalid.items())
-                            if region
-                        ],
-                        on_result=lambda wid, changes: (
-                            self._emit(step, wid, changes) if changes else None
-                        ),
-                    )
-                self._stamp_pending(cluster)
+                self._ship_step(
+                    cluster, supervisor, "repair",
+                    [
+                        WorkerCall(wid, "repair", {"region": set(region)})
+                        for wid, region in sorted(invalid.items())
+                        if region
+                    ],
+                )
             if safe:
-                with cluster.superstep("update") as step:
-                    self.backend.execute(
-                        step,
-                        supervisor,
-                        [
-                            WorkerCall(wid, "update", {"ops": local_ops})
-                            for wid, local_ops in sorted(safe.items())
-                        ],
-                        on_result=lambda wid, changes: (
-                            self._emit(step, wid, changes) if changes else None
-                        ),
-                    )
-                self._stamp_pending(cluster)
+                self._ship_step(
+                    cluster, supervisor, "update",
+                    [
+                        WorkerCall(wid, "update", {"ops": local_ops})
+                        for wid, local_ops in sorted(safe.items())
+                    ],
+                )
 
-        self._fixpoint(
-            cluster, program, query, guard, rounds, checkpoint, supervisor,
-            checker=None,
+        rounds = self._fixpoint(
+            cluster, program, query, checkpoint, supervisor
         )
 
         answer = self._assemble(cluster, program, query, supervisor)
@@ -469,21 +433,17 @@ class GrapeEngine:
         # The caller's EngineState keeps tracking the live fixpoint, as
         # it always has (its lists are updated in place); the result
         # carries a fresh EngineState sharing those lists.
-        pulled_partials, pulled_params = self.backend.pull_state()
-        state.partials[:] = pulled_partials
-        state.params[:] = pulled_params
+        fresh = self._snapshot(program)
+        state.partials[:] = fresh.partials
+        state.params[:] = fresh.params
         if self.tracer is not None:
             self.tracer.run_end(cluster.metrics)
         return GrapeResult(
             answer=answer,
             metrics=cluster.metrics,
             rounds=rounds,
-            checker=None,
-            state=EngineState(
-                partials=state.partials,
-                params=state.params,
-                program_name=program.name,
-                num_fragments=n,
+            state=replace(
+                fresh, partials=state.partials, params=state.params
             ),
             repair=repair,
         )
@@ -583,16 +543,10 @@ class GrapeEngine:
         self.backend.invoke_all(
             [WorkerCall(wid, "rebind_params") for wid in range(n)]
         )
-        with cluster.superstep("peval") as step:
-            self.backend.execute(
-                step,
-                supervisor,
-                [WorkerCall(wid, "peval") for wid in range(n)],
-                on_result=lambda wid, changes: (
-                    self._emit(step, wid, changes) if changes else None
-                ),
-            )
-        self._stamp_pending(cluster)
+        self._ship_step(
+            cluster, supervisor, "peval",
+            [WorkerCall(wid, "peval") for wid in range(n)],
+        )
 
     # ------------------------------------------------------------------
     def resume_from_checkpoint(
@@ -616,40 +570,26 @@ class GrapeEngine:
         (numbered from the reloaded round), so a second crash while
         recovering costs bounded work too.
         """
-        self._require_relaxable(program)
         ckpt_round, state = checkpoint.load_latest()
-        cluster = self._make_cluster(f"grape-recover[{program.name}]", faults)
-        supervisor = Supervisor(
-            self.supervision, cluster.metrics.faults, tracer=self.tracer
-        )
-        guard = FixpointGuard(
-            max_supersteps=self.max_supersteps, rounds=ckpt_round
-        )
-        rounds: list[RoundInfo] = []
+        cluster, supervisor = self._start_run("grape-recover", program, faults)
 
         self.backend.resume(program, query, state)
         self._reship_borders(cluster, supervisor)
 
-        self._fixpoint(
-            cluster, program, query, guard, rounds, checkpoint, supervisor,
-            checker=None,
+        rounds = self._fixpoint(
+            cluster, program, query, checkpoint, supervisor,
+            done_rounds=ckpt_round,
         )
 
         answer = self._assemble(cluster, program, query, supervisor)
-        partials, params = self.backend.pull_state()
+        state = self._snapshot(program)
         if self.tracer is not None:
             self.tracer.run_end(cluster.metrics)
         return GrapeResult(
             answer=answer,
             metrics=cluster.metrics,
             rounds=rounds,
-            checker=None,
-            state=EngineState(
-                partials=partials,
-                params=params,
-                program_name=program.name,
-                num_fragments=cluster.num_workers,
-            ),
+            state=state,
         )
 
     # ------------------------------------------------------------------
@@ -663,8 +603,6 @@ class GrapeEngine:
         states unpickled from pre-provenance checkpoints carry the
         defaults and are validated structurally only.
         """
-        from repro.errors import StaleStateError
-
         if not isinstance(state, EngineState):
             raise StaleStateError(
                 "run_incremental needs the EngineState from a prior "
@@ -725,8 +663,13 @@ class GrapeEngine:
             "precondition; run this program with mode='strict'"
         )
 
-    def _make_cluster(self, engine_name: str, faults) -> Cluster:
-        """A cluster for one run, with the fault plan's injector if any."""
+    def _start_run(
+        self, kind: str, program: PIEProgram, faults
+    ) -> tuple[Cluster, Supervisor]:
+        """Gate the run, then build its cluster (with the fault plan's
+        injector, if any) and the supervisor watching it."""
+        self._require_relaxable(program)
+        engine_name = f"{kind}[{program.name}]"
         if faults is not None and not self.backend.supports_faults:
             raise ProgramError(
                 f"fault injection requires the simulated backend; the "
@@ -740,10 +683,9 @@ class GrapeEngine:
                 "does not have; run the fault plan with mode='strict'"
             )
         injector = faults.injector() if faults is not None else None
-        self._unstamped.clear()
         if self.tracer is not None:
             self.tracer.run_begin(engine_name, self.fragmented.num_fragments)
-        return Cluster(
+        cluster = Cluster(
             self.fragmented.num_fragments,
             self.cost_model,
             engine_name=engine_name,
@@ -751,6 +693,9 @@ class GrapeEngine:
             tracer=self.tracer,
             measure_wall=self.backend.measures_wall,
             mode=self.mode,
+        )
+        return cluster, Supervisor(
+            self.supervision, cluster.metrics.faults, tracer=self.tracer
         )
 
     def _phase_seconds(self, cluster: Cluster, *phases: str) -> float:
@@ -788,34 +733,36 @@ class GrapeEngine:
         cluster: Cluster,
         program: PIEProgram[Q, P, R],
         query: Q,
-        guard: FixpointGuard,
-        rounds: list[RoundInfo],
         checkpoint,
         supervisor: Supervisor,
-        checker: MonotonicityChecker | None,
-    ) -> None:
+        checker: MonotonicityChecker | None = None,
+        done_rounds: int = 0,
+    ) -> list[RoundInfo]:
         """Drive IncEval rounds to the fixed point, healing fatal losses.
 
         Worker state lives in the backend and is mutated in place
-        (including wholesale replacement on recovery); ``rounds``
-        accumulates the full trace — the re-executed rounds after a
-        recovery appear again, which is the honest account of what the
-        cluster computed.
+        (including wholesale replacement on recovery); the returned
+        trace is the full one — the re-executed rounds after a recovery
+        appear again, which is the honest account of what the cluster
+        computed. Rounds are numbered from ``done_rounds`` (a resumed
+        checkpoint's). On a relaxed cluster each round is a wave timed
+        on the per-worker clocks; the loop is otherwise the same.
         """
-        if self.mode == "relaxed":
-            self._fixpoint_relaxed(
-                cluster, program, query, guard, rounds, checkpoint,
-                supervisor,
-            )
-            return
+        guard = FixpointGuard(
+            max_supersteps=self.max_supersteps, rounds=done_rounds
+        )
+        rounds: list[RoundInfo] = []
         n = cluster.num_workers
+        relaxed = cluster.clocks is not None
         while True:
-            if not self._pending(cluster) and not any(
+            # The coordinator's inactivity test: no mail anywhere, no
+            # worker with local work left.
+            if not cluster.mpi.pending() and not any(
                 self.backend.is_active(wid) for wid in range(n)
             ):
-                break
+                return rounds
             try:
-                with cluster.superstep("inceval") as step:
+                with cluster.superstep("inceval", relaxed=relaxed) as step:
                     shipped, applied, active = self._inceval_round(
                         cluster, step, program, query, supervisor
                     )
@@ -836,141 +783,7 @@ class GrapeEngine:
                 )
             )
             if checkpoint is not None and guard.rounds % checkpoint.every == 0:
-                partials, params = self.backend.pull_state()
-                checkpoint.save(
-                    guard.rounds,
-                    EngineState(
-                        partials=partials,
-                        params=params,
-                        program_name=program.name,
-                        num_fragments=n,
-                    ),
-                )
-
-    def _fixpoint_relaxed(
-        self,
-        cluster: Cluster,
-        program: PIEProgram[Q, P, R],
-        query: Q,
-        guard: FixpointGuard,
-        rounds: list[RoundInfo],
-        checkpoint,
-        supervisor: Supervisor,
-    ) -> None:
-        """Pipelined IncEval waves over per-channel FIFOs (relaxed mode).
-
-        A *wave* runs every worker that has undrained channels or local
-        work: each drains its inbound FIFOs (sorted by source rank —
-        exactly the strict ``routing="direct"`` inbox order, so the
-        payload lists handed to ``op_inceval`` are byte-identical),
-        computes, and buffers outbound batches with its *own* clock as
-        the send time. No barrier: a worker's clock advances by its
-        drain waits plus its own compute plus ``drain_overhead``, so
-        fast workers start wave ``t+1`` while stragglers still finish
-        wave ``t`` on the virtual timeline. Termination is the
-        double-counting quiescence check over the transport's in-flight
-        counters — two consecutive clean probes, no barrier vote.
-        """
-        n = cluster.num_workers
-        channels = cluster.channels
-        clocks = cluster.clocks
-        cost = self.cost_model
-        detector = QuiescenceDetector()
-        while True:
-            runnable = [
-                wid
-                for wid in range(n)
-                if channels.has_pending(wid) or self.backend.is_active(wid)
-            ]
-            if not runnable:
-                sent, delivered = channels.in_flight()
-                if detector.probe(sent, delivered, active=False):
-                    break
-                continue
-            detector.reset()
-            with cluster.superstep("inceval", relaxed=True) as step:
-                starts: dict[int, float] = {}
-                calls = []
-                was_active: dict[int, bool] = {}
-                # Drain every runnable worker *before* any computes, so
-                # batches sent within this wave stay invisible until the
-                # next one (the strict round structure is preserved).
-                for wid in runnable:
-                    batches = channels.drain(wid)
-                    locally_active = self.backend.is_active(wid)
-                    was_active[wid] = locally_active
-                    start = clocks.clocks[wid]
-                    for entry in batches:
-                        if self.tracer is not None:
-                            self.tracer.drain(wid, entry.src, 1, entry.size)
-                        arrival = (entry.send_clock or 0.0) + (
-                            cost.network_time(entry.size, 1)
-                        )
-                        if arrival > start:
-                            start = arrival
-                    starts[wid] = start
-                    calls.append(
-                        WorkerCall(
-                            wid,
-                            "inceval",
-                            {
-                                "payloads": [e.payload for e in batches],
-                                "locally_active": locally_active,
-                            },
-                        )
-                    )
-                shipped = 0
-                applied = 0
-                active = 0
-                outbound: dict[int, list] = {}
-
-                def _shipped(wid: int, result) -> None:
-                    nonlocal shipped, applied, active
-                    changed, changes = result
-                    applied += len(changed)
-                    if changed or was_active[wid]:
-                        active += 1
-                    if changes:
-                        shipped += len(changes)
-                        outbound[wid] = self._emit_channels(
-                            step, wid, changes
-                        )
-
-                self.backend.execute(
-                    step, supervisor, calls, on_result=_shipped
-                )
-                # Second pass: advance each worker's clock past its
-                # metered compute and stamp its outbound batches —
-                # waves are sequential, so every stamp lands before the
-                # next wave's drains read it.
-                for wid in runnable:
-                    clocks.clocks[wid] = (
-                        starts[wid]
-                        + cost.compute_scale * step.compute_seconds(wid)
-                        + cost.drain_overhead
-                    )
-                    for entry in outbound.get(wid, ()):
-                        entry.send_clock = clocks.clocks[wid]
-            guard.record_round(shipped)
-            rounds.append(
-                RoundInfo(
-                    round_index=guard.rounds,
-                    params_shipped=shipped,
-                    params_applied=applied,
-                    active_workers=active,
-                )
-            )
-            if checkpoint is not None and guard.rounds % checkpoint.every == 0:
-                partials, params = self.backend.pull_state()
-                checkpoint.save(
-                    guard.rounds,
-                    EngineState(
-                        partials=partials,
-                        params=params,
-                        program_name=program.name,
-                        num_fragments=n,
-                    ),
-                )
+                checkpoint.save(guard.rounds, self._snapshot(program))
 
     def _recover(
         self,
@@ -1029,19 +842,10 @@ class GrapeEngine:
         supervisor: Supervisor,
     ) -> None:
         """One "recover" superstep: re-send every non-default border value."""
-        with cluster.superstep("recover") as step:
-            self.backend.execute(
-                step,
-                supervisor,
-                [
-                    WorkerCall(wid, "reship")
-                    for wid in range(cluster.num_workers)
-                ],
-                on_result=lambda wid, changes: (
-                    self._emit(step, wid, changes) if changes else None
-                ),
-            )
-        self._stamp_pending(cluster)
+        self._ship_step(
+            cluster, supervisor, "recover",
+            [WorkerCall(wid, "reship") for wid in range(cluster.num_workers)],
+        )
 
     def _assemble(
         self,
@@ -1057,57 +861,33 @@ class GrapeEngine:
                 step, COORDINATOR, lambda: program.assemble(query, partials)
             )
 
-    def _emit_channels(
-        self, step, wid: int, changes: dict[VertexId, object]
-    ) -> list:
-        """Relaxed emission: split changes onto the per-channel FIFOs.
+    def _ship_step(
+        self, cluster: Cluster, supervisor: Supervisor, phase: str, calls
+    ) -> None:
+        """One barrier superstep: run ``calls``, ship what each changed."""
+        with cluster.superstep(phase) as step:
+            self.backend.execute(
+                step,
+                supervisor,
+                calls,
+                on_result=lambda wid, changes: (
+                    self._emit(step, wid, changes) if changes else None
+                ),
+            )
 
-        The destination split is byte-identical to strict
-        ``routing="direct"`` minus the coordinator's ``__active__``
-        control message (termination is the quiescence check instead);
-        receivers drain channels sorted by source rank, reproducing the
-        strict-direct inbox order exactly. Returns the channel entries
-        so the caller can stamp their ``send_clock``.
-        """
-        by_dst: dict[int, dict[VertexId, object]] = {}
-        for v, value in changes.items():
-            for fid in self.fragmented.hosts(v):
-                if fid != wid:
-                    by_dst.setdefault(fid, {})[v] = value
-        return [
-            step.send_channel(wid, fid, batch)
-            for fid, batch in by_dst.items()
-        ]
-
-    def _stamp_pending(self, cluster: Cluster) -> None:
-        """Stamp strict-phase channel entries at the phase's barrier.
-
-        A strict superstep's ``superstep_time`` already priced the
-        delivery of everything it shipped, so these entries are
-        *available* at the barrier frontier: back-date each send_clock
-        by its own transfer time so the first wave's arrival lands
-        exactly on the frontier instead of charging the network twice.
-        """
-        if cluster.clocks is None or not self._unstamped:
-            return
-        frontier = cluster.clocks.frontier()
-        cost = cluster.cost_model
-        for entry in self._unstamped:
-            if entry.send_clock is None:
-                entry.send_clock = max(
-                    frontier - cost.network_time(entry.size, 1), 0.0
-                )
-        self._unstamped.clear()
+    def _snapshot(self, program: PIEProgram) -> EngineState:
+        """The backend's live fixpoint as a resumable :class:`EngineState`."""
+        partials, params = self.backend.pull_state()
+        return EngineState(
+            partials=partials,
+            params=params,
+            program_name=program.name,
+            num_fragments=self.fragmented.num_fragments,
+        )
 
     def _emit(self, step, wid: int, changes: dict[VertexId, object]) -> None:
         """Send changed parameters toward their consumers."""
-        if self.mode == "relaxed":
-            # A strict phase inside a relaxed run (peval / repair /
-            # update / recover): buffer on the channels; send_clock is
-            # stamped once the phase's barrier fixes the frontier.
-            self._unstamped.extend(self._emit_channels(step, wid, changes))
-            return
-        if self.routing == "coordinator":
+        if not self._direct:
             step.send(wid, COORDINATOR, changes)
             return
         # Direct mode: split the change set by destination fragment.
@@ -1118,12 +898,11 @@ class GrapeEngine:
                     by_dst.setdefault(fid, {})[v] = value
         for fid, batch in by_dst.items():
             step.send(wid, fid, batch)
-        # Tiny control message so the coordinator can detect activity.
-        step.send(wid, COORDINATOR, {"__active__": len(changes)})
-
-    def _pending(self, cluster: Cluster) -> bool:
-        """Any undelivered worker changes? (coordinator's inactivity test)"""
-        return bool(cluster.mpi.peek(COORDINATOR)) or cluster.mpi.pending()
+        if self.mode == "strict":
+            # Tiny control message so the coordinator can detect
+            # activity; relaxed waves have no coordinator round-trip and
+            # terminate on the worker inboxes alone.
+            step.send(wid, COORDINATOR, {"__active__": len(changes)})
 
     def _inceval_round(
         self,
@@ -1143,7 +922,7 @@ class GrapeEngine:
         n = cluster.num_workers
         aggregator = program.param_spec(query).aggregator
 
-        if self.routing == "coordinator":
+        if not self._direct:
             # (a) P0 aggregates per vertex and routes to hosting fragments.
             with step.compute(COORDINATOR):
                 inbox = cluster.receive(COORDINATOR)
@@ -1174,12 +953,20 @@ class GrapeEngine:
         active = 0
         calls = []
         was_active: dict[int, bool] = {}
+        clocks = cluster.clocks
         for wid in range(n):
             messages = cluster.receive(wid)
             locally_active = self.backend.is_active(wid)
             if not messages and not locally_active:
                 continue
             was_active[wid] = locally_active
+            if clocks is not None:
+                # Relaxed wave: this worker starts when its own mail has
+                # arrived, not when the slowest lane reaches a barrier.
+                clocks.open_wave(wid, messages)
+                if self.tracer is not None:
+                    for msg in messages:
+                        self.tracer.drain(wid, msg.src, 1, msg.size)
             calls.append(
                 WorkerCall(
                     wid,

@@ -497,9 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--mode", choices=list(MODES), default="strict",
         help="superstep engine: strict (BSP lockstep, the default) or "
-             "relaxed (pipelined waves over per-channel FIFOs for "
-             "aggregator-monotone programs; byte-identical answers, "
-             "lower virtual makespan)",
+             "relaxed (the same peer-to-peer rounds timed on per-worker "
+             "clocks instead of a barrier, for aggregator-monotone "
+             "programs; byte-identical answers, lower virtual makespan)",
     )
     run.add_argument(
         "--updates", default=None, metavar="FILE.json",

@@ -48,9 +48,11 @@ class Session:
         store: fragment storage backend name ("dict"/"csr"); by default
             fragments inherit the graph's own store.
         mode: superstep engine mode — ``"strict"`` (BSP lockstep, the
-            default) or ``"relaxed"`` (pipelined waves over per-channel
-            FIFOs for aggregator-monotone programs; byte-identical
-            answers, lower virtual makespan).
+            default) or ``"relaxed"`` (the same direct-routing rounds
+            timed on per-worker virtual clocks instead of a barrier,
+            for aggregator-monotone programs; always peer-to-peer
+            whatever ``routing`` says; byte-identical answers, lower
+            virtual makespan).
     """
 
     def __init__(
@@ -177,7 +179,6 @@ class Session:
                 self.backend_name,
                 self.fragmented,
                 deterministic=self.cost_model.deterministic,
-                mode=self.mode,
             )
         return self._backend
 
@@ -227,5 +228,4 @@ class Session:
         self, name: str, query: object, **program_kwargs
     ) -> GrapeResult:
         """Run a program from the API library by its registered name."""
-        program = get_program(name, **program_kwargs)
-        return self.engine().run(program, query)
+        return self.run(get_program(name, **program_kwargs), query)

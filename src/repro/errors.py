@@ -23,12 +23,6 @@ class EngineRuntimeError(GrapeError):
     """The simulated cluster runtime detected an inconsistency."""
 
 
-#: Deprecated alias, kept so existing ``except RuntimeErrorGrape`` sites
-#: and imports continue to work; new code should catch
-#: :class:`EngineRuntimeError`.
-RuntimeErrorGrape = EngineRuntimeError
-
-
 class ProgramError(GrapeError):
     """A PIE / vertex / block program violated its contract."""
 
@@ -43,7 +37,7 @@ class AnalysisError(ProgramError):
 
 
 class StaleStateError(ProgramError):
-    """An :class:`~repro.core.incremental.EngineState` does not fit.
+    """An :class:`~repro.core.delta.EngineState` does not fit.
 
     Raised by :meth:`~repro.core.engine.GrapeEngine.run_incremental` when
     the state handed to it was produced by a different program, a

@@ -8,8 +8,8 @@ A :class:`Graph` is a simple directed graph (no parallel edges) with
 
 Both out- and in-adjacency are maintained so traversal algorithms
 (Dijkstra, simulation, keyword search) and partitioners can walk edges in
-either direction in O(degree). The structure is mutable; fragments and
-views share no storage with the parent graph (copies are explicit), which
+either direction in O(degree). The structure is mutable; fragments
+share no storage with the parent graph (copies are explicit), which
 keeps worker-local state in the simulated cluster honest.
 
 Storage is pluggable (``Graph(store=...)``): the graph itself is a thin

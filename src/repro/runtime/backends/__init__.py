@@ -30,7 +30,6 @@ def make_backend(
     name: str,
     fragmented: FragmentedGraph,
     deterministic: bool = True,
-    mode: str = "strict",
     **kwargs: object,
 ) -> ExecutionBackend:
     """An :class:`ExecutionBackend` by name over ``fragmented``.
@@ -39,20 +38,7 @@ def make_backend(
     workers report real compute seconds or zeros); the simulator's
     determinism is governed by the engine's
     :class:`~repro.runtime.costmodel.CostModel` as always.
-
-    ``mode`` is the superstep engine mode the backend will serve
-    (``"strict"``/``"relaxed"``) — validated here so a typo'd mode
-    fails at construction, not deep inside the first run. Both
-    backends serve both modes; fault injection and ``check_monotonic``
-    remain strict-simulator-only and are rejected by the engine.
     """
-    from repro.core.engine import MODES
-
-    if mode not in MODES:
-        raise ProgramError(
-            f"unknown superstep mode {mode!r}; choose from "
-            + ", ".join(MODES)
-        )
     if name == "simulated":
         return SimulatedBackend(fragmented)
     if name == "process":

@@ -25,7 +25,7 @@ from typing import Iterator
 from repro.runtime.costmodel import CostModel
 from repro.runtime.message import COORDINATOR, Message
 from repro.runtime.metrics import RunMetrics, SuperstepMetrics
-from repro.runtime.mpi_sim import ChannelTransport, MPIController
+from repro.runtime.mpi_sim import MPIController
 
 
 class PipelinedClocks:
@@ -39,9 +39,15 @@ class PipelinedClocks:
     mark, so per-superstep times still sum to the run makespan.
     """
 
-    def __init__(self, num_workers: int) -> None:
+    def __init__(self, num_workers: int, cost_model: CostModel) -> None:
         self.clocks: dict[int, float] = {w: 0.0 for w in range(num_workers)}
+        self._cost = cost_model
         self._mark = 0.0
+        #: worker -> start of its open wave (drained, not yet closed).
+        self._starts: dict[int, float] = {}
+        #: whether the mail now in the inboxes left in a wave (still to
+        #: be priced per message) rather than a barrier phase.
+        self._after_wave = False
 
     def frontier(self) -> float:
         """The furthest worker clock (the run's virtual makespan)."""
@@ -60,6 +66,39 @@ class PipelinedClocks:
         frontier = self.frontier() + seconds
         for worker in self.clocks:
             self.clocks[worker] = frontier
+        self._after_wave = False
+        return self.advance()
+
+    def open_wave(self, worker: int, messages: list[Message]) -> None:
+        """``worker`` drains ``messages`` and starts its next wave.
+
+        Mail sent in the previous wave arrives at its sender's clock
+        (unchanged since that wave closed) plus its own transfer time;
+        mail sent in a barrier phase was priced by that phase's
+        ``superstep_time`` and is already available at the frontier
+        every clock was synchronized to.
+        """
+        start = self.clocks[worker]
+        if self._after_wave:
+            network_time = self._cost.network_time
+            for msg in messages:
+                arrival = self.clocks[msg.src] + network_time(msg.size, 1)
+                if arrival > start:
+                    start = arrival
+        self._starts[worker] = start
+
+    def close_wave(self, compute: dict[int, float]) -> float:
+        """Advance every drained worker past its metered compute plus the
+        drain handoff; returns the wave's duration (frontier movement)."""
+        cost = self._cost
+        for worker, start in self._starts.items():
+            self.clocks[worker] = (
+                start
+                + cost.compute_scale * compute.get(worker, 0.0)
+                + cost.drain_overhead
+            )
+        self._starts.clear()
+        self._after_wave = True
         return self.advance()
 
 
@@ -71,16 +110,14 @@ class SuperstepHandle:
     ) -> None:
         self._cluster = cluster
         self.phase = phase
-        #: True for a barrier-relaxed wave: traffic moved over the
-        #: channel transport and simulated time is the clock frontier's
-        #: advance, not makespan + network + barrier.
+        #: True for a barrier-relaxed wave: simulated time is the clock
+        #: frontier's advance, not makespan + network + barrier.
         self.relaxed = relaxed
         self.index = len(cluster.metrics.supersteps)
         self._compute: dict[int, float] = {}
         self._bytes = 0
         self._messages = 0
         self._pairs = 0
-        self._channel_pairs: set[tuple[int, int]] = set()
         #: src rank -> [messages, bytes] shipped via :meth:`send`.
         self._sends: dict[int, list[int]] = {}
         #: real wall-clock start, only when the cluster measures wall
@@ -140,10 +177,6 @@ class SuperstepHandle:
         """Add pre-measured compute seconds for ``worker``."""
         self._compute[worker] = self._compute.get(worker, 0.0) + seconds
 
-    def compute_seconds(self, worker: int) -> float:
-        """Metered compute seconds of ``worker`` so far this superstep."""
-        return self._compute.get(worker, 0.0)
-
     def send(self, src: int, dst: int, payload: object) -> Message:
         """Send a message for delivery in the next superstep."""
         msg = self._cluster.mpi.send(src, dst, payload)
@@ -151,25 +184,6 @@ class SuperstepHandle:
         counts[0] += 1
         counts[1] += msg.size
         return msg
-
-    def send_channel(self, src: int, dst: int, payload: object):
-        """Buffer a batch on the relaxed channel transport.
-
-        Byte/message/pair accounting mirrors :meth:`send` + barrier
-        flush, so strict and relaxed supersteps report comparable
-        traffic totals; only the delivery schedule differs. Returns the
-        :class:`~repro.runtime.mpi_sim.ChannelEntry` so the engine can
-        stamp its ``send_clock``.
-        """
-        entry = self._cluster.channels.send(src, dst, payload)
-        counts = self._sends.setdefault(src, [0, 0])
-        counts[0] += 1
-        counts[1] += entry.size
-        self._messages += 1
-        if src != dst:
-            self._bytes += entry.size
-            self._channel_pairs.add((src, dst))
-        return entry
 
     def deliver(self) -> None:
         """Mid-superstep flush: deliver queued messages now.
@@ -186,7 +200,6 @@ class SuperstepHandle:
     def finish(self) -> SuperstepMetrics:
         """Barrier: flush traffic, compute simulated time, record metrics."""
         self.deliver()
-        self._pairs += len(self._channel_pairs)
         worker_times = [
             t for w, t in self._compute.items() if w != COORDINATOR
         ]
@@ -199,9 +212,7 @@ class SuperstepHandle:
                 makespan, self._bytes, self._pairs
             )
         elif self.relaxed:
-            # The engine advanced each worker's clock inside the wave;
-            # the wave's duration is the frontier's movement.
-            simulated = clocks.advance()
+            simulated = clocks.close_wave(self._compute)
         else:
             # A strict phase inside a relaxed run synchronizes every
             # clock at the frontier plus the full superstep time.
@@ -267,13 +278,13 @@ class Cluster:
         self.measure_wall = measure_wall
         self.mode = mode
         self.mpi = MPIController(num_workers, injector=injector)
-        #: relaxed-mode state: per-pair FIFO channels + per-worker
-        #: virtual clocks (None on strict clusters).
-        self.channels: ChannelTransport | None = None
-        self.clocks: PipelinedClocks | None = None
-        if mode == "relaxed":
-            self.channels = ChannelTransport(num_workers)
-            self.clocks = PipelinedClocks(num_workers)
+        #: relaxed-mode per-worker virtual clocks (None on strict
+        #: clusters).
+        self.clocks: PipelinedClocks | None = (
+            PipelinedClocks(num_workers, self.cost_model)
+            if mode == "relaxed"
+            else None
+        )
         self.metrics = RunMetrics(engine=engine_name, num_workers=num_workers)
         if injector is not None:
             # One counter object end to end: the injector fires into the
@@ -289,7 +300,7 @@ class Cluster:
         A superstep torn down by an escaping exception (fatal worker
         loss) stays out of the metrics, exactly as before; the tracer —
         if any — records the abort. ``relaxed=True`` marks a
-        barrier-relaxed wave (channel traffic, frontier-delta timing).
+        barrier-relaxed wave (frontier-delta timing).
         """
         handle = SuperstepHandle(self, phase, relaxed=relaxed)
         if self.tracer is not None:

@@ -24,12 +24,10 @@ plain path is byte-for-byte the original):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import EngineRuntimeError, TransportError
 from repro.runtime.message import COORDINATOR, Message, payload_checksum
-from repro.utils.sizeof import message_size
 
 
 @dataclass(frozen=True)
@@ -196,110 +194,3 @@ class MPIController:
         for rank in self._inboxes:
             self._inboxes[rank] = []
 
-
-class ChannelEntry:
-    """One buffered border-message batch on a (src, dst) channel.
-
-    ``send_clock`` is the sender's virtual clock when the batch left —
-    stamped by the engine *after* the sending wave's compute is metered
-    (or after the barrier for strict phases inside a relaxed run), so
-    the receiver's arrival time can be derived per channel instead of
-    per barrier.
-    """
-
-    __slots__ = ("src", "dst", "payload", "size", "send_clock")
-
-    def __init__(self, src: int, dst: int, payload: object) -> None:
-        self.src = src
-        self.dst = dst
-        self.payload = payload
-        self.size = message_size(payload)
-        self.send_clock: float | None = None
-
-
-class ChannelTransport:
-    """Per-(src, dst) FIFO channels for barrier-relaxed supersteps.
-
-    The fpgagraphlib idiom in software: instead of one global mailbox
-    flushed at the barrier, every ordered worker pair owns a FIFO. A
-    receiver *drains* all of its inbound channels at the start of its
-    next wave — sorted by source rank, which reproduces exactly the
-    inbox order the strict ``routing="direct"`` barrier would have
-    delivered (senders are processed in ascending rank per superstep).
-
-    ``total_sent``/``total_delivered`` are the global in-flight counters
-    the :class:`QuiescenceDetector` double-counts for termination.
-    """
-
-    def __init__(self, num_workers: int) -> None:
-        if num_workers < 1:
-            raise EngineRuntimeError("transport needs at least one worker")
-        self.num_workers = num_workers
-        self._queues: dict[tuple[int, int], deque] = {}
-        self.total_sent = 0
-        self.total_delivered = 0
-
-    def send(self, src: int, dst: int, payload: object) -> ChannelEntry:
-        """Buffer one batch on the (src, dst) channel; returns the entry
-        so the caller can stamp its ``send_clock`` once known."""
-        if not 0 <= src < self.num_workers or not 0 <= dst < self.num_workers:
-            raise EngineRuntimeError(
-                f"invalid channel {src}->{dst}: relaxed mode is "
-                "worker-to-worker only (no coordinator mailbox)"
-            )
-        entry = ChannelEntry(src, dst, payload)
-        self._queues.setdefault((src, dst), deque()).append(entry)
-        self.total_sent += 1
-        return entry
-
-    def drain(self, dst: int) -> list[ChannelEntry]:
-        """Pop everything pending for ``dst``, sorted by source rank."""
-        out: list[ChannelEntry] = []
-        for src in range(self.num_workers):
-            queue = self._queues.get((src, dst))
-            while queue:
-                out.append(queue.popleft())
-        self.total_delivered += len(out)
-        return out
-
-    def has_pending(self, dst: int) -> bool:
-        """True when any channel into ``dst`` holds an undrained batch."""
-        return any(
-            self._queues.get((src, dst))
-            for src in range(self.num_workers)
-        )
-
-    def in_flight(self) -> tuple[int, int]:
-        """The (sent, delivered) counters for a quiescence probe."""
-        return self.total_sent, self.total_delivered
-
-
-class QuiescenceDetector:
-    """Mattern-style double-counting termination for relaxed mode.
-
-    Without a barrier there is no all-workers-converged vote, so the
-    engine terminates only after **two consecutive clean probes**: both
-    must see ``sent == delivered`` with no active worker, and the
-    counters must not have moved between them. A single clean snapshot
-    can race a batch that is counted as sent after the probe read
-    ``delivered``; the unchanged second probe proves no message was in
-    flight across the whole window.
-    """
-
-    def __init__(self) -> None:
-        self._last: tuple[int, int] | None = None
-
-    def probe(self, sent: int, delivered: int, active: bool) -> bool:
-        """Record one probe; True when quiescence is confirmed."""
-        if sent != delivered or active:
-            self._last = None
-            return False
-        snapshot = (sent, delivered)
-        if self._last == snapshot:
-            return True
-        self._last = snapshot
-        return False
-
-    def reset(self) -> None:
-        """Any observed activity invalidates the pending first probe."""
-        self._last = None

@@ -24,7 +24,7 @@ from repro.runtime.metrics import RunMetrics
 #: barriers, shipped messages and shipped bytes. Two replays of one
 #: trace therefore produce byte-identical reports. The constants live
 #: in :mod:`repro.obs.timeline` so trace spans and query charges speak
-#: the same cost vocabulary; they are re-exported here for back-compat.
+#: the same cost vocabulary.
 from repro.obs.timeline import (  # noqa: E402  (doc comment above)
     BYTE_COST,
     MSG_COST,

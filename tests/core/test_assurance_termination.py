@@ -5,7 +5,7 @@ import pytest
 from repro.core.assurance import MonotonicityChecker
 from repro.core.partial_order import DECREASING
 from repro.core.termination import FixpointGuard
-from repro.errors import MonotonicityError, RuntimeErrorGrape
+from repro.errors import EngineRuntimeError, MonotonicityError
 
 
 def test_checker_accepts_monotone_writes():
@@ -61,5 +61,5 @@ def test_guard_caps_supersteps():
     guard = FixpointGuard(max_supersteps=3)
     for _ in range(3):
         guard.record_round(1)
-    with pytest.raises(RuntimeErrorGrape, match="monotonic"):
+    with pytest.raises(EngineRuntimeError, match="monotonic"):
         guard.record_round(1)

@@ -151,7 +151,7 @@ def test_keep_retention_prunes_old_snapshots(tmp_path):
 
 
 def test_run_incremental_checkpoints_on_same_cadence(tmp_path):
-    from repro.core.incremental import EdgeInsertion
+    from repro.core.delta import EdgeInsert
 
     g = road_network(12, 12, seed=3, removal_prob=0.0)
     engine = _engine(g)
@@ -160,7 +160,7 @@ def test_run_incremental_checkpoints_on_same_cadence(tmp_path):
 
     policy = CheckpointPolicy(SimulatedDFS(tmp_path), every=1, tag="inc")
     corner = max(g.vertices())
-    shortcut = EdgeInsertion(0, corner, first.answer[corner] / 2)
+    shortcut = EdgeInsert(0, corner, first.answer[corner] / 2)
     g.add_edge(0, corner, shortcut.weight)
     second = engine.run_incremental(
         program, SSSPQuery(source=0), first.state, [shortcut],
@@ -215,7 +215,7 @@ def test_torn_pointer_with_keep_pruning_recovers_newest_survivor(tmp_path):
 def test_run_incremental_crash_resumes_from_checkpoint(tmp_path):
     """A crash mid-ΔG repair resumes from the incremental run's own
     snapshots and still reaches the recomputation answer."""
-    from repro.core.incremental import EdgeInsertion
+    from repro.core.delta import EdgeInsert
 
     g = road_network(12, 12, seed=3, removal_prob=0.0)
     engine = _engine(g)
@@ -223,7 +223,7 @@ def test_run_incremental_crash_resumes_from_checkpoint(tmp_path):
 
     policy = CheckpointPolicy(SimulatedDFS(tmp_path), every=1, tag="incres")
     corner = max(g.vertices())
-    shortcut = EdgeInsertion(0, corner, first.answer[corner] / 2)
+    shortcut = EdgeInsert(0, corner, first.answer[corner] / 2)
     g.add_edge(0, corner, shortcut.weight)
     crashy = CrashingSSSP(crash_at_call=3)  # dies in repair round 2
     with pytest.raises(ConnectionError):

@@ -1,11 +1,10 @@
 """Unit tests for the unified ΔG subsystem (``repro.core.delta``):
 batch coercion, routing semantics (weight fill-in, insert-of-existing
-reclassification, duplicate-edge ban), mirror pruning on deletion, the
-deprecated ``repro.core.incremental`` shim, EngineState pickle
-back-compat, and the repair-mode ladder (monotone/scoped/full)."""
+reclassification, duplicate-edge ban), mirror pruning on deletion,
+EngineState pickle back-compat, and the repair-mode ladder
+(monotone/scoped/full)."""
 
 import pickle
-import warnings
 
 import pytest
 
@@ -150,21 +149,6 @@ def test_cross_fragment_delete_prunes_stranded_mirror():
     assert fragd.hosts(2) == {1}
 
 
-# ----------------------------------------------------------------- shim
-def test_incremental_shim_aliases_and_warns():
-    from repro.core import incremental
-
-    assert incremental.EdgeInsertion is EdgeInsert
-    assert incremental.EngineState is EngineState
-    g = _line_graph(3)
-    fragd = build_fragments(g, {0: 0, 1: 0, 2: 0}, 1)
-    with pytest.warns(DeprecationWarning, match="apply_delta"):
-        touched = incremental.apply_insertions(
-            fragd, [incremental.EdgeInsertion(2, 0, 2.0)]
-        )
-    assert touched == {0: [EdgeInsert(2, 0, 2.0)]}
-
-
 # --------------------------------------------------- pickle back-compat
 def test_engine_state_pickle_roundtrip():
     state = EngineState(
@@ -184,13 +168,6 @@ def test_engine_state_loads_pre_provenance_pickles():
     assert clone.program_name == ""
     assert clone.num_fragments == 0
     assert clone.partials == [{0: 0.0}]
-
-
-def test_engine_state_loads_from_old_module_path():
-    state = EngineState(partials=[], params=[], program_name="bfs")
-    payload = pickle.dumps(state, protocol=0)
-    legacy = payload.replace(b"repro.core.delta", b"repro.core.incremental")
-    assert pickle.loads(legacy) == state
 
 
 # ------------------------------------------------------ repair-mode ladder

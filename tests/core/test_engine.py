@@ -15,7 +15,7 @@ import pytest
 from repro.core.aggregators import BOOL_OR, MAX
 from repro.core.engine import GrapeEngine
 from repro.core.pie import ParamSpec, PIEProgram
-from repro.errors import MonotonicityError, ProgramError, RuntimeErrorGrape
+from repro.errors import EngineRuntimeError, MonotonicityError, ProgramError
 from repro.graph.digraph import Graph
 from repro.graph.fragment import build_fragments
 
@@ -184,7 +184,7 @@ def test_lenient_checker_records_violations():
 def test_superstep_cap_stops_nonterminating_program():
     _, fragd = _chain_fragments()
     engine = GrapeEngine(fragd, max_supersteps=4)
-    with pytest.raises(RuntimeErrorGrape, match="fixed point"):
+    with pytest.raises(EngineRuntimeError, match="fixed point"):
         engine.run(EndlessProgram(), 0)
 
 

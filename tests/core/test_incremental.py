@@ -7,8 +7,8 @@ from repro.algorithms.cc import CCProgram, CCQuery
 from repro.algorithms.sequential.cc_seq import connected_components
 from repro.algorithms.sequential.dijkstra import INF, single_source
 from repro.algorithms.sssp import SSSPProgram, SSSPQuery
+from repro.core.delta import EdgeInsert, apply_delta
 from repro.core.engine import GrapeEngine
-from repro.core.incremental import EdgeInsertion, apply_insertions
 from repro.errors import ProgramError
 from repro.graph.digraph import Graph
 from repro.graph.fragment import build_fragments
@@ -30,8 +30,8 @@ def test_apply_insertion_local_edge():
     g.add_edge(0, 1)
     g.add_vertex(2)
     fragd = build_fragments(g, {0: 0, 1: 0, 2: 0}, 1)
-    touched = apply_insertions(fragd, [EdgeInsertion(1, 2, 5.0)])
-    assert touched == {0: [EdgeInsertion(1, 2, 5.0)]}
+    touched = apply_delta(fragd, [EdgeInsert(1, 2, 5.0)])
+    assert touched == {0: [EdgeInsert(1, 2, 5.0)]}
     assert fragd.fragments[0].graph.edge_weight(1, 2) == 5.0
 
 
@@ -40,7 +40,7 @@ def test_apply_insertion_cross_edge_updates_borders():
     g.add_vertex(0)
     g.add_vertex(1)
     fragd = build_fragments(g, {0: 0, 1: 1}, 2)
-    touched = apply_insertions(fragd, [EdgeInsertion(0, 1)])
+    touched = apply_delta(fragd, [EdgeInsert(0, 1)])
     assert set(touched) == {0, 1}  # src side repairs, dst side exports
     f0, f1 = fragd.fragments
     assert f0.mirrors == {1: 1}
@@ -54,7 +54,7 @@ def test_apply_insertion_unknown_vertex_rejected():
     g.add_vertex(0)
     fragd = build_fragments(g, {0: 0}, 1)
     with pytest.raises(ProgramError):
-        apply_insertions(fragd, [EdgeInsertion(0, 99)])
+        apply_delta(fragd, [EdgeInsert(0, 99)])
 
 
 def test_apply_insertion_undirected_mirrors_both_sides():
@@ -62,7 +62,7 @@ def test_apply_insertion_undirected_mirrors_both_sides():
     g.add_vertex(0)
     g.add_vertex(1)
     fragd = build_fragments(g, {0: 0, 1: 1}, 2)
-    touched = apply_insertions(fragd, [EdgeInsertion(0, 1)])
+    touched = apply_delta(fragd, [EdgeInsert(0, 1)])
     assert set(touched) == {0, 1}
     assert fragd.fragments[1].graph.has_edge(1, 0)
     assert fragd.fragments[1].mirrors == {0: 0}
@@ -81,7 +81,7 @@ def test_sssp_incremental_matches_fresh_run():
     while len(insertions) < 10:
         u, v = rng.choice(vertices), rng.choice(vertices)
         if u != v and not g.has_edge(u, v):
-            insertions.append(EdgeInsertion(u, v, 0.5 + rng.random()))
+            insertions.append(EdgeInsert(u, v, 0.5 + rng.random()))
             g.add_edge(u, v, insertions[-1].weight)  # keep oracle in sync
 
     second = engine.run_incremental(
@@ -106,7 +106,7 @@ def test_sssp_incremental_cheaper_than_rerun():
     # region is tiny, so the repair should be a fraction of the initial
     # fixpoint's settled-vertex work.
     corner = 399
-    shortcut = EdgeInsertion(0, corner, first.answer[corner] - 0.05)
+    shortcut = EdgeInsert(0, corner, first.answer[corner] - 0.05)
     program.work_log.clear()
     second = engine.run_incremental(
         program, SSSPQuery(source=0), first.state, [shortcut]
@@ -123,7 +123,7 @@ def test_bfs_incremental_matches_fresh_run():
     engine = _engine(g, 3)
     program = BFSProgram()
     first = engine.run(program, BFSQuery(source=0), keep_state=True)
-    insertions = [EdgeInsertion(0, 57), EdgeInsertion(57, 91)]
+    insertions = [EdgeInsert(0, 57), EdgeInsert(57, 91)]
     for ins in insertions:
         if not g.has_edge(ins.src, ins.dst):
             g.add_edge(ins.src, ins.dst)
@@ -148,7 +148,7 @@ def test_cc_incremental_merges_components():
 
     g.add_edge(1, 10)
     second = engine.run_incremental(
-        program, CCQuery(), first.state, [EdgeInsertion(1, 10)]
+        program, CCQuery(), first.state, [EdgeInsert(1, 10)]
     )
     assert set(second.answer.values()) == {0}
     assert second.answer == connected_components(g)
@@ -166,7 +166,7 @@ def test_cc_incremental_random_batches():
         while len(batch) < 5:
             u, v = rng.choice(vertices), rng.choice(vertices)
             if u != v and not g.has_edge(u, v):
-                batch.append(EdgeInsertion(u, v))
+                batch.append(EdgeInsert(u, v))
                 g.add_edge(u, v)
         result = engine.run_incremental(
             program, CCQuery(), result.state, batch
@@ -188,7 +188,7 @@ def test_incremental_without_support_raises():
     with pytest.raises(NotImplementedError):
         engine.run_incremental(
             SimProgram(), SimQuery(pattern=pattern), first.state,
-            [EdgeInsertion(0, 1)],
+            [EdgeInsert(0, 1)],
         )
 
 
@@ -199,7 +199,7 @@ def test_incremental_with_direct_routing():
     engine = GrapeEngine(fragd, routing="direct")
     program = SSSPProgram()
     first = engine.run(program, SSSPQuery(source=0), keep_state=True)
-    insertions = [EdgeInsertion(0, 41, 0.7)]
+    insertions = [EdgeInsert(0, 41, 0.7)]
     if not g.has_edge(0, 41):
         g.add_edge(0, 41, 0.7)
     second = engine.run_incremental(
@@ -221,7 +221,7 @@ def test_incremental_rejects_non_engine_state():
     with pytest.raises(StaleStateError, match="keep_state=True"):
         engine.run_incremental(
             SSSPProgram(), SSSPQuery(source=0), {"partials": []},
-            [EdgeInsertion(0, 6, 0.5)],
+            [EdgeInsert(0, 6, 0.5)],
         )
 
 
@@ -234,7 +234,7 @@ def test_incremental_rejects_state_from_other_program():
     with pytest.raises(StaleStateError, match="produced by program 'sssp'"):
         engine.run_incremental(
             BFSProgram(), BFSQuery(source=0), first.state,
-            [EdgeInsertion(0, 6, 0.5)],
+            [EdgeInsert(0, 6, 0.5)],
         )
 
 
@@ -249,7 +249,7 @@ def test_incremental_rejects_state_after_repartition():
     with pytest.raises(StaleStateError, match="repartitioned"):
         smaller.run_incremental(
             SSSPProgram(), SSSPQuery(source=0), first.state,
-            [EdgeInsertion(0, 6, 0.5)],
+            [EdgeInsert(0, 6, 0.5)],
         )
 
 

@@ -20,7 +20,6 @@ from repro.errors import AnalysisError, ProgramError
 from repro.graph.fragment import build_fragments
 from repro.graph.generators import graph_from_spec
 from repro.partition.registry import get_partitioner
-from repro.runtime.backends import make_backend
 from repro.runtime.faults import FaultPlan
 
 
@@ -55,11 +54,6 @@ def test_modes_catalog():
 def test_unknown_mode_is_a_typed_constructor_error():
     with pytest.raises(ProgramError, match="unknown superstep mode"):
         GrapeEngine(_fragmented(), mode="chaotic")
-
-
-def test_make_backend_rejects_unknown_mode():
-    with pytest.raises(ProgramError, match="unknown superstep mode"):
-        make_backend("simulated", _fragmented(), mode="eventual")
 
 
 def test_relaxed_refuses_check_monotonic():

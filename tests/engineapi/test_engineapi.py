@@ -77,6 +77,25 @@ def test_session_run_registered():
     assert result.answer[0] == 0.0
 
 
+def test_session_run_registered_applies_validate_gate():
+    # run_registered must go through the same grape-lint gate as run().
+    from repro.engineapi import registry
+    from repro.errors import AnalysisError
+    from tests.analysis.fixtures.viol_grp101 import MaxUnderMinProgram
+
+    register_program("viol-grp101", MaxUnderMinProgram)
+    try:
+        session = Session(
+            road_network(4, 4, seed=1), num_workers=2, validate=True
+        )
+        with pytest.raises(AnalysisError, match="GRP101"):
+            session.run(MaxUnderMinProgram(), SSSPQuery(source=0))
+        with pytest.raises(AnalysisError, match="GRP101"):
+            session.run_registered("viol-grp101", SSSPQuery(source=0))
+    finally:
+        registry._FACTORIES.pop("viol-grp101", None)
+
+
 def test_session_accepts_partitioner_instance():
     from repro.partition.hash1d import HashPartitioner
 

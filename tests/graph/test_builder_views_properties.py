@@ -1,14 +1,8 @@
-"""Unit tests for GraphBuilder, views and PropertyMap."""
+"""Unit tests for GraphBuilder and PropertyMap."""
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import Graph
 from repro.graph.properties import PropertyMap
-from repro.graph.views import (
-    ego_subgraph,
-    filter_by_label,
-    filter_vertices,
-    largest_connected_component,
-)
 
 
 # ------------------------------------------------------------ builder
@@ -52,53 +46,6 @@ def test_builder_edges_bulk():
 def test_builder_undirected():
     g = GraphBuilder(directed=False).edge(1, 2).build()
     assert g.has_edge(2, 1)
-
-
-# -------------------------------------------------------------- views
-def _chain() -> Graph:
-    g = Graph()
-    for i in range(5):
-        g.add_edge(i, i + 1)
-    return g
-
-
-def test_ego_radius_zero_is_center_only():
-    sub = ego_subgraph(_chain(), 2, 0)
-    assert set(sub.vertices()) == {2}
-
-
-def test_ego_radius_counts_both_directions():
-    sub = ego_subgraph(_chain(), 2, 1)
-    assert set(sub.vertices()) == {1, 2, 3}
-
-
-def test_ego_keeps_internal_edges():
-    sub = ego_subgraph(_chain(), 2, 2)
-    assert sub.has_edge(1, 2) and sub.has_edge(2, 3)
-
-
-def test_filter_vertices_predicate():
-    sub = filter_vertices(_chain(), lambda v: v % 2 == 0)
-    assert set(sub.vertices()) == {0, 2, 4}
-    assert sub.num_edges == 0
-
-
-def test_filter_by_label():
-    g = Graph()
-    g.add_vertex(1, label="a")
-    g.add_vertex(2, label="b")
-    g.add_edge(1, 2)
-    sub = filter_by_label(g, {"a"})
-    assert set(sub.vertices()) == {1}
-
-
-def test_largest_connected_component():
-    g = Graph()
-    g.add_edge(0, 1)
-    g.add_edge(1, 2)
-    g.add_edge(10, 11)
-    comp = largest_connected_component(g)
-    assert set(comp.vertices()) == {0, 1, 2}
 
 
 # ---------------------------------------------------------- property map

@@ -124,11 +124,11 @@ def test_incremental_on_missing_state_fails_cleanly():
     engine = _engine()
     program = SSSPProgram()
     result = engine.run(program, SSSPQuery(source=0))  # no keep_state
-    from repro.core.incremental import EdgeInsertion
+    from repro.core.delta import EdgeInsert
     from repro.errors import StaleStateError
 
     with pytest.raises(StaleStateError, match="keep_state=True"):
         engine.run_incremental(
             program, SSSPQuery(source=0), result.state,
-            [EdgeInsertion(0, 1)],
+            [EdgeInsert(0, 1)],
         )

@@ -8,8 +8,8 @@ from repro.algorithms.cc import CCProgram, CCQuery
 from repro.algorithms.sequential.cc_seq import connected_components
 from repro.algorithms.sequential.dijkstra import INF, single_source
 from repro.algorithms.sssp import SSSPProgram, SSSPQuery
+from repro.core.delta import EdgeInsert
 from repro.core.engine import GrapeEngine
-from repro.core.incremental import EdgeInsertion
 from repro.graph.digraph import Graph
 from repro.graph.fragment import build_fragments
 
@@ -55,7 +55,7 @@ def update_scenario(draw):
     insertions = []
     for u, v, w in inserts:
         if u != v and not g.has_edge(u, v):
-            insertions.append(EdgeInsertion(u, v, round(w, 3)))
+            insertions.append(EdgeInsert(u, v, round(w, 3)))
             g.add_edge(u, v, round(w, 3))
     return g, assignment, parts, insertions
 

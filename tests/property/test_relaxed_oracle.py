@@ -97,9 +97,7 @@ def _run_sequence(mode, routing, name, params, deltas, store="dict",
     fragmented = build_fragments(
         graph, assignment, NUM_WORKERS, "hash", store=store
     )
-    backend = make_backend(
-        backend_name, fragmented, deterministic=True, mode=mode
-    )
+    backend = make_backend(backend_name, fragmented, deterministic=True)
     engine = GrapeEngine(
         fragmented,
         cost_model=CostModel(deterministic=True),
@@ -239,3 +237,68 @@ def test_relaxed_reclaims_makespan_on_skewed_partition():
     )
     assert len(strict.rounds) == len(relaxed.rounds) > 0
     assert relaxed.metrics.total_time < strict.metrics.total_time
+
+
+def test_first_wave_payload_order_matches_strict_direct_mailbox():
+    """Regression: barrier-phase mail reaches IncEval in mailbox order.
+
+    A ΔG batch with both an unsafe op (scoped ``repair`` phase) and a
+    monotone-safe one (``update`` phase) ships twice before the first
+    wave, from two senders into each receiver. The strict-direct
+    mailbox delivers phase-major (all repair mail, then all update
+    mail); a per-source drain interleaves them — same values, different
+    payload list.
+    """
+    from repro.runtime.backends import SimulatedBackend
+
+    class Recording(SimulatedBackend):
+        def execute(self, step, supervisor, calls, on_result=None):
+            self.log.append(
+                (
+                    step.phase,
+                    [
+                        (c.wid, [list(p.items()) for p in c.args["payloads"]])
+                        for c in calls
+                        if c.op == "inceval"
+                    ],
+                )
+            )
+            return super().execute(step, supervisor, calls, on_result)
+
+    delta = {
+        "insert": [[9, 36, 0.5], [10, 50, 0.5]],
+        "delete": [[54, 62], [61, 62], [53, 61]],
+        "reweight": [],
+    }
+    first_round = {}
+    for mode in ("strict", "relaxed"):
+        graph = graph_from_spec(GRAPH_SPEC)
+        assignment = get_partitioner("hash")(graph, NUM_WORKERS)
+        fragmented = build_fragments(graph, assignment, NUM_WORKERS, "hash")
+        backend = Recording(fragmented)
+        backend.log = []
+        engine = GrapeEngine(
+            fragmented,
+            cost_model=CostModel(deterministic=True),
+            routing="direct",
+            mode=mode,
+            backend=backend,
+        )
+        program = get_program("sssp")
+        query = build_query("sssp", source=0)
+        cold = engine.run(program, query, keep_state=True)
+        backend.log.clear()
+        inc = engine.run_incremental(
+            program, query, cold.state, GraphDelta.from_dict(delta)
+        )
+        assert inc.repair.mode == "scoped"
+        assert inc.repair.safe_ops and inc.repair.unsafe_ops
+        phases = [phase for phase, _ in backend.log]
+        assert phases.index("repair") < phases.index("update")
+        first_round[mode] = next(
+            calls for phase, calls in backend.log if phase == "inceval"
+        )
+    # The case is only a regression if some receiver hears from two
+    # senders in both barrier phases (>= 4 payloads).
+    assert any(len(payloads) >= 4 for _, payloads in first_round["strict"])
+    assert first_round["relaxed"] == first_round["strict"]

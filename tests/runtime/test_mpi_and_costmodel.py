@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import RuntimeErrorGrape
+from repro.errors import EngineRuntimeError
 from repro.runtime.costmodel import CostModel
 from repro.runtime.message import COORDINATOR, Message
 from repro.runtime.mpi_sim import MPIController
@@ -75,14 +75,14 @@ def test_coordinator_send_and_receive():
 
 def test_invalid_rank_rejected():
     mpi = MPIController(2)
-    with pytest.raises(RuntimeErrorGrape):
+    with pytest.raises(EngineRuntimeError):
         mpi.send(0, 5, "x")
-    with pytest.raises(RuntimeErrorGrape):
+    with pytest.raises(EngineRuntimeError):
         mpi.receive(-2)
 
 
 def test_zero_workers_rejected():
-    with pytest.raises(RuntimeErrorGrape):
+    with pytest.raises(EngineRuntimeError):
         MPIController(0)
 
 
