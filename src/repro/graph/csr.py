@@ -33,7 +33,9 @@ log exceeds a threshold (``max(1024, stored_arcs // 2)`` by default, or
 the explicit ``compact_threshold``). It preserves logical iteration
 order exactly, squeezes dead slots, and is therefore semantically
 invisible — ``compactions`` counts runs so tests and E15 can assert it
-actually happened.
+actually happened. Construction never takes this road: ``bulk_load``
+fills the base columns of an empty store directly, through the same
+column builder, so the side log only ever holds ΔG.
 
 Pickling narrows slot arrays to the smallest integer typecode that fits
 and omits all-default label columns and the rebuildable slot index,
@@ -44,8 +46,11 @@ dict store for the process backend.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
+from itertools import accumulate, repeat
 from typing import Hashable, Iterator
 
+from repro.errors import GraphError
 from repro.graph.store import GraphStore
 
 VertexId = Hashable
@@ -325,8 +330,8 @@ class CSRStore(GraphStore):
             return False
         order = list(self._index)
         new_index = {v: i for i, v in enumerate(order)}
-        out = self._build_base(order, new_index, out=True)
-        inc = self._build_base(order, new_index, out=False)
+        out = self._gather(order, new_index, self.out_items_labeled)
+        inc = self._gather(order, new_index, self.in_items_labeled)
         self._ids = order
         self._vlab = array("q", (self._vlab[s] for s in
                                  (self._index[v] for v in order)))
@@ -342,19 +347,55 @@ class CSRStore(GraphStore):
         self.compactions += 1
         return True
 
-    def _build_base(self, order, new_index, *, out):
-        items = self.out_items_labeled if out else self.in_items_labeled
-        indptr = array("q", [0])
-        adj = array("q")
-        wts = array("d")
-        lab = array("q")
-        for v in order:
+    def _gather(self, order, new_index, items):
+        """One direction of this store's own content as base columns."""
+        keys, others, wts, labels = [], [], [], []
+        for slot, v in enumerate(order):
             for other, w, label in items(v):
-                adj.append(new_index[other])
+                keys.append(slot)
+                others.append(new_index[other])
                 wts.append(w)
-                lab.append(self._lab_id(label))
-            indptr.append(len(adj))
-        return indptr, adj, wts, lab
+                labels.append(label)
+        return self._columns(len(order), keys, others, wts, labels)
+
+    def _columns(self, n, keys, others, wts, labels):
+        """The one column builder: ``indptr``/``adj``/``w``/``lab`` over
+        ``n`` slots from flat arc columns, row ``s`` holding the arcs
+        with ``keys[k] == s`` in column order (a stable sort by key);
+        ``labels`` is per arc, or empty when no arc carries one."""
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        sizes = Counter(keys)
+        indptr = array("q", [0])
+        indptr.extend(accumulate(map(sizes.__getitem__, range(n))))
+        adj = array("q", map(others.__getitem__, order))
+        w = array("d", map(wts.__getitem__, order))
+        lab = array("q", map(self._lab_id, map(labels.__getitem__, order))
+                    if labels else repeat(0, len(order)))
+        return indptr, adj, w, lab
+
+    def bulk_load(self, vids, vlabels, vprops, srcs, dsts, weights, labels):
+        if self._ids:
+            raise GraphError("bulk_load needs an empty store")
+        index = {v: i for i, v in enumerate(vids)}
+        try:
+            ss = list(map(index.__getitem__, srcs))
+            ds = list(map(index.__getitem__, dsts))
+        except KeyError as exc:
+            raise GraphError(f"arc end {exc.args[0]} is no vertex") from None
+        vlab = array("q", map(self._lab_id, vlabels))
+        per_arc = list(map(labels.get, zip(srcs, dsts))) if labels else []
+        out = self._columns(len(vids), ss, ds, weights, per_arc)
+        indptr, adj = out[:2]
+        if len(index) != len(vids) or any(  # a row is a set of targets
+            len(set(adj[lo:hi])) != hi - lo
+            for lo, hi in zip(indptr, indptr[1:])
+        ):
+            raise GraphError("repeated vertex or arc in bulk_load")
+        inc = self._columns(len(vids), ds, ss, weights, per_arc)
+        self._index, self._ids, self._vlab = index, list(vids), vlab
+        self._vprops = vprops
+        (self._out_indptr, self._out_adj, self._out_w, self._out_lab) = out
+        (self._in_indptr, self._in_adj, self._in_w, self._in_lab) = inc
 
     def _maybe_compact(self) -> None:
         threshold = self.compact_threshold

@@ -287,43 +287,79 @@ class Graph:
         """Empty graph on a fresh store of the same kind/configuration."""
         return Graph(directed=directed, store=self._store.fresh())
 
+    def bulk_load(self, vids, vlabels, vprops, srcs, dsts, weights, labels):
+        """Build this *empty* graph in one pass from whole columns.
+
+        Shapes as in :meth:`GraphStore.bulk_load`, rules as in
+        ``add_edge``: each edge is given once, an undirected one stores
+        its reverse arc right behind it, and a negative weight (like a
+        repeated edge) is a :class:`GraphError`.
+        """
+        if weights and min(weights) < 0:
+            raise GraphError(f"negative edge weight {min(weights)}")
+        num_edges = len(srcs)
+        if not self.directed:
+            edges, given = zip(srcs, dsts, weights), labels
+            srcs, dsts, weights, labels = [], [], [], {}
+            for src, dst, w in edges:
+                label = given.get((src, dst))
+                # a self-loop is one arc
+                for arc in dict.fromkeys([(src, dst), (dst, src)]):
+                    srcs.append(arc[0])
+                    dsts.append(arc[1])
+                    weights.append(w)
+                    if label is not None:
+                        labels[arc] = label
+        self._store.bulk_load(
+            vids, vlabels, vprops, srcs, dsts, weights, labels
+        )
+        self._num_edges = num_edges
+
+    def _derive(self, target: "Graph", vertices, flip=False) -> "Graph":
+        """Bulk-load empty ``target`` with this graph's edges among
+        ``vertices`` (their iteration order is the new vertex order),
+        in out-edge order, optionally flipped."""
+        store = self._store
+        vids = list(vertices)
+        at = {v: i for i, v in enumerate(vids)}
+        srcs, dsts, weights, labels = [], [], [], {}
+        for i, src in enumerate(vids):
+            for dst, w, label in store.out_items_labeled(src):
+                j = at.get(dst)
+                # an undirected edge sits in both ends' rows: the earlier
+                # end hands it over, once
+                if j is None or (j < i and not self.directed):
+                    continue
+                arc = (dst, src) if flip else (src, dst)
+                srcs.append(arc[0])
+                dsts.append(arc[1])
+                weights.append(w)
+                if label is not None:
+                    labels[arc] = label
+        target.bulk_load(
+            vids,
+            [store.vertex_label(v) for v in vids],
+            {v: dict(p) for v in vids if (p := store.vertex_props(v))},
+            srcs, dsts, weights, labels,
+        )
+        return target
+
     def copy(self) -> "Graph":
         """Deep-enough copy: structure and labels; props shallow-copied."""
-        store = self._store
-        g = self._blank(self.directed)
-        for v in store.vertices():
-            g.add_vertex(v, store.vertex_label(v), **store.vertex_props(v))
-        for src in store.vertices():
-            for dst, w, label in store.out_items_labeled(src):
-                if not self.directed and g.has_edge(src, dst):
-                    continue
-                g.add_edge(src, dst, w, label)
-        return g
+        return self._derive(self._blank(self.directed), self._store.vertices())
 
     def subgraph(self, vertices: Iterable[VertexId]) -> "Graph":
         """Induced subgraph over ``vertices`` (copies labels/props)."""
         keep = set(vertices)
-        store = self._store
-        g = self._blank(self.directed)
         for v in keep:
             self._require(v)
-            g.add_vertex(v, store.vertex_label(v), **store.vertex_props(v))
-        for src in keep:
-            for dst, w, label in store.out_items_labeled(src):
-                if dst in keep:
-                    g.add_edge(src, dst, w, label)
-        return g
+        return self._derive(self._blank(self.directed), keep)
 
     def reversed(self) -> "Graph":
         """Graph with every edge direction flipped."""
-        store = self._store
-        g = self._blank(self.directed)
-        for v in store.vertices():
-            g.add_vertex(v, store.vertex_label(v), **store.vertex_props(v))
-        for src in store.vertices():
-            for dst, w, label in store.out_items_labeled(src):
-                g.add_edge(dst, src, w, label)
-        return g
+        return self._derive(
+            self._blank(self.directed), self._store.vertices(), flip=True
+        )
 
     def as_undirected(self) -> "Graph":
         """Undirected copy (weights of antiparallel pairs: last wins)."""
@@ -338,18 +374,9 @@ class Graph:
 
     def with_store(self, store: str | GraphStore) -> "Graph":
         """Copy of this graph rebuilt on a different backing store."""
-        g = Graph(directed=self.directed, store=store)
-        src_store = self._store
-        for v in src_store.vertices():
-            g.add_vertex(
-                v, src_store.vertex_label(v), **src_store.vertex_props(v)
-            )
-        for src in src_store.vertices():
-            for dst, w, label in src_store.out_items_labeled(src):
-                if not self.directed and g.has_edge(src, dst):
-                    continue
-                g.add_edge(src, dst, w, label)
-        return g
+        return self._derive(
+            Graph(directed=self.directed, store=store), self._store.vertices()
+        )
 
     def __repr__(self) -> str:
         kind = "digraph" if self.directed else "graph"

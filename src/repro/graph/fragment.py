@@ -398,7 +398,6 @@ def expand_fragments(
         local = graph.subgraph(keep)
         if proto is not None and local.store_kind != proto.kind:
             local = local.with_store(proto.fresh())
-        local.compact()  # steady-state layout (no-op for dict)
         mirrors = {
             v: fragmented.owner_of(v) for v in keep if v not in frag.owned
         }
@@ -427,11 +426,13 @@ def build_fragments(
 ) -> FragmentedGraph:
     """Materialize edge-cut fragments from a vertex -> fragment map.
 
-    Every vertex of ``graph`` must be assigned to a fragment id in
-    ``[0, num_fragments)``. Fragment ``i`` receives its owned vertices
-    (with labels/properties), all out-edges of owned vertices, and mirror
-    copies (with labels/properties, so pattern matching can inspect them)
-    of cross-edge targets.
+    ``assignment`` must map exactly the vertices of ``graph`` to fragment
+    ids in ``[0, num_fragments)``. Fragment ``i`` receives its owned
+    vertices (with labels/properties), all out-edges of owned vertices,
+    and mirror copies (with labels/properties, so pattern matching can
+    inspect them) of cross-edge targets — gathered in one pass over the
+    graph's adjacency and bulk-loaded straight into each store's base
+    layout (:meth:`Graph.bulk_load`); no fragment is built arc by arc.
 
     ``store`` selects the fragment storage backend (name or prototype
     instance; every fragment gets its own fresh store). By default
@@ -440,71 +441,72 @@ def build_fragments(
     """
     if num_fragments < 1:
         raise PartitionError("need at least one fragment")
-    for v in graph.vertices():
+    source = graph.store
+    n = num_fragments
+    vids: list[list[VertexId]] = [[] for _ in range(n)]
+    owned: list[set[VertexId]] = [set() for _ in range(n)]
+    mirrors: list[dict[VertexId, int]] = [{} for _ in range(n)]
+    inner_border: list[set[VertexId]] = [set() for _ in range(n)]
+    # per-fragment edge columns for Graph.bulk_load: src, dst, weight, label
+    columns = [([], [], [], {}) for _ in range(n)]
+
+    for v in source.vertices():
         fid = assignment.get(v)
         if fid is None:
             raise PartitionError(f"vertex {v} is unassigned")
-        if not 0 <= fid < num_fragments:
+        if not 0 <= fid < n:
             raise PartitionError(f"vertex {v} assigned to invalid {fid}")
-
-    proto = make_store(store) if store is not None else graph.store
-    locals_: list[Graph] = [
-        Graph(directed=graph.directed, store=proto.fresh())
-        for _ in range(num_fragments)
-    ]
-    owned: list[set[VertexId]] = [set() for _ in range(num_fragments)]
-    mirrors: list[dict[VertexId, int]] = [{} for _ in range(num_fragments)]
-    inner_border: list[set[VertexId]] = [set() for _ in range(num_fragments)]
-
-    for v in graph.vertices():
-        fid = assignment[v]
         owned[fid].add(v)
-        locals_[fid].add_vertex(
-            v, graph.vertex_label(v), **graph.vertex_props(v)
+        vids[fid].append(v)
+    if len(assignment) != source.num_vertices():
+        stray = next(v for v in assignment if not source.has_vertex(v))
+        raise PartitionError(f"assigned vertex {stray} is not in the graph")
+
+    # An undirected edge is stored at both ends but handed over once, by
+    # the endpoint Graph.edges() reports it from.
+    rank = None if graph.directed else {v: repr(v) for v in assignment}
+    for src in source.vertices():
+        fid = assignment[src]
+        srcs, dsts, weights, labels = columns[fid]
+        known = mirrors[fid]
+        for dst, w, label in source.out_items_labeled(src):
+            if rank is not None and rank[dst] < rank[src]:
+                continue
+            srcs.append(src)
+            dsts.append(dst)
+            weights.append(w)
+            if label is not None:
+                labels[(src, dst)] = label
+            dst_fid = assignment[dst]
+            if dst_fid == fid:
+                continue
+            known[dst] = dst_fid
+            inner_border[dst_fid].add(dst)
+            if rank is not None:
+                # ... and owned by both endpoints' fragments.
+                back = columns[dst_fid]
+                back[0].append(dst)
+                back[1].append(src)
+                back[2].append(w)
+                if label is not None:
+                    back[3][(dst, src)] = label
+                mirrors[dst_fid][src] = fid
+                inner_border[fid].add(src)
+
+    proto = make_store(store) if store is not None else source
+    fragments = []
+    for fid in range(n):
+        # owned vertices first, then mirrors in first-reference order
+        local_vids = vids[fid] + list(mirrors[fid])
+        local = Graph(directed=graph.directed, store=proto.fresh())
+        local.bulk_load(
+            local_vids,
+            [source.vertex_label(v) for v in local_vids],
+            {v: dict(p) for v in local_vids if (p := source.vertex_props(v))},
+            *columns[fid],
         )
-
-    for edge in graph.edges():
-        src_fid = assignment[edge.src]
-        dst_fid = assignment[edge.dst]
-        local = locals_[src_fid]
-        if not local.has_vertex(edge.dst):
-            local.add_vertex(
-                edge.dst,
-                graph.vertex_label(edge.dst),
-                **graph.vertex_props(edge.dst),
-            )
-        local.add_edge(edge.src, edge.dst, edge.weight, edge.label)
-        if dst_fid != src_fid:
-            mirrors[src_fid][edge.dst] = dst_fid
-            inner_border[dst_fid].add(edge.dst)
-        if not graph.directed:
-            # Stored once but owned by both endpoints' fragments.
-            local_dst = locals_[dst_fid]
-            if dst_fid != src_fid:
-                if not local_dst.has_vertex(edge.src):
-                    local_dst.add_vertex(
-                        edge.src,
-                        graph.vertex_label(edge.src),
-                        **graph.vertex_props(edge.src),
-                    )
-                local_dst.add_edge(edge.dst, edge.src, edge.weight, edge.label)
-                mirrors[dst_fid][edge.src] = src_fid
-                inner_border[src_fid].add(edge.src)
-
-    for local in locals_:
-        # Bulk construction leaves overlay-backed stores (CSR) with a
-        # tail of uncompacted arcs; fold them so fragments start from
-        # their steady-state layout. No-op for the dict store.
-        local.compact()
-
-    fragments = [
-        Fragment(
-            fid=i,
-            graph=locals_[i],
-            owned=owned[i],
-            mirrors=mirrors[i],
-            inner_border=inner_border[i],
+        vids[fid] = columns[fid] = None  # release before the next build
+        fragments.append(
+            Fragment(fid, local, owned[fid], mirrors[fid], inner_border[fid])
         )
-        for i in range(num_fragments)
-    ]
     return FragmentedGraph(fragments, assignment, strategy=strategy)

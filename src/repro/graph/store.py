@@ -20,11 +20,19 @@ on it: iteration order is *dict-store order*. Vertices iterate in first-
 insertion order with remove+re-add moving a vertex to the end; per-vertex
 adjacency iterates in edge-insertion order where a reweight keeps the
 edge's position and a delete+re-insert moves it to the end.
+
+Construction has its own primitive, :meth:`GraphStore.bulk_load`: legal
+only on an *empty* store, it lands whole columns straight in the base
+layout, and orders in are iteration orders out — vertices iterate in
+column order, every out- and in-row in arc-column order, as if the arcs
+had been stored one ``set_arc`` at a time. The mutators are for ΔG.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterator
+
+from repro.errors import GraphError
 
 VertexId = Hashable
 
@@ -120,6 +128,19 @@ class GraphStore:
         raise NotImplementedError
 
     # -- maintenance ---------------------------------------------------
+    def bulk_load(self, vids, vlabels, vprops, srcs, dsts, weights, labels):
+        """Fill this *empty* store in one pass, straight into its base layout.
+
+        ``vids``/``vlabels``: parallel vertex columns in final iteration
+        order; ``vprops``: vertex -> property dict, where there is one.
+        ``srcs``/``dsts``/``weights``: parallel stored-arc columns in
+        insertion order; ``labels``: ``(src, dst)`` -> label for the
+        labelled arcs, in that order too. The store keeps both dicts.
+        :class:`~repro.errors.GraphError` on a non-empty store, an arc
+        end that is not in ``vids``, or a repeated vertex or arc.
+        """
+        raise NotImplementedError
+
     def fresh(self) -> "GraphStore":
         """Empty store of the same kind and configuration."""
         raise NotImplementedError
@@ -229,6 +250,24 @@ class DictStore(GraphStore):
 
     def in_degree(self, v: VertexId) -> int:
         return len(self._in[v])
+
+    def bulk_load(self, vids, vlabels, vprops, srcs, dsts, weights, labels):
+        if self._out:
+            raise GraphError("bulk_load needs an empty store")
+        out = {v: {} for v in vids}
+        inc = {v: {} for v in vids}
+        try:
+            for src, dst, w in zip(srcs, dsts, weights):
+                out[src][dst] = w
+                inc[dst][src] = w
+        except KeyError as exc:
+            raise GraphError(f"arc end {exc.args[0]} is no vertex") from None
+        if len(out) != len(vids) or sum(map(len, out.values())) != len(srcs):
+            raise GraphError("repeated vertex or arc in bulk_load")
+        self._out, self._in = out, inc
+        self._vlabel = dict(zip(vids, vlabels))
+        self._vprops = vprops
+        self._elabel = labels
 
     def fresh(self) -> "DictStore":
         return DictStore()

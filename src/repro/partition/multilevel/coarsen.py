@@ -53,15 +53,24 @@ class WorkGraph:
 def make_work_graph(graph: Graph) -> tuple[WorkGraph, dict[VertexId, int]]:
     """Convert an arbitrary Graph to a dense-id undirected work graph.
 
-    Returns the work graph and the original-id -> work-id map.
+    Returns the work graph and the original-id -> work-id map. Edges
+    are taken in ``Graph.edges()`` order: the ``adj`` dict order feeds
+    heavy-edge matching, so it is part of the assignment.
     """
-    ids = {v: i for i, v in enumerate(graph.vertices())}
-    wg = WorkGraph()
+    store = graph.store
+    ids = {v: i for i, v in enumerate(store.vertices())}
+    adj: dict[int, dict[int, float]] = {i: {} for i in range(len(ids))}
+    # an undirected edge counts once, from the end edges() reports it at
+    rank = None if graph.directed else {v: repr(v) for v in ids}
     for v, i in ids.items():
-        wg.add_vertex(i)
-    for edge in graph.edges():
-        wg.add_edge_weight(ids[edge.src], ids[edge.dst], 1.0)
-    return wg, ids
+        row = adj[i]
+        for dst, _ in store.out_items(v):
+            j = ids[dst]
+            if i == j or (rank is not None and rank[dst] < rank[v]):
+                continue
+            row[j] = row.get(j, 0.0) + 1.0
+            adj[j][i] = adj[j].get(i, 0.0) + 1.0
+    return WorkGraph(adj=adj, vweight=dict.fromkeys(adj, 1)), ids
 
 
 @dataclass

@@ -111,6 +111,16 @@ def test_out_of_range_fragment_rejected():
         build_fragments(g, {0: 0, 1: 0, 2: 5, 3: 1}, 2)
 
 
+def test_assignment_of_a_vertex_not_in_the_graph_rejected():
+    # Was accepted silently: num_vertices counted it, owner_of answered
+    # for it, and no fragment hosted it.
+    g = Graph()
+    g.add_edge(0, 1)
+    g.add_edge(1, 2)
+    with pytest.raises(PartitionError, match="99"):
+        build_fragments(g, {0: 0, 1: 1, 2: 0, 99: 1}, 2)
+
+
 def test_zero_fragments_rejected():
     with pytest.raises(PartitionError):
         build_fragments(_line(), {}, 0)

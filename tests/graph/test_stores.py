@@ -1,5 +1,6 @@
 """Unit tests for the GraphStore seam: dict/CSR equivalence, overlay
-compaction, pickle narrowing, and store construction errors."""
+compaction, pickle narrowing, store construction errors, and the
+bulk-load primitive against the arc-at-a-time derivations it replaced."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRStore
@@ -141,3 +144,140 @@ def test_graph_errors_identical_across_stores():
             g.remove_edge(0, 1)
         with pytest.raises(GraphError):
             g.remove_vertex(99)
+
+
+# ----------------------------------------------------------------------
+# Bulk load: the one-pass derivations vs. the add_vertex/add_edge loops
+# they replaced (kept here, verbatim, as the oracle)
+# ----------------------------------------------------------------------
+SLOW = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Small graphs over dict x CSR, directed x undirected, with
+    self-loops, vertex/edge labels, props and non-sorted vertex ids
+    (``repr(10) < repr(9)``, which undirected edge reporting keys on)."""
+    directed = draw(st.booleans())
+    g = Graph(directed=directed, store=draw(st.sampled_from(["dict", "csr"])))
+    pool = draw(st.permutations(list(range(7, 14)) + ["a", "b"]))
+    vids = pool[: draw(st.integers(1, len(pool)))]
+    for v in vids:
+        props = draw(st.dictionaries(st.sampled_from(["k", "n"]),
+                                     st.integers(0, 3), max_size=2))
+        g.add_vertex(v, draw(st.sampled_from([None, "hub", "leaf"])), **props)
+    pairs = st.tuples(st.sampled_from(vids), st.sampled_from(vids))
+    for src, dst in draw(st.lists(pairs, max_size=30)):
+        g.add_edge(
+            src, dst,
+            draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+            draw(st.sampled_from([None, "road", "rail"])),
+        )
+    return g
+
+
+def _copy_vertices(src: Graph, dst: Graph, vertices) -> None:
+    for v in vertices:
+        dst.add_vertex(v, src.vertex_label(v), **src.vertex_props(v))
+
+
+def _oracle_with_store(g: Graph, store) -> Graph:
+    out = Graph(directed=g.directed, store=store)
+    _copy_vertices(g, out, g.vertices())
+    for src in g.vertices():
+        for e in g.out_edges(src):
+            if not g.directed and out.has_edge(src, e.dst):
+                continue
+            out.add_edge(src, e.dst, e.weight, e.label)
+    return out
+
+
+def _oracle_copy(g: Graph) -> Graph:
+    return _oracle_with_store(g, g.store.fresh())
+
+
+def _oracle_subgraph(g: Graph, vertices) -> Graph:
+    keep = set(vertices)
+    out = Graph(directed=g.directed, store=g.store.fresh())
+    _copy_vertices(g, out, keep)
+    for src in keep:
+        for e in g.out_edges(src):
+            if e.dst in keep:
+                out.add_edge(src, e.dst, e.weight, e.label)
+    return out
+
+
+def _oracle_reversed(g: Graph) -> Graph:
+    out = Graph(directed=g.directed, store=g.store.fresh())
+    _copy_vertices(g, out, g.vertices())
+    for src in g.vertices():
+        for e in g.out_edges(src):
+            out.add_edge(e.dst, src, e.weight, e.label)
+    return out
+
+
+def settled_pickle(g: Graph) -> bytes:
+    """Pickle of ``g`` in its steady-state layout, the compaction count
+    (the one field a one-pass build is *meant* to change) zeroed."""
+    g.compact()
+    if g.store_kind == "csr":
+        g.store.compactions = 0
+    return pickle.dumps(g)
+
+
+def assert_same_graph(built: Graph, oracle: Graph) -> None:
+    assert built.store_kind == oracle.store_kind
+    assert _snapshot(built) == _snapshot(oracle)
+    if built.store_kind == "csr":  # landed in the base layout directly
+        assert built.store.compactions == 0 and not built.store.dirty()
+    if oracle.num_edges:  # an arc-less CSR oracle never gets base rows
+        assert settled_pickle(built) == settled_pickle(oracle)
+
+
+@SLOW
+@given(labelled_graphs(), st.data())
+def test_derivations_match_arc_at_a_time_oracle(g, data):
+    assert_same_graph(g.copy(), _oracle_copy(g))
+    assert_same_graph(g.reversed(), _oracle_reversed(g))
+    for kind in ("dict", "csr"):
+        assert_same_graph(g.with_store(kind), _oracle_with_store(g, kind))
+    chosen = data.draw(st.lists(st.sampled_from(list(g.vertices()))))
+    assert_same_graph(g.subgraph(chosen), _oracle_subgraph(g, chosen))
+
+
+def _columns():
+    """A valid two-vertex, one-arc bulk load (each test breaks one part)."""
+    return dict(vids=[0, 1], vlabels=[None, "hub"], vprops={1: {"k": 2}},
+                srcs=[0], dsts=[1], weights=[2.0], labels={(0, 1): "road"})
+
+
+@pytest.mark.parametrize("store", ["dict", "csr"])
+@pytest.mark.parametrize("directed", [True, False])
+def test_bulk_load_builds_and_guards(store, directed):
+    g = Graph(directed=directed, store=store)
+    g.bulk_load(**_columns())
+    oracle = Graph(directed=directed, store=store)
+    oracle.add_vertex(0)
+    oracle.add_vertex(1, "hub", k=2)
+    oracle.add_edge(0, 1, 2.0, "road")
+    assert_same_graph(g, oracle)
+
+    def rejects(**change):
+        with pytest.raises(GraphError):
+            Graph(directed=directed, store=store).bulk_load(
+                **{**_columns(), **change}
+            )
+
+    with pytest.raises(GraphError, match="empty"):
+        g.bulk_load(**_columns())  # legal on an empty store only
+    rejects(dsts=[5])  # endpoint not among the vertex rows
+    rejects(srcs=[5])
+    rejects(weights=[-1.0])
+    rejects(srcs=[0, 0], dsts=[1, 1], weights=[2.0, 3.0])  # repeated arc
+    rejects(vids=[0, 1, 0], vlabels=[None, "hub", None])  # repeated vertex
+    if not directed:  # the reverse arc of an undirected edge is a repeat
+        rejects(srcs=[0, 1], dsts=[1, 0], weights=[2.0, 2.0])

@@ -8,25 +8,35 @@ as with the default dict store — the storage seam may never leak into
 observable behavior. A tiny compaction threshold is exercised too, so
 overlay folding happens mid-sequence, and the process backend is run on
 CSR fragments to cover the pickled-fragment path.
+
+The one-pass ``build_fragments`` is held to the same standard against
+the arc-at-a-time construction it replaced, which lives on below as
+``_oracle_build_fragments``.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.delta import GraphDelta
 from repro.core.engine import GrapeEngine
 from repro.engineapi.query import build_query
 from repro.engineapi.registry import get_program
 from repro.graph.csr import CSRStore
-from repro.graph.fragment import build_fragments
+from repro.graph.digraph import Graph
+from repro.graph.fragment import Fragment, FragmentedGraph, build_fragments
 from repro.graph.generators import graph_from_spec
+from repro.graph.store import make_store
 from repro.partition.registry import get_partitioner
 from repro.runtime.backends import make_backend
 from repro.runtime.costmodel import CostModel
 from repro.service.service import canonical_answer_bytes
+from tests.graph.test_stores import SLOW, assert_same_graph, labelled_graphs
 
 GRAPH_SPEC = "road:8x8"
 NUM_WORKERS = 3
@@ -156,3 +166,103 @@ def test_csr_on_process_backend_matches_oracle(name, params):
     _, oracle = _run_sequence(None, "simulated", "hash", name, params, deltas)
     _, subject = _run_sequence("csr", "process", "hash", name, params, deltas)
     _assert_trails_equal(f"{name}/process-csr", oracle, subject)
+
+
+# ----------------------------------------------------------------------
+# One-pass build vs. the arc-at-a-time oracle
+# ----------------------------------------------------------------------
+def _oracle_build_fragments(graph, assignment, num_fragments, store=None):
+    """``build_fragments`` as it was before the bulk-load primitive:
+    every vertex and arc through the ``Graph`` facade, then a compaction."""
+    proto = make_store(store) if store is not None else graph.store
+    locals_ = [
+        Graph(directed=graph.directed, store=proto.fresh())
+        for _ in range(num_fragments)
+    ]
+    owned = [set() for _ in range(num_fragments)]
+    mirrors = [{} for _ in range(num_fragments)]
+    inner_border = [set() for _ in range(num_fragments)]
+
+    def ensure(local, v):
+        if not local.has_vertex(v):
+            local.add_vertex(v, graph.vertex_label(v), **graph.vertex_props(v))
+
+    for v in graph.vertices():
+        owned[assignment[v]].add(v)
+        ensure(locals_[assignment[v]], v)
+    for edge in graph.edges():
+        src_fid, dst_fid = assignment[edge.src], assignment[edge.dst]
+        local = locals_[src_fid]
+        ensure(local, edge.dst)
+        local.add_edge(edge.src, edge.dst, edge.weight, edge.label)
+        if dst_fid != src_fid:
+            mirrors[src_fid][edge.dst] = dst_fid
+            inner_border[dst_fid].add(edge.dst)
+            if not graph.directed:
+                local_dst = locals_[dst_fid]
+                ensure(local_dst, edge.src)
+                local_dst.add_edge(edge.dst, edge.src, edge.weight, edge.label)
+                mirrors[dst_fid][edge.src] = src_fid
+                inner_border[src_fid].add(edge.src)
+    for local in locals_:
+        local.compact()
+    return FragmentedGraph(
+        [
+            Fragment(i, locals_[i], owned[i], mirrors[i], inner_border[i])
+            for i in range(num_fragments)
+        ],
+        assignment,
+    )
+
+
+@SLOW
+@given(
+    labelled_graphs(),
+    st.integers(1, 4),
+    st.sampled_from(["hash", "bfs", "multilevel"]),
+    st.sampled_from([None, "dict", "csr"]),
+)
+def test_one_pass_build_matches_oracle(g, parts, strategy, store):
+    assignment = get_partitioner(strategy)(g, parts)
+    built = build_fragments(g, assignment, parts, store=store)
+    oracle = _oracle_build_fragments(g, assignment, parts, store=store)
+    assert built.known_by == oracle.known_by
+    for new, old in zip(built.fragments, oracle.fragments, strict=True):
+        assert_same_graph(new.graph, old.graph)
+        assert list(new.mirrors.items()) == list(old.mirrors.items())
+        assert (new.owned, new.inner_border) == (old.owned, old.inner_border)
+        if old.graph.num_edges:  # both graphs were settled just above
+            assert pickle.dumps(new) == pickle.dumps(old)
+
+
+def test_csr_build_never_touches_the_overlay(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the ΔG overlay ran during construction")
+
+    monkeypatch.setattr(CSRStore, "_maybe_compact", forbidden)
+    monkeypatch.setattr(CSRStore, "_base_find", forbidden)
+    graph = graph_from_spec(GRAPH_SPEC)
+    assignment = get_partitioner("multilevel")(graph, NUM_WORKERS)
+    fragmented = build_fragments(graph, assignment, NUM_WORKERS, store="csr")
+    for frag in fragmented.fragments:
+        store = frag.graph.store
+        assert store.compactions == 0 and not store.dirty()
+        assert store.overlay_ops == 0
+
+
+def test_tiny_threshold_builds_clean_and_first_delta_still_compacts():
+    # compact_threshold is the ΔG side-log size and nothing else: a
+    # 3-op threshold must not fire during construction, and must fire
+    # on the first batch after it.
+    graph = graph_from_spec(GRAPH_SPEC)
+    assignment = get_partitioner("hash")(graph, NUM_WORKERS)
+    fragmented = build_fragments(
+        graph, assignment, NUM_WORKERS, store=CSRStore(compact_threshold=3)
+    )
+    stores = [f.graph.store for f in fragmented.fragments]
+    assert all(s.compact_threshold == 3 for s in stores)
+    assert all(s.compactions == 0 and not s.dirty() for s in stores)
+    edges = [(e.src, e.dst) for e in graph.edges()][:12]
+    for src, dst in edges:
+        fragmented.delete_edge(src, dst)
+    assert sum(s.compactions for s in stores) > 0
