@@ -46,7 +46,6 @@ from typing import Generic, Hashable
 from repro.core.assurance import MonotonicityChecker
 from repro.core.delta import DeltaRepairStats, EngineState
 from repro.core.pie import P, PIEProgram, Q, R
-from repro.core.repair_policy import AdaptiveRepairPolicy
 from repro.core.supervisor import SupervisionPolicy, Supervisor
 from repro.core.termination import FixpointGuard
 from repro.errors import (
@@ -138,16 +137,9 @@ class GrapeEngine:
             scheduling differs.
         supervision: retry/backoff/recovery knobs (defaults to
             :class:`~repro.core.supervisor.SupervisionPolicy`).
-        repair_fraction: cold-start fallback of the adaptive repair
-            policy — non-monotone repair falls back to a full recompute
-            when any fragment's invalidated region exceeds this
-            fraction of its local vertices, until the policy has
-            observed both repair and restart costs and can estimate the
-            break-even point itself.
-        repair_policy: an explicit
-            :class:`~repro.core.repair_policy.AdaptiveRepairPolicy`
-            (e.g. shared across engines, or with custom smoothing);
-            built from ``repair_fraction`` when omitted.
+        repair_fraction: fixed threshold — non-monotone repair falls
+            back to a full recompute when any fragment's invalidated
+            region exceeds this fraction of its local vertices.
         backend: an :class:`~repro.runtime.backends.base.
             ExecutionBackend` built over the *same* ``fragmented``;
             defaults to a fresh in-process
@@ -165,7 +157,6 @@ class GrapeEngine:
         supervision: SupervisionPolicy | None = None,
         repair_fraction: float = 0.5,
         tracer=None,
-        repair_policy: AdaptiveRepairPolicy | None = None,
         backend: ExecutionBackend | None = None,
         mode: str = "strict",
     ) -> None:
@@ -175,13 +166,6 @@ class GrapeEngine:
             raise ProgramError(
                 f"unknown superstep mode {mode!r}; choose from "
                 + ", ".join(MODES)
-            )
-        if mode == "relaxed" and check_monotonic:
-            raise ProgramError(
-                "check_monotonic is strict-BSP-simulator-only: per-write "
-                "order observers assume barrier-aligned rounds; relaxed "
-                "mode is gated statically at bind time instead "
-                "(grape-lint direction inference, GRP601/GRP602)"
             )
         if not 0.0 <= repair_fraction <= 1.0:
             raise ProgramError(
@@ -210,9 +194,6 @@ class GrapeEngine:
         self._direct = routing == "direct" or mode == "relaxed"
         self.supervision = supervision or SupervisionPolicy()
         self.repair_fraction = repair_fraction
-        self.repair_policy = repair_policy or AdaptiveRepairPolicy(
-            fallback=repair_fraction
-        )
         self.backend = backend
         #: Optional :class:`~repro.obs.Tracer` — a pure observer; never
         #: feeds back into the computation (see tests/property purity).
@@ -266,7 +247,6 @@ class GrapeEngine:
         )
 
         answer = self._assemble(cluster, program, query, supervisor)
-        self._observe_restart(cluster)
 
         state = self._snapshot(program) if keep_state else None
         if self.tracer is not None:
@@ -325,8 +305,7 @@ class GrapeEngine:
           (``program.invalidated_region``) *across* fragments, reset the
           region's update parameters to the order's default, and re-derive
           it with ``program.repair_partial`` — unless any fragment's
-          region exceeds the repair policy's current threshold (the
-          static ``repair_fraction`` until costs are observed), in
+          region exceeds ``repair_fraction`` of its local vertices, in
           which case the whole fixpoint restarts from PEval over the
           mutated graph.
 
@@ -386,10 +365,9 @@ class GrapeEngine:
                 wid: len(region) for wid, region in invalid.items() if region
             }
             repair.invalidated = sum(repair.fragments.values())
-            threshold = self.repair_policy.threshold()
             full_restart = any(
                 len(region)
-                > threshold
+                > self.repair_fraction
                 * max(1, self.fragmented.fragments[wid].graph.num_vertices)
                 for wid, region in invalid.items()
             )
@@ -428,7 +406,6 @@ class GrapeEngine:
         )
 
         answer = self._assemble(cluster, program, query, supervisor)
-        self._observe_repair(cluster, repair)
 
         # The caller's EngineState keeps tracking the live fixpoint, as
         # it always has (its lists are updated in place); the result
@@ -697,36 +674,6 @@ class GrapeEngine:
         return cluster, Supervisor(
             self.supervision, cluster.metrics.faults, tracer=self.tracer
         )
-
-    def _phase_seconds(self, cluster: Cluster, *phases: str) -> float:
-        """Summed simulated time of the run's supersteps in ``phases``."""
-        wanted = set(phases)
-        return sum(
-            s.simulated_time
-            for s in cluster.metrics.supersteps
-            if s.phase in wanted
-        )
-
-    def _observe_restart(self, cluster: Cluster) -> None:
-        """Feed a PEval pass's cost into the adaptive repair policy."""
-        vertices = sum(
-            frag.graph.num_vertices for frag in self.fragmented.fragments
-        )
-        self.repair_policy.observe_restart(
-            vertices, self._phase_seconds(cluster, "peval")
-        )
-
-    def _observe_repair(
-        self, cluster: Cluster, repair: DeltaRepairStats
-    ) -> None:
-        """Feed what this ΔG batch actually cost into the repair policy."""
-        if repair.mode == "scoped" and repair.invalidated:
-            self.repair_policy.observe_scoped(
-                repair.invalidated,
-                self._phase_seconds(cluster, "invalidate", "repair"),
-            )
-        elif repair.mode == "full":
-            self._observe_restart(cluster)
 
     def _fixpoint(
         self,

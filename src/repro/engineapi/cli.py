@@ -325,7 +325,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_queries=args.max_queries,
             verify=verify,
             tracer=tracer,
-            mode=args.drain_mode,
             backend=args.backend,
             store=args.store,
         )
@@ -343,101 +342,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 0 if report.survived else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """A/B the execution backends on one query (wall clock + equivalence).
-
-    Runs the same query through every requested backend, checks the
-    answers are byte-identical (the simulator is the oracle), and
-    reports per-backend median wall-clock seconds over ``--repeat``
-    runs. Worker processes persist across repeats, so process-backend
-    numbers exclude pool startup after the first (warmup) run.
-    """
-    import json
-    import statistics
-    import time
-
-    from repro.service.service import canonical_answer_bytes
-
-    graph = _make_graph(args.graph, getattr(args, "store", None))
-    kwargs: dict[str, object] = {}
-    if args.source is not None:
-        kwargs["source"] = args.source
-    if args.keywords:
-        kwargs["keywords"] = args.keywords.split(",")
-    query = build_query(args.query, **kwargs)
-    program_kwargs: dict[str, object] = {}
-    if args.query == "pagerank":
-        program_kwargs["total_vertices"] = graph.num_vertices
-    program = get_program(args.query, **program_kwargs)
-
-    backends = args.backends.split(",")
-    rows: dict[str, dict] = {}
-    answers: dict[str, bytes] = {}
-    for backend in backends:
-        session = Session(
-            graph,
-            num_workers=args.workers,
-            partition=args.partition,
-            backend=backend,
-        )
-        try:
-            times: list[float] = []
-            result = session.run(program, query)  # warmup (starts pool)
-            answers[backend] = canonical_answer_bytes(result.answer)
-            for _ in range(args.repeat):
-                t0 = time.perf_counter()
-                result = session.run(program, query)
-                times.append(time.perf_counter() - t0)
-        finally:
-            session.close()
-        rows[backend] = {
-            "median_s": statistics.median(times),
-            "min_s": min(times),
-            "supersteps": result.metrics.num_supersteps,
-        }
-    baseline = rows[backends[0]]["median_s"]
-    for backend in backends:
-        rows[backend]["speedup"] = (
-            baseline / rows[backend]["median_s"]
-            if rows[backend]["median_s"] > 0
-            else float("inf")
-        )
-    equivalent = len(set(answers.values())) == 1
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "graph": args.graph,
-                    "query": args.query,
-                    "workers": args.workers,
-                    "repeat": args.repeat,
-                    "answers_identical": equivalent,
-                    "backends": rows,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(
-            f"{args.query} on {args.graph}, {args.workers} workers, "
-            f"median of {args.repeat} (first backend = baseline)"
-        )
-        for backend in backends:
-            row = rows[backend]
-            print(
-                f"  {backend:<10} {row['median_s'] * 1000:9.1f} ms  "
-                f"speedup {row['speedup']:.2f}x  "
-                f"({row['supersteps']} supersteps)"
-            )
-        print(
-            "answers byte-identical across backends"
-            if equivalent
-            else "ANSWER MISMATCH between backends"
-        )
-    return 0 if equivalent else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -557,11 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
              "degrades to stale-tagged answers instead of dropping",
     )
     serve.add_argument(
-        "--drain-mode", choices=["batch", "event"], default="batch",
-        help="single-service drain discipline: batch (priority order) or "
-             "event (admissions interleave with lane completions)",
-    )
-    serve.add_argument(
         "--backend", choices=list(BACKENDS), default="simulated",
         help="execution backend for dispatched engine runs "
              "(single-service mode only; the fleet stays simulated)",
@@ -603,35 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--workers", type=int, default=8)
     compare.add_argument("--source", type=int, default=None)
     compare.set_defaults(func=_cmd_compare)
-
-    bench = sub.add_parser(
-        "bench",
-        help="A/B the execution backends on one query (wall clock + "
-             "byte-equivalence)",
-    )
-    bench.add_argument("--graph", required=True,
-                       help="road:RxC|power:N|social:N")
-    bench.add_argument("--query", required=True, choices=query_classes())
-    bench.add_argument("--workers", type=int, default=4)
-    bench.add_argument("--partition", default="hash")
-    bench.add_argument("--source", type=int, default=None)
-    bench.add_argument("--keywords", default=None)
-    bench.add_argument(
-        "--backends", default="simulated,process",
-        help="comma-separated backends to compare; the first is the "
-             "speedup baseline (default: simulated,process)",
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=3,
-        help="timed runs per backend after one untimed warmup (default 3)",
-    )
-    bench.add_argument(
-        "--store", choices=list(STORES), default=None,
-        help="fragment storage backend: dict (adjacency dicts, the default) or csr (compact array rows with a delta-aware overlay; byte-identical answers)",
-    )
-    bench.add_argument("--json", action="store_true",
-                       help="machine-readable A/B results")
-    bench.set_defaults(func=_cmd_bench)
 
     lint = sub.add_parser(
         "lint", help="statically verify PIE programs (grape-lint)"

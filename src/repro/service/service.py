@@ -274,42 +274,31 @@ class GrapeService:
             )
         return request.seq
 
-    def drain(self, mode: str = "batch") -> dict[int, ServedResult]:
+    def drain(self) -> dict[int, ServedResult]:
         """Dispatch every pending request; returns ticket -> result.
 
-        ``mode="batch"`` (the default) dispatches in strict
-        ``(priority, admission order)`` onto the earliest free simulated
-        lane — the whole backlog is treated as one admission instant.
-        ``mode="event"`` replays the timeline honestly: admissions
-        interleave with lane completions, so a request is only eligible
-        once its submit time has been reached, and an urgent request
-        that arrives after a lane already started cannot retroactively
-        preempt it. When every pending request shares one submit time
-        the two modes dispatch identically. Either way the service
-        clock advances to the point where every lane is idle again.
+        Replays the timeline causally: admissions interleave with lane
+        completions, so a request is only eligible once its submit time
+        has been reached, and an urgent request that arrives after a
+        lane already started cannot retroactively preempt it. Among the
+        eligible requests dispatch is in ``(priority, admission order)``
+        onto the earliest free simulated lane. The service clock
+        advances to the point where every lane is idle again.
         """
-        if mode not in ("batch", "event"):
-            raise ServiceError(
-                f"unknown drain mode {mode!r}; use 'batch' or 'event'"
-            )
         results: dict[int, ServedResult] = {}
-        if mode == "batch":
-            for request in self._queue.take_all():
-                results[request.seq] = self._dispatch(request)
-        else:
-            remaining = self._queue.take_all()
-            while remaining:
-                # The next dispatch happens when a lane frees up — or,
-                # if nothing has arrived by then, when the next request
-                # is admitted.
-                now = min(self._lanes.free_at)
+        remaining = self._queue.take_all()
+        while remaining:
+            # The next dispatch happens when a lane frees up — or, if
+            # nothing has arrived by then, when the next request is
+            # admitted.
+            now = min(self._lanes.free_at)
+            arrived = [r for r in remaining if r.submit_time <= now]
+            if not arrived:
+                now = min(r.submit_time for r in remaining)
                 arrived = [r for r in remaining if r.submit_time <= now]
-                if not arrived:
-                    now = min(r.submit_time for r in remaining)
-                    arrived = [r for r in remaining if r.submit_time <= now]
-                request = min(arrived, key=lambda r: r.order_key)
-                remaining.remove(request)
-                results[request.seq] = self._dispatch(request)
+            request = min(arrived, key=lambda r: r.order_key)
+            remaining.remove(request)
+            results[request.seq] = self._dispatch(request)
         self._clock = max(self._clock, self._lanes.horizon)
         return results
 
@@ -350,8 +339,8 @@ class GrapeService:
     def advance(self, to: float) -> None:
         """Advance the simulated clock (no-op when ``to`` is in the past).
 
-        Lets a workload replay space admissions out in time, which is
-        what makes ``drain(mode="event")`` diverge from batch order.
+        Lets a workload replay space admissions out in time; ``drain``
+        honors the spacing.
         """
         self._clock = max(self._clock, float(to))
 

@@ -119,7 +119,6 @@ def replay_trace(
     max_queries: int | None = None,
     verify: bool | None = None,
     tracer=None,
-    mode: str = "batch",
     backend: str = "simulated",
     store: str | None = None,
 ) -> tuple[GrapeService, ServiceReport]:
@@ -130,11 +129,9 @@ def replay_trace(
     truncated replay stays cheap. ``verify`` overrides every update
     op's own ``verify`` flag when not None. ``tracer`` (ignored when a
     pre-built ``service`` is passed) records the replay for export.
-    ``mode`` selects the drain discipline — ``"batch"`` (default)
-    sorts each backlog purely by priority, ``"event"`` interleaves
-    admissions with lane completions; a query op's optional ``"at"``
-    advances the service clock before submitting, which is what gives
-    requests distinct arrival times for event mode to honor.
+    A query op's optional ``"at"`` advances the service clock before
+    submitting, which gives requests distinct arrival times for
+    ``drain`` to honor.
     ``backend`` (ignored when a pre-built ``service`` is passed) picks
     the execution backend every dispatched engine run uses; ``store``
     likewise selects the fragment storage backend.
@@ -169,7 +166,7 @@ def replay_trace(
                 except ServiceOverloadedError:
                     pass  # shed; counted in the report
         elif kind == "drain":
-            service.drain(mode=mode)
+            service.drain()
         elif kind == "update":
             if max_queries is not None and queries_sent >= max_queries:
                 continue
@@ -179,5 +176,5 @@ def replay_trace(
                 deletes=op.get("deletes", ()),
                 reweights=op.get("reweights", ()),
             )
-    service.drain(mode=mode)
+    service.drain()
     return service, service.report()

@@ -5,9 +5,11 @@ EngineState pickle back-compat, and the repair-mode ladder
 (monotone/scoped/full)."""
 
 import pickle
+from dataclasses import astuple
 
 import pytest
 
+from repro.algorithms.sequential.dijkstra import single_source
 from repro.algorithms.sssp import SSSPProgram, SSSPQuery
 from repro.core.delta import (
     DeltaRepairStats,
@@ -22,6 +24,9 @@ from repro.core.engine import GrapeEngine
 from repro.errors import ProgramError
 from repro.graph.digraph import Graph
 from repro.graph.fragment import build_fragments
+from repro.graph.generators import road_network
+from repro.partition.registry import get_partitioner
+from repro.service.service import canonical_answer_bytes
 
 
 def _line_graph(n=6, weight=1.0):
@@ -200,6 +205,52 @@ def test_repair_mode_ladder(fraction, batch, mode):
     if mode == "scoped":
         assert 0 < second.repair.invalidated < 8
         assert second.repair.fragments  # per-fragment breakdown recorded
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 1.5])
+def test_repair_fraction_out_of_range_rejected(fraction):
+    fragd = build_fragments(_line_graph(4), {v: 0 for v in range(4)}, 1)
+    with pytest.raises(ProgramError, match="repair_fraction"):
+        GrapeEngine(fragd, repair_fraction=fraction)
+
+
+def _two_delete_batches(fresh_engine_per_batch):
+    graph = road_network(12, 12, seed=3)
+    assignment = get_partitioner("multilevel")(graph, 2)
+    fragd = build_fragments(graph, assignment, 2, "multilevel")
+    engine = GrapeEngine(fragd)
+    program, query = SSSPProgram(), SSSPQuery(source=0)
+    result = engine.run(program, query, keep_state=True)
+    trail = []
+    for batch in ([("delete", 131, 143)], [("delete", 0, 1)]):
+        if fresh_engine_per_batch:
+            engine = GrapeEngine(fragd)
+        result = engine.run_incremental(program, query, result.state, batch)
+        trail.append(
+            (
+                result.repair.mode,
+                result.repair.invalidated,
+                result.repair.resets,
+                [astuple(r) for r in result.rounds],
+                canonical_answer_bytes(result.answer),
+            )
+        )
+    graph.remove_edge(131, 143)
+    graph.remove_edge(0, 1)
+    assert result.answer == single_source(graph, 0)
+    return trail
+
+
+def test_repair_path_is_a_function_of_state_and_delta():
+    """Same kept state + same ΔG => same repair path, whatever the age
+    of the engine object: an engine holds no state between runs."""
+    long_lived = _two_delete_batches(fresh_engine_per_batch=False)
+    assert long_lived == _two_delete_batches(fresh_engine_per_batch=True)
+    # Batch 2 invalidates 29 of fragment 1's 86 vertices: 34 %, under
+    # the 0.5 threshold, so one scoped repair round and no restart.
+    assert [(mode, inv) for mode, inv, *_ in long_lived] == [
+        ("scoped", 1), ("scoped", 33),
+    ]
 
 
 def test_repair_stats_as_dict_is_json_ready():

@@ -1,10 +1,11 @@
 """Typed guards around ``mode="relaxed"``.
 
 Relaxed supersteps are only licensed for aggregator-monotone programs
-(the Assurance Theorem's precondition), and the strict-simulator-only
-instruments — fault injection and the runtime monotonicity checker —
-must refuse to combine with them. Every refusal is a typed error
-raised at construction or bind time, never a silent downgrade.
+(the Assurance Theorem's precondition), and fault injection — a
+strict-simulator-only instrument — must refuse to combine with them.
+Every refusal is a typed error raised at construction or bind time,
+never a silent downgrade. The runtime monotonicity checker is per
+write, so it combines with relaxed mode and sees strict-direct's writes.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from repro.engineapi.query import build_query
 from repro.engineapi.registry import get_program
 from repro.errors import AnalysisError, ProgramError
 from repro.graph.fragment import build_fragments
-from repro.graph.generators import graph_from_spec
+from repro.graph.generators import graph_from_spec, road_network
 from repro.partition.registry import get_partitioner
 from repro.runtime.faults import FaultPlan
+from repro.service.service import canonical_answer_bytes
 
 
 class LastWriteProgram(PIEProgram):
@@ -56,9 +58,36 @@ def test_unknown_mode_is_a_typed_constructor_error():
         GrapeEngine(_fragmented(), mode="chaotic")
 
 
-def test_relaxed_refuses_check_monotonic():
-    with pytest.raises(ProgramError, match="strict-BSP-simulator-only"):
-        GrapeEngine(_fragmented(), mode="relaxed", check_monotonic=True)
+def test_relaxed_check_monotonic_matches_strict_direct():
+    """The checker observes each write, not each barrier: relaxed mode
+    runs strict-direct's dataflow, so it sees exactly the same writes."""
+    graph = road_network(12, 12, seed=3)
+    assignment = get_partitioner("hash")(graph, 4)
+
+    def checked(name, params, **engine_kwargs):
+        engine = GrapeEngine(
+            build_fragments(graph, assignment, 4, "hash"),
+            check_monotonic=True,
+            **engine_kwargs,
+        )
+        result = engine.run(get_program(name), build_query(name, **params))
+        return (
+            result.checker.writes_seen,
+            result.checker.ok,
+            len(result.rounds),
+            canonical_answer_bytes(result.answer),
+        )
+
+    for name, params in [
+        ("sssp", {"source": 0}),
+        ("bfs", {"source": 0}),
+        ("cc", {}),
+        ("kcore", {}),
+    ]:
+        strict = checked(name, params, routing="direct")
+        writes_seen, ok = strict[:2]
+        assert writes_seen > 0 and ok
+        assert checked(name, params, mode="relaxed") == strict
 
 
 def test_relaxed_refuses_fault_injection():

@@ -25,7 +25,6 @@ import pytest
 
 from repro.core.delta import GraphDelta
 from repro.core.engine import GrapeEngine
-from repro.core.repair_policy import AdaptiveRepairPolicy
 from repro.engineapi.query import build_query
 from repro.engineapi.registry import get_program
 from repro.graph.fragment import build_fragments
@@ -104,12 +103,6 @@ def _run_sequence(mode, routing, name, params, deltas, store="dict",
         routing=routing,
         mode=mode,
         backend=backend,
-        # Pin the policy: it observes simulated seconds, which relaxed
-        # mode legitimately changes; a fraction that adapts would fork
-        # the repair path for reasons outside the equivalence contract.
-        repair_policy=AdaptiveRepairPolicy(
-            fallback=0.5, min_fraction=0.5, max_fraction=0.5
-        ),
     )
     program = get_program(name)
     query = build_query(name, **params)

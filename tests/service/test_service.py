@@ -135,57 +135,38 @@ def test_full_lane_with_empty_queue_backpressures():
     assert seq in service.drain()
 
 
-# ------------------------------------------------------------ drain modes
-def test_event_drain_matches_batch_on_single_admission_instant():
-    # Every pending request shares one submit time: the event-driven
-    # replay must dispatch identically to the batch default.
-    batch = _service(concurrency=2)
-    event = _service(concurrency=2)
-    workload = [
-        ("cc", {}, 9),
-        ("sssp", {"source": 0}, 1),
-        ("bfs", {"source": 0}, 1),
-        ("sssp", {"source": 5}, 5),
-    ]
-    for query_class, params, priority in workload:
-        batch.submit(query_class, params, priority=priority)
-        event.submit(query_class, params, priority=priority)
-    got_batch = batch.drain(mode="batch")
-    got_event = event.drain(mode="event")
-    assert list(got_batch) == list(got_event)
-    for seq in got_batch:
-        assert canonical_answer_bytes(
-            got_batch[seq].answer
-        ) == canonical_answer_bytes(got_event[seq].answer)
-        assert got_batch[seq].latency == pytest.approx(got_event[seq].latency)
-    assert batch.clock == pytest.approx(event.clock)
+# ------------------------------------------------------------ drain timeline
+def test_drain_on_one_admission_instant_fills_lanes_in_priority_order():
+    # Every pending request shares one submit time, so all of them are
+    # eligible from the start: two lanes, pure (priority, FIFO) order.
+    service = _service(concurrency=2)
+    background = service.submit("cc", {}, priority=9)
+    urgent = service.submit("sssp", {"source": 0}, priority=1)
+    also_urgent = service.submit("bfs", {"source": 0}, priority=1)
+    middle = service.submit("sssp", {"source": 5}, priority=5)
+    results = service.drain()
+    assert list(results) == [urgent, also_urgent, middle, background]
+    # The two urgent requests start at once, one per lane.
+    assert results[urgent].latency == pytest.approx(results[urgent].cost)
+    assert results[also_urgent].latency == pytest.approx(
+        results[also_urgent].cost
+    )
+    assert service.clock == pytest.approx(
+        max(r.latency for r in results.values())
+    )
 
 
 def test_event_drain_interleaves_late_urgent_arrival():
     # An urgent request that arrives after the lane already started
-    # cannot retroactively preempt in event mode — but batch mode,
-    # which treats the backlog as one instant, serves it first.
-    def run(mode):
-        service = _service(concurrency=1)
-        first = service.submit("sssp", {"source": 0}, priority=5)
-        second = service.submit("sssp", {"source": 1}, priority=5)
-        service.advance(1e-6)  # the urgent request arrives a tick later
-        urgent = service.submit("bfs", {"source": 0}, priority=1)
-        order = list(service.drain(mode=mode))
-        return first, second, urgent, order
-
-    first, second, urgent, batch_order = run("batch")
-    assert batch_order == [urgent, first, second]  # priority first
-    first, second, urgent, event_order = run("event")
-    # Event replay: the lane starts `first` at t=0; by the time it
-    # frees, the urgent request has arrived and overtakes `second`.
-    assert event_order == [first, urgent, second]
-
-
-def test_drain_rejects_unknown_mode():
-    service = _service()
-    with pytest.raises(ServiceError, match="drain mode"):
-        service.drain(mode="turbo")
+    # cannot retroactively preempt it.
+    service = _service(concurrency=1)
+    first = service.submit("sssp", {"source": 0}, priority=5)
+    second = service.submit("sssp", {"source": 1}, priority=5)
+    service.advance(1e-6)  # the urgent request arrives a tick later
+    urgent = service.submit("bfs", {"source": 0}, priority=1)
+    # The lane starts `first` at t=0; by the time it frees, the urgent
+    # request has arrived and overtakes `second`.
+    assert list(service.drain()) == [first, urgent, second]
 
 
 # ------------------------------------------------------------ standing queries

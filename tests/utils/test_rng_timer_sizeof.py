@@ -1,12 +1,7 @@
-"""Unit tests for RNG scoping, stopwatch and message sizing."""
-
-import time
-
-import pytest
+"""Unit tests for RNG scoping and message sizing."""
 
 from repro.utils.rng import make_rng, stable_hash
 from repro.utils.sizeof import message_size, value_size
-from repro.utils.timer import Stopwatch
 
 
 # ---------------------------------------------------------------- rng
@@ -35,37 +30,6 @@ def test_stable_hash_int_passthrough_nonnegative():
 def test_stable_hash_spreads_values():
     buckets = {stable_hash(f"v{i}") % 8 for i in range(100)}
     assert len(buckets) == 8  # all buckets hit over 100 keys
-
-
-# -------------------------------------------------------------- timer
-def test_stopwatch_accumulates():
-    sw = Stopwatch()
-    with sw:
-        time.sleep(0.002)
-    first = sw.elapsed
-    with sw:
-        time.sleep(0.002)
-    assert sw.elapsed > first >= 0.002
-
-
-def test_stopwatch_double_start_raises():
-    sw = Stopwatch()
-    sw.start()
-    with pytest.raises(RuntimeError):
-        sw.start()
-
-
-def test_stopwatch_stop_without_start_raises():
-    with pytest.raises(RuntimeError):
-        Stopwatch().stop()
-
-
-def test_stopwatch_reset():
-    sw = Stopwatch()
-    with sw:
-        pass
-    sw.reset()
-    assert sw.elapsed == 0.0
 
 
 # ------------------------------------------------------------- sizeof
