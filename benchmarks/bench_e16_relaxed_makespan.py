@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import re
 
 from benchmarks.helpers import RESULTS_DIR, format_rows, write_result
 from repro.core.engine import GrapeEngine
@@ -104,6 +105,13 @@ def test_e16_relaxed_makespan():
         if line.startswith("relaxed waves:")
     ]
     assert slack_lines, "skew report lost its reclaimed-slack line"
+    # One virtual clock: the trace prices with the engine's cost model,
+    # so its figure for the same run is the engine's, up to the nominal
+    # compute widths only the trace has.
+    (timeline_pct,) = re.findall(r"\((-?[\d.]+)%\)", slack_lines[0])
+    assert abs(float(timeline_pct) - reclaimed_pct) <= 1.0, (
+        slack_lines[0], reclaimed_pct,
+    )
 
     record = {
         "graph": GRAPH_SPEC,

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Hashable, Iterable, Iterator, Sequence, Union
 
-from repro.errors import GraphError, PartitionError, ProgramError
+from repro.errors import PartitionError, ProgramError
 from repro.graph.digraph import Edge
 from repro.graph.fragment import FragmentedGraph
 
@@ -191,11 +191,11 @@ def apply_delta(
 ) -> dict[int, list[DeltaOp]]:
     """Route a mixed ΔG batch into fragments; returns fid -> ops to repair.
 
-    Ops apply in order. Insertions of an edge that already exists are
-    routed as reweights (with the old weight recorded) so programs can
-    classify them honestly; referencing the same edge twice in one batch
-    is rejected (see module docstring). Unknown vertices or deletions of
-    absent edges raise :class:`~repro.errors.ProgramError`.
+    The batch is atomic: it is validated whole (:func:`_check_batch`)
+    before the first mutation, so a rejected batch leaves the fragments
+    untouched, then its ops apply in order. Insertions of an edge that
+    already exists are routed as reweights (with the old weight
+    recorded) so programs can classify them honestly.
 
     Pass a dict as ``effects`` to additionally collect the per-fragment
     mutation records (fid -> :data:`~repro.graph.fragment.FragmentEffect`
@@ -203,20 +203,39 @@ def apply_delta(
     its workers' fragment copies so both sides stay byte-identical.
     """
     delta = GraphDelta.coerce(delta)
+    _check_batch(fragmented, delta)
     touched: dict[int, list[DeltaOp]] = {}
+    for op in delta:
+        routed, fids = _route_op(fragmented, op)
+        for fid in fids:
+            touched.setdefault(fid, []).append(routed)
+        if effects is not None:
+            for fid, records in fragmented.last_effects.items():
+                effects.setdefault(fid, []).extend(records)
+    return touched
+
+
+def _check_batch(fragmented: FragmentedGraph, delta: GraphDelta) -> None:
+    """Raise :class:`~repro.errors.ProgramError` unless every op applies.
+
+    The ways routing an op can fail: an endpoint no fragment owns, an
+    edge the batch references twice (see module docstring), a delete or
+    reweight of an absent edge, a negative weight. Each edge appears at
+    most once, so no op changes what another op's check reads and the
+    pre-batch fragments decide all of them.
+    """
     seen: set[tuple] = set()
     for op in delta:
         try:
-            directed = fragmented.fragments[
-                fragmented.owner_of(op.src)
-            ].graph.directed
-        except (PartitionError, IndexError) as exc:
+            graph = fragmented.fragment_of(op.src).graph
+            fragmented.owner_of(op.dst)
+        except PartitionError as exc:
             raise ProgramError(
                 f"delta op {op.kind} {op.src!r}->{op.dst!r} references an "
                 "unknown vertex"
             ) from exc
         keys = [(op.src, op.dst)]
-        if not directed:
+        if not graph.directed:
             keys.append((op.dst, op.src))
         if any(k in seen for k in keys):
             raise ProgramError(
@@ -224,19 +243,16 @@ def apply_delta(
                 "than once; split conflicting ops into separate batches"
             )
         seen.update(keys)
-        try:
-            routed, fids = _route_op(fragmented, op)
-        except (PartitionError, GraphError) as exc:
+        problem = None
+        if op.kind != "insert" and not graph.has_edge(op.src, op.dst):
+            problem = "no such edge"
+        elif op.kind != "delete" and op.weight < 0:
+            problem = f"negative edge weight {op.weight}"
+        if problem:
             raise ProgramError(
                 f"cannot apply delta op {op.kind} "
-                f"{op.src!r}->{op.dst!r}: {exc}"
-            ) from exc
-        for fid in fids:
-            touched.setdefault(fid, []).append(routed)
-        if effects is not None:
-            for fid, records in fragmented.last_effects.items():
-                effects.setdefault(fid, []).extend(records)
-    return touched
+                f"{op.src!r}->{op.dst!r}: {problem}"
+            )
 
 
 def _route_op(

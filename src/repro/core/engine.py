@@ -653,12 +653,6 @@ class GrapeEngine:
                 f"{self.backend.name!r} backend runs real worker "
                 "processes the injector cannot interpose on"
             )
-        if faults is not None and self.mode == "relaxed":
-            raise ProgramError(
-                "fault injection is strict-BSP-simulator-only: recovery "
-                "replays barrier-aligned rounds the relaxed pipeline "
-                "does not have; run the fault plan with mode='strict'"
-            )
         injector = faults.injector() if faults is not None else None
         if self.tracer is not None:
             self.tracer.run_begin(engine_name, self.fragmented.num_fragments)

@@ -2,10 +2,11 @@
 
 One pure-observer :class:`Tracer` collects flat deterministic events
 from the engine, runtime, chaos and serving layers; the virtual
-timeline (:mod:`repro.obs.timeline`) places them as spans without ever
-consulting wall clock; the Chrome exporter and the straggler/skew
-report are two views over that timeline, and :class:`MetricsRegistry`
-gives every counter in the system a stable dotted name.
+timeline (:mod:`repro.obs.timeline`) places them as spans, priced by
+the engine's cost model, without ever consulting wall clock; the Chrome
+exporter and the straggler/skew report are two views over that
+timeline, and :class:`MetricsRegistry` gives the log's replay-stable
+totals stable dotted names.
 """
 
 from repro.obs.chrome import (
@@ -21,25 +22,18 @@ from repro.obs.skew import (
     skew_report,
 )
 from repro.obs.timeline import (
-    BYTE_COST,
     COMPUTE_COST,
-    MSG_COST,
-    SYNC_COST,
     RunTimeline,
     StepTimeline,
     WorkerSpan,
     build_timeline,
     fleet_events,
     service_events,
-    ship_cost,
 )
 from repro.obs.tracer import Tracer
 
 __all__ = [
-    "BYTE_COST",
     "COMPUTE_COST",
-    "MSG_COST",
-    "SYNC_COST",
     "MetricsRegistry",
     "RunTimeline",
     "StepTimeline",
@@ -54,7 +48,6 @@ __all__ = [
     "runs_from_chrome",
     "sanitize_segment",
     "service_events",
-    "ship_cost",
     "skew_report",
     "write_chrome_trace",
 ]

@@ -1,17 +1,15 @@
-"""MetricsRegistry: one flat namespace over every counter we emit.
+"""MetricsRegistry: one flat namespace for the counters a trace embeds.
 
-``RunMetrics``, ``ServiceReport``, ``FaultCounters`` and
-``DeltaRepairStats`` each grew their own dict schema; dashboards and
-tests end up hard-coding four shapes. The registry consolidates them
-under **stable dotted names** (``run.bytes.total``,
-``run.faults.retries``, ``service.cache.hit_rate``,
-``repair.invalidated`` ...) with deterministic ordering, so one report
-renderer and one JSON schema cover every layer.
+Replay-stable totals of a tracer's event log live under **stable
+dotted names** (``obs.supersteps``, ``obs.bytes.total``,
+``obs.faults.retries``, ``obs.service.cache_hits`` ...) with
+deterministic ordering; the Chrome exporter embeds them in
+``otherData.metrics`` and the skew report prints them.
 
-Naming rules: lowercase dotted segments; dynamic segments (query-class
-names, standing-query names, phases) are sanitized to
-``[a-z0-9_-]``. Values are scalars (int/float/str/bool/None) only —
-the registry is a metric namespace, not a document store.
+Naming rules: lowercase dotted segments; dynamic segments are
+sanitized to ``[a-z0-9_-]``. Values are scalars
+(int/float/str/bool/None) only — the registry is a metric namespace,
+not a document store.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ def sanitize_segment(raw: object) -> str:
 class MetricsRegistry:
     """A sorted ``dotted.name -> scalar`` namespace.
 
-    Deterministic by construction: iteration, :meth:`as_dict` and
-    :meth:`render` are sorted by name, so two registries built from the
-    same counters serialize byte-identically.
+    Deterministic by construction: :meth:`names` and :meth:`as_dict`
+    are sorted by name, so two registries built from the same counters
+    serialize byte-identically.
     """
 
     def __init__(self, values: dict[str, Scalar] | None = None) -> None:
@@ -59,128 +57,13 @@ class MetricsRegistry:
             )
         self._values[name] = value
 
-    def record_many(self, prefix: str, mapping: dict) -> None:
-        """Record every scalar in ``mapping`` under ``prefix.<key>``.
-
-        Nested dicts recurse with their (sanitized) key as a segment;
-        non-scalar leaves are skipped.
-        """
-        for key in sorted(mapping, key=str):
-            value = mapping[key]
-            name = f"{prefix}.{sanitize_segment(key)}"
-            if isinstance(value, dict):
-                self.record_many(name, value)
-            elif value is None or isinstance(value, (int, float, str, bool)):
-                self.record(name, value)
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry in (its names win on collision)."""
-        self._values.update(other._values)
-        return self
-
-    # ------------------------------------------------------------------
-    def get(self, name: str, default: Scalar = None) -> Scalar:
-        return self._values.get(name, default)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
-
     def names(self) -> list[str]:
         """All metric names, sorted."""
         return sorted(self._values)
 
-    def filtered(self, prefix: str) -> "MetricsRegistry":
-        """A sub-registry of names under ``prefix.``."""
-        dot = prefix + "."
-        out = MetricsRegistry()
-        for name in self.names():
-            if name == prefix or name.startswith(dot):
-                out._values[name] = self._values[name]
-        return out
-
     def as_dict(self) -> dict[str, Scalar]:
         """Name -> value, sorted by name (the stable JSON schema)."""
         return {name: self._values[name] for name in self.names()}
-
-    def render(self, title: str | None = None) -> str:
-        """Aligned plain-text dump (one metric per line)."""
-        lines: list[str] = []
-        if title:
-            lines += [title, "=" * len(title)]
-        width = max((len(n) for n in self._values), default=0)
-        for name in self.names():
-            value = self._values[name]
-            shown = f"{value:.6g}" if isinstance(value, float) else str(value)
-            lines.append(f"{name:<{width}}  {shown}")
-        return "\n".join(lines)
-
-    # ------------------------------------------------------------------
-    # Adapters over the existing metric containers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_run(cls, metrics, prefix: str = "run") -> "MetricsRegistry":
-        """Consolidate one :class:`~repro.runtime.metrics.RunMetrics`."""
-        reg = cls()
-        reg.record(f"{prefix}.engine", metrics.engine)
-        reg.record(f"{prefix}.workers", metrics.num_workers)
-        reg.record(f"{prefix}.supersteps", metrics.num_supersteps)
-        reg.record(f"{prefix}.time.total", metrics.total_time)
-        reg.record(f"{prefix}.time.compute", metrics.total_compute)
-        reg.record(f"{prefix}.bytes.total", metrics.total_bytes)
-        reg.record(f"{prefix}.messages.total", metrics.total_messages)
-        reg.record(f"{prefix}.communication.mb", metrics.communication_mb)
-        reg.record(f"{prefix}.load_imbalance", metrics.load_imbalance())
-        for phase, seconds in sorted(metrics.phase_breakdown().items()):
-            reg.record(
-                f"{prefix}.time.phase.{sanitize_segment(phase)}", seconds
-            )
-        reg.merge(cls.from_faults(metrics.faults, prefix=f"{prefix}.faults"))
-        return reg
-
-    @classmethod
-    def from_faults(cls, counters, prefix: str = "faults") -> "MetricsRegistry":
-        """Consolidate one :class:`~repro.runtime.metrics.FaultCounters`."""
-        reg = cls()
-        reg.record_many(prefix, counters.as_dict())
-        reg.record(f"{prefix}.total_injected", counters.total_injected)
-        return reg
-
-    @classmethod
-    def from_repair(cls, stats, prefix: str = "repair") -> "MetricsRegistry":
-        """Consolidate one :class:`~repro.core.delta.DeltaRepairStats`."""
-        reg = cls()
-        reg.record_many(prefix, stats.as_dict())
-        return reg
-
-    @classmethod
-    def from_service(cls, report, prefix: str = "service") -> "MetricsRegistry":
-        """Consolidate a :class:`~repro.service.metrics.ServiceReport`.
-
-        Accepts the report object or its ``as_dict()`` form. Standing
-        queries register under ``<prefix>.standing.<name>.*``.
-        """
-        data = report if isinstance(report, dict) else report.as_dict()
-        reg = cls()
-        reg.record(f"{prefix}.graph_version", data["graph_version"])
-        reg.record(f"{prefix}.time", data["simulated_time"])
-        reg.record(f"{prefix}.workers", data["num_workers"])
-        reg.record(f"{prefix}.survived", data["survived"])
-        reg.record_many(f"{prefix}.queue", data["queue"])
-        reg.record_many(f"{prefix}.cache", data["cache"])
-        reg.record_many(f"{prefix}.updates", data["updates"])
-        for name, stats in sorted(data["classes"].items()):
-            reg.record_many(
-                f"{prefix}.class.{sanitize_segment(name)}", stats
-            )
-        for stats in data["standing"]:
-            reg.record_many(
-                f"{prefix}.standing.{sanitize_segment(stats['name'])}",
-                {k: v for k, v in stats.items() if k != "name"},
-            )
-        return reg
 
     @classmethod
     def from_tracer(cls, tracer, prefix: str = "obs") -> "MetricsRegistry":
@@ -250,36 +133,4 @@ class MetricsRegistry:
             reg.record(f"{prefix}.fleet.failovers", failovers)
             reg.record(f"{prefix}.fleet.breaker_opens", breaker_opens)
             reg.record(f"{prefix}.fleet.catchups", catchups)
-        return reg
-
-    @classmethod
-    def from_fleet(cls, report, prefix: str = "fleet") -> "MetricsRegistry":
-        """Consolidate a :class:`~repro.service.fleet.FleetReport`.
-
-        Accepts the report object or its ``as_dict()`` form. Per-replica
-        health lands under ``<prefix>.replica.<rid>.*``; each live
-        replica's full service report nests below that.
-        """
-        data = report if isinstance(report, dict) else report.as_dict()
-        reg = cls()
-        for key in sorted(data):
-            if key in ("replica_states", "faults"):
-                continue
-            value = data[key]
-            if value is None or isinstance(value, (int, float, str, bool)):
-                reg.record(f"{prefix}.{sanitize_segment(key)}", value)
-        reg.record_many(f"{prefix}.faults", data.get("faults", {}))
-        for state in data.get("replica_states", []):
-            base = f"{prefix}.replica.{sanitize_segment(state['replica'])}"
-            for key in sorted(state):
-                value = state[key]
-                if key == "service":
-                    if isinstance(value, dict):
-                        reg.merge(
-                            cls.from_service(value, prefix=f"{base}.service")
-                        )
-                elif value is None or isinstance(
-                    value, (int, float, str, bool)
-                ):
-                    reg.record(f"{base}.{sanitize_segment(key)}", value)
         return reg

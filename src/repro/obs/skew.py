@@ -18,13 +18,12 @@ Two entry points feed the same renderer:
 from __future__ import annotations
 
 from repro.obs.timeline import (
-    DRAIN_COST,
-    SYNC_COST,
+    COST,
     RunTimeline,
     StepTimeline,
     WorkerSpan,
+    barrier_time,
     build_timeline,
-    ship_cost,
 )
 
 _BAR_WIDTH = 30
@@ -49,31 +48,21 @@ def _is_relaxed(step: StepTimeline) -> bool:
 
 def _drain_wait(step: StepTimeline) -> float:
     """Total seconds the step's lanes idled waiting on FIFO arrivals."""
-    total = 0.0
-    for span in step.spans:
-        if span.cat != "drain":
-            continue
-        wait = span.args.get("wait")
-        if wait is None:
-            wait = max(span.duration - DRAIN_COST, 0.0)
-        total += float(wait)
-    return total
+    return sum(
+        float(span.args["wait"]) for span in step.spans if span.cat == "drain"
+    )
 
 
 def _strict_equiv(step: StepTimeline) -> float:
-    """What the wave would cost under a strict-BSP barrier.
-
-    Slowest non-drain lane (compute + its own ship), plus the barrier's
-    delivery of the step's whole traffic, plus SYNC_COST — the same
-    formula strict steps are placed with.
-    """
-    lanes: dict[int, float] = {}
+    """What the wave would cost under a strict-BSP barrier: its compute
+    attempts and backoffs priced the way strict steps are placed."""
+    compute: dict[int, float] = {}
     for span in step.spans:
-        if span.cat == "drain":
-            continue
-        lanes[span.worker] = lanes.get(span.worker, 0.0) + span.duration
-    lane_max = max(lanes.values(), default=0.0)
-    return lane_max + ship_cost(step.messages, step.bytes) + SYNC_COST
+        if span.cat in ("compute", "chaos"):
+            compute[span.worker] = (
+                compute.get(span.worker, 0.0) + span.duration
+            )
+    return barrier_time(compute, step.bytes, step.pairs)
 
 
 def _relaxed_summary(run: RunTimeline) -> list[str]:
@@ -130,7 +119,9 @@ def _step_rows(run: RunTimeline) -> list[str]:
         totals = step.worker_totals
         if totals:
             mean = sum(totals.values()) / len(totals)
-            worst = max(sorted(totals), key=lambda r: totals[r])
+            # Compared at the trace's resolution, so lanes that tie in a
+            # Chrome export (rounded to ns) tie in the live report too.
+            worst = max(sorted(totals), key=lambda r: _us(totals[r]))
             skew = step.lane_max / mean if mean > 0 else 1.0
             ahead = step.lane_max - mean
             straggler = f"{_rank_label(worst)} (+{_us(ahead):.1f}us)"
@@ -276,9 +267,9 @@ def runs_from_chrome(data: dict) -> list[RunTimeline]:
                 lane_max=0.0,
                 network=(
                     0.0
-                    if args.get("aborted") or args.get("relaxed")
-                    else ship_cost(
-                        args.get("messages", 0), args.get("bytes", 0)
+                    if args.get("relaxed")
+                    else COST.network_time(
+                        args.get("bytes", 0), args.get("pairs", 0)
                     )
                 ),
                 bytes=args.get("bytes", 0),

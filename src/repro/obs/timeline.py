@@ -2,29 +2,34 @@
 
 Wall clock is replay-hostile — two identical runs measure different
 compute times — so exported traces place every span on a **virtual
-clock** derived purely from deterministic quantities: superstep counts,
-shipped messages and bytes, injected straggler delays and supervisor
-backoff (all simulated seconds, all pure functions of the run). The
-cost constants are shared with the serving layer's
-:func:`~repro.service.metrics.run_cost`, so a span's duration and a
-query's charged cost speak the same vocabulary.
+clock** derived purely from deterministic quantities: shipped bytes,
+communicating pairs, injected straggler delays and supervisor backoff
+(all pure functions of the run). Virtual seconds have one definition,
+:class:`~repro.runtime.costmodel.CostModel`, and a relaxed wave one
+placement, :class:`~repro.runtime.cluster.PipelinedClocks`: the
+timeline feeds both what the cluster fed them, so with a zero
+:data:`COMPUTE_COST` a completed step lasts exactly its
+``SuperstepMetrics.simulated_time`` under
+``CostModel(deterministic=True)``.
 
-Layout of one superstep starting at virtual time ``t0``:
+Layout of one strict superstep starting at virtual time ``t0``:
 
 * each worker's compute attempts run in parallel lanes from ``t0``:
   attempt k costs ``COMPUTE_COST + straggler_delay``; a retried attempt
   is followed by its backoff span; the worker's logical sends ship in a
-  trailing ``ship`` span (``MSG_COST``/``BYTE_COST`` per message/byte);
-* the barrier's delivery follows the slowest lane:
-  ``messages * MSG_COST + bytes * BYTE_COST``;
-* ``SYNC_COST`` closes the superstep.
+  trailing ``ship`` span (``network_time`` of its own bytes);
+* the step lasts ``superstep_time(makespan, bytes, pairs)`` — makespan
+  is the slowest worker's attempts and backoffs plus the coordinator's,
+  as ``SuperstepHandle.finish`` meters it; ship spans are part of the
+  step's network term, not of the makespan.
 
-Barrier-relaxed waves (``mode="relaxed"``) are placed differently: each
-worker's lane resumes at its *own* previous frontier rather than a
-shared barrier, opening with ``drain`` spans (FIFO pop + any wait for
-the sender's ship to land) and closing without SYNC_COST — so fast
-workers visibly overlap slow ones and the skew report can price the
-reclaimed slack.
+A run with barrier-relaxed waves (``mode="relaxed"``) is replayed
+through its own ``PipelinedClocks``: a wave resumes each worker's lane
+at its *own* clock, opens it with one ``drain`` span per received
+message (the wait until that message has landed, as ``open_wave``
+prices it), and lasts what ``close_wave`` returns — the frontier's
+advance — so fast workers visibly overlap slow ones. A strict phase
+inside such a run goes through ``barrier``.
 
 The builder consumes a :class:`~repro.obs.tracer.Tracer`'s raw events
 and produces :class:`RunTimeline` objects; the Chrome exporter and the
@@ -35,24 +40,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Virtual seconds per BSP superstep barrier (scheduling + sync).
-SYNC_COST = 5e-4
-#: Virtual seconds per shipped message.
-MSG_COST = 2e-6
-#: Virtual seconds per shipped byte.
-BYTE_COST = 5e-9
-#: Virtual seconds charged for entering one compute attempt.
+from repro.runtime.cluster import PipelinedClocks
+from repro.runtime.costmodel import CostModel
+from repro.runtime.message import COORDINATOR, Message
+
+#: Nominal virtual seconds of one compute attempt. Measured compute is
+#: wall clock and cannot enter a byte-stable trace, so every attempt
+#: gets this width; it is the only virtual-time constant of ``obs``.
 COMPUTE_COST = 1e-4
-#: Virtual seconds to pop one channel's FIFO in a relaxed wave — the
-#: per-wave handoff replacing the barrier's SYNC_COST (kept strictly
-#: below it so relaxed placement mirrors the cost model's dominance
-#: argument: drain_overhead <= barrier_overhead).
-DRAIN_COST = 1e-4
+
+#: The one cost model every trace is priced with (its defaults; no
+#: caller needs another, so it is not a parameter).
+COST = CostModel()
 
 
-def ship_cost(messages: int, nbytes: int) -> float:
-    """Virtual seconds to serialize/ship a batch of parameters."""
-    return messages * MSG_COST + nbytes * BYTE_COST
+def barrier_time(compute: dict[int, float], nbytes: int, pairs: int) -> float:
+    """Virtual seconds of one strict superstep.
+
+    ``compute`` maps rank -> compute seconds; the makespan is the
+    slowest worker's plus the coordinator's, which is serialized with
+    the barrier (the arithmetic of ``SuperstepHandle.finish``).
+    """
+    makespan = max(
+        (t for rank, t in compute.items() if rank != COORDINATOR),
+        default=0.0,
+    )
+    makespan += compute.get(COORDINATOR, 0.0)
+    return COST.superstep_time(makespan, nbytes, pairs)
 
 
 @dataclass
@@ -88,8 +102,8 @@ class StepTimeline:
     retries: int = 0
     aborted: bool = False
     #: whether this superstep ran as a barrier-relaxed wave: lanes are
-    #: placed at each worker's own pipeline frontier (they may overlap
-    #: neighbouring steps) and no SYNC_COST closes the step.
+    #: placed at each worker's own clock (they may overlap neighbouring
+    #: steps) and the step spans the frontier's advance.
     relaxed: bool = False
     #: real wall-clock duration in ms, present only for runs executed
     #: on a wall-measuring backend (process); the virtual timeline
@@ -140,14 +154,18 @@ class _StepBuilder:
         self.relaxed = relaxed
         #: rank -> [(name, cat, duration, args), ...] in lane order.
         self.items: dict[int, list[tuple]] = {}
-        #: rank -> [(src, messages, bytes), ...] FIFO batches drained
-        #: at the head of a relaxed wave, in drain order.
+        #: rank -> compute seconds (attempts + backoffs), accumulated in
+        #: event order exactly as ``SuperstepHandle`` meters them.
+        self.compute: dict[int, float] = {}
+        #: rank -> [(src, messages, bytes), ...] received at the head
+        #: of a relaxed wave, in drain order.
         self.drains: dict[int, list[tuple]] = {}
 
     def add(
         self, rank: int, name: str, cat: str, duration: float, args: dict
     ) -> None:
         self.items.setdefault(rank, []).append((name, cat, duration, args))
+        self.compute[rank] = self.compute.get(rank, 0.0) + duration
 
     def add_drain(
         self, rank: int, src: int, messages: int, nbytes: int
@@ -157,6 +175,8 @@ class _StepBuilder:
     def finish(
         self,
         start: float,
+        origin: float = 0.0,
+        clocks: PipelinedClocks | None = None,
         bytes_sent: int = 0,
         messages: int = 0,
         pairs: int = 0,
@@ -165,62 +185,74 @@ class _StepBuilder:
         retries: int = 0,
         aborted: bool = False,
         wall_ms: float | None = None,
-        lane_end: dict | None = None,
-        ship_end: dict | None = None,
     ) -> StepTimeline:
-        """Place every lane and compute the step duration.
+        """Place every lane and price the step.
 
-        Strict (BSP) steps place all lanes at ``start`` and close with
-        the barrier's delivery + SYNC_COST. Relaxed waves instead
-        resume each rank's lane at its own pipeline frontier
-        (``lane_end``, carried across waves by the caller): the lane
-        opens with one ``drain`` span per popped FIFO batch — waiting,
-        if needed, for the sender's ship to land (``ship_end``) — then
-        runs compute and ship as usual. No barrier closes the step, so
-        fast workers overlap slow ones across waves.
+        A strict step places all lanes at ``start`` and lasts
+        :func:`barrier_time` (through ``clocks.barrier`` inside a
+        relaxed run, whose clock zero sits at ``origin``). A relaxed
+        wave resumes each rank's lane at its own clock: one ``drain``
+        span per received message runs until that message has landed,
+        compute and ship follow, and ``clocks.close_wave`` gives the
+        duration. An aborted step never reaches its barrier or close,
+        in the cluster or here.
         """
-        for rank, counts in sorted((sends or {}).items()):
-            msgs, nbytes = int(counts[0]), int(counts[1])
-            self.add(
-                int(rank),
-                "ship",
-                "transport",
-                ship_cost(msgs, nbytes),
-                {"messages": msgs, "bytes": nbytes},
-            )
-        lane_end = lane_end if lane_end is not None else {}
-        ship_end = ship_end if ship_end is not None else {}
+        span_args = {"step": self.index, "phase": self.phase}
         spans: list[WorkerSpan] = []
         totals: dict[int, float] = {}
-        ends: dict[int, float] = {}
-        starts: list[float] = []
-        for rank in sorted(set(self.items) | set(self.drains)):
-            cursor = lane_end.get(rank, start) if self.relaxed else start
-            lane_start = cursor
-            starts.append(lane_start)
-            for src, msgs, nbytes in self.drains.get(rank, []):
-                arrival = ship_end.get(src, start) + ship_cost(msgs, nbytes)
-                wait = max(arrival - cursor, 0.0)
-                spans.append(
-                    WorkerSpan(
-                        worker=rank,
-                        name="drain",
-                        cat="drain",
-                        start=cursor,
-                        duration=wait + DRAIN_COST,
-                        args={
-                            "worker": rank,
-                            "step": self.index,
-                            "phase": self.phase,
-                            "src": src,
-                            "messages": msgs,
-                            "bytes": nbytes,
-                            "wait": wait,
-                        },
+        ships = {
+            int(rank): (int(counts[0]), int(counts[1]))
+            for rank, counts in (sends or {}).items()
+        }
+        for rank in sorted(set(self.items) | set(self.drains) | set(ships)):
+            lane_start = cursor = start
+            if self.relaxed:
+                lane_start = cursor = origin + clocks.clocks[rank]
+                drained = self.drains.get(rank, [])
+                mail = [
+                    Message(src=src, dst=rank, payload=None, size=nbytes)
+                    for src, _, nbytes in drained
+                ]
+                # Each message alone says when it lands; the whole inbox
+                # (empty for a worker that is only locally active) is
+                # opened last, so the wave starts where the cluster
+                # started it — at the latest landing.
+                for (src, msgs, nbytes), msg in zip(drained, mail):
+                    landed = max(
+                        cursor, origin + clocks.open_wave(rank, [msg])
+                    )
+                    wait = landed - cursor
+                    spans.append(
+                        WorkerSpan(
+                            worker=rank,
+                            name="drain",
+                            cat="drain",
+                            start=cursor,
+                            duration=wait,
+                            args={
+                                "worker": rank,
+                                **span_args,
+                                "src": src,
+                                "messages": msgs,
+                                "bytes": nbytes,
+                                "wait": wait,
+                            },
+                        )
+                    )
+                    cursor = landed
+                clocks.open_wave(rank, mail)
+            lane = list(self.items.get(rank, []))
+            if rank in ships:
+                msgs, nbytes = ships[rank]
+                lane.append(
+                    (
+                        "ship",
+                        "transport",
+                        COST.network_time(nbytes, 0),
+                        {"messages": msgs, "bytes": nbytes},
                     )
                 )
-                cursor += wait + DRAIN_COST
-            for name, cat, duration, args in self.items.get(rank, []):
+            for name, cat, duration, args in lane:
                 spans.append(
                     WorkerSpan(
                         worker=rank,
@@ -228,37 +260,28 @@ class _StepBuilder:
                         cat=cat,
                         start=cursor,
                         duration=duration,
-                        args={
-                            "worker": rank,
-                            "step": self.index,
-                            "phase": self.phase,
-                            **args,
-                        },
+                        args={"worker": rank, **span_args, **args},
                     )
                 )
                 cursor += duration
             totals[rank] = cursor - lane_start
-            ends[rank] = cursor
-        lane_max = max(totals.values(), default=0.0)
-        if self.relaxed:
-            # Waves have no barrier: transport cost lives in the drain
-            # spans, the pipeline frontier carries to the next wave.
-            for rank, end in ends.items():
-                lane_end[rank] = end
-                ship_end[rank] = end
-            step_start = min(starts, default=start)
-            duration = max(ends.values(), default=start) - step_start
-            network = 0.0
+        network = 0.0
+        if self.relaxed and aborted:
+            end = max((span.end for span in spans), default=start)
+            duration = max(end - start, 0.0)
+        elif self.relaxed:
+            duration = clocks.close_wave(self.compute)
         else:
-            step_start = start
-            network = 0.0 if aborted else ship_cost(messages, bytes_sent)
-            duration = lane_max + network + SYNC_COST
+            network = COST.network_time(bytes_sent, pairs)
+            duration = barrier_time(self.compute, bytes_sent, pairs)
+            if clocks is not None and not aborted:
+                duration = clocks.barrier(duration)
         return StepTimeline(
             index=self.index,
             phase=self.phase,
-            start=step_start,
+            start=start,
             duration=duration,
-            lane_max=lane_max,
+            lane_max=max(totals.values(), default=0.0),
             network=network,
             bytes=bytes_sent,
             messages=messages,
@@ -281,32 +304,31 @@ def build_timeline(events) -> list[RunTimeline]:
     on one global virtual clock, in recorded order. A run or superstep
     left open (an escaped fatal failure) is closed where the log ends.
     """
+    #: Runs with at least one wave: their strict phases synchronize
+    #: per-worker clocks too, so the whole run replays through one
+    #: ``PipelinedClocks`` as it did in the cluster.
+    relaxed_runs = {
+        ev["run"]
+        for ev in events
+        if ev["kind"] == "step_begin" and ev.get("relaxed")
+    }
     runs: list[RunTimeline] = []
     cursor = 0.0
     run: RunTimeline | None = None
     builder: _StepBuilder | None = None
-    #: rank -> pipeline frontier, carried across consecutive relaxed
-    #: waves and reset whenever a strict barrier re-aligns the lanes.
-    lane_end: dict[int, float] = {}
-    ship_end: dict[int, float] = {}
+    clocks: PipelinedClocks | None = None
 
     def close_step(aborted: bool, **totals) -> None:
         nonlocal builder, cursor
         if builder is None or run is None:
             builder = None
             return
+        start = cursor if clocks is None else run.start + clocks.frontier()
         step = builder.finish(
-            start=cursor,
-            aborted=aborted,
-            lane_end=lane_end,
-            ship_end=ship_end,
-            **totals,
+            start, origin=run.start, clocks=clocks, aborted=aborted, **totals
         )
         run.steps.append(step)
         cursor = max(cursor, step.end)
-        if not step.relaxed:
-            lane_end.clear()
-            ship_end.clear()
         builder = None
 
     def close_run(summary: dict | None) -> None:
@@ -316,8 +338,6 @@ def build_timeline(events) -> list[RunTimeline]:
         close_step(aborted=True)
         run.summary = summary
         run.duration = cursor - run.start
-        lane_end.clear()
-        ship_end.clear()
         run = None
 
     for ev in events:
@@ -331,6 +351,11 @@ def build_timeline(events) -> list[RunTimeline]:
                 start=cursor,
             )
             runs.append(run)
+            clocks = (
+                PipelinedClocks(ev["workers"], COST)
+                if ev["run"] in relaxed_runs
+                else None
+            )
         elif kind == "run_end":
             close_run(
                 {

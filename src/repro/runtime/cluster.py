@@ -69,8 +69,9 @@ class PipelinedClocks:
         self._after_wave = False
         return self.advance()
 
-    def open_wave(self, worker: int, messages: list[Message]) -> None:
-        """``worker`` drains ``messages`` and starts its next wave.
+    def open_wave(self, worker: int, messages: list[Message]) -> float:
+        """``worker`` drains ``messages`` and starts its next wave at the
+        returned clock value.
 
         Mail sent in the previous wave arrives at its sender's clock
         (unchanged since that wave closed) plus its own transfer time;
@@ -86,6 +87,7 @@ class PipelinedClocks:
                 if arrival > start:
                     start = arrival
         self._starts[worker] = start
+        return start
 
     def close_wave(self, compute: dict[int, float]) -> float:
         """Advance every drained worker past its metered compute plus the

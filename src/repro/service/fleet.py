@@ -41,6 +41,7 @@ across replays of the same seed.
 from __future__ import annotations
 
 import json
+import tempfile
 from dataclasses import dataclass, field
 
 from repro.core.checkpoint import CheckpointPolicy
@@ -374,9 +375,9 @@ class FleetRouter:
         self._audit_class, self._audit_params = audit_query
         self._tracer = tracer
         if checkpoint_dir is None:
-            import tempfile
-
-            checkpoint_dir = tempfile.mkdtemp(prefix="grape-fleet-")
+            # Held for the router's lifetime; removed with it.
+            self._tmp = tempfile.TemporaryDirectory(prefix="grape-fleet-")
+            checkpoint_dir = self._tmp.name
         self._dfs = SimulatedDFS(checkpoint_dir)
         self._clock = 0.0
         self._next_seq = 0

@@ -15,31 +15,27 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.runtime.costmodel import CostModel
 from repro.runtime.metrics import RunMetrics
 
-
-#: Cost model for the serving clock. The engine's ``total_time`` is
-#: measured wall time (not replay-stable), so the service charges each
-#: run a *simulated* cost from its deterministic counters instead —
-#: barriers, shipped messages and shipped bytes. Two replays of one
-#: trace therefore produce byte-identical reports. The constants live
-#: in :mod:`repro.obs.timeline` so trace spans and query charges speak
-#: the same cost vocabulary.
-from repro.obs.timeline import (  # noqa: E402  (doc comment above)
-    BYTE_COST,
-    MSG_COST,
-    SYNC_COST,
-)
+#: The serving clock's prices: the engine's own cost model. A run's
+#: ``total_time`` may contain measured wall time (not replay-stable), so
+#: the service charges each run its supersteps' network and barrier
+#: terms only — deterministic counters, hence byte-identical reports
+#: across replays, and the unit engine makespans are quoted in.
+_COST = CostModel()
 
 
 def run_cost(metrics: RunMetrics) -> float:
     """Deterministic simulated cost of one engine run."""
-    m = metrics.as_dict()
-    return (
-        m["num_supersteps"] * SYNC_COST
-        + m["total_messages"] * MSG_COST
-        + m["total_bytes"] * BYTE_COST
-    )
+    cost = 0.0
+    # Added left to right: ``sum`` compensates on some interpreters and
+    # not on others, and reports are compared byte for byte.
+    for step in metrics.supersteps:
+        cost += _COST.superstep_time(
+            0.0, step.bytes_sent, step.messages_sent
+        )
+    return cost
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -72,12 +68,13 @@ class ClassStats:
     engine_supersteps: int = 0
     engine_messages: int = 0
 
-    def record_run(self, metrics: RunMetrics) -> None:
-        """Fold one engine run's totals into the class aggregate."""
-        m = metrics.as_dict()
-        self.engine_time += run_cost(metrics)
-        self.engine_supersteps += m["num_supersteps"]
-        self.engine_messages += m["total_messages"]
+    def record_run(self, metrics: RunMetrics) -> float:
+        """Fold one engine run into the class; returns its :func:`run_cost`."""
+        cost = run_cost(metrics)
+        self.engine_time += cost
+        self.engine_supersteps += metrics.num_supersteps
+        self.engine_messages += metrics.total_messages
+        return cost
 
     def as_dict(self) -> dict:
         """Counters plus derived latency percentiles."""

@@ -38,7 +38,7 @@ from repro.core.delta import (
 from repro.engineapi.query import build_query
 from repro.engineapi.registry import get_program
 from repro.engineapi.session import Session
-from repro.errors import GraphError, ProgramError, ServiceError
+from repro.errors import ServiceError
 from repro.service.cache import (
     CacheEntry,
     ResultCache,
@@ -369,8 +369,9 @@ class GrapeService:
                 return entry.answer, self._hit_cost, True
         program = self._program(request.query_class)
         result = self._engine.run(program, query)
-        cost = run_cost(result.metrics)
-        self._class_stats(request.query_class).record_run(result.metrics)
+        cost = self._class_stats(request.query_class).record_run(
+            result.metrics
+        )
         if key is not None:
             self._cache.put(
                 key,
@@ -417,15 +418,13 @@ class GrapeService:
             )
         mark = _work_mark(program)
         result = self._engine.run(program, query, keep_state=True)
+        cost = run_cost(result.metrics)
         lane, start = self._lanes.start(self._clock)
-        self._lanes.occupy(lane, start + run_cost(result.metrics))
+        self._lanes.occupy(lane, start + cost)
         self._clock = max(self._clock, self._lanes.horizon)
         if self._tracer is not None:
             self._tracer.svc_standing(
-                name,
-                query_class,
-                start=start,
-                finish=start + run_cost(result.metrics),
+                name, query_class, start=start, finish=start + cost
             )
         stats = StandingStats(
             name=name,
@@ -442,7 +441,7 @@ class GrapeService:
             answer=result.answer,
             stats=stats,
         )
-        self._seed_cache(self._standing[name], run_cost(result.metrics))
+        self._seed_cache(self._standing[name], cost)
         return result.answer
 
     def standing_answer(self, name: str) -> object:
@@ -507,11 +506,13 @@ class GrapeService:
         delta = self._as_delta(edges, deletes, reweights)
         drained = self.drain()  # pending queries observe their version
         update_start = self._clock
-        self._mutate_graph(delta)
         # Route through the engine so process-backend workers replay
         # the same fragment mutations (effect sync happens once here,
-        # then every standing repair reuses `touched`).
+        # then every standing repair reuses `touched`). It validates the
+        # whole batch first, so a rejected batch changes nothing — the
+        # master graph is only touched once routing has succeeded.
         touched = self._engine.apply_delta(delta)
+        self._mutate_graph(delta)
         self._version += 1
         invalidated = self._cache.invalidate_before(self._version)
         outcome = UpdateOutcome(
@@ -566,26 +567,18 @@ class GrapeService:
         return outcome
 
     def _mutate_graph(self, delta: GraphDelta) -> None:
-        """Mirror the delta onto the session's master graph."""
+        """Mirror an already-routed delta onto the session's master graph."""
         graph = self.session.graph
         for op in delta:
-            try:
-                if op.kind == "insert":
-                    graph.add_edge(op.src, op.dst, op.weight, op.label)
-                elif op.kind == "delete":
-                    graph.remove_edge(op.src, op.dst)
-                else:
-                    label = (
-                        graph.edge_label(op.src, op.dst)
-                        if graph.has_edge(op.src, op.dst)
-                        else None
-                    )
-                    graph.add_edge(op.src, op.dst, op.weight, label)
-            except GraphError as exc:
-                raise ProgramError(
-                    f"cannot apply delta op {op.kind} "
-                    f"{op.src!r}->{op.dst!r}: {exc}"
-                ) from exc
+            if op.kind == "insert":
+                graph.add_edge(op.src, op.dst, op.weight, op.label)
+            elif op.kind == "delete":
+                graph.remove_edge(op.src, op.dst)
+            else:
+                graph.add_edge(
+                    op.src, op.dst, op.weight,
+                    graph.edge_label(op.src, op.dst),
+                )
 
     def _rewarm(self) -> int:
         """Recompute the hottest invalidated entries at the new version.

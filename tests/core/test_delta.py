@@ -26,6 +26,7 @@ from repro.graph.digraph import Graph
 from repro.graph.fragment import build_fragments
 from repro.graph.generators import road_network
 from repro.partition.registry import get_partitioner
+from repro.runtime.backends import BACKENDS, make_backend
 from repro.service.service import canonical_answer_bytes
 
 
@@ -152,6 +153,55 @@ def test_cross_fragment_delete_prunes_stranded_mirror():
     apply_delta(fragd, [("delete", 1, 2)])
     assert fragd.fragments[0].mirrors == {}  # stranded mirror dropped
     assert fragd.hosts(2) == {1}
+
+
+# ------------------------------------------------------------ atomicity
+def _road_fragments():
+    graph = road_network(6, 6, seed=1)
+    return build_fragments(graph, get_partitioner("hash")(graph, 2), 2)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ("delete", 0, 999),  # unknown endpoint
+        ("delete", 0, 2),  # absent edge
+        ("reweight", 0, 2, 3.0),  # absent edge
+        ("reweight", 0, 1, -3.0),  # negative weight
+        ("delete", 0, 35),  # the edge the first op inserts
+    ],
+)
+def test_rejected_batch_leaves_fragments_untouched(bad):
+    """A ΔG batch is atomic: whichever op is bad, the ops before it
+    must not have landed."""
+    fragd = _road_fragments()
+    before = pickle.dumps((fragd.fragments, fragd.known_by))
+    with pytest.raises(ProgramError):
+        apply_delta(fragd, [("insert", 0, 35, 0.5), bad])
+    assert pickle.dumps((fragd.fragments, fragd.known_by)) == before
+
+
+def test_rejected_batch_is_invisible_on_every_backend():
+    """The coordinator's fragments and a process worker's copies must
+    not disagree about a batch that was refused."""
+    answers = {}
+    for name in BACKENDS:
+        fragd = _road_fragments()
+        backend = make_backend(name, fragd)
+        try:
+            engine = GrapeEngine(fragd, backend=backend)
+            program, query = SSSPProgram(), SSSPQuery(source=0)
+            cold = engine.run(program, query).answer
+            with pytest.raises(ProgramError):
+                engine.apply_delta(
+                    [("insert", 0, 35, 0.5), ("delete", 0, 999)]
+                )
+            answers[name] = engine.run(program, query).answer
+            assert answers[name] == cold, name
+        finally:
+            backend.close()
+    assert cold[35] > 0.5
+    assert answers["simulated"] == answers["process"]
 
 
 # --------------------------------------------------- pickle back-compat

@@ -1,28 +1,32 @@
 """Typed guards around ``mode="relaxed"``.
 
 Relaxed supersteps are only licensed for aggregator-monotone programs
-(the Assurance Theorem's precondition), and fault injection — a
-strict-simulator-only instrument — must refuse to combine with them.
-Every refusal is a typed error raised at construction or bind time,
-never a silent downgrade. The runtime monotonicity checker is per
-write, so it combines with relaxed mode and sees strict-direct's writes.
+(the Assurance Theorem's precondition). Every refusal is a typed error
+raised at construction or bind time, never a silent downgrade. The
+runtime monotonicity checker is per write and fault recovery replays
+the fixpoint's rounds, so both combine with relaxed mode and see
+strict-direct's writes, rounds and recoveries.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.aggregators import LAST_WRITE
+from repro.core.checkpoint import CheckpointPolicy
 from repro.core.engine import MODES, GrapeEngine
 from repro.core.pie import ParamSpec, PIEProgram
+from repro.engineapi.chaos import standard_plans
 from repro.engineapi.query import build_query
 from repro.engineapi.registry import get_program
 from repro.errors import AnalysisError, ProgramError
 from repro.graph.fragment import build_fragments
 from repro.graph.generators import graph_from_spec, road_network
 from repro.partition.registry import get_partitioner
-from repro.runtime.faults import FaultPlan
 from repro.service.service import canonical_answer_bytes
+from repro.storage.dfs import SimulatedDFS
 
 
 class LastWriteProgram(PIEProgram):
@@ -90,14 +94,51 @@ def test_relaxed_check_monotonic_matches_strict_direct():
         assert checked(name, params, mode="relaxed") == strict
 
 
-def test_relaxed_refuses_fault_injection():
-    engine = GrapeEngine(_fragmented(), mode="relaxed")
-    with pytest.raises(ProgramError, match="strict-BSP-simulator-only"):
-        engine.run(
+def test_relaxed_fault_injection_matches_strict_direct(tmp_path):
+    """Relaxed mode runs the same ``_fixpoint`` rounds, so retries and
+    checkpoint recovery replay them as in strict-direct. Compute faults
+    (crash, straggler) leave the whole trail byte-identical; wire
+    faults draw differently only because relaxed ships no
+    ``__active__`` control messages, so they pin the answer."""
+    graph = road_network(9, 9, seed=6, removal_prob=0.0)
+    assignment = get_partitioner("bfs")(graph, 3)
+
+    def faulted(plan_name, plan, **engine_kwargs):
+        engine = GrapeEngine(
+            build_fragments(graph, assignment, 3, "bfs"), **engine_kwargs
+        )
+        result = engine.run(
             get_program("sssp"),
             build_query("sssp", source=0),
-            faults=FaultPlan(),
+            keep_state=True,
+            checkpoint=CheckpointPolicy(
+                SimulatedDFS(tmp_path),
+                every=1,
+                tag=f"{plan_name}-{engine.mode}",
+            ),
+            faults=plan,
         )
+        return (
+            canonical_answer_bytes(result.answer),
+            [
+                (r.round_index, r.params_shipped, r.params_applied,
+                 r.active_workers)
+                for r in result.rounds
+            ],
+            result.metrics.faults.as_dict(),
+            pickle.dumps((result.state.partials, result.state.params)),
+        )
+
+    for plan_name, plan in sorted(standard_plans(seed=7).items()):
+        strict = faulted(plan_name, plan, routing="direct")
+        relaxed = faulted(plan_name, plan, mode="relaxed")
+        assert relaxed[0] == strict[0], plan_name
+        if plan_name in ("crash-fatal", "crash-transient", "straggler"):
+            counters = strict[2]
+            assert (
+                counters["crashes_injected"] + counters["stragglers_injected"]
+            ), plan_name  # the plan actually bit
+            assert relaxed == strict, plan_name
 
 
 def test_bind_gate_names_the_offending_aggregator():

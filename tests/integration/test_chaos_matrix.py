@@ -1,4 +1,5 @@
-"""Fault-matrix correctness: every fault class, both routing modes.
+"""Fault-matrix correctness: every fault class, both routing modes and
+relaxed waves.
 
 Each cell runs SSSP or CC under one standard fault plan with a
 checkpoint policy installed and must either converge to the sequential
@@ -23,13 +24,21 @@ from repro.runtime.faults import DropFault, FaultPlan
 from repro.storage.dfs import SimulatedDFS
 
 ROUTINGS = ["coordinator", "direct"]
+#: (mode, routing) columns; the strict ones keep their routing as id.
+COLUMNS = [
+    pytest.param("strict", "coordinator", id="coordinator"),
+    pytest.param("strict", "direct", id="direct"),
+    pytest.param("relaxed", "direct", id="relaxed"),
+]
 PLANS = standard_plans(seed=7)
 
 
-def _engine(graph, routing, workers=3):
+def _engine(graph, routing, workers=3, mode="strict"):
     assignment = get_partitioner("bfs")(graph, workers)
     return GrapeEngine(
-        build_fragments(graph, assignment, workers, "bfs"), routing=routing
+        build_fragments(graph, assignment, workers, "bfs"),
+        routing=routing,
+        mode=mode,
     )
 
 
@@ -37,11 +46,11 @@ def _graph():
     return road_network(9, 9, seed=6, removal_prob=0.0)
 
 
-@pytest.mark.parametrize("routing", ROUTINGS)
+@pytest.mark.parametrize(("mode", "routing"), COLUMNS)
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
-def test_sssp_survives_fault_class(plan_name, routing, tmp_path):
+def test_sssp_survives_fault_class(plan_name, mode, routing, tmp_path):
     g = _graph()
-    engine = _engine(g, routing)
+    engine = _engine(g, routing, mode=mode)
     policy = CheckpointPolicy(
         SimulatedDFS(tmp_path), every=1, tag=f"sssp-{plan_name}-{routing}"
     )
@@ -62,11 +71,11 @@ def test_sssp_survives_fault_class(plan_name, routing, tmp_path):
         )
 
 
-@pytest.mark.parametrize("routing", ROUTINGS)
+@pytest.mark.parametrize(("mode", "routing"), COLUMNS)
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
-def test_cc_survives_fault_class(plan_name, routing, tmp_path):
+def test_cc_survives_fault_class(plan_name, mode, routing, tmp_path):
     g = _graph()
-    engine = _engine(g, routing)
+    engine = _engine(g, routing, mode=mode)
     policy = CheckpointPolicy(
         SimulatedDFS(tmp_path), every=1, tag=f"cc-{plan_name}-{routing}"
     )

@@ -4,11 +4,9 @@ import pytest
 
 from repro.graph.generators import road_network
 from repro.obs import MetricsRegistry, Tracer, sanitize_segment
-from repro.core.delta import DeltaRepairStats
 from repro.core.engine import GrapeEngine
 from repro.graph.fragment import build_fragments
 from repro.partition.registry import get_partitioner
-from repro.runtime.metrics import FaultCounters
 
 from repro.algorithms.sssp import SSSPProgram, SSSPQuery
 
@@ -23,7 +21,7 @@ def _run(tracer=None):
 def test_record_validates_names_and_values():
     reg = MetricsRegistry()
     reg.record("run.bytes.total", 42)
-    assert reg.get("run.bytes.total") == 42
+    assert reg.as_dict() == {"run.bytes.total": 42}
     with pytest.raises(ValueError, match="bad metric name"):
         reg.record("Run.Bytes", 1)
     with pytest.raises(ValueError, match="bad metric name"):
@@ -37,13 +35,7 @@ def test_sanitize_segment_is_lossy_but_legal():
     assert sanitize_segment("") == "_"
     reg = MetricsRegistry()
     reg.record(f"service.standing.{sanitize_segment('hub SSSP #1')}.repairs", 2)
-    assert "service.standing.hub_sssp__1.repairs" in reg
-
-
-def test_record_many_recurses_and_skips_non_scalars():
-    reg = MetricsRegistry()
-    reg.record_many("top", {"a": 1, "b": {"c": 2.5}, "skip": [1], "s": "x"})
-    assert reg.as_dict() == {"top.a": 1, "top.b.c": 2.5, "top.s": "x"}
+    assert reg.names() == ["service.standing.hub_sssp__1.repairs"]
 
 
 def test_names_and_as_dict_are_sorted():
@@ -52,65 +44,14 @@ def test_names_and_as_dict_are_sorted():
     assert list(reg.as_dict()) == ["a.x", "b.y"]
 
 
-def test_filtered_returns_a_prefix_view():
-    reg = MetricsRegistry({"run.bytes": 1, "run.faults.retries": 2, "svc.q": 3})
-    sub = reg.filtered("run")
-    assert sub.names() == ["run.bytes", "run.faults.retries"]
-    assert len(reg.filtered("nope")) == 0
-
-
-def test_render_lines_up_and_includes_every_metric():
-    reg = MetricsRegistry({"a.long.name": 1.25, "b": "x"})
-    text = reg.render(title="demo")
-    assert text.splitlines()[0] == "demo"
-    assert "a.long.name" in text and "1.25" in text and "b" in text
-
-
-def test_from_run_consolidates_runmetrics():
-    result = _run()
-    reg = MetricsRegistry.from_run(result.metrics)
-    assert reg.get("run.engine") == "grape[sssp]"
-    assert reg.get("run.workers") == 3
-    assert reg.get("run.supersteps") == result.metrics.num_supersteps
-    assert reg.get("run.bytes.total") == result.metrics.total_bytes
-    assert reg.get("run.faults.retries") == 0
-    assert "run.time.phase.peval" in reg
-    assert "run.time.phase.inceval" in reg
-
-
-def test_from_faults_covers_every_counter():
-    counters = FaultCounters(retries=2, backoff_time=0.1, rounds_lost=3)
-    reg = MetricsRegistry.from_faults(counters)
-    for key in counters.as_dict():
-        assert f"faults.{key}" in reg
-    assert reg.get("faults.total_injected") == 0
-    assert reg.get("faults.rounds_lost") == 3
-
-
-def test_from_repair_covers_delta_stats():
-    stats = DeltaRepairStats(mode="scoped", safe_ops=1, unsafe_ops=2)
-    stats.fragments = {0: 4}
-    reg = MetricsRegistry.from_repair(stats)
-    assert reg.get("repair.mode") == "scoped"
-    assert reg.get("repair.fragments.0") == 4
-
-
 def test_from_tracer_aggregates_replay_stable_totals():
     tracer = Tracer()
     result = _run(tracer=tracer)
-    reg = MetricsRegistry.from_tracer(tracer)
-    assert reg.get("obs.runs") == 1
-    assert reg.get("obs.supersteps") == result.metrics.num_supersteps
-    assert reg.get("obs.bytes.total") == result.metrics.total_bytes
-    assert reg.get("obs.messages.total") == result.metrics.total_messages
-    assert reg.get("obs.spans.retry") == 0
+    metrics = MetricsRegistry.from_tracer(tracer).as_dict()
+    assert metrics["obs.runs"] == 1
+    assert metrics["obs.supersteps"] == result.metrics.num_supersteps
+    assert metrics["obs.bytes.total"] == result.metrics.total_bytes
+    assert metrics["obs.messages.total"] == result.metrics.total_messages
+    assert metrics["obs.spans.retry"] == 0
     # No service traffic -> no service.* names at all.
-    assert len(reg.filtered("obs.service")) == 0
-
-
-def test_merge_folds_namespaces_together():
-    result = _run()
-    reg = MetricsRegistry.from_run(result.metrics)
-    reg.merge(MetricsRegistry({"service.queries": 7}))
-    assert reg.get("service.queries") == 7
-    assert "run.engine" in reg
+    assert not [n for n in metrics if n.startswith("obs.service")]

@@ -4,12 +4,13 @@ import pytest
 
 from repro.obs import (
     COMPUTE_COST,
-    SYNC_COST,
     Tracer,
     build_timeline,
     service_events,
-    ship_cost,
 )
+from repro.runtime.costmodel import CostModel
+
+COST = CostModel()
 
 
 def _fake_run(tracer: Tracer) -> None:
@@ -73,10 +74,10 @@ def test_timeline_places_lanes_and_barriers():
 
     peval = run.steps[0]
     # Each worker lane: one compute attempt + its ship span.
-    lane = COMPUTE_COST + ship_cost(1, 60)
+    lane = COMPUTE_COST + COST.network_time(60, 0)
     assert peval.lane_max == lane
-    assert peval.network == ship_cost(2, 120)
-    assert peval.duration == lane + peval.network + SYNC_COST
+    assert peval.network == COST.network_time(120, 2)
+    assert peval.duration == COST.superstep_time(COMPUTE_COST, 120, 2)
     assert peval.worker_totals == {0: lane, 1: lane}
 
     assemble = run.steps[1]
@@ -122,7 +123,7 @@ def test_aborted_superstep_charges_no_network():
     step = run.steps[0]
     assert step.aborted
     assert step.network == 0.0
-    assert step.duration == COMPUTE_COST + SYNC_COST
+    assert step.duration == COST.superstep_time(COMPUTE_COST, 0, 0)
 
 
 def test_open_run_and_step_are_closed_at_log_end():

@@ -1,6 +1,9 @@
 """FleetRouter behavior: routing, failover, breakers, hedging,
 degradation, recovery and report determinism."""
 
+import gc
+import tempfile
+
 import pytest
 
 from repro.errors import ServiceError
@@ -55,6 +58,19 @@ def test_replicas_answer_byte_identically():
         for _ in range(3)  # one full rotation
     }
     assert len(answers) == 1
+
+
+def test_default_checkpoint_dir_is_removed_with_the_router(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    fleet = _fleet()
+    fleet.apply_updates(edges=[(0, 5, 0.5)])  # checkpoints land on disk
+    (made,) = tmp_path.glob("grape-fleet-*")
+    assert any(made.rglob("*"))
+    del fleet
+    gc.collect()
+    assert not list(tmp_path.iterdir())
 
 
 def test_constructor_validation():

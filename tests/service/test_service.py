@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms.sequential.dijkstra import INF, single_source
 from repro.engineapi.session import Session
-from repro.errors import ServiceError, ServiceOverloadedError
+from repro.errors import ProgramError, ServiceError, ServiceOverloadedError
 from repro.graph.digraph import Graph
 from repro.graph.generators import road_network
 from repro.service import GrapeService, canonical_answer_bytes
@@ -257,6 +257,32 @@ def test_pending_queries_drain_before_mutation():
     outcome = service.apply_updates([(0, 25, 0.2)])
     assert ticket in outcome.drained
     assert outcome.drained[ticket].version == 1  # pre-update snapshot
+
+
+def test_rejected_update_batch_changes_nothing():
+    """A batch the fragments refuse must not reach the master graph
+    (the fleet checkpoints it), the version, the cache or the standing
+    answers."""
+    service = _service()
+    standing = service.register_standing("hub", "sssp", {"source": 0})
+    edges_before = sorted(
+        (e.src, e.dst, e.weight) for e in service.session.graph.edges()
+    )
+    with pytest.raises(ProgramError):
+        service.apply_updates(edges=[(0, 35, 1.5)], deletes=[(0, 999)])
+    assert not service.session.graph.has_edge(0, 35)
+    assert edges_before == sorted(
+        (e.src, e.dst, e.weight) for e in service.session.graph.edges()
+    )
+    assert service.version == 1
+    assert service.standing_answer("hub") == standing
+    hit = service.query("sssp", {"source": 0})
+    assert hit.from_cache and hit.version == 1
+    assert hit.answer == standing
+    # The service is still usable, and the next batch sees a clean slate.
+    service.apply_updates(edges=[(0, 35, 1.5)])
+    assert service.version == 2
+    assert service.standing_answer("hub")[35] == 1.5
 
 
 def test_duplicate_standing_name_rejected():
