@@ -83,13 +83,12 @@ def _run_one(name: str) -> dict:
     query = build_query(name, **PROGRAMS[name])
     batch = _mixed_batch(graph)
 
-    inc_program, full_program = get_program(name), get_program(name)
-    cold = engine.run(inc_program, query, keep_state=True)
-    inc_program.work_log.clear()
-    inc = engine.run_incremental(inc_program, query, cold.state, batch)
-    inc_work = sum(settled for _, _, settled in inc_program.work_log)
-    full = engine.run(full_program, query)  # fragments now mutated
-    full_work = sum(settled for _, _, settled in full_program.work_log)
+    program = get_program(name)
+    cold = engine.run(program, query, keep_state=True)
+    inc = engine.run_incremental(program, query, cold.state, batch)
+    inc_work = inc.metrics.work()
+    full = engine.run(get_program(name), query)  # fragments now mutated
+    full_work = full.metrics.work()
 
     identical = canonical_answer_bytes(inc.answer) == canonical_answer_bytes(
         full.answer

@@ -35,13 +35,13 @@ def _fragd(graph):
     return build_fragments(graph, assignment, WORKERS, "bfs")
 
 
-def _inceval_stats(program):
-    counts = [
-        settled
-        for phase, _, settled in program.work_log
-        if phase == "inceval"
-    ]
-    return sum(counts), (max(counts) if counts else 0)
+def _inceval_stats(metrics):
+    """(settled vertices over all IncEval calls, the worst single call)."""
+    worst = max(
+        (s.work_max for s in metrics.supersteps if s.phase == "inceval"),
+        default=0,
+    )
+    return metrics.work("inceval"), worst
 
 
 @pytest.fixture(scope="module")
@@ -54,13 +54,12 @@ def test_boundedness_across_sizes(benchmark, results, size):
     graph = road_network(size, size, seed=5, removal_prob=0.0)
 
     def run():
-        program = SSSPProgram()
-        fragd = _fragd(graph)
-        result = GrapeEngine(fragd).run(program, SSSPQuery(source=0))
-        return program, result
+        return GrapeEngine(_fragd(graph)).run(
+            SSSPProgram(), SSSPQuery(source=0)
+        )
 
-    program, result = run_once(benchmark, run)
-    total, worst_round = _inceval_stats(program)
+    result = run_once(benchmark, run)
+    total, worst_round = _inceval_stats(result.metrics)
     fragment_size = graph.num_vertices / WORKERS
     results[size] = {
         "vertices": graph.num_vertices,
@@ -77,17 +76,17 @@ def test_ablation_recompute(benchmark, results):
     graph = road_network(40, 40, seed=5, removal_prob=0.0)
 
     def run():
-        bounded = SSSPProgram()
-        recompute = SSSPRecomputeProgram()
         fragd = _fragd(graph)
-        rb = GrapeEngine(fragd).run(bounded, SSSPQuery(source=0))
-        rr = GrapeEngine(fragd).run(recompute, SSSPQuery(source=0))
-        return bounded, recompute, rb, rr
+        rb = GrapeEngine(fragd).run(SSSPProgram(), SSSPQuery(source=0))
+        rr = GrapeEngine(fragd).run(
+            SSSPRecomputeProgram(), SSSPQuery(source=0)
+        )
+        return rb, rr
 
-    bounded, recompute, rb, rr = run_once(benchmark, run)
+    rb, rr = run_once(benchmark, run)
     assert rb.answer == rr.answer
-    b_total, _ = _inceval_stats(bounded)
-    r_total, _ = _inceval_stats(recompute)
+    b_total, _ = _inceval_stats(rb.metrics)
+    r_total, _ = _inceval_stats(rr.metrics)
     results["ablation"] = {
         "bounded_settled": b_total,
         "recompute_settled": r_total,

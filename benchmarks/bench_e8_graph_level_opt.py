@@ -65,8 +65,7 @@ def test_e8_index_ablation(benchmark, setup):
     def run_variant(use_index):
         program = SimProgram(use_index=use_index, index_manager=manager)
         result = GrapeEngine(fragd).run(program, query)
-        steps = sum(s for _, _, s in program.work_log)
-        return steps, result
+        return result.metrics.work(), result
 
     def run_all():
         runs = {False: [], True: []}

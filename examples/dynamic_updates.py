@@ -28,7 +28,7 @@ def main() -> None:
     program = SSSPProgram()
 
     first = engine.run(program, SSSPQuery(source=0), keep_state=True)
-    initial_work = sum(s for _, _, s in program.work_log)
+    initial_work = first.metrics.work()
     print(f"initial run : dist(0 -> {corner}) = {first.answer[corner]:.2f}, "
           f"{initial_work} vertices settled, "
           f"{first.num_supersteps} supersteps")
@@ -37,11 +37,10 @@ def main() -> None:
     # IncEval repairs the answer with a handful of settled vertices.
     side_street = EdgeInsert(12, 43, first.answer[43] - first.answer[12] - 0.2)
     graph.add_edge(side_street.src, side_street.dst, side_street.weight)
-    program.work_log.clear()
     second = engine.run_incremental(
         program, SSSPQuery(source=0), first.state, [side_street]
     )
-    small_work = sum(s for _, _, s in program.work_log)
+    small_work = second.metrics.work()
     print(f"\nside street : repaired with {small_work} settled vertices "
           f"({small_work / initial_work:.1%} of the initial fixpoint)")
 
@@ -54,11 +53,10 @@ def main() -> None:
     ]
     for ins in highway:
         graph.add_edge(ins.src, ins.dst, ins.weight)
-    program.work_log.clear()
     third = engine.run_incremental(
         program, SSSPQuery(source=0), second.state, highway
     )
-    big_work = sum(s for _, _, s in program.work_log)
+    big_work = third.metrics.work()
     print(f"highway     : dist(0 -> {corner}) drops "
           f"{second.answer[corner]:.2f} -> {third.answer[corner]:.2f}; "
           f"{big_work} settled ({big_work / initial_work:.1%} — "
@@ -73,11 +71,10 @@ def main() -> None:
     # else keeps its fixed point.
     closure = [("delete", 8, 9)]
     graph.remove_edge(8, 9)
-    program.work_log.clear()
     fourth = engine.run_incremental(
         program, SSSPQuery(source=0), third.state, closure
     )
-    repair_work = sum(s for _, _, s in program.work_log)
+    repair_work = fourth.metrics.work()
     stats = fourth.repair
     print(f"road closure: dist(0 -> 9) rises "
           f"{third.answer[9]:.2f} -> {fourth.answer[9]:.2f}; "

@@ -52,7 +52,7 @@ class SSSPRecomputeProgram(SSSPProgram):
             if d < INF:
                 seeds[v] = d
         dist, settled = dijkstra(fragment.graph, seeds)
-        self.work_log.append(("inceval", fragment.fid, settled))
+        params.charge(settled)
         for v, d in dist.items():
             if d < partial.get(v, INF):
                 partial[v] = d

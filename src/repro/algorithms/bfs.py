@@ -68,13 +68,6 @@ class BFSProgram(PIEProgram[BFSQuery, Partial, dict]):
 
     name = "bfs"
 
-    #: MIN aggregation is decreasing-monotone, so BFS is eligible for
-    #: barrier-relaxed supersteps (verified by grape-lint GRP6xx).
-    relaxed = True
-
-    def __init__(self) -> None:
-        self.work_log: list[tuple[str, int, int]] = []
-
     def param_spec(self, query: BFSQuery) -> ParamSpec:
         return ParamSpec(aggregator=MIN, default=INF)
 
@@ -87,7 +80,7 @@ class BFSProgram(PIEProgram[BFSQuery, Partial, dict]):
         partial, work = local_bfs(
             fragment.graph, seeds, max_depth=query.max_depth
         )
-        self.work_log.append(("peval", fragment.fid, work))
+        params.charge(work)
         for v in fragment.border:
             d = partial.get(v, INF)
             if d < INF:
@@ -107,7 +100,7 @@ class BFSProgram(PIEProgram[BFSQuery, Partial, dict]):
             fragment.graph, seeds, known=partial, max_depth=query.max_depth
         )
         partial.update(updates)
-        self.work_log.append(("inceval", fragment.fid, work))
+        params.charge(work)
         for v, d in updates.items():
             if v in fragment.inner_border or v in fragment.mirrors:
                 params.improve(v, d)
@@ -143,7 +136,7 @@ class BFSProgram(PIEProgram[BFSQuery, Partial, dict]):
             fragment.graph, offers, known=partial, max_depth=query.max_depth
         )
         partial.update(updates)
-        self.work_log.append(("update", fragment.fid, work))
+        params.charge(work)
         for v, d in updates.items():
             if v in fragment.inner_border or v in fragment.mirrors:
                 params.improve(v, d)
@@ -230,7 +223,7 @@ class BFSProgram(PIEProgram[BFSQuery, Partial, dict]):
             fragment.graph, seeds, known=partial, max_depth=query.max_depth
         )
         partial.update(updates)
-        self.work_log.append(("repair", fragment.fid, work))
+        params.charge(work)
         for v, d in updates.items():
             if v in fragment.inner_border or v in fragment.mirrors:
                 params.improve(v, d)

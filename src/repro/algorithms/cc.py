@@ -87,12 +87,7 @@ class CCProgram(PIEProgram[CCQuery, Partial, dict]):
 
     name = "cc"
 
-    #: MIN label propagation is decreasing-monotone, so CC is eligible
-    #: for barrier-relaxed supersteps (verified by grape-lint GRP6xx).
-    relaxed = True
-
     def __init__(self) -> None:
-        self.work_log: list[tuple[str, int, int]] = []
         #: fid -> spanning forest of that fragment's local graph (see
         #: :class:`_SpanForest`); derived state, rebuilt on demand.
         self._forests: dict[int, _SpanForest] = {}
@@ -106,7 +101,7 @@ class CCProgram(PIEProgram[CCQuery, Partial, dict]):
     ) -> Partial:
         labels = connected_components(fragment.graph)
         self._forests[fragment.fid] = _SpanForest(fragment.graph)
-        self.work_log.append(("peval", fragment.fid, len(labels)))
+        params.charge(len(labels))
         for v in fragment.border:
             params.improve(v, labels[v])
         return labels
@@ -123,7 +118,7 @@ class CCProgram(PIEProgram[CCQuery, Partial, dict]):
         changes, touched = incremental_min_labels(
             fragment.graph, partial, decreased
         )
-        self.work_log.append(("inceval", fragment.fid, touched))
+        params.charge(touched)
         for v, label in changes.items():
             if v in fragment.inner_border or v in fragment.mirrors:
                 params.improve(v, label)
@@ -195,7 +190,7 @@ class CCProgram(PIEProgram[CCQuery, Partial, dict]):
         changes, touched = incremental_min_labels(
             fragment.graph, partial, decreased
         )
-        self.work_log.append(("update", fragment.fid, touched))
+        params.charge(touched)
         for v, label in changes.items():
             if v in fragment.inner_border or v in fragment.mirrors:
                 params.improve(v, label)
@@ -272,7 +267,7 @@ class CCProgram(PIEProgram[CCQuery, Partial, dict]):
             partial.pop(v, None)
         present = [v for v in region if fragment.graph.has_vertex(v)]
         labels = connected_components(fragment.graph.subgraph(present))
-        self.work_log.append(("repair", fragment.fid, len(labels)))
+        params.charge(len(labels))
         partial.update(labels)
         for v, label in labels.items():
             if v in fragment.inner_border or v in fragment.mirrors:

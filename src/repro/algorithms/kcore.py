@@ -43,13 +43,6 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
 
     name = "kcore"
 
-    #: H-index estimates only shrink under MIN aggregation, so k-core
-    #: is eligible for barrier-relaxed supersteps (grape-lint GRP6xx).
-    relaxed = True
-
-    def __init__(self) -> None:
-        self.work_log: list[tuple[str, int, int]] = []
-
     def param_spec(self, query: KCoreQuery) -> ParamSpec:
         # None = "estimate unknown": the first concrete estimate wins.
         return ParamSpec(aggregator=MIN, default=None)
@@ -80,7 +73,7 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
         _, work = converge_h_index(
             fragment.graph, partial, external=self._external(fragment, params)
         )
-        self.work_log.append(("peval", fragment.fid, work))
+        params.charge(work)
         self._export(fragment, partial, params)
         return partial
 
@@ -117,7 +110,7 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
                 for p in fragment.graph.iter_neighbors(v)
                 if p in partial
             }
-        self.work_log.append(("inceval", fragment.fid, total_work))
+        params.charge(total_work)
         self._export(fragment, partial, params)
         return partial
 
@@ -237,7 +230,7 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
             if partial[v] > cap:
                 partial[v] = cap
         work = self._settle(fragment, partial, params, dirty)
-        self.work_log.append(("update", fragment.fid, work))
+        params.charge(work)
         self._export(fragment, partial, params)
         return partial
 
@@ -277,7 +270,7 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
                 )
                 dirty.add(v)
         work = self._settle(fragment, partial, params, dirty)
-        self.work_log.append(("repair", fragment.fid, work))
+        params.charge(work)
         self._export(fragment, partial, params)
         return partial
 

@@ -64,9 +64,6 @@ class KeywordProgram(PIEProgram[KeywordQuery, Partial, dict]):
 
     name = "keyword"
 
-    def __init__(self) -> None:
-        self.work_log: list[tuple[str, int, int]] = []
-
     def param_spec(self, query: KeywordQuery) -> ParamSpec:
         return ParamSpec(aggregator=TUPLE_MIN, default=None)
 
@@ -81,7 +78,7 @@ class KeywordProgram(PIEProgram[KeywordQuery, Partial, dict]):
             )
             partial.append(updates)
             visited_total += visited
-        self.work_log.append(("peval", fragment.fid, visited_total))
+        params.charge(visited_total)
         self._export(fragment, query, params, partial, fragment.border)
         return partial
 
@@ -114,7 +111,7 @@ class KeywordProgram(PIEProgram[KeywordQuery, Partial, dict]):
             partial[idx].update(updates)
             visited_total += visited
             improved.update(updates)
-        self.work_log.append(("inceval", fragment.fid, visited_total))
+        params.charge(visited_total)
         self._export(
             fragment, query, params, partial, improved & fragment.border
         )

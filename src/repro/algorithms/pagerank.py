@@ -82,7 +82,6 @@ class PageRankProgram(PIEProgram[PageRankQuery, PRPartial, dict]):
     def __init__(self, total_vertices: int) -> None:
         #: |V| of the global graph (needed for the teleport term).
         self.total_vertices = total_vertices
-        self.work_log: list[tuple[str, int, int]] = []
 
     def param_spec(self, query: PageRankQuery) -> ParamSpec:
         return ParamSpec(aggregator=PUSH_ACCUMULATE, default=None)
@@ -138,7 +137,7 @@ class PageRankProgram(PIEProgram[PageRankQuery, PRPartial, dict]):
         for v in fragment.owned:
             partial.residual[v] = teleport
         pushes = self._drain(fragment, query, partial)
-        self.work_log.append(("peval", fragment.fid, pushes))
+        params.charge(pushes)
         self._publish(fragment, partial, params)
         return partial
 
@@ -164,7 +163,7 @@ class PageRankProgram(PIEProgram[PageRankQuery, PRPartial, dict]):
                     )
                     partial.consumed[(v, fid)] = total
         pushes = self._drain(fragment, query, partial)
-        self.work_log.append(("inceval", fragment.fid, pushes))
+        params.charge(pushes)
         self._publish(fragment, partial, params)
         return partial
 

@@ -53,7 +53,6 @@ class SimProgram(PIEProgram[SimQuery, Partial, dict]):
     name = "sim"
 
     def __init__(self, use_index: bool = False, index_manager=None) -> None:
-        self.work_log: list[tuple[str, int, int]] = []
         self.use_index = use_index
         # The Index Manager normally belongs to the storage layer and is
         # populated when fragments are loaded (Fig. 2); passing a
@@ -103,7 +102,7 @@ class SimProgram(PIEProgram[SimQuery, Partial, dict]):
         candidates, steps = refine_simulation(
             fragment.graph, query.pattern, candidates, frozen=frozen
         )
-        self.work_log.append(("peval", fragment.fid, steps))
+        params.charge(steps)
         for v in fragment.inner_border:
             params.improve(v, candidates.get(v, frozenset()))
         return candidates
@@ -124,7 +123,7 @@ class SimProgram(PIEProgram[SimQuery, Partial, dict]):
             frozen=frozen,
             dirty=changed,
         )
-        self.work_log.append(("inceval", fragment.fid, steps))
+        params.charge(steps)
         # Candidate sets shrink anywhere in the refined region, so the
         # whole inner border is re-offered; improve() drops no-op writes.
         for v in fragment.inner_border:  # grape-lint: disable=GRP202

@@ -6,8 +6,9 @@
   code.
 * **IncEval** is the incremental shortest-path algorithm of Ramalingam &
   Reps, seeded by the border variables whose values decreased (``M_i``).
-  It is *bounded*: work tracks |M_i| + |ΔO_i| (measured in
-  :attr:`SSSPProgram.work_log`), not |F_i|.
+  It is *bounded*: work tracks |M_i| + |ΔO_i| (settled vertices,
+  charged through ``params`` and read back as
+  ``result.metrics.work("inceval")``), not |F_i|.
 * **Assemble** takes the union of partial results, keeping the minimum
   ``x_v`` per vertex.
 """
@@ -41,15 +42,6 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
 
     name = "sssp"
 
-    #: MIN aggregation is decreasing-monotone, so SSSP is eligible for
-    #: barrier-relaxed supersteps (verified by grape-lint GRP6xx).
-    relaxed = True
-
-    def __init__(self) -> None:
-        #: (phase, fragment id, settled-vertex count) per call — the raw
-        #: data behind the bounded-IncEval experiment (E5).
-        self.work_log: list[tuple[str, int, int]] = []
-
     def param_spec(self, query: SSSPQuery) -> ParamSpec:
         return ParamSpec(aggregator=MIN, default=INF)
 
@@ -60,7 +52,7 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
         if query.source in fragment.graph:
             seeds[query.source] = 0.0
         dist, settled = dijkstra(fragment.graph, seeds)
-        self.work_log.append(("peval", fragment.fid, settled))
+        params.charge(settled)
         for v in fragment.border:
             d = dist.get(v, INF)
             if d < INF:
@@ -77,7 +69,7 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
     ) -> Partial:
         decreased = {v: params.get(v) for v in changed}
         updates, settled = incremental_sssp(fragment.graph, partial, decreased)
-        self.work_log.append(("inceval", fragment.fid, settled))
+        params.charge(settled)
         for v, d in updates.items():
             if v in fragment.inner_border or v in fragment.mirrors:
                 params.improve(v, d)
@@ -108,7 +100,7 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
                 if candidate < offers.get(op.dst, INF):
                     offers[op.dst] = candidate
         updates, settled = incremental_sssp(fragment.graph, partial, offers)
-        self.work_log.append(("update", fragment.fid, settled))
+        params.charge(settled)
         for v, d in updates.items():
             if v in fragment.inner_border or v in fragment.mirrors:
                 params.improve(v, d)
@@ -222,7 +214,7 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
             if best < INF:
                 seeds[v] = best
         updates, settled = incremental_sssp(fragment.graph, partial, seeds)
-        self.work_log.append(("repair", fragment.fid, settled))
+        params.charge(settled)
         for v, d in updates.items():
             if v in fragment.inner_border or v in fragment.mirrors:
                 params.improve(v, d)

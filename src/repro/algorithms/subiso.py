@@ -16,7 +16,7 @@ the owner of its pivot image.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from repro.algorithms.sequential.vf2 import find_subgraph_isomorphisms
@@ -67,12 +67,10 @@ class SubIsoQuery:
         return max(dist.values(), default=0)
 
 
-@dataclass
 class SubIsoProgram(PIEProgram[SubIsoQuery, Partial, list]):
     """VF2 on d-hop-expanded fragments, as a PIE program."""
 
     name = "subiso"
-    work_log: list = field(default_factory=list)
 
     def param_spec(self, query: SubIsoQuery) -> ParamSpec:
         return ParamSpec(aggregator=SET_UNION, default=None)
@@ -96,7 +94,7 @@ class SubIsoProgram(PIEProgram[SubIsoQuery, Partial, list]):
                 ),
             )
         ]
-        self.work_log.append(("peval", fragment.fid, len(matches)))
+        params.charge(len(matches))
         return matches
 
     def inceval(

@@ -16,9 +16,6 @@ from runtime checks, and tabulated in docs. Families:
 * ``GRP5xx`` — pickle safety: program state that cannot be shipped to
   the process execution backend's workers (lambdas, local closures,
   open OS handles stored on the program object).
-* ``GRP6xx`` — relaxed-mode eligibility: barrier-relaxed supersteps
-  (``mode="relaxed"``) are only sound for aggregator-monotone programs;
-  the same codes back the engine's bind-time gate.
 
 ``GRP100`` is special: it is the *runtime* monotonicity check performed
 by :class:`repro.core.assurance.MonotonicityChecker`; it appears here so
@@ -239,28 +236,6 @@ _RULES = (
         "CSR-backed fragments stream adjacency zero-copy; iterate "
         "graph.iter_neighbors()/iter_out()/iter_in() directly instead "
         "of copying the row with list()/set()/sorted() every superstep",
-    ),
-    RuleInfo(
-        "GRP601",
-        "relaxed-mode",
-        "error",
-        "relaxed mode declared on a non-monotone aggregator",
-        "the program opts into barrier-relaxed supersteps "
-        "(relaxed = True) but its aggregator direction is unordered; "
-        "the Assurance Theorem only tolerates stale reads when values "
-        "move monotonically along the aggregator's partial order — use "
-        "MIN/MAX/BOOL_OR-style aggregation or stay with mode='strict'",
-    ),
-    RuleInfo(
-        "GRP602",
-        "relaxed-mode",
-        "error",
-        "relaxed mode declared with an unresolvable aggregator direction",
-        "the program opts into barrier-relaxed supersteps "
-        "(relaxed = True) but grape-lint cannot infer its aggregator's "
-        "direction; declare a builtin aggregator or construct "
-        "Aggregator(...) with an inferable order so the monotonicity "
-        "gate can verify it",
     ),
 )
 

@@ -18,14 +18,12 @@ from repro.analysis.rules import (
     contract,
     isolation,
     pickle_safety,
-    relaxed,
     storage,
 )
 
 #: The rule families, in report order.
 FAMILIES = (
     aggregator, boundedness, isolation, contract, pickle_safety, storage,
-    relaxed,
 )
 
 __all__ = ["FAMILIES", "run_rules"]

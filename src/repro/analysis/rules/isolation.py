@@ -1,7 +1,10 @@
 """GRP3xx — BSP isolation and determinism.
 
 PEval/IncEval run "independently" on each worker between supersteps; the
-only sanctioned channel is the update-parameter store. These rules catch
+only sanctioned channel is the update-parameter store — values through
+``improve``/``set``, work units through ``charge``. The program object
+is a declaration: run state kept on ``self`` is shared by every
+simulated worker and invisible from a process worker. These rules catch
 sequential code that smuggles state across the barrier (module globals,
 the shared query object, the data graph) and nondeterminism sources that
 would make supersteps irreproducible (unseeded randomness, wall clocks,

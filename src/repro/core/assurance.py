@@ -31,7 +31,7 @@ class Violation:
     #: Name of the partial order the write violated (e.g. ``decreasing``).
     order: str = ""
 
-    #: Rule code shared with the static verifier (:mod:`repro.analysis`):
+    #: Rule code shared with the static verifier (``grape lint``):
     #: GRP100 is the runtime face of the GRP1xx aggregator-consistency
     #: family, so runtime and ``grape lint`` findings read as one system.
     code: ClassVar[str] = "GRP100"

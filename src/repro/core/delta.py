@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar, Hashable, Iterable, Iterator, Sequence, Union
 
 from repro.errors import PartitionError, ProgramError
-from repro.graph.digraph import Edge
 from repro.graph.fragment import FragmentedGraph
 
 VertexId = Hashable
@@ -50,10 +49,6 @@ class EdgeInsert:
     label: str | None = None
 
     kind: ClassVar[str] = "insert"
-
-    def as_edge(self) -> Edge:
-        """This insertion as an :class:`Edge`."""
-        return Edge(self.src, self.dst, self.weight, self.label)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from typing import Generic, Hashable
 
 from repro.core.assurance import MonotonicityChecker
 from repro.core.delta import DeltaRepairStats, EngineState
+from repro.core.partial_order import UNORDERED
 from repro.core.pie import P, PIEProgram, Q, R
 from repro.core.supervisor import SupervisionPolicy, Supervisor
 from repro.core.termination import FixpointGuard
@@ -70,8 +71,8 @@ VertexId = Hashable
 
 #: Superstep engine modes: ``"strict"`` is the BSP lockstep of the
 #: paper; ``"relaxed"`` runs the same direct-routing rounds against
-#: per-worker virtual clocks instead of a barrier (aggregator-monotone
-#: programs only; byte-identical answers).
+#: per-worker virtual clocks instead of a barrier (programs whose
+#: aggregator declares a partial order only; byte-identical answers).
 MODES = ("strict", "relaxed")
 
 
@@ -129,12 +130,13 @@ class GrapeEngine:
             clocks: a worker starts once its own mail has arrived
             instead of waiting for the slowest lane. Termination is the
             ordinary "nothing pending, no worker active" test. Relaxed
-            mode is restricted at bind time to aggregator-monotone
-            programs (grape-lint direction inference; the Assurance
-            Theorem's precondition); its dataflow *is* strict
-            ``routing="direct"``'s, so answers, repair stats and
-            checkpoints are byte-identical and only virtual-time
-            scheduling differs.
+            mode is restricted at bind time to programs whose declared
+            aggregator carries a partial order (anything but
+            ``UNORDERED`` — the Assurance Theorem's precondition, and
+            the declaration ``check_monotonic`` enforces per write); its
+            dataflow *is* strict ``routing="direct"``'s, so answers,
+            repair stats and checkpoints are byte-identical and only
+            virtual-time scheduling differs.
         supervision: retry/backoff/recovery knobs (defaults to
             :class:`~repro.core.supervisor.SupervisionPolicy`).
         repair_fraction: fixed threshold — non-monotone repair falls
@@ -220,7 +222,7 @@ class GrapeEngine:
         :class:`~repro.runtime.faults.FaultPlan` in ``faults`` the run
         executes under that plan's deterministic fault schedule.
         """
-        cluster, supervisor = self._start_run("grape", program, faults)
+        cluster, supervisor = self._start_run("grape", program, query, faults)
         n = cluster.num_workers
         spec = program.param_spec(query)
         checker: MonotonicityChecker | None = None
@@ -325,7 +327,9 @@ class GrapeEngine:
         front instead of failing deep inside the fixpoint.
         """
         self._check_state(program, query, state)
-        cluster, supervisor = self._start_run("grape-inc", program, faults)
+        cluster, supervisor = self._start_run(
+            "grape-inc", program, query, faults
+        )
         n = cluster.num_workers
         repair = DeltaRepairStats()
 
@@ -548,7 +552,9 @@ class GrapeEngine:
         recovering costs bounded work too.
         """
         ckpt_round, state = checkpoint.load_latest()
-        cluster, supervisor = self._start_run("grape-recover", program, faults)
+        cluster, supervisor = self._start_run(
+            "grape-recover", program, query, faults
+        )
 
         self.backend.resume(program, query, state)
         self._reship_borders(cluster, supervisor)
@@ -613,39 +619,28 @@ class GrapeEngine:
                     f"program's declared {spec.aggregator.name!r}"
                 )
 
-    def _require_relaxable(self, program: PIEProgram) -> None:
-        """Bind-time gate for ``mode="relaxed"`` (no-op when strict).
-
-        Uses grape-lint's aggregator direction inference: only programs
-        whose declared aggregator moves values monotonically along its
-        partial order satisfy the Assurance Theorem under stale reads.
-        Raises :class:`~repro.errors.AnalysisError` citing GRP601
-        (non-monotone) or GRP602 (direction unknown), naming the
-        offending aggregator.
-        """
-        if self.mode != "relaxed":
-            return
-        from repro.analysis.direction import is_monotone, program_direction
-        from repro.errors import AnalysisError
-
-        name, direction = program_direction(program)
-        if is_monotone(direction):
-            return
-        code = "GRP602" if direction == "unknown" else "GRP601"
-        raise AnalysisError(
-            f"{code}: mode='relaxed' requires an aggregator-monotone "
-            f"program, but {type(program).__name__} declares aggregator "
-            f"{name!r} with {direction!r} direction — barrier-relaxed "
-            "supersteps rely on the Assurance Theorem's monotonicity "
-            "precondition; run this program with mode='strict'"
-        )
-
     def _start_run(
-        self, kind: str, program: PIEProgram, faults
+        self, kind: str, program: PIEProgram, query, faults
     ) -> tuple[Cluster, Supervisor]:
         """Gate the run, then build its cluster (with the fault plan's
-        injector, if any) and the supervisor watching it."""
-        self._require_relaxable(program)
+        injector, if any) and the supervisor watching it.
+
+        The relaxed gate: stale reads re-converge to the same fixpoint
+        only when values move one way along a partial order (the
+        Assurance Theorem's precondition). The program's declaration
+        says whether they do — the order ``MonotonicityChecker`` holds
+        every write to — so ``UNORDERED`` is refused and nothing else.
+        """
+        if self.mode == "relaxed":
+            aggregator = program.param_spec(query).aggregator
+            if aggregator.order is UNORDERED:
+                raise ProgramError(
+                    f"mode='relaxed' requires an aggregator with a partial "
+                    f"order, but {type(program).__name__} declares "
+                    f"{aggregator.name!r}, which is unordered (the "
+                    "Assurance Theorem's monotonicity precondition "
+                    "fails); run this program with mode='strict'"
+                )
         engine_name = f"{kind}[{program.name}]"
         if faults is not None and not self.backend.supports_faults:
             raise ProgramError(
@@ -805,16 +800,17 @@ class GrapeEngine:
     def _ship_step(
         self, cluster: Cluster, supervisor: Supervisor, phase: str, calls
     ) -> None:
-        """One barrier superstep: run ``calls``, ship what each changed."""
+        """One barrier superstep: run ``calls``, book the work each
+        charged and ship what each changed."""
         with cluster.superstep(phase) as step:
-            self.backend.execute(
-                step,
-                supervisor,
-                calls,
-                on_result=lambda wid, changes: (
-                    self._emit(step, wid, changes) if changes else None
-                ),
-            )
+
+            def _done(wid: int, result) -> None:
+                changes, work = result
+                step.work(wid, work)
+                if changes:
+                    self._emit(step, wid, changes)
+
+            self.backend.execute(step, supervisor, calls, on_result=_done)
 
     def _snapshot(self, program: PIEProgram) -> EngineState:
         """The backend's live fixpoint as a resumable :class:`EngineState`."""
@@ -921,7 +917,8 @@ class GrapeEngine:
 
         def _shipped(wid: int, result) -> None:
             nonlocal shipped, applied, active
-            changed, changes = result
+            changed, changes, work = result
+            step.work(wid, work)
             applied += len(changed)
             if changed or was_active[wid]:
                 active += 1

@@ -17,6 +17,14 @@ Contract (mirrors Section 2.2):
   returns the updated partial answer.
 * ``assemble(query, partials)`` — combines partial answers into
   ``Q(G)``; "typically simple".
+
+The program object is a *declaration*, not a place to keep a run: one
+object is shared by every simulated worker and a process worker computes
+on a pickled copy, so anything a call stores on ``self`` is either mixed
+across fragments or invisible to the engine. Everything a program hands
+the engine goes through its :class:`ParamSpec` and the ``params`` store
+it is called with — values via ``improve``/``set``, work units via
+``params.charge(n)`` (read back as ``result.metrics.work("inceval")``).
 """
 
 from __future__ import annotations
@@ -53,13 +61,6 @@ class PIEProgram(abc.ABC, Generic[Q, P, R]):
 
     #: Registry name of the query class (e.g. ``"sssp"``).
     name: str = "abstract"
-
-    #: Declarative opt-in to barrier-relaxed supersteps
-    #: (``mode="relaxed"``). Setting ``relaxed = True`` documents that
-    #: the program's aggregator is monotone and makes grape-lint verify
-    #: the claim statically (GRP601/GRP602); the engine independently
-    #: re-verifies every program at bind time regardless of the flag.
-    relaxed: bool = False
 
     @abc.abstractmethod
     def param_spec(self, query: Q) -> ParamSpec:

@@ -9,7 +9,9 @@ through the declared aggregate function.
 Messages are "automatically generated from update parameters": the engine
 simply calls :meth:`consume_changes` after PEval/IncEval and ships the
 result — user algorithms never construct messages, matching the paper's
-claim that declarations are the only addition to sequential code.
+claim that declarations are the only addition to sequential code. Work
+accounting rides the same store: programs :meth:`charge`, the engine
+books :meth:`take_work` to the superstep.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ class UpdateParams:
         on_write: optional observer ``(vertex, old, new)`` invoked on
             every accepted change — the assurance checker hooks in here.
     """
+
+    #: Work units charged since the last :meth:`take_work`. Belongs to
+    #: the running superstep, not the store: pickles do not carry it.
+    _work = 0
 
     def __init__(
         self,
@@ -184,6 +190,18 @@ class UpdateParams:
         self._values[v] = resolved
         return True
 
+    def charge(self, units: int) -> None:
+        """Report ``units`` of sequential work done by the current call
+        (settled vertices, relabelled vertices, pushes — the program's
+        own measure of |M_i| + |ΔO_i|)."""
+        self._work += units
+
+    def take_work(self) -> int:
+        """Return and clear the work charged since the last call — what
+        the engine books to the running superstep."""
+        work, self._work = self._work, 0
+        return work
+
     def snapshot(self) -> dict[VertexId, object]:
         """Copy of all current values (for tests and tracing)."""
         return dict(self._values)
@@ -200,11 +218,13 @@ class UpdateParams:
         self._on_write = on_write
 
     # ------------------------------------------------------------------
-    # Pickling (checkpoints): observers are closures and cannot travel.
+    # Pickling (checkpoints): observers are closures and cannot travel;
+    # pending work stays with the superstep that did it.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_on_write"] = None
+        state.pop("_work", None)
         return state
 
     def __setstate__(self, state: dict) -> None:

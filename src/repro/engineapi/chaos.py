@@ -31,7 +31,6 @@ from repro.runtime.faults import (
     FaultPlan,
     StragglerFault,
 )
-from repro.runtime.metrics import RunMetrics
 from repro.storage.dfs import SimulatedDFS
 
 
@@ -253,14 +252,3 @@ def run_chaos(
                 }
             report.cases.append(case)
     return report
-
-
-def metrics_fault_summary(metrics: RunMetrics) -> str:
-    """One line of fault counters (for reports and examples)."""
-    f = metrics.faults
-    return (
-        f"injected={f.total_injected} retries={f.retries} "
-        f"recoveries={f.recoveries} rounds_lost={f.rounds_lost} "
-        f"recovery_supersteps={f.recovery_supersteps} "
-        f"retransmissions={f.retransmissions}"
-    )

@@ -100,15 +100,6 @@ class Fragment:
         """Whether this fragment owns ``v``."""
         return v in self.owned
 
-    def is_mirror(self, v: VertexId) -> bool:
-        """Whether ``v`` is a local mirror owned elsewhere."""
-        return v in self.mirrors
-
-    @property
-    def num_owned(self) -> int:
-        """Number of owned vertices."""
-        return len(self.owned)
-
     def __repr__(self) -> str:
         return (
             f"<Fragment {self.fid} owned={len(self.owned)} "

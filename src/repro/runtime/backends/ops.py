@@ -108,13 +108,14 @@ def op_apply_effects(ctx: WorkerContext, records):
 
 
 # ----------------------------------------------------------------------
-# Superstep compute ops (each returns what the engine ships)
+# Superstep compute ops (each returns what the engine ships, then the
+# work units the program charged through ``params`` while computing it)
 # ----------------------------------------------------------------------
 def op_peval(ctx: WorkerContext):
     """Superstep 0: the program's sequential PEval over the fragment."""
     ctx.partial = ctx.program.peval(ctx.frag, ctx.query, ctx.params)
     ctx.started = True
-    return ctx.params.consume_changes()
+    return ctx.params.consume_changes(), ctx.params.take_work()
 
 
 def op_inceval(ctx: WorkerContext, payloads, locally_active):
@@ -133,7 +134,7 @@ def op_inceval(ctx: WorkerContext, payloads, locally_active):
         ctx.partial = ctx.program.inceval(
             ctx.frag, ctx.query, ctx.partial, ctx.params, changed
         )
-    return changed, ctx.params.consume_changes()
+    return changed, ctx.params.consume_changes(), ctx.params.take_work()
 
 
 def op_repair(ctx: WorkerContext, region):
@@ -141,7 +142,7 @@ def op_repair(ctx: WorkerContext, region):
     ctx.partial = ctx.program.repair_partial(
         ctx.frag, ctx.query, ctx.partial, ctx.params, set(region)
     )
-    return ctx.params.consume_changes()
+    return ctx.params.consume_changes(), ctx.params.take_work()
 
 
 def op_update(ctx: WorkerContext, ops):
@@ -149,7 +150,7 @@ def op_update(ctx: WorkerContext, ops):
     ctx.partial = ctx.program.on_graph_update(
         ctx.frag, ctx.query, ctx.partial, ctx.params, ops
     )
-    return ctx.params.consume_changes()
+    return ctx.params.consume_changes(), ctx.params.take_work()
 
 
 def op_seed_region(ctx: WorkerContext, ops):
@@ -173,7 +174,7 @@ def op_reship(ctx: WorkerContext):
     for v in store.declared:
         if store.get(v) != store.default:
             store.touch(v)
-    return store.consume_changes()
+    return store.consume_changes(), store.take_work()
 
 
 # ----------------------------------------------------------------------

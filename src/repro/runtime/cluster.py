@@ -117,6 +117,8 @@ class SuperstepHandle:
         self.relaxed = relaxed
         self.index = len(cluster.metrics.supersteps)
         self._compute: dict[int, float] = {}
+        #: worker -> work units its program charged this superstep.
+        self._work: dict[int, int] = {}
         self._bytes = 0
         self._messages = 0
         self._pairs = 0
@@ -179,6 +181,10 @@ class SuperstepHandle:
         """Add pre-measured compute seconds for ``worker``."""
         self._compute[worker] = self._compute.get(worker, 0.0) + seconds
 
+    def work(self, worker: int, units: int) -> None:
+        """Book ``units`` of program-charged work to ``worker``."""
+        self._work[worker] = self._work.get(worker, 0) + units
+
     def send(self, src: int, dst: int, payload: object) -> Message:
         """Send a message for delivery in the next superstep."""
         msg = self._cluster.mpi.send(src, dst, payload)
@@ -229,6 +235,8 @@ class SuperstepHandle:
             phase=self.phase,
             compute_makespan=makespan,
             compute_total=sum(self._compute.values()),
+            work_total=sum(self._work.values()),
+            work_max=max(self._work.values(), default=0),
             bytes_sent=self._bytes,
             messages_sent=self._messages,
             simulated_time=simulated,
@@ -318,12 +326,3 @@ class Cluster:
     def receive(self, rank: int) -> list[Message]:
         """Drain and return the inbox of ``rank``."""
         return self.mpi.receive(rank)
-
-    def reset_metrics(self, engine_name: str = "") -> None:
-        """Start fresh metrics (optionally renaming the engine)."""
-        self.metrics = RunMetrics(
-            engine=engine_name or self.metrics.engine,
-            num_workers=self.num_workers,
-        )
-        if self.injector is not None:
-            self.metrics.faults = self.injector.counters

@@ -1,6 +1,7 @@
 """Run metrics: the numbers the demo's analytics panel (Fig. 3(4)) shows.
 
-Per superstep we record compute makespan, total compute, bytes, message
+Per superstep we record compute makespan, total compute, the work units
+the PIE program charged through its update parameters, bytes, message
 counts and which phase (PEval / IncEval / Assemble) the superstep
 belonged to; totals and a per-phase breakdown are derived.
 """
@@ -93,6 +94,11 @@ class SuperstepMetrics:
     phase: str
     compute_makespan: float = 0.0
     compute_total: float = 0.0
+    #: Work units the program charged (``params.charge``): all workers,
+    #: and the busiest worker — the pair ``compute_total`` /
+    #: ``compute_makespan`` make for seconds.
+    work_total: int = 0
+    work_max: int = 0
     bytes_sent: int = 0
     messages_sent: int = 0
     simulated_time: float = 0.0
@@ -156,6 +162,14 @@ class RunMetrics:
         """Communication volume in MB — Table 1's 'Comm.(MB)' column."""
         return self.total_bytes / 1e6
 
+    def work(self, phase: str | None = None) -> int:
+        """Program-charged work units of ``phase`` (default: the run)."""
+        return sum(
+            s.work_total
+            for s in self.supersteps
+            if phase is None or s.phase == phase
+        )
+
     def phase_time(self, phase: str) -> float:
         """Simulated time spent in supersteps of ``phase``."""
         return sum(
@@ -195,6 +209,7 @@ class RunMetrics:
             "total_bytes": self.total_bytes,
             "total_messages": self.total_messages,
             "communication_mb": self.communication_mb,
+            "work": self.work(),
             "load_imbalance": self.load_imbalance(),
             "phase_breakdown": self.phase_breakdown(),
             "faults": self.faults.as_dict(),
@@ -206,6 +221,8 @@ class RunMetrics:
                     "phase": s.phase,
                     "compute_makespan": s.compute_makespan,
                     "compute_total": s.compute_total,
+                    "work_total": s.work_total,
+                    "work_max": s.work_max,
                     "bytes_sent": s.bytes_sent,
                     "messages_sent": s.messages_sent,
                     "simulated_time": s.simulated_time,

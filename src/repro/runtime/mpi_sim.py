@@ -169,11 +169,6 @@ class MPIController:
         self._inboxes[rank] = []
         return inbox
 
-    def peek(self, rank: int) -> list[Message]:
-        """Read the inbox without draining (termination checks)."""
-        self._check_rank(rank)
-        return list(self._inboxes[rank])
-
     def pending(self) -> bool:
         """True if any rank has undelivered or queued messages."""
         if self._outgoing or self._unacked:

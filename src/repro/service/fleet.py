@@ -50,6 +50,7 @@ from repro.engineapi.registry import get_program
 from repro.engineapi.session import Session
 from repro.errors import (
     FatalWorkerFailure,
+    GrapeError,
     ServiceError,
     StorageError,
     TransientWorkerFailure,
@@ -844,17 +845,25 @@ class FleetRouter:
             if replica.lag_remaining > 0:
                 replica.lag_remaining -= 1
                 continue
-            if replica.service.version < self.version - 1:
-                # Lag window over: replay the whole missed suffix
-                # (including this batch) in journal order.
-                self._catch_up(replica, audit=False)
-            else:
-                outcomes[replica.rid] = replica.service.apply_updates(
-                    record["edges"],
-                    verify=verify,
-                    deletes=record["deletes"],
-                    reweights=record["reweights"],
-                )
+            try:
+                if replica.service.version < self.version - 1:
+                    # Lag window over: replay the whole missed suffix
+                    # (including this batch) in journal order.
+                    self._catch_up(replica, audit=False)
+                else:
+                    outcomes[replica.rid] = replica.service.apply_updates(
+                        record["edges"],
+                        verify=verify,
+                        deletes=record["deletes"],
+                        reweights=record["reweights"],
+                    )
+            except GrapeError:
+                # A service batch is atomic and replicas are copies of
+                # one another, so the first replica to try a bad batch
+                # refuses it untouched: un-journal it, or every later
+                # catch-up replays it.
+                self._journal.pop()
+                raise
             replica.version = replica.service.version
             if (epoch + 1) % self.checkpoint_every == 0:
                 self._checkpoint(replica)

@@ -105,7 +105,7 @@ class StandingStats:
     query_class: str
     repairs: int = 0
     #: Settled-vertex (or equivalent) work of the initial full run.
-    cold_work: int | None = None
+    cold_work: int = 0
     #: Work absorbed incrementally across all update batches.
     incremental_work: int = 0
     #: Work a full recomputation did across all *verified* batches.

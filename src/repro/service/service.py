@@ -65,26 +65,6 @@ def canonical_answer_bytes(answer: object) -> bytes:
     return json.dumps(answer, sort_keys=True, default=repr).encode()
 
 
-def _work_mark(program) -> int | None:
-    """Start index into the program's work log, if it keeps one."""
-    log = getattr(program, "work_log", None)
-    return len(log) if log is not None else None
-
-
-def _work_since(program, mark: int | None) -> int | None:
-    """Settled-vertex work recorded since ``mark`` (None = no probe).
-
-    Reading consumes the log: a standing query's program lives as long
-    as the service and appends one record per PEval/IncEval call, so a
-    log nobody empties grows with every ΔG batch.
-    """
-    if mark is None:
-        return None
-    work = sum(settled for _, _, settled in program.work_log[mark:])
-    program.work_log.clear()
-    return work
-
-
 @dataclass
 class ServedResult:
     """Outcome of one served query."""
@@ -416,7 +396,6 @@ class GrapeService:
                 f"{query_class!r} does not implement on_graph_update, so "
                 "its answer cannot be repaired incrementally"
             )
-        mark = _work_mark(program)
         result = self._engine.run(program, query, keep_state=True)
         cost = run_cost(result.metrics)
         lane, start = self._lanes.start(self._clock)
@@ -429,7 +408,7 @@ class GrapeService:
         stats = StandingStats(
             name=name,
             query_class=query_class,
-            cold_work=_work_since(program, mark),
+            cold_work=result.metrics.work(),
         )
         self._standing[name] = StandingQuery(
             name=name,
@@ -525,7 +504,6 @@ class GrapeService:
         )
         for name in sorted(self._standing):
             standing = self._standing[name]
-            mark = _work_mark(standing.program)
             result = self._engine.run_incremental(
                 standing.program,
                 standing.query,
@@ -537,9 +515,7 @@ class GrapeService:
             standing.answer = result.answer
             stats = standing.stats
             stats.repairs += 1
-            work = _work_since(standing.program, mark)
-            if work is not None:
-                stats.incremental_work += work
+            stats.incremental_work += result.metrics.work()
             repair_cost = run_cost(result.metrics)
             stats.incremental_time += repair_cost
             self._clock += repair_cost
@@ -607,13 +583,10 @@ class GrapeService:
     def _verify_standing(self, standing: StandingQuery) -> bool:
         """Audit one standing answer against a fresh full run."""
         program = self._program(standing.query_class)
-        mark = _work_mark(program)
         full = self._engine.run(program, standing.query)
         stats = standing.stats
         stats.verified_batches += 1
-        work = _work_since(program, mark)
-        if work is not None:
-            stats.full_work += work
+        stats.full_work += full.metrics.work()
         stats.full_time += run_cost(full.metrics)
         identical = canonical_answer_bytes(
             standing.answer

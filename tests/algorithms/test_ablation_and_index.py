@@ -29,29 +29,19 @@ def test_recompute_does_strictly_more_work():
     """E5's point: bounded IncEval work << full recomputation work."""
     g = road_network(12, 12, seed=2, removal_prob=0.0)
     session = Session(g, num_workers=4, partition="bfs")
-    bounded_prog = SSSPProgram()
-    recompute_prog = SSSPRecomputeProgram()
-    session.run(bounded_prog, SSSPQuery(source=0))
-    session.run(recompute_prog, SSSPQuery(source=0))
-
-    def inceval_work(program):
-        return sum(
-            settled for phase, _, settled in program.work_log
-            if phase == "inceval"
-        )
-
-    assert inceval_work(bounded_prog) < inceval_work(recompute_prog)
+    bounded = session.run(SSSPProgram(), SSSPQuery(source=0))
+    recompute = session.run(SSSPRecomputeProgram(), SSSPQuery(source=0))
+    assert bounded.metrics.work("inceval") < recompute.metrics.work("inceval")
 
 
 def test_recompute_inceval_touches_fragment_scale():
     g = road_network(10, 10, seed=3, removal_prob=0.0)
     session = Session(g, num_workers=4, partition="bfs")
-    program = SSSPRecomputeProgram()
-    session.run(program, SSSPQuery(source=0))
+    result = session.run(SSSPRecomputeProgram(), SSSPQuery(source=0))
     per_fragment = g.num_vertices / 4
+    # work_max is the busiest worker's IncEval call of a round.
     inceval_counts = [
-        settled for phase, _, settled in program.work_log
-        if phase == "inceval"
+        s.work_max for s in result.metrics.supersteps if s.phase == "inceval"
     ]
     assert inceval_counts and max(inceval_counts) >= per_fragment * 0.5
 
@@ -81,13 +71,10 @@ def test_indexed_sim_does_less_refinement_work():
     g = labeled_random(400, num_labels=20, seed=5)
     pattern = _two_label_pattern()
     session = Session(g, num_workers=2)
-    plain_prog = SimProgram(use_index=False)
-    indexed_prog = SimProgram(use_index=True)
-    session.run(plain_prog, SimQuery(pattern=pattern))
-    session.run(indexed_prog, SimQuery(pattern=pattern))
-    plain_steps = sum(s for _, _, s in plain_prog.work_log)
-    indexed_steps = sum(s for _, _, s in indexed_prog.work_log)
-    assert indexed_steps < plain_steps
+    query = SimQuery(pattern=pattern)
+    plain = session.run(SimProgram(use_index=False), query)
+    indexed = session.run(SimProgram(use_index=True), query)
+    assert indexed.metrics.work() < plain.metrics.work()
 
 
 def test_indexed_sim_falls_back_on_wildcards():

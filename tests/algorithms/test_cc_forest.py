@@ -46,7 +46,11 @@ def test_off_forest_delete_empty_region_same_answer():
     assert second.repair.unsafe_ops == 1
     assert second.repair.invalidated == 0
     assert second.repair.fragments == {}
-    assert not any(kind == "repair" for kind, _, _ in program.work_log)
+    # ... so no worker ran repair_partial.
+    assert not any(
+        s.phase == "repair" and s.active_workers
+        for s in second.metrics.supersteps
+    )
     assert second.answer == before
     g.remove_edge(3, 0)
     assert second.answer == connected_components(g)

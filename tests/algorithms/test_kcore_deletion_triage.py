@@ -46,13 +46,11 @@ def test_non_core_deletion_has_empty_region():
     assert cold.answer == core_numbers(graph)
 
     delta = GraphDelta.from_dict({"delete": [[0, 2]]})
-    program.work_log.clear()
     inc = engine.run_incremental(program, KCoreQuery(), cold.state, delta)
 
     # Both endpoints keep >= 2 supporters at level 2: provably
     # unaffected, so the triage seeds nothing and repairs nothing.
-    update_work = sum(w for kind, _, w in program.work_log if kind == "update")
-    assert update_work == 0
+    assert inc.metrics.work("update") == 0
     assert inc.repair.as_dict().get("invalidated", 0) == 0
     assert inc.answer == core_numbers(_symmetric(
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]

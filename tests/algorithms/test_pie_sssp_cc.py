@@ -74,13 +74,13 @@ def test_sssp_source_missing_from_graph():
     assert all(d == INF for d in result.answer.values()) or not result.answer
 
 
-def test_sssp_work_log_populated():
+def test_sssp_work_is_metered():
     g = road_network(6, 6, seed=4)
     program = SSSPProgram()
-    Session(g, num_workers=4).run(program, SSSPQuery(source=0))
-    phases = {phase for phase, _, _ in program.work_log}
-    assert "peval" in phases
-    assert "inceval" in phases
+    result = Session(g, num_workers=4).run(program, SSSPQuery(source=0))
+    assert result.metrics.work("peval") > 0
+    assert result.metrics.work("inceval") > 0
+    assert vars(program) == {}  # a run leaves nothing on the program
 
 
 def test_sssp_monotone_params_decrease():

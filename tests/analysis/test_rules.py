@@ -35,8 +35,6 @@ EXPECTED = {
     "viol_grp502.py": "GRP502",
     "viol_grp503.py": "GRP503",
     "viol_grp504.py": "GRP504",
-    "viol_grp601.py": "GRP601",
-    "viol_grp602.py": "GRP602",
 }
 
 

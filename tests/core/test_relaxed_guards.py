@@ -1,8 +1,9 @@
 """Typed guards around ``mode="relaxed"``.
 
-Relaxed supersteps are only licensed for aggregator-monotone programs
-(the Assurance Theorem's precondition). Every refusal is a typed error
-raised at construction or bind time, never a silent downgrade. The
+Relaxed supersteps are only licensed for programs whose declared
+aggregator carries a partial order (the Assurance Theorem's
+precondition); an ``UNORDERED`` one is refused. Every refusal is a typed
+error raised at construction or bind time, never a silent downgrade. The
 runtime monotonicity checker is per write and fault recovery replays
 the fixpoint's rounds, so both combine with relaxed mode and see
 strict-direct's writes, rounds and recoveries.
@@ -14,6 +15,8 @@ import pickle
 
 import pytest
 
+from repro.baselines.pregel_as_pie import VertexCentricAsPIE
+from repro.baselines.pregel_programs import PregelSSSP
 from repro.core.aggregators import LAST_WRITE
 from repro.core.checkpoint import CheckpointPolicy
 from repro.core.engine import MODES, GrapeEngine
@@ -21,7 +24,7 @@ from repro.core.pie import ParamSpec, PIEProgram
 from repro.engineapi.chaos import standard_plans
 from repro.engineapi.query import build_query
 from repro.engineapi.registry import get_program
-from repro.errors import AnalysisError, ProgramError
+from repro.errors import ProgramError
 from repro.graph.fragment import build_fragments
 from repro.graph.generators import graph_from_spec, road_network
 from repro.partition.registry import get_partitioner
@@ -143,19 +146,27 @@ def test_relaxed_fault_injection_matches_strict_direct(tmp_path):
 
 def test_bind_gate_names_the_offending_aggregator():
     engine = GrapeEngine(_fragmented(), mode="relaxed")
-    with pytest.raises(AnalysisError, match="GRP601") as exc:
-        engine.run(LastWriteProgram(), None)
-    message = str(exc.value)
-    assert "'LAST_WRITE'" in message
-    assert "LastWriteProgram" in message
-    assert "'unordered'" in message
+    for program, aggregator in [
+        (LastWriteProgram(), "last-write"),
+        (VertexCentricAsPIE(PregelSSSP(source=0), 16), "message-batches"),
+    ]:
+        with pytest.raises(ProgramError, match="unordered") as exc:
+            engine.run(program, None)
+        message = str(exc.value)
+        assert repr(aggregator) in message
+        assert type(program).__name__ in message
 
 
-def test_bind_gate_flags_unresolvable_direction_as_grp602():
+def test_bind_gate_admits_a_custom_declared_order():
+    """PageRank's ``PUSH_ACCUMULATE`` declares its own partial order
+    (per-source-growing); the gate reads the declaration, not a name."""
     program = get_program("pagerank", total_vertices=16)
-    engine = GrapeEngine(_fragmented(), mode="relaxed")
-    with pytest.raises(AnalysisError, match="GRP602"):
-        engine.run(program, build_query("pagerank"))
+    query = build_query("pagerank")
+    relaxed = GrapeEngine(_fragmented(), mode="relaxed").run(program, query)
+    strict = GrapeEngine(_fragmented(), routing="direct").run(program, query)
+    assert canonical_answer_bytes(relaxed.answer) == canonical_answer_bytes(
+        strict.answer
+    )
 
 
 def test_strict_mode_still_accepts_everything():

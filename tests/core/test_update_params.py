@@ -1,5 +1,7 @@
 """Unit tests for the update-parameter store (message protocol core)."""
 
+import pickle
+
 import pytest
 
 from repro.core.aggregators import MIN, SET_INTERSECT
@@ -122,3 +124,25 @@ def test_snapshot_copies():
 def test_repr_mentions_aggregator():
     params = make_store()
     assert "min" in repr(params)
+
+
+def test_charge_accumulates_and_take_work_clears():
+    params = make_store()
+    assert params.take_work() == 0
+    params.charge(3)
+    params.charge(4)
+    assert params.take_work() == 7
+    assert params.take_work() == 0
+
+
+def test_pickled_store_carries_no_pending_work():
+    params = make_store()
+    params.declare([1])
+    params.set(1, 4.0)
+    params.charge(5)
+    clone = pickle.loads(pickle.dumps(params))
+    assert clone.take_work() == 0
+    assert clone.snapshot() == params.snapshot()
+    assert params.take_work() == 5  # pickling reads, it does not take
+    clone.charge(2)
+    assert clone.take_work() == 2

@@ -65,15 +65,6 @@ def test_worker_compute_charged_cumulatively():
     assert cluster.metrics.load_imbalance() == pytest.approx(3.0 / 2.0)
 
 
-def test_reset_metrics():
-    cluster = Cluster(2, engine_name="one")
-    with cluster.superstep("x") as step:
-        step.charge(0, 1.0)
-    cluster.reset_metrics("two")
-    assert cluster.metrics.engine == "two"
-    assert cluster.metrics.num_supersteps == 0
-
-
 def test_simulated_time_uses_cost_model():
     cm = CostModel(latency=0.0, bandwidth=1e9, barrier_overhead=1.0)
     cluster = Cluster(1, cost_model=cm)

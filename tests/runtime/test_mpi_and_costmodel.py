@@ -37,14 +37,6 @@ def test_receive_drains_inbox():
     assert mpi.receive(1) == []
 
 
-def test_peek_does_not_drain():
-    mpi = MPIController(2)
-    mpi.send(0, 1, "x")
-    mpi.flush()
-    assert len(mpi.peek(1)) == 1
-    assert len(mpi.receive(1)) == 1
-
-
 def test_flush_stats_cross_worker():
     mpi = MPIController(3)
     mpi.send(0, 1, 5)

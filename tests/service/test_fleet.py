@@ -6,7 +6,7 @@ import tempfile
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ProgramError, ServiceError
 from repro.graph.generators import graph_from_spec
 from repro.runtime.faults import (
     CrashFault,
@@ -250,6 +250,26 @@ def test_lag_window_closes_via_journal_catch_up():
     # Caught up means fresh serving again.
     result = fleet.query("sssp", {"source": 0})
     assert result.outcome == "fresh"
+
+
+def test_rejected_batch_is_not_journaled():
+    """A batch every replica would refuse must not move the fleet
+    version ahead of them: that tags every later answer stale, and
+    catch-up replays the bad batch in front of the next good one."""
+    fleet = FleetRouter(
+        lambda: graph_from_spec("road:6x6"), replicas=3, num_workers=2
+    )
+    fleet.apply_updates(edges=[(0, 20, 0.5)])
+    with pytest.raises(ProgramError):
+        fleet.apply_updates(deletes=[(0, 999)])
+    assert fleet.version == 2 and len(fleet._journal) == 1
+    assert [r.service.version for r in fleet.replicas] == [2, 2, 2]
+    assert fleet.query("sssp", {"source": 0}).outcome == "fresh"
+    outcomes = fleet.apply_updates(edges=[(1, 21, 0.5)])
+    assert sorted(outcomes) == [0, 1, 2]
+    assert [r.service.version for r in fleet.replicas] == [3, 3, 3]
+    assert fleet.version == 3
+    assert fleet.report().stale_replica_served == 0
 
 
 # ------------------------------------------------------------ crash + recovery

@@ -11,6 +11,9 @@ from repro.errors import ProgramError, ServiceError, ServiceOverloadedError
 from repro.graph.digraph import Graph
 from repro.graph.generators import road_network
 from repro.service import GrapeService, canonical_answer_bytes
+from repro.service.trace import load_trace, replay_trace
+
+from tests.service.test_trace import TRACE
 
 
 def _service(rows=6, cols=6, **kwargs):
@@ -202,27 +205,27 @@ def test_incremental_repair_does_less_work_than_recompute():
     assert standing["work_ratio"] < 1.0
 
 
-class _TallyLog(list):
-    """A work log that sums every record appended to it, so the total
-    survives the service emptying the list."""
-
-    total = 0
-
-    def append(self, record):
-        self.total += record[2]
-        super().append(record)
-
-
-def test_standing_work_log_stays_bounded_over_many_batches():
-    """A standing program lives as long as the service; its work log
-    must not grow with the number of ΔG batches served."""
+def test_standing_work_is_metered_and_programs_hold_no_state():
+    """Standing work comes off each repair's own metrics; the program
+    object, which lives as long as the service, gains nothing per
+    batch."""
     service = _service(rows=8, cols=8)
     service.register_standing("hub", "sssp", {"source": 0})
     service.register_standing("comp", "cc", {})
-    logs = {}
-    for name in ("hub", "comp"):
-        program = service._standing[name].program
-        logs[name] = program.work_log = _TallyLog()
+    programs = {
+        name: service._standing[name].program for name in ("hub", "comp")
+    }
+    held = {name: set(vars(program)) for name, program in programs.items()}
+    assert held == {"hub": set(), "comp": {"_forests"}}
+    repaired = {program.name: 0 for program in programs.values()}
+    run_incremental = service._engine.run_incremental
+
+    def metered(program, *args, **kwargs):
+        result = run_incremental(program, *args, **kwargs)
+        repaired[program.name] += result.metrics.work()
+        return result
+
+    service._engine.run_incremental = metered
     rng = random.Random(4)
     graph = service.session.graph
     batches = 0
@@ -232,10 +235,27 @@ def test_standing_work_log_stays_bounded_over_many_batches():
             continue
         service.apply_updates([(u, v, rng.uniform(0.1, 2.0))])
         batches += 1
-        assert all(len(log) == 0 for log in logs.values())
     for standing in service.report().standing:
         assert standing["repairs"] == 200
-        assert standing["incremental_work"] == logs[standing["name"]].total
+        assert standing["incremental_work"] > 0
+        assert (
+            standing["incremental_work"] == repaired[standing["query_class"]]
+        )
+    for name, program in programs.items():
+        assert set(vars(program)) == held[name]
+
+
+def test_report_is_byte_identical_across_backends():
+    """Work is booked by the engine from what workers return, so the
+    serving report — standing work included — does not depend on which
+    side of a process boundary the program ran."""
+    reports = {}
+    for backend in ("simulated", "process"):
+        service, report = replay_trace(load_trace(str(TRACE)), backend=backend)
+        service.session.close()
+        reports[backend] = report
+    assert reports["process"].to_json() == reports["simulated"].to_json()
+    for standing in reports["process"].standing:
         assert standing["incremental_work"] > 0
 
 
