@@ -9,7 +9,10 @@ exact. This bench measures how
 much of the barrier slack the pipeline reclaims on a deliberately
 skewed road:40x40 partition and — the whole point of the gate —
 asserts in the same run that the relaxed answers, fixpoint traces and
-state blobs are byte-identical to the strict-BSP oracle.
+state blobs are byte-identical to the strict-BSP oracle. A fourth run
+puts the scheduling lever beside the placement lever: strict/direct on
+the same graph after ``Session.repartition``'s multilevel partitioner
+(the Load Balancer's job; EXPERIMENTS.md A3).
 
 Writes ``benchmarks/results/e16_relaxed_makespan.json``.
 """
@@ -28,6 +31,7 @@ from repro.graph.fragment import build_fragments
 from repro.graph.generators import graph_from_spec
 from repro.obs.skew import report_for_tracer
 from repro.obs.tracer import Tracer
+from repro.partition.registry import get_partitioner
 from repro.runtime.costmodel import CostModel
 from repro.service.service import canonical_answer_bytes
 
@@ -50,10 +54,8 @@ def _skewed_assignment(graph) -> dict:
     return assignment
 
 
-def _run(mode: str, routing: str, graph, assignment):
-    fragmented = build_fragments(
-        graph, assignment, NUM_WORKERS, "skewed"
-    )
+def _run(mode: str, routing: str, graph, assignment, strategy="skewed"):
+    fragmented = build_fragments(graph, assignment, NUM_WORKERS, strategy)
     tracer = Tracer()
     engine = GrapeEngine(
         fragmented,
@@ -84,11 +86,16 @@ def test_e16_relaxed_makespan():
     coordinator = _run("strict", "coordinator", graph, assignment)
     strict = _run("strict", "direct", graph, assignment)
     relaxed = _run("relaxed", "direct", graph, assignment)
+    repartitioned = _run(
+        "strict", "direct", graph,
+        get_partitioner("multilevel")(graph, NUM_WORKERS), "multilevel",
+    )
 
     # The gate: only scheduling and makespan may differ. Answers are
-    # byte-identical across all three pipelines; the fixpoint trace and
+    # byte-identical across all four pipelines; the fixpoint trace and
     # state blobs match the strict oracle sharing relaxed's dataflow.
     assert strict["answer"] == relaxed["answer"] == coordinator["answer"]
+    assert repartitioned["answer"] == strict["answer"]
     assert strict["rounds"] == relaxed["rounds"]
     assert strict["blob"] == relaxed["blob"]
 
@@ -98,6 +105,9 @@ def test_e16_relaxed_makespan():
     )
     reclaimed = strict["total_time"] - relaxed["total_time"]
     reclaimed_pct = 100.0 * reclaimed / strict["total_time"]
+    repartitioned_pct = 100.0 * (
+        1.0 - repartitioned["total_time"] / strict["total_time"]
+    )
 
     slack_lines = [
         line
@@ -123,6 +133,8 @@ def test_e16_relaxed_makespan():
         "relaxed_s": round(relaxed["total_time"], 6),
         "reclaimed_s": round(reclaimed, 6),
         "reclaimed_pct": round(reclaimed_pct, 2),
+        "repartitioned_s": round(repartitioned["total_time"], 6),
+        "repartitioned_pct": round(repartitioned_pct, 2),
         "byte_identical": True,
         "timeline_slack": slack_lines[0],
     }
@@ -137,6 +149,9 @@ def test_e16_relaxed_makespan():
         ["strict/direct", f"{strict['total_time'] * 1000:.2f}", "-", "yes"],
         ["relaxed", f"{relaxed['total_time'] * 1000:.2f}",
          f"-{reclaimed_pct:.1f}%", "yes"],
+        ["strict/direct, multilevel",
+         f"{repartitioned['total_time'] * 1000:.2f}",
+         f"-{repartitioned_pct:.1f}%", "yes"],
     ]
     write_result(
         "e16_relaxed_makespan",

@@ -16,7 +16,7 @@ system). The package provides:
   paper's comparisons;
 * :mod:`repro.gpar` — graph pattern association rules (the social-media
   marketing application);
-* :mod:`repro.storage` — simulated DFS, index manager, load balancer;
+* :mod:`repro.storage` — simulated DFS (checkpoints) and index manager;
 * :mod:`repro.engineapi` — the plug-and-play session API and CLI.
 
 Quickstart::

@@ -18,16 +18,8 @@ from repro.baselines.pregel import PregelEngine, PregelResult, VertexProgram
 from repro.baselines.pregel_as_pie import VertexCentricAsPIE
 from repro.baselines.gas import GASEngine, GASProgram, GASResult
 from repro.baselines.blogel import BlockProgram, BlogelEngine, BlogelResult
-from repro.baselines.mapreduce import (
-    MapReduceEngine,
-    MapReduceJob,
-    MapReduceResult,
-)
 
 __all__ = [
-    "MapReduceEngine",
-    "MapReduceJob",
-    "MapReduceResult",
     "VertexCentricAsPIE",
     "PregelEngine",
     "PregelResult",

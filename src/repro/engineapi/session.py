@@ -94,33 +94,6 @@ class Session:
             self._backend = None
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_catalog(
-        cls,
-        catalog,
-        graph_name: str,
-        partition_name: str | None = None,
-        **kwargs,
-    ) -> "Session":
-        """Open a session on a graph stored in a DFS catalog.
-
-        With ``partition_name`` the stored fragmentation is reused
-        directly (its fragment count wins over ``num_workers``);
-        otherwise the session partitions the loaded graph as usual.
-        """
-        graph = catalog.load_graph(graph_name)
-        if partition_name is None:
-            return cls(graph, **kwargs)
-        fragmented = catalog.load_partition(graph_name, partition_name)
-        session = cls(
-            graph,
-            num_workers=fragmented.num_fragments,
-            **{k: v for k, v in kwargs.items() if k != "num_workers"},
-        )
-        session._fragmented = fragmented
-        return session
-
-    # ------------------------------------------------------------------
     @property
     def partitioner(self) -> Partitioner:
         """The partition strategy this session uses."""

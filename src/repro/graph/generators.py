@@ -173,7 +173,7 @@ def power_law(
     Edges go both ways so traversal queries reach the whole graph.
     """
     if n <= m_per_node:
-        raise ValueError("n must exceed m_per_node")
+        raise ValueError(f"n must exceed m_per_node ({m_per_node})")
     rng = make_rng(seed, "power_law", n, m_per_node)
     g = Graph(directed=directed, store=store)
     targets = list(range(m_per_node))
@@ -390,17 +390,31 @@ def graph_from_spec(spec: str, store: str | None = None) -> Graph:
     ``road:RxC`` (road network grid), ``power:N`` (power law),
     ``social:N`` (labeled social graph). ``store`` selects the backing
     storage ("dict"/"csr"); fragments built from the graph inherit it.
+    A size that is not a positive integer (or too small for the
+    generator) is a :class:`~repro.errors.GraphError`.
     """
-    from repro.errors import GrapeError
+    from repro.errors import GrapeError, GraphError
+
+    def size(text: str) -> int:
+        n = int(text) if text.isdecimal() else 0
+        if n <= 0:
+            raise ValueError(f"{text!r} is not a positive integer")
+        return n
 
     kind, _, arg = spec.partition(":")
-    if kind == "road":
-        rows, _, cols = arg.partition("x")
-        return road_network(int(rows), int(cols or rows), store=store)
-    if kind == "power":
-        return power_law(int(arg or 1000), store=store)
-    if kind == "social":
-        return labeled_social(int(arg or 500), store=store)
+    try:
+        if kind == "road":
+            rows, _, cols = arg.partition("x")
+            return road_network(size(rows), size(cols or rows), store=store)
+        if kind == "power":
+            return power_law(size(arg or "1000"), store=store)
+        if kind == "social":
+            return labeled_social(size(arg or "500"), store=store)
+    except ValueError as exc:
+        raise GraphError(
+            f"bad graph spec {spec!r}: {exc}; use road:RxC, power:N or "
+            "social:N"
+        ) from exc
     raise GrapeError(
         f"unknown graph spec {spec!r}; use road:RxC, power:N or social:N"
     )

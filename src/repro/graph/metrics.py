@@ -1,4 +1,4 @@
-"""Structural graph metrics used by experiments and the load balancer."""
+"""Structural graph metrics used by experiments and partition reports."""
 
 from __future__ import annotations
 

@@ -1,43 +1,24 @@
 """A directory-backed simulated distributed file system.
 
-Files live under ``root/<namespace>/...`` with block-level accounting:
-each write records the number of blocks (for replication/IO statistics)
-and the DFS reports usage like a real HDFS namenode would. Only the
-interface the engine needs is implemented: put/get bytes, JSON
-round-trip, listing and deletion.
+Files live under ``root/<namespace>/...``. Only the interface the
+engine needs is implemented: put/get bytes, JSON round-trip, listing
+and deletion.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import StorageError
 
 
-@dataclass(frozen=True)
-class DFSFileInfo:
-    """Metadata of one stored file."""
-
-    path: str
-    size: int
-    blocks: int
-
-
 class SimulatedDFS:
     """Minimal DFS facade over a local directory tree."""
 
-    def __init__(
-        self,
-        root: str | Path,
-        block_size: int = 64 * 1024,
-        replication: int = 3,
-    ) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.block_size = block_size
-        self.replication = replication
 
     def _resolve(self, path: str) -> Path:
         clean = path.strip("/")
@@ -45,23 +26,22 @@ class SimulatedDFS:
             raise StorageError(f"invalid DFS path {path!r}")
         return self.root / clean
 
-    def put(self, path: str, data: bytes) -> DFSFileInfo:
+    def put(self, path: str, data: bytes) -> None:
         """Write ``data`` to ``path``, creating parents."""
         target = self._resolve(path)
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(data)
-        return self.info(path)
 
     def get(self, path: str) -> bytes:
-        """Value for ``v`` (or ``default``)."""
+        """Bytes stored at ``path`` (StorageError if absent)."""
         target = self._resolve(path)
         if not target.is_file():
             raise StorageError(f"DFS file not found: {path}")
         return target.read_bytes()
 
-    def put_json(self, path: str, obj: object) -> DFSFileInfo:
+    def put_json(self, path: str, obj: object) -> None:
         """Write ``obj`` as JSON to ``path``."""
-        return self.put(path, json.dumps(obj).encode("utf-8"))
+        self.put(path, json.dumps(obj).encode("utf-8"))
 
     def get_json(self, path: str) -> object:
         """Read and parse JSON from ``path``."""
@@ -85,22 +65,3 @@ class SimulatedDFS:
         if not target.is_dir():
             return []
         return sorted(p.name for p in target.iterdir())
-
-    def info(self, path: str) -> DFSFileInfo:
-        """Size/block metadata of ``path`` (StorageError if absent)."""
-        target = self._resolve(path)
-        if not target.is_file():
-            raise StorageError(f"DFS file not found: {path}")
-        size = target.stat().st_size
-        blocks = max(1, -(-size // self.block_size))
-        return DFSFileInfo(path=path, size=size, blocks=blocks)
-
-    def total_bytes(self) -> int:
-        """Logical bytes stored (excluding simulated replication)."""
-        return sum(
-            p.stat().st_size for p in self.root.rglob("*") if p.is_file()
-        )
-
-    def physical_bytes(self) -> int:
-        """Bytes a real cluster would hold, including replication."""
-        return self.total_bytes() * self.replication

@@ -15,6 +15,7 @@ from repro.engineapi.session import Session
 from repro.errors import QueryError, RegistryError
 from repro.graph.digraph import Graph
 from repro.graph.generators import road_network
+from repro.service.service import canonical_answer_bytes
 
 
 # ------------------------------------------------------------- registry
@@ -61,6 +62,25 @@ def test_session_repartition_invalidates():
     assert session.fragmented is not first
     assert session.fragmented.num_fragments == 4
     assert session.partitioner.name == "bfs"
+
+    # A live worker pool owns copies of the old fragments: repartition
+    # must retire it, and the next run must answer from the new ones.
+    query = SSSPQuery(source=0)
+    live = Session(g, num_workers=2, partition="hash", backend="process")
+    try:
+        live.run(SSSPProgram(), query)
+        old_pool = list(live.backend._procs)
+        assert old_pool and all(p.is_alive() for p in old_pool)
+        live.repartition("multilevel", 3)
+        assert not any(p.is_alive() for p in old_pool)
+        again = live.run(SSSPProgram(), query)
+    finally:
+        live.close()
+    fresh = Session(g, num_workers=3, partition="multilevel")
+    assert live.fragmented.assignment == fresh.fragmented.assignment
+    assert canonical_answer_bytes(again.answer) == canonical_answer_bytes(
+        fresh.run(SSSPProgram(), query).answer
+    )
 
 
 def test_session_partition_report():
@@ -218,6 +238,10 @@ def test_cli_bad_graph_spec(capsys):
     rc = main(["run", "--graph", "torus:9", "--query", "cc"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+    # A known kind with a malformed size is the same typed error.
+    rc = main(["run", "--graph", "road:axb", "--query", "cc"])
+    assert rc == 2
+    assert "error: bad graph spec 'road:axb'" in capsys.readouterr().err
 
 
 def test_cli_run_updates_reports_repair(capsys, tmp_path):
@@ -286,25 +310,3 @@ def test_cli_compare(capsys):
     out = capsys.readouterr().out
     assert "GRAPE (PIE)" in out
     assert "Giraph" in out
-
-
-def test_session_from_catalog(tmp_path):
-    from repro.storage.catalog import Catalog
-    from repro.storage.dfs import SimulatedDFS
-    from repro.graph.fragment import build_fragments
-    from repro.partition.registry import get_partitioner
-
-    g = road_network(5, 5, seed=9)
-    catalog = Catalog(SimulatedDFS(tmp_path))
-    catalog.save_graph("road", g)
-    fragd = build_fragments(g, get_partitioner("bfs")(g, 3), 3, "bfs")
-    catalog.save_partition("road", "bfs3", fragd)
-
-    fresh = Session.from_catalog(catalog, "road", num_workers=2)
-    assert fresh.fragmented.num_fragments == 2
-
-    stored = Session.from_catalog(catalog, "road", partition_name="bfs3")
-    assert stored.num_workers == 3
-    assert stored.fragmented.assignment == fragd.assignment
-    result = stored.run(SSSPProgram(), SSSPQuery(source=0))
-    assert result.answer[0] == 0.0

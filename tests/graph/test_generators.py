@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.errors import GraphError
 from repro.graph.generators import (
     binary_tree,
     bipartite_ratings,
     complete_graph,
     cycle_graph,
     erdos_renyi,
+    graph_from_spec,
     labeled_social,
     path_graph,
     power_law,
@@ -171,3 +173,18 @@ def test_bipartite_ratings_per_user_count():
     for v in g.vertices():
         if g.vertex_label(v) == "user":
             assert g.out_degree(v) == 6
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["road:axb", "road:x5", "road", "social:abc", "power:3", "road:0x5",
+     "social:0"],
+)
+def test_graph_from_spec_rejects_bad_sizes(spec):
+    # Specs arrive from --graph and from serve traces: a malformed or
+    # non-positive size is a typed error naming the spec, never a bare
+    # ValueError and never a silently empty graph.
+    accepted = "road:RxC, power:N or social:N"
+    with pytest.raises(GraphError, match=accepted) as err:
+        graph_from_spec(spec)
+    assert repr(spec) in str(err.value)

@@ -1,6 +1,4 @@
-"""Integration: storage round-trips feed the engine; ablations hold."""
-
-import pytest
+"""Integration: fragment expansion and worker-count ablations hold."""
 
 from repro.algorithms.sssp import SSSPProgram, SSSPQuery
 from repro.algorithms.subiso import SubIsoProgram, SubIsoQuery
@@ -9,48 +7,6 @@ from repro.graph.digraph import Graph
 from repro.graph.fragment import build_fragments, expand_fragments
 from repro.graph.generators import labeled_social, road_network
 from repro.partition.registry import get_partitioner
-from repro.storage.balancer import LoadBalancer, WorkloadEstimate
-from repro.storage.catalog import Catalog
-from repro.storage.dfs import SimulatedDFS
-
-
-def test_query_on_reloaded_partition_matches(tmp_path):
-    """Save graph + partition to DFS, reload, run — identical answer."""
-    g = road_network(6, 6, seed=1)
-    fragd = build_fragments(g, get_partitioner("bfs")(g, 3), 3, "bfs")
-    catalog = Catalog(SimulatedDFS(tmp_path))
-    catalog.save_graph("road", g)
-    catalog.save_partition("road", "bfs3", fragd)
-
-    reloaded = catalog.load_partition("road", "bfs3")
-    fresh = GrapeEngine(fragd).run(SSSPProgram(), SSSPQuery(source=0))
-    again = GrapeEngine(reloaded).run(SSSPProgram(), SSSPQuery(source=0))
-    assert fresh.answer == again.answer
-
-
-def test_rebalanced_assignment_still_correct():
-    g = labeled_social(150, seed=2)
-    skewed = {v: (0 if i < 120 else 1) for i, v in enumerate(g.vertices())}
-    balanced = LoadBalancer(tolerance=1.1).rebalance(g, skewed, 2)
-    fragd = build_fragments(g, balanced, 2, "rebalanced")
-    result = GrapeEngine(fragd).run(SSSPProgram(), SSSPQuery(source=0))
-    from repro.algorithms.sequential.dijkstra import INF, single_source
-
-    oracle = single_source(g, 0)
-    for v in g.vertices():
-        got = result.answer.get(v, INF)
-        assert got == pytest.approx(oracle[v]) or (
-            got == INF and oracle[v] == INF
-        )
-
-
-def test_rebalancing_reduces_makespan_estimate():
-    g = labeled_social(200, seed=3)
-    skewed = {v: (0 if i < 170 else 1) for i, v in enumerate(g.vertices())}
-    before = WorkloadEstimate.from_assignment(g, skewed, 2).imbalance
-    balanced = LoadBalancer(tolerance=1.05).rebalance(g, skewed, 2)
-    after = WorkloadEstimate.from_assignment(g, balanced, 2).imbalance
-    assert after < before
 
 
 def test_expansion_cost_grows_with_radius():

@@ -12,7 +12,6 @@ from repro.graph.io import (
     write_dimacs,
     write_edge_list,
 )
-from repro.storage.compression import decode_graph, encode_graph
 
 SLOW = settings(
     max_examples=25,
@@ -22,12 +21,11 @@ SLOW = settings(
 
 
 @st.composite
-def int_graph(draw, weighted=True, labels=False):
+def int_graph(draw, weighted=True):
     n = draw(st.integers(1, 12))
     g = Graph()
     for v in range(n):
-        label = draw(st.sampled_from(["a", "b", None])) if labels else None
-        g.add_vertex(v, label=label)
+        g.add_vertex(v)
     m = draw(st.integers(0, 2 * n))
     for _ in range(m):
         u = draw(st.integers(0, n - 1))
@@ -90,12 +88,3 @@ def test_dimacs_roundtrip_shifted_ids(g):
         write_dimacs(shifted, path)
         back = read_dimacs(path)
         assert _same_structure(shifted, back)
-
-
-@SLOW
-@given(int_graph(labels=True))
-def test_compressed_roundtrip(g):
-    back = decode_graph(encode_graph(g))
-    assert _same_structure(g, back)
-    for v in g.vertices():
-        assert back.vertex_label(v) == g.vertex_label(v)

@@ -1,32 +1,18 @@
-"""Unit tests for the storage layer: DFS, serializer, catalog, indexes,
-load balancer."""
+"""Unit tests for the storage layer: DFS and indexes."""
 
 import pytest
 
 from repro.errors import StorageError
-from repro.graph.digraph import Graph
-from repro.graph.fragment import build_fragments
 from repro.graph.generators import labeled_social, power_law
-from repro.partition.registry import get_partitioner
-from repro.storage.balancer import LoadBalancer, WorkloadEstimate
-from repro.storage.catalog import Catalog
 from repro.storage.dfs import SimulatedDFS
 from repro.storage.index import DegreeIndex, IndexManager, LabelIndex
-from repro.storage.serializer import (
-    fragment_from_dict,
-    fragment_to_dict,
-    fragmented_from_dict,
-    fragmented_to_dict,
-)
 
 
 # ----------------------------------------------------------------- dfs
 def test_dfs_put_get_roundtrip(tmp_path):
     dfs = SimulatedDFS(tmp_path)
-    info = dfs.put("a/b/file.bin", b"hello")
+    dfs.put("a/b/file.bin", b"hello")
     assert dfs.get("a/b/file.bin") == b"hello"
-    assert info.size == 5
-    assert info.blocks == 1
 
 
 def test_dfs_json_roundtrip(tmp_path):
@@ -39,8 +25,6 @@ def test_dfs_missing_file_raises(tmp_path):
     dfs = SimulatedDFS(tmp_path)
     with pytest.raises(StorageError):
         dfs.get("nope")
-    with pytest.raises(StorageError):
-        dfs.info("nope")
 
 
 def test_dfs_path_traversal_rejected(tmp_path):
@@ -66,88 +50,6 @@ def test_dfs_listdir(tmp_path):
     dfs.put("d/b", b"2")
     assert dfs.listdir("d") == ["a", "b"]
     assert dfs.listdir("missing") == []
-
-
-def test_dfs_block_accounting(tmp_path):
-    dfs = SimulatedDFS(tmp_path, block_size=4)
-    info = dfs.put("f", b"123456789")
-    assert info.blocks == 3
-
-
-def test_dfs_replication_accounting(tmp_path):
-    dfs = SimulatedDFS(tmp_path, replication=3)
-    dfs.put("f", b"12345")
-    assert dfs.total_bytes() == 5
-    assert dfs.physical_bytes() == 15
-
-
-# ----------------------------------------------------------- serializer
-def _fragd():
-    g = labeled_social(40, seed=1)
-    assignment = get_partitioner("hash")(g, 3)
-    return build_fragments(g, assignment, 3, "hash")
-
-
-def test_fragment_dict_roundtrip():
-    fragd = _fragd()
-    for frag in fragd.fragments:
-        back = fragment_from_dict(fragment_to_dict(frag))
-        assert back.fid == frag.fid
-        assert back.owned == frag.owned
-        assert back.mirrors == frag.mirrors
-        assert back.inner_border == frag.inner_border
-        assert back.graph.num_edges == frag.graph.num_edges
-
-
-def test_fragmented_dict_roundtrip():
-    fragd = _fragd()
-    back = fragmented_from_dict(fragmented_to_dict(fragd))
-    assert back.assignment == fragd.assignment
-    assert back.strategy == fragd.strategy
-    assert back.cross_edges() == fragd.cross_edges()
-    assert back.known_by == fragd.known_by
-
-
-# -------------------------------------------------------------- catalog
-def test_catalog_graph_roundtrip(tmp_path):
-    catalog = Catalog(SimulatedDFS(tmp_path))
-    g = labeled_social(30, seed=2)
-    record = catalog.save_graph("social", g)
-    assert record.num_vertices == g.num_vertices
-    loaded = catalog.load_graph("social")
-    assert loaded.num_edges == g.num_edges
-    assert loaded.vertex_label(0) == "person"
-
-
-def test_catalog_partition_roundtrip(tmp_path):
-    catalog = Catalog(SimulatedDFS(tmp_path))
-    g = power_law(50, seed=3)
-    catalog.save_graph("pl", g)
-    fragd = build_fragments(g, get_partitioner("hash")(g, 2), 2, "hash")
-    catalog.save_partition("pl", "hash2", fragd)
-    loaded = catalog.load_partition("pl", "hash2")
-    assert loaded.assignment == fragd.assignment
-    (record,) = catalog.graphs()
-    assert record.partitions == ("hash2",)
-
-
-def test_catalog_missing_entries_raise(tmp_path):
-    catalog = Catalog(SimulatedDFS(tmp_path))
-    with pytest.raises(StorageError):
-        catalog.load_graph("ghost")
-    with pytest.raises(StorageError):
-        catalog.load_partition("ghost", "p")
-    g = power_law(20, seed=4)
-    fragd = build_fragments(g, get_partitioner("hash")(g, 2), 2)
-    with pytest.raises(StorageError):
-        catalog.save_partition("ghost", "p", fragd)
-
-
-def test_catalog_drop_graph(tmp_path):
-    catalog = Catalog(SimulatedDFS(tmp_path))
-    catalog.save_graph("g", power_law(20, seed=5))
-    catalog.drop_graph("g")
-    assert catalog.graphs() == []
 
 
 # --------------------------------------------------------------- index
@@ -176,51 +78,3 @@ def test_index_manager_caches_per_graph():
     assert a is b
     mgr.invalidate(g)
     assert mgr.label_index(g) is not a
-
-
-# ------------------------------------------------------------- balancer
-def test_workload_estimate_imbalance():
-    est = WorkloadEstimate((1.0, 3.0))
-    assert est.imbalance == pytest.approx(1.5)
-    assert WorkloadEstimate(()).imbalance == 1.0
-
-
-def test_workload_from_assignment():
-    g = Graph()
-    g.add_edge(0, 1)
-    g.add_edge(0, 2)
-    est = WorkloadEstimate.from_assignment(g, {0: 0, 1: 1, 2: 1}, 2)
-    assert est.loads[0] == pytest.approx(3.0)  # 1 vertex + 2 edges
-    assert est.loads[1] == pytest.approx(2.0)
-
-
-def test_workload_from_measured():
-    est = WorkloadEstimate.from_measured({0: 2.0, 1: 1.0}, 3)
-    assert est.loads == (2.0, 1.0, 0.0)
-
-
-def test_balancer_improves_skewed_assignment():
-    g = power_law(120, seed=9)
-    skewed = {v: (0 if i < 100 else 1) for i, v in enumerate(g.vertices())}
-    balancer = LoadBalancer(tolerance=1.05)
-    improved = balancer.rebalance(g, skewed, 2)
-    before = WorkloadEstimate.from_assignment(g, skewed, 2).imbalance
-    after = WorkloadEstimate.from_assignment(g, improved, 2).imbalance
-    assert after < before
-    assert set(improved) == set(g.vertices())
-
-
-def test_balancer_leaves_balanced_alone():
-    g = power_law(80, seed=10)
-    assignment = get_partitioner("multilevel")(g, 2)
-    balancer = LoadBalancer(tolerance=1.5)
-    assert balancer.rebalance(g, assignment, 2) == assignment
-
-
-def test_balancer_respects_max_moves():
-    g = power_law(100, seed=11)
-    skewed = {v: 0 for v in g.vertices()}
-    # all on worker 0 of 2: everything should want to move, cap at 5
-    out = LoadBalancer(tolerance=1.0).rebalance(g, skewed, 2, max_moves=5)
-    moved = sum(1 for v in g.vertices() if out[v] != 0)
-    assert moved <= 5
