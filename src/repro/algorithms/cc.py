@@ -7,6 +7,13 @@ propagates lowered labels by BFS, bounded by the relabeled region. At
 the fixed point every vertex holds the minimum id of its *global*
 component; Assemble min-merges partial labelings.
 
+Deletions are triaged in ``delta_seeds``: an edge whose endpoints are
+still connected in the (already mutated) local graph cannot have split
+a component and seeds nothing — one union-find pass over the fragment
+per batch that holds a delete, no structure kept between batches (a
+replacement-edge structure, if one is ever worth its upkeep, belongs in
+the partial answer, not on the program object).
+
 Vertex ids must be totally ordered (all bundled generators use ints).
 """
 
@@ -18,63 +25,16 @@ from typing import Hashable, Sequence
 from repro.algorithms.sequential.cc_seq import (
     connected_components,
     incremental_min_labels,
+    local_connectivity,
 )
 from repro.core.aggregators import MIN
 from repro.core.pie import ParamSpec, PIEProgram
 from repro.core.update_params import UpdateParams
 from repro.graph.fragment import Fragment
-from repro.utils.dsu import DisjointSet
 
 VertexId = Hashable
 
 Partial = dict  # vertex -> smallest known component label
-
-
-def _canon(u: VertexId, v: VertexId) -> tuple:
-    """Canonical undirected key for an edge (order-insensitive)."""
-    return (u, v) if repr(u) <= repr(v) else (v, u)
-
-
-class _SpanForest:
-    """Spanning forest of one fragment's local graph, for deletion triage.
-
-    A deleted edge that is *off* a spanning forest of the current local
-    graph cannot split any local component — every forest edge still
-    exists, so its endpoints stay connected. ``delta_seeds`` uses this to
-    return an empty seed set (hence an empty invalidated region) for
-    such deletions instead of relabeling whole components.
-
-    The forest is pure derived state: it can always be rebuilt from the
-    fragment graph, and ``delta_seeds`` does exactly that whenever the
-    maintained copy cannot certify a batch (unknown endpoint, or a tree
-    edge was deleted). That keeps seed sets a function of the mutated
-    graph alone, so the process backend — whose workers receive a fresh
-    program copy on resume and hold no forest — computes byte-identical
-    seeds to the simulator.
-    """
-
-    def __init__(self, graph) -> None:
-        self.dsu = DisjointSet(graph.vertices())
-        self.tree: set[tuple] = set()
-        for edge in graph.edges():
-            if self.dsu.union(edge.src, edge.dst):
-                self.tree.add(_canon(edge.src, edge.dst))
-
-    def insert(self, u: VertexId, v: VertexId) -> None:
-        """Maintain the forest across an edge insertion."""
-        if self.dsu.union(u, v):
-            self.tree.add(_canon(u, v))
-
-    def survives(self, u: VertexId, v: VertexId) -> bool:
-        """True if deleting (u, v) provably leaves the forest intact."""
-        return (
-            u in self.dsu
-            and v in self.dsu
-            and _canon(u, v) not in self.tree
-        )
-
-    def connected(self, u: VertexId, v: VertexId) -> bool:
-        return u in self.dsu and v in self.dsu and self.dsu.connected(u, v)
 
 
 @dataclass(frozen=True)
@@ -87,11 +47,6 @@ class CCProgram(PIEProgram[CCQuery, Partial, dict]):
 
     name = "cc"
 
-    def __init__(self) -> None:
-        #: fid -> spanning forest of that fragment's local graph (see
-        #: :class:`_SpanForest`); derived state, rebuilt on demand.
-        self._forests: dict[int, _SpanForest] = {}
-
     def param_spec(self, query: CCQuery) -> ParamSpec:
         # None = "no label yet"; the first concrete label always wins.
         return ParamSpec(aggregator=MIN, default=None)
@@ -100,7 +55,6 @@ class CCProgram(PIEProgram[CCQuery, Partial, dict]):
         self, fragment: Fragment, query: CCQuery, params: UpdateParams
     ) -> Partial:
         labels = connected_components(fragment.graph)
-        self._forests[fragment.fid] = _SpanForest(fragment.graph)
         params.charge(len(labels))
         for v in fragment.border:
             params.improve(v, labels[v])
@@ -128,9 +82,9 @@ class CCProgram(PIEProgram[CCQuery, Partial, dict]):
         """Connectivity ignores weights: only deletions are unsafe.
 
         Deletions still route through the invalidate path, but
-        :meth:`delta_seeds` consults a per-fragment spanning forest to
-        prove most of them harmless (off-forest delete -> empty region);
-        classification itself cannot, because it sees no fragment.
+        :meth:`delta_seeds` proves most of them harmless (endpoints
+        still locally connected -> empty region); classification itself
+        cannot, because it sees no fragment.
         """
         return op.kind != "delete"
 
@@ -152,16 +106,9 @@ class CCProgram(PIEProgram[CCQuery, Partial, dict]):
         and repaired via :meth:`repair_partial`.
         """
         decreased: dict[VertexId, VertexId] = {}
-        forest = self._forests.get(fragment.fid)
         for ins in delta:
             if ins.kind != "insert":
                 continue
-            if (
-                forest is not None
-                and ins.src in fragment.graph
-                and ins.dst in fragment.graph
-            ):
-                forest.insert(ins.src, ins.dst)
             if ins.dst in fragment.owned and ins.src not in fragment.owned:
                 # We own the target of a cross edge: the source side has
                 # a brand-new mirror of it — publish our current label so
@@ -199,30 +146,30 @@ class CCProgram(PIEProgram[CCQuery, Partial, dict]):
     def delta_seeds(
         self, fragment: Fragment, query: CCQuery, partial: Partial, ops
     ) -> set:
-        """Endpoints of deletions the spanning forest cannot absolve.
+        """Endpoints of deletions that may have split a local component.
 
         The batch is already applied to ``fragment.graph`` when this
         runs. A deletion whose endpoints are still locally connected
         cannot have split any local component, so it contributes no
         seeds — and a batch of such deletions yields an empty
-        invalidated region, skipping repair entirely. The maintained
-        forest certifies this in O(1) per op; if it cannot (never built
-        here, endpoint it has not seen, or a tree edge was deleted), it
-        is rebuilt from the mutated graph so the test is exact — and, by
-        construction, identical on every backend.
+        invalidated region, skipping repair entirely. Connectivity is
+        read off the mutated graph (one union-find pass per batch that
+        holds a delete), so the test is exact and a function of the
+        fragment alone — identical on every backend.
         """
         graph = fragment.graph
-        forest = self._forests.get(fragment.fid)
-        if forest is None or any(
-            op.kind == "delete" and not forest.survives(op.src, op.dst)
-            for op in ops
-        ):
-            forest = _SpanForest(graph)
-            self._forests[fragment.fid] = forest
+        dsu = None
         seeds: set = set()
         for op in ops:
-            if op.kind == "delete" and forest.connected(op.src, op.dst):
-                continue  # off-forest: local components unchanged
+            if op.kind == "delete":
+                if dsu is None:
+                    dsu = local_connectivity(graph)
+                if (
+                    op.src in dsu
+                    and op.dst in dsu
+                    and dsu.connected(op.src, op.dst)
+                ):
+                    continue  # still connected: components unchanged
             for v in (op.src, op.dst):
                 if graph.has_vertex(v) or v in partial:
                     seeds.add(v)

@@ -22,7 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from repro.algorithms.sequential.kcore_seq import converge_h_index
+from repro.algorithms.sequential.kcore_seq import (
+    converge_h_index,
+    h_index_round,
+)
 from repro.core.aggregators import MIN
 from repro.core.pie import ParamSpec, PIEProgram
 from repro.core.update_params import UpdateParams
@@ -92,25 +95,7 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
             for p in fragment.graph.iter_neighbors(m)
             if p in partial
         }
-        external = self._external(fragment, params)
-        from repro.algorithms.sequential.kcore_seq import h_index_round
-
-        total_work = 0
-        while dirty:
-            changes, work = h_index_round(
-                fragment.graph, partial, external=external, vertices=dirty
-            )
-            total_work += work
-            if not changes:
-                break
-            partial.update(changes)
-            dirty = {
-                p
-                for v in changes
-                for p in fragment.graph.iter_neighbors(v)
-                if p in partial
-            }
-        params.charge(total_work)
+        self._settle(fragment, partial, params, dirty)
         self._export(fragment, partial, params)
         return partial
 
@@ -129,10 +114,9 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
     def _settle(
         self, fragment: Fragment, partial: Partial, params: UpdateParams,
         dirty: set,
-    ) -> int:
-        """Dirty-driven H-index rounds to the local fixed point."""
-        from repro.algorithms.sequential.kcore_seq import h_index_round
-
+    ) -> None:
+        """Dirty-driven H-index rounds to the local fixed point
+        (charged to ``params``)."""
         external = self._external(fragment, params)
         total_work = 0
         while dirty:
@@ -149,7 +133,7 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
                 for p in fragment.graph.iter_neighbors(v)
                 if p in partial
             }
-        return total_work
+        params.charge(total_work)
 
     def deletion_region(
         self, fragment: Fragment, partial: Partial, params: UpdateParams,
@@ -157,7 +141,7 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
     ) -> tuple[dict, set]:
         """Degree-threshold triage of deletion endpoints.
 
-        Mirrors CC's spanning-forest triage: prove most deletions
+        Mirrors CC's connectivity triage: prove most deletions
         harmless before seeding any recomputation. For each locally
         owned endpoint ``v`` with estimate ``k``:
 
@@ -229,8 +213,7 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
         for v, cap in caps.items():
             if partial[v] > cap:
                 partial[v] = cap
-        work = self._settle(fragment, partial, params, dirty)
-        params.charge(work)
+        self._settle(fragment, partial, params, dirty)
         self._export(fragment, partial, params)
         return partial
 
@@ -269,8 +252,7 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
                     1 for p in fragment.graph.iter_neighbors(v) if p != v
                 )
                 dirty.add(v)
-        work = self._settle(fragment, partial, params, dirty)
-        params.charge(work)
+        self._settle(fragment, partial, params, dirty)
         self._export(fragment, partial, params)
         return partial
 

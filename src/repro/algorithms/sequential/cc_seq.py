@@ -22,11 +22,17 @@ from repro.utils.dsu import DisjointSet
 VertexId = Hashable
 
 
-def connected_components(graph: Graph) -> dict[VertexId, VertexId]:
-    """Label each vertex with the min id in its weakly-connected component."""
+def local_connectivity(graph: Graph) -> DisjointSet:
+    """Union-find over ``graph``'s weakly-connected components."""
     dsu = DisjointSet(graph.vertices())
     for edge in graph.edges():
         dsu.union(edge.src, edge.dst)
+    return dsu
+
+
+def connected_components(graph: Graph) -> dict[VertexId, VertexId]:
+    """Label each vertex with the min id in its weakly-connected component."""
+    dsu = local_connectivity(graph)
     minimum: dict[VertexId, VertexId] = {}
     for v in graph.vertices():
         root = dsu.find(v)

@@ -6,7 +6,10 @@ to parameters are *monotonic* under a partial order. The engine cannot
 prove correctness of arbitrary plugged-in code, but it can watch every
 parameter write and check it advances along the aggregator's declared
 order — catching non-monotonic programs (for which termination is not
-guaranteed) the moment they misbehave.
+guaranteed) the moment they misbehave. The watching happens where the
+write happens (a :class:`WriteAudit` inside the worker's parameter
+store); what it saw rides the op reply to the engine's
+:class:`MonotonicityChecker`, so a run is checked on every backend.
 """
 
 from __future__ import annotations
@@ -48,31 +51,50 @@ class Violation:
 
 
 @dataclass
-class MonotonicityChecker:
-    """Observes parameter writes; records or raises on violations.
-
-    Attach per fragment via :meth:`observer`; the returned callable plugs
-    into :class:`~repro.core.update_params.UpdateParams` ``on_write``.
+class WriteAudit:
+    """One worker's half of the check: plain data inside its
+    :class:`~repro.core.update_params.UpdateParams`, armed by the engine
+    per run. Counts every accepted write, records (strict: raises on)
+    each one that moves against ``order``; :meth:`take` hands the tally
+    to the op reply, exactly as ``take_work`` hands over work units.
     """
+
+    fragment: int
+    strict: bool = True
+    writes: int = 0
+    violations: list[Violation] = field(default_factory=list)
+
+    def check(
+        self, order: PartialOrder, vertex: VertexId, old: object, new: object
+    ) -> None:
+        self.writes += 1
+        if not order.advances(old, new):
+            violation = Violation(self.fragment, vertex, old, new, order.name)
+            self.violations.append(violation)
+            if self.strict:
+                raise MonotonicityError(str(violation))
+
+    def take(self) -> tuple[int, list[Violation]]:
+        """Return and clear ``(writes, violations)`` since the last call."""
+        tally = (self.writes, self.violations)
+        self.writes, self.violations = 0, []
+        return tally
+
+
+@dataclass
+class MonotonicityChecker:
+    """The engine's half: one per checked run, summing the tallies the
+    workers' :class:`WriteAudit` s send home on every op reply."""
 
     order: PartialOrder
     strict: bool = True
     violations: list[Violation] = field(default_factory=list)
     writes_seen: int = 0
 
-    def observer(self, fragment_id: int):
-        """Build the on_write callback for one fragment."""
-        def on_write(vertex: VertexId, old: object, new: object) -> None:
-            self.writes_seen += 1
-            if not self.order.advances(old, new):
-                violation = Violation(
-                    fragment_id, vertex, old, new, self.order.name
-                )
-                self.violations.append(violation)
-                if self.strict:
-                    raise MonotonicityError(str(violation))
-
-        return on_write
+    def absorb(self, tally: tuple[int, list[Violation]]) -> None:
+        """Book one op reply's :meth:`WriteAudit.take`."""
+        self.writes_seen += tally[0]
+        self.violations.extend(tally[1])
 
     @property
     def ok(self) -> bool:

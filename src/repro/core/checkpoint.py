@@ -13,9 +13,10 @@ under the aggregate function, so the fixed point re-converges without
 having captured in-flight messages — the reason checkpoint-at-barrier
 is so cheap for this model.
 
-Snapshots use pickle (trusted local storage, not a wire format); the
-monotonicity checker's observers are dropped across a snapshot
-(re-attachable via a fresh engine if needed).
+Snapshots use pickle (trusted local storage, not a wire format). They
+carry no trace of whether the run that wrote them was checked: the
+monotonicity audit belongs to the engine that installs a state, which
+arms it (or not) from its own ``check_monotonic`` on every reload.
 """
 
 from __future__ import annotations

@@ -119,8 +119,9 @@ class GrapeEngine:
         fragmented: the partitioned graph (one fragment per worker).
         cost_model: simulated-cluster performance parameters.
         check_monotonic: verify every parameter write against the
-            aggregator's partial order (strict: raise on violation);
-            requires the simulated backend.
+            aggregator's partial order (strict: raise on violation) —
+            on every backend and every kind of run; the result's
+            ``checker`` reports what that run saw.
         max_supersteps: fixed-point cap for non-monotonic programs.
         routing: ``"coordinator"`` (paper default) or ``"direct"``.
         mode: ``"strict"`` (BSP lockstep, default) or ``"relaxed"`` —
@@ -180,11 +181,6 @@ class GrapeEngine:
                 "backend was built over a different FragmentedGraph than "
                 "this engine's"
             )
-        if check_monotonic and not backend.supports_observers:
-            raise ProgramError(
-                f"check_monotonic requires the simulated backend; the "
-                f"{backend.name!r} backend cannot host write observers"
-            )
         self.fragmented = fragmented
         self.cost_model = cost_model or CostModel()
         self.mode = mode
@@ -224,16 +220,8 @@ class GrapeEngine:
         """
         cluster, supervisor = self._start_run("grape", program, query, faults)
         n = cluster.num_workers
-        spec = program.param_spec(query)
-        checker: MonotonicityChecker | None = None
-        observers = None
-        if self.check_monotonic:
-            checker = MonotonicityChecker(
-                order=spec.aggregator.order, strict=self.strict_monotonic
-            )
-            observers = [checker.observer(wid) for wid in range(n)]
 
-        self.backend.bind(program, query, observers)
+        self.backend.bind(program, query, self._audit)
 
         # ---------------- Superstep 0: PEval ----------------
         # Transient failures are retried in place; a fatal loss here
@@ -245,7 +233,7 @@ class GrapeEngine:
 
         # ---------------- IncEval rounds ----------------
         rounds = self._fixpoint(
-            cluster, program, query, checkpoint, supervisor, checker
+            cluster, program, query, checkpoint, supervisor
         )
 
         answer = self._assemble(cluster, program, query, supervisor)
@@ -257,7 +245,7 @@ class GrapeEngine:
             answer=answer,
             metrics=cluster.metrics,
             rounds=rounds,
-            checker=checker,
+            checker=supervisor.checker,
             state=state,
         )
 
@@ -336,7 +324,7 @@ class GrapeEngine:
         if touched is None:
             touched = self.apply_delta(delta)
 
-        self.backend.resume(program, query, state)
+        self.backend.resume(program, query, state, self._audit)
 
         # The delta can create fresh border vertices; their update
         # parameters are declared with the spec default before programs
@@ -423,6 +411,7 @@ class GrapeEngine:
             answer=answer,
             metrics=cluster.metrics,
             rounds=rounds,
+            checker=supervisor.checker,
             state=replace(
                 fresh, partials=state.partials, params=state.params
             ),
@@ -522,7 +511,10 @@ class GrapeEngine:
         """
         n = cluster.num_workers
         self.backend.invoke_all(
-            [WorkerCall(wid, "rebind_params") for wid in range(n)]
+            [
+                WorkerCall(wid, "rebind_params", {"audit": self._audit})
+                for wid in range(n)
+            ]
         )
         self._ship_step(
             cluster, supervisor, "peval",
@@ -556,7 +548,7 @@ class GrapeEngine:
             "grape-recover", program, query, faults
         )
 
-        self.backend.resume(program, query, state)
+        self.backend.resume(program, query, state, self._audit)
         self._reship_borders(cluster, supervisor)
 
         rounds = self._fixpoint(
@@ -572,6 +564,7 @@ class GrapeEngine:
             answer=answer,
             metrics=cluster.metrics,
             rounds=rounds,
+            checker=supervisor.checker,
             state=state,
         )
 
@@ -619,11 +612,18 @@ class GrapeEngine:
                     f"program's declared {spec.aggregator.name!r}"
                 )
 
+    @property
+    def _audit(self) -> bool | None:
+        """What every state-installing op is told about this engine's
+        monotonicity check: None = unchecked, else its strictness."""
+        return self.strict_monotonic if self.check_monotonic else None
+
     def _start_run(
         self, kind: str, program: PIEProgram, query, faults
     ) -> tuple[Cluster, Supervisor]:
         """Gate the run, then build its cluster (with the fault plan's
-        injector, if any) and the supervisor watching it.
+        injector, if any) and the supervisor watching it (with the run's
+        monotonicity checker, if the engine checks).
 
         The relaxed gate: stale reads re-converge to the same fixpoint
         only when values move one way along a partial order (the
@@ -631,8 +631,8 @@ class GrapeEngine:
         says whether they do — the order ``MonotonicityChecker`` holds
         every write to — so ``UNORDERED`` is refused and nothing else.
         """
+        aggregator = program.param_spec(query).aggregator
         if self.mode == "relaxed":
-            aggregator = program.param_spec(query).aggregator
             if aggregator.order is UNORDERED:
                 raise ProgramError(
                     f"mode='relaxed' requires an aggregator with a partial "
@@ -660,8 +660,16 @@ class GrapeEngine:
             measure_wall=self.backend.measures_wall,
             mode=self.mode,
         )
+        checker = None
+        if self.check_monotonic:
+            checker = MonotonicityChecker(
+                aggregator.order, self.strict_monotonic
+            )
         return cluster, Supervisor(
-            self.supervision, cluster.metrics.faults, tracer=self.tracer
+            self.supervision,
+            cluster.metrics.faults,
+            tracer=self.tracer,
+            checker=checker,
         )
 
     def _fixpoint(
@@ -671,7 +679,6 @@ class GrapeEngine:
         query: Q,
         checkpoint,
         supervisor: Supervisor,
-        checker: MonotonicityChecker | None = None,
         done_rounds: int = 0,
     ) -> list[RoundInfo]:
         """Drive IncEval rounds to the fixed point, healing fatal losses.
@@ -706,7 +713,7 @@ class GrapeEngine:
                 if not failure.fatal:
                     raise
                 self._recover(
-                    cluster, failure, checkpoint, guard, supervisor, checker
+                    cluster, failure, checkpoint, guard, supervisor
                 )
                 continue
             guard.record_round(shipped)
@@ -728,7 +735,6 @@ class GrapeEngine:
         checkpoint,
         guard: FixpointGuard,
         supervisor: Supervisor,
-        checker: MonotonicityChecker | None,
     ) -> None:
         """In-run recovery from a fatal worker loss mid-fixpoint."""
         aborted_round = guard.rounds + 1
@@ -763,12 +769,7 @@ class GrapeEngine:
                 rounds_lost=lost,
             )
         cluster.mpi.reset_in_flight()
-        self.backend.push_state(state.partials, state.params)
-        if checker is not None:
-            # Snapshots travel observer-less (pickle); re-arm the checker.
-            self.backend.attach_observers(
-                [checker.observer(wid) for wid in range(cluster.num_workers)]
-            )
+        self.backend.push_state(state.partials, state.params, self._audit)
         self._reship_borders(cluster, supervisor)
         supervisor.counters.recovery_supersteps += 1
 
@@ -801,12 +802,14 @@ class GrapeEngine:
         self, cluster: Cluster, supervisor: Supervisor, phase: str, calls
     ) -> None:
         """One barrier superstep: run ``calls``, book the work each
-        charged and ship what each changed."""
+        charged and the writes each audited, ship what each changed."""
         with cluster.superstep(phase) as step:
 
             def _done(wid: int, result) -> None:
-                changes, work = result
+                changes, work, audit = result
                 step.work(wid, work)
+                if audit is not None:
+                    supervisor.checker.absorb(audit)
                 if changes:
                     self._emit(step, wid, changes)
 
@@ -917,8 +920,10 @@ class GrapeEngine:
 
         def _shipped(wid: int, result) -> None:
             nonlocal shipped, applied, active
-            changed, changes, work = result
+            changed, changes, work, audit = result
             step.work(wid, work)
+            if audit is not None:
+                supervisor.checker.absorb(audit)
             applied += len(changed)
             if changed or was_active[wid]:
                 active += 1

@@ -25,6 +25,10 @@ across fragments or invisible to the engine. Everything a program hands
 the engine goes through its :class:`ParamSpec` and the ``params`` store
 it is called with — values via ``improve``/``set``, work units via
 ``params.charge(n)`` (read back as ``result.metrics.work("inceval")``).
+Every bundled program keeps to it: ``vars(program)`` is its constructor
+arguments before and after any run on any backend — ``{}`` for all but
+PageRank's ``total_vertices`` and Sim's index switch
+(``tests/core/test_pickle_contract.py``).
 """
 
 from __future__ import annotations

@@ -53,10 +53,14 @@ class Supervisor:
         policy: SupervisionPolicy,
         counters: FaultCounters,
         tracer=None,
+        checker=None,
     ) -> None:
         self.policy = policy
         self.counters = counters
         self.tracer = tracer
+        #: the run's :class:`~repro.core.assurance.MonotonicityChecker`
+        #: (None = unchecked); the engine books op replies' tallies here.
+        self.checker = checker
         self._recoveries = 0
 
     def attempt(self, step, worker: int, fn):

@@ -10,13 +10,15 @@ Messages are "automatically generated from update parameters": the engine
 simply calls :meth:`consume_changes` after PEval/IncEval and ships the
 result — user algorithms never construct messages, matching the paper's
 claim that declarations are the only addition to sequential code. Work
-accounting rides the same store: programs :meth:`charge`, the engine
-books :meth:`take_work` to the superstep.
+accounting and the monotonicity audit ride the same store: programs
+:meth:`charge`, writes are tallied by :attr:`audit` when the engine
+armed one, and the engine books :meth:`take_work` / :meth:`take_audit`
+from each op reply.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from repro.core.aggregators import Aggregator
 from repro.errors import ProgramError
@@ -30,26 +32,23 @@ class UpdateParams:
     Args:
         aggregator: conflict-resolution function + its partial order.
         default: initial value of every declared variable (e.g. ∞).
-        on_write: optional observer ``(vertex, old, new)`` invoked on
-            every accepted change — the assurance checker hooks in here.
     """
 
     #: Work units charged since the last :meth:`take_work`. Belongs to
     #: the running superstep, not the store: pickles do not carry it.
     _work = 0
+    #: The running engine's :class:`~repro.core.assurance.WriteAudit`
+    #: (None = unchecked). Set by the bind/resume/set_state ops from the
+    #: engine's own ``check_monotonic``; belongs to the run, not the
+    #: store: pickles do not carry it.
+    audit = None
 
-    def __init__(
-        self,
-        aggregator: Aggregator,
-        default: object,
-        on_write: Callable[[VertexId, object, object], None] | None = None,
-    ) -> None:
+    def __init__(self, aggregator: Aggregator, default: object) -> None:
         self.aggregator = aggregator
         self.default = default
         self._values: dict[VertexId, object] = {}
         self._declared: set[VertexId] = set()
         self._changed: set[VertexId] = set()
-        self._on_write = on_write
 
     # ------------------------------------------------------------------
     # Declaration
@@ -102,8 +101,8 @@ class UpdateParams:
         old = self._values.get(v, self.default)
         if old == value:
             return False
-        if self._on_write is not None:
-            self._on_write(v, old, value)
+        if self.audit is not None:
+            self.audit.check(self.aggregator.order, v, old, value)
         self._values[v] = value
         self._changed.add(v)
         return True
@@ -142,7 +141,7 @@ class UpdateParams:
 
         Non-monotone repair cannot trust values that depended on a
         deleted edge, so the engine resets the invalidated region before
-        re-deriving it. Resets bypass the monotonicity observer (they
+        re-deriving it. Resets bypass the monotonicity audit (they
         move *against* the partial order by design) and clear any
         pending change mark — the repair republishes whatever it
         re-derives. Returns how many variables actually changed.
@@ -185,8 +184,8 @@ class UpdateParams:
         resolved = self.aggregator.resolve(old, value)
         if resolved == old:
             return False
-        if self._on_write is not None:
-            self._on_write(v, old, resolved)
+        if self.audit is not None:
+            self.audit.check(self.aggregator.order, v, old, resolved)
         self._values[v] = resolved
         return True
 
@@ -202,29 +201,23 @@ class UpdateParams:
         work, self._work = self._work, 0
         return work
 
+    def take_audit(self) -> tuple | None:
+        """Return and clear the audit's ``(writes, violations)`` since
+        the last call; None when the run is unchecked."""
+        return None if self.audit is None else self.audit.take()
+
     def snapshot(self) -> dict[VertexId, object]:
         """Copy of all current values (for tests and tracing)."""
         return dict(self._values)
 
-    def attach_observer(
-        self, on_write: Callable[[VertexId, object, object], None] | None
-    ) -> None:
-        """(Re-)attach a write observer.
-
-        Observers are closures and do not survive pickling, so states
-        reloaded from a checkpoint come back observer-less; the engine
-        re-attaches the monotonicity checker here after recovery.
-        """
-        self._on_write = on_write
-
     # ------------------------------------------------------------------
-    # Pickling (checkpoints): observers are closures and cannot travel;
-    # pending work stays with the superstep that did it.
+    # Pickling (checkpoints): pending work and the audit stay with the
+    # run that owns them.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_on_write"] = None
         state.pop("_work", None)
+        state.pop("audit", None)
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -1,20 +1,16 @@
 """Graph substrate: property digraph, IO, generators, fragments, metrics."""
 
 from repro.graph.digraph import Edge, Graph
-from repro.graph.builder import GraphBuilder
 from repro.graph.fragment import Fragment, FragmentedGraph, build_fragments
-from repro.graph.properties import PropertyMap
 from repro.graph.store import STORES, DictStore, GraphStore, make_store
 from repro.graph.csr import CSRStore
 
 __all__ = [
     "Edge",
     "Graph",
-    "GraphBuilder",
     "Fragment",
     "FragmentedGraph",
     "build_fragments",
-    "PropertyMap",
     "GraphStore",
     "DictStore",
     "CSRStore",

@@ -4,8 +4,7 @@ Two interchangeable substrates behind one
 :class:`~repro.runtime.backends.base.ExecutionBackend` contract:
 
 * ``simulated`` — today's in-process virtual-time cluster (the
-  deterministic oracle; supports fault injection and the monotonicity
-  checker);
+  deterministic oracle; the only one that supports fault injection);
 * ``process`` — a pool of OS worker processes, one per fragment, for
   measuring *actual* wall-clock speedup while producing byte-identical
   answers and metrics.

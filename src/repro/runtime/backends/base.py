@@ -27,7 +27,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.errors import ProgramError
 from repro.graph.fragment import FragmentedGraph
 
 
@@ -58,9 +57,6 @@ class ExecutionBackend(abc.ABC):
     #: True when supersteps run on real OS parallelism and clusters
     #: should record wall-clock per-superstep timings (``wall_ms``).
     measures_wall: bool = False
-    #: True when worker state is in-process and may carry live observer
-    #: callbacks (monotonicity checker) and fault injection.
-    supports_observers: bool = False
     #: True when the deterministic fault injector can interpose on
     #: worker compute (requires in-process workers).
     supports_faults: bool = False
@@ -124,31 +120,24 @@ class ExecutionBackend(abc.ABC):
         """Release worker resources; the backend is unusable after."""
 
     # ------------------------------------------------------------------
-    # Engine-facing helpers built on the primitives
+    # Engine-facing helpers built on the primitives. ``audit`` is the
+    # engine's monotonicity check for this run: None = unchecked, else
+    # its strictness (see ``ops._install``).
     # ------------------------------------------------------------------
-    def bind(self, program, query, observers=None) -> None:
+    def bind(self, program, query, audit=None) -> None:
         """Install a program + fresh parameter stores on every worker."""
-        if observers is not None and not self.supports_observers:
-            raise ProgramError(
-                f"the {self.name!r} backend cannot host monotonicity "
-                "observers; use the simulated backend"
-            )
         self.invoke_all(
             [
                 WorkerCall(
                     wid,
                     "bind",
-                    {
-                        "program": program,
-                        "query": query,
-                        "observer": observers[wid] if observers else None,
-                    },
+                    {"program": program, "query": query, "audit": audit},
                 )
                 for wid in range(self.num_workers)
             ]
         )
 
-    def resume(self, program, query, state) -> None:
+    def resume(self, program, query, state, audit=None) -> None:
         """Install a program plus a prior run's per-worker state."""
         self.invoke_all(
             [
@@ -160,20 +149,25 @@ class ExecutionBackend(abc.ABC):
                         "query": query,
                         "partial": state.partials[wid],
                         "params": state.params[wid],
+                        "audit": audit,
                     },
                 )
                 for wid in range(self.num_workers)
             ]
         )
 
-    def push_state(self, partials: list, params: list) -> None:
+    def push_state(self, partials: list, params: list, audit=None) -> None:
         """Replace every worker's partial + parameter store (recovery)."""
         self.invoke_all(
             [
                 WorkerCall(
                     wid,
                     "set_state",
-                    {"partial": partials[wid], "params": params[wid]},
+                    {
+                        "partial": partials[wid],
+                        "params": params[wid],
+                        "audit": audit,
+                    },
                 )
                 for wid in range(self.num_workers)
             ]
@@ -200,10 +194,3 @@ class ExecutionBackend(abc.ABC):
             ]
         )
         return [results[wid][0] for wid in range(self.num_workers)]
-
-    def attach_observers(self, observers: list) -> None:
-        """Re-arm monotonicity observers after a state push (recovery)."""
-        raise ProgramError(
-            f"the {self.name!r} backend cannot host monotonicity "
-            "observers; use the simulated backend"
-        )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
+from repro.core.assurance import WriteAudit
 from repro.core.update_params import UpdateParams
 from repro.graph.fragment import Fragment, apply_fragment_effects
 
@@ -50,45 +51,52 @@ def probe_active(ctx: WorkerContext) -> bool:
     return bool(ctx.program.is_active(ctx.frag, ctx.partial))
 
 
+def _reply(ctx: WorkerContext) -> tuple:
+    """What every superstep op sends home: the changed parameters, the
+    work the program charged, and the audit's tally (None: unchecked)."""
+    store = ctx.params
+    return store.consume_changes(), store.take_work(), store.take_audit()
+
+
 # ----------------------------------------------------------------------
-# Lifecycle ops
+# Lifecycle ops. ``audit`` is the running engine's monotonicity check:
+# None = unchecked, else its strictness — armed afresh on every store a
+# run installs, never inherited from the store's history.
 # ----------------------------------------------------------------------
-def op_bind(ctx: WorkerContext, program, query, observer=None):
+def _install(ctx: WorkerContext, params: UpdateParams, audit) -> None:
+    params.audit = None if audit is None else WriteAudit(ctx.wid, audit)
+    ctx.params = params
+
+
+def op_bind(ctx: WorkerContext, program, query, audit=None):
     """Fresh run: bind the program and declare its update parameters."""
     ctx.program = program
     ctx.query = query
-    spec = program.param_spec(query)
-    store = UpdateParams(spec.aggregator, spec.default, observer)
-    program.declare_params(ctx.frag, query, store)
-    ctx.params = store
     ctx.partial = None
     ctx.started = False
-    return None
+    return op_rebind_params(ctx, audit)
 
 
-def op_rebind_params(ctx: WorkerContext):
+def op_rebind_params(ctx: WorkerContext, audit=None):
     """Full-restart fallback: fresh parameter store, partial kept."""
     spec = ctx.program.param_spec(ctx.query)
     store = UpdateParams(spec.aggregator, spec.default)
     ctx.program.declare_params(ctx.frag, ctx.query, store)
-    ctx.params = store
+    _install(ctx, store, audit)
     return None
 
 
-def op_resume(ctx: WorkerContext, program, query, partial, params):
+def op_resume(ctx: WorkerContext, program, query, partial, params, audit=None):
     """Incremental run: bind the program plus a prior run's state."""
     ctx.program = program
     ctx.query = query
-    ctx.partial = partial
-    ctx.params = params
-    ctx.started = True
-    return None
+    return op_set_state(ctx, partial, params, audit)
 
 
-def op_set_state(ctx: WorkerContext, partial, params):
+def op_set_state(ctx: WorkerContext, partial, params, audit=None):
     """Checkpoint recovery: replace state under the bound program."""
     ctx.partial = partial
-    ctx.params = params
+    _install(ctx, params, audit)
     ctx.started = True
     return None
 
@@ -108,14 +116,14 @@ def op_apply_effects(ctx: WorkerContext, records):
 
 
 # ----------------------------------------------------------------------
-# Superstep compute ops (each returns what the engine ships, then the
-# work units the program charged through ``params`` while computing it)
+# Superstep compute ops (each ends in ``_reply``: what the engine ships,
+# the work charged and the writes audited while computing it)
 # ----------------------------------------------------------------------
 def op_peval(ctx: WorkerContext):
     """Superstep 0: the program's sequential PEval over the fragment."""
     ctx.partial = ctx.program.peval(ctx.frag, ctx.query, ctx.params)
     ctx.started = True
-    return ctx.params.consume_changes(), ctx.params.take_work()
+    return _reply(ctx)
 
 
 def op_inceval(ctx: WorkerContext, payloads, locally_active):
@@ -134,7 +142,7 @@ def op_inceval(ctx: WorkerContext, payloads, locally_active):
         ctx.partial = ctx.program.inceval(
             ctx.frag, ctx.query, ctx.partial, ctx.params, changed
         )
-    return changed, ctx.params.consume_changes(), ctx.params.take_work()
+    return (changed, *_reply(ctx))
 
 
 def op_repair(ctx: WorkerContext, region):
@@ -142,7 +150,7 @@ def op_repair(ctx: WorkerContext, region):
     ctx.partial = ctx.program.repair_partial(
         ctx.frag, ctx.query, ctx.partial, ctx.params, set(region)
     )
-    return ctx.params.consume_changes(), ctx.params.take_work()
+    return _reply(ctx)
 
 
 def op_update(ctx: WorkerContext, ops):
@@ -150,7 +158,7 @@ def op_update(ctx: WorkerContext, ops):
     ctx.partial = ctx.program.on_graph_update(
         ctx.frag, ctx.query, ctx.partial, ctx.params, ops
     )
-    return ctx.params.consume_changes(), ctx.params.take_work()
+    return _reply(ctx)
 
 
 def op_seed_region(ctx: WorkerContext, ops):
@@ -174,7 +182,7 @@ def op_reship(ctx: WorkerContext):
     for v in store.declared:
         if store.get(v) != store.default:
             store.touch(v)
-    return store.consume_changes(), store.take_work()
+    return _reply(ctx)
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,10 @@ backend (the oracle property suite locks this down). Outside
 deterministic mode the reply carries real perf-counter seconds, which
 the cluster meters instead of parent wall time.
 
-Not supported here (simulator-only, by design): fault injection and the
-monotonicity checker's write observers — both need in-process workers.
+Not supported here (simulator-only, by design): fault injection, which
+needs in-process workers. The monotonicity audit runs worker-side like
+everything else: a strict violation raises where the write happens and
+comes home on the ``"err"`` reply.
 """
 
 from __future__ import annotations
@@ -104,7 +106,6 @@ class ProcessBackend(ExecutionBackend):
     """Real parallel execution on a pool of fragment-owning processes."""
 
     name = "process"
-    supports_observers = False
     supports_faults = False
 
     def __init__(

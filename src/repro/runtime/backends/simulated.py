@@ -2,8 +2,7 @@
 
 Worker contexts live in the engine's process and share the engine's
 :class:`~repro.graph.fragment.FragmentedGraph` objects, so ΔG routing
-needs no effect replay and the monotonicity checker's observers can
-hook parameter writes directly. Every superstep op runs under
+needs no effect replay. Every superstep op runs under
 :meth:`~repro.core.supervisor.Supervisor.attempt` — fault injection,
 transient retries, deterministic backoff and tracer compute spans all
 behave exactly as they did when the engine inlined these loops.
@@ -23,7 +22,6 @@ class SimulatedBackend(ExecutionBackend):
 
     name = "simulated"
     measures_wall = False
-    supports_observers = True
     supports_faults = True
 
     def __init__(self, fragmented: FragmentedGraph) -> None:
@@ -73,11 +71,6 @@ class SimulatedBackend(ExecutionBackend):
         # Workers share the engine's fragment objects; the coordinator's
         # apply_delta already mutated them.
         return None
-
-    def attach_observers(self, observers: list) -> None:
-        for wid, observer in enumerate(observers):
-            if observer is not None:
-                self._contexts[wid].params.attach_observer(observer)
 
     def close(self) -> None:
         return None

@@ -1,4 +1,4 @@
-"""Regression tests for CC's spanning-forest deletion triage.
+"""Regression tests for CC's local-connectivity deletion triage.
 
 A deleted edge whose endpoints remain locally connected cannot split a
 component, so ``CCProgram.delta_seeds`` must yield no seeds for it —
@@ -7,8 +7,12 @@ answer is byte-identical. A genuine bridge deletion must still route
 through the full invalidate-and-recompute path.
 """
 
-from repro.algorithms.cc import CCProgram, CCQuery, _SpanForest
-from repro.algorithms.sequential.cc_seq import connected_components
+from repro.algorithms.cc import CCProgram, CCQuery
+from repro.algorithms.sequential.cc_seq import (
+    connected_components,
+    local_connectivity,
+)
+from repro.core.delta import EdgeDelete
 from repro.core.engine import GrapeEngine
 from repro.graph.digraph import Graph
 from repro.graph.fragment import build_fragments
@@ -102,16 +106,28 @@ def test_forest_maintained_across_inserts():
     assert second.answer == connected_components(g)
 
 
-def test_span_forest_unit_certificates():
+def test_local_connectivity_unit_certificates():
     g = Graph(directed=False)
     for v in range(4):
         g.add_vertex(v)
     for u, v in [(0, 1), (1, 2), (2, 0)]:
         g.add_edge(u, v)
-    forest = _SpanForest(g)
-    assert len(forest.tree) == 2  # one cycle edge is off-forest
-    assert forest.connected(0, 2)
-    assert not forest.connected(0, 3)
-    assert not forest.survives(0, 9)  # unknown endpoint: no certificate
-    forest.insert(3, 0)
-    assert forest.connected(3, 1)
+    dsu = local_connectivity(g)
+    assert dsu.connected(0, 2)
+    assert not dsu.connected(0, 3)
+    assert 9 not in dsu  # unknown endpoint: no certificate
+    g.add_edge(3, 0)
+    assert local_connectivity(g).connected(3, 1)
+    # delta_seeds reads it off the already-mutated fragment: deleting a
+    # cycle edge seeds nothing, an unknown endpoint is never absolved.
+    _, fragd = _cycle_plus_tail()
+    frag, program = fragd.fragments[0], CCProgram()
+    partial = connected_components(frag.graph)
+    frag.graph.remove_edge(3, 0)
+    assert program.delta_seeds(
+        frag, CCQuery(), partial, [EdgeDelete(3, 0)]
+    ) == set()
+    assert program.delta_seeds(
+        frag, CCQuery(), partial, [EdgeDelete(0, 9)]
+    ) == {0}
+    assert vars(program) == {}

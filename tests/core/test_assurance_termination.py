@@ -1,44 +1,71 @@
 """Unit tests for the monotonicity checker and fixpoint guard."""
 
+import pickle
+
 import pytest
 
-from repro.core.assurance import MonotonicityChecker
+from repro.core.aggregators import MIN
+from repro.core.assurance import MonotonicityChecker, WriteAudit
 from repro.core.partial_order import DECREASING
+from repro.core.update_params import UpdateParams
 from repro.core.termination import FixpointGuard
 from repro.errors import EngineRuntimeError, MonotonicityError
 
 
+def _audited(fragment=0, strict=True):
+    """A MIN store with a declared vertex, audited as the engine arms it
+    (``ops._install``), and the engine-side checker its tallies feed."""
+    params = UpdateParams(MIN, None)
+    params.declare(["v", 1])
+    params.audit = WriteAudit(fragment, strict)
+    return params, MonotonicityChecker(order=DECREASING, strict=strict)
+
+
 def test_checker_accepts_monotone_writes():
-    checker = MonotonicityChecker(order=DECREASING)
-    observer = checker.observer(0)
-    observer(1, 10, 5)
-    observer(1, 5, 5)
+    params, checker = _audited()
+    params.set(1, 10)
+    params.apply_remote(1, 5)
+    params.set(1, 5)  # no change: not a write
+    checker.absorb(params.take_audit())
     assert checker.ok
     assert checker.writes_seen == 2
+    assert params.take_audit() == (0, [])  # taking clears
 
 
 def test_checker_strict_raises_on_violation():
-    checker = MonotonicityChecker(order=DECREASING, strict=True)
-    observer = checker.observer(3)
+    params, checker = _audited(fragment=3)
+    params.set("v", 1)
     with pytest.raises(MonotonicityError, match="fragment 3"):
-        observer("v", 1, 2)
+        params.set("v", 2)
+    checker.absorb(params.take_audit())
     assert not checker.ok
     assert checker.violations[0].vertex == "v"
 
 
 def test_checker_lenient_records_only():
-    checker = MonotonicityChecker(order=DECREASING, strict=False)
-    observer = checker.observer(0)
-    observer("v", 1, 2)
-    observer("v", 2, 9)
+    params, checker = _audited(strict=False)
+    params.set("v", 1)
+    params.set("v", 2)
+    params.set("v", 9)
+    checker.absorb(params.take_audit())
     assert len(checker.violations) == 2
     assert "1 -> 2" in str(checker.violations[0])
 
 
 def test_checker_none_old_value_legal():
-    checker = MonotonicityChecker(order=DECREASING)
-    checker.observer(0)("v", None, 100)
-    assert checker.ok
+    params, checker = _audited()
+    params.set("v", 100)  # old value None
+    checker.absorb(params.take_audit())
+    assert checker.ok and checker.writes_seen == 1
+
+
+def test_unarmed_store_audits_nothing_and_pickles_drop_the_audit():
+    params, _ = _audited()
+    params.set("v", 7)
+    clone = pickle.loads(pickle.dumps(params))
+    assert clone.audit is None and clone.take_audit() is None
+    assert "audit" not in clone.__dict__
+    assert params.take_audit() == (1, [])  # pickling reads, never takes
 
 
 def test_guard_counts_rounds():

@@ -132,3 +132,50 @@ def test_builtin_programs_roundtrip(name):
     # Aggregator declarations must survive too: they are module-level
     # named functions, never lambdas (the GRP501 contract).
     assert _roundtrip(vars(program)) is not None
+
+
+#: The programs with ΔG hooks; the other five run cold only.
+_DELTA_PROGRAMS = {"sssp", "bfs", "cc", "kcore"}
+
+
+@pytest.mark.parametrize("backend", ["simulated", "process"])
+@pytest.mark.parametrize("name", available_programs())
+def test_programs_hold_no_run_state(name, backend):
+    """A program object is a declaration: a cold run (plus a mixed ΔG
+    repair where the program has the hooks) leaves ``vars(program)`` at
+    its constructor arguments — ``{}`` for all but PageRank's
+    ``total_vertices`` and Sim's index switch — whichever side of a
+    process boundary computed."""
+    from repro.core.engine import GrapeEngine
+    from repro.engineapi.query import build_query
+    from repro.graph.fragment import expand_fragments
+    from repro.runtime.backends import make_backend
+    from tests.property.test_seam_matrix import _case
+
+    if name in _DELTA_PROGRAMS:
+        graph, kwargs = graph_from_spec("road:8x8"), {}
+        query = build_query(
+            name, **({"source": 0} if name in ("sssp", "bfs") else {})
+        )
+    else:
+        graph, kwargs, query = _case(name)
+    fragmented = build_fragments(
+        graph, get_partitioner("hash")(graph, 3), 3, strategy="hash"
+    )
+    if name == "subiso":
+        fragmented = expand_fragments(graph, fragmented, query.radius())
+    program = get_program(name, **kwargs)
+    declared = dict(vars(program))
+    assert set(declared) <= {"total_vertices", "use_index", "_index_manager"}
+    executor = make_backend(backend, fragmented)
+    engine = GrapeEngine(fragmented, backend=executor)
+    try:
+        cold = engine.run(program, query, keep_state=name in _DELTA_PROGRAMS)
+        if name in _DELTA_PROGRAMS:
+            edge = min((e.src, e.dst) for e in graph.edges())
+            delta = [("insert", 0, max(graph.vertices()), 0.5),
+                     ("delete", *edge)]
+            engine.run_incremental(program, query, cold.state, delta)
+    finally:
+        executor.close()
+    assert vars(program) == declared

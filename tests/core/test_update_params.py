@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.core.aggregators import MIN, SET_INTERSECT
+from repro.core.assurance import WriteAudit
 from repro.core.update_params import UpdateParams
 from repro.errors import ProgramError
 
@@ -103,13 +104,22 @@ def test_local_improvement_after_remote_is_shipped():
     assert params.consume_changes() == {1: 3.0}
 
 
-def test_on_write_observer_sees_all_writes():
+def test_audit_sees_all_writes():
+    class Seen(WriteAudit):
+        def check(self, order, vertex, old, new):
+            super().check(order, vertex, old, new)
+            seen.append((vertex, old, new))
+
     seen = []
-    params = UpdateParams(MIN, INF, on_write=lambda v, o, n: seen.append((v, o, n)))
+    params = make_store()
+    params.audit = Seen(fragment=0)
     params.declare([1])
     params.set(1, 5.0)
     params.apply_remote(1, 2.0)
+    params.apply_remote(1, 9.0)  # resolved away: no write
+    params.reset([1])  # resets bypass the audit by design
     assert seen == [(1, INF, 5.0), (1, 5.0, 2.0)]
+    assert params.take_audit() == (2, [])
 
 
 def test_snapshot_copies():

@@ -21,6 +21,7 @@ from repro.runtime.backends import (
 )
 from repro.runtime.costmodel import CostModel
 from repro.runtime.faults import FaultPlan
+from repro.service.service import canonical_answer_bytes
 
 
 @pytest.fixture(scope="module")
@@ -60,13 +61,24 @@ def test_engine_rejects_foreign_fragmentation(fragmented):
         GrapeEngine(fragmented, backend=backend)
 
 
-def test_process_backend_rejects_monotonicity_observers(fragmented):
-    backend = ProcessBackend(fragmented)
-    try:
-        with pytest.raises(ProgramError, match="simulated backend"):
-            GrapeEngine(fragmented, backend=backend, check_monotonic=True)
-    finally:
-        backend.close()
+def test_process_backend_monotonicity_check_equals_simulator(fragmented):
+    """The audit runs worker-side and rides the op reply home: same
+    answer bytes, same writes checked, same verdict."""
+    seen = {}
+    for name in BACKENDS:
+        backend = make_backend(name, fragmented)
+        engine = GrapeEngine(fragmented, backend=backend, check_monotonic=True)
+        try:
+            result = engine.run(SSSPProgram(), SSSPQuery(source=0))
+        finally:
+            backend.close()
+        seen[name] = (
+            canonical_answer_bytes(result.answer),
+            result.checker.writes_seen,
+            result.checker.ok,
+        )
+    assert seen["process"] == seen["simulated"]
+    assert seen["simulated"][1] > 0 and seen["simulated"][2]
 
 
 def test_process_backend_rejects_fault_injection(fragmented):

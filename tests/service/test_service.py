@@ -216,7 +216,7 @@ def test_standing_work_is_metered_and_programs_hold_no_state():
         name: service._standing[name].program for name in ("hub", "comp")
     }
     held = {name: set(vars(program)) for name, program in programs.items()}
-    assert held == {"hub": set(), "comp": {"_forests"}}
+    assert held == {"hub": set(), "comp": set()}
     repaired = {program.name: 0 for program in programs.values()}
     run_incremental = service._engine.run_incremental
 
