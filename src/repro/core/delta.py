@@ -141,17 +141,46 @@ class GraphDelta:
     def from_dict(cls, data: dict) -> "GraphDelta":
         """A delta from the JSON form used by traces and ``grape run``.
 
-        Keys (all optional): ``"insert"``: ``[[src, dst, weight?,
-        label?], ...]``, ``"delete"``: ``[[src, dst], ...]``,
-        ``"reweight"``: ``[[src, dst, weight], ...]``.
+        Keys (all optional, no others): ``"insert"``: ``[[src, dst,
+        weight?, label?], ...]``, ``"delete"``: ``[[src, dst], ...]``,
+        ``"reweight"``: ``[[src, dst, weight], ...]``. This is outside
+        input: any other shape raises :class:`~repro.errors.ProgramError`
+        naming the offending key or row.
         """
+        keys = " / ".join(map(repr, _KINDS))
+        if not isinstance(data, dict):
+            raise ProgramError(
+                f"a graph delta is a JSON object with keys {keys}; got "
+                f"{type(data).__name__}"
+            )
+        for key in data:
+            if key not in _KINDS:
+                raise ProgramError(
+                    f"unknown graph delta key {key!r}; expected {keys}"
+                )
         ops: list[DeltaOp] = []
-        for row in data.get("insert", []):
-            ops.append(_coerce_op(tuple(row)))
-        for row in data.get("delete", []):
-            ops.append(_coerce_op(("delete", *row)))
-        for row in data.get("reweight", []):
-            ops.append(_coerce_op(("reweight", *row)))
+        for kind in _KINDS:
+            rows = data.get(kind, [])
+            if not isinstance(rows, list):
+                raise ProgramError(
+                    f"graph delta key {kind!r} must hold a list of rows, "
+                    f"got {rows!r}"
+                )
+            for row in rows:
+                if not isinstance(row, (list, tuple)) or len(row) < 2:
+                    raise ProgramError(
+                        f"graph delta {kind!r} row {row!r} is not a "
+                        "[src, dst, ...] list"
+                    )
+                weight = row[2] if len(row) > 2 else None
+                if not isinstance(weight, (int, float, type(None))):
+                    raise ProgramError(
+                        f"graph delta {kind!r} row {row!r}: weight "
+                        f"{weight!r} is not a number"
+                    )
+                # insertions keep the untagged form's float() coercion
+                tagged = kind != "insert"
+                ops.append(_coerce_op((kind, *row) if tagged else tuple(row)))
         return cls(ops=tuple(ops))
 
     def __iter__(self) -> Iterator[DeltaOp]:

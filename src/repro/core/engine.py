@@ -13,8 +13,9 @@ Workflow (Fig. 1):
 
 Two routing modes are provided: ``"coordinator"`` (the paper's workflow,
 messages travel via P0) and ``"direct"`` (an extension mirroring
-libgrape-lite, where workers exchange parameters peer-to-peer and the
-coordinator only detects termination).
+libgrape-lite: workers send changed border values to the fragments
+hosting them and P0 nothing). Every message is a batch of update
+parameters; the run ends when none is pending and no worker is active.
 
 Execution backends: worker-local steps (PEval, IncEval, the ΔG repair
 hooks) are expressed as named ops and dispatched through an
@@ -69,10 +70,10 @@ from repro.runtime.metrics import RunMetrics
 
 VertexId = Hashable
 
-#: Superstep engine modes: ``"strict"`` is the BSP lockstep of the
-#: paper; ``"relaxed"`` runs the same direct-routing rounds against
-#: per-worker virtual clocks instead of a barrier (programs whose
-#: aggregator declares a partial order only; byte-identical answers).
+#: Superstep engine modes — a clock policy, nothing else: ``"strict"``
+#: is the BSP lockstep of the paper; ``"relaxed"`` executes strict
+#: direct routing's sends against per-worker virtual clocks instead of
+#: a barrier (programs whose aggregator declares a partial order only).
 MODES = ("strict", "relaxed")
 
 
@@ -134,10 +135,10 @@ class GrapeEngine:
             mode is restricted at bind time to programs whose declared
             aggregator carries a partial order (anything but
             ``UNORDERED`` — the Assurance Theorem's precondition, and
-            the declaration ``check_monotonic`` enforces per write); its
-            dataflow *is* strict ``routing="direct"``'s, so answers,
-            repair stats and checkpoints are byte-identical and only
-            virtual-time scheduling differs.
+            the declaration ``check_monotonic`` enforces per write). It
+            executes strict ``routing="direct"``'s sends in order, so
+            answers, traffic, repair stats, checkpoints and injected
+            faults are byte-identical; only virtual time differs.
         supervision: retry/backoff/recovery knobs (defaults to
             :class:`~repro.core.supervisor.SupervisionPolicy`).
         repair_fraction: fixed threshold — non-monotone repair falls
@@ -372,10 +373,13 @@ class GrapeEngine:
             self._restart_peval(cluster, supervisor)
         else:
             if unsafe:
-                for wid, region in invalid.items():
-                    repair.resets += self.backend.invoke(
-                        wid, "reset_params", region=region
-                    )
+                resets = self.backend.invoke_all(
+                    [
+                        WorkerCall(wid, "reset_params", {"region": region})
+                        for wid, region in invalid.items()
+                    ]
+                )
+                repair.resets = sum(n for (n,) in resets.values())
                 self._ship_step(
                     cluster, supervisor, "repair",
                     [
@@ -716,7 +720,7 @@ class GrapeEngine:
                     cluster, failure, checkpoint, guard, supervisor
                 )
                 continue
-            guard.record_round(shipped)
+            guard.record_round()
             rounds.append(
                 RoundInfo(
                     round_index=guard.rounds,
@@ -826,11 +830,11 @@ class GrapeEngine:
         )
 
     def _emit(self, step, wid: int, changes: dict[VertexId, object]) -> None:
-        """Send changed parameters toward their consumers."""
+        """Send changed parameters to P0 (coordinator routing) or to
+        every other hosting fragment — the mode never shapes a send."""
         if not self._direct:
             step.send(wid, COORDINATOR, changes)
             return
-        # Direct mode: split the change set by destination fragment.
         by_dst: dict[int, dict[VertexId, object]] = {}
         for v, value in changes.items():
             for fid in self.fragmented.hosts(v):
@@ -838,11 +842,6 @@ class GrapeEngine:
                     by_dst.setdefault(fid, {})[v] = value
         for fid, batch in by_dst.items():
             step.send(wid, fid, batch)
-        if self.mode == "strict":
-            # Tiny control message so the coordinator can detect
-            # activity; relaxed waves have no coordinator round-trip and
-            # terminate on the worker inboxes alone.
-            step.send(wid, COORDINATOR, {"__active__": len(changes)})
 
     def _inceval_round(
         self,
@@ -855,9 +854,11 @@ class GrapeEngine:
         """One superstep: route messages, run IncEval, ship new changes.
 
         Returns (params shipped by workers this round, params applied,
-        active worker count). Each worker's apply+IncEval runs under the
-        supervisor: a retry re-applies its messages (idempotent under
-        the aggregate function) and re-runs IncEval.
+        active worker count). Under direct routing the mail is already
+        in the workers' inboxes and P0 has none. Each worker's
+        apply+IncEval runs under the supervisor: a retry re-applies its
+        messages (idempotent under the aggregate function) and re-runs
+        IncEval.
         """
         n = cluster.num_workers
         aggregator = program.param_spec(query).aggregator
@@ -884,8 +885,6 @@ class GrapeEngine:
                 for fid, batch in by_dst.items():
                     step.send(COORDINATOR, fid, batch)
             step.deliver()
-        else:
-            cluster.receive(COORDINATOR)  # drain control messages
 
         # (b) workers apply M_i and run IncEval.
         shipped = 0

@@ -2,15 +2,15 @@
 
 The coordinator terminates when every worker is inactive — done with
 local computation and with no remaining change to any update parameter
-(Section 2.2(3)). In the synchronous simulation a worker is trivially
-"done" at each barrier, so inactivity reduces to "no changed parameters
-were shipped this round". A superstep cap guards against non-monotonic
+(Section 2.2(3)). The engine's ``_fixpoint`` makes that test itself (no
+mail pending, no worker locally active); what lives here is the round
+counter and the superstep cap that guards against non-monotonic
 programs that would never reach a fixed point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import EngineRuntimeError
 
@@ -21,12 +21,10 @@ class FixpointGuard:
 
     max_supersteps: int = 10_000
     rounds: int = 0
-    change_history: list[int] = field(default_factory=list)
 
-    def record_round(self, changed_params: int) -> None:
-        """Record one IncEval round shipping ``changed_params`` variables."""
+    def record_round(self) -> None:
+        """Record one completed IncEval round."""
         self.rounds += 1
-        self.change_history.append(changed_params)
         if self.rounds > self.max_supersteps:
             raise EngineRuntimeError(
                 f"no fixed point after {self.max_supersteps} supersteps; "
@@ -41,16 +39,6 @@ class FixpointGuard:
         position, so a fault schedule that keeps killing re-executions
         still terminates.
         """
-        lost = self.rounds - to_round
-        if lost <= 0:
-            return 0
-        self.rounds = to_round
-        del self.change_history[len(self.change_history) - min(
-            lost, len(self.change_history)
-        ):]
+        lost = max(0, self.rounds - to_round)
+        self.rounds -= lost
         return lost
-
-    @property
-    def reached_fixpoint(self) -> bool:
-        """True once a round ships no changes at all."""
-        return bool(self.change_history) and self.change_history[-1] == 0

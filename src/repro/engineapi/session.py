@@ -48,11 +48,12 @@ class Session:
         store: fragment storage backend name ("dict"/"csr"); by default
             fragments inherit the graph's own store.
         mode: superstep engine mode — ``"strict"`` (BSP lockstep, the
-            default) or ``"relaxed"`` (the same direct-routing rounds
-            timed on per-worker virtual clocks instead of a barrier,
-            for aggregator-monotone programs; always peer-to-peer
-            whatever ``routing`` says; byte-identical answers, lower
-            virtual makespan).
+            default) or ``"relaxed"`` (strict ``routing="direct"``'s
+            sends, one for one, timed on per-worker virtual clocks
+            instead of a barrier, for aggregator-monotone programs;
+            always peer-to-peer whatever ``routing`` says;
+            byte-identical answers and traffic, lower virtual
+            makespan).
     """
 
     def __init__(

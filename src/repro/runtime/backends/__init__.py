@@ -29,7 +29,6 @@ def make_backend(
     name: str,
     fragmented: FragmentedGraph,
     deterministic: bool = True,
-    **kwargs: object,
 ) -> ExecutionBackend:
     """An :class:`ExecutionBackend` by name over ``fragmented``.
 
@@ -41,9 +40,7 @@ def make_backend(
     if name == "simulated":
         return SimulatedBackend(fragmented)
     if name == "process":
-        return ProcessBackend(
-            fragmented, deterministic=deterministic, **kwargs
-        )
+        return ProcessBackend(fragmented, deterministic=deterministic)
     raise ProgramError(
         f"unknown execution backend {name!r}; choose from "
         + ", ".join(BACKENDS)

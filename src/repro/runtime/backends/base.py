@@ -46,8 +46,8 @@ class ExecutionBackend(abc.ABC):
     :meth:`resume` (incremental run) to install program + state into
     every worker, drives supersteps through :meth:`execute` (metered:
     compute intervals, retries, tracer spans) and one-off bookkeeping
-    through :meth:`invoke`/:meth:`invoke_all` (unmetered, exactly like
-    the engine's historical out-of-superstep param maintenance), and
+    through :meth:`invoke_all` (unmetered, exactly like the engine's
+    historical out-of-superstep param maintenance), and
     pulls state back with :meth:`pull_state` for checkpoints and
     ``keep_state=True`` results.
     """
@@ -88,10 +88,6 @@ class ExecutionBackend(abc.ABC):
         as the sequential simulator always has (fault schedules are
         order-sensitive). Returns wid -> result.
         """
-
-    @abc.abstractmethod
-    def invoke(self, wid: int, op: str, **args: object) -> object:
-        """Run one op outside any superstep (unmetered bookkeeping)."""
 
     @abc.abstractmethod
     def invoke_all(

@@ -42,6 +42,9 @@ _PICKLE_HINT = (
     "a process boundary"
 )
 
+#: Seconds between liveness checks while waiting on a worker's reply.
+_POLL_INTERVAL = 0.1
+
 
 def _worker_main(conn, wid: int, frag_bytes: bytes, deterministic: bool):
     """Worker process loop: apply op chunks to the owned context."""
@@ -106,27 +109,22 @@ class ProcessBackend(ExecutionBackend):
     """Real parallel execution on a pool of fragment-owning processes."""
 
     name = "process"
-    supports_faults = False
 
     def __init__(
         self,
         fragmented: FragmentedGraph,
         deterministic: bool = True,
-        start_method: str | None = None,
-        poll_interval: float = 0.1,
     ) -> None:
         super().__init__(fragmented)
         self.deterministic = deterministic
         self.measures_wall = not deterministic
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            # fork inherits the parent's hash seed, keeping set/dict
-            # iteration byte-identical across the boundary; spawn is the
-            # portable fallback.
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._mp = multiprocessing.get_context(start_method)
-        self.start_method = start_method
-        self._poll_interval = poll_interval
+        # fork inherits the parent's hash seed, keeping set/dict
+        # iteration byte-identical across the boundary; spawn is the
+        # portable fallback.
+        methods = multiprocessing.get_all_start_methods()
+        self._mp = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
         self._procs: list | None = None
         self._conns: list = []
         #: replies owed per worker (drained before new dispatch after an
@@ -214,7 +212,7 @@ class ProcessBackend(ExecutionBackend):
     def _recv(self, wid: int) -> tuple:
         conn = self._conns[wid]
         proc = self._procs[wid]
-        while not conn.poll(self._poll_interval):
+        while not conn.poll(_POLL_INTERVAL):
             if not proc.is_alive():
                 self._owed[wid] = 0
                 raise EngineRuntimeError(
@@ -305,11 +303,6 @@ class ProcessBackend(ExecutionBackend):
         if error is not None:
             raise error
         return results
-
-    def invoke(self, wid: int, op: str, **args: object) -> object:
-        self._ensure_started()
-        self._send_chunk(wid, [(op, args)])
-        return self._gather([wid])[wid][0]
 
     def invoke_all(
         self, calls: Sequence[WorkerCall]

@@ -21,7 +21,6 @@ class SimulatedBackend(ExecutionBackend):
     """Sequential in-process execution on the simulated cluster."""
 
     name = "simulated"
-    measures_wall = False
     supports_faults = True
 
     def __init__(self, fragmented: FragmentedGraph) -> None:
@@ -51,9 +50,6 @@ class SimulatedBackend(ExecutionBackend):
             if on_result is not None:
                 on_result(call.wid, value)
         return results
-
-    def invoke(self, wid: int, op: str, **args: object) -> object:
-        return OPS[op](self._contexts[wid], **args)
 
     def invoke_all(
         self, calls: Sequence[WorkerCall]

@@ -286,7 +286,6 @@ class Cluster:
         #: record real wall-clock per superstep (process backend); the
         #: virtual timeline and metrics are unaffected.
         self.measure_wall = measure_wall
-        self.mode = mode
         self.mpi = MPIController(num_workers, injector=injector)
         #: relaxed-mode per-worker virtual clocks (None on strict
         #: clusters).

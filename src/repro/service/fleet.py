@@ -77,6 +77,13 @@ BREAKER_HALF_OPEN = "half_open"
 #: fleet's answer store (same order as a service cache hit).
 STALE_SERVE_COST = 1e-4
 
+#: Snapshots retained per replica.
+CHECKPOINT_KEEP = 3
+
+#: Query class run off the books on a rejoining replica and a healthy
+#: one; byte-identical answers gate re-entering rotation.
+AUDIT_QUERY = "cc"
+
 
 def default_chaos_plan(seed: int, fault_rate: float = 0.1) -> FaultPlan:
     """The ``grape serve --chaos-seed`` fault mix at one overall rate.
@@ -322,11 +329,7 @@ class FleetRouter:
         breaker_cooldown: simulated seconds an open breaker waits before
             admitting a half-open probe.
         checkpoint_every: snapshot a replica every N applied batches.
-        checkpoint_keep: snapshots retained per replica.
         service_kwargs: forwarded to every replica's ``GrapeService``.
-        audit_query: ``(query_class, params)`` run off the books on a
-            rejoining replica and a healthy one; byte-identical answers
-            gate re-entering rotation.
         tracer: optional :class:`~repro.obs.Tracer`; the *fleet* emits
             ``fleet_*`` events into it (replicas stay untraced so the
             export reflects router activity).
@@ -347,10 +350,8 @@ class FleetRouter:
         breaker_threshold: int = 3,
         breaker_cooldown: float = 0.5,
         checkpoint_every: int = 1,
-        checkpoint_keep: int = 3,
         service_kwargs: dict | None = None,
         checkpoint_dir: str | None = None,
-        audit_query: tuple[str, dict | None] = ("cc", None),
         tracer=None,
     ) -> None:
         if replicas < 1:
@@ -372,8 +373,6 @@ class FleetRouter:
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.checkpoint_every = max(1, checkpoint_every)
-        self.checkpoint_keep = checkpoint_keep
-        self._audit_class, self._audit_params = audit_query
         self._tracer = tracer
         if checkpoint_dir is None:
             # Held for the router's lifetime; removed with it.
@@ -419,7 +418,7 @@ class FleetRouter:
             service=self._build_service(self._graph_factory(), version=1),
             checkpoints=CheckpointPolicy(
                 self._dfs, every=1, tag=f"replica-{rid}",
-                keep=self.checkpoint_keep,
+                keep=CHECKPOINT_KEEP,
             ),
         )
 
@@ -967,11 +966,9 @@ class FleetRouter:
         ) == self._session_answer_bytes(reference)
 
     def _session_answer_bytes(self, replica: Replica) -> bytes:
-        query = build_query(
-            self._audit_class, **(self._audit_params or {})
+        result = replica.service.session.run(
+            get_program(AUDIT_QUERY), build_query(AUDIT_QUERY)
         )
-        program = get_program(self._audit_class)
-        result = replica.service.session.run(program, query)
         return canonical_answer_bytes(result.answer)
 
     # ------------------------------------------------------------------

@@ -60,6 +60,10 @@ from repro.service.scheduler import (
 )
 
 
+#: Simulated seconds charged for a cache hit.
+HIT_COST = 1e-4
+
+
 def canonical_answer_bytes(answer: object) -> bytes:
     """Deterministic byte form of an assembled answer (for comparison)."""
     return json.dumps(answer, sort_keys=True, default=repr).encode()
@@ -127,7 +131,6 @@ class GrapeService:
         concurrency: simulated worker lanes queries dispatch onto.
         cache_capacity: result-cache entry bound (LRU beyond it).
         cache_ttl: result lifetime in simulated seconds (None = no TTL).
-        hit_cost: simulated seconds charged for a cache hit.
         rewarm_hottest: after every mutation batch, re-run (and
             re-cache) up to this many of the hottest invalidated cache
             entries so repeat clients stay on the hit path (0 = off).
@@ -146,7 +149,6 @@ class GrapeService:
         concurrency: int = 2,
         cache_capacity: int = 256,
         cache_ttl: float | None = None,
-        hit_cost: float = 1e-4,
         rewarm_hottest: int = 0,
         program_kwargs: dict[str, dict] | None = None,
         initial_version: int = 1,
@@ -162,7 +164,6 @@ class GrapeService:
         self._queue = AdmissionQueue(capacity=max_pending)
         self._lanes = LaneClock(concurrency=concurrency)
         self._cache = ResultCache(capacity=cache_capacity, ttl=cache_ttl)
-        self._hit_cost = hit_cost
         if rewarm_hottest < 0:
             raise ServiceError(
                 f"rewarm_hottest must be >= 0, got {rewarm_hottest}"
@@ -346,7 +347,7 @@ class GrapeService:
             key = cache_key(self._version, request.query_class, request.params)
             entry = self._cache.get(key, now=self._clock)
             if entry is not None:
-                return entry.answer, self._hit_cost, True
+                return entry.answer, HIT_COST, True
         program = self._program(request.query_class)
         result = self._engine.run(program, query)
         cost = self._class_stats(request.query_class).record_run(

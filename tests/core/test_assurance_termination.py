@@ -70,23 +70,16 @@ def test_unarmed_store_audits_nothing_and_pickles_drop_the_audit():
 
 def test_guard_counts_rounds():
     guard = FixpointGuard(max_supersteps=10)
-    guard.record_round(5)
-    guard.record_round(0)
+    guard.record_round()
+    guard.record_round()
     assert guard.rounds == 2
-    assert guard.change_history == [5, 0]
-    assert guard.reached_fixpoint
-
-
-def test_guard_not_fixpoint_while_changing():
-    guard = FixpointGuard()
-    guard.record_round(3)
-    assert not guard.reached_fixpoint
-    assert not FixpointGuard().reached_fixpoint  # no rounds yet
+    assert guard.rewind(1) == 1 and guard.rounds == 1
+    assert guard.rewind(5) == 0 and guard.rounds == 1
 
 
 def test_guard_caps_supersteps():
     guard = FixpointGuard(max_supersteps=3)
     for _ in range(3):
-        guard.record_round(1)
+        guard.record_round()
     with pytest.raises(EngineRuntimeError, match="monotonic"):
-        guard.record_round(1)
+        guard.record_round()

@@ -4,6 +4,7 @@ reclassification, duplicate-edge ban), mirror pruning on deletion,
 EngineState pickle back-compat, and the repair-mode ladder
 (monotone/scoped/full)."""
 
+import json
 import pickle
 from dataclasses import astuple
 
@@ -21,6 +22,7 @@ from repro.core.delta import (
     apply_delta,
 )
 from repro.core.engine import GrapeEngine
+from repro.engineapi.cli import main
 from repro.errors import ProgramError
 from repro.graph.digraph import Graph
 from repro.graph.fragment import build_fragments
@@ -87,6 +89,44 @@ def test_from_dict_json_form():
     assert delta.ops[2] == EdgeDelete(2, 3)
     assert delta.ops[3] == EdgeReweight(3, 4, 7.5)
     assert len(GraphDelta.from_dict({})) == 0
+
+
+MALFORMED_JSON = [
+    pytest.param([[0, 1]], "JSON object", id="top-level-list"),
+    pytest.param({"delete": 5}, "'delete' must hold a list", id="non-list"),
+    pytest.param({"delete": [5]}, "row 5", id="non-sequence-row"),
+    pytest.param(
+        {"insert": [[0, 1, "heavy"]]}, "weight 'heavy'", id="non-numeric"
+    ),
+    pytest.param(
+        {"deletes": [[0, 1]]}, "unknown graph delta key 'deletes'",
+        id="misspelt-key",
+    ),
+]
+
+
+@pytest.mark.parametrize("data,named", MALFORMED_JSON)
+def test_from_dict_rejects_malformed_json(data, named):
+    """The argument is outside input (``--updates FILE``): every shape
+    error is a typed one naming the offending key or row — and a
+    misspelt section is not silently an empty batch."""
+    with pytest.raises(ProgramError, match=named):
+        GraphDelta.from_dict(data)
+
+
+@pytest.mark.parametrize("data,named", MALFORMED_JSON)
+def test_cli_malformed_updates_is_a_typed_error(data, named, capsys, tmp_path):
+    updates = tmp_path / "updates.json"
+    updates.write_text(json.dumps(data))
+    rc = main([
+        "run", "--graph", "road:4x4", "--query", "sssp", "--source", "0",
+        "--updates", str(updates),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err
+    assert "delta repair:" not in captured.out
 
 
 # -------------------------------------------------------------- routing

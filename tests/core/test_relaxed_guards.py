@@ -27,7 +27,10 @@ from repro.engineapi.registry import get_program
 from repro.errors import ProgramError
 from repro.graph.fragment import build_fragments
 from repro.graph.generators import graph_from_spec, road_network
+from repro.obs import Tracer
 from repro.partition.registry import get_partitioner
+from repro.runtime.backends import SimulatedBackend
+from repro.runtime.message import COORDINATOR
 from repro.service.service import canonical_answer_bytes
 from repro.storage.dfs import SimulatedDFS
 
@@ -98,11 +101,10 @@ def test_relaxed_check_monotonic_matches_strict_direct():
 
 
 def test_relaxed_fault_injection_matches_strict_direct(tmp_path):
-    """Relaxed mode runs the same ``_fixpoint`` rounds, so retries and
-    checkpoint recovery replay them as in strict-direct. Compute faults
-    (crash, straggler) leave the whole trail byte-identical; wire
-    faults draw differently only because relaxed ships no
-    ``__active__`` control messages, so they pin the answer."""
+    """Relaxed mode runs the same ``_fixpoint`` rounds over the same
+    sends, so every fault class — compute (crash, straggler) and wire
+    (drop, duplicate, corrupt) — draws, retries and recovers exactly as
+    in strict-direct: the whole trail is byte-identical."""
     graph = road_network(9, 9, seed=6, removal_prob=0.0)
     assignment = get_partitioner("bfs")(graph, 3)
 
@@ -130,18 +132,68 @@ def test_relaxed_fault_injection_matches_strict_direct(tmp_path):
             ],
             result.metrics.faults.as_dict(),
             pickle.dumps((result.state.partials, result.state.params)),
+            [
+                (s.phase, s.messages_sent, s.bytes_sent)
+                for s in result.metrics.supersteps
+            ],
         )
 
-    for plan_name, plan in sorted(standard_plans(seed=7).items()):
+    # Each plan actually bit: the counter of its class, on this graph.
+    bites = {
+        "crash-fatal": ("crashes_injected", 1),
+        "crash-transient": ("crashes_injected", 2),
+        "straggler": ("stragglers_injected", 3),
+        "drop": ("drops_injected", 8),
+        "duplicate": ("duplicates_injected", 4),
+        "corrupt": ("corruptions_injected", 8),
+    }
+    plans = standard_plans(seed=7)
+    assert sorted(plans) == sorted(bites)
+    for plan_name, plan in sorted(plans.items()):
         strict = faulted(plan_name, plan, routing="direct")
         relaxed = faulted(plan_name, plan, mode="relaxed")
-        assert relaxed[0] == strict[0], plan_name
-        if plan_name in ("crash-fatal", "crash-transient", "straggler"):
-            counters = strict[2]
-            assert (
-                counters["crashes_injected"] + counters["stragglers_injected"]
-            ), plan_name  # the plan actually bit
-            assert relaxed == strict, plan_name
+        counter, fired = bites[plan_name]
+        assert strict[2][counter] == fired, plan_name
+        assert relaxed == strict, plan_name
+
+
+@pytest.mark.parametrize(
+    "engine_kwargs", [{"routing": "direct"}, {"mode": "relaxed"}],
+    ids=["direct", "relaxed"],
+)
+def test_peer_to_peer_runs_send_the_coordinator_nothing(engine_kwargs):
+    """Direct routing ships border values to the peers hosting them and
+    P0 nothing: every message a tracer saw sent is one a worker's
+    IncEval received, and no rank but the workers ever sends."""
+
+    class Counting(SimulatedBackend):
+        received = 0
+
+        def execute(self, step, supervisor, calls, on_result=None):
+            self.received += sum(
+                len(c.args["payloads"]) for c in calls if c.op == "inceval"
+            )
+            return super().execute(step, supervisor, calls, on_result)
+
+    road = road_network(8, 8, seed=3)
+    power = graph_from_spec("power:120")
+    for name, params, graph, program_kwargs in [
+        ("sssp", {"source": 0}, road, {}),
+        ("cc", {}, road, {}),
+        ("pagerank", {}, power, {"total_vertices": power.num_vertices}),
+    ]:
+        assignment = get_partitioner("hash")(graph, 3)
+        fragmented = build_fragments(graph, assignment, 3, "hash")
+        backend = Counting(fragmented)
+        tracer = Tracer()
+        result = GrapeEngine(
+            fragmented, backend=backend, tracer=tracer, **engine_kwargs
+        ).run(get_program(name, **program_kwargs), build_query(name, **params))
+        sends = [ev["sends"] for ev in tracer.select("step_end")]
+        assert all(COORDINATOR not in by_src for by_src in sends), name
+        sent = sum(n for by_src in sends for n, _ in by_src.values())
+        assert sent == result.metrics.total_messages > 0, name
+        assert backend.received == sent, name
 
 
 def test_bind_gate_names_the_offending_aggregator():

@@ -60,18 +60,21 @@ def test_live_report_equals_report_from_chrome(mode, routing):
 
 
 def test_reclaimed_slack_agrees_with_the_engine_clock():
-    """One run, one figure: the report's percentage is within a point
-    of what ``RunMetrics.total_time`` says relaxed mode saved."""
+    """One run, one figure: the seconds the report says the waves
+    reclaimed are the seconds ``RunMetrics.total_time`` says relaxed
+    mode saved over strict-direct (the two modes ship the same
+    messages, so the clock is all that differs). The percentages have
+    different denominators — whole run vs the waves — and are not
+    compared."""
     _, strict = _skewed_run("strict", "direct")
     tracer, relaxed = _skewed_run("relaxed", "direct")
-    engine_pct = 100.0 * (
-        1.0 - relaxed.metrics.total_time / strict.metrics.total_time
-    )
-    assert engine_pct > 5.0  # the partition is skewed enough to matter
+    saved = strict.metrics.total_time - relaxed.metrics.total_time
+    # the partition is skewed enough to matter
+    assert saved > 0.05 * strict.metrics.total_time
     (line,) = [
         line
         for line in report_for_tracer(tracer).splitlines()
         if line.startswith("relaxed waves:")
     ]
-    (trace_pct,) = re.findall(r"\((-?[\d.]+)%\)", line)
-    assert abs(float(trace_pct) - engine_pct) <= 1.0, line
+    (trace_us,) = re.findall(r"reclaimed (-?[\d.]+)us", line)
+    assert abs(float(trace_us) - 1e6 * saved) <= 0.1, line

@@ -3,17 +3,19 @@
 The whole license for ``mode="relaxed"`` is the Assurance Theorem plus
 one engineering invariant: a relaxed run may differ from its strict
 oracle ONLY in scheduling, virtual-time makespan and span layout —
-answers, per-round fixpoint traces, repair statistics and checkpointable
-state blobs are byte-identical. This matrix pins that invariant across
-4 monotone programs x seeded-random ΔG batches x 2 fragment stores on
-the simulated backend, plus process-backend spot checks; a final case
-asserts the makespan side of the bargain on a deliberately skewed
-partition (relaxed strictly below strict when IncEval rounds exist).
+answers, per-round fixpoint traces, per-superstep traffic, repair
+statistics and checkpointable state blobs are byte-identical. This
+matrix pins that invariant across 4 monotone programs x seeded-random
+ΔG batches x 2 fragment stores on the simulated backend, plus
+process-backend spot checks; a final case asserts the makespan side of
+the bargain on a deliberately skewed partition (relaxed strictly below
+strict when IncEval rounds exist).
 
 The oracle is strict ``routing="direct"`` on the SAME backend + store:
-direct routing shares relaxed mode's exact dataflow, so even dict
-insertion order in the state blobs matches; answers are additionally
-compared order-insensitively against strict coordinator routing.
+direct routing executes relaxed mode's exact sends in the same order,
+so even dict insertion order in the state blobs matches; answers are
+additionally compared order-insensitively against strict coordinator
+routing.
 """
 
 from __future__ import annotations
@@ -82,14 +84,32 @@ def _deltas(name: str, store: str) -> list[dict]:
     return [_random_delta(rng, edges, vertices) for _ in range(BATCHES)]
 
 
+def _observed(result) -> tuple:
+    """What one run contributes to the trail (see ``_run_sequence``)."""
+    return (
+        canonical_answer_bytes(result.answer),
+        [
+            (r.round_index, r.params_shipped, r.params_applied,
+             r.active_workers)
+            for r in result.rounds
+        ],
+        pickle.dumps((result.state.partials, result.state.params)),
+        [
+            (s.phase, s.messages_sent, s.bytes_sent)
+            for s in result.metrics.supersteps
+        ],
+    )
+
+
 def _run_sequence(mode, routing, name, params, deltas, store="dict",
                   backend_name="simulated"):
     """Cold run + incremental batches in one mode; returns the trail.
 
     The trail carries everything the equivalence contract covers:
-    canonical answer bytes, the RoundInfo fixpoint trace, repair stats,
-    and a pickle of the checkpointable state (partials + params) —
-    a byte-level proxy for checkpoint blobs.
+    canonical answer bytes, the RoundInfo fixpoint trace, a pickle of
+    the checkpointable state (partials + params) — a byte-level proxy
+    for checkpoint blobs — the per-superstep traffic (phase, messages,
+    bytes: the two modes execute the same sends) and repair stats.
     """
     graph = graph_from_spec(GRAPH_SPEC)
     assignment = get_partitioner("hash")(graph, NUM_WORKERS)
@@ -110,18 +130,7 @@ def _run_sequence(mode, routing, name, params, deltas, store="dict",
     times = []
     try:
         result = engine.run(program, query, keep_state=True)
-        trail.append(
-            (
-                "cold",
-                canonical_answer_bytes(result.answer),
-                [
-                    (r.round_index, r.params_shipped, r.params_applied,
-                     r.active_workers)
-                    for r in result.rounds
-                ],
-                pickle.dumps((result.state.partials, result.state.params)),
-            )
-        )
+        trail.append(("cold",) + _observed(result))
         times.append(result.metrics.total_time)
         state = result.state
         for spec in deltas:
@@ -129,19 +138,7 @@ def _run_sequence(mode, routing, name, params, deltas, store="dict",
                 program, query, state, GraphDelta.from_dict(spec)
             )
             state = inc.state
-            trail.append(
-                (
-                    "inc",
-                    canonical_answer_bytes(inc.answer),
-                    [
-                        (r.round_index, r.params_shipped, r.params_applied,
-                         r.active_workers)
-                        for r in inc.rounds
-                    ],
-                    pickle.dumps((inc.state.partials, inc.state.params)),
-                    inc.repair.as_dict(),
-                )
-            )
+            trail.append(("inc",) + _observed(inc) + (inc.repair.as_dict(),))
             times.append(inc.metrics.total_time)
     finally:
         backend.close()
