@@ -5,7 +5,9 @@ id of its local (weakly connected) component — plain union-find. Border
 variables carry the labels under aggregate function ``min``; IncEval
 propagates lowered labels by BFS, bounded by the relabeled region. At
 the fixed point every vertex holds the minimum id of its *global*
-component; Assemble min-merges partial labelings.
+component; Assemble is the MIN family's shared ``min_union``. IncEval
+and both ΔG hooks end in one ``_publish`` (charge, then export the
+border labels that moved).
 
 Deletions are triaged in ``delta_seeds``: an edge whose endpoints are
 still connected in the (already mutated) local graph cannot have split
@@ -20,14 +22,14 @@ Vertex ids must be totally ordered (all bundled generators use ints).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from repro.algorithms.sequential.cc_seq import (
     connected_components,
     incremental_min_labels,
     local_connectivity,
 )
-from repro.core.aggregators import MIN
+from repro.core.aggregators import MIN, min_union
 from repro.core.pie import ParamSpec, PIEProgram
 from repro.core.update_params import UpdateParams
 from repro.graph.fragment import Fragment
@@ -72,7 +74,15 @@ class CCProgram(PIEProgram[CCQuery, Partial, dict]):
         changes, touched = incremental_min_labels(
             fragment.graph, partial, decreased
         )
-        params.charge(touched)
+        return self._publish(fragment, partial, params, changes, touched)
+
+    @staticmethod
+    def _publish(
+        fragment: Fragment, partial: Partial, params: UpdateParams,
+        changes: Mapping[VertexId, VertexId], work: int,
+    ) -> Partial:
+        """Charge ``work`` and publish the border labels that moved."""
+        params.charge(work)
         for v, label in changes.items():
             if v in fragment.inner_border or v in fragment.mirrors:
                 params.improve(v, label)
@@ -137,11 +147,7 @@ class CCProgram(PIEProgram[CCQuery, Partial, dict]):
         changes, touched = incremental_min_labels(
             fragment.graph, partial, decreased
         )
-        params.charge(touched)
-        for v, label in changes.items():
-            if v in fragment.inner_border or v in fragment.mirrors:
-                params.improve(v, label)
-        return partial
+        return self._publish(fragment, partial, params, changes, touched)
 
     def delta_seeds(
         self, fragment: Fragment, query: CCQuery, partial: Partial, ops
@@ -214,19 +220,10 @@ class CCProgram(PIEProgram[CCQuery, Partial, dict]):
             partial.pop(v, None)
         present = [v for v in region if fragment.graph.has_vertex(v)]
         labels = connected_components(fragment.graph.subgraph(present))
-        params.charge(len(labels))
         partial.update(labels)
-        for v, label in labels.items():
-            if v in fragment.inner_border or v in fragment.mirrors:
-                params.improve(v, label)
-        return partial
+        return self._publish(fragment, partial, params, labels, len(labels))
 
     def assemble(
         self, query: CCQuery, partials: Sequence[Partial]
     ) -> dict[VertexId, VertexId]:
-        result: dict[VertexId, VertexId] = {}
-        for partial in partials:
-            for v, label in partial.items():
-                if v not in result or label < result[v]:
-                    result[v] = label
-        return result
+        return min_union(partials)

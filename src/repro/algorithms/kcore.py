@@ -26,7 +26,7 @@ from repro.algorithms.sequential.kcore_seq import (
     converge_h_index,
     h_index_round,
 )
-from repro.core.aggregators import MIN
+from repro.core.aggregators import MIN, min_union
 from repro.core.pie import ParamSpec, PIEProgram
 from repro.core.update_params import UpdateParams
 from repro.graph.fragment import Fragment
@@ -259,9 +259,4 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
     def assemble(
         self, query: KCoreQuery, partials: Sequence[Partial]
     ) -> dict[VertexId, int]:
-        result: dict[VertexId, int] = {}
-        for partial in partials:
-            for v, estimate in partial.items():
-                if v not in result or estimate < result[v]:
-                    result[v] = estimate
-        return result
+        return min_union(partials)

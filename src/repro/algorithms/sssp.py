@@ -11,16 +11,25 @@
   ``result.metrics.work("inceval")``), not |F_i|.
 * **Assemble** takes the union of partial results, keeping the minimum
   ``x_v`` per vertex.
+
+Every step after PEval is the same step — *offer some vertices a
+distance, let the bounded kernel settle what improves, publish the
+border values that moved* (:meth:`SSSPProgram._relax`) — so IncEval and
+the ΔG hooks differ only in where their offers come from. Three small
+bindings make the skeleton *this* traversal: the bounded kernel
+(``_settle``), what an edge adds to a distance (``_cost``) and when a
+distance may derive from an edge (``_depends``);
+:class:`~repro.algorithms.bfs.BFSProgram` binds the same three to BFS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
-from repro.algorithms.sequential.dijkstra import INF, dijkstra
+from repro.algorithms.sequential.dijkstra import INF
 from repro.algorithms.sequential.inc_sssp import incremental_sssp
-from repro.core.aggregators import MIN
+from repro.core.aggregators import MIN, min_union
 from repro.core.pie import ParamSpec, PIEProgram
 from repro.core.update_params import UpdateParams
 from repro.graph.fragment import Fragment
@@ -45,88 +54,120 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
     def param_spec(self, query: SSSPQuery) -> ParamSpec:
         return ParamSpec(aggregator=MIN, default=INF)
 
+    def _settle(
+        self, fragment: Fragment, query: SSSPQuery, partial: Partial,
+        offers: Mapping[VertexId, float],
+    ) -> tuple[dict[VertexId, float], int]:
+        """Bounded kernel: fold every offer that improves ``partial`` into
+        it and settle what follows; returns (the changes, work done).
+        An offer to a vertex the fragment does not hold is ignored."""
+        return incremental_sssp(fragment.graph, partial, offers)
+
+    def _cost(self, weight: float | None) -> float | None:
+        """What an edge of stored ``weight`` adds to a distance (``None``:
+        the op did not record the weight the edge used to have)."""
+        return weight
+
+    def _depends(self, dv: float, offer: float) -> bool:
+        """Whether ``dist(v)`` may derive from an in-edge offering ``offer``.
+
+        ``>=`` rather than ``==`` because the fragments are already
+        mutated when the closure runs: an edge whose weight was
+        *decreased* by a safe op in the same batch may have been tight
+        under its old weight (``dist(v) == dist(u) + w_old``), which now
+        reads as ``dist(v) > dist(u) + w_new``. At a converged fixpoint
+        every unchanged edge satisfies ``dist(v) <= dist(u) + w``, so
+        ``>=`` degenerates to the exact tightness test when no weight in
+        the batch decreased — the region never over-grows on pure
+        deletions.
+        """
+        return dv >= offer
+
     def peval(
         self, fragment: Fragment, query: SSSPQuery, params: UpdateParams
     ) -> Partial:
-        seeds: dict[VertexId, float] = {}
-        if query.source in fragment.graph:
-            seeds[query.source] = 0.0
-        dist, settled = dijkstra(fragment.graph, seeds)
+        partial: Partial = {}
+        _, settled = self._settle(
+            fragment, query, partial, {query.source: 0.0}
+        )
         params.charge(settled)
         for v in fragment.border:
-            d = dist.get(v, INF)
+            d = partial.get(v, INF)
             if d < INF:
                 params.improve(v, d)
-        return dist
+        return partial
 
     def inceval(
-        self,
-        fragment: Fragment,
-        query: SSSPQuery,
-        partial: Partial,
-        params: UpdateParams,
-        changed: set[VertexId],
+        self, fragment: Fragment, query: SSSPQuery, partial: Partial,
+        params: UpdateParams, changed: set[VertexId],
     ) -> Partial:
-        decreased = {v: params.get(v) for v in changed}
-        updates, settled = incremental_sssp(fragment.graph, partial, decreased)
+        offers = {v: params.get(v) for v in changed}
+        return self._relax(fragment, query, partial, params, offers)
+
+    def _relax(
+        self, fragment: Fragment, query: SSSPQuery, partial: Partial,
+        params: UpdateParams, offers: Mapping[VertexId, float],
+    ) -> Partial:
+        """The one step: kernel -> charge -> publish moved border values."""
+        updates, settled = self._settle(fragment, query, partial, offers)
         params.charge(settled)
         for v, d in updates.items():
             if v in fragment.inner_border or v in fragment.mirrors:
                 params.improve(v, d)
         return partial
 
+    def assemble(
+        self, query: SSSPQuery, partials: Sequence[Partial]
+    ) -> dict[VertexId, float]:
+        return min_union(partials)
+
+    @staticmethod
+    def _arcs(fragment: Fragment, op) -> Iterator[tuple]:
+        """The stored arcs ``op`` names: both on an undirected graph."""
+        yield op.src, op.dst
+        if not fragment.graph.directed:
+            yield op.dst, op.src
+
     def on_graph_update(
-        self,
-        fragment: Fragment,
-        query: SSSPQuery,
-        partial: Partial,
-        params: UpdateParams,
-        delta,
+        self, fragment: Fragment, query: SSSPQuery, partial: Partial,
+        params: UpdateParams, delta,
     ) -> Partial:
         """ΔG hook: safe ops can only shorten paths (decrease-only).
 
-        Inserted or weight-decreased edges ``u -> v`` offer
-        ``dist(u) + w`` to ``v``; the bounded incremental algorithm
-        repairs the affected region. Deletions never arrive here — they
-        are classified unsafe and repaired via :meth:`repair_partial`.
+        An inserted or cheapened arc ``u -> v`` offers ``dist(u) + cost``
+        to ``v``; the bounded kernel repairs the affected region.
+        Deletions never arrive here — they are classified unsafe and
+        repaired via :meth:`repair_partial`.
         """
         offers: dict[VertexId, float] = {}
         for op in delta:
             if op.kind == "delete":
                 continue
-            du = partial.get(op.src, INF)
-            if du < INF:
-                candidate = du + op.weight
-                if candidate < offers.get(op.dst, INF):
-                    offers[op.dst] = candidate
-        updates, settled = incremental_sssp(fragment.graph, partial, offers)
-        params.charge(settled)
-        for v, d in updates.items():
-            if v in fragment.inner_border or v in fragment.mirrors:
-                params.improve(v, d)
-        return partial
+            cost = self._cost(op.weight)
+            if op.kind == "reweight" and cost == self._cost(op.old_weight):
+                continue  # cost-neutral: the arc offers what it always did
+            for u, v in self._arcs(fragment, op):
+                offer = partial.get(u, INF) + cost
+                if offer < offers.get(v, INF):
+                    offers[v] = offer
+        return self._relax(fragment, query, partial, params, offers)
 
     def delta_seeds(
         self, fragment: Fragment, query: SSSPQuery, partial: Partial, ops
     ) -> set:
         """Vertices whose distance may have routed through an unsafe op.
 
-        An endpoint is affected only when the lost/lengthened edge was
-        *tight* — ``dist(dst) == dist(src) + w`` — i.e. it could have
-        carried a shortest path; a slack edge never did. When the old
-        weight is unknown the endpoint is seeded conservatively. A
-        target that vanished from the local graph (pruned mirror) is
-        still seeded when a stale partial entry remains — otherwise its
-        old distance would leak back through the min-union Assemble.
+        An endpoint is affected only when the lost/lengthened arc was
+        *tight* — ``dist(v) == dist(u) + old cost`` — i.e. it could have
+        carried a shortest path; a slack arc never did. When the old
+        cost is unknown the endpoint is seeded conservatively.
         """
         seeds: set = set()
-        directed = fragment.graph.directed
         for op in ops:
-            old_w = op.weight if op.kind == "delete" else op.old_weight
-            pairs = [(op.src, op.dst)]
-            if not directed:
-                pairs.append((op.dst, op.src))
-            for u, v in pairs:
+            old = self._cost(
+                op.weight if op.kind == "delete" else op.old_weight
+            )
+            for u, v in self._arcs(fragment, op):
                 if not fragment.graph.has_vertex(v):
                     # The op pruned this mirror: once it leaves known_by,
                     # no future invalidation can reach this fragment, so
@@ -138,8 +179,7 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
                 dv = partial.get(v, INF)
                 if dv == INF:
                     continue  # never reached: nothing to invalidate
-                du = partial.get(u, INF)
-                if old_w is None or dv == du + old_w:
+                if old is None or dv == partial.get(u, INF) + old:
                     seeds.add(v)
         return seeds
 
@@ -147,23 +187,11 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
         self, fragment: Fragment, query: SSSPQuery, partial: Partial,
         seeds: set,
     ) -> set:
-        """Closure of ``seeds`` over *tight* out-edges only.
+        """Closure of ``seeds`` over out-edges a distance :meth:`_depends` on.
 
-        A distance can only depend on an invalidated vertex through an
-        edge that lies on a shortest path (``dist(v) >= dist(u) + w``);
-        slack edges carry no dependency, which keeps the region — and
+        Slack edges carry no dependency, which keeps the region — and
         hence the repair — proportional to the true affected subtree
         instead of the whole reachable set.
-
-        The test is ``>=`` rather than ``==`` because the fragments are
-        already mutated when the closure runs: an edge whose weight was
-        *decreased* by a safe op in the same batch may have been tight
-        under its old weight (``dist(v) == dist(u) + w_old``), which now
-        reads as ``dist(v) > dist(u) + w_new``. At a converged fixpoint
-        every unchanged edge satisfies ``dist(v) <= dist(u) + w``, so
-        ``>=`` degenerates to the exact tightness test when no weight in
-        the batch decreased — the region never over-grows on pure
-        deletions.
         """
         region = set(seeds)
         stack = [v for v in seeds if fragment.graph.has_vertex(v)]
@@ -172,60 +200,37 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
             du = partial.get(u, INF)
             if du == INF:
                 continue
-            for dst, weight in fragment.graph.iter_out(u):
-                if dst in region:
-                    continue
-                if partial.get(dst, INF) >= du + weight:
-                    region.add(dst)
-                    stack.append(dst)
+            for v, weight in fragment.graph.iter_out(u):
+                if v not in region and self._depends(
+                    partial.get(v, INF), du + self._cost(weight)
+                ):
+                    region.add(v)
+                    stack.append(v)
         return region
 
     def repair_partial(
-        self,
-        fragment: Fragment,
-        query: SSSPQuery,
-        partial: Partial,
-        params: UpdateParams,
-        region: set,
+        self, fragment: Fragment, query: SSSPQuery, partial: Partial,
+        params: UpdateParams, region: set,
     ) -> Partial:
         """Re-derive an invalidated region's distances from its boundary.
 
-        Region entries are discarded, then re-seeded from the query
-        source (if invalidated) and from in-edges whose tail lies
-        *outside* the region — those distances are still trusted. The
-        IncEval fixpoint afterwards folds in whatever other fragments
-        re-derive.
+        Region entries are discarded, then offered the query source's 0
+        (if invalidated) and the best in-edge whose tail lies *outside*
+        the region — those distances are still trusted. The IncEval
+        fixpoint afterwards folds in whatever other fragments re-derive.
         """
         for v in region:
             partial.pop(v, None)
-        seeds: dict[VertexId, float] = {}
-        if query.source in region and query.source in fragment.graph:
-            seeds[query.source] = 0.0
+        offers: dict[VertexId, float] = {}
+        if query.source in region:
+            offers[query.source] = 0.0
         for v in region:
             if not fragment.graph.has_vertex(v):
                 continue
-            best = seeds.get(v, INF)
-            for src, weight in fragment.graph.iter_in(v):
-                if src in region:
-                    continue
-                du = partial.get(src, INF)
-                if du < INF and du + weight < best:
-                    best = du + weight
+            best = offers.get(v, INF)
+            for u, weight in fragment.graph.iter_in(v):
+                if u not in region:
+                    best = min(best, partial.get(u, INF) + self._cost(weight))
             if best < INF:
-                seeds[v] = best
-        updates, settled = incremental_sssp(fragment.graph, partial, seeds)
-        params.charge(settled)
-        for v, d in updates.items():
-            if v in fragment.inner_border or v in fragment.mirrors:
-                params.improve(v, d)
-        return partial
-
-    def assemble(
-        self, query: SSSPQuery, partials: Sequence[Partial]
-    ) -> dict[VertexId, float]:
-        result: dict[VertexId, float] = {}
-        for partial in partials:
-            for v, d in partial.items():
-                if d < result.get(v, INF):
-                    result[v] = d
-        return result
+                offers[v] = best
+        return self._relax(fragment, query, partial, params, offers)

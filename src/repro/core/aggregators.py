@@ -10,7 +10,7 @@ verify monotonicity without extra user input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 from repro.core.partial_order import (
     DECREASING,
@@ -96,3 +96,14 @@ SET_INTERSECT = Aggregator("set-intersect", _intersect, SHRINKING_SET)
 SUM_ONCE = Aggregator("sum", _sum_once, UNORDERED)
 #: last writer wins (unordered).
 LAST_WRITE = Aggregator("last-write", _last, UNORDERED)
+
+
+def min_union(partials: Sequence[Mapping]) -> dict:
+    """Assemble for ``{vertex: value}`` partials under :data:`MIN`: the
+    union of the partial answers, keeping the least value per vertex."""
+    result: dict = {}
+    for partial in partials:
+        for v, value in partial.items():
+            if v not in result or value < result[v]:
+                result[v] = value
+    return result

@@ -38,10 +38,40 @@ def _make_graph(spec: str, store: str | None = None) -> Graph:
     return graph_from_spec(spec, store=store)
 
 
+def _query_from_args(
+    args: argparse.Namespace, graph: Graph
+) -> tuple[object, dict[str, object]]:
+    """The query ``--query/--source/--keywords`` name, and the keyword
+    arguments its program class needs for ``graph``."""
+    kwargs: dict[str, object] = {}
+    if args.source is not None:
+        kwargs["source"] = args.source
+    if args.keywords:
+        kwargs["keywords"] = args.keywords.split(",")
+    program_kwargs: dict[str, object] = {}
+    if args.query == "pagerank":
+        program_kwargs["total_vertices"] = graph.num_vertices
+    return build_query(args.query, **kwargs), program_kwargs
+
+
+def _export_trace(tracer, path: str) -> None:
+    """Write ``--trace-out``'s Chrome trace, if a tracer was recording."""
+    if tracer is None:
+        return
+    from repro.obs import write_chrome_trace
+
+    events = write_chrome_trace(tracer, path)
+    print(
+        f"trace: {events} events -> {path} "
+        "(open in chrome://tracing or ui.perfetto.dev)",
+        file=sys.stderr,
+    )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
-    graph = _make_graph(args.graph, getattr(args, "store", None))
+    graph = _make_graph(args.graph, args.store)
     tracer = None
     if args.trace_out:
         from repro.obs import Tracer
@@ -54,17 +84,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         check_monotonic=args.check_monotonic,
         tracer=tracer,
         backend=args.backend,
-        mode=getattr(args, "mode", "strict"),
+        mode=args.mode,
     )
-    kwargs: dict[str, object] = {}
-    if args.source is not None:
-        kwargs["source"] = args.source
-    if args.keywords:
-        kwargs["keywords"] = args.keywords.split(",")
-    query = build_query(args.query, **kwargs)
-    program_kwargs: dict[str, object] = {}
-    if args.query == "pagerank":
-        program_kwargs["total_vertices"] = graph.num_vertices
+    query, program_kwargs = _query_from_args(args, graph)
     program = get_program(args.query, **program_kwargs)
     repair = None
     try:
@@ -114,15 +136,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"invalidated={repair.invalidated} resets={repair.resets} "
                 f"rounds={repair.invalidation_rounds}"
             )
-    if tracer is not None:
-        from repro.obs import write_chrome_trace
-
-        events = write_chrome_trace(tracer, args.trace_out)
-        print(
-            f"trace: {events} events -> {args.trace_out} "
-            "(open in chrome://tracing or ui.perfetto.dev)",
-            file=sys.stderr,
-        )
+    _export_trace(tracer, args.trace_out)
     return 0
 
 
@@ -227,15 +241,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.runtime.faults import FaultPlan
 
     graph = _make_graph(args.graph)
-    kwargs: dict[str, object] = {}
-    if args.source is not None:
-        kwargs["source"] = args.source
-    if args.keywords:
-        kwargs["keywords"] = args.keywords.split(",")
-    query = build_query(args.query, **kwargs)
-    program_kwargs: dict[str, object] = {}
-    if args.query == "pagerank":
-        program_kwargs["total_vertices"] = graph.num_vertices
+    query, program_kwargs = _query_from_args(args, graph)
 
     if args.plan:
         try:
@@ -332,15 +338,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(report.to_json())
     else:
         print(report.format())
-    if tracer is not None:
-        from repro.obs import write_chrome_trace
-
-        events = write_chrome_trace(tracer, args.trace_out)
-        print(
-            f"trace: {events} events -> {args.trace_out} "
-            "(open in chrome://tracing or ui.perfetto.dev)",
-            file=sys.stderr,
-        )
+    _export_trace(tracer, args.trace_out)
     return 0 if report.survived else 1
 
 

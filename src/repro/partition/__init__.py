@@ -21,18 +21,8 @@ from repro.partition.registry import (
     get_partitioner,
     register_partitioner,
 )
-from repro.partition.vertexcut import (
-    GreedyEdgeCut,
-    RandomEdgeCut,
-    replication_factor,
-    vertex_cut_report,
-)
 
 __all__ = [
-    "GreedyEdgeCut",
-    "RandomEdgeCut",
-    "replication_factor",
-    "vertex_cut_report",
     "Partitioner",
     "PartitionReport",
     "evaluate_partition",

@@ -42,6 +42,10 @@ def test_local_bfs_max_depth():
     updates, _ = local_bfs(g, {0: 0.0}, max_depth=2)
     assert max(updates.values()) == 2.0
     assert 3 not in updates
+    # a seed deeper than max_depth is not accepted (nor expanded)
+    updates, work = local_bfs(g, {0: 0.0, 4: 3.0}, max_depth=2)
+    assert set(updates) == {0, 1, 2}
+    assert work == 3
 
 
 def test_local_bfs_known_prunes():

@@ -1,5 +1,7 @@
 """Tests for incremental graph updates (ΔG): resume after insertions."""
 
+import copy
+
 import pytest
 
 from repro.algorithms.bfs import BFSProgram, BFSQuery
@@ -12,7 +14,11 @@ from repro.core.engine import GrapeEngine
 from repro.errors import ProgramError
 from repro.graph.digraph import Graph
 from repro.graph.fragment import build_fragments
-from repro.graph.generators import random_weighted_digraph, road_network
+from repro.graph.generators import (
+    path_graph,
+    random_weighted_digraph,
+    road_network,
+)
 from repro.graph.metrics import bfs_layers
 from repro.partition.registry import get_partitioner
 from repro.utils.rng import make_rng
@@ -130,6 +136,64 @@ def test_bfs_incremental_matches_fresh_run():
     oracle = bfs_layers(g, 0)
     got = {v: d for v, d in second.answer.items() if d < INF}
     assert got == {v: float(d) for v, d in oracle.items()}
+
+
+TRAVERSALS = [
+    pytest.param(SSSPProgram, SSSPQuery(source=0), id="sssp"),
+    pytest.param(BFSProgram, BFSQuery(source=0), id="bfs"),
+]
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+@pytest.mark.parametrize("make_program,query", TRAVERSALS)
+def test_undirected_insert_relaxes_both_arcs(make_program, query, parts):
+    """Inserting (7, 0) into the undirected path 0-...-7 closes a cycle:
+    7 is one step from the source, through the arc the op did not name."""
+    engine = _engine(path_graph(8, directed=False), parts)
+    first = engine.run(make_program(), query, keep_state=True)
+    assert first.answer[7] == 7.0
+    second = engine.run_incremental(
+        make_program(), query, first.state, [EdgeInsert(7, 0, 1.0)]
+    )
+    assert second.answer == {
+        0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0, 5: 3.0, 6: 2.0, 7: 1.0
+    }
+
+
+@pytest.mark.parametrize("make_program,query", TRAVERSALS)
+def test_traversal_entry_points_are_one_step(make_program, query):
+    """IncEval, on_graph_update and repair_partial handed the same offer
+    on the same fragment leave the same partial, charge the same work
+    and publish the same parameters."""
+    g = Graph()
+    for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 2)]:
+        g.add_edge(u, v, 1.0)
+    fragd = build_fragments(g, {0: 0, 1: 0, 2: 0, 3: 0, 4: 1, 5: 1}, 2)
+    program = make_program()
+    state = GrapeEngine(fragd).run(program, query, keep_state=True).state
+    shortcut = EdgeInsert(0, 2, 1.0)  # dist(2): 2 -> 1, then 3 and mirror 4
+    apply_delta(fragd, [shortcut])
+    frag = fragd.fragments[0]
+    assert 2 in frag.inner_border and 4 in frag.mirrors
+
+    def step(call):
+        partial = copy.deepcopy(state.partials[0])
+        params = copy.deepcopy(state.params[0])
+        params.apply_remote(2, 1.0)  # the offer, as M_i delivers it
+        call(frag, query, partial, params)
+        return (
+            sorted(partial.items()),
+            params.take_work(),
+            params.consume_changes(),
+            params.snapshot(),
+        )
+
+    inceval = step(lambda *a: program.inceval(*a, {2}))
+    assert inceval[:3] == (
+        [(0, 0.0), (1, 1.0), (2, 1.0), (3, 2.0), (4, 3.0)], 3, {4: 3.0}
+    )
+    assert step(lambda *a: program.on_graph_update(*a, [shortcut])) == inceval
+    assert step(lambda *a: program.repair_partial(*a, {2})) == inceval
 
 
 def test_cc_incremental_merges_components():

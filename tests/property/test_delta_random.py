@@ -3,7 +3,7 @@ random mixed batch (inserts + deletes + reweights) answers byte-
 identically to full recomputation on the mutated graph, for every
 incrementally-maintainable program and both repair modes."""
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.bfs import BFSProgram, BFSQuery
@@ -14,6 +14,7 @@ from repro.algorithms.sssp import SSSPProgram, SSSPQuery
 from repro.core.engine import GrapeEngine
 from repro.graph.digraph import Graph
 from repro.graph.fragment import build_fragments
+from repro.graph.generators import path_graph
 from repro.service.service import canonical_answer_bytes
 
 SLOW = settings(
@@ -27,10 +28,18 @@ SLOW = settings(
 def delta_scenario(draw, symmetric=False):
     """(pre-graph, assignment, parts, mixed ops, repair_fraction).
 
-    ``symmetric=True`` stores and mutates both directions of every edge
-    (k-core's requirement). Ops never reference the same directed edge
-    twice (the batch contract).
+    The graph is ``Graph(directed=True)`` or ``Graph(directed=False)``;
+    ``symmetric=True`` instead stores and mutates both directions of
+    every edge of a directed graph (k-core's requirement). Ops never
+    reference the same edge twice — in either orientation when the edge
+    is an unordered pair (the batch contract).
     """
+    directed = symmetric or draw(st.booleans())
+    unordered = symmetric or not directed
+
+    def key(u, v):
+        return (min(u, v), max(u, v)) if unordered else (u, v)
+
     n = draw(st.integers(3, 12))
     initial = draw(
         st.lists(
@@ -43,7 +52,7 @@ def delta_scenario(draw, symmetric=False):
             max_size=3 * n,
         )
     )
-    pre = Graph()
+    pre = Graph(directed=directed)
     for v in range(n):
         pre.add_vertex(v)
     for u, v, w in initial:
@@ -55,12 +64,7 @@ def delta_scenario(draw, symmetric=False):
         if symmetric and not pre.has_edge(v, u):
             pre.add_edge(v, u, w)
 
-    if symmetric:
-        pairs = sorted(
-            {(min(e.src, e.dst), max(e.src, e.dst)) for e in pre.edges()}
-        )
-    else:
-        pairs = sorted({(e.src, e.dst) for e in pre.edges()})
+    pairs = sorted({key(e.src, e.dst) for e in pre.edges()})
     order = list(draw(st.permutations(range(len(pairs))))) if pairs else []
     ndel = draw(st.integers(0, min(3, len(order))))
     nrew = draw(st.integers(0, min(2, len(order) - ndel)))
@@ -77,13 +81,11 @@ def delta_scenario(draw, symmetric=False):
         used.add((u, v))
         if symmetric:
             ops.append(("delete", v, u))
-            used.add((v, u))
     for (u, v), w in reweights:
         ops.append(("reweight", u, v, w))
         used.add((u, v))
         if symmetric:
             ops.append(("reweight", v, u, w))
-            used.add((v, u))
     candidates = draw(
         st.lists(
             st.tuples(
@@ -95,13 +97,12 @@ def delta_scenario(draw, symmetric=False):
         )
     )
     for u, v, w in candidates:
-        if u == v or (u, v) in used or pre.has_edge(u, v):
+        if u == v or key(u, v) in used or pre.has_edge(u, v):
             continue
         ops.append(("insert", u, v, round(w, 3)))
-        used.add((u, v))
-        if symmetric and (v, u) not in used and not pre.has_edge(v, u):
+        used.add(key(u, v))
+        if symmetric:
             ops.append(("insert", v, u, round(w, 3)))
-            used.add((v, u))
     if not ops:  # batches are never empty: fall back to one insert
         ops.append(("insert", 0, 1, 1.0))
         if symmetric and not pre.has_edge(1, 0):
@@ -144,16 +145,28 @@ def _repaired_equals_recompute(make_program, query, case):
     return second, post
 
 
+def _path_case(directed, op):
+    """Hand-written scenario: the unit path 0-...-7 dealt round-robin
+    over 3 parts, and one op."""
+    pre = path_graph(8, directed)
+    return pre, {v: v % 3 for v in range(8)}, 3, [op], 0.5
+
+
 @SLOW
 @given(delta_scenario())
+@example(_path_case(False, ("insert", 7, 0, 1.0)))  # relax 0 -> 7 too
 def test_sssp_mixed_delta_equals_recompute(case):
     _repaired_equals_recompute(SSSPProgram, SSSPQuery(source=0), case)
 
 
 @SLOW
-@given(delta_scenario())
-def test_bfs_mixed_delta_equals_recompute(case):
-    _repaired_equals_recompute(BFSProgram, BFSQuery(source=0), case)
+@given(delta_scenario(), st.sampled_from([None, 1, 2, 3]))
+@example(_path_case(False, ("insert", 7, 0, 1.0)), None)
+@example(_path_case(True, ("insert", 2, 7, 1.0)), 2)  # 7 is 3 hops out
+def test_bfs_mixed_delta_equals_recompute(case, max_depth):
+    _repaired_equals_recompute(
+        BFSProgram, BFSQuery(source=0, max_depth=max_depth), case
+    )
 
 
 @SLOW

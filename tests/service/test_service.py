@@ -9,7 +9,7 @@ from repro.algorithms.sequential.dijkstra import INF, single_source
 from repro.engineapi.session import Session
 from repro.errors import ProgramError, ServiceError, ServiceOverloadedError
 from repro.graph.digraph import Graph
-from repro.graph.generators import road_network
+from repro.graph.generators import graph_from_spec, road_network
 from repro.service import GrapeService, canonical_answer_bytes
 from repro.service.trace import load_trace, replay_trace
 
@@ -193,6 +193,18 @@ def test_standing_answers_stay_identical_to_full_recompute():
     for standing in report.standing:
         assert standing["repairs"] == len(batches)
         assert standing["mismatches"] == 0
+
+
+def test_standing_bfs_max_depth_holds_under_inserts():
+    """A safe insert must not let an offer past ``max_depth`` into a
+    standing BFS answer: 35 is three hops out through the new edge."""
+    service = GrapeService(Session(graph_from_spec("road:6x6"), num_workers=3))
+    service.register_standing("near", "bfs", {"source": 0, "max_depth": 2})
+    outcome = service.apply_updates(edges=[(12, 35, 1.0)], verify=True)
+    assert outcome.verified == {"near": True}
+    assert service.standing_answer("near")[12] == 2.0
+    assert 35 not in service.standing_answer("near")
+    assert service.report().survived is True
 
 
 def test_incremental_repair_does_less_work_than_recompute():
