@@ -5,12 +5,14 @@ monotonic fixed-point model: every vertex accumulates rank mass
 ``rank(v) = (1-d)/n + d * Σ_{u->v} rank(u)/deg(u)`` via residual
 pushing, and all quantities only grow.
 
-The update parameter of a border vertex ``v`` is a map
-``{fragment id: cumulative mass pushed toward v by that fragment}``.
-Cumulative totals are monotonically non-decreasing per fragment, so the
-aggregate function (per-key max) is monotonic and the Assurance Theorem
-applies; the ``tolerance`` truncates the geometric tail to make the
-fixed point finite.
+Mass pushed across a cut edge is a per-source scalar. The update
+parameter ``Slot((v, fid))`` is the cumulative mass fragment ``fid`` has
+pushed toward its mirror ``v``: one writer, totals that only grow, so
+the stock ``MAX`` aggregator resolves it monotonically and the Assurance
+Theorem applies. Routing delivers a slot to ``v``'s owner alone
+(:meth:`~repro.graph.fragment.FragmentedGraph.hosts`), which turns the
+growth since its last read into residual. ``tolerance`` truncates the
+geometric tail to make the fixed point finite.
 """
 
 from __future__ import annotations
@@ -18,36 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
-from repro.core.aggregators import Aggregator
-from repro.core.partial_order import PartialOrder
+from repro.core.aggregators import MAX
 from repro.core.pie import ParamSpec, PIEProgram
 from repro.core.update_params import UpdateParams
-from repro.graph.fragment import Fragment
+from repro.graph.fragment import Fragment, Slot
 
 VertexId = Hashable
-
-
-def _push_merge(cur: object, new: object) -> object:
-    merged = dict(cur)  # type: ignore[call-overload]
-    for fid, total in new.items():  # type: ignore[union-attr]
-        if total > merged.get(fid, 0.0):
-            merged[fid] = total
-    return merged
-
-
-def _push_grows(old: object, new: object) -> bool:
-    return all(
-        new.get(fid, 0.0) >= total  # type: ignore[union-attr]
-        for fid, total in old.items()  # type: ignore[union-attr]
-    )
-
-
-#: Per-source-fragment cumulative mass; totals only grow.
-PUSH_ACCUMULATE = Aggregator(
-    "push-accumulate",
-    _push_merge,
-    PartialOrder("per-source-growing", _push_grows),
-)
 
 
 @dataclass(frozen=True)
@@ -70,7 +48,7 @@ class PRPartial:
     residual: dict = field(default_factory=dict)
     #: mass pushed toward each mirror, cumulative (what we publish).
     pushed_out: dict = field(default_factory=dict)
-    #: mass already consumed from each (mirror source fid) pair.
+    #: per incoming slot, the cumulative mass already turned into residual.
     consumed: dict = field(default_factory=dict)
 
 
@@ -84,50 +62,61 @@ class PageRankProgram(PIEProgram[PageRankQuery, PRPartial, dict]):
         self.total_vertices = total_vertices
 
     def param_spec(self, query: PageRankQuery) -> ParamSpec:
-        return ParamSpec(aggregator=PUSH_ACCUMULATE, default=None)
+        return ParamSpec(aggregator=MAX, default=0.0)
+
+    def declare_params(
+        self, fragment: Fragment, query: PageRankQuery, params: UpdateParams
+    ) -> None:
+        params.declare(Slot((v, fragment.fid)) for v in fragment.mirrors)
 
     def _drain(
-        self, fragment: Fragment, query: PageRankQuery, partial: PRPartial
-    ) -> int:
-        """Push residual mass until everything local is below tolerance."""
+        self,
+        fragment: Fragment,
+        query: PageRankQuery,
+        partial: PRPartial,
+        params: UpdateParams,
+    ) -> PRPartial:
+        """Push residual mass until everything local is below tolerance,
+        charge the pushes and publish the mirrors pushed toward."""
         d = query.damping
-        worklist = [
-            v
-            for v, res in partial.residual.items()
-            if res > query.tolerance and v in fragment.owned
-        ]
+        tol = query.tolerance
+        owned = fragment.owned
+        out_neighbors = fragment.graph.out_neighbors
+        rank = partial.rank
+        residual = partial.residual
+        pushed_out = partial.pushed_out
+        worklist = [v for v, r in residual.items() if r > tol and v in owned]
         pushes = 0
+        touched: set = set()
+        adjacency: dict = {}  # a vertex pushes ~2.4 times per drain
         while worklist:
             v = worklist.pop()
-            res = partial.residual.get(v, 0.0)
-            if res <= query.tolerance:
+            res = residual[v]
+            if res <= tol:
                 continue
-            partial.residual[v] = 0.0
-            partial.rank[v] = partial.rank.get(v, 0.0) + res
+            residual[v] = 0.0
+            rank[v] = rank.get(v, 0.0) + res
             pushes += 1
-            out = fragment.graph.out_neighbors(v)
+            out = adjacency.get(v)
+            if out is None:
+                out = adjacency[v] = out_neighbors(v)
             if not out:
                 continue  # dangling: mass retires (uniform spread omitted)
             share = d * res / len(out)
             for u in out:
-                if u in fragment.owned:
-                    before = partial.residual.get(u, 0.0)
-                    partial.residual[u] = before + share
-                    if before <= query.tolerance < before + share:
+                if u in owned:
+                    before = residual.get(u, 0.0)
+                    after = residual[u] = before + share
+                    if before <= tol < after:
                         worklist.append(u)
                 else:
-                    partial.pushed_out[u] = (
-                        partial.pushed_out.get(u, 0.0) + share
-                    )
-        return pushes
-
-    def _publish(
-        self, fragment: Fragment, partial: PRPartial, params: UpdateParams
-    ) -> None:
-        for v, total in partial.pushed_out.items():
-            current = params.get(v) or {}
-            if total > current.get(fragment.fid, 0.0):
-                params.set(v, _push_merge(current, {fragment.fid: total}))
+                    pushed_out[u] = pushed_out.get(u, 0.0) + share
+                    touched.add(u)
+        params.charge(pushes)
+        fid = fragment.fid
+        for u in touched:
+            params.improve(Slot((u, fid)), pushed_out[u])
+        return partial
 
     def peval(
         self, fragment: Fragment, query: PageRankQuery, params: UpdateParams
@@ -136,10 +125,7 @@ class PageRankProgram(PIEProgram[PageRankQuery, PRPartial, dict]):
         teleport = (1.0 - query.damping) / max(1, self.total_vertices)
         for v in fragment.owned:
             partial.residual[v] = teleport
-        pushes = self._drain(fragment, query, partial)
-        params.charge(pushes)
-        self._publish(fragment, partial, params)
-        return partial
+        return self._drain(fragment, query, partial, params)
 
     def inceval(
         self,
@@ -149,23 +135,16 @@ class PageRankProgram(PIEProgram[PageRankQuery, PRPartial, dict]):
         params: UpdateParams,
         changed: set[VertexId],
     ) -> PRPartial:
-        for v in changed:
+        residual = partial.residual
+        consumed = partial.consumed
+        for slot in changed:
+            v = slot[0]
             if v not in fragment.owned:
                 continue  # only the owner turns incoming mass into rank
-            incoming = params.get(v) or {}
-            for fid, total in incoming.items():
-                if fid == fragment.fid:
-                    continue
-                seen = partial.consumed.get((v, fid), 0.0)
-                if total > seen:
-                    partial.residual[v] = (
-                        partial.residual.get(v, 0.0) + (total - seen)
-                    )
-                    partial.consumed[(v, fid)] = total
-        pushes = self._drain(fragment, query, partial)
-        params.charge(pushes)
-        self._publish(fragment, partial, params)
-        return partial
+            seen = consumed.get(slot, 0.0)  # < total: MAX just raised it
+            consumed[slot] = total = params.get(slot)
+            residual[v] = residual.get(v, 0.0) + (total - seen)
+        return self._drain(fragment, query, partial, params)
 
     def assemble(
         self, query: PageRankQuery, partials: Sequence[PRPartial]

@@ -134,7 +134,13 @@ class UpdateParams:
         resolved = self.aggregator.resolve(old, value)
         if resolved == old:
             return False
-        return self.set(v, resolved)
+        if v not in self._declared:
+            raise ProgramError(f"write to undeclared update parameter {v!r}")
+        if self.audit is not None:
+            self.audit.check(self.aggregator.order, v, old, resolved)
+        self._values[v] = resolved
+        self._changed.add(v)
+        return True
 
     def reset(self, vertices: Iterable[VertexId]) -> int:
         """Reset declared variables back to the default (the order's ⊤).

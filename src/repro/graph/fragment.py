@@ -19,13 +19,21 @@ update-parameter messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence
+from typing import Collection, Hashable, Mapping, Sequence
 
 from repro.errors import PartitionError
 from repro.graph.digraph import Graph
 from repro.graph.store import GraphStore, make_store
 
 VertexId = Hashable
+
+
+class Slot(tuple):
+    """``(vertex, writer)``: fragment ``writer``'s cumulative contribution
+    toward ``vertex``, routed to the vertex's owner alone (``hosts``)."""
+
+    __slots__ = ()
+
 
 #: One per-fragment mutation record — a plain tuple so effect logs can
 #: travel to process-backend workers over a pipe. First element is the
@@ -167,8 +175,11 @@ class FragmentedGraph:
         """The fragment owning vertex ``v``."""
         return self.fragments[self.owner_of(v)]
 
-    def hosts(self, v: VertexId) -> set[int]:
-        """All fragment ids holding a copy (owner + mirrors)."""
+    def hosts(self, v: VertexId) -> Collection[int]:
+        """All fragment ids holding a copy (owner + mirrors); for a
+        :class:`Slot`, its vertex's owner and its writer."""
+        if type(v) is Slot:
+            return self.assignment[v[0]], v[1]
         return self.known_by.get(v, set())
 
     # ------------------------------------------------------------------

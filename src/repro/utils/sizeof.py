@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from array import array as _array
 
+from repro.graph.fragment import Slot
+
 _NUMERIC_BYTES = 8
 _BOOL_BYTES = 1
 
@@ -48,6 +50,10 @@ def _dict_size(value: dict) -> int:
     total = 0
     for k, v in value.items():
         ks = scalars.get(type(k))
+        if ks is None and type(k) is Slot:
+            # (vertex, writer fid), priced as _iter_size would, inline.
+            ks = scalars.get(type(k[0])) or _value_size_slow(k[0])
+            ks += _NUMERIC_BYTES
         total += ks if ks is not None else _value_size_slow(k)
         vs = scalars.get(type(v))
         total += vs if vs is not None else _value_size_slow(v)
@@ -81,8 +87,6 @@ def _value_size_slow(value: object) -> int:
     if t is memoryview:
         itemsize = value.itemsize or 1
         return _buffer_size(value.format, value.nbytes // itemsize, value.nbytes)
-    if value is None:
-        return 1
     if isinstance(value, bool):
         return _BOOL_BYTES
     if isinstance(value, (int, float)):

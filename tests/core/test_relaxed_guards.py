@@ -15,6 +15,7 @@ import pickle
 
 import pytest
 
+from repro.algorithms.keyword import TUPLE_MIN
 from repro.baselines.pregel_as_pie import VertexCentricAsPIE
 from repro.baselines.pregel_programs import PregelSSSP
 from repro.core.aggregators import LAST_WRITE
@@ -210,12 +211,21 @@ def test_bind_gate_names_the_offending_aggregator():
 
 
 def test_bind_gate_admits_a_custom_declared_order():
-    """PageRank's ``PUSH_ACCUMULATE`` declares its own partial order
-    (per-source-growing); the gate reads the declaration, not a name."""
-    program = get_program("pagerank", total_vertices=16)
-    query = build_query("pagerank")
-    relaxed = GrapeEngine(_fragmented(), mode="relaxed").run(program, query)
-    strict = GrapeEngine(_fragmented(), routing="direct").run(program, query)
+    """Keyword's ``TUPLE_MIN`` declares its own partial order
+    (componentwise-decreasing); the gate reads the declaration, not a
+    name."""
+    graph = graph_from_spec("social:120")
+    assignment = get_partitioner("hash")(graph, 3)
+    program = get_program("keyword")
+    query = build_query("keyword", keywords=["person", "product"])
+    assert program.param_spec(query).aggregator is TUPLE_MIN
+
+    def run(**engine_kwargs):
+        fragmented = build_fragments(graph, assignment, 3, "hash")
+        return GrapeEngine(fragmented, **engine_kwargs).run(program, query)
+
+    relaxed, strict = run(mode="relaxed"), run(routing="direct")
+    assert relaxed.answer
     assert canonical_answer_bytes(relaxed.answer) == canonical_answer_bytes(
         strict.answer
     )

@@ -6,8 +6,9 @@ Keyword and CF run cold across store x backend: the canonical answer
 bytes and ``metrics.as_dict()`` — which carries the work the program
 charged through its update parameters — must equal the dict/simulated
 reference in every cell. The relaxed cells pin the bind gate's widened
-side: Keyword and PageRank declare custom partial orders and run relaxed
-with strict-direct's bytes; CF declares ``UNORDERED`` and is refused.
+side: Keyword declares a custom partial order, PageRank the stock ``MAX``
+over its per-source slots, and both run relaxed with strict-direct's
+bytes; CF declares ``UNORDERED`` and is refused.
 """
 
 from __future__ import annotations

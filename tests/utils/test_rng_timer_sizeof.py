@@ -60,6 +60,16 @@ def test_list_and_set_sum_members():
     assert value_size({1, 2}) == 16
 
 
+def test_slot_keys_cost_their_two_components():
+    from repro.graph.fragment import Slot
+
+    for vertex in (7, "ab", (1, 2)):
+        plain = {(vertex, 3): 0.5, (vertex, 4): None}
+        slots = {Slot(k): v for k, v in plain.items()}
+        assert value_size(slots) == value_size(plain)
+    assert value_size({Slot((7, 3)): 0.5}) == 16 + 8
+
+
 def test_nested_structure():
     payload = {"ab": [1, 2], "c": {"d": 5}}
     assert value_size(payload) == 2 + 16 + 1 + (1 + 8)
