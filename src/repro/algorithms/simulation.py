@@ -27,6 +27,7 @@ from repro.core.pie import ParamSpec, PIEProgram
 from repro.core.update_params import UpdateParams
 from repro.graph.digraph import Graph
 from repro.graph.fragment import Fragment
+from repro.storage.index import IndexManager
 
 VertexId = Hashable
 
@@ -57,6 +58,8 @@ class SimProgram(PIEProgram[SimQuery, Partial, dict]):
         # The Index Manager normally belongs to the storage layer and is
         # populated when fragments are loaded (Fig. 2); passing a
         # pre-warmed manager keeps index construction out of query time.
+        if use_index and index_manager is None:
+            index_manager = IndexManager()
         self._index_manager = index_manager
 
     def _initial_owned_candidates(
@@ -65,10 +68,6 @@ class SimProgram(PIEProgram[SimQuery, Partial, dict]):
         labels = [pattern.vertex_label(u) for u in pattern.vertices()]
         if not self.use_index or any(lab is None for lab in labels):
             return initial_candidates(fragment.graph, pattern, fragment.owned)
-        if self._index_manager is None:
-            from repro.storage.index import IndexManager
-
-            self._index_manager = IndexManager()
         index = self._index_manager.label_index(fragment.graph)
         by_label: dict[str, set] = {}
         for u in pattern.vertices():

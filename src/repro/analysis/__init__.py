@@ -6,15 +6,17 @@ monotonic update-parameter writes, a *bounded* IncEval, and sequential
 code that stays sequential — no shared state smuggled across the BSP
 barrier, no nondeterminism between supersteps. The engine's runtime
 monotonicity checker (:mod:`repro.core.assurance`, rule ``GRP100``)
-catches one of those conditions, and only after the program misbehaves.
+catches one of those conditions, and only after the program misbehaves;
+the runtime also refuses every breach of the declaration contract where
+it has a consequence.
 
-This package checks all of them *before execution*, by parsing (never
-importing) the program's source: ``analyze_path`` /
+This package checks what the runtime cannot see *before execution*, by
+parsing (never importing) the program's source: ``analyze_path`` /
 ``analyze_source`` lint files, ``analyze_program`` lints a live class,
 and the ``grape lint`` CLI subcommand and the registry's
 ``validate=True`` hook wire the verifier into the plug panel of Fig. 3.
 
-Findings carry stable codes (``GRP101``..``GRP403``, see
+Findings carry stable codes (``GRP101``..``GRP504``, see
 :mod:`repro.analysis.findings`) and can be suppressed inline with
 ``# grape-lint: disable=GRPnnn``.
 """

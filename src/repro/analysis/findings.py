@@ -12,14 +12,15 @@ from runtime checks, and tabulated in docs. Families:
 * ``GRP3xx`` — BSP isolation and determinism: no shared state smuggled
   across the superstep barrier, no nondeterminism sources that would make
   supersteps irreproducible.
-* ``GRP4xx`` — contract checks on the PIE declarations themselves.
-* ``GRP5xx`` — pickle safety: program state that cannot be shipped to
-  the process execution backend's workers (lambdas, local closures,
-  open OS handles stored on the program object).
+* ``GRP504`` — storage: adjacency streamed, not copied, in hot loops.
 
-``GRP100`` is special: it is the *runtime* monotonicity check performed
-by :class:`repro.core.assurance.MonotonicityChecker`; it appears here so
-runtime violations and static findings read as one numbered system.
+The same numbering names what only the runtime can decide, so runtime
+refusals and static findings read as one system: ``GRP100`` is the
+monotonicity check of :class:`repro.core.assurance.MonotonicityChecker`,
+and the declaration contract (``GRP401``–``GRP404``,
+``GRP501``–``GRP503``) is refused by the runtime, always on (see
+:func:`repro.core.pie.check_declaration`). Runtime codes prefix their
+error messages and have no catalog entry.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "Finding",
     "CATALOG",
     "make_finding",
-    "RUNTIME_MONOTONICITY",
 ]
 
 #: Severity levels, in increasing order of gravity.
@@ -57,18 +57,7 @@ class RuleInfo:
     hint: str
 
 
-#: Runtime counterpart code used by the assurance checker.
-RUNTIME_MONOTONICITY = "GRP100"
-
 _RULES = (
-    RuleInfo(
-        "GRP100",
-        "aggregator-consistency",
-        "error",
-        "runtime non-monotonic parameter write",
-        "make PEval/IncEval write through params.improve() so every value "
-        "moves along the declared aggregator's partial order",
-    ),
     RuleInfo(
         "GRP101",
         "aggregator-consistency",
@@ -164,71 +153,6 @@ _RULES = (
         "through params.improve() (order-insensitive)",
     ),
     RuleInfo(
-        "GRP401",
-        "contract",
-        "error",
-        "param_spec default is degenerate for the declared aggregator",
-        "the default must be the top of the aggregator's order (its "
-        "identity), e.g. +inf for MIN, -inf/None for MAX, False for "
-        "BOOL_OR — otherwise aggregation can never improve a value",
-    ),
-    RuleInfo(
-        "GRP402",
-        "contract",
-        "warning",
-        "declare_params declares vertices not derived from the border",
-        "update parameters live on border vertices (F_i.I ∪ F_i.O); "
-        "derive the declared set from fragment.border / inner_border / "
-        "mirrors",
-    ),
-    RuleInfo(
-        "GRP403",
-        "contract",
-        "warning",
-        "impure Assemble",
-        "Assemble runs once at the coordinator and must be a pure "
-        "combine of the partial answers; move state onto the program's "
-        "partials or compute it in PEval/IncEval",
-    ),
-    RuleInfo(
-        "GRP404",
-        "contract",
-        "warning",
-        "ΔG hook ignores the deletion arm",
-        "the program repairs updates via on_graph_update, but a deletion "
-        "in the batch routes to the default repair_partial, which "
-        "raises at runtime; implement delta_seeds/repair_partial "
-        "(non-monotone repair) or classify deletions as safe and handle "
-        "op.kind == 'delete' in on_graph_update",
-    ),
-    RuleInfo(
-        "GRP501",
-        "pickle-safety",
-        "warning",
-        "lambda stored on the program object",
-        "the process backend pickles the whole program to its workers; "
-        "replace the lambda with a module-level named function (see "
-        "repro.core.aggregators for the idiom)",
-    ),
-    RuleInfo(
-        "GRP502",
-        "pickle-safety",
-        "warning",
-        "local closure stored on the program object",
-        "functions defined inside a method close over its locals and "
-        "cannot be pickled; hoist the helper to module level and pass "
-        "state explicitly",
-    ),
-    RuleInfo(
-        "GRP503",
-        "pickle-safety",
-        "warning",
-        "open OS handle stored on the program object",
-        "files, sockets, locks and subprocesses cannot cross a process "
-        "boundary; open handles inside the method that uses them, or "
-        "keep them off the program object",
-    ),
-    RuleInfo(
         "GRP504",
         "storage",
         "warning",
@@ -239,7 +163,7 @@ _RULES = (
     ),
 )
 
-#: code -> RuleInfo for every known rule.
+#: code -> RuleInfo for every static rule.
 CATALOG: dict[str, RuleInfo] = {rule.code: rule for rule in _RULES}
 
 

@@ -99,12 +99,10 @@ def dotted_name(node: ast.AST) -> str | None:
 
 @dataclass(frozen=True)
 class AggregatorDecl:
-    """The aggregator named in ``ParamSpec(aggregator=..., default=...)``."""
+    """The aggregator named in ``ParamSpec(aggregator=...)``."""
 
     name: str
     direction: str  # decreasing/increasing/growing/shrinking/unordered/unknown
-    default: ast.AST | None
-    node: ast.AST
 
 
 @dataclass
@@ -328,18 +326,10 @@ def _extract_aggregator(
         callee = dotted_name(node.func)
         if callee is None or callee.split(".")[-1] != "ParamSpec":
             continue
-        agg_node: ast.AST | None = None
-        default: ast.AST | None = None
-        positional = list(node.args)
-        if positional:
-            agg_node = positional[0]
-        if len(positional) > 1:
-            default = positional[1]
+        agg_node = node.args[0] if node.args else None
         for kw in node.keywords:
             if kw.arg == "aggregator":
                 agg_node = kw.value
-            elif kw.arg == "default":
-                default = kw.value
         if agg_node is None:
             continue
         name = dotted_name(agg_node)
@@ -352,7 +342,7 @@ def _extract_aggregator(
             direction = module_directions.get(short)
         if direction is None:
             direction = _infer_aggregator_direction(agg_node)
-        return AggregatorDecl(short, direction or "unknown", default, node)
+        return AggregatorDecl(short, direction or "unknown")
     return None
 
 

@@ -12,19 +12,10 @@ from typing import Iterator
 from repro.analysis.findings import Finding
 from repro.analysis.inline import inline_helpers
 from repro.analysis.inspector import ModuleInfo
-from repro.analysis.rules import (
-    aggregator,
-    boundedness,
-    contract,
-    isolation,
-    pickle_safety,
-    storage,
-)
+from repro.analysis.rules import aggregator, boundedness, isolation, storage
 
 #: The rule families, in report order.
-FAMILIES = (
-    aggregator, boundedness, isolation, contract, pickle_safety, storage,
-)
+FAMILIES = (aggregator, boundedness, isolation, storage)
 
 __all__ = ["FAMILIES", "run_rules"]
 

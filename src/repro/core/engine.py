@@ -47,7 +47,7 @@ from typing import Generic, Hashable
 from repro.core.assurance import MonotonicityChecker
 from repro.core.delta import DeltaRepairStats, EngineState
 from repro.core.partial_order import UNORDERED
-from repro.core.pie import P, PIEProgram, Q, R
+from repro.core.pie import P, PIEProgram, Q, R, check_declaration
 from repro.core.supervisor import SupervisionPolicy, Supervisor
 from repro.core.termination import FixpointGuard
 from repro.errors import (
@@ -797,10 +797,13 @@ class GrapeEngine:
     ) -> R:
         """Final superstep: the coordinator combines partial answers."""
         partials = self.backend.partials()
+        declared = dict(vars(program))
         with cluster.superstep("assemble") as step:
-            return supervisor.attempt(
+            answer = supervisor.attempt(
                 step, COORDINATOR, lambda: program.assemble(query, partials)
             )
+        check_declaration(program, declared, "assemble")
+        return answer
 
     def _ship_step(
         self, cluster: Cluster, supervisor: Supervisor, phase: str, calls

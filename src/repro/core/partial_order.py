@@ -20,10 +20,14 @@ class PartialOrder:
 
     ``advances`` returns True when ``new`` is a legal successor of
     ``old`` — equal values are always legal (no-op writes are allowed).
+    ``final`` lists the values nothing advances from; they are matched
+    type-exactly (``0`` is not ``False``), and a parameter default among
+    them can never be improved (see :class:`~repro.core.pie.ParamSpec`).
     """
 
     name: str
     _advances: Callable[[object, object], bool]
+    final: tuple = ()
 
     def advances(self, old: object, new: object) -> bool:
         """True when ``new`` legally follows ``old`` in this order."""
@@ -52,11 +56,11 @@ def _superset(old: object, new: object) -> bool:
 
 
 #: Values only decrease (SSSP distances, CC min-labels).
-DECREASING = PartialOrder("decreasing", _lt)
+DECREASING = PartialOrder("decreasing", _lt, (float("-inf"), False))
 #: Values only increase (longest paths, visited flags 0->1).
-INCREASING = PartialOrder("increasing", _gt)
+INCREASING = PartialOrder("increasing", _gt, (float("inf"), True))
 #: Sets only shrink (graph-simulation candidate sets).
-SHRINKING_SET = PartialOrder("shrinking-set", _subset)
+SHRINKING_SET = PartialOrder("shrinking-set", _subset, (frozenset(),))
 #: Sets only grow (keyword reachability, collected matches).
 GROWING_SET = PartialOrder("growing-set", _superset)
 #: No constraint — any change is legal (non-monotonic programs; the

@@ -28,7 +28,9 @@ it is called with — values via ``improve``/``set``, work units via
 Every bundled program keeps to it: ``vars(program)`` is its constructor
 arguments before and after any run on any backend — ``{}`` for all but
 PageRank's ``total_vertices`` and Sim's index switch
-(``tests/core/test_pickle_contract.py``).
+(``tests/core/test_pickle_contract.py``) — and the runtime holds every
+program to it: :func:`check_declaration` refuses a phase that rebinds an
+attribute of the program object.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Generic, Hashable, Sequence, TypeVar
 
 from repro.core.aggregators import Aggregator
 from repro.core.update_params import UpdateParams
+from repro.errors import ProgramError
 from repro.graph.fragment import Fragment
 
 VertexId = Hashable
@@ -54,10 +57,63 @@ class ParamSpec:
     Attributes:
         aggregator: conflict resolution + partial order (e.g. ``MIN``).
         default: initial value of every border variable (e.g. ∞).
+
+    A default the aggregator's order can never advance from (``+inf``
+    under ``MAX``, ``False`` under ``BOOL_AND``) is refused here: every
+    variable would be stuck at it, so aggregation could never improve a
+    value.
     """
 
     aggregator: Aggregator
     default: object
+
+    def __post_init__(self) -> None:
+        order = self.aggregator.order
+        for value in order.final:
+            if type(self.default) is type(value) and self.default == value:
+                raise ProgramError(
+                    f"[GRP401] default {self.default!r} for the "
+                    f"{self.aggregator.name} aggregator can never be "
+                    f"improved: nothing advances from it in the "
+                    f"{order.name} order; declare the order's top (its "
+                    "identity), e.g. +inf for min, -inf or None for max"
+                )
+
+
+def contract_code(value: object, otherwise: str) -> str:
+    """The rule code of program state ``value``: a lambda (GRP501), a
+    function defined inside a method (GRP502), else ``otherwise``."""
+    if getattr(value, "__name__", None) == "<lambda>":
+        return "GRP501"
+    if "<locals>" in getattr(value, "__qualname__", ""):
+        return "GRP502"
+    return otherwise
+
+
+def check_declaration(program: object, before: dict, phase: str) -> None:
+    """Refuse a ``phase`` that rebound attributes of ``program``.
+
+    ``before`` is ``dict(vars(program))`` taken when the program was
+    bound. A program is a declaration: one object serves every simulated
+    worker and a process worker computes on a pickled copy, so whatever
+    a phase stores on ``self`` is mixed across fragments or lost.
+    """
+    after = vars(program)
+    moved = sorted(
+        k for k in before.keys() | after.keys()
+        if k not in before or k not in after or before[k] is not after[k]
+    )
+    if moved:
+        name = moved[0]
+        value = after.get(name)
+        now = f"= {value!r}" if name in after else "deleted"
+        raise ProgramError(
+            f"[{contract_code(value, 'GRP403')}] {type(program).__name__}."
+            f"{phase} stored run state on the program object "
+            f"(`self.{name}` {now}): a program is a declaration — keep "
+            "per-run state in the partial answer, and build "
+            "configuration in __init__"
+        )
 
 
 class PIEProgram(abc.ABC, Generic[Q, P, R]):
@@ -168,8 +224,8 @@ class PIEProgram(abc.ABC, Generic[Q, P, R]):
         local vertex or still carries a stale partial entry).
         """
         raise NotImplementedError(
-            f"{self.name} does not support deletions or non-monotone "
-            "graph updates (no delta_seeds/repair_partial)"
+            f"[GRP404] {self.name} does not support deletions or "
+            "non-monotone graph updates (no delta_seeds/repair_partial)"
         )
 
     def invalidated_region(
@@ -214,8 +270,8 @@ class PIEProgram(abc.ABC, Generic[Q, P, R]):
         afterwards, so the repair only needs local correctness.
         """
         raise NotImplementedError(
-            f"{self.name} does not support deletions or non-monotone "
-            "graph updates (no delta_seeds/repair_partial)"
+            f"[GRP404] {self.name} does not support deletions or "
+            "non-monotone graph updates (no delta_seeds/repair_partial)"
         )
 
     def __repr__(self) -> str:

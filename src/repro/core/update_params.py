@@ -26,6 +26,14 @@ from repro.errors import ProgramError
 VertexId = Hashable
 
 
+def _undeclared(action: str, v: VertexId) -> ProgramError:
+    return ProgramError(
+        f"[GRP402] {action} undeclared update parameter {v!r}: "
+        "declare_params must declare every vertex PEval/IncEval writes — "
+        "update parameters live on fragment.border"
+    )
+
+
 class UpdateParams:
     """Border-variable store for one fragment.
 
@@ -97,7 +105,7 @@ class UpdateParams:
         variables it declared.
         """
         if v not in self._declared:
-            raise ProgramError(f"write to undeclared update parameter {v!r}")
+            raise _undeclared("write to", v)
         old = self._values.get(v, self.default)
         if old == value:
             return False
@@ -118,7 +126,7 @@ class UpdateParams:
         did not change, but the newcomer has never seen it.
         """
         if v not in self._declared:
-            raise ProgramError(f"touch of undeclared update parameter {v!r}")
+            raise _undeclared("touch of", v)
         self._changed.add(v)
 
     def improve(self, v: VertexId, value: object) -> bool:
@@ -135,7 +143,7 @@ class UpdateParams:
         if resolved == old:
             return False
         if v not in self._declared:
-            raise ProgramError(f"write to undeclared update parameter {v!r}")
+            raise _undeclared("write to", v)
         if self.audit is not None:
             self.audit.check(self.aggregator.order, v, old, resolved)
         self._values[v] = resolved

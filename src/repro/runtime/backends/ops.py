@@ -10,8 +10,11 @@ implementation of "apply messages, run IncEval, ship changes".
 
 Ops must stay picklable-by-reference (module-level, no captured state)
 and their arguments/results must survive ``pickle`` — that is the whole
-handoff contract of the process backend (see grape-lint's GRP5xx family
-for the static gate on program authors).
+handoff contract of the process backend. The bound program must stay a
+declaration: every op that calls into it compares ``vars(program)``
+with the snapshot taken at bind
+(:func:`~repro.core.pie.check_declaration`), so a phase storing state
+on ``self`` is refused on either backend.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from repro.core.assurance import WriteAudit
+from repro.core.pie import check_declaration
 from repro.core.update_params import UpdateParams
 from repro.graph.fragment import Fragment, apply_fragment_effects
 
@@ -28,13 +32,15 @@ VertexId = Hashable
 class WorkerContext:
     """One worker's entire local state, wherever the worker lives."""
 
-    __slots__ = ("wid", "frag", "program", "query", "params", "partial",
-                 "started")
+    __slots__ = ("wid", "frag", "program", "declared", "query", "params",
+                 "partial", "started")
 
     def __init__(self, wid: int, frag: Fragment) -> None:
         self.wid = wid
         self.frag = frag
         self.program = None
+        #: ``dict(vars(program))`` at bind: what every phase must leave.
+        self.declared: dict = {}
         self.query = None
         self.params: UpdateParams | None = None
         self.partial = None
@@ -51,9 +57,17 @@ def probe_active(ctx: WorkerContext) -> bool:
     return bool(ctx.program.is_active(ctx.frag, ctx.partial))
 
 
-def _reply(ctx: WorkerContext) -> tuple:
+def _bind_program(ctx: WorkerContext, program, query) -> None:
+    ctx.program = program
+    ctx.declared = dict(vars(program))
+    ctx.query = query
+
+
+def _reply(ctx: WorkerContext, phase: str) -> tuple:
     """What every superstep op sends home: the changed parameters, the
-    work the program charged, and the audit's tally (None: unchecked)."""
+    work the program charged, and the audit's tally (None: unchecked) —
+    once ``phase`` has been checked to leave the program untouched."""
+    check_declaration(ctx.program, ctx.declared, phase)
     store = ctx.params
     return store.consume_changes(), store.take_work(), store.take_audit()
 
@@ -70,8 +84,7 @@ def _install(ctx: WorkerContext, params: UpdateParams, audit) -> None:
 
 def op_bind(ctx: WorkerContext, program, query, audit=None):
     """Fresh run: bind the program and declare its update parameters."""
-    ctx.program = program
-    ctx.query = query
+    _bind_program(ctx, program, query)
     ctx.partial = None
     ctx.started = False
     return op_rebind_params(ctx, audit)
@@ -88,8 +101,7 @@ def op_rebind_params(ctx: WorkerContext, audit=None):
 
 def op_resume(ctx: WorkerContext, program, query, partial, params, audit=None):
     """Incremental run: bind the program plus a prior run's state."""
-    ctx.program = program
-    ctx.query = query
+    _bind_program(ctx, program, query)
     return op_set_state(ctx, partial, params, audit)
 
 
@@ -123,7 +135,7 @@ def op_peval(ctx: WorkerContext):
     """Superstep 0: the program's sequential PEval over the fragment."""
     ctx.partial = ctx.program.peval(ctx.frag, ctx.query, ctx.params)
     ctx.started = True
-    return _reply(ctx)
+    return _reply(ctx, "peval")
 
 
 def op_inceval(ctx: WorkerContext, payloads, locally_active):
@@ -142,7 +154,7 @@ def op_inceval(ctx: WorkerContext, payloads, locally_active):
         ctx.partial = ctx.program.inceval(
             ctx.frag, ctx.query, ctx.partial, ctx.params, changed
         )
-    return (changed, *_reply(ctx))
+    return (changed, *_reply(ctx, "inceval"))
 
 
 def op_repair(ctx: WorkerContext, region):
@@ -150,7 +162,7 @@ def op_repair(ctx: WorkerContext, region):
     ctx.partial = ctx.program.repair_partial(
         ctx.frag, ctx.query, ctx.partial, ctx.params, set(region)
     )
-    return _reply(ctx)
+    return _reply(ctx, "repair_partial")
 
 
 def op_update(ctx: WorkerContext, ops):
@@ -158,22 +170,23 @@ def op_update(ctx: WorkerContext, ops):
     ctx.partial = ctx.program.on_graph_update(
         ctx.frag, ctx.query, ctx.partial, ctx.params, ops
     )
-    return _reply(ctx)
+    return _reply(ctx, "on_graph_update")
 
 
 def op_seed_region(ctx: WorkerContext, ops):
     """Seed + locally close the invalidated region from unsafe ops."""
     seeds = ctx.program.delta_seeds(ctx.frag, ctx.query, ctx.partial, ops)
-    return ctx.program.invalidated_region(
-        ctx.frag, ctx.query, ctx.partial, set(seeds)
-    )
+    check_declaration(ctx.program, ctx.declared, "delta_seeds")
+    return op_expand_region(ctx, seeds)
 
 
 def op_expand_region(ctx: WorkerContext, fresh):
     """Close freshly received invalidated vertices over local deps."""
-    return ctx.program.invalidated_region(
+    region = ctx.program.invalidated_region(
         ctx.frag, ctx.query, ctx.partial, set(fresh)
     )
+    check_declaration(ctx.program, ctx.declared, "invalidated_region")
+    return region
 
 
 def op_reship(ctx: WorkerContext):
@@ -182,7 +195,7 @@ def op_reship(ctx: WorkerContext):
     for v in store.declared:
         if store.get(v) != store.default:
             store.touch(v)
-    return _reply(ctx)
+    return _reply(ctx, "reship")
 
 
 # ----------------------------------------------------------------------

@@ -30,17 +30,33 @@ import pickle
 import time
 from typing import Callable, Sequence
 
+from repro.core.pie import contract_code
 from repro.errors import EngineRuntimeError, ProgramError
 from repro.graph.fragment import FragmentedGraph
 from repro.runtime.backends.base import ExecutionBackend, WorkerCall
 from repro.runtime.backends.ops import OPS, WorkerContext, probe_active
 
-#: How to make `peval`/`inceval` pickle failures actionable.
-_PICKLE_HINT = (
-    "run `grape lint` — the GRP5xx pickle-safety rules locate program "
-    "state (lambdas, local closures, open handles) that cannot cross "
-    "a process boundary"
-)
+
+def _unpicklable_state(chunk: list[tuple]) -> str:
+    """Name the first attribute of a shipped program that cannot be
+    pickled, prefixed with its rule code; ``""`` when none fails."""
+    for _, args in chunk:
+        program = args.get("program")
+        if program is None:
+            continue
+        for name, value in vars(program).items():
+            try:
+                pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                return (
+                    f"[{contract_code(value, 'GRP503')}] "
+                    f"`{type(program).__name__}.{name}` = {value!r} "
+                    "cannot cross a process boundary — build it inside "
+                    "the method that uses it, or from module-level "
+                    "functions; "
+                )
+    return ""
+
 
 #: Seconds between liveness checks while waiting on a worker's reply.
 _POLL_INTERVAL = 0.1
@@ -97,7 +113,8 @@ def _worker_main(conn, wid: int, frag_bytes: bytes, deterministic: bool):
                     "err",
                     EngineRuntimeError(
                         f"worker {wid}: result of op {op!r} is not "
-                        f"picklable ({exc}); {_PICKLE_HINT}"
+                        f"picklable ({exc}); partial answers and "
+                        "parameter values must cross a process boundary"
                     ),
                     active,
                     elapsed,
@@ -204,8 +221,8 @@ class ProcessBackend(ExecutionBackend):
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             ops = ", ".join(op for op, _ in chunk)
             raise ProgramError(
-                f"cannot ship ops [{ops}] to worker {wid}: arguments are "
-                f"not picklable ({exc}); {_PICKLE_HINT}"
+                f"{_unpicklable_state(chunk)}cannot ship ops [{ops}] to "
+                f"worker {wid}: arguments are not picklable ({exc})"
             ) from exc
         self._owed[wid] += 1
 

@@ -11,6 +11,8 @@ both ends (writer and owner), and must re-converge to the clean run.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.algorithms.pagerank import PageRankProgram, PageRankQuery
@@ -89,11 +91,12 @@ class CrashingPageRank(PageRankProgram):
     def __init__(self, total_vertices: int, crash_at_call: int) -> None:
         super().__init__(total_vertices)
         self.crash_at_call = crash_at_call
-        self.calls = 0
+        # One counter shared by every simulated worker, advanced in
+        # place: rebinding `self.calls` in IncEval would be refused.
+        self.calls = itertools.count(1)
 
     def inceval(self, fragment, query, partial, params, changed):
-        self.calls += 1
-        if self.calls == self.crash_at_call:
+        if next(self.calls) == self.crash_at_call:
             raise ConnectionError("simulated worker failure")
         return super().inceval(fragment, query, partial, params, changed)
 

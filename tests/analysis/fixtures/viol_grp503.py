@@ -1,5 +1,7 @@
 """Fixture: GRP503 — an open OS handle stored on the program object."""
 
+import os
+
 from repro.core.aggregators import MIN
 from repro.core.pie import ParamSpec, PIEProgram
 
@@ -8,7 +10,7 @@ class OpenHandleProgram(PIEProgram):
     name = "fixture-grp503"
 
     def __init__(self):
-        self.log = open("/tmp/fixture-grp503.log", "w")
+        self.log = open(os.devnull, "w")
 
     def param_spec(self, query):
         return ParamSpec(aggregator=MIN, default=None)

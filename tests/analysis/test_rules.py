@@ -1,4 +1,5 @@
-"""Each fixture program violates exactly one grape-lint rule."""
+"""Each fixture program violates exactly one rule: a grape-lint rule,
+or a declaration-contract rule the runtime refuses."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import pytest
 from repro.analysis import analyze_path, analyze_source
 from repro.analysis.findings import CATALOG
 from repro.analysis.runner import active
+from tests.analysis.test_runtime_refusals import RUNTIME, refusal
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -41,6 +43,12 @@ EXPECTED = {
 @pytest.mark.parametrize("filename,code", sorted(EXPECTED.items()))
 def test_fixture_flags_exactly_its_rule(filename: str, code: str) -> None:
     findings = active(analyze_path(str(FIXTURES / filename)))
+    if code in RUNTIME:
+        # Lint stays silent; the runtime refuses it, naming the code.
+        assert findings == [], [str(f) for f in findings]
+        backend = RUNTIME[code][3][0]
+        assert str(refusal(filename, backend)).startswith(f"[{code}]")
+        return
     assert [f.code for f in findings] == [code], [str(f) for f in findings]
     finding = findings[0]
     assert finding.severity == CATALOG[code].severity
@@ -50,8 +58,11 @@ def test_fixture_flags_exactly_its_rule(filename: str, code: str) -> None:
 
 
 def test_every_static_rule_has_a_fixture() -> None:
-    static_codes = {c for c in CATALOG if c != "GRP100"}
-    assert set(EXPECTED.values()) == static_codes
+    # Every catalog code has a static fixture; every code that moved to
+    # the runtime has a runtime row.
+    codes = set(EXPECTED.values())
+    assert codes - set(RUNTIME) == set(CATALOG)
+    assert set(RUNTIME) <= codes
 
 
 def test_clean_program_reports_nothing() -> None:

@@ -1,5 +1,7 @@
 """Tests for superstep checkpointing and crash recovery."""
 
+import itertools
+
 import pytest
 
 from repro.algorithms.cc import CCProgram, CCQuery
@@ -25,11 +27,12 @@ class CrashingSSSP(SSSPProgram):
     def __init__(self, crash_at_call: int) -> None:
         super().__init__()
         self.crash_at_call = crash_at_call
-        self.calls = 0
+        # One counter shared by every simulated worker, advanced in
+        # place: rebinding `self.calls` in IncEval would be refused.
+        self.calls = itertools.count(1)
 
     def inceval(self, fragment, query, partial, params, changed):
-        self.calls += 1
-        if self.calls == self.crash_at_call:
+        if next(self.calls) == self.crash_at_call:
             raise ConnectionError("simulated worker failure")
         return super().inceval(fragment, query, partial, params, changed)
 

@@ -1,5 +1,7 @@
 """Unit tests for partial orders and aggregate functions."""
 
+import pytest
+
 from repro.core.aggregators import (
     BOOL_AND,
     BOOL_OR,
@@ -17,6 +19,10 @@ from repro.core.partial_order import (
     SHRINKING_SET,
     UNORDERED,
 )
+from repro.core.pie import ParamSpec
+from repro.errors import ProgramError
+
+INF = float("inf")
 
 
 # -------------------------------------------------------- partial orders
@@ -97,3 +103,26 @@ def test_min_repeated_application_respects_order():
         assert MIN.order.advances(value, new)
         value = new
     assert value == 3
+
+
+# ------------------------------------------------- degenerate defaults
+@pytest.mark.parametrize(
+    "aggregator,default",
+    [(MAX, INF), (MIN, -INF), (BOOL_AND, False), (BOOL_OR, True),
+     (SET_INTERSECT, frozenset())],
+)
+def test_param_spec_refuses_a_default_nothing_advances_from(
+    aggregator, default
+):
+    with pytest.raises(ProgramError, match=r"^\[GRP401\]"):
+        ParamSpec(aggregator=aggregator, default=default)
+
+
+@pytest.mark.parametrize(
+    "aggregator,default",
+    [(MIN, INF), (MAX, -INF), (MAX, None), (SUM_ONCE, 0.0),
+     (BOOL_AND, 0), (BOOL_OR, 1.0), (SET_UNION, frozenset())],
+)
+def test_param_spec_accepts_improvable_defaults(aggregator, default):
+    # Matched type-exactly: 0 under BOOL_AND is not False.
+    assert ParamSpec(aggregator=aggregator, default=default).default == default
