@@ -2,16 +2,16 @@
 
 E12 showed *why* BSP barriers hurt: each superstep costs its slowest
 worker, so a skewed partition idles every light fragment at the heavy
-fragment's pace. ``mode="relaxed"`` times the same direct-routing
-rounds on per-worker clocks instead of a barrier, letting light
+fragment's pace. ``mode="relaxed"`` times the same rounds on
+per-worker clocks instead of a barrier, letting light
 fragments run ahead while the Assurance Theorem keeps the answers
 exact. This bench measures how
 much of the barrier slack the pipeline reclaims on a deliberately
 skewed road:40x40 partition and — the whole point of the gate —
 asserts in the same run that the relaxed answers, fixpoint traces and
-state blobs are byte-identical to the strict-BSP oracle. A fourth run
-puts the scheduling lever beside the placement lever: strict/direct on
-the same graph after ``Session.repartition``'s multilevel partitioner
+state blobs are byte-identical to the strict-BSP oracle. A third run
+puts the scheduling lever beside the placement lever: strict on the
+same graph after ``Session.repartition``'s multilevel partitioner
 (the Load Balancer's job; EXPERIMENTS.md A3).
 
 Writes ``benchmarks/results/e16_relaxed_makespan.json``.
@@ -54,13 +54,12 @@ def _skewed_assignment(graph) -> dict:
     return assignment
 
 
-def _run(mode: str, routing: str, graph, assignment, strategy="skewed"):
+def _run(mode: str, graph, assignment, strategy="skewed"):
     fragmented = build_fragments(graph, assignment, NUM_WORKERS, strategy)
     tracer = Tracer()
     engine = GrapeEngine(
         fragmented,
         cost_model=CostModel(deterministic=True),
-        routing=routing,
         mode=mode,
         tracer=tracer,
     )
@@ -87,19 +86,18 @@ def _run(mode: str, routing: str, graph, assignment, strategy="skewed"):
 def test_e16_relaxed_makespan():
     graph = graph_from_spec(GRAPH_SPEC)
     assignment = _skewed_assignment(graph)
-    coordinator = _run("strict", "coordinator", graph, assignment)
-    strict = _run("strict", "direct", graph, assignment)
-    relaxed = _run("relaxed", "direct", graph, assignment)
+    strict = _run("strict", graph, assignment)
+    relaxed = _run("relaxed", graph, assignment)
     repartitioned = _run(
-        "strict", "direct", graph,
+        "strict", graph,
         get_partitioner("multilevel")(graph, NUM_WORKERS), "multilevel",
     )
 
     # The gate: only scheduling and makespan may differ. Answers are
-    # byte-identical across all four pipelines; the fixpoint trace,
+    # byte-identical across all three pipelines; the fixpoint trace,
     # state blobs and per-superstep traffic match the strict oracle,
     # whose sends relaxed mode executes one for one.
-    assert strict["answer"] == relaxed["answer"] == coordinator["answer"]
+    assert strict["answer"] == relaxed["answer"]
     assert repartitioned["answer"] == strict["answer"]
     assert strict["rounds"] == relaxed["rounds"]
     assert strict["blob"] == relaxed["blob"]
@@ -136,7 +134,6 @@ def test_e16_relaxed_makespan():
         "rounds": len(strict["rounds"]),
         "messages": sum(m for _, m, _ in strict["traffic"]),
         "bytes": sum(b for _, _, b in strict["traffic"]),
-        "strict_coordinator_s": round(coordinator["total_time"], 6),
         "strict_direct_s": round(strict["total_time"], 6),
         "relaxed_s": round(relaxed["total_time"], 6),
         "reclaimed_s": round(reclaimed, 6),
@@ -152,8 +149,6 @@ def test_e16_relaxed_makespan():
     )
 
     rows = [
-        ["strict/coordinator", f"{coordinator['total_time'] * 1000:.2f}",
-         "-", "yes"],
         ["strict/direct", f"{strict['total_time'] * 1000:.2f}", "-", "yes"],
         ["relaxed", f"{relaxed['total_time'] * 1000:.2f}",
          f"-{reclaimed_pct:.1f}%", "yes"],

@@ -109,24 +109,11 @@ def test_grape(benchmark, road, fragments, results):
     results["GRAPE (auto-parallelization)"] = r.metrics
 
 
-def test_grape_direct_routing(benchmark, road, fragments, results):
-    r = run_once(
-        benchmark,
-        lambda: _best_of(
-            lambda: GrapeEngine(
-                fragments["multilevel"], routing="direct"
-            ).run(SSSPProgram(), SSSPQuery(source=SOURCE))
-        ),
-    )
-    results["GRAPE (direct routing)"] = r.metrics
-
-
 def test_table1_shape_and_report(benchmark, road, results):
     """Assert the Table-1 ordering and emit the reproduced table."""
     run_once(benchmark, lambda: None)  # keep visible under --benchmark-only
-    assert len(results) == 5, "run the whole module, not a single bench"
+    assert len(results) == 4, "run the whole module, not a single bench"
     grape = results["GRAPE (auto-parallelization)"]
-    grape_direct = results["GRAPE (direct routing)"]
     blogel = results["Blogel (block-centric)"]
     giraph = results["Giraph (vertex-centric)"]
     graphlab = results["GraphLab (vertex-centric)"]
@@ -138,7 +125,7 @@ def test_table1_shape_and_report(benchmark, road, results):
     # Communication: locality systems far below vertex-centric ones.
     assert grape.communication_mb * 5 < giraph.communication_mb
     assert grape.communication_mb * 5 < graphlab.communication_mb
-    assert grape_direct.communication_mb <= blogel.communication_mb * 1.25
+    assert grape.communication_mb <= blogel.communication_mb * 1.25
 
     rows = [
         [

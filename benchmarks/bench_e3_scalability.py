@@ -14,12 +14,6 @@ the compute/overhead ratio of the paper's regime we scale measured
 compute by ``COMPUTE_SCALE`` (a disclosed knob of the simulator, applied
 identically across all worker counts — it cannot manufacture a speedup
 that is not there).
-
-Routing note: the sweep uses the engine's direct (worker-to-worker)
-routing mode — the deployment used for scale-out measurements in
-GRAPE's open-source successor — because at laptop scale a serial
-coordinator hop otherwise becomes the bottleneck long before the
-paper's regime would hit it. E1 reports both routing modes.
 """
 
 from __future__ import annotations
@@ -81,9 +75,9 @@ def _sweep(graph, make_program, query, repeats: int = 2):
         fragd = build_fragments(graph, assignment, n, "multilevel")
         best = None
         for _ in range(repeats):
-            result = GrapeEngine(
-                fragd, cost_model=COST_MODEL, routing="direct"
-            ).run(make_program(), query)
+            result = GrapeEngine(fragd, cost_model=COST_MODEL).run(
+                make_program(), query
+            )
             if best is None or result.total_time < best.total_time:
                 best = result
         rows.append(

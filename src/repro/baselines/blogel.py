@@ -6,8 +6,8 @@ function runs a sequential algorithm over a whole block per superstep
 and exchanges per-vertex messages with other blocks. This sits between
 vertex-centric systems (far fewer supersteps: information crosses a
 block per step, not an edge) and GRAPE (blocks are still fractions of a
-fragment, message exchange is per-vertex per-edge without the
-coordinator's aggregate-and-route of update parameters, and there is no
+fragment, message exchange is per-vertex per-edge without GRAPE's
+per-vertex update parameters and their aggregate, and there is no
 bounded incremental step).
 
 Blocks are computed at load time as the connected components of each

@@ -1,10 +1,11 @@
 """Aggregate functions resolving conflicting update-parameter values.
 
-When several workers propose values for the same border variable, the
-coordinator resolves the conflict with the aggregate function declared in
-PEval — ``min`` for SSSP in Example 1. Each built-in aggregator carries
-the partial order its repeated application respects, so the engine can
-verify monotonicity without extra user input.
+When several workers propose values for the same border variable, each
+receiving fragment resolves the conflict with the aggregate function
+declared in PEval — ``min`` for SSSP in Example 1. Each built-in
+aggregator carries the partial order its repeated application
+respects, so the engine can verify monotonicity without extra user
+input.
 """
 
 from __future__ import annotations

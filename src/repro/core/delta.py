@@ -215,7 +215,7 @@ def apply_delta(
 ) -> dict[int, list[DeltaOp]]:
     """Route a mixed ΔG batch into fragments; returns fid -> ops to repair.
 
-    The batch is atomic: it is validated whole (:func:`_check_batch`)
+    The batch is atomic: it is validated whole (:func:`check_batch`)
     before the first mutation, so a rejected batch leaves the fragments
     untouched, then its ops apply in order. Insertions of an edge that
     already exists are routed as reweights (with the old weight
@@ -227,7 +227,7 @@ def apply_delta(
     its workers' fragment copies so both sides stay byte-identical.
     """
     delta = GraphDelta.coerce(delta)
-    _check_batch(fragmented, delta)
+    check_batch(fragmented, delta)
     touched: dict[int, list[DeltaOp]] = {}
     for op in delta:
         routed, fids = _route_op(fragmented, op)
@@ -239,7 +239,7 @@ def apply_delta(
     return touched
 
 
-def _check_batch(fragmented: FragmentedGraph, delta: GraphDelta) -> None:
+def check_batch(fragmented: FragmentedGraph, delta: GraphDelta) -> None:
     """Raise :class:`~repro.errors.ProgramError` unless every op applies.
 
     The ways routing an op can fail: an endpoint no fragment owns, an

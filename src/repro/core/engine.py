@@ -3,18 +3,21 @@
 Workflow (Fig. 1):
 
 1. **PEval** — superstep 0: every worker runs the program's PEval on its
-   fragment; changed update parameters are sent to the coordinator.
-2. **IncEval** — repeated supersteps: the coordinator aggregates incoming
-   candidate values per vertex (using the declared aggregate function)
-   and routes them to every fragment hosting the vertex; workers whose
-   parameters actually changed run IncEval and ship new changes back.
+   fragment and ships each changed update parameter straight to the
+   other fragments hosting that vertex.
+2. **IncEval** — repeated supersteps: each receiving fragment folds the
+   incoming candidate values into its own store with the declared
+   aggregate function; workers whose parameters actually changed run
+   IncEval and ship new changes the same way.
 3. **Assemble** — when no parameter changes anywhere, the coordinator
    pulls the partial answers and combines them.
 
-Two routing modes are provided: ``"coordinator"`` (the paper's workflow,
-messages travel via P0) and ``"direct"`` (an extension mirroring
-libgrape-lite: workers send changed border values to the fragments
-hosting them and P0 nothing). Every message is a batch of update
+The paper routes every message through P0, which aggregates and fans
+out. Here the aggregate is applied where the value lands
+(``UpdateParams.apply_remote``), as GraphX's routing table and
+libgrape-lite do; for a commutative, associative aggregator the
+fixpoint is the one P0's merge reaches. P0 keeps the inactivity test,
+ΔG routing, checkpoint recovery and Assemble. Every message is a batch of update
 parameters; the run ends when none is pending and no worker is active.
 
 Execution backends: worker-local steps (PEval, IncEval, the ΔG repair
@@ -22,7 +25,7 @@ hooks) are expressed as named ops and dispatched through an
 :class:`~repro.runtime.backends.base.ExecutionBackend` — in-process on
 the virtual-time simulator (default) or on a pool of OS worker
 processes (``ProcessBackend``) that own pickled fragment copies and
-exchange border messages through this coordinator each superstep. Both
+exchange border messages through the parent process each superstep. Both
 run the same op code, so answers and metrics are byte-identical; only
 the process backend additionally reports real wall-clock compute.
 
@@ -72,8 +75,8 @@ VertexId = Hashable
 
 #: Superstep engine modes — a clock policy, nothing else: ``"strict"``
 #: is the BSP lockstep of the paper; ``"relaxed"`` executes strict
-#: direct routing's sends against per-worker virtual clocks instead of
-#: a barrier (programs whose aggregator declares a partial order only).
+#: mode's sends against per-worker virtual clocks instead of a barrier
+#: (programs whose aggregator declares a partial order only).
 MODES = ("strict", "relaxed")
 
 
@@ -124,10 +127,8 @@ class GrapeEngine:
             on every backend and every kind of run; the result's
             ``checker`` reports what that run saw.
         max_supersteps: fixed-point cap for non-monotonic programs.
-        routing: ``"coordinator"`` (paper default) or ``"direct"``.
         mode: ``"strict"`` (BSP lockstep, default) or ``"relaxed"`` —
-            the same fixpoint loop over the same direct-routing
-            mailboxes (peer-to-peer whatever ``routing`` says), but
+            the same fixpoint loop over the same mailboxes, but
             each IncEval round is a *wave* timed on per-worker virtual
             clocks: a worker starts once its own mail has arrived
             instead of waiting for the slowest lane. Termination is the
@@ -136,9 +137,9 @@ class GrapeEngine:
             aggregator carries a partial order (anything but
             ``UNORDERED`` — the Assurance Theorem's precondition, and
             the declaration ``check_monotonic`` enforces per write). It
-            executes strict ``routing="direct"``'s sends in order, so
-            answers, traffic, repair stats, checkpoints and injected
-            faults are byte-identical; only virtual time differs.
+            executes strict mode's sends in order, so answers, traffic,
+            repair stats, checkpoints and injected faults are
+            byte-identical; only virtual time differs.
         supervision: retry/backoff/recovery knobs (defaults to
             :class:`~repro.core.supervisor.SupervisionPolicy`).
         repair_fraction: fixed threshold — non-monotone repair falls
@@ -157,15 +158,12 @@ class GrapeEngine:
         check_monotonic: bool = False,
         strict_monotonic: bool = True,
         max_supersteps: int = 10_000,
-        routing: str = "coordinator",
         supervision: SupervisionPolicy | None = None,
         repair_fraction: float = 0.5,
         tracer=None,
         backend: ExecutionBackend | None = None,
         mode: str = "strict",
     ) -> None:
-        if routing not in ("coordinator", "direct"):
-            raise ProgramError(f"unknown routing mode {routing!r}")
         if mode not in MODES:
             raise ProgramError(
                 f"unknown superstep mode {mode!r}; choose from "
@@ -188,9 +186,6 @@ class GrapeEngine:
         self.check_monotonic = check_monotonic
         self.strict_monotonic = strict_monotonic
         self.max_supersteps = max_supersteps
-        self.routing = routing
-        #: relaxed waves always route peer-to-peer, whatever ``routing``.
-        self._direct = routing == "direct" or mode == "relaxed"
         self.supervision = supervision or SupervisionPolicy()
         self.repair_fraction = repair_fraction
         self.backend = backend
@@ -233,9 +228,7 @@ class GrapeEngine:
         )
 
         # ---------------- IncEval rounds ----------------
-        rounds = self._fixpoint(
-            cluster, program, query, checkpoint, supervisor
-        )
+        rounds = self._fixpoint(cluster, program, checkpoint, supervisor)
 
         answer = self._assemble(cluster, program, query, supervisor)
 
@@ -397,9 +390,7 @@ class GrapeEngine:
                     ],
                 )
 
-        rounds = self._fixpoint(
-            cluster, program, query, checkpoint, supervisor
-        )
+        rounds = self._fixpoint(cluster, program, checkpoint, supervisor)
 
         answer = self._assemble(cluster, program, query, supervisor)
 
@@ -556,8 +547,7 @@ class GrapeEngine:
         self._reship_borders(cluster, supervisor)
 
         rounds = self._fixpoint(
-            cluster, program, query, checkpoint, supervisor,
-            done_rounds=ckpt_round,
+            cluster, program, checkpoint, supervisor, done_rounds=ckpt_round
         )
 
         answer = self._assemble(cluster, program, query, supervisor)
@@ -680,7 +670,6 @@ class GrapeEngine:
         self,
         cluster: Cluster,
         program: PIEProgram[Q, P, R],
-        query: Q,
         checkpoint,
         supervisor: Supervisor,
         done_rounds: int = 0,
@@ -711,7 +700,7 @@ class GrapeEngine:
             try:
                 with cluster.superstep("inceval", relaxed=relaxed) as step:
                     shipped, applied, active = self._inceval_round(
-                        cluster, step, program, query, supervisor
+                        cluster, step, supervisor
                     )
             except WorkerFailure as failure:
                 if not failure.fatal:
@@ -833,11 +822,8 @@ class GrapeEngine:
         )
 
     def _emit(self, step, wid: int, changes: dict[VertexId, object]) -> None:
-        """Send changed parameters to P0 (coordinator routing) or to
-        every other hosting fragment — the mode never shapes a send."""
-        if not self._direct:
-            step.send(wid, COORDINATOR, changes)
-            return
+        """Send changed parameters to every other hosting fragment — the
+        mode never shapes a send."""
         by_dst: dict[int, dict[VertexId, object]] = {}
         for v, value in changes.items():
             for fid in self.fragmented.hosts(v):
@@ -850,46 +836,17 @@ class GrapeEngine:
         self,
         cluster: Cluster,
         step,
-        program: PIEProgram[Q, P, R],
-        query: Q,
         supervisor: Supervisor,
     ) -> tuple[int, int, int]:
-        """One superstep: route messages, run IncEval, ship new changes.
+        """One superstep: workers apply their mail, run IncEval and ship
+        new changes.
 
         Returns (params shipped by workers this round, params applied,
-        active worker count). Under direct routing the mail is already
-        in the workers' inboxes and P0 has none. Each worker's
-        apply+IncEval runs under the supervisor: a retry re-applies its
-        messages (idempotent under the aggregate function) and re-runs
-        IncEval.
+        active worker count). Each worker's apply+IncEval runs under the
+        supervisor: a retry re-applies its messages (idempotent under
+        the aggregate function) and re-runs IncEval.
         """
         n = cluster.num_workers
-        aggregator = program.param_spec(query).aggregator
-
-        if not self._direct:
-            # (a) P0 aggregates per vertex and routes to hosting fragments.
-            with step.compute(COORDINATOR):
-                inbox = cluster.receive(COORDINATOR)
-                merged: dict[VertexId, object] = {}
-                proposals: dict[VertexId, dict[int, object]] = {}
-                for msg in inbox:
-                    for v, value in msg.payload.items():
-                        if v in merged:
-                            merged[v] = aggregator.resolve(merged[v], value)
-                        else:
-                            merged[v] = value
-                        proposals.setdefault(v, {})[msg.src] = value
-                by_dst: dict[int, dict[VertexId, object]] = {}
-                for v, value in merged.items():
-                    for fid in self.fragmented.hosts(v):
-                        if proposals[v].get(fid) == value:
-                            continue  # that worker proposed it: no news
-                        by_dst.setdefault(fid, {})[v] = value
-                for fid, batch in by_dst.items():
-                    step.send(COORDINATOR, fid, batch)
-            step.deliver()
-
-        # (b) workers apply M_i and run IncEval.
         shipped = 0
         applied = 0
         active = 0

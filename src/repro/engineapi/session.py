@@ -48,12 +48,12 @@ class Session:
         store: fragment storage backend name ("dict"/"csr"); by default
             fragments inherit the graph's own store.
         mode: superstep engine mode — ``"strict"`` (BSP lockstep, the
-            default) or ``"relaxed"`` (strict ``routing="direct"``'s
-            sends, one for one, timed on per-worker virtual clocks
-            instead of a barrier, for aggregator-monotone programs;
-            always peer-to-peer whatever ``routing`` says;
-            byte-identical answers and traffic, lower virtual
-            makespan).
+            default) or ``"relaxed"`` (strict mode's sends, one for
+            one, timed on per-worker virtual clocks instead of a
+            barrier, for aggregator-monotone programs; byte-identical
+            answers and traffic, lower virtual makespan). Either way a
+            worker ships each changed border value straight to the
+            fragments hosting it.
     """
 
     def __init__(
@@ -63,7 +63,6 @@ class Session:
         partition: str | Partitioner = "hash",
         cost_model: CostModel | None = None,
         check_monotonic: bool = False,
-        routing: str = "coordinator",
         validate: bool = False,
         tracer=None,
         backend: str | ExecutionBackend = "simulated",
@@ -75,7 +74,6 @@ class Session:
         self.num_workers = num_workers
         self.cost_model = cost_model or CostModel()
         self.check_monotonic = check_monotonic
-        self.routing = routing
         self.mode = mode
         self.validate = validate
         #: Optional :class:`~repro.obs.Tracer` every engine this session
@@ -174,7 +172,6 @@ class Session:
             self.fragmented,
             cost_model=self.cost_model,
             check_monotonic=self.check_monotonic,
-            routing=self.routing,
             tracer=self.tracer,
             backend=self.backend,
             mode=self.mode,

@@ -215,6 +215,9 @@ def runs_from_chrome(data: dict) -> list[RunTimeline]:
     Inverse of the exporter for reporting purposes: worker-lane spans
     carry ``worker``/``step``/``phase`` in their args, so the per-step
     structure reconstructs exactly (lane totals, phases, recoveries).
+    Steps are kept in document order, each span going to the latest step
+    with its index: a fatal crash's aborted step and the ``recover`` step
+    that reuses its index stay two rows.
     """
     by_pid: dict[int, dict] = {}
     for ev in data.get("traceEvents", []):
@@ -223,7 +226,7 @@ def runs_from_chrome(data: dict) -> list[RunTimeline]:
         if pid == 0:
             continue  # service process: simulated clock, not a run
         slot = by_pid.setdefault(
-            pid, {"run": None, "steps": {}, "spans": [], "recoveries": []}
+            pid, {"run": None, "steps": [], "open": {}, "recoveries": []}
         )
         if ph == "X":
             cat = ev.get("cat", "")
@@ -231,9 +234,11 @@ def runs_from_chrome(data: dict) -> list[RunTimeline]:
             if cat == "run":
                 slot["run"] = ev
             elif cat == "superstep":
-                slot["steps"][args["step"]] = ev
-            elif "worker" in args and "step" in args:
-                slot["spans"].append(ev)
+                spans: list[dict] = []
+                slot["steps"].append((ev, spans))
+                slot["open"][args["step"]] = spans
+            elif "worker" in args and args.get("step") in slot["open"]:
+                slot["open"][args["step"]].append(ev)
         elif ph == "i" and ev.get("cat") == "chaos":
             slot["recoveries"].append(ev)
 
@@ -256,11 +261,10 @@ def runs_from_chrome(data: dict) -> list[RunTimeline]:
             }
             or None,
         )
-        for index in sorted(slot["steps"]):
-            ev = slot["steps"][index]
+        for ev, spans in slot["steps"]:
             args = ev["args"]
             step = StepTimeline(
-                index=index,
+                index=args["step"],
                 phase=args.get("phase", "?"),
                 start=ev["ts"] / 1e6,
                 duration=ev["dur"] / 1e6,
@@ -281,28 +285,23 @@ def runs_from_chrome(data: dict) -> list[RunTimeline]:
                 relaxed=bool(args.get("relaxed", False)),
             )
             run.steps.append(step)
-        steps_by_index = {step.index: step for step in run.steps}
-        for ev in slot["spans"]:
-            args = ev["args"]
-            step = steps_by_index.get(args["step"])
-            if step is None:
-                continue
-            duration = ev["dur"] / 1e6
-            step.spans.append(
-                WorkerSpan(
-                    worker=args["worker"],
-                    name=ev["name"],
-                    cat=ev.get("cat", ""),
-                    start=ev["ts"] / 1e6,
-                    duration=duration,
-                    args=args,
+            for span in spans:
+                args = span["args"]
+                duration = span["dur"] / 1e6
+                step.spans.append(
+                    WorkerSpan(
+                        worker=args["worker"],
+                        name=span["name"],
+                        cat=span.get("cat", ""),
+                        start=span["ts"] / 1e6,
+                        duration=duration,
+                        args=args,
+                    )
                 )
-            )
-            rank = args["worker"]
-            step.worker_totals[rank] = (
-                step.worker_totals.get(rank, 0.0) + duration
-            )
-        for step in run.steps:
+                rank = args["worker"]
+                step.worker_totals[rank] = (
+                    step.worker_totals.get(rank, 0.0) + duration
+                )
             step.lane_max = max(step.worker_totals.values(), default=0.0)
         for ev in slot["recoveries"]:
             args = ev["args"]

@@ -16,7 +16,7 @@ repair stats are byte-identical by construction — the simulator is the
 oracle, the process pool is the measurement substrate (locked down by
 ``tests/property/test_backend_oracle.py``).
 
-Coordinator-side work (message aggregation, Assemble, the invalidation
+Coordinator-side work (message routing, Assemble, the invalidation
 region bookkeeping) always runs in the engine's process; only the
 per-fragment sequential code crosses the backend boundary.
 """

@@ -7,13 +7,11 @@ Engines drive the cluster through a small protocol::
         for wid in range(cluster.num_workers):
             with step.compute(wid):
                 ...  # run worker-local sequential code
-            step.send(wid, COORDINATOR, payload)
+            step.send(wid, peer, payload)
     # metrics now include the superstep's makespan + traffic
 
-A GRAPE superstep contains *two* exchanges — coordinator routes messages
-to workers, workers reply with changed parameters — so
-:class:`SuperstepHandle` supports an intermediate :meth:`deliver` whose
-traffic is accounted to the same superstep.
+Mail sent during a superstep is delivered at its barrier and read in
+the next one.
 """
 
 from __future__ import annotations
@@ -119,9 +117,6 @@ class SuperstepHandle:
         self._compute: dict[int, float] = {}
         #: worker -> work units its program charged this superstep.
         self._work: dict[int, int] = {}
-        self._bytes = 0
-        self._messages = 0
-        self._pairs = 0
         #: src rank -> [messages, bytes] shipped via :meth:`send`.
         self._sends: dict[int, list[int]] = {}
         #: real wall-clock start, only when the cluster measures wall
@@ -193,21 +188,9 @@ class SuperstepHandle:
         counts[1] += msg.size
         return msg
 
-    def deliver(self) -> None:
-        """Mid-superstep flush: deliver queued messages now.
-
-        Traffic is still charged to this superstep; use it when the
-        coordinator's routed messages must reach workers within the same
-        BSP round (the paper's step (a) then step (b)).
-        """
-        traffic = self._cluster.mpi.flush()
-        self._bytes += traffic.bytes_sent
-        self._messages += traffic.messages_sent
-        self._pairs += traffic.communicating_pairs
-
     def finish(self) -> SuperstepMetrics:
         """Barrier: flush traffic, compute simulated time, record metrics."""
-        self.deliver()
+        traffic = self._cluster.mpi.flush()
         worker_times = [
             t for w, t in self._compute.items() if w != COORDINATOR
         ]
@@ -217,7 +200,7 @@ class SuperstepHandle:
         clocks = self._cluster.clocks
         if clocks is None:
             simulated = self._cluster.cost_model.superstep_time(
-                makespan, self._bytes, self._pairs
+                makespan, traffic.bytes_sent, traffic.communicating_pairs
             )
         elif self.relaxed:
             simulated = clocks.close_wave(self._compute)
@@ -226,7 +209,7 @@ class SuperstepHandle:
             # clock at the frontier plus the full superstep time.
             simulated = clocks.barrier(
                 self._cluster.cost_model.superstep_time(
-                    makespan, self._bytes, self._pairs
+                    makespan, traffic.bytes_sent, traffic.communicating_pairs
                 )
             )
         faults = self._cluster.metrics.faults
@@ -237,8 +220,8 @@ class SuperstepHandle:
             compute_total=sum(self._compute.values()),
             work_total=sum(self._work.values()),
             work_max=max(self._work.values(), default=0),
-            bytes_sent=self._bytes,
-            messages_sent=self._messages,
+            bytes_sent=traffic.bytes_sent,
+            messages_sent=traffic.messages_sent,
             simulated_time=simulated,
             active_workers=len(worker_times),
             faults_injected=faults.total_injected - self._faults_base,
@@ -255,9 +238,9 @@ class SuperstepHandle:
             tracer.step_end(
                 self.index,
                 self.phase,
-                bytes_sent=self._bytes,
-                messages=self._messages,
-                pairs=self._pairs,
+                bytes_sent=traffic.bytes_sent,
+                messages=traffic.messages_sent,
+                pairs=traffic.communicating_pairs,
                 sends=self._sends,
                 faults=metrics.faults_injected,
                 retries=metrics.retries,

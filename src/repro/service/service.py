@@ -34,6 +34,7 @@ from repro.core.delta import (
     EdgeDelete,
     EdgeReweight,
     GraphDelta,
+    check_batch,
 )
 from repro.engineapi.query import build_query
 from repro.engineapi.registry import get_program
@@ -484,13 +485,14 @@ class GrapeService:
         mismatch) — the audit runs off the service clock.
         """
         delta = self._as_delta(edges, deletes, reweights)
+        # A rejected batch changes nothing: not the queue, the clock, the
+        # fragments or the master graph.
+        check_batch(self._engine.fragmented, delta)
         drained = self.drain()  # pending queries observe their version
         update_start = self._clock
         # Route through the engine so process-backend workers replay
         # the same fragment mutations (effect sync happens once here,
-        # then every standing repair reuses `touched`). It validates the
-        # whole batch first, so a rejected batch changes nothing — the
-        # master graph is only touched once routing has succeeded.
+        # then every standing repair reuses `touched`).
         touched = self._engine.apply_delta(delta)
         self._mutate_graph(delta)
         self._version += 1

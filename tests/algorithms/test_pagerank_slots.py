@@ -2,11 +2,11 @@
 
 ``Slot((v, fid))`` is fragment ``fid``'s cumulative push toward its
 mirror ``v``. ``FragmentedGraph.hosts`` routes a slot to ``v``'s owner
-(and names the writer, which the coordinator's proposer filter and
-direct routing's ``fid != wid`` both skip), so every message a worker
-receives carries only slots of vertices it owns — under every routing,
-with answers byte-identical across them. Recovery re-ships slots from
-both ends (writer and owner), and must re-converge to the clean run.
+(and names the writer, which the sender's ``fid != wid`` skips), so
+every message a worker receives carries only slots of vertices it owns
+— in either superstep mode, with answers byte-identical across them.
+Recovery re-ships slots from both ends (writer and owner), and must
+re-converge to the clean run.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from repro.service.service import canonical_answer_bytes
 from repro.storage.dfs import SimulatedDFS
 
 NUM_WORKERS = 3
-ROUTINGS = {
-    f"{routing}-{mode}": {"routing": routing, "mode": mode}
-    for routing in ("coordinator", "direct")
-    for mode in ("strict", "relaxed")
-}
+#: The superstep modes; ``direct`` is the strict BSP column.
+MODES = [
+    pytest.param("strict", id="direct"),
+    pytest.param("relaxed", id="relaxed"),
+]
 
 
 def _fragmented(n: int = 120):
@@ -72,15 +72,14 @@ def test_a_slot_is_hosted_by_its_vertex_owner_and_its_writer():
 
 def test_pagerank_mail_reaches_only_the_owner_under_every_routing():
     answers = set()
-    for name, engine_kwargs in ROUTINGS.items():
+    for mode in ("strict", "relaxed"):
         graph, fragmented = _fragmented()
         backend = OwnerOnly(fragmented)
         result = GrapeEngine(
-            fragmented, backend=backend, check_monotonic=True,
-            **engine_kwargs,
+            fragmented, backend=backend, check_monotonic=True, mode=mode
         ).run(PageRankProgram(graph.num_vertices), PageRankQuery())
-        assert backend.delivered > 0, name
-        assert result.checker.ok and result.checker.writes_seen > 0, name
+        assert backend.delivered > 0, mode
+        assert result.checker.ok and result.checker.writes_seen > 0, mode
         answers.add(canonical_answer_bytes(result.answer))
     assert len(answers) == 1
 
@@ -101,18 +100,18 @@ class CrashingPageRank(PageRankProgram):
         return super().inceval(fragment, query, partial, params, changed)
 
 
-@pytest.mark.parametrize("routing", ["coordinator", "direct"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("crash_at_call", [6, 9, 20, 40])
 def test_pagerank_resumes_from_checkpoint_to_the_clean_answer(
-    routing, crash_at_call, tmp_path
+    mode, crash_at_call, tmp_path
 ):
     graph, fragmented = _fragmented(200)
     query = PageRankQuery()
     clean = GrapeEngine(
-        fragmented, routing=routing, check_monotonic=True
+        fragmented, mode=mode, check_monotonic=True
     ).run(PageRankProgram(graph.num_vertices), query)
 
-    engine = GrapeEngine(fragmented, routing=routing, check_monotonic=True)
+    engine = GrapeEngine(fragmented, mode=mode, check_monotonic=True)
     policy = CheckpointPolicy(SimulatedDFS(tmp_path), every=1, tag="pr")
     with pytest.raises(ConnectionError):
         engine.run(

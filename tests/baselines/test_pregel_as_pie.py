@@ -105,7 +105,7 @@ def test_direct_routing_simulation_matches():
     fragd = _fragd(g, 4)
     native = PregelEngine(fragd).run(PregelSSSP(source=0))
     adapter = VertexCentricAsPIE(PregelSSSP(source=0), g.num_vertices)
-    simulated = GrapeEngine(fragd, routing="direct").run(adapter, None)
+    simulated = GrapeEngine(fragd).run(adapter, None)
     assert simulated.answer == native.values
 
 

@@ -15,7 +15,7 @@ import pytest
 from repro.core.aggregators import BOOL_OR, MAX
 from repro.core.engine import GrapeEngine
 from repro.core.pie import ParamSpec, PIEProgram
-from repro.errors import EngineRuntimeError, MonotonicityError, ProgramError
+from repro.errors import EngineRuntimeError, MonotonicityError
 from repro.graph.digraph import Graph
 from repro.graph.fragment import build_fragments
 
@@ -186,19 +186,6 @@ def test_superstep_cap_stops_nonterminating_program():
     engine = GrapeEngine(fragd, max_supersteps=4)
     with pytest.raises(EngineRuntimeError, match="fixed point"):
         engine.run(EndlessProgram(), 0)
-
-
-def test_direct_routing_same_answer():
-    _, fragd = _chain_fragments()
-    coord = GrapeEngine(fragd, routing="coordinator").run(ReachProgram(), 0)
-    direct = GrapeEngine(fragd, routing="direct").run(ReachProgram(), 0)
-    assert coord.answer == direct.answer
-
-
-def test_unknown_routing_rejected():
-    _, fragd = _chain_fragments()
-    with pytest.raises(ProgramError):
-        GrapeEngine(fragd, routing="smoke-signals")
 
 
 def test_communication_confined_to_border_changes():

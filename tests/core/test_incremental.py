@@ -257,7 +257,7 @@ def test_incremental_with_direct_routing():
     g = random_weighted_digraph(80, 300, seed=9)
     assignment = get_partitioner("hash")(g, 3)
     fragd = build_fragments(g, assignment, 3)
-    engine = GrapeEngine(fragd, routing="direct")
+    engine = GrapeEngine(fragd)
     program = SSSPProgram()
     first = engine.run(program, SSSPQuery(source=0), keep_state=True)
     insertions = [EdgeInsert(0, 41, 0.7)]

@@ -6,7 +6,7 @@ precondition); an ``UNORDERED`` one is refused. Every refusal is a typed
 error raised at construction or bind time, never a silent downgrade. The
 runtime monotonicity checker is per write and fault recovery replays
 the fixpoint's rounds, so both combine with relaxed mode and see
-strict-direct's writes, rounds and recoveries.
+strict mode's writes, rounds and recoveries.
 """
 
 from __future__ import annotations
@@ -27,7 +27,11 @@ from repro.engineapi.query import build_query
 from repro.engineapi.registry import get_program
 from repro.errors import ProgramError
 from repro.graph.fragment import build_fragments
-from repro.graph.generators import graph_from_spec, road_network
+from repro.graph.generators import (
+    bipartite_ratings,
+    graph_from_spec,
+    road_network,
+)
 from repro.obs import Tracer
 from repro.partition.registry import get_partitioner
 from repro.runtime.backends import SimulatedBackend
@@ -71,7 +75,7 @@ def test_unknown_mode_is_a_typed_constructor_error():
 
 def test_relaxed_check_monotonic_matches_strict_direct():
     """The checker observes each write, not each barrier: relaxed mode
-    runs strict-direct's dataflow, so it sees exactly the same writes."""
+    runs strict mode's dataflow, so it sees exactly the same writes."""
     graph = road_network(12, 12, seed=3)
     assignment = get_partitioner("hash")(graph, 4)
 
@@ -95,7 +99,7 @@ def test_relaxed_check_monotonic_matches_strict_direct():
         ("cc", {}),
         ("kcore", {}),
     ]:
-        strict = checked(name, params, routing="direct")
+        strict = checked(name, params)
         writes_seen, ok = strict[:2]
         assert writes_seen > 0 and ok
         assert checked(name, params, mode="relaxed") == strict
@@ -105,7 +109,7 @@ def test_relaxed_fault_injection_matches_strict_direct(tmp_path):
     """Relaxed mode runs the same ``_fixpoint`` rounds over the same
     sends, so every fault class — compute (crash, straggler) and wire
     (drop, duplicate, corrupt) — draws, retries and recovers exactly as
-    in strict-direct: the whole trail is byte-identical."""
+    in strict mode: the whole trail is byte-identical."""
     graph = road_network(9, 9, seed=6, removal_prob=0.0)
     assignment = get_partitioner("bfs")(graph, 3)
 
@@ -151,21 +155,20 @@ def test_relaxed_fault_injection_matches_strict_direct(tmp_path):
     plans = standard_plans(seed=7)
     assert sorted(plans) == sorted(bites)
     for plan_name, plan in sorted(plans.items()):
-        strict = faulted(plan_name, plan, routing="direct")
+        strict = faulted(plan_name, plan)
         relaxed = faulted(plan_name, plan, mode="relaxed")
         counter, fired = bites[plan_name]
         assert strict[2][counter] == fired, plan_name
         assert relaxed == strict, plan_name
 
 
-@pytest.mark.parametrize(
-    "engine_kwargs", [{"routing": "direct"}, {"mode": "relaxed"}],
-    ids=["direct", "relaxed"],
-)
-def test_peer_to_peer_runs_send_the_coordinator_nothing(engine_kwargs):
-    """Direct routing ships border values to the peers hosting them and
-    P0 nothing: every message a tracer saw sent is one a worker's
-    IncEval received, and no rank but the workers ever sends."""
+@pytest.mark.parametrize("mode", MODES)
+def test_one_routing_contract(mode):
+    """Workers ship border values to the peers hosting them and P0
+    nothing, in either mode: every message a tracer saw sent is one a
+    worker's IncEval received, and no rank but the workers ever sends.
+    CF's unordered aggregator is refused relaxed, so it runs strict
+    only."""
 
     class Counting(SimulatedBackend):
         received = 0
@@ -178,17 +181,20 @@ def test_peer_to_peer_runs_send_the_coordinator_nothing(engine_kwargs):
 
     road = road_network(8, 8, seed=3)
     power = graph_from_spec("power:120")
-    for name, params, graph, program_kwargs in [
+    cases = [
         ("sssp", {"source": 0}, road, {}),
         ("cc", {}, road, {}),
         ("pagerank", {}, power, {"total_vertices": power.num_vertices}),
-    ]:
+    ]
+    if mode == "strict":
+        cases.append(("cf", {"epochs": 3}, bipartite_ratings(30, 20), {}))
+    for name, params, graph, program_kwargs in cases:
         assignment = get_partitioner("hash")(graph, 3)
         fragmented = build_fragments(graph, assignment, 3, "hash")
         backend = Counting(fragmented)
         tracer = Tracer()
         result = GrapeEngine(
-            fragmented, backend=backend, tracer=tracer, **engine_kwargs
+            fragmented, backend=backend, tracer=tracer, mode=mode
         ).run(get_program(name, **program_kwargs), build_query(name, **params))
         sends = [ev["sends"] for ev in tracer.select("step_end")]
         assert all(COORDINATOR not in by_src for by_src in sends), name
@@ -224,7 +230,7 @@ def test_bind_gate_admits_a_custom_declared_order():
         fragmented = build_fragments(graph, assignment, 3, "hash")
         return GrapeEngine(fragmented, **engine_kwargs).run(program, query)
 
-    relaxed, strict = run(mode="relaxed"), run(routing="direct")
+    relaxed, strict = run(mode="relaxed"), run()
     assert relaxed.answer
     assert canonical_answer_bytes(relaxed.answer) == canonical_answer_bytes(
         strict.answer

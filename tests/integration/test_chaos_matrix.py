@@ -1,4 +1,4 @@
-"""Fault-matrix correctness: every fault class, both routing modes and
+"""Fault-matrix correctness: every fault class, strict rounds and
 relaxed waves.
 
 Each cell runs SSSP or CC under one standard fault plan with a
@@ -23,22 +23,19 @@ from repro.partition.registry import get_partitioner
 from repro.runtime.faults import DropFault, FaultPlan
 from repro.storage.dfs import SimulatedDFS
 
-ROUTINGS = ["coordinator", "direct"]
-#: (mode, routing) columns; the strict ones keep their routing as id.
+#: The superstep modes. Both ship each border value straight to the
+#: fragments hosting it; ``direct`` is the strict BSP column.
 COLUMNS = [
-    pytest.param("strict", "coordinator", id="coordinator"),
-    pytest.param("strict", "direct", id="direct"),
-    pytest.param("relaxed", "direct", id="relaxed"),
+    pytest.param("strict", id="direct"),
+    pytest.param("relaxed", id="relaxed"),
 ]
 PLANS = standard_plans(seed=7)
 
 
-def _engine(graph, routing, workers=3, mode="strict"):
+def _engine(graph, mode, workers=3):
     assignment = get_partitioner("bfs")(graph, workers)
     return GrapeEngine(
-        build_fragments(graph, assignment, workers, "bfs"),
-        routing=routing,
-        mode=mode,
+        build_fragments(graph, assignment, workers, "bfs"), mode=mode
     )
 
 
@@ -46,13 +43,13 @@ def _graph():
     return road_network(9, 9, seed=6, removal_prob=0.0)
 
 
-@pytest.mark.parametrize(("mode", "routing"), COLUMNS)
+@pytest.mark.parametrize("mode", COLUMNS)
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
-def test_sssp_survives_fault_class(plan_name, mode, routing, tmp_path):
+def test_sssp_survives_fault_class(plan_name, mode, tmp_path):
     g = _graph()
-    engine = _engine(g, routing, mode=mode)
+    engine = _engine(g, mode)
     policy = CheckpointPolicy(
-        SimulatedDFS(tmp_path), every=1, tag=f"sssp-{plan_name}-{routing}"
+        SimulatedDFS(tmp_path), every=1, tag=f"sssp-{plan_name}-{mode}"
     )
     oracle = single_source(g, 0)
     try:
@@ -71,13 +68,13 @@ def test_sssp_survives_fault_class(plan_name, mode, routing, tmp_path):
         )
 
 
-@pytest.mark.parametrize(("mode", "routing"), COLUMNS)
+@pytest.mark.parametrize("mode", COLUMNS)
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
-def test_cc_survives_fault_class(plan_name, mode, routing, tmp_path):
+def test_cc_survives_fault_class(plan_name, mode, tmp_path):
     g = _graph()
-    engine = _engine(g, routing, mode=mode)
+    engine = _engine(g, mode)
     policy = CheckpointPolicy(
-        SimulatedDFS(tmp_path), every=1, tag=f"cc-{plan_name}-{routing}"
+        SimulatedDFS(tmp_path), every=1, tag=f"cc-{plan_name}-{mode}"
     )
     try:
         result = engine.run(
@@ -89,15 +86,15 @@ def test_cc_survives_fault_class(plan_name, mode, routing, tmp_path):
     assert result.answer == connected_components(g)
 
 
-@pytest.mark.parametrize("routing", ROUTINGS)
-def test_same_seed_gives_identical_run(routing, tmp_path):
+@pytest.mark.parametrize("mode", COLUMNS)
+def test_same_seed_gives_identical_run(mode, tmp_path):
     """The whole fault schedule + recovery trace is seed-deterministic."""
     plan = FaultPlan(faults=PLANS["crash-fatal"].faults
                      + PLANS["drop"].faults, seed=13)
 
     def one_run(tag):
         g = _graph()
-        engine = _engine(g, routing)
+        engine = _engine(g, mode)
         policy = CheckpointPolicy(SimulatedDFS(tmp_path), every=1, tag=tag)
         result = engine.run(
             SSSPProgram(), SSSPQuery(source=0),

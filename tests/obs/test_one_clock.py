@@ -27,9 +27,8 @@ from repro.runtime.faults import CrashFault, FaultPlan, StragglerFault
 from repro.storage.dfs import SimulatedDFS
 
 MODES = [
-    pytest.param("strict", "coordinator", id="strict-coordinator"),
-    pytest.param("strict", "direct", id="strict-direct"),
-    pytest.param("relaxed", "direct", id="relaxed"),
+    pytest.param("strict", id="strict-direct"),
+    pytest.param("relaxed", id="relaxed"),
 ]
 PROGRAMS = [
     pytest.param("sssp", {"source": 0}, id="sssp"),
@@ -55,7 +54,7 @@ def _zero_width_attempts(monkeypatch):
     monkeypatch.setattr(timeline, "COMPUTE_COST", 0.0)
 
 
-def _engine(mode, routing, tracer):
+def _engine(mode, tracer):
     graph = graph_from_spec("road:12x12")
     fragmented = build_fragments(
         graph, get_partitioner("hash")(graph, 4), 4, "hash"
@@ -64,7 +63,6 @@ def _engine(mode, routing, tracer):
         fragmented,
         cost_model=CostModel(deterministic=True),
         mode=mode,
-        routing=routing,
         tracer=tracer,
     )
 
@@ -84,13 +82,13 @@ def _assert_same_clock(tracer, results):
         assert any(s.duration > 0 for s in completed)
 
 
-@pytest.mark.parametrize(("mode", "routing"), MODES)
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize(("name", "params"), PROGRAMS)
 def test_cold_run_and_delta_repair_share_the_engine_clock(
-    name, params, mode, routing
+    name, params, mode
 ):
     tracer = Tracer()
-    engine = _engine(mode, routing, tracer)
+    engine = _engine(mode, tracer)
     program, query = get_program(name), build_query(name, **params)
     cold = engine.run(program, query, keep_state=True)
     repaired = engine.run_incremental(program, query, cold.state, BATCH)
@@ -98,13 +96,13 @@ def test_cold_run_and_delta_repair_share_the_engine_clock(
     _assert_same_clock(tracer, [cold, repaired])
 
 
-@pytest.mark.parametrize(("mode", "routing"), MODES)
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
 def test_faulted_run_shares_the_engine_clock(
-    plan_name, mode, routing, tmp_path
+    plan_name, mode, tmp_path
 ):
     tracer = Tracer()
-    engine = _engine(mode, routing, tracer)
+    engine = _engine(mode, tracer)
     result = engine.run(
         get_program("sssp"),
         build_query("sssp", source=0),

@@ -79,20 +79,6 @@ def test_grape_cc_equals_union_find(case):
 
 @SLOW
 @given(weighted_graph_and_assignment())
-def test_routing_modes_agree(case):
-    g, assignment, parts = case
-    fragd = build_fragments(g, assignment, parts)
-    coord = GrapeEngine(fragd, routing="coordinator").run(
-        SSSPProgram(), SSSPQuery(source=0)
-    )
-    direct = GrapeEngine(fragd, routing="direct").run(
-        SSSPProgram(), SSSPQuery(source=0)
-    )
-    assert coord.answer == direct.answer
-
-
-@SLOW
-@given(weighted_graph_and_assignment())
 def test_sssp_params_shipped_bounded_by_border(case):
     """Messages carry only border variables (Example 1 claim (c))."""
     g, assignment, parts = case

@@ -11,11 +11,9 @@ process-backend spot checks; a final case asserts the makespan side of
 the bargain on a deliberately skewed partition (relaxed strictly below
 strict when IncEval rounds exist).
 
-The oracle is strict ``routing="direct"`` on the SAME backend + store:
-direct routing executes relaxed mode's exact sends in the same order,
-so even dict insertion order in the state blobs matches; answers are
-additionally compared order-insensitively against strict coordinator
-routing.
+The oracle is strict mode on the SAME backend + store: it executes
+relaxed mode's exact sends in the same order, so even dict insertion
+order in the state blobs matches.
 """
 
 from __future__ import annotations
@@ -101,7 +99,7 @@ def _observed(result) -> tuple:
     )
 
 
-def _run_sequence(mode, routing, name, params, deltas, store="dict",
+def _run_sequence(mode, name, params, deltas, store="dict",
                   backend_name="simulated"):
     """Cold run + incremental batches in one mode; returns the trail.
 
@@ -120,7 +118,6 @@ def _run_sequence(mode, routing, name, params, deltas, store="dict",
     engine = GrapeEngine(
         fragmented,
         cost_model=CostModel(deterministic=True),
-        routing=routing,
         mode=mode,
         backend=backend,
     )
@@ -150,10 +147,10 @@ def _run_sequence(mode, routing, name, params, deltas, store="dict",
 def test_relaxed_matches_strict_oracle(name, params, store):
     deltas = _deltas(name, store)
     oracle, strict_times = _run_sequence(
-        "strict", "direct", name, params, deltas, store=store
+        "strict", name, params, deltas, store=store
     )
     subject, relaxed_times = _run_sequence(
-        "relaxed", "direct", name, params, deltas, store=store
+        "relaxed", name, params, deltas, store=store
     )
     assert len(oracle) == len(subject) == 1 + BATCHES
     for step, (want, got) in enumerate(zip(oracle, subject)):
@@ -167,28 +164,14 @@ def test_relaxed_matches_strict_oracle(name, params, store):
         assert rt <= st + 1e-12, (name, store, step, st, rt)
 
 
-def test_relaxed_answers_match_coordinator_routing():
-    # Cross-routing check: canonical answers are order-insensitive, so
-    # the strict coordinator pipeline (a different dataflow) must agree
-    # with relaxed answers even though its blobs legitimately differ.
-    for name, params in CASES:
-        deltas = _deltas(name, "dict")
-        coord, _ = _run_sequence(
-            "strict", "coordinator", name, params, deltas
-        )
-        relaxed, _ = _run_sequence("relaxed", "direct", name, params, deltas)
-        for step, (want, got) in enumerate(zip(coord, relaxed)):
-            assert want[1] == got[1], (name, step)
-
-
 @pytest.mark.parametrize("name,params", [("sssp", {"source": 0}), ("cc", {})])
 def test_relaxed_process_backend_matches_strict_process(name, params):
     deltas = _deltas(name, "dict")
     oracle, _ = _run_sequence(
-        "strict", "direct", name, params, deltas, backend_name="process"
+        "strict", name, params, deltas, backend_name="process"
     )
     subject, _ = _run_sequence(
-        "relaxed", "direct", name, params, deltas, backend_name="process"
+        "relaxed", name, params, deltas, backend_name="process"
     )
     for step, (want, got) in enumerate(zip(oracle, subject)):
         assert want == got, (name, "process", step)
@@ -216,7 +199,6 @@ def test_relaxed_reclaims_makespan_on_skewed_partition():
         engine = GrapeEngine(
             fragmented,
             cost_model=CostModel(deterministic=True),
-            routing="direct",
             mode=mode,
         )
         result = engine.run(get_program("sssp"), build_query("sssp", source=0))
@@ -234,8 +216,8 @@ def test_first_wave_payload_order_matches_strict_direct_mailbox():
 
     A ΔG batch with both an unsafe op (scoped ``repair`` phase) and a
     monotone-safe one (``update`` phase) ships twice before the first
-    wave, from two senders into each receiver. The strict-direct
-    mailbox delivers phase-major (all repair mail, then all update
+    wave, from two senders into each receiver. The strict mailbox
+    delivers phase-major (all repair mail, then all update
     mail); a per-source drain interleaves them — same values, different
     payload list.
     """
@@ -270,7 +252,6 @@ def test_first_wave_payload_order_matches_strict_direct_mailbox():
         engine = GrapeEngine(
             fragmented,
             cost_model=CostModel(deterministic=True),
-            routing="direct",
             mode=mode,
             backend=backend,
         )

@@ -7,7 +7,7 @@ bytes and ``metrics.as_dict()`` — which carries the work the program
 charged through its update parameters — must equal the dict/simulated
 reference in every cell. The relaxed cells pin the bind gate's widened
 side: Keyword declares a custom partial order, PageRank the stock ``MAX``
-over its per-source slots, and both run relaxed with strict-direct's
+over its per-source slots, and both run relaxed with strict mode's
 bytes; CF declares ``UNORDERED`` and is refused.
 """
 
@@ -101,7 +101,7 @@ def test_store_and_backend_seams_hold(name, store, backend):
 
 @pytest.mark.parametrize("name", ["keyword", "pagerank"])
 def test_custom_orders_run_relaxed_with_strict_direct_bytes(name):
-    strict = _run(name, routing="direct")
+    strict = _run(name)
     relaxed = _run(name, mode="relaxed")
     assert canonical_answer_bytes(relaxed.answer) == canonical_answer_bytes(
         strict.answer

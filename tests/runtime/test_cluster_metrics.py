@@ -42,16 +42,14 @@ def test_coordinator_time_serializes_with_makespan():
     assert cluster.metrics.supersteps[0].compute_makespan == pytest.approx(1.5)
 
 
-def test_mid_superstep_deliver_counts_once():
+def test_mail_is_delivered_at_the_barrier():
     cluster = Cluster(2)
     with cluster.superstep("x") as step:
         step.send(0, 1, "a")
-        step.deliver()
-        (msg,) = cluster.receive(1)
-        assert msg.payload == "a"
-        step.send(1, 0, "b")
-    s = cluster.metrics.supersteps[0]
-    assert s.messages_sent == 2
+        assert cluster.receive(1) == []
+    (msg,) = cluster.receive(1)
+    assert msg.payload == "a"
+    assert cluster.metrics.supersteps[0].messages_sent == 1
 
 
 def test_worker_compute_charged_cumulatively():

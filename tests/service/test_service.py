@@ -317,6 +317,24 @@ def test_rejected_update_batch_changes_nothing():
     assert service.standing_answer("hub")[35] == 1.5
 
 
+def test_rejected_update_batch_leaves_the_queue_pending():
+    """The batch is validated before the queue drains: a refused one
+    answers no pending query and moves neither the clock nor the
+    report."""
+    service = _service()
+    service.submit("sssp", {"source": 0})
+    service.submit("cc", {})
+    depth, clock = service.queue_depth, service.clock
+    report = service.report().to_json()
+    assert depth == 2
+    with pytest.raises(ProgramError, match="no such edge"):
+        service.apply_updates(deletes=[(0, 35)])
+    assert service.queue_depth == depth
+    assert service.clock == clock
+    assert service.report().to_json() == report
+    assert len(service.drain()) == depth
+
+
 def test_duplicate_standing_name_rejected():
     service = _service()
     service.register_standing("hub", "sssp", {"source": 0})
