@@ -172,12 +172,20 @@ class GraphDelta:
                         f"graph delta {kind!r} row {row!r} is not a "
                         "[src, dst, ...] list"
                     )
+                if not all(isinstance(v, Hashable) for v in row[:2]):
+                    raise ProgramError(
+                        f"graph delta {kind!r} row {row!r}: an endpoint "
+                        "is not a vertex id"
+                    )
                 weight = row[2] if len(row) > 2 else None
                 if not isinstance(weight, (int, float, type(None))):
                     raise ProgramError(
                         f"graph delta {kind!r} row {row!r}: weight "
                         f"{weight!r} is not a number"
                     )
+                if kind == "reweight" and weight is not None:
+                    # a new weight is a float, like an insertion's
+                    row = (row[0], row[1], float(weight), *row[3:])
                 # insertions keep the untagged form's float() coercion
                 tagged = kind != "insert"
                 ops.append(_coerce_op((kind, *row) if tagged else tuple(row)))

@@ -755,9 +755,10 @@ class GrapeEngine:
         if self.tracer is not None:
             # Emitted next to the rounds_lost accounting so recovery
             # spans reconcile exactly with FaultCounters.
-            self.tracer.recovery(
-                failure.worker,
-                failure.superstep,
+            self.tracer.event(
+                "recovery",
+                step=failure.superstep,
+                worker=failure.worker,
                 resumed_round=ckpt_round,
                 rounds_lost=lost,
             )
@@ -865,7 +866,10 @@ class GrapeEngine:
                 clocks.open_wave(wid, messages)
                 if self.tracer is not None:
                     for msg in messages:
-                        self.tracer.drain(wid, msg.src, 1, msg.size)
+                        self.tracer.event(
+                            "drain", worker=wid, src=msg.src, messages=1,
+                            bytes=msg.size,
+                        )
             calls.append(
                 WorkerCall(
                     wid,

@@ -97,11 +97,8 @@ class Supervisor:
                 if self.tracer is not None:
                     # Same branch as the counter bump: the chaos test
                     # reconciles retry spans 1:1 against FaultCounters.
-                    self.tracer.retry(
-                        worker,
-                        step.index,
-                        step.phase,
-                        attempt=retries,
+                    self.tracer.event(
+                        "retry", worker=worker, attempt=retries,
                         backoff=backoff,
                     )
 

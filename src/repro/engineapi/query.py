@@ -8,7 +8,7 @@ programmatic equivalent of entering a query in Fig. 3(2).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Hashable
 
 from repro.algorithms.bfs import BFSQuery
 from repro.algorithms.cc import CCQuery
@@ -23,10 +23,15 @@ from repro.errors import QueryError
 from repro.graph.digraph import Graph
 
 
+def _source(query_class: str, kw: dict) -> Hashable:
+    source = kw.get("source")
+    if source is None or not isinstance(source, Hashable):
+        raise QueryError(f"{query_class} needs source=<vertex>")
+    return source
+
+
 def _sssp(**kw) -> SSSPQuery:
-    if "source" not in kw:
-        raise QueryError("sssp needs source=<vertex>")
-    return SSSPQuery(source=kw["source"])
+    return SSSPQuery(source=_source("sssp", kw))
 
 
 def _cc(**kw) -> CCQuery:
@@ -80,11 +85,9 @@ def _pagerank(**kw) -> PageRankQuery:
 
 
 def _bfs(**kw) -> BFSQuery:
-    if "source" not in kw:
-        raise QueryError("bfs needs source=<vertex>")
     max_depth = kw.get("max_depth")
     return BFSQuery(
-        source=kw["source"],
+        source=_source("bfs", kw),
         max_depth=int(max_depth) if max_depth is not None else None,
     )
 
@@ -115,7 +118,10 @@ def build_query(query_class: str, **kwargs) -> object:
             f"unknown query class {query_class!r}; "
             f"available: {sorted(_BUILDERS)}"
         ) from None
-    return builder(**kwargs)
+    try:
+        return builder(**kwargs)
+    except (TypeError, ValueError) as exc:  # e.g. int() of a bad knob
+        raise QueryError(f"bad {query_class} query {kwargs!r}: {exc}") from None
 
 
 def query_classes() -> list[str]:

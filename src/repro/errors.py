@@ -2,6 +2,8 @@
 
 All library errors derive from :class:`GrapeError` so callers can catch a
 single base class. Subclasses identify the subsystem that raised them.
+:func:`check_fields` turns a wrongly typed field of outside input (a
+workload trace, a fault plan) into one of them.
 """
 
 from __future__ import annotations
@@ -135,3 +137,34 @@ class ServiceOverloadedError(ServiceError):
 
 class RegistryError(GrapeError):
     """Unknown or duplicate name in a plug-in registry."""
+
+
+# ----------------------------------------------------------------------
+# Field checks for outside input (workload traces, fault plans)
+# ----------------------------------------------------------------------
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: Field kinds for :func:`check_fields`: (what the field must hold, test).
+INT = ("an integer", _is_int)
+POSITIVE_INT = ("a positive integer", lambda v: _is_int(v) and v >= 1)
+INT_OR_NULL = ("an integer or null", lambda v: v is None or _is_int(v))
+NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
+NUMBER_OR_NULL = ("a number or null", lambda v: v is None or NUMBER[1](v))
+BOOL = ("a boolean", lambda v: isinstance(v, bool))
+STR = ("a string", lambda v: isinstance(v, str))
+OBJECT = ("an object", lambda v: isinstance(v, dict))
+LIST = ("a list", lambda v: isinstance(v, list))
+
+
+def check_fields(
+    where: str, entry: dict, kind: tuple, *names: str, error=GrapeError
+) -> None:
+    """Refuse each present ``entry[name]`` that is not of ``kind``."""
+    what, admits = kind
+    for name in names:
+        if name in entry and not admits(entry[name]):
+            raise error(
+                f"{where}: {name!r} must be {what}, got {entry[name]!r}"
+            )

@@ -4,17 +4,16 @@ One pure-observer :class:`Tracer` collects flat deterministic events
 from the engine, runtime, chaos and serving layers; the virtual
 timeline (:mod:`repro.obs.timeline`) places them as spans, priced by
 the engine's cost model, without ever consulting wall clock; the Chrome
-exporter and the straggler/skew report are two views over that
-timeline, and :class:`MetricsRegistry` gives the log's replay-stable
-totals stable dotted names.
+exporter embeds the log's replay-stable totals (:func:`trace_metrics`)
+and the straggler/skew report is rebuilt from that export.
 """
 
 from repro.obs.chrome import (
     chrome_trace,
     dump_chrome_trace,
+    trace_metrics,
     write_chrome_trace,
 )
-from repro.obs.registry import MetricsRegistry, sanitize_segment
 from repro.obs.skew import (
     report_for_tracer,
     report_from_chrome,
@@ -27,14 +26,11 @@ from repro.obs.timeline import (
     StepTimeline,
     WorkerSpan,
     build_timeline,
-    fleet_events,
-    service_events,
 )
 from repro.obs.tracer import Tracer
 
 __all__ = [
     "COMPUTE_COST",
-    "MetricsRegistry",
     "RunTimeline",
     "StepTimeline",
     "Tracer",
@@ -42,12 +38,10 @@ __all__ = [
     "build_timeline",
     "chrome_trace",
     "dump_chrome_trace",
-    "fleet_events",
     "report_for_tracer",
     "report_from_chrome",
     "runs_from_chrome",
-    "sanitize_segment",
-    "service_events",
     "skew_report",
+    "trace_metrics",
     "write_chrome_trace",
 ]

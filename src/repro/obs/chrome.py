@@ -19,13 +19,7 @@ from __future__ import annotations
 
 import json
 
-from repro.obs.registry import MetricsRegistry
-from repro.obs.timeline import (
-    RunTimeline,
-    build_timeline,
-    fleet_events,
-    service_events,
-)
+from repro.obs.timeline import RunTimeline, build_timeline
 from repro.obs.tracer import Tracer
 
 #: Format tag stamped into ``otherData`` (bump on schema changes).
@@ -396,19 +390,70 @@ def _emit_fleet(emitter: _Emitter, events: list[dict]) -> None:
             )
 
 
+def trace_metrics(events: list[dict]) -> dict:
+    """The log's replay-stable totals under dotted ``obs.*`` names.
+
+    Only deterministic quantities are counted (never measured time), so
+    this dict — sorted by name and embedded in ``otherData.metrics`` —
+    is byte-identical across re-runs of the same workload.
+    """
+
+    def of(kind: str) -> list[dict]:
+        return [ev for ev in events if ev["kind"] == kind]
+
+    ends = [ev for ev in of("run_end") if "supersteps" in ev]
+    metrics = {
+        "obs.events": len(events),
+        "obs.runs": len(of("run_begin")),
+        "obs.supersteps": sum(ev["supersteps"] for ev in ends),
+        "obs.bytes.total": sum(ev["bytes"] for ev in ends),
+        "obs.messages.total": sum(ev["messages"] for ev in ends),
+        "obs.spans.retry": len(of("retry")),
+        "obs.spans.recovery": len(of("recovery")),
+    }
+    for ev in ends:
+        for key, value in ev["faults"].items():
+            name = f"obs.faults.{key}"
+            metrics[name] = metrics.get(name, 0) + value
+    queries, rejects = of("svc_query"), of("svc_reject")
+    updates = of("svc_update")
+    if queries or rejects or updates:
+        metrics["obs.service.queries"] = len(queries)
+        metrics["obs.service.cache_hits"] = sum(
+            bool(ev["from_cache"]) for ev in queries
+        )
+        metrics["obs.service.rejected"] = len(rejects)
+        metrics["obs.service.updates"] = len(updates)
+    routes, hedges = of("fleet_route"), of("fleet_hedge")
+    failovers, catchups = of("fleet_failover"), of("fleet_catchup")
+    opens = [ev for ev in of("fleet_breaker") if ev["state"] == "open"]
+    if routes or hedges or failovers or opens or catchups:
+        metrics["obs.fleet.routes"] = len(routes)
+        metrics["obs.fleet.stale_served"] = sum(
+            bool(ev["stale"]) for ev in routes
+        )
+        metrics["obs.fleet.hedges"] = len(hedges)
+        metrics["obs.fleet.failovers"] = len(failovers)
+        metrics["obs.fleet.breaker_opens"] = len(opens)
+        metrics["obs.fleet.catchups"] = len(catchups)
+    return dict(sorted(metrics.items()))
+
+
 def chrome_trace(tracer: Tracer) -> dict:
     """The tracer's log as a Chrome ``trace_event`` JSON object."""
+    events = tracer.events
     emitter = _Emitter()
-    _emit_service(emitter, service_events(tracer.events))
-    _emit_fleet(emitter, fleet_events(tracer.events))
-    for run in build_timeline(tracer.events):
+    _emit_service(
+        emitter, [ev for ev in events if ev["kind"].startswith("svc_")]
+    )
+    _emit_fleet(
+        emitter, [ev for ev in events if ev["kind"].startswith("fleet_")]
+    )
+    for run in build_timeline(events):
         _emit_run(emitter, run)
     return {
         "displayTimeUnit": "ms",
-        "otherData": {
-            "format": FORMAT,
-            "metrics": MetricsRegistry.from_tracer(tracer).as_dict(),
-        },
+        "otherData": {"format": FORMAT, "metrics": trace_metrics(events)},
         "traceEvents": emitter.events,
     }
 

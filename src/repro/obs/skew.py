@@ -6,24 +6,22 @@ how the barrier split between compute, network and sync — all in
 deterministic virtual time (:mod:`repro.obs.timeline`), never wall
 clock, so the report is replay-stable.
 
-Two entry points feed the same renderer:
-
-* :func:`skew_report` renders live :class:`~repro.obs.timeline.RunTimeline`
-  objects (used by ``grape run``/``grape serve`` when asked);
-* :func:`report_from_chrome` reconstructs the timelines from an exported
-  Chrome ``trace_event`` JSON document (used by ``grape report FILE``),
-  so the report never needs the original run.
+One reconstruction path feeds the renderer: :func:`report_from_chrome`
+rebuilds the timelines from an exported Chrome ``trace_event`` JSON
+document (``grape report FILE``), so the report never needs the
+original run, and :func:`report_for_tracer` renders a live tracer by
+exporting it first.
 """
 
 from __future__ import annotations
 
+from repro.obs.chrome import chrome_trace
 from repro.obs.timeline import (
     COST,
     RunTimeline,
     StepTimeline,
     WorkerSpan,
     barrier_time,
-    build_timeline,
 )
 
 _BAR_WIDTH = 30
@@ -119,8 +117,8 @@ def _step_rows(run: RunTimeline) -> list[str]:
         totals = step.worker_totals
         if totals:
             mean = sum(totals.values()) / len(totals)
-            # Compared at the trace's resolution, so lanes that tie in a
-            # Chrome export (rounded to ns) tie in the live report too.
+            # Compared at the trace's resolution: lanes whose durations
+            # round to the same ns tie, and the lowest rank wins.
             worst = max(sorted(totals), key=lambda r: _us(totals[r]))
             skew = step.lane_max / mean if mean > 0 else 1.0
             ahead = step.lane_max - mean
@@ -197,13 +195,8 @@ def skew_report(runs: list[RunTimeline], metrics: dict | None = None) -> str:
 
 
 def report_for_tracer(tracer) -> str:
-    """Render the skew report straight from a live tracer."""
-    from repro.obs.registry import MetricsRegistry
-
-    return skew_report(
-        build_timeline(tracer.events),
-        metrics=MetricsRegistry.from_tracer(tracer).as_dict(),
-    )
+    """The skew report of a live tracer: that of its Chrome export."""
+    return report_from_chrome(chrome_trace(tracer))
 
 
 # ----------------------------------------------------------------------

@@ -299,10 +299,11 @@ class _StepBuilder:
 def build_timeline(events) -> list[RunTimeline]:
     """Assemble run timelines from a tracer's raw engine events.
 
-    Service events are ignored here (they already carry simulated
-    times); see :func:`service_events`. Runs are laid out back to back
-    on one global virtual clock, in recorded order. A run or superstep
-    left open (an escaped fatal failure) is closed where the log ends.
+    Service and fleet events are ignored here (they already carry
+    simulated times; the Chrome exporter places them). Runs are laid
+    out back to back on one global virtual clock, in recorded order. A
+    run or superstep left open (an escaped fatal failure) is closed
+    where the log ends.
     """
     #: Runs with at least one wave: their strict phases synchronize
     #: per-worker clocks too, so the whole run replays through one
@@ -409,13 +410,3 @@ def build_timeline(events) -> list[RunTimeline]:
             run.recoveries.append({**ev, "at": cursor})
     close_run(None)
     return runs
-
-
-def service_events(events) -> list[dict]:
-    """The service-side raw events (svc_*), in emission order."""
-    return [ev for ev in events if ev["kind"].startswith("svc_")]
-
-
-def fleet_events(events) -> list[dict]:
-    """The fleet-router raw events (fleet_*), in emission order."""
-    return [ev for ev in events if ev["kind"].startswith("fleet_")]

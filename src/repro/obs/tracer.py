@@ -3,13 +3,18 @@
 A :class:`Tracer` is an append-only event log. Instrumentation hooks in
 :class:`~repro.runtime.cluster.Cluster`,
 :class:`~repro.core.engine.GrapeEngine`,
-:class:`~repro.core.supervisor.Supervisor` and
-:class:`~repro.service.service.GrapeService` emit flat events (run
-begin/end, superstep begin/end, per-worker compute attempts, shipped
-parameters, supervisor retries, checkpoint recoveries, service
-admission/queue/lane activity); exporters later assemble them into
-spans on a **virtual timeline** derived from the deterministic cost
-model (:mod:`repro.obs.timeline`) — never from wall clock.
+:class:`~repro.core.supervisor.Supervisor`,
+:class:`~repro.service.service.GrapeService` and
+:class:`~repro.service.fleet.FleetRouter` record flat events; exporters
+later assemble them into spans on a **virtual timeline** derived from
+the deterministic cost model (:mod:`repro.obs.timeline`) — never from
+wall clock.
+
+Five lifecycle methods own the run and superstep state; every other
+event is ``tracer.event(kind, **fields)``, which stamps the open run
+(``run``) and the open superstep (``step``, ``phase``) onto the fields.
+A field passed explicitly wins over its stamp. A new span is a new
+``kind``, not a new method.
 
 Purity contract: every event payload is a pure function of the run's
 deterministic execution (counts, byte sizes, simulated delays). The
@@ -25,15 +30,21 @@ Span taxonomy (the ``kind`` field of raw events):
 ``step_begin/step_end``   one BSP superstep (phase: peval / inceval / repair /
                           update / invalidate / recover / assemble)
 ``step_abort``            a superstep torn down by a fatal worker loss
-``compute_begin/_end``    one worker (or coordinator) compute attempt
+``compute_end``           one worker (or coordinator, rank -1) compute
+                          attempt: ``worker``, ``ok``, ``straggler_delay``
+                          — all three at every call site, the delay
+                          ``0.0`` when none was injected
 ``drain``                 one inbound channel drained at a relaxed wave
 ``retry``                 supervisor absorbed a transient failure (backoff)
 ``recovery``              in-run checkpoint recovery of a fatal loss
-``svc_submit/svc_reject`` service admission decisions
+``svc_reject``            one query shed by admission backpressure
 ``svc_query``             one served query (queue wait + lane execution)
 ``svc_update``            one ΔG batch (drain, repair, re-warm)
 ``svc_standing``          cold registration of a standing query
-``fleet_route``           one fleet-served query (replica, outcome, staleness)
+``fleet_route``           one fleet-served query: the winning ``replica``
+                          (-1 for the degraded cache) and its ``outcome``,
+                          ``fresh`` / ``stale_replica`` / ``stale_cache`` /
+                          ``recovered``
 ``fleet_hedge``           a hedged duplicate dispatched to a second replica
 ``fleet_failover``        a retry re-routed to a different replica
 ``fleet_breaker``         a circuit breaker state transition
@@ -49,37 +60,36 @@ from typing import Iterator
 class Tracer:
     """Append-only observability event log (one per process/session).
 
-    All emit methods are cheap (one dict append) and must stay free of
-    side effects on the traced computation. Events are dicts with a
-    ``kind`` key; see the module docstring for the taxonomy. The tracer
-    survives across runs — a serving session records every engine run
-    it dispatches into the same log.
+    Recording is one dict append and must stay free of side effects on
+    the traced computation. The tracer survives across runs — a serving
+    session records every engine run it dispatches into the same log.
     """
 
     def __init__(self) -> None:
         self.events: list[dict] = []
         self._run = -1
         self._run_open = False
-        self._step = -1
-        self._step_phase = ""
-
-    # ------------------------------------------------------------------
-    def _emit(self, kind: str, **data: object) -> None:
-        self.events.append({"kind": kind, **data})
+        #: ``step``/``phase`` of the open superstep; empty between steps.
+        self._step: dict = {}
 
     def __len__(self) -> int:
         return len(self.events)
+
+    def __iter__(self) -> Iterator[dict]:
+        return iter(self.events)
 
     def select(self, *kinds: str) -> list[dict]:
         """Events of the given kinds, in emission order."""
         wanted = set(kinds)
         return [ev for ev in self.events if ev["kind"] in wanted]
 
-    def __iter__(self) -> Iterator[dict]:
-        return iter(self.events)
+    def event(self, kind: str, **fields: object) -> None:
+        """Record one event, stamped with the open run and superstep."""
+        stamp = {"run": self._run} if self._run_open else {}
+        self.events.append({"kind": kind, **stamp, **self._step, **fields})
 
     # ------------------------------------------------------------------
-    # Engine / cluster hooks
+    # Lifecycle: the run and superstep that event() stamps
     # ------------------------------------------------------------------
     def run_begin(self, engine: str, workers: int) -> int:
         """Open a run span; returns its stable run id.
@@ -91,8 +101,8 @@ class Tracer:
             self.run_end(None)
         self._run += 1
         self._run_open = True
-        self._step = -1
-        self._emit("run_begin", run=self._run, engine=engine, workers=workers)
+        self._step = {}
+        self.event("run_begin", engine=engine, workers=workers)
         return self._run
 
     def run_end(self, metrics=None) -> None:
@@ -104,15 +114,15 @@ class Tracer:
         """
         if not self._run_open:
             return
-        data: dict = {}
+        totals: dict = {}
         if metrics is not None:
-            data = {
+            totals = {
                 "supersteps": metrics.num_supersteps,
                 "bytes": metrics.total_bytes,
                 "messages": metrics.total_messages,
                 "faults": metrics.faults.as_dict(),
             }
-        self._emit("run_end", run=self._run, **data)
+        self.event("run_end", **totals)
         self._run_open = False
 
     def step_begin(
@@ -124,38 +134,8 @@ class Tracer:
         written when set, so strict-run traces stay byte-identical to
         their pre-relaxed goldens.
         """
-        self._step = index
-        self._step_phase = phase
-        if relaxed:
-            self._emit(
-                "step_begin",
-                run=self._run,
-                step=index,
-                phase=phase,
-                relaxed=True,
-            )
-        else:
-            self._emit("step_begin", run=self._run, step=index, phase=phase)
-
-    def drain(
-        self, worker: int, src: int, messages: int, nbytes: int
-    ) -> None:
-        """``worker`` drained one inbound channel from ``src`` (relaxed).
-
-        Emitted once per non-empty (src, worker) channel at the start of
-        a relaxed wave; the timeline renders the wait for that channel's
-        arrival as a per-lane drain span instead of a global barrier.
-        """
-        self._emit(
-            "drain",
-            run=self._run,
-            step=self._step,
-            phase=self._step_phase,
-            worker=worker,
-            src=src,
-            messages=messages,
-            bytes=nbytes,
-        )
+        self._step = {"step": index, "phase": phase}
+        self.event("step_begin", **({"relaxed": True} if relaxed else {}))
 
     def step_end(
         self,
@@ -177,268 +157,21 @@ class Tracer:
         recorded only by wall-measuring clusters (process backend) so
         deterministic golden traces never carry it.
         """
-        event: dict = {
-            "kind": "step_end",
-            "run": self._run,
-            "step": index,
-            "phase": phase,
-            "bytes": bytes_sent,
-            "messages": messages,
-            "pairs": pairs,
-            "sends": {
-                w: list(counts) for w, counts in sorted(sends.items())
-            },
-            "faults": faults,
-            "retries": retries,
-        }
-        if wall_ms is not None:
-            event["wall_ms"] = wall_ms
-        self.events.append(event)
-        self._step = -1
+        self.event(
+            "step_end",
+            step=index,
+            phase=phase,
+            bytes=bytes_sent,
+            messages=messages,
+            pairs=pairs,
+            sends={w: list(counts) for w, counts in sorted(sends.items())},
+            faults=faults,
+            retries=retries,
+            **({"wall_ms": wall_ms} if wall_ms is not None else {}),
+        )
+        self._step = {}
 
     def step_abort(self, index: int, phase: str) -> None:
         """A superstep torn down before its barrier (fatal worker loss)."""
-        self._emit("step_abort", run=self._run, step=index, phase=phase)
-        self._step = -1
-
-    def compute_begin(self, worker: int) -> None:
-        """A worker (or the coordinator, rank -1) enters compute."""
-        self._emit(
-            "compute_begin",
-            run=self._run,
-            step=self._step,
-            phase=self._step_phase,
-            worker=worker,
-        )
-
-    def compute_end(
-        self, worker: int, ok: bool = True, straggler_delay: float = 0.0
-    ) -> None:
-        """The matching compute exit; ``ok=False`` marks a failed attempt."""
-        self._emit(
-            "compute_end",
-            run=self._run,
-            step=self._step,
-            phase=self._step_phase,
-            worker=worker,
-            ok=ok,
-            straggler_delay=straggler_delay,
-        )
-
-    def retry(
-        self,
-        worker: int,
-        superstep: int,
-        phase: str,
-        attempt: int,
-        backoff: float,
-    ) -> None:
-        """The supervisor absorbed a transient failure of ``worker``."""
-        self._emit(
-            "retry",
-            run=self._run,
-            step=superstep,
-            phase=phase,
-            worker=worker,
-            attempt=attempt,
-            backoff=backoff,
-        )
-
-    def recovery(
-        self,
-        worker: int,
-        superstep: int,
-        resumed_round: int,
-        rounds_lost: int,
-    ) -> None:
-        """In-run checkpoint recovery after a fatal loss of ``worker``."""
-        self._emit(
-            "recovery",
-            run=self._run,
-            step=superstep,
-            worker=worker,
-            resumed_round=resumed_round,
-            rounds_lost=rounds_lost,
-        )
-
-    # ------------------------------------------------------------------
-    # Service hooks (all times are the service's simulated clock)
-    # ------------------------------------------------------------------
-    def svc_submit(
-        self,
-        seq: int,
-        query_class: str,
-        clock: float,
-        cacheable: bool,
-        priority: int,
-    ) -> None:
-        """One query admitted into the service queue."""
-        self._emit(
-            "svc_submit",
-            seq=seq,
-            query_class=query_class,
-            clock=clock,
-            cacheable=cacheable,
-            priority=priority,
-        )
-
-    def svc_reject(self, query_class: str, clock: float) -> None:
-        """One query shed by admission backpressure."""
-        self._emit("svc_reject", query_class=query_class, clock=clock)
-
-    def svc_query(
-        self,
-        seq: int,
-        query_class: str,
-        lane: int,
-        submit: float,
-        start: float,
-        finish: float,
-        from_cache: bool,
-        cost: float,
-        version: int,
-    ) -> None:
-        """One served query: queue wait [submit, start), lane [start, finish)."""
-        self._emit(
-            "svc_query",
-            seq=seq,
-            query_class=query_class,
-            lane=lane,
-            submit=submit,
-            start=start,
-            finish=finish,
-            from_cache=from_cache,
-            cost=cost,
-            version=version,
-        )
-
-    def svc_update(
-        self,
-        version: int,
-        inserts: int,
-        deletes: int,
-        reweights: int,
-        invalidated: int,
-        start: float,
-        finish: float,
-        repaired: list[str],
-    ) -> None:
-        """One ΔG batch: graph version bump + standing-query repairs."""
-        self._emit(
-            "svc_update",
-            version=version,
-            inserts=inserts,
-            deletes=deletes,
-            reweights=reweights,
-            invalidated=invalidated,
-            start=start,
-            finish=finish,
-            repaired=list(repaired),
-        )
-
-    def svc_standing(
-        self, name: str, query_class: str, start: float, finish: float
-    ) -> None:
-        """Cold registration of a standing query."""
-        self._emit(
-            "svc_standing",
-            name=name,
-            query_class=query_class,
-            start=start,
-            finish=finish,
-        )
-
-    # ------------------------------------------------------------------
-    # Fleet hooks (router over N service replicas; same simulated clock)
-    # ------------------------------------------------------------------
-    def fleet_route(
-        self,
-        seq: int,
-        query_class: str,
-        replica: int,
-        attempts: int,
-        outcome: str,
-        stale: bool,
-        staleness: int,
-        start: float,
-        finish: float,
-    ) -> None:
-        """One fleet-served query.
-
-        ``outcome`` is ``fresh`` / ``stale`` / ``hedged``; ``replica``
-        is the one whose answer won (-1 when the fleet fell back to its
-        degraded cache); ``staleness`` counts graph versions behind.
-        """
-        self._emit(
-            "fleet_route",
-            seq=seq,
-            query_class=query_class,
-            replica=replica,
-            attempts=attempts,
-            outcome=outcome,
-            stale=stale,
-            staleness=staleness,
-            start=start,
-            finish=finish,
-        )
-
-    def fleet_hedge(
-        self, seq: int, primary: int, secondary: int, winner: int,
-        clock: float,
-    ) -> None:
-        """A hedged duplicate: the slow primary raced a second replica."""
-        self._emit(
-            "fleet_hedge",
-            seq=seq,
-            primary=primary,
-            secondary=secondary,
-            winner=winner,
-            clock=clock,
-        )
-
-    def fleet_failover(
-        self, seq: int, from_replica: int, to_replica: int, attempt: int,
-        backoff: float, clock: float,
-    ) -> None:
-        """A failed attempt re-routed to a different replica."""
-        self._emit(
-            "fleet_failover",
-            seq=seq,
-            from_replica=from_replica,
-            to_replica=to_replica,
-            attempt=attempt,
-            backoff=backoff,
-            clock=clock,
-        )
-
-    def fleet_breaker(
-        self, replica: int, state: str, failures: int, clock: float
-    ) -> None:
-        """A circuit breaker transition (closed / open / half_open)."""
-        self._emit(
-            "fleet_breaker",
-            replica=replica,
-            state=state,
-            failures=failures,
-            clock=clock,
-        )
-
-    def fleet_catchup(
-        self,
-        replica: int,
-        from_version: int,
-        to_version: int,
-        batches: int,
-        audit_ok: bool,
-        clock: float,
-    ) -> None:
-        """A rejoining replica replayed its missed ΔG suffix."""
-        self._emit(
-            "fleet_catchup",
-            replica=replica,
-            from_version=from_version,
-            to_version=to_version,
-            batches=batches,
-            audit_ok=audit_ok,
-            clock=clock,
-        )
+        self.event("step_abort", step=index, phase=phase)
+        self._step = {}

@@ -295,23 +295,19 @@ class ProcessBackend(ExecutionBackend):
         results: dict[int, object] = {}
         error: BaseException | None = None
         for wid in order:
-            if tracer is not None:
-                tracer.compute_begin(wid)
             try:
                 status, payload, elapsed = self._recv(wid)
             except EngineRuntimeError as exc:
-                if tracer is not None:
-                    tracer.compute_end(wid, ok=False)
-                error = error or exc
-                continue
+                status, payload, elapsed = "err", exc, 0.0
+            if tracer is not None:
+                tracer.event(
+                    "compute_end", worker=wid, ok=status != "err",
+                    straggler_delay=0.0,
+                )
             if status == "err":
-                if tracer is not None:
-                    tracer.compute_end(wid, ok=False)
                 error = error or payload
                 continue
             step.charge(wid, elapsed)
-            if tracer is not None:
-                tracer.compute_end(wid, ok=True)
             if error is None:
                 value = payload[0]
                 results[wid] = value

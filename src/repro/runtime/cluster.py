@@ -145,15 +145,16 @@ class SuperstepHandle:
         """
         injector = self._cluster.injector
         tracer = self._cluster.tracer
-        if tracer is not None:
-            tracer.compute_begin(worker)
         delay = 0.0
         try:
             if injector is not None:
                 delay = injector.on_compute(worker, self.index, self.phase)
         except BaseException:
             if tracer is not None:
-                tracer.compute_end(worker, ok=False)
+                tracer.event(
+                    "compute_end", worker=worker, ok=False,
+                    straggler_delay=0.0,
+                )
             raise
         deterministic = self._cluster.cost_model.deterministic
         start = 0.0 if deterministic else time.perf_counter()
@@ -170,7 +171,10 @@ class SuperstepHandle:
                 elapsed = time.perf_counter() - start + delay
             self._compute[worker] = self._compute.get(worker, 0.0) + elapsed
             if tracer is not None:
-                tracer.compute_end(worker, ok=ok, straggler_delay=delay)
+                tracer.event(
+                    "compute_end", worker=worker, ok=ok,
+                    straggler_delay=delay,
+                )
 
     def charge(self, worker: int, seconds: float) -> None:
         """Add pre-measured compute seconds for ``worker``."""

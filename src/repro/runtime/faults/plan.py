@@ -33,16 +33,60 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import ClassVar
 
-from repro.errors import ProgramError
+from repro.errors import (
+    BOOL,
+    INT,
+    INT_OR_NULL,
+    LIST,
+    NUMBER,
+    ProgramError,
+    check_fields,
+)
+
+#: The kind of every spec field (a plan is outside input); a spec
+#: checks the ones it has.
+_SPEC_FIELDS = (
+    (INT_OR_NULL, ("worker", "src", "dst", "at_superstep", "at_epoch",
+                   "times")),
+    (NUMBER, ("probability", "delay")),
+    (BOOL, ("fatal",)),
+    (INT, ("lag",)),
+)
+
+#: The least value of each bounded field, when set (``times`` None
+#: means unlimited).
+_FLOORS = {"times": 1, "at_superstep": 0, "delay": 0, "lag": 1}
 
 
-def _check_probability(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ProgramError(f"fault probability must be in [0, 1], got {p}")
+class _Spec:
+    """A fault spec refuses, on construction, what the injector would
+    trip over or silently ignore: a wrongly typed field, a field below
+    its floor, a probability outside [0, 1] or no trigger at all."""
+
+    def __post_init__(self) -> None:
+        given, where = vars(self), f"{self.kind} fault"
+        for kind, names in _SPEC_FIELDS:
+            check_fields(where, given, kind, *names, error=ProgramError)
+        for name, least in _FLOORS.items():
+            if given.get(name) is not None and given[name] < least:
+                raise ProgramError(
+                    f"{where} {name} must be >= {least}, got {given[name]}"
+                )
+        if not 0.0 <= self.probability <= 1.0:
+            raise ProgramError(
+                f"fault probability must be in [0, 1], got {self.probability}"
+            )
+        for trigger in ("at_superstep", "at_epoch"):
+            if trigger in given and given[trigger] is None and (
+                self.probability == 0.0
+            ):
+                raise ProgramError(
+                    f"{where} needs {trigger} and/or probability"
+                )
 
 
 @dataclass(frozen=True)
-class CrashFault:
+class CrashFault(_Spec):
     """Kill a worker's compute with a :class:`WorkerFailure`.
 
     Attributes:
@@ -63,16 +107,9 @@ class CrashFault:
     fatal: bool = False
     times: int | None = 1
 
-    def __post_init__(self) -> None:
-        _check_probability(self.probability)
-        if self.at_superstep is None and self.probability == 0.0:
-            raise ProgramError(
-                "crash fault needs at_superstep and/or probability"
-            )
-
 
 @dataclass(frozen=True)
-class StragglerFault:
+class StragglerFault(_Spec):
     """Delay a worker's compute by ``delay`` simulated seconds."""
 
     kind: ClassVar[str] = "straggler"
@@ -83,18 +120,9 @@ class StragglerFault:
     delay: float = 0.05
     times: int | None = 1
 
-    def __post_init__(self) -> None:
-        _check_probability(self.probability)
-        if self.delay < 0:
-            raise ProgramError(f"straggler delay must be >= 0, got {self.delay}")
-        if self.at_superstep is None and self.probability == 0.0:
-            raise ProgramError(
-                "straggler fault needs at_superstep and/or probability"
-            )
-
 
 @dataclass(frozen=True)
-class UpdateLagFault:
+class UpdateLagFault(_Spec):
     """A serving replica falls behind on ΔG batches.
 
     Fleet-level fault: consulted by the router's
@@ -121,27 +149,15 @@ class UpdateLagFault:
     lag: int = 1
     times: int | None = 1
 
-    def __post_init__(self) -> None:
-        _check_probability(self.probability)
-        if self.lag < 1:
-            raise ProgramError(f"update lag must be >= 1, got {self.lag}")
-        if self.at_epoch is None and self.probability == 0.0:
-            raise ProgramError(
-                "update-lag fault needs at_epoch and/or probability"
-            )
-
 
 @dataclass(frozen=True)
-class _MessageFault:
+class _MessageFault(_Spec):
     """Common scope of the wire-level faults (src/dst = None matches any)."""
 
     src: int | None = None
     dst: int | None = None
     probability: float = 1.0
     times: int | None = 1
-
-    def __post_init__(self) -> None:
-        _check_probability(self.probability)
 
 
 @dataclass(frozen=True)
@@ -192,6 +208,9 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
+        check_fields(
+            "fault plan", {"seed": self.seed}, INT, "seed", error=ProgramError
+        )
         for f in self.faults:
             if not isinstance(f, tuple(FAULT_KINDS.values())):
                 raise ProgramError(f"not a fault spec: {f!r}")
@@ -219,6 +238,7 @@ class FaultPlan:
         """Parse the :meth:`to_dict` schema (raises ProgramError on junk)."""
         if not isinstance(data, dict):
             raise ProgramError(f"fault plan must be an object, got {data!r}")
+        check_fields("fault plan", data, LIST, "faults", error=ProgramError)
         faults = []
         for entry in data.get("faults", []):
             if not isinstance(entry, dict) or "kind" not in entry:
@@ -238,4 +258,4 @@ class FaultPlan:
                 raise ProgramError(
                     f"bad {kind!r} fault spec {entry!r}: {exc}"
                 ) from None
-        return cls(faults=tuple(faults), seed=int(data.get("seed", 0)))
+        return cls(faults=tuple(faults), seed=data.get("seed", 0))

@@ -66,6 +66,7 @@ from repro.service.cache import Uncacheable, freeze
 from repro.service.metrics import percentile
 from repro.service.scheduler import DEFAULT_PRIORITY
 from repro.service.service import GrapeService, canonical_answer_bytes
+from repro.service.trace import update_delta
 from repro.storage.dfs import SimulatedDFS
 
 #: Circuit-breaker states (surfaced verbatim in the report and trace).
@@ -493,8 +494,9 @@ class FleetRouter:
             replica.open_until = self._clock + self.breaker_cooldown
             self._breaker_trips += 1
         if self._tracer is not None:
-            self._tracer.fleet_breaker(
-                replica.rid, state, replica.consecutive_failures, self._clock
+            self._tracer.event(
+                "fleet_breaker", replica=replica.rid, state=state,
+                failures=replica.consecutive_failures, clock=self._clock,
             )
 
     def _breaker_failure(self, replica: Replica) -> None:
@@ -566,8 +568,9 @@ class FleetRouter:
             if replica is None:
                 break
             if failed_from is not None and self._tracer is not None:
-                self._tracer.fleet_failover(
-                    seq, failed_from, replica.rid, retries,
+                self._tracer.event(
+                    "fleet_failover", seq=seq, from_replica=failed_from,
+                    to_replica=replica.rid, attempt=retries,
                     backoff=min(
                         self.backoff_base * 2 ** max(0, retries - 1),
                         self.backoff_cap,
@@ -667,8 +670,9 @@ class FleetRouter:
         except TransientWorkerFailure:
             self._breaker_failure(second)
         if self._tracer is not None:
-            self._tracer.fleet_hedge(
-                seq, primary.rid, second.rid, winner.rid, self._clock
+            self._tracer.event(
+                "fleet_hedge", seq=seq, primary=primary.rid,
+                secondary=second.rid, winner=winner.rid, clock=self._clock,
             )
         return answer, cost, winner, True
 
@@ -764,8 +768,9 @@ class FleetRouter:
         self._latencies.append(latency)
         self._clock = start + latency
         if self._tracer is not None:
-            self._tracer.fleet_route(
-                seq, query_class, replica=replica_id, attempts=attempts,
+            self._tracer.event(
+                "fleet_route", seq=seq, query_class=query_class,
+                replica=replica_id, attempts=attempts,
                 outcome=outcome, stale=stale, staleness=staleness,
                 start=start, finish=self._clock,
             )
@@ -883,9 +888,11 @@ class FleetRouter:
         self._catchup_batches += len(missed)
         audit_ok = self._audit(replica) if audit else True
         if self._tracer is not None:
-            self._tracer.fleet_catchup(
-                replica.rid, from_version, replica.service.version,
-                len(missed), audit_ok, self._clock,
+            self._tracer.event(
+                "fleet_catchup", replica=replica.rid,
+                from_version=from_version,
+                to_version=replica.service.version, batches=len(missed),
+                audit_ok=audit_ok, clock=self._clock,
             )
         return audit_ok
 
@@ -1111,9 +1118,7 @@ def replay_fleet_trace(
             if max_queries is not None and queries_sent >= max_queries:
                 continue
             fleet.apply_updates(
-                op.get("edges", ()),
-                deletes=op.get("deletes", ()),
-                reweights=op.get("reweights", ()),
+                update_delta(op),
                 verify=op.get("verify", False) if verify is None else verify,
             )
     return fleet, fleet.report()

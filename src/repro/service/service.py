@@ -242,18 +242,12 @@ class GrapeService:
         except ServiceError:
             stats.rejected += 1
             if self._tracer is not None:
-                self._tracer.svc_reject(query_class, self._clock)
+                self._tracer.event(
+                    "svc_reject", query_class=query_class, clock=self._clock
+                )
             raise
         stats.submitted += 1
         self._pending_queries[request.seq] = query
-        if self._tracer is not None:
-            self._tracer.svc_submit(
-                request.seq,
-                query_class,
-                clock=self._clock,
-                cacheable=cacheable,
-                priority=priority,
-            )
         return request.seq
 
     def drain(self) -> dict[int, ServedResult]:
@@ -297,9 +291,10 @@ class GrapeService:
         if from_cache:
             stats.cache_hits += 1
         if self._tracer is not None:
-            self._tracer.svc_query(
-                request.seq,
-                request.query_class,
+            self._tracer.event(
+                "svc_query",
+                seq=request.seq,
+                query_class=request.query_class,
                 lane=lane,
                 submit=request.submit_time,
                 start=start,
@@ -404,8 +399,9 @@ class GrapeService:
         self._lanes.occupy(lane, start + cost)
         self._clock = max(self._clock, self._lanes.horizon)
         if self._tracer is not None:
-            self._tracer.svc_standing(
-                name, query_class, start=start, finish=start + cost
+            self._tracer.event(
+                "svc_standing", name=name, query_class=query_class,
+                start=start, finish=start + cost,
             )
         stats = StandingStats(
             name=name,
@@ -533,7 +529,8 @@ class GrapeService:
         self._updates.reweights += delta.reweights
         self._updates.rewarmed += outcome.rewarmed
         if self._tracer is not None:
-            self._tracer.svc_update(
+            self._tracer.event(
+                "svc_update",
                 version=self._version,
                 inserts=delta.inserts,
                 deletes=delta.deletes,

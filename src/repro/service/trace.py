@@ -33,7 +33,20 @@ from __future__ import annotations
 
 import json
 
-from repro.errors import GrapeError, ServiceOverloadedError
+from repro.core.delta import GraphDelta
+from repro.errors import (
+    INT,
+    LIST,
+    NUMBER,
+    NUMBER_OR_NULL,
+    OBJECT,
+    POSITIVE_INT,
+    STR,
+    GrapeError,
+    ProgramError,
+    ServiceOverloadedError,
+    check_fields,
+)
 from repro.graph.generators import graph_from_spec
 from repro.service.metrics import ServiceReport
 from repro.service.scheduler import DEFAULT_PRIORITY
@@ -42,33 +55,78 @@ from repro.service.service import GrapeService
 _KNOWN_OPS = {"query", "drain", "update"}
 
 
+def update_delta(op: dict) -> GraphDelta:
+    """One update op's rows, parsed as ``grape run --updates`` parses
+    its file (raises ProgramError on a bad row)."""
+    rows = {"insert": "edges", "delete": "deletes", "reweight": "reweights"}
+    return GraphDelta.from_dict({k: op.get(n, []) for k, n in rows.items()})
+
+
 def load_trace(path: str) -> dict:
-    """Read and structurally validate a workload trace file."""
+    """Read and structurally validate a workload trace file.
+
+    Every shape :func:`replay_trace` or the fleet replay would trip
+    over is refused here with a :class:`GrapeError` naming the op.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             trace = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise GrapeError(f"cannot read workload trace {path}: {exc}")
-    if not isinstance(trace, dict) or "ops" not in trace:
+    if not isinstance(trace, dict) or not isinstance(trace.get("ops"), list):
         raise GrapeError(
             f"workload trace {path} must be a JSON object with an 'ops' list"
         )
+    where = f"workload trace {path}"
+    check_fields(where, trace, STR, "graph", "partition", "store")
+    check_fields(where, trace, INT, "workers")
+    check_fields(where, trace, OBJECT, "service")
+    check_fields(where, trace, LIST, "standing")
+    knobs, where = trace.get("service", {}), f"{where} 'service'"
+    check_fields(
+        where, knobs, POSITIVE_INT, "max_pending", "concurrency",
+        "cache_capacity",
+    )
+    check_fields(where, knobs, INT, "rewarm_hottest")
+    check_fields(where, knobs, NUMBER_OR_NULL, "cache_ttl")
+    for idx, entry in enumerate(trace.get("standing", [])):
+        where = f"trace standing entry #{idx}"
+        if not isinstance(entry, dict) or not {"name", "class"} <= set(entry):
+            raise GrapeError(
+                f"{where} must be an object with a 'name' and a 'class', "
+                f"got {entry!r}"
+            )
+        check_fields(where, entry, STR, "name", "class")
+        check_fields(where, entry, OBJECT, "params")
     for idx, op in enumerate(trace["ops"]):
+        if not isinstance(op, dict):
+            raise GrapeError(f"trace op #{idx} must be an object, got {op!r}")
         kind = op.get("op")
         if kind not in _KNOWN_OPS:
             raise GrapeError(
                 f"trace op #{idx} has unknown kind {kind!r}; "
                 f"expected one of {sorted(_KNOWN_OPS)}"
             )
-        if kind == "query" and "class" not in op:
-            raise GrapeError(f"trace query op #{idx} needs a 'class'")
-        if kind == "update" and not (
-            op.get("edges") or op.get("deletes") or op.get("reweights")
-        ):
-            raise GrapeError(
-                f"trace update op #{idx} needs at least one of "
-                "'edges', 'deletes' or 'reweights'"
-            )
+        where = f"trace {kind} op #{idx}"
+        if kind == "query":
+            if "class" not in op:
+                raise GrapeError(f"{where} needs a 'class'")
+            check_fields(where, op, STR, "class")
+            check_fields(where, op, OBJECT, "params")
+            check_fields(where, op, INT, "repeat", "priority")
+            check_fields(where, op, NUMBER, "at")
+        if kind == "update":
+            if not (
+                op.get("edges") or op.get("deletes") or op.get("reweights")
+            ):
+                raise GrapeError(
+                    f"{where} needs at least one of "
+                    "'edges', 'deletes' or 'reweights'"
+                )
+            try:
+                update_delta(op)
+            except ProgramError as exc:
+                raise GrapeError(f"{where}: {exc}")
     return trace
 
 
@@ -171,10 +229,8 @@ def replay_trace(
             if max_queries is not None and queries_sent >= max_queries:
                 continue
             service.apply_updates(
-                op.get("edges", ()),
+                update_delta(op),
                 verify=op.get("verify", True) if verify is None else verify,
-                deletes=op.get("deletes", ()),
-                reweights=op.get("reweights", ()),
             )
     service.drain()
     return service, service.report()

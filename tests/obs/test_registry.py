@@ -1,9 +1,7 @@
-"""Unit tests for the MetricsRegistry dotted-name namespace."""
-
-import pytest
+"""Unit tests for the dotted-name metrics a Chrome export embeds."""
 
 from repro.graph.generators import road_network
-from repro.obs import MetricsRegistry, Tracer, sanitize_segment
+from repro.obs import Tracer, chrome_trace, trace_metrics
 from repro.core.engine import GrapeEngine
 from repro.graph.fragment import build_fragments
 from repro.partition.registry import get_partitioner
@@ -18,36 +16,19 @@ def _run(tracer=None):
     return engine.run(SSSPProgram(), SSSPQuery(source=0))
 
 
-def test_record_validates_names_and_values():
-    reg = MetricsRegistry()
-    reg.record("run.bytes.total", 42)
-    assert reg.as_dict() == {"run.bytes.total": 42}
-    with pytest.raises(ValueError, match="bad metric name"):
-        reg.record("Run.Bytes", 1)
-    with pytest.raises(ValueError, match="bad metric name"):
-        reg.record("run..bytes", 1)
-    with pytest.raises(ValueError, match="scalar"):
-        reg.record("run.blob", [1, 2])
-
-
-def test_sanitize_segment_is_lossy_but_legal():
-    assert sanitize_segment("hub SSSP #1") == "hub_sssp__1"
-    assert sanitize_segment("") == "_"
-    reg = MetricsRegistry()
-    reg.record(f"service.standing.{sanitize_segment('hub SSSP #1')}.repairs", 2)
-    assert reg.names() == ["service.standing.hub_sssp__1.repairs"]
-
-
-def test_names_and_as_dict_are_sorted():
-    reg = MetricsRegistry({"b.y": 2, "a.x": 1})
-    assert reg.names() == ["a.x", "b.y"]
-    assert list(reg.as_dict()) == ["a.x", "b.y"]
+def test_metrics_are_sorted_by_name():
+    tracer = Tracer()
+    _run(tracer=tracer)
+    metrics = trace_metrics(tracer.events)
+    assert list(metrics) == sorted(metrics)
+    assert chrome_trace(tracer)["otherData"]["metrics"] == metrics
 
 
 def test_from_tracer_aggregates_replay_stable_totals():
     tracer = Tracer()
     result = _run(tracer=tracer)
-    metrics = MetricsRegistry.from_tracer(tracer).as_dict()
+    metrics = trace_metrics(tracer.events)
+    assert metrics["obs.events"] == len(tracer.events)
     assert metrics["obs.runs"] == 1
     assert metrics["obs.supersteps"] == result.metrics.num_supersteps
     assert metrics["obs.bytes.total"] == result.metrics.total_bytes

@@ -2,6 +2,7 @@
 its exported Chrome trace (under every standard fault plan too), and a
 reclaimed-slack figure that agrees with the engine's own clock."""
 
+import json
 import re
 
 import pytest
@@ -15,9 +16,12 @@ from repro.graph.fragment import build_fragments
 from repro.graph.generators import graph_from_spec
 from repro.obs import (
     Tracer,
-    chrome_trace,
+    build_timeline,
+    dump_chrome_trace,
     report_for_tracer,
     report_from_chrome,
+    skew_report,
+    trace_metrics,
 )
 from repro.runtime.costmodel import CostModel
 from repro.storage.dfs import SimulatedDFS
@@ -70,7 +74,12 @@ def test_live_report_equals_report_from_chrome(mode, plan_name, tmp_path):
         checkpoint = CheckpointPolicy(SimulatedDFS(tmp_path), every=1)
     tracer, result = _skewed_run(mode, faults, checkpoint)
     live = report_for_tracer(tracer)
-    assert live == report_from_chrome(chrome_trace(tracer))
+    assert live == report_from_chrome(json.loads(dump_chrome_trace(tracer)))
+    # The Chrome reader loses nothing the raw log's timeline has: lanes,
+    # durations, skew, stragglers and recoveries all come back equal.
+    assert live == skew_report(
+        build_timeline(tracer.events), metrics=trace_metrics(tracer.events)
+    )
     aborted = result.metrics.faults.recoveries
     assert live.count("[aborted]") == aborted
     assert f"{result.metrics.num_supersteps + aborted} supersteps" in live

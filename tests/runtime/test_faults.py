@@ -1,7 +1,10 @@
 """Tests for fault plans, the injector and transport integrity."""
 
+import json
+
 import pytest
 
+from repro.engineapi.cli import main
 from repro.errors import ProgramError, TransportError
 from repro.runtime.faults import (
     CorruptFault,
@@ -194,3 +197,54 @@ def test_reset_in_flight_preserves_seq_and_dedup_state():
     assert msg.seq == 2  # counter not rewound: no seq collision possible
     mpi.flush()
     assert [m.payload for m in mpi.receive(1)] == ["post-recovery"]
+
+
+MALFORMED_PLANS = [
+    pytest.param({"seed": "x"}, "seed", id="seed-not-int"),
+    pytest.param({"faults": 3}, "'faults' must be a list", id="faults-not-list"),
+    pytest.param(
+        {"faults": [{"kind": "crash", "at_superstep": "x"}]},
+        "'at_superstep'", id="at-superstep-str",
+    ),
+    pytest.param(
+        {"faults": [{"kind": "crash", "at_superstep": -1}]},
+        "at_superstep must be >= 0", id="at-superstep-negative",
+    ),
+    pytest.param(
+        {"faults": [{"kind": "crash", "at_superstep": 1, "fatal": "yes"}]},
+        "'fatal'", id="fatal-str",
+    ),
+    pytest.param(
+        {"faults": [{"kind": "crash", "at_superstep": 1, "worker": "0"}]},
+        "'worker'", id="worker-str",
+    ),
+    pytest.param(
+        {"faults": [{"kind": "drop", "times": "many"}]},
+        "'times'", id="times-str",
+    ),
+    pytest.param(
+        {"faults": [{"kind": "drop", "times": -1}]},
+        "times must be >= 1", id="times-negative",
+    ),
+    pytest.param(
+        {"faults": [{"kind": "update_lag", "at_epoch": "x"}]},
+        "'at_epoch'", id="at-epoch-str",
+    ),
+]
+
+
+@pytest.mark.parametrize("data,named", MALFORMED_PLANS)
+def test_cli_malformed_plan_is_a_typed_error(data, named, capsys, tmp_path):
+    """A plan is outside input (``grape chaos --plan FILE``): a wrongly
+    typed field is refused up front, never a traceback from inside the
+    injector and never a plan that silently injects nothing."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(data))
+    rc = main([
+        "chaos", "--graph", "road:4x4", "--query", "sssp", "--source", "0",
+        "--plan", str(plan),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err

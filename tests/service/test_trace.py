@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engineapi.cli import main
 from repro.errors import GrapeError
 from repro.service.trace import load_trace, replay_trace
 
@@ -121,3 +122,81 @@ def test_max_queries_truncates_cheaply():
     completed = sum(c["completed"] for c in report.classes.values())
     assert completed == 3
     assert report.updates["batches"] == 0  # updates after the cut skipped
+
+
+_Q = {"op": "query", "class": "sssp", "params": {"source": 0}}
+
+
+def _trace(*ops, **top):
+    return {"graph": "road:4x4", "workers": 2, "ops": [_Q, *ops], **top}
+
+
+MALFORMED_TRACES = [
+    pytest.param({"graph": "road:4x4", "ops": 3}, "'ops' list",
+                 id="ops-not-a-list"),
+    pytest.param({"graph": "road:4x4", "ops": [3]}, "op #0",
+                 id="op-not-an-object"),
+    pytest.param(_trace({**_Q, "repeat": "x"}), "op #1: 'repeat'",
+                 id="repeat-not-int"),
+    pytest.param(_trace({**_Q, "priority": "hi"}), "op #1: 'priority'",
+                 id="priority-not-int"),
+    pytest.param(_trace({**_Q, "at": "soon"}), "op #1: 'at'",
+                 id="at-not-a-number"),
+    pytest.param(_trace({**_Q, "params": [1]}), "op #1: 'params'",
+                 id="params-not-an-object"),
+    pytest.param(_trace({**_Q, "class": [1]}), "op #1: 'class'",
+                 id="class-not-a-string"),
+    pytest.param({**_trace(), "workers": "two"}, "'workers'",
+                 id="workers-not-int"),
+    pytest.param({**_trace(), "graph": 3}, "'graph'",
+                 id="graph-not-a-string"),
+    pytest.param(_trace(service={"concurrency": "x"}), "'concurrency'",
+                 id="service-knob-not-int"),
+    pytest.param(_trace(service={"max_pending": 0}), "'max_pending'",
+                 id="service-knob-not-positive"),
+    pytest.param(_trace(service={"cache_ttl": "x"}), "'cache_ttl'",
+                 id="cache-ttl-not-a-number"),
+    pytest.param({**_trace(), "partition": [1]}, "'partition'",
+                 id="partition-not-a-string"),
+    pytest.param({**_trace(), "store": [1]}, "'store'",
+                 id="store-not-a-string"),
+    pytest.param(_trace(service=[1]), "'service'",
+                 id="service-not-an-object"),
+    pytest.param(_trace(standing=3), "'standing'", id="standing-not-a-list"),
+    pytest.param(_trace(standing=[3]), "standing entry #0",
+                 id="standing-entry-not-an-object"),
+    pytest.param(
+        _trace(standing=[{"name": "a", "class": "sssp", "params": [1]}]),
+        "standing entry #0: 'params'", id="standing-params-not-an-object",
+    ),
+    pytest.param(_trace({"op": "update", "deletes": [3]}), "op #1",
+                 id="update-row-not-a-list"),
+    pytest.param(_trace({"op": "update", "edges": 3}), "op #1",
+                 id="update-section-not-a-list"),
+    pytest.param(_trace({"op": "update", "reweights": [[0, 1]]}), "op #1",
+                 id="reweight-row-without-weight"),
+    pytest.param(_trace({"op": "update", "edges": [[0, 1, "x"]]}), "op #1",
+                 id="update-weight-not-a-number"),
+    pytest.param(_trace({"op": "update", "edges": [[[0], 1, 0.5]]}), "op #1",
+                 id="update-endpoint-not-a-vertex"),
+    pytest.param(_trace({**_Q, "params": {"source": [1]}}), "source=",
+                 id="query-source-not-a-vertex"),
+]
+
+
+@pytest.mark.parametrize(
+    "replicas", [[], ["--replicas", "3"]], ids=["service", "fleet"]
+)
+@pytest.mark.parametrize("trace,named", MALFORMED_TRACES)
+def test_cli_malformed_trace_is_a_typed_error(
+    trace, named, replicas, capsys, tmp_path
+):
+    """A workload trace is outside input: every shape either replay
+    would trip over is refused by ``load_trace``, naming where."""
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(trace))
+    rc = main(["serve", "--trace", str(path), *replicas])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err
