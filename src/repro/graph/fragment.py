@@ -29,8 +29,8 @@ VertexId = Hashable
 
 
 class Slot(tuple):
-    """``(vertex, writer)``: fragment ``writer``'s cumulative contribution
-    toward ``vertex``, routed to the vertex's owner alone (``hosts``)."""
+    """``(vertices, writer)``: fragment ``writer``'s cumulative column
+    toward ``vertices`` (one owner's), routed to that owner (``hosts``)."""
 
     __slots__ = ()
 
@@ -177,9 +177,9 @@ class FragmentedGraph:
 
     def hosts(self, v: VertexId) -> Collection[int]:
         """All fragment ids holding a copy (owner + mirrors); for a
-        :class:`Slot`, its vertex's owner and its writer."""
+        :class:`Slot`, its vertices' owner and its writer."""
         if type(v) is Slot:
-            return self.assignment[v[0]], v[1]
+            return self.assignment[v[0][0]], v[1]
         return self.known_by.get(v, set())
 
     # ------------------------------------------------------------------

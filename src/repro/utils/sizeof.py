@@ -51,9 +51,8 @@ def _dict_size(value: dict) -> int:
     for k, v in value.items():
         ks = scalars.get(type(k))
         if ks is None and type(k) is Slot:
-            # (vertex, writer fid), priced as _iter_size would, inline.
-            ks = scalars.get(type(k[0])) or _value_size_slow(k[0])
-            ks += _NUMERIC_BYTES
+            # (vertices, writer fid): the column's ids plus the writer.
+            ks = _iter_size(k[0]) + _NUMERIC_BYTES
         total += ks if ks is not None else _value_size_slow(k)
         vs = scalars.get(type(v))
         total += vs if vs is not None else _value_size_slow(v)

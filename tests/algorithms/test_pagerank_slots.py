@@ -1,12 +1,17 @@
-"""PageRank's update parameters are per-source slots, read by the owner.
+"""PageRank's update parameters are per-owner columns, read by the owner.
 
-``Slot((v, fid))`` is fragment ``fid``'s cumulative push toward its
-mirror ``v``. ``FragmentedGraph.hosts`` routes a slot to ``v``'s owner
-(and names the writer, which the sender's ``fid != wid`` skips), so
-every message a worker receives carries only slots of vertices it owns
-— in either superstep mode, with answers byte-identical across them.
-Recovery re-ships slots from both ends (writer and owner), and must
-re-converge to the clean run.
+``Slot((vertices, fid))`` is fragment ``fid``'s cumulative push toward
+``vertices``, its mirrors of one other fragment, as a tuple: one column
+per (writer → owner) pair. ``FragmentedGraph.hosts`` routes a column to
+that owner (and names the writer, which the sender's ``fid != wid``
+skips), so every message a worker receives carries only columns of
+vertices it owns — in either superstep mode, with answers byte-identical
+across them. The stock ``MAX`` keeps the newest column because a
+column's totals only grow, so each newer tuple is lexicographically
+larger; the audit checks exactly that. Recovery re-ships columns from
+both ends (writer and owner), and must re-converge to the clean run.
+The dataflow — pushes, supersteps, messages — is the one the per-mirror
+scalars had.
 """
 
 from __future__ import annotations
@@ -16,12 +21,17 @@ import itertools
 import pytest
 
 from repro.algorithms.pagerank import PageRankProgram, PageRankQuery
+from repro.algorithms.sequential import pagerank
+from repro.core.aggregators import MAX
 from repro.core.checkpoint import CheckpointPolicy
 from repro.core.engine import GrapeEngine
+from repro.core.update_params import UpdateParams
+from repro.engineapi.session import Session
 from repro.graph.fragment import Slot, build_fragments
-from repro.graph.generators import power_law
+from repro.graph.generators import power_law, road_network
 from repro.partition.registry import get_partitioner
 from repro.runtime.backends import SimulatedBackend
+from repro.runtime.costmodel import CostModel
 from repro.service.service import canonical_answer_bytes
 from repro.storage.dfs import SimulatedDFS
 
@@ -33,14 +43,20 @@ MODES = [
 ]
 
 
-def _fragmented(n: int = 120):
-    graph = power_law(n)
-    assignment = get_partitioner("hash")(graph, NUM_WORKERS)
-    return graph, build_fragments(graph, assignment, NUM_WORKERS, "hash")
+def _fragmented(n: int = 120, workers: int = NUM_WORKERS, seed: int = 0):
+    graph = power_law(n, seed=seed)
+    assignment = get_partitioner("hash")(graph, workers)
+    return graph, build_fragments(graph, assignment, workers, "hash")
+
+
+def _declared(fragment) -> frozenset:
+    params = UpdateParams(MAX, None)
+    PageRankProgram(1).declare_params(fragment, PageRankQuery(), params)
+    return params.declared
 
 
 class OwnerOnly(SimulatedBackend):
-    """Asserts each IncEval's mail holds only slots its worker owns."""
+    """Asserts each IncEval's mail holds only columns its worker owns."""
 
     delivered = 0
 
@@ -49,10 +65,14 @@ class OwnerOnly(SimulatedBackend):
             if call.op != "inceval":
                 continue
             for payload in call.args["payloads"]:
-                for key in payload:
+                for key, totals in payload.items():
                     assert type(key) is Slot, key
-                    vertex, writer = key
-                    assert self.fragmented.owner_of(vertex) == call.wid
+                    vertices, writer = key
+                    assert len(totals) == len(vertices)
+                    assert all(
+                        self.fragmented.owner_of(v) == call.wid
+                        for v in vertices
+                    )
                     assert writer != call.wid
                     self.delivered += 1
         return super().execute(step, supervisor, calls, on_result)
@@ -61,10 +81,19 @@ class OwnerOnly(SimulatedBackend):
 def test_a_slot_is_hosted_by_its_vertex_owner_and_its_writer():
     _, fragmented = _fragmented()
     for frag in fragmented.fragments:
-        for v in frag.mirrors:
-            owner = fragmented.owner_of(v)
-            assert owner != frag.fid
-            assert fragmented.hosts(Slot((v, frag.fid))) == (owner, frag.fid)
+        declared = _declared(frag)
+        assert declared and all(type(s) is Slot for s in declared)
+        covered = []
+        for slot in declared:
+            vertices, writer = slot
+            assert writer == frag.fid
+            owners = {fragmented.owner_of(v) for v in vertices}
+            assert len(owners) == 1 and writer not in owners
+            assert all(v in frag.mirrors for v in vertices)
+            assert fragmented.hosts(slot) == (owners.pop(), writer)
+            covered.extend(vertices)
+        # The columns partition the mirrors: each exactly once.
+        assert sorted(covered) == sorted(frag.mirrors)
     # A plain vertex key still reaches every copy.
     v = next(iter(fragmented.fragments[0].mirrors))
     assert fragmented.hosts(v) == fragmented.known_by[v]
@@ -126,3 +155,61 @@ def test_pagerank_resumes_from_checkpoint_to_the_clean_answer(
     )
     assert recovered.checker.ok and recovered.checker.writes_seen > 0
     assert recovered.answer == clean.answer
+
+
+@pytest.mark.parametrize(
+    "damping,dataflow",
+    [(0.5, (1737, 7023, 16, 152)), (0.85, (2038, 29178, 45, 503))],
+)
+def test_columns_keep_the_per_mirror_dataflow(damping, dataflow):
+    """Pushes, supersteps and messages as recorded with one scalar per
+    mirror: batching a pair's mirrors into a column moves no work."""
+    graph, fragmented = _fragmented(400, workers=4, seed=7)
+    metrics = GrapeEngine(
+        fragmented, cost_model=CostModel(deterministic=True)
+    ).run(
+        PageRankProgram(graph.num_vertices), PageRankQuery(damping=damping)
+    ).metrics
+    assert (
+        metrics.work("peval"),
+        metrics.work("inceval"),
+        len(metrics.supersteps),
+        metrics.total_messages,
+    ) == dataflow
+
+
+EDGE_CASES = [
+    pytest.param(power_law(120), 1, "hash", id="one-fragment"),
+    pytest.param(power_law(5), 4, "hash", id="power5-x4"),
+    pytest.param(road_network(6, 6), 3, "multilevel", id="road6x6-x3-ml"),
+]
+
+
+@pytest.mark.parametrize("backend", ["simulated", "process"])
+@pytest.mark.parametrize("store", ["dict", "csr"])
+@pytest.mark.parametrize("graph,workers,partition", EDGE_CASES)
+def test_edge_cases_match_the_power_iteration(
+    graph, workers, partition, store, backend
+):
+    """Every vertex left holds residual ≤ tolerance, folded into its
+    rank; what that residual would still have pushed is at most d/(1-d)
+    times it, so the total error is within tolerance·n·d/(1-d). (The
+    ladder's per-vertex tolerance·n is looser on big graphs, and
+    ``power_law(5)`` exceeds it: 8.3e-6 against 5e-6.)"""
+    query = PageRankQuery()
+    session = Session(
+        graph, num_workers=workers, partition=partition, store=store,
+        backend=backend, check_monotonic=True,
+    )
+    try:
+        result = session.run(PageRankProgram(graph.num_vertices), query)
+    finally:
+        session.close()
+    assert result.checker.ok
+    if workers == 1:
+        assert result.metrics.total_messages == 0  # no mirrors, no columns
+    d = query.damping
+    oracle = pagerank(graph, damping=d, tol=1e-10)
+    slack = query.tolerance * graph.num_vertices * d / (1 - d)
+    assert set(result.answer) == set(oracle)
+    assert sum(abs(result.answer[v] - r) for v, r in oracle.items()) <= slack

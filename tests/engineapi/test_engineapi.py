@@ -150,6 +150,25 @@ def test_build_query_validation_errors():
         build_query("astrology")
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("tolerance", 0),
+        ("tolerance", -1),
+        ("tolerance", float("nan")),
+        ("damping", 1),
+        ("damping", 1.5),
+        ("damping", -0.5),
+        ("damping", float("nan")),
+    ],
+)
+def test_build_query_refuses_a_pagerank_that_cannot_converge(field, value):
+    # tolerance 0 never drains; damping >= 1 or NaN returns all-zero
+    # ranks, a negative one ranks that do not sum to 1.
+    with pytest.raises(QueryError, match=f"{field} "):
+        build_query("pagerank", **{field: value})
+
+
 def test_query_classes_sorted():
     assert query_classes() == sorted(query_classes())
 

@@ -200,3 +200,20 @@ def test_cli_malformed_trace_is_a_typed_error(
     assert rc == 2
     assert captured.err.startswith("error: ") and named in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("damping", [1.0, 1.5])
+def test_cli_pagerank_damping_out_of_range_is_a_typed_error(
+    damping, capsys, tmp_path
+):
+    """``damping >= 1`` used to serve all-zero ranks; the query itself
+    now refuses it (as it refuses ``tolerance <= 0``, which never
+    drained)."""
+    op = {"op": "query", "class": "pagerank", "params": {"damping": damping}}
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"graph": "power:60", "ops": [op]}))
+    rc = main(["serve", "--trace", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and "damping" in captured.err
+    assert "Traceback" not in captured.err

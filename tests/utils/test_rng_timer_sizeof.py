@@ -63,11 +63,13 @@ def test_list_and_set_sum_members():
 def test_slot_keys_cost_their_two_components():
     from repro.graph.fragment import Slot
 
-    for vertex in (7, "ab", (1, 2)):
-        plain = {(vertex, 3): 0.5, (vertex, 4): None}
+    # A column key is its vertex tuple plus the writer, as a plain
+    # tuple would be priced.
+    for vertices in ((7,), (7, 8), ("ab", (1, 2))):
+        plain = {(vertices, 3): (0.5,) * len(vertices), (vertices, 4): None}
         slots = {Slot(k): v for k, v in plain.items()}
         assert value_size(slots) == value_size(plain)
-    assert value_size({Slot((7, 3)): 0.5}) == 16 + 8
+    assert value_size({Slot(((7, 8), 3)): (0.5, 0.25)}) == 16 + 8 + 16
 
 
 def test_nested_structure():
