@@ -14,7 +14,7 @@ store); what it saw rides the op reply to the engine's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Hashable
 
 from repro.core.partial_order import PartialOrder
@@ -54,15 +54,13 @@ class Violation:
 class WriteAudit:
     """One worker's half of the check: plain data inside its
     :class:`~repro.core.update_params.UpdateParams`, armed by the engine
-    per run. Counts every accepted write, records (strict: raises on)
-    each one that moves against ``order``; :meth:`take` hands the tally
-    to the op reply, exactly as ``take_work`` hands over work units.
+    per run. Counts every accepted write and raises on the first one
+    that moves against ``order``; :meth:`take` hands the count to the op
+    reply, exactly as ``take_work`` hands over work units.
     """
 
     fragment: int
-    strict: bool = True
     writes: int = 0
-    violations: list[Violation] = field(default_factory=list)
 
     def check(
         self, order: PartialOrder, vertex: VertexId, old: object, new: object
@@ -70,33 +68,22 @@ class WriteAudit:
         self.writes += 1
         if not order.advances(old, new):
             violation = Violation(self.fragment, vertex, old, new, order.name)
-            self.violations.append(violation)
-            if self.strict:
-                raise MonotonicityError(str(violation))
+            raise MonotonicityError(str(violation))
 
-    def take(self) -> tuple[int, list[Violation]]:
-        """Return and clear ``(writes, violations)`` since the last call."""
-        tally = (self.writes, self.violations)
-        self.writes, self.violations = 0, []
-        return tally
+    def take(self) -> int:
+        """Return and clear the write count since the last call."""
+        writes, self.writes = self.writes, 0
+        return writes
 
 
 @dataclass
 class MonotonicityChecker:
-    """The engine's half: one per checked run, summing the tallies the
-    workers' :class:`WriteAudit` s send home on every op reply."""
+    """The engine's half: one per checked run, summing the write counts
+    the workers' :class:`WriteAudit` s send home on every op reply. A
+    violation never gets here — the write raises where it happens."""
 
-    order: PartialOrder
-    strict: bool = True
-    violations: list[Violation] = field(default_factory=list)
     writes_seen: int = 0
 
-    def absorb(self, tally: tuple[int, list[Violation]]) -> None:
+    def absorb(self, writes: int) -> None:
         """Book one op reply's :meth:`WriteAudit.take`."""
-        self.writes_seen += tally[0]
-        self.violations.extend(tally[1])
-
-    @property
-    def ok(self) -> bool:
-        """True while no violation has been observed."""
-        return not self.violations
+        self.writes_seen += writes

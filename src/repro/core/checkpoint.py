@@ -25,7 +25,7 @@ import pickle
 from dataclasses import dataclass
 
 from repro.core.delta import EngineState
-from repro.errors import StorageError
+from repro.errors import ProgramError, StorageError
 from repro.storage.dfs import SimulatedDFS
 
 
@@ -46,6 +46,13 @@ class CheckpointPolicy:
     every: int = 5
     tag: str = "default"
     keep: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.every < 1:
+            raise ProgramError(
+                f"CheckpointPolicy.every must be at least 1 IncEval round, "
+                f"got {self.every!r}"
+            )
 
     def _dir(self) -> str:
         return f"checkpoints/{self.tag}"

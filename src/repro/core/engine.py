@@ -50,7 +50,14 @@ from typing import Generic, Hashable
 from repro.core.assurance import MonotonicityChecker
 from repro.core.delta import DeltaRepairStats, EngineState
 from repro.core.partial_order import UNORDERED
-from repro.core.pie import P, PIEProgram, Q, R, check_declaration
+from repro.core.pie import (
+    P,
+    PIEProgram,
+    Q,
+    R,
+    check_declaration,
+    handles_graph_updates,
+)
 from repro.core.supervisor import SupervisionPolicy, Supervisor
 from repro.core.termination import FixpointGuard
 from repro.errors import (
@@ -123,9 +130,9 @@ class GrapeEngine:
         fragmented: the partitioned graph (one fragment per worker).
         cost_model: simulated-cluster performance parameters.
         check_monotonic: verify every parameter write against the
-            aggregator's partial order (strict: raise on violation) —
+            aggregator's partial order, raising on the first violation —
             on every backend and every kind of run; the result's
-            ``checker`` reports what that run saw.
+            ``checker`` counts the writes that run checked.
         max_supersteps: fixed-point cap for non-monotonic programs.
         mode: ``"strict"`` (BSP lockstep, default) or ``"relaxed"`` —
             the same fixpoint loop over the same mailboxes, but
@@ -156,7 +163,6 @@ class GrapeEngine:
         fragmented: FragmentedGraph,
         cost_model: CostModel | None = None,
         check_monotonic: bool = False,
-        strict_monotonic: bool = True,
         max_supersteps: int = 10_000,
         supervision: SupervisionPolicy | None = None,
         repair_fraction: float = 0.5,
@@ -184,13 +190,12 @@ class GrapeEngine:
         self.cost_model = cost_model or CostModel()
         self.mode = mode
         self.check_monotonic = check_monotonic
-        self.strict_monotonic = strict_monotonic
         self.max_supersteps = max_supersteps
         self.supervision = supervision or SupervisionPolicy()
         self.repair_fraction = repair_fraction
         self.backend = backend
         #: Optional :class:`~repro.obs.Tracer` — a pure observer; never
-        #: feeds back into the computation (see tests/property purity).
+        #: feeds back into the computation (tests/property/test_lattice.py).
         self.tracer = tracer
 
     # ------------------------------------------------------------------
@@ -217,7 +222,7 @@ class GrapeEngine:
         cluster, supervisor = self._start_run("grape", program, query, faults)
         n = cluster.num_workers
 
-        self.backend.bind(program, query, self._audit)
+        self.backend.bind(program, query, self.check_monotonic)
 
         # ---------------- Superstep 0: PEval ----------------
         # Transient failures are retried in place; a fatal loss here
@@ -304,10 +309,17 @@ class GrapeEngine:
         re-applying would duplicate the edges' border bookkeeping. Left
         as ``None`` the engine routes ``delta`` itself.
 
-        A state produced by a different program, fragment count, or
-        aggregator raises :class:`~repro.errors.StaleStateError` up
-        front instead of failing deep inside the fixpoint.
+        A program without ΔG hooks (a ``[GRP404]`` ProgramError) and a
+        state produced by a different program, fragment count, or
+        aggregator (:class:`~repro.errors.StaleStateError`) are refused
+        up front, before the batch touches the fragments.
         """
+        if not handles_graph_updates(program):
+            raise ProgramError(
+                f"[GRP404] {type(program).__name__} does not implement "
+                "on_graph_update, so a ΔG batch cannot repair its answer; "
+                "the batch was not applied"
+            )
         self._check_state(program, query, state)
         cluster, supervisor = self._start_run(
             "grape-inc", program, query, faults
@@ -318,7 +330,7 @@ class GrapeEngine:
         if touched is None:
             touched = self.apply_delta(delta)
 
-        self.backend.resume(program, query, state, self._audit)
+        self.backend.resume(program, query, state, self.check_monotonic)
 
         # The delta can create fresh border vertices; their update
         # parameters are declared with the spec default before programs
@@ -505,11 +517,9 @@ class GrapeEngine:
         caller re-enters the ordinary IncEval fixpoint.
         """
         n = cluster.num_workers
+        audit = {"audit": self.check_monotonic}
         self.backend.invoke_all(
-            [
-                WorkerCall(wid, "rebind_params", {"audit": self._audit})
-                for wid in range(n)
-            ]
+            [WorkerCall(wid, "rebind_params", audit) for wid in range(n)]
         )
         self._ship_step(
             cluster, supervisor, "peval",
@@ -543,7 +553,7 @@ class GrapeEngine:
             "grape-recover", program, query, faults
         )
 
-        self.backend.resume(program, query, state, self._audit)
+        self.backend.resume(program, query, state, self.check_monotonic)
         self._reship_borders(cluster, supervisor)
 
         rounds = self._fixpoint(
@@ -606,12 +616,6 @@ class GrapeEngine:
                     f"program's declared {spec.aggregator.name!r}"
                 )
 
-    @property
-    def _audit(self) -> bool | None:
-        """What every state-installing op is told about this engine's
-        monotonicity check: None = unchecked, else its strictness."""
-        return self.strict_monotonic if self.check_monotonic else None
-
     def _start_run(
         self, kind: str, program: PIEProgram, query, faults
     ) -> tuple[Cluster, Supervisor]:
@@ -654,11 +658,7 @@ class GrapeEngine:
             measure_wall=self.backend.measures_wall,
             mode=self.mode,
         )
-        checker = None
-        if self.check_monotonic:
-            checker = MonotonicityChecker(
-                aggregator.order, self.strict_monotonic
-            )
+        checker = MonotonicityChecker() if self.check_monotonic else None
         return cluster, Supervisor(
             self.supervision,
             cluster.metrics.faults,
@@ -763,7 +763,9 @@ class GrapeEngine:
                 rounds_lost=lost,
             )
         cluster.mpi.reset_in_flight()
-        self.backend.push_state(state.partials, state.params, self._audit)
+        self.backend.push_state(
+            state.partials, state.params, self.check_monotonic
+        )
         self._reship_borders(cluster, supervisor)
         supervisor.counters.recovery_supersteps += 1
 

@@ -276,3 +276,9 @@ class PIEProgram(abc.ABC, Generic[Q, P, R]):
 
     def __repr__(self) -> str:
         return f"<PIEProgram {self.name}>"
+
+
+def handles_graph_updates(program: PIEProgram) -> bool:
+    """Whether ``program`` overrides :meth:`PIEProgram.on_graph_update`,
+    i.e. whether a ΔG batch can repair its kept answer."""
+    return type(program).on_graph_update is not PIEProgram.on_graph_update

@@ -215,9 +215,9 @@ class UpdateParams:
         work, self._work = self._work, 0
         return work
 
-    def take_audit(self) -> tuple | None:
-        """Return and clear the audit's ``(writes, violations)`` since
-        the last call; None when the run is unchecked."""
+    def take_audit(self) -> int | None:
+        """Return and clear the audit's write count since the last
+        call; None when the run is unchecked."""
         return None if self.audit is None else self.audit.take()
 
     def snapshot(self) -> dict[VertexId, object]:

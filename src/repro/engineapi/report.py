@@ -40,13 +40,10 @@ def format_report(result: GrapeResult, title: str = "GRAPE run") -> str:
                 f"{info.params_shipped:>8} / {info.params_applied:>8} / "
                 f"{info.active_workers:>3}"
             )
-    if result.checker is not None:
-        status = "OK" if result.checker.ok else (
-            f"{len(result.checker.violations)} VIOLATIONS"
-        )
+    if result.checker is not None:  # a checked run raises on violations
         lines.append("")
         lines.append(
-            f"monotonicity       {status} "
+            "monotonicity       OK "
             f"({result.checker.writes_seen} writes checked)"
         )
     return "\n".join(lines)

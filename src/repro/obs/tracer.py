@@ -20,8 +20,8 @@ Purity contract: every event payload is a pure function of the run's
 deterministic execution (counts, byte sizes, simulated delays). The
 tracer never feeds anything back into the computation, so a run with a
 tracer attached and a run without one produce byte-identical answers,
-metrics and checkpoint payloads (locked down by
-``tests/property/test_obs_purity.py``).
+metrics and checkpoint payloads (locked down by the tracer axis of
+``tests/property/test_lattice.py``).
 
 Span taxonomy (the ``kind`` field of raw events):
 

@@ -14,7 +14,7 @@ worker OS process that owns a pickled copy of the fragment
 Both backends run the *same* op functions, so answers, metrics and
 repair stats are byte-identical by construction — the simulator is the
 oracle, the process pool is the measurement substrate (locked down by
-``tests/property/test_backend_oracle.py``).
+the backend axis of ``tests/property/test_lattice.py``).
 
 Coordinator-side work (message routing, Assemble, the invalidation
 region bookkeeping) always runs in the engine's process; only the
@@ -116,11 +116,11 @@ class ExecutionBackend(abc.ABC):
         """Release worker resources; the backend is unusable after."""
 
     # ------------------------------------------------------------------
-    # Engine-facing helpers built on the primitives. ``audit`` is the
-    # engine's monotonicity check for this run: None = unchecked, else
-    # its strictness (see ``ops._install``).
+    # Engine-facing helpers built on the primitives. ``audit`` is
+    # whether the engine checks this run's monotonicity (see
+    # ``ops._install``).
     # ------------------------------------------------------------------
-    def bind(self, program, query, audit=None) -> None:
+    def bind(self, program, query, audit=False) -> None:
         """Install a program + fresh parameter stores on every worker."""
         self.invoke_all(
             [
@@ -133,7 +133,7 @@ class ExecutionBackend(abc.ABC):
             ]
         )
 
-    def resume(self, program, query, state, audit=None) -> None:
+    def resume(self, program, query, state, audit=False) -> None:
         """Install a program plus a prior run's per-worker state."""
         self.invoke_all(
             [
@@ -152,7 +152,7 @@ class ExecutionBackend(abc.ABC):
             ]
         )
 
-    def push_state(self, partials: list, params: list, audit=None) -> None:
+    def push_state(self, partials: list, params: list, audit=False) -> None:
         """Replace every worker's partial + parameter store (recovery)."""
         self.invoke_all(
             [

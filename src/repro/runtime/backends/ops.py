@@ -73,16 +73,16 @@ def _reply(ctx: WorkerContext, phase: str) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Lifecycle ops. ``audit`` is the running engine's monotonicity check:
-# None = unchecked, else its strictness — armed afresh on every store a
-# run installs, never inherited from the store's history.
+# Lifecycle ops. ``audit`` is whether the running engine checks
+# monotonicity — armed afresh on every store a run installs, never
+# inherited from the store's history.
 # ----------------------------------------------------------------------
 def _install(ctx: WorkerContext, params: UpdateParams, audit) -> None:
-    params.audit = None if audit is None else WriteAudit(ctx.wid, audit)
+    params.audit = WriteAudit(ctx.wid) if audit else None
     ctx.params = params
 
 
-def op_bind(ctx: WorkerContext, program, query, audit=None):
+def op_bind(ctx: WorkerContext, program, query, audit):
     """Fresh run: bind the program and declare its update parameters."""
     _bind_program(ctx, program, query)
     ctx.partial = None
@@ -90,7 +90,7 @@ def op_bind(ctx: WorkerContext, program, query, audit=None):
     return op_rebind_params(ctx, audit)
 
 
-def op_rebind_params(ctx: WorkerContext, audit=None):
+def op_rebind_params(ctx: WorkerContext, audit):
     """Full-restart fallback: fresh parameter store, partial kept."""
     spec = ctx.program.param_spec(ctx.query)
     store = UpdateParams(spec.aggregator, spec.default)
@@ -99,13 +99,13 @@ def op_rebind_params(ctx: WorkerContext, audit=None):
     return None
 
 
-def op_resume(ctx: WorkerContext, program, query, partial, params, audit=None):
+def op_resume(ctx: WorkerContext, program, query, partial, params, audit):
     """Incremental run: bind the program plus a prior run's state."""
     _bind_program(ctx, program, query)
     return op_set_state(ctx, partial, params, audit)
 
 
-def op_set_state(ctx: WorkerContext, partial, params, audit=None):
+def op_set_state(ctx: WorkerContext, partial, params, audit):
     """Checkpoint recovery: replace state under the bound program."""
     ctx.partial = partial
     _install(ctx, params, audit)

@@ -45,7 +45,7 @@ class CostModel:
     #: When true, compute intervals are NOT measured with the wall clock;
     #: only deterministic charges (injected straggler delays, supervisor
     #: backoff) enter the makespan. Replays then produce byte-identical
-    #: ``RunMetrics`` — the mode the observability purity suite runs in.
+    #: ``RunMetrics`` — the mode the oracle lattice runs in.
     deterministic: bool = False
 
     def network_time(self, total_bytes: int, rounds: int) -> float:

@@ -36,6 +36,7 @@ from repro.core.delta import (
     GraphDelta,
     check_batch,
 )
+from repro.core.pie import handles_graph_updates
 from repro.engineapi.query import build_query
 from repro.engineapi.registry import get_program
 from repro.engineapi.session import Session
@@ -385,9 +386,7 @@ class GrapeService:
         params = dict(params or {})
         query = build_query(query_class, **params)
         program = self._program(query_class)
-        from repro.core.pie import PIEProgram
-
-        if type(program).on_graph_update is PIEProgram.on_graph_update:
+        if not handles_graph_updates(program):
             raise ServiceError(
                 f"cannot register standing query {name!r}: program "
                 f"{query_class!r} does not implement on_graph_update, so "

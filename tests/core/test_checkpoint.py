@@ -9,7 +9,7 @@ from repro.algorithms.sssp import SSSPProgram, SSSPQuery
 from repro.algorithms.sequential.dijkstra import INF, single_source
 from repro.core.checkpoint import CheckpointPolicy
 from repro.core.engine import GrapeEngine
-from repro.errors import StorageError
+from repro.errors import ProgramError, StorageError
 from repro.graph.fragment import build_fragments
 from repro.graph.generators import road_network
 from repro.partition.registry import get_partitioner
@@ -35,6 +35,13 @@ class CrashingSSSP(SSSPProgram):
         if next(self.calls) == self.crash_at_call:
             raise ConnectionError("simulated worker failure")
         return super().inceval(fragment, query, partial, params, changed)
+
+
+@pytest.mark.parametrize("every", [0, -1])
+def test_checkpoint_every_below_one_is_refused(tmp_path, every):
+    # 0 used to divide by zero after PEval; -1 snapshotted every round.
+    with pytest.raises(ProgramError, match="at least 1 IncEval round"):
+        CheckpointPolicy(SimulatedDFS(tmp_path), every=every)
 
 
 def test_checkpoints_written_on_schedule(tmp_path):

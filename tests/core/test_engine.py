@@ -159,7 +159,6 @@ def test_monotonic_checker_passes_good_program():
     engine = GrapeEngine(fragd, check_monotonic=True)
     result = engine.run(ReachProgram(), 0)
     assert result.checker is not None
-    assert result.checker.ok
     assert result.checker.writes_seen > 0
 
 
@@ -168,17 +167,6 @@ def test_monotonic_checker_catches_bad_program():
     engine = GrapeEngine(fragd, check_monotonic=True)
     with pytest.raises(MonotonicityError):
         engine.run(NonMonotoneProgram(), 0)
-
-
-def test_lenient_checker_records_violations():
-    _, fragd = _chain_fragments()
-    engine = GrapeEngine(
-        fragd, check_monotonic=True, strict_monotonic=False
-    )
-    result = engine.run(NonMonotoneProgram(), 0)
-    assert result.checker is not None
-    assert not result.checker.ok
-    assert result.checker.violations
 
 
 def test_superstep_cap_stops_nonterminating_program():

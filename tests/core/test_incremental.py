@@ -1,6 +1,7 @@
 """Tests for incremental graph updates (ΔG): resume after insertions."""
 
 import copy
+import pickle
 
 import pytest
 
@@ -11,16 +12,21 @@ from repro.algorithms.sequential.dijkstra import INF, single_source
 from repro.algorithms.sssp import SSSPProgram, SSSPQuery
 from repro.core.delta import EdgeInsert, apply_delta
 from repro.core.engine import GrapeEngine
+from repro.engineapi.query import build_query
+from repro.engineapi.registry import get_program
 from repro.errors import ProgramError
 from repro.graph.digraph import Graph
 from repro.graph.fragment import build_fragments
 from repro.graph.generators import (
     path_graph,
+    power_law,
     random_weighted_digraph,
     road_network,
 )
 from repro.graph.metrics import bfs_layers
 from repro.partition.registry import get_partitioner
+from repro.runtime.backends import make_backend
+from repro.service.service import canonical_answer_bytes
 from repro.utils.rng import make_rng
 
 
@@ -246,11 +252,49 @@ def test_incremental_without_support_raises():
     pattern.add_vertex("x", label="a")
     first = engine.run(SimProgram(), SimQuery(pattern=pattern),
                        keep_state=True)
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(ProgramError, match=r"\[GRP404\] SimProgram"):
         engine.run_incremental(
             SimProgram(), SimQuery(pattern=pattern), first.state,
             [EdgeInsert(0, 1)],
         )
+
+
+@pytest.mark.parametrize("backend", ["simulated", "process"])
+def test_refused_batch_leaves_fragments_and_state_untouched(backend):
+    """A program without ΔG hooks is refused before the batch is routed:
+    an insert and a delete both leave the fragments, ``known_by``, the
+    kept state and the workers' copies as they were."""
+    graph = power_law(60)
+    fragmented = build_fragments(graph, get_partitioner("hash")(graph, 3), 3)
+    executor = make_backend(backend, fragmented)
+    engine = GrapeEngine(fragmented, backend=executor)
+    program = get_program("pagerank", total_vertices=graph.num_vertices)
+    query = build_query("pagerank")
+
+    def observed():
+        return (
+            pickle.dumps(fragmented.fragments),
+            pickle.dumps(fragmented.known_by),
+            pickle.dumps(cold.state),
+        )
+
+    edge = min((e.src, e.dst) for e in graph.edges())
+    fresh = next(v for v in range(1, 60) if not graph.has_edge(0, v))
+    try:
+        cold = engine.run(program, query, keep_state=True)
+        before = observed()
+        for ops in ([("insert", 0, fresh, 1.0)], [("delete", *edge)]):
+            with pytest.raises(
+                ProgramError, match=r"\[GRP404\] PageRankProgram"
+            ):
+                engine.run_incremental(program, query, cold.state, ops)
+            assert observed() == before, ops
+        again = engine.run(program, query)
+    finally:
+        executor.close()
+    assert canonical_answer_bytes(again.answer) == canonical_answer_bytes(
+        cold.answer
+    )
 
 
 def test_incremental_with_direct_routing():

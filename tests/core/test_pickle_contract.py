@@ -150,7 +150,7 @@ def test_programs_hold_no_run_state(name, backend):
     from repro.engineapi.query import build_query
     from repro.graph.fragment import expand_fragments
     from repro.runtime.backends import make_backend
-    from tests.property.test_seam_matrix import _case
+    from tests.property.scenarios import cold_case
 
     if name in _DELTA_PROGRAMS:
         graph, kwargs = graph_from_spec("road:8x8"), {}
@@ -158,7 +158,7 @@ def test_programs_hold_no_run_state(name, backend):
             name, **({"source": 0} if name in ("sssp", "bfs") else {})
         )
     else:
-        graph, kwargs, query = _case(name)
+        graph, kwargs, query = cold_case(name)
     fragmented = build_fragments(
         graph, get_partitioner("hash")(graph, 3), 3, strategy="hash"
     )

@@ -119,7 +119,7 @@ def test_audit_sees_all_writes():
     params.apply_remote(1, 9.0)  # resolved away: no write
     params.reset([1])  # resets bypass the audit by design
     assert seen == [(1, INF, 5.0), (1, 5.0, 2.0)]
-    assert params.take_audit() == (2, [])
+    assert params.take_audit() == 2
 
 
 def test_snapshot_copies():

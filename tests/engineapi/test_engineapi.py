@@ -290,6 +290,24 @@ def test_cli_run_updates_reports_repair(capsys, tmp_path):
     assert payload["repair"]["unsafe_ops"] >= 1
 
 
+@pytest.mark.parametrize("query", ["pagerank", "cf"])
+def test_cli_run_updates_refuses_a_program_without_delta_hooks(
+    capsys, tmp_path, query
+):
+    import json
+
+    delta = tmp_path / "ins.json"
+    delta.write_text(json.dumps({"insert": [[0, 5, 1.0]]}))
+    rc = main([
+        "run", "--graph", "power:60", "--query", query,
+        "--updates", str(delta),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: [GRP404]")
+    assert "delta repair:" not in captured.out
+
+
 def test_cli_run_updates_missing_file(capsys):
     rc = main([
         "run", "--graph", "road:5x5", "--query", "sssp",
