@@ -24,7 +24,6 @@ import json
 import pytest
 
 from benchmarks.helpers import RESULTS_DIR, format_rows, run_once, write_result
-from repro.graph.generators import graph_from_spec
 from repro.service.fleet import FleetRouter, default_chaos_plan
 
 GRAPH = "road:8x8"
@@ -39,9 +38,8 @@ FAULT_RATES = [0.0, 0.1, 0.3, 0.5]
 def _run_one(rate: float) -> dict:
     """One sweep point: the fixed workload at one overall fault rate."""
     fleet = FleetRouter(
-        lambda: graph_from_spec(GRAPH),
+        {"graph": GRAPH, "workers": WORKERS},
         replicas=REPLICAS,
-        num_workers=WORKERS,
         faults=default_chaos_plan(SEED, rate),
         deadline=DEADLINE,
     )

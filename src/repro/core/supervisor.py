@@ -24,6 +24,12 @@ from repro.errors import FatalWorkerFailure, WorkerFailure
 from repro.runtime.metrics import FaultCounters
 
 
+def capped_backoff(retry: int, base: float, cap: float) -> float:
+    """Backoff before the ``retry``-th retry (1-based): ``base``,
+    doubling per retry, never above ``cap``."""
+    return min(base * 2 ** (retry - 1), cap)
+
+
 @dataclass(frozen=True)
 class SupervisionPolicy:
     """Knobs of the retry/recovery behaviour.
@@ -87,9 +93,8 @@ class Supervisor:
                         worker=worker,
                         superstep=failure.superstep,
                     ) from failure
-                backoff = min(
-                    self.policy.backoff_base * 2 ** (retries - 1),
-                    self.policy.backoff_cap,
+                backoff = capped_backoff(
+                    retries, self.policy.backoff_base, self.policy.backoff_cap
                 )
                 step.charge(worker, backoff)
                 self.counters.retries += 1

@@ -283,57 +283,36 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Replay a JSON workload trace against a GrapeService or a fleet.
 
     With ``--replicas N > 1`` the trace replays through a
-    :class:`~repro.service.fleet.FleetRouter`: ``--chaos-seed`` injects
-    the seed-deterministic replica fault mix, ``--deadline`` bounds each
-    query in simulated seconds, and the exit code is 0 only if every
-    admitted query was answered (fresh or tagged-stale) and every
-    rejoin audit passed.
+    :class:`~repro.service.fleet.FleetRouter` of N copies of the
+    service: ``--chaos-seed`` injects the seed-deterministic replica
+    fault mix, ``--deadline`` bounds each query in simulated seconds,
+    and the exit code is 0 only if every admitted query was answered
+    (fresh or tagged-stale) and every rejoin audit passed.
     """
+    from repro.service.fleet import default_chaos_plan
     from repro.service.trace import load_trace, replay_trace
 
     trace = load_trace(args.trace)
-    verify = False if args.no_verify else None
     tracer = None
     if args.trace_out:
         from repro.obs import Tracer
 
         tracer = Tracer()
-    if args.replicas > 1:
-        from repro.service.fleet import default_chaos_plan, replay_fleet_trace
-
-        if args.store is not None:
-            raise GrapeError(
-                "--store applies to single-service replay; the fleet "
-                "manages its replicas' storage itself"
-            )
-        if args.backend != "simulated":
-            raise GrapeError(
-                "--replicas > 1 serves through the simulated fleet; "
-                "--backend process is single-service only"
-            )
-        faults = None
-        if args.chaos_seed is not None:
-            faults = default_chaos_plan(args.chaos_seed, args.chaos_rate)
-        _, report = replay_fleet_trace(
-            trace,
-            replicas=args.replicas,
-            graph_spec=args.graph,
-            faults=faults,
-            deadline=args.deadline,
-            max_queries=args.max_queries,
-            verify=verify,
-            tracer=tracer,
-        )
-    else:
-        _, report = replay_trace(
-            trace,
-            graph_spec=args.graph,
-            max_queries=args.max_queries,
-            verify=verify,
-            tracer=tracer,
-            backend=args.backend,
-            store=args.store,
-        )
+    _, report = replay_trace(
+        trace,
+        graph_spec=args.graph,
+        max_queries=args.max_queries,
+        verify=False if args.no_verify else None,
+        tracer=tracer,
+        backend=args.backend,
+        store=args.store,
+        replicas=args.replicas,
+        faults=(
+            None if args.chaos_seed is None
+            else default_chaos_plan(args.chaos_seed, args.chaos_rate)
+        ),
+        deadline=args.deadline,
+    )
     if args.json:
         print(report.to_json())
     else:
@@ -447,25 +426,30 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--chaos-seed", type=int, default=None, metavar="S",
         help="inject the seed-deterministic replica fault mix "
-             "(crashes, stragglers, update lag); fleet mode only",
+             "(crashes, stragglers, update lag); needs --replicas > 1",
     )
     serve.add_argument(
         "--chaos-rate", type=float, default=0.1,
-        help="overall fault rate for --chaos-seed (default 0.1)",
+        help="overall fault rate in [0, 1] for --chaos-seed "
+             "(default 0.1)",
     )
     serve.add_argument(
         "--deadline", type=float, default=None, metavar="D",
-        help="per-query deadline in simulated seconds; past it the fleet "
-             "degrades to stale-tagged answers instead of dropping",
+        help="per-query deadline in simulated seconds (>= 0); past it "
+             "the fleet degrades to stale-tagged answers instead of "
+             "dropping; needs --replicas > 1",
     )
     serve.add_argument(
         "--backend", choices=list(BACKENDS), default="simulated",
-        help="execution backend for dispatched engine runs "
-             "(single-service mode only; the fleet stays simulated)",
+        help="execution backend for dispatched engine runs; a fleet "
+             "(--replicas > 1) serves on simulated only",
     )
     serve.add_argument(
         "--store", choices=list(STORES), default=None,
-        help="fragment storage backend: dict (adjacency dicts, the default) or csr (compact array rows with a delta-aware overlay; byte-identical answers)",
+        help="fragment storage backend of the service, or of every "
+             "fleet replica: dict (adjacency dicts, the default) or csr "
+             "(compact array rows with a delta-aware overlay; "
+             "byte-identical answers); overrides the trace's 'store'",
     )
     serve.add_argument("--json", action="store_true",
                        help="machine-readable service report")

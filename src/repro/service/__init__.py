@@ -11,10 +11,10 @@
   percentiles from simulated time, cache traffic, ΔG work ratios);
 * :mod:`trace` — JSON workload traces and their replay
   (``grape serve``);
-* :mod:`fleet` — :class:`FleetRouter`: N replicated services behind a
-  deterministic router with failover, deadlines, hedging, circuit
-  breakers, stale-tagged degraded answers and checkpoint + journal
-  replica recovery (``grape serve --replicas``).
+* :mod:`fleet` — :class:`FleetRouter`: N copies of a trace's service
+  behind a deterministic router with failover, deadlines, hedging,
+  circuit breakers, stale-tagged degraded answers and checkpoint +
+  journal replica recovery (``grape serve --replicas``).
 """
 
 from repro.service.cache import ResultCache, cache_key
@@ -22,9 +22,7 @@ from repro.service.fleet import (
     FleetReport,
     FleetResult,
     FleetRouter,
-    build_fleet,
     default_chaos_plan,
-    replay_fleet_trace,
 )
 from repro.service.metrics import ServiceReport, percentile, run_cost
 from repro.service.scheduler import DEFAULT_PRIORITY, QueryRequest
@@ -47,9 +45,7 @@ __all__ = [
     "FleetRouter",
     "FleetReport",
     "FleetResult",
-    "build_fleet",
     "default_chaos_plan",
-    "replay_fleet_trace",
     "cache_key",
     "percentile",
     "run_cost",

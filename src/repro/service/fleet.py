@@ -41,21 +41,22 @@ across replays of the same seed.
 from __future__ import annotations
 
 import json
+import math
 import tempfile
 from dataclasses import dataclass, field
 
 from repro.core.checkpoint import CheckpointPolicy
+from repro.core.delta import GraphDelta, apply_delta
+from repro.core.supervisor import capped_backoff
 from repro.engineapi.query import build_query
 from repro.engineapi.registry import get_program
-from repro.engineapi.session import Session
 from repro.errors import (
     FatalWorkerFailure,
-    GrapeError,
     ServiceError,
     StorageError,
     TransientWorkerFailure,
 )
-from repro.graph.generators import graph_from_spec
+from repro.graph.fragment import build_fragments
 from repro.runtime.faults import (
     CrashFault,
     FaultPlan,
@@ -66,7 +67,7 @@ from repro.service.cache import Uncacheable, freeze
 from repro.service.metrics import percentile
 from repro.service.scheduler import DEFAULT_PRIORITY
 from repro.service.service import GrapeService, canonical_answer_bytes
-from repro.service.trace import update_delta
+from repro.service.trace import build_service
 from repro.storage.dfs import SimulatedDFS
 
 #: Circuit-breaker states (surfaced verbatim in the report and trace).
@@ -85,6 +86,33 @@ CHECKPOINT_KEEP = 3
 #: one; byte-identical answers gate re-entering rotation.
 AUDIT_QUERY = "cc"
 
+#: Injected delay (simulated seconds) beyond which an attempt is
+#: hedged to a second replica.
+HEDGE_THRESHOLD = 0.02
+
+#: Fleet-wide failover budget: total retries over the fleet's lifetime.
+RETRY_BUDGET = 64
+
+#: Capped exponential failover backoff (simulated seconds), charged to
+#: the query's latency.
+BACKOFF_BASE = 0.005
+BACKOFF_CAP = 0.1
+
+#: Consecutive failures that open a replica's circuit breaker.
+BREAKER_THRESHOLD = 3
+
+#: Simulated seconds an open breaker waits before a half-open probe.
+BREAKER_COOLDOWN = 0.5
+
+
+def _check_deadline(deadline: float | None) -> float | None:
+    if deadline is not None and not 0.0 <= deadline < math.inf:
+        raise ServiceError(
+            "a deadline is a finite number of simulated seconds >= 0, "
+            f"got {deadline!r}"
+        )
+    return deadline
+
 
 def default_chaos_plan(seed: int, fault_rate: float = 0.1) -> FaultPlan:
     """The ``grape serve --chaos-seed`` fault mix at one overall rate.
@@ -93,32 +121,21 @@ def default_chaos_plan(seed: int, fault_rate: float = 0.1) -> FaultPlan:
     ``fault_rate`` knob: transient crashes (retried), rarer fatal
     crashes (checkpoint + catch-up recovery), stragglers (hedge
     trigger) and update lag (stale serving). ``fault_rate=0`` is an
-    empty plan — the fleet runs fault-free but still deterministic.
+    empty plan — the fleet runs fault-free but still deterministic. A
+    rate outside [0, 1] (or NaN) is a :class:`ServiceError`.
     """
-    if fault_rate <= 0.0:
+    if not 0.0 <= fault_rate <= 1.0:
+        raise ServiceError(
+            f"fault rate must be within [0, 1], got {fault_rate!r}"
+        )
+    if fault_rate == 0.0:
         return FaultPlan(faults=(), seed=seed)
     return FaultPlan(
         faults=(
-            CrashFault(
-                probability=min(1.0, fault_rate * 0.25),
-                fatal=True,
-                times=None,
-            ),
-            CrashFault(
-                probability=min(1.0, fault_rate * 0.5),
-                fatal=False,
-                times=None,
-            ),
-            StragglerFault(
-                probability=min(1.0, fault_rate),
-                delay=0.05,
-                times=None,
-            ),
-            UpdateLagFault(
-                probability=min(1.0, fault_rate * 0.5),
-                lag=2,
-                times=None,
-            ),
+            CrashFault(probability=fault_rate * 0.25, fatal=True, times=None),
+            CrashFault(probability=fault_rate * 0.5, fatal=False, times=None),
+            StragglerFault(probability=fault_rate, delay=0.05, times=None),
+            UpdateLagFault(probability=fault_rate * 0.5, lag=2, times=None),
         ),
         seed=seed,
     )
@@ -307,73 +324,45 @@ class FleetReport:
 
 
 class FleetRouter:
-    """A deterministic router over N :class:`GrapeService` replicas.
+    """A deterministic router over N copies of one :class:`GrapeService`.
 
     Args:
-        graph_factory: zero-arg callable returning a *fresh* copy of the
-            served graph (each replica owns one; all must be identical).
+        trace: the workload trace whose service every replica is —
+            built by :func:`~repro.service.trace.build_service`, so the
+            graph, worker count, partition, store and service knobs
+            come from the trace exactly as for one service.
         replicas: number of service replicas.
-        num_workers: simulated workers per replica session.
-        partition: partition strategy per replica session.
         faults: a :class:`FaultPlan` of replica-level faults (crash,
             straggler, update_lag); None = fault-free.
         deadline: default per-query deadline in simulated seconds
             (None = no deadline; queries never degrade on latency).
-        hedge_threshold: injected delay beyond which an attempt is
-            hedged to a second replica.
-        retry_budget: fleet-wide failover budget (total retries across
-            the fleet's lifetime).
-        backoff_base / backoff_cap: capped exponential failover backoff
-            (``base * 2**(retry-1)``, capped), charged to the latency.
-        breaker_threshold: consecutive failures that open a replica's
-            circuit breaker.
-        breaker_cooldown: simulated seconds an open breaker waits before
-            admitting a half-open probe.
-        checkpoint_every: snapshot a replica every N applied batches.
-        service_kwargs: forwarded to every replica's ``GrapeService``.
+        checkpoint_dir: where replica snapshots go (default: a
+            temporary directory removed with the router).
         tracer: optional :class:`~repro.obs.Tracer`; the *fleet* emits
             ``fleet_*`` events into it (replicas stay untraced so the
             export reflects router activity).
+
+    Hedging, retries, backoff and breakers follow the module constants
+    :data:`HEDGE_THRESHOLD`, :data:`RETRY_BUDGET`,
+    :data:`BACKOFF_BASE` / :data:`BACKOFF_CAP`,
+    :data:`BREAKER_THRESHOLD` and :data:`BREAKER_COOLDOWN`.
     """
 
     def __init__(
         self,
-        graph_factory,
+        trace: dict,
         replicas: int = 3,
-        num_workers: int = 2,
-        partition: str = "hash",
         faults: FaultPlan | None = None,
         deadline: float | None = None,
-        hedge_threshold: float = 0.02,
-        retry_budget: int = 64,
-        backoff_base: float = 0.005,
-        backoff_cap: float = 0.1,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 0.5,
-        checkpoint_every: int = 1,
-        service_kwargs: dict | None = None,
         checkpoint_dir: str | None = None,
         tracer=None,
     ) -> None:
         if replicas < 1:
             raise ServiceError(f"fleet needs >= 1 replica, got {replicas}")
-        if retry_budget < 0:
-            raise ServiceError(
-                f"retry budget must be >= 0, got {retry_budget}"
-            )
-        self._graph_factory = graph_factory
-        self._num_workers = num_workers
-        self._partition = partition
-        self._service_kwargs = dict(service_kwargs or {})
+        self._trace = trace
         self._injector = faults.injector() if faults is not None else None
-        self.deadline = deadline
-        self.hedge_threshold = hedge_threshold
-        self.retry_budget = retry_budget
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
-        self.checkpoint_every = max(1, checkpoint_every)
+        self.deadline = _check_deadline(deadline)
+        self._retry_budget = RETRY_BUDGET
         self._tracer = tracer
         if checkpoint_dir is None:
             # Held for the router's lifetime; removed with it.
@@ -384,7 +373,7 @@ class FleetRouter:
         self._next_seq = 0
         self._rr = 0  # round-robin routing pointer
         #: ΔG batches in fleet order; batch i produced graph version i+2.
-        self._journal: list[dict] = []
+        self._journal: list[GraphDelta] = []
         #: Standing-query specs, re-registered on replica recovery.
         self._standing_specs: list[tuple[str, str, dict]] = []
         #: Newest fresh answer per canonical query key (degraded source).
@@ -405,32 +394,23 @@ class FleetRouter:
         self._audits_failed = 0
         self._latencies: list[float] = []
         self._replicas = [
-            self._build_replica(rid) for rid in range(replicas)
+            Replica(
+                rid=rid,
+                service=build_service(trace),
+                checkpoints=CheckpointPolicy(
+                    self._dfs, every=1, tag=f"replica-{rid}",
+                    keep=CHECKPOINT_KEEP,
+                ),
+            )
+            for rid in range(replicas)
         ]
         for replica in self._replicas:
             self._checkpoint(replica)
-
-    # ------------------------------------------------------------------
-    # Construction / recovery plumbing
-    # ------------------------------------------------------------------
-    def _build_replica(self, rid: int) -> Replica:
-        return Replica(
-            rid=rid,
-            service=self._build_service(self._graph_factory(), version=1),
-            checkpoints=CheckpointPolicy(
-                self._dfs, every=1, tag=f"replica-{rid}",
-                keep=CHECKPOINT_KEEP,
-            ),
-        )
-
-    def _build_service(self, graph, version: int) -> GrapeService:
-        session = Session(
-            graph,
-            num_workers=self._num_workers,
-            partition=self._partition,
-        )
-        return GrapeService(
-            session, initial_version=version, **self._service_kwargs
+        #: The graph at the fleet's version, as one fragment: every
+        #: batch is checked against it before it is journaled.
+        graph = self._replicas[0].service.session.graph
+        self._head = build_fragments(
+            graph, dict.fromkeys(graph.vertices(), 0), 1
         )
 
     # ------------------------------------------------------------------
@@ -491,7 +471,7 @@ class FleetRouter:
             return
         replica.breaker_state = state
         if state == BREAKER_OPEN:
-            replica.open_until = self._clock + self.breaker_cooldown
+            replica.open_until = self._clock + BREAKER_COOLDOWN
             self._breaker_trips += 1
         if self._tracer is not None:
             self._tracer.event(
@@ -505,7 +485,7 @@ class FleetRouter:
             self._set_breaker(replica, BREAKER_OPEN)
         elif (
             replica.breaker_state == BREAKER_CLOSED
-            and replica.consecutive_failures >= self.breaker_threshold
+            and replica.consecutive_failures >= BREAKER_THRESHOLD
         ):
             self._set_breaker(replica, BREAKER_OPEN)
 
@@ -521,11 +501,24 @@ class FleetRouter:
         replica.dead = True
         replica.consecutive_failures += 1
 
-    def _delay_for(self, replica: Replica, seq: int) -> float:
-        """Consult the injector for one serve attempt (may raise)."""
-        if self._injector is None:
-            return 0.0
-        return self._injector.on_compute(replica.rid, seq, "serve")
+    def _attempt(self, replica: Replica, seq: int, request: tuple):
+        """One serve attempt: ``(served, injected delay)``, or None when
+        an injected crash failed it (booked on the replica's health)."""
+        try:
+            delay = (
+                self._injector.on_compute(replica.rid, seq, "serve")
+                if self._injector is not None
+                else 0.0
+            )
+        except FatalWorkerFailure:
+            self._crash(replica)
+            return None
+        except TransientWorkerFailure:
+            self._breaker_failure(replica)
+            return None
+        served = replica.service.query(*request)
+        self._breaker_success(replica)
+        return served, delay
 
     # ------------------------------------------------------------------
     # Query path
@@ -550,6 +543,8 @@ class FleetRouter:
         build_query(query_class, **params)  # validate up front
         if deadline is None:
             deadline = self.deadline
+        _check_deadline(deadline)
+        request = (query_class, params, client, priority)
         seq = self._next_seq
         self._next_seq += 1
         self._admitted += 1
@@ -557,13 +552,13 @@ class FleetRouter:
         elapsed = 0.0  # backoff charged before the winning attempt
         attempts = 0
         retries = 0
+        backoff = 0.0
         hedged = False
         tried: set[int] = set()
         failed_from: int | None = None
         late: tuple[float, int, object] | None = None
-        won: tuple[object, int, float] | None = None
 
-        while won is None:
+        while True:
             replica = self._pick(tried, require_fresh=True)
             if replica is None:
                 break
@@ -571,81 +566,50 @@ class FleetRouter:
                 self._tracer.event(
                     "fleet_failover", seq=seq, from_replica=failed_from,
                     to_replica=replica.rid, attempt=retries,
-                    backoff=min(
-                        self.backoff_base * 2 ** max(0, retries - 1),
-                        self.backoff_cap,
-                    ),
-                    clock=self._clock,
+                    backoff=backoff, clock=self._clock,
                 )
-            failed_from = None
             attempts += 1
             tried.add(replica.rid)
-            try:
-                delay = self._delay_for(replica, seq)
-            except FatalWorkerFailure:
-                self._crash(replica)
-                if not self._consume_retry():
-                    break
-                retries += 1
-                elapsed += self._backoff(retries)
-                failed_from = replica.rid
-                continue
-            except TransientWorkerFailure:
-                self._breaker_failure(replica)
-                if not self._consume_retry():
-                    break
-                retries += 1
-                elapsed += self._backoff(retries)
-                failed_from = replica.rid
-                continue
-            served = replica.service.query(
-                query_class, params, client=client, priority=priority
-            )
-            self._breaker_success(replica)
-            answer, cost, winner = served.answer, served.cost + delay, replica
-            if delay > self.hedge_threshold:
-                answer, cost, winner, hedged = self._hedge(
-                    seq, query_class, params, client, priority,
-                    tried, replica, answer, cost,
+            failed_from = replica.rid
+            attempt = self._attempt(replica, seq, request)
+            if attempt is not None:
+                served, delay = attempt
+                answer, cost, winner = (
+                    served.answer, served.cost + delay, replica
                 )
-                attempts += int(hedged)
-            total = elapsed + cost
-            if deadline is not None and total > deadline:
+                if delay > HEDGE_THRESHOLD:
+                    answer, cost, winner, hedged = self._hedge(
+                        seq, request, tried, replica, answer, cost
+                    )
+                    attempts += int(hedged)
+                total = elapsed + cost
+                if deadline is None or total <= deadline:
+                    return self._finish(
+                        seq, query_class, params, start, answer,
+                        winner.rid, total, attempts, "fresh", hedged,
+                    )
                 self._deadline_misses += 1
-                if late is None or (cost, winner.rid) < (late[0], late[1]):
+                if late is None or (cost, winner.rid) < late[:2]:
                     late = (cost, winner.rid, answer)
-                if not self._consume_retry():
-                    break
-                retries += 1
-                elapsed += self._backoff(retries)
                 failed_from = winner.rid
-                continue
-            won = (answer, winner.rid, total)
+            if not self._consume_retry():
+                break
+            retries += 1
+            backoff = capped_backoff(retries, BACKOFF_BASE, BACKOFF_CAP)
+            elapsed += backoff
 
-        if won is not None:
-            return self._finish(
-                seq, query_class, params, start, won[0], won[1], won[2],
-                attempts, "fresh", hedged,
-            )
         return self._degrade(
-            seq, query_class, params, client, priority, start, elapsed,
-            attempts, tried, late, hedged,
+            seq, request, start, elapsed, attempts, tried, late, hedged
         )
 
-    def _backoff(self, retry: int) -> float:
-        return min(self.backoff_base * 2 ** (retry - 1), self.backoff_cap)
-
     def _consume_retry(self) -> bool:
-        if self.retry_budget <= 0:
+        if self._retry_budget <= 0:
             return False
-        self.retry_budget -= 1
+        self._retry_budget -= 1
         self._failovers += 1
         return True
 
-    def _hedge(
-        self, seq, query_class, params, client, priority,
-        tried, primary, answer, cost,
-    ):
+    def _hedge(self, seq, request, tried, primary, answer, cost):
         """Duplicate a slow attempt to a second replica; first wins."""
         second = self._pick(tried, require_fresh=True)
         if second is None:
@@ -653,22 +617,15 @@ class FleetRouter:
         tried.add(second.rid)
         self._hedges += 1
         winner = primary
-        try:
-            d2 = self._delay_for(second, seq)
-            s2 = second.service.query(
-                query_class, params, client=client, priority=priority
-            )
-            self._breaker_success(second)
-            c2 = s2.cost + d2
+        attempt = self._attempt(second, seq, request)
+        if attempt is not None:
+            served, delay = attempt
+            cost2 = served.cost + delay
             # Both copies start together: earlier finish wins, ties
             # break toward the lower replica id.
-            if (c2, second.rid) < (cost, primary.rid):
-                answer, cost, winner = s2.answer, c2, second
+            if (cost2, second.rid) < (cost, primary.rid):
+                answer, cost, winner = served.answer, cost2, second
                 self._hedge_wins += 1
-        except FatalWorkerFailure:
-            self._crash(second)  # the hedge died; the primary stands
-        except TransientWorkerFailure:
-            self._breaker_failure(second)
         if self._tracer is not None:
             self._tracer.event(
                 "fleet_hedge", seq=seq, primary=primary.rid,
@@ -677,10 +634,10 @@ class FleetRouter:
         return answer, cost, winner, True
 
     def _degrade(
-        self, seq, query_class, params, client, priority, start, elapsed,
-        attempts, tried, late, hedged,
+        self, seq, request, start, elapsed, attempts, tried, late, hedged
     ) -> FleetResult:
         """No fresh replica met the deadline — walk the fallback chain."""
+        query_class, params = request[:2]
         # 1. Newest stored answer for this query (stale-tagged when the
         #    graph moved on; still fresh when it did not).
         key = self._answer_key(query_class, params)
@@ -695,34 +652,24 @@ class FleetRouter:
             )
         # 2. A live replica behind the fleet version answers at its own
         #    (older) version — correct then, tagged stale now.
-        replica = self._pick(tried, require_fresh=False)
-        if replica is None:
-            replica = self._pick(set(), require_fresh=False)
-        if replica is not None:
-            try:
-                delay = self._delay_for(replica, seq)
-                served = replica.service.query(
-                    query_class, params, client=client, priority=priority
-                )
-                self._breaker_success(replica)
-                staleness = self.version - replica.service.version
-                return self._finish(
-                    seq, query_class, params, start, served.answer,
-                    replica.rid, elapsed + served.cost + delay, attempts + 1,
-                    "fresh" if staleness == 0 else "stale_replica", hedged,
-                    version=replica.service.version,
-                )
-            except FatalWorkerFailure:
-                self._crash(replica)
-            except TransientWorkerFailure:
-                self._breaker_failure(replica)
+        replica = self._pick(tried, require_fresh=False) or self._pick(
+            set(), require_fresh=False
+        )
+        attempt = replica and self._attempt(replica, seq, request)
+        if attempt:
+            served, delay = attempt
+            staleness = self.version - replica.service.version
+            return self._finish(
+                seq, query_class, params, start, served.answer,
+                replica.rid, elapsed + served.cost + delay, attempts + 1,
+                "fresh" if staleness == 0 else "stale_replica", hedged,
+                version=replica.service.version,
+            )
         # 3. Forced recovery: bring a crashed replica back through
         #    checkpoint + catch-up, then serve fresh from it.
         for candidate in self._replicas:
             if candidate.dead and self.recover(candidate.rid):
-                served = candidate.service.query(
-                    query_class, params, client=client, priority=priority
-                )
+                served = candidate.service.query(*request)
                 return self._finish(
                     seq, query_class, params, start, served.answer,
                     candidate.rid, elapsed + served.cost, attempts + 1,
@@ -825,19 +772,19 @@ class FleetRouter:
     ) -> dict[int, object]:
         """Fan one ΔG batch out to the fleet; journal it for catch-up.
 
-        Replicas hit by an update-lag fault defer the batch (they keep
-        serving at their old version, tagged stale); dead replicas skip
-        it entirely — the journal replays it to them when they rejoin.
+        The batch is checked at the fleet's version first, whatever the
+        replicas' lag: a refused batch raises and is never journaled
+        (catch-up would replay it in front of every later batch).
+        Replicas hit by an update-lag fault defer it (they keep serving
+        at their old version, tagged stale); dead replicas skip it
+        entirely — the journal replays it to them when they rejoin.
         Returns replica id -> that replica's ``UpdateOutcome`` (absent
         for laggards and the dead).
         """
+        delta = GrapeService._as_delta(edges, deletes, reweights)
+        apply_delta(self._head, delta)
         epoch = len(self._journal)
-        record = {
-            "edges": list(edges),
-            "deletes": list(deletes),
-            "reweights": list(reweights),
-        }
-        self._journal.append(record)
+        self._journal.append(delta)
         outcomes: dict[int, object] = {}
         for replica in self._replicas:
             if replica.dead:
@@ -849,41 +796,24 @@ class FleetRouter:
             if replica.lag_remaining > 0:
                 replica.lag_remaining -= 1
                 continue
-            try:
-                if replica.service.version < self.version - 1:
-                    # Lag window over: replay the whole missed suffix
-                    # (including this batch) in journal order.
-                    self._catch_up(replica, audit=False)
-                else:
-                    outcomes[replica.rid] = replica.service.apply_updates(
-                        record["edges"],
-                        verify=verify,
-                        deletes=record["deletes"],
-                        reweights=record["reweights"],
-                    )
-            except GrapeError:
-                # A service batch is atomic and replicas are copies of
-                # one another, so the first replica to try a bad batch
-                # refuses it untouched: un-journal it, or every later
-                # catch-up replays it.
-                self._journal.pop()
-                raise
+            if replica.service.version < self.version - 1:
+                # Lag window over: replay the whole missed suffix
+                # (including this batch) in journal order.
+                self._catch_up(replica, audit=False)
+            else:
+                outcomes[replica.rid] = replica.service.apply_updates(
+                    delta, verify=verify
+                )
             replica.version = replica.service.version
-            if (epoch + 1) % self.checkpoint_every == 0:
-                self._checkpoint(replica)
+            self._checkpoint(replica)
         return outcomes
 
     def _catch_up(self, replica: Replica, audit: bool) -> bool:
         """Replay the journal suffix a replica missed; optionally audit."""
         from_version = replica.service.version
         missed = self._journal[from_version - 1:]
-        for batch in missed:
-            replica.service.apply_updates(
-                batch["edges"],
-                verify=False,
-                deletes=batch["deletes"],
-                reweights=batch["reweights"],
-            )
+        for delta in missed:
+            replica.service.apply_updates(delta)
         replica.version = replica.service.version
         self._catchup_batches += len(missed)
         audit_ok = self._audit(replica) if audit else True
@@ -923,8 +853,10 @@ class FleetRouter:
             _, snapshot = replica.checkpoints.load_latest()
             graph, version = snapshot["graph"], snapshot["version"]
         except StorageError:
-            graph, version = self._graph_factory(), 1
-        replica.service = self._build_service(graph, version=version)
+            graph, version = None, 1  # a fresh graph from the trace
+        replica.service = build_service(
+            self._trace, graph=graph, initial_version=version
+        )
         for name, query_class, params in self._standing_specs:
             replica.service.register_standing(name, query_class, params)
         audit_ok = self._catch_up(replica, audit=True)
@@ -997,7 +929,7 @@ class FleetRouter:
             hedges=self._hedges,
             hedge_wins=self._hedge_wins,
             failovers=self._failovers,
-            retry_budget_left=self.retry_budget,
+            retry_budget_left=self._retry_budget,
             breaker_trips=self._breaker_trips,
             recoveries=self._recoveries,
             catchup_batches=self._catchup_batches,
@@ -1027,98 +959,3 @@ class FleetRouter:
             ],
             faults=counters.as_dict() if counters else {},
         )
-
-
-# ----------------------------------------------------------------------
-# Trace replay (the `grape serve --replicas N` path)
-# ----------------------------------------------------------------------
-def build_fleet(
-    trace: dict,
-    replicas: int = 3,
-    graph_spec: str | None = None,
-    faults: FaultPlan | None = None,
-    deadline: float | None = None,
-    tracer=None,
-    **kwargs,
-) -> FleetRouter:
-    """Construct the fleet a workload trace describes."""
-    from repro.errors import GrapeError
-
-    spec = graph_spec or trace.get("graph")
-    if not spec:
-        raise GrapeError(
-            "workload trace names no graph; add a 'graph' spec or pass one"
-        )
-    knobs = trace.get("service", {})
-    service_kwargs = {
-        "max_pending": int(knobs.get("max_pending", 64)),
-        "concurrency": int(knobs.get("concurrency", 2)),
-        "cache_capacity": int(knobs.get("cache_capacity", 256)),
-        "cache_ttl": knobs.get("cache_ttl"),
-        "rewarm_hottest": int(knobs.get("rewarm_hottest", 0)),
-    }
-    return FleetRouter(
-        lambda: graph_from_spec(spec),
-        replicas=replicas,
-        num_workers=int(trace.get("workers", 4)),
-        partition=trace.get("partition", "hash"),
-        faults=faults,
-        deadline=deadline,
-        service_kwargs=service_kwargs,
-        tracer=tracer,
-        **kwargs,
-    )
-
-
-def replay_fleet_trace(
-    trace: dict,
-    fleet: FleetRouter | None = None,
-    replicas: int = 3,
-    graph_spec: str | None = None,
-    faults: FaultPlan | None = None,
-    deadline: float | None = None,
-    max_queries: int | None = None,
-    verify: bool | None = None,
-    tracer=None,
-) -> tuple[FleetRouter, FleetReport]:
-    """Replay a workload trace against a replicated fleet.
-
-    Query ops serve immediately through the router (the fleet has no
-    batch drain — ``drain`` ops are no-ops); update ops fan out and are
-    journaled. Returns ``(fleet, final report)``.
-    """
-    if fleet is None:
-        fleet = build_fleet(
-            trace,
-            replicas=replicas,
-            graph_spec=graph_spec,
-            faults=faults,
-            deadline=deadline,
-            tracer=tracer,
-        )
-    for standing in trace.get("standing", []):
-        fleet.register_standing(
-            standing["name"], standing["class"], standing.get("params")
-        )
-    queries_sent = 0
-    for op in trace["ops"]:
-        kind = op["op"]
-        if kind == "query":
-            for _ in range(int(op.get("repeat", 1))):
-                if max_queries is not None and queries_sent >= max_queries:
-                    break
-                queries_sent += 1
-                fleet.query(
-                    op["class"],
-                    op.get("params"),
-                    client=op.get("client", "trace"),
-                    priority=int(op.get("priority", DEFAULT_PRIORITY)),
-                )
-        elif kind == "update":
-            if max_queries is not None and queries_sent >= max_queries:
-                continue
-            fleet.apply_updates(
-                update_delta(op),
-                verify=op.get("verify", False) if verify is None else verify,
-            )
-    return fleet, fleet.report()

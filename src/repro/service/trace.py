@@ -24,7 +24,8 @@ An update op carries any mix of ``edges`` (insertions), ``deletes``
 and ``reweights`` — at least one must be non-empty.
 
 ``replay_trace`` drives a :class:`~repro.service.service.GrapeService`
-through the ops and returns the service plus its final report. Shed
+(or a :class:`~repro.service.fleet.FleetRouter` of N copies of it)
+through the ops and returns it plus its final report. Shed
 requests (queue overload) are recorded in the report, not raised — a
 trace is allowed to probe the backpressure path on purpose.
 """
@@ -44,11 +45,11 @@ from repro.errors import (
     STR,
     GrapeError,
     ProgramError,
+    ServiceError,
     ServiceOverloadedError,
     check_fields,
 )
 from repro.graph.generators import graph_from_spec
-from repro.service.metrics import ServiceReport
 from repro.service.scheduler import DEFAULT_PRIORITY
 from repro.service.service import GrapeService
 
@@ -132,25 +133,27 @@ def load_trace(path: str) -> dict:
 
 def build_service(
     trace: dict,
-    graph_spec: str | None = None,
     tracer=None,
     backend: str = "simulated",
-    store: str | None = None,
+    graph=None,
+    initial_version: int = 1,
 ) -> GrapeService:
-    """Construct the service a trace describes (graph, partition, knobs).
+    """Construct the service a trace describes (graph, partition, store,
+    knobs) — one fleet replica is exactly this service.
 
-    ``store`` overrides the fragment storage backend; the trace's own
-    optional ``"store"`` key applies otherwise.
+    ``graph`` serves a given graph (a restored checkpoint) at
+    ``initial_version`` instead of building the trace's graph fresh.
     """
     from repro.engineapi.session import Session
 
-    spec = graph_spec or trace.get("graph")
-    if not spec:
-        raise GrapeError(
-            "workload trace names no graph; add a 'graph' spec or pass one"
-        )
-    store = store if store is not None else trace.get("store")
-    graph = graph_from_spec(spec, store=store)
+    store = trace.get("store")
+    if graph is None:
+        if not trace.get("graph"):
+            raise GrapeError(
+                "workload trace names no graph; add a 'graph' spec or "
+                "pass one"
+            )
+        graph = graph_from_spec(trace["graph"], store=store)
     session = Session(
         graph,
         num_workers=int(trace.get("workers", 4)),
@@ -167,70 +170,95 @@ def build_service(
         cache_capacity=int(knobs.get("cache_capacity", 256)),
         cache_ttl=knobs.get("cache_ttl"),
         rewarm_hottest=int(knobs.get("rewarm_hottest", 0)),
+        initial_version=initial_version,
     )
 
 
 def replay_trace(
     trace: dict,
-    service: GrapeService | None = None,
     graph_spec: str | None = None,
     max_queries: int | None = None,
     verify: bool | None = None,
     tracer=None,
     backend: str = "simulated",
     store: str | None = None,
-) -> tuple[GrapeService, ServiceReport]:
-    """Replay a trace and return ``(service, final report)``.
+    replicas: int = 1,
+    faults=None,
+    deadline: float | None = None,
+):
+    """Replay a trace against one service (``replicas=1``) or a
+    :class:`~repro.service.fleet.FleetRouter` of ``replicas`` copies of
+    it; returns ``(service or fleet, final report)``.
 
-    ``max_queries`` stops submitting after that many query ops (the
-    smoke-test knob); remaining update ops are skipped too so the
-    truncated replay stays cheap. ``verify`` overrides every update
-    op's own ``verify`` flag when not None. ``tracer`` (ignored when a
-    pre-built ``service`` is passed) records the replay for export.
-    A query op's optional ``"at"`` advances the service clock before
-    submitting, which gives requests distinct arrival times for
-    ``drain`` to honor.
-    ``backend`` (ignored when a pre-built ``service`` is passed) picks
-    the execution backend every dispatched engine run uses; ``store``
-    likewise selects the fragment storage backend.
+    ``graph_spec`` and ``store`` override the trace's ``"graph"`` and
+    ``"store"``. ``max_queries`` stops submitting after that many query
+    ops (the smoke-test knob); remaining update ops are skipped too so
+    the truncated replay stays cheap. ``verify`` overrides every update
+    op's own ``verify`` flag when not None. ``tracer`` records the
+    replay for export; ``backend`` picks the execution backend of a
+    single service.
+
+    One service queues a query op (shed requests are counted, not
+    raised), honors its optional ``"at"`` arrival time and drains on
+    ``drain``. A fleet serves each query at once through its router,
+    with the replica-level ``faults`` plan and per-query ``deadline``;
+    ``at`` and ``drain`` are no-ops there.
     """
-    if service is None:
-        service = build_service(
-            trace, graph_spec, tracer=tracer, backend=backend, store=store
+    overrides = {"graph": graph_spec, "store": store}
+    trace = {**trace, **{k: v for k, v in overrides.items() if v}}
+    fleet = replicas != 1
+    if fleet:
+        from repro.service.fleet import FleetRouter
+
+        if backend != "simulated":
+            raise ServiceError(
+                "a fleet serves on the simulated backend; backend "
+                f"{backend!r} is single-service only"
+            )
+        target = FleetRouter(
+            trace, replicas, faults=faults, deadline=deadline, tracer=tracer
         )
+    elif faults is not None or deadline is not None:
+        raise ServiceError(
+            "a fault plan or a deadline needs a fleet (replicas > 1)"
+        )
+    else:
+        target = build_service(trace, tracer=tracer, backend=backend)
     for standing in trace.get("standing", []):
-        service.register_standing(
+        target.register_standing(
             standing["name"],
             standing["class"],
             standing.get("params"),
         )
+    serve = target.query if fleet else target.submit
     queries_sent = 0
     for op in trace["ops"]:
         kind = op["op"]
         if kind == "query":
-            if "at" in op:
-                service.advance(float(op["at"]))
+            if "at" in op and not fleet:
+                target.advance(float(op["at"]))
             for _ in range(int(op.get("repeat", 1))):
                 if max_queries is not None and queries_sent >= max_queries:
                     break
                 queries_sent += 1
                 try:
-                    service.submit(
+                    serve(
                         op["class"],
                         op.get("params"),
                         client=op.get("client", "trace"),
                         priority=int(op.get("priority", DEFAULT_PRIORITY)),
                     )
                 except ServiceOverloadedError:
-                    pass  # shed; counted in the report
-        elif kind == "drain":
-            service.drain()
+                    pass  # shed by a service queue; counted in the report
+        elif kind == "drain" and not fleet:
+            target.drain()
         elif kind == "update":
             if max_queries is not None and queries_sent >= max_queries:
                 continue
-            service.apply_updates(
+            target.apply_updates(
                 update_delta(op),
                 verify=op.get("verify", True) if verify is None else verify,
             )
-    service.drain()
-    return service, service.report()
+    if not fleet:
+        target.drain()
+    return target, target.report()

@@ -6,7 +6,11 @@ from repro.algorithms.sequential.dijkstra import INF, single_source
 from repro.algorithms.sssp import SSSPProgram, SSSPQuery
 from repro.core.checkpoint import CheckpointPolicy
 from repro.core.engine import GrapeEngine
-from repro.core.supervisor import SupervisionPolicy, Supervisor
+from repro.core.supervisor import (
+    SupervisionPolicy,
+    Supervisor,
+    capped_backoff,
+)
 from repro.errors import (
     FatalWorkerFailure,
     TransientWorkerFailure,
@@ -125,6 +129,15 @@ def test_straggler_delay_is_charged_as_simulated_time():
         slowed.metrics.total_time
         >= baseline.metrics.total_time + 0.5 * 0.9
     )
+
+
+def test_capped_backoff_doubles_then_caps():
+    assert capped_backoff(1, 0.005, 0.006) == pytest.approx(0.005)
+    assert capped_backoff(2, 0.005, 0.006) == pytest.approx(0.006)  # capped
+    assert capped_backoff(10, 0.005, 0.006) == pytest.approx(0.006)
+    assert [capped_backoff(r, 0.05, 1.0) for r in (1, 2, 3)] == [
+        0.05, 0.1, 0.2,
+    ]
 
 
 def test_recovery_cap_enforced():

@@ -8,6 +8,8 @@ against full recomputation) and report real cache traffic.
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.engineapi.cli import main
 
 TRACE = str(
@@ -43,3 +45,27 @@ def test_cli_serve_bad_trace(tmp_path, capsys):
     rc = main(["serve", "--trace", str(bad)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--replicas", "3", "--chaos-seed", "7", "--chaos-rate", "nan"],
+        ["--replicas", "3", "--chaos-seed", "7", "--chaos-rate", "7"],
+        ["--replicas", "3", "--chaos-seed", "7", "--chaos-rate", "-1"],
+        ["--replicas", "3", "--deadline", "nan"],
+        ["--replicas", "3", "--deadline", "-1"],
+        ["--chaos-seed", "3"],
+        ["--deadline", "0.01"],
+        ["--replicas", "0"],
+        ["--replicas", "-2"],
+        ["--replicas", "3", "--backend", "process"],
+    ],
+    ids=lambda flags: " ".join(flags),
+)
+def test_cli_serve_refuses_nonsense_fleet_flags(flags, capsys):
+    rc = main(["serve", "--trace", TRACE, "--max-queries", "1", *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -18,7 +18,7 @@ from repro.obs import (
     dump_chrome_trace,
 )
 from repro.runtime.costmodel import CostModel
-from repro.service.fleet import default_chaos_plan, replay_fleet_trace
+from repro.service.fleet import default_chaos_plan
 from repro.service.trace import load_trace, replay_trace
 from repro.storage.dfs import SimulatedDFS
 from tests.obs.test_chrome_golden import SERVE_TRACE
@@ -246,7 +246,7 @@ def _traced_sets(tmp_path) -> dict[str, Tracer]:
     sets["serve"] = Tracer()
     replay_trace(SERVE_TRACE, tracer=sets["serve"])
     sets["fleet"] = Tracer()
-    replay_fleet_trace(
+    replay_trace(
         load_trace(str(TRACE)), replicas=3,
         faults=default_chaos_plan(7, 0.3), tracer=sets["fleet"],
     )

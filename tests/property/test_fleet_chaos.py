@@ -12,8 +12,6 @@ same seed.
 
 import pytest
 
-from repro.graph.generators import graph_from_spec
-from repro.engineapi.session import Session
 from repro.obs import Tracer, dump_chrome_trace
 from repro.runtime.faults import (
     CrashFault,
@@ -21,12 +19,13 @@ from repro.runtime.faults import (
     StragglerFault,
     UpdateLagFault,
 )
-from repro.service import GrapeService, canonical_answer_bytes
+from repro.service import canonical_answer_bytes
 from repro.service.cache import freeze
 from repro.service.fleet import FleetRouter, default_chaos_plan
+from repro.service.trace import build_service
 
-GRAPH = "road:6x6"
-WORKERS = 2
+#: The service every replica (and the oracle) is.
+TRACE = {"graph": "road:6x6", "workers": 2}
 DEADLINE = 0.05
 SEEDS = [3, 7, 11]
 
@@ -58,9 +57,8 @@ MIXES = {
 
 def _run_fleet(seed, mix, tracer=None):
     fleet = FleetRouter(
-        lambda: graph_from_spec(GRAPH),
+        TRACE,
         replicas=3,
-        num_workers=WORKERS,
         faults=MIXES[mix](seed),
         deadline=DEADLINE,
         tracer=tracer,
@@ -89,13 +87,7 @@ def oracle():
     version, so a fleet answer tagged with any version — fresh or
     stale — has a byte-exact reference.
     """
-    service = GrapeService(
-        Session(
-            graph_from_spec(GRAPH),
-            num_workers=WORKERS,
-            partition="hash",
-        )
-    )
+    service = build_service(TRACE)
     table = {}
 
     def snapshot():

@@ -3,32 +3,74 @@ degradation, recovery and report determinism."""
 
 import gc
 import tempfile
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ProgramError, ServiceError
-from repro.graph.generators import graph_from_spec
 from repro.runtime.faults import (
     CrashFault,
     FaultPlan,
     StragglerFault,
     UpdateLagFault,
 )
-from repro.service import canonical_answer_bytes
+from repro.service import canonical_answer_bytes, fleet as fleet_module
+from repro.service.trace import load_trace, replay_trace
 from repro.service.fleet import (
+    BACKOFF_BASE,
     BREAKER_CLOSED,
     BREAKER_OPEN,
+    RETRY_BUDGET,
     FleetRouter,
     default_chaos_plan,
 )
 
-GRAPH = "road:4x4"
+#: The workload trace every replica is built from (no ops: the tests
+#: drive the router directly).
+TRACE = {"graph": "road:4x4", "workers": 2}
 
 
 def _fleet(**kwargs):
-    kwargs.setdefault("replicas", 3)
-    kwargs.setdefault("num_workers", 2)
-    return FleetRouter(lambda: graph_from_spec(GRAPH), **kwargs)
+    return FleetRouter(TRACE, **kwargs)
+
+
+WORKLOAD = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks" / "traces" / "service_workload.json"
+)
+
+
+@pytest.mark.parametrize("store", [None, "csr"])
+def test_fault_free_fleet_replicas_match_the_single_service(store):
+    """One ``replay_trace`` loop, two targets: every replica of a
+    fault-free fleet ends exactly where one service does — standing
+    answers, audits and storage."""
+    trace = load_trace(str(WORKLOAD))
+    if store is not None:
+        trace["store"] = store
+
+    def standing(service):
+        return (
+            service.session.graph.store_kind,
+            [
+                (
+                    s["name"],
+                    canonical_answer_bytes(service.standing_answer(s["name"])),
+                    s["verified_batches"],
+                    s["mismatches"],
+                )
+                for s in service.report().standing
+            ],
+        )
+
+    service, _ = replay_trace(trace)
+    fleet, report = replay_trace(trace, replicas=2)
+    expected = standing(service)
+    assert expected[0] == (store or "dict")
+    assert all(verified for *_, verified, _ in expected[1])
+    assert report.survived
+    for replica in fleet.replicas:
+        assert standing(replica.service) == expected
 
 
 # ------------------------------------------------------------ fault-free path
@@ -76,8 +118,16 @@ def test_default_checkpoint_dir_is_removed_with_the_router(
 def test_constructor_validation():
     with pytest.raises(ServiceError, match=">= 1 replica"):
         _fleet(replicas=0)
-    with pytest.raises(ServiceError, match="retry budget"):
-        _fleet(retry_budget=-1)
+
+
+@pytest.mark.parametrize("deadline", [float("nan"), float("inf"), -1.0])
+def test_nonsense_deadline_is_refused(deadline):
+    with pytest.raises(ServiceError, match="deadline"):
+        _fleet(deadline=deadline)
+    fleet = _fleet()
+    with pytest.raises(ServiceError, match="deadline"):
+        fleet.query("sssp", {"source": 0}, deadline=deadline)
+    assert fleet.report().admitted == 0
 
 
 # ------------------------------------------------------------ failover
@@ -92,27 +142,24 @@ def test_transient_failure_fails_over_to_next_replica():
     assert result.attempts == 2
     report = fleet.report()
     assert report.failovers == 1
-    assert report.retry_budget_left == fleet.retry_budget
+    assert report.retry_budget_left == RETRY_BUDGET - 1
     assert fleet.replicas[0].consecutive_failures == 1
 
 
-def test_backoff_is_capped_exponential_and_charged():
+def test_failover_backoff_is_charged():
     plan = FaultPlan(
         faults=(CrashFault(worker=0, at_superstep=0, times=1),), seed=1
     )
-    fleet = _fleet(faults=plan, backoff_base=0.005, backoff_cap=0.006)
-    assert fleet._backoff(1) == pytest.approx(0.005)
-    assert fleet._backoff(2) == pytest.approx(0.006)  # capped
-    assert fleet._backoff(10) == pytest.approx(0.006)
-    result = fleet.query("sssp", {"source": 0})
-    assert result.latency >= 0.005  # the retry's backoff is in the bill
+    result = _fleet(faults=plan).query("sssp", {"source": 0})
+    assert result.latency >= BACKOFF_BASE  # the retry's backoff is billed
 
 
-def test_exhausted_retry_budget_still_answers():
+def test_exhausted_retry_budget_still_answers(monkeypatch):
+    monkeypatch.setattr(fleet_module, "RETRY_BUDGET", 0)
     plan = FaultPlan(
         faults=(CrashFault(worker=0, at_superstep=0, times=1),), seed=1
     )
-    fleet = _fleet(faults=plan, retry_budget=0)
+    fleet = _fleet(faults=plan)
     result = fleet.query("sssp", {"source": 0})
     # No budget to fail over on the fresh path, but the degradation
     # chain still finds a live replica — the query is answered.
@@ -121,13 +168,13 @@ def test_exhausted_retry_budget_still_answers():
 
 
 # ------------------------------------------------------------ circuit breaker
-def test_breaker_opens_after_threshold_and_recloses():
+def test_breaker_opens_after_threshold_and_recloses(monkeypatch):
+    monkeypatch.setattr(fleet_module, "BREAKER_THRESHOLD", 2)
+    monkeypatch.setattr(fleet_module, "BREAKER_COOLDOWN", 0.0)
     plan = FaultPlan(
         faults=(CrashFault(worker=0, probability=1.0, times=2),), seed=1
     )
-    fleet = _fleet(
-        faults=plan, breaker_threshold=2, breaker_cooldown=0.0
-    )
+    fleet = _fleet(faults=plan)
     replica0 = fleet.replicas[0]
     fleet.query("sssp", {"source": 0})  # replica 0 fails once
     assert replica0.breaker_state == BREAKER_CLOSED
@@ -142,13 +189,13 @@ def test_breaker_opens_after_threshold_and_recloses():
     assert fleet.report().survived
 
 
-def test_open_breaker_leaves_rotation_until_cooldown():
+def test_open_breaker_leaves_rotation_until_cooldown(monkeypatch):
+    monkeypatch.setattr(fleet_module, "BREAKER_THRESHOLD", 1)
+    monkeypatch.setattr(fleet_module, "BREAKER_COOLDOWN", 1e9)
     plan = FaultPlan(
         faults=(CrashFault(worker=0, probability=1.0, times=3),), seed=1
     )
-    fleet = _fleet(
-        faults=plan, breaker_threshold=1, breaker_cooldown=1e9
-    )
+    fleet = _fleet(faults=plan)
     fleet.query("sssp", {"source": 0})  # trips replica 0's breaker
     assert fleet.replicas[0].breaker_state == BREAKER_OPEN
     served_by = [
@@ -165,7 +212,7 @@ def test_straggler_triggers_hedge_and_fast_copy_wins():
         ),
         seed=1,
     )
-    fleet = _fleet(faults=plan, hedge_threshold=0.02)
+    fleet = _fleet(faults=plan)
     result = fleet.query("sssp", {"source": 0})
     assert result.hedged
     assert result.replica == 1  # the un-delayed copy won
@@ -182,7 +229,7 @@ def test_delay_under_threshold_is_not_hedged():
         ),
         seed=1,
     )
-    fleet = _fleet(faults=plan, hedge_threshold=0.02)
+    fleet = _fleet(faults=plan)
     result = fleet.query("sssp", {"source": 0})
     assert not result.hedged
     assert fleet.report().hedges == 0
@@ -256,9 +303,7 @@ def test_rejected_batch_is_not_journaled():
     """A batch every replica would refuse must not move the fleet
     version ahead of them: that tags every later answer stale, and
     catch-up replays the bad batch in front of the next good one."""
-    fleet = FleetRouter(
-        lambda: graph_from_spec("road:6x6"), replicas=3, num_workers=2
-    )
+    fleet = FleetRouter({"graph": "road:6x6", "workers": 2}, replicas=3)
     fleet.apply_updates(edges=[(0, 20, 0.5)])
     with pytest.raises(ProgramError):
         fleet.apply_updates(deletes=[(0, 999)])
@@ -270,6 +315,22 @@ def test_rejected_batch_is_not_journaled():
     assert [r.service.version for r in fleet.replicas] == [3, 3, 3]
     assert fleet.version == 3
     assert fleet.report().stale_replica_served == 0
+
+    # The same refusal while every replica defers the batch: it is
+    # checked at the fleet's version, not by a replica, so it never
+    # reaches the journal that catch-up replays.
+    lag = UpdateLagFault(probability=1.0, lag=1, times=2)
+    fleet = FleetRouter(
+        TRACE, replicas=2, faults=FaultPlan(faults=(lag,), seed=1)
+    )
+    with pytest.raises(ProgramError, match="no such edge"):
+        fleet.apply_updates(deletes=[[0, 15]])
+    assert fleet.version == 1 and not fleet._journal
+    assert fleet.apply_updates(edges=[[0, 15, 0.5]]) == {}  # both defer
+    fleet.apply_updates(edges=[[1, 14, 0.5]])  # both catch up
+    assert [r.service.version for r in fleet.replicas] == [3, 3]
+    assert fleet.version == 3
+    assert fleet.query("sssp", {"source": 0}).outcome == "fresh"
 
 
 # ------------------------------------------------------------ crash + recovery
