@@ -14,8 +14,13 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.algorithms.sequential.dijkstra import INF, dijkstra
-from repro.algorithms.sssp import Partial, SSSPProgram, SSSPQuery
+from repro.algorithms.sequential.slots import INF, dijkstra_slots
+from repro.algorithms.sssp import (
+    SlotPartial,
+    SSSPProgram,
+    SSSPQuery,
+    slot_layout,
+)
 from repro.core.update_params import UpdateParams
 from repro.graph.fragment import Fragment
 
@@ -39,10 +44,12 @@ class SSSPRecomputeProgram(SSSPProgram):
         self,
         fragment: Fragment,
         query: SSSPQuery,
-        partial: Partial,
+        partial: SlotPartial,
         params: UpdateParams,
         changed: set[VertexId],
-    ) -> Partial:
+    ) -> SlotPartial:
+        view = slot_layout(fragment, partial)
+        index, dist = view.index, partial.dist
         # Seeds: the source (if local) plus every border assumption.
         seeds: dict[VertexId, float] = {}
         if query.source in fragment.graph:
@@ -51,13 +58,16 @@ class SSSPRecomputeProgram(SSSPProgram):
             d = params.get(v)
             if d < INF:
                 seeds[v] = d
-        dist, settled = dijkstra(fragment.graph, seeds)
-        params.charge(settled)
-        for v, d in dist.items():
-            if d < partial.get(v, INF):
-                partial[v] = d
+        fresh = [INF] * len(dist)
+        settled = dijkstra_slots(
+            view.out, fresh, [(index[v], d) for v, d in seeds.items()]
+        )
+        params.charge(len(settled))
+        for s in settled:
+            if fresh[s] < dist[s]:
+                dist[s] = fresh[s]
         for v in fragment.border:  # grape-lint: disable=GRP202
-            d = partial.get(v, INF)
+            d = dist[index[v]]
             if d < INF:
                 params.improve(v, d)
         return partial

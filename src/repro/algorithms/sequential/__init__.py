@@ -3,13 +3,13 @@
 These are deliberately ordinary textbook implementations: Dijkstra,
 union-find components, simulation refinement, VF2, BFS keyword cover,
 SGD matrix factorization, power-iteration PageRank — plus their
-incremental counterparts (Ramalingam–Reps-style for SSSP). PIE programs
-call them unchanged; tests use them as oracles against the distributed
-engine.
+incremental counterparts (Ramalingam–Reps-style for SSSP, over a
+fragment's dense slots in :mod:`.slots`). PIE programs call them
+unchanged; tests use them as oracles against the distributed engine.
 """
 
 from repro.algorithms.sequential.dijkstra import dijkstra, single_source
-from repro.algorithms.sequential.inc_sssp import incremental_sssp
+from repro.algorithms.sequential.slots import bfs_slots, dijkstra_slots
 from repro.algorithms.sequential.cc_seq import (
     connected_components,
     incremental_min_labels,
@@ -26,7 +26,8 @@ from repro.algorithms.sequential.pagerank_seq import pagerank
 __all__ = [
     "dijkstra",
     "single_source",
-    "incremental_sssp",
+    "dijkstra_slots",
+    "bfs_slots",
     "connected_components",
     "incremental_min_labels",
     "graph_simulation",

@@ -1,10 +1,15 @@
-"""Dijkstra's algorithm — the paper's PEval for SSSP (Example 1).
+"""Dijkstra's algorithm over a graph's vertex ids — the sequential oracle.
 
 The multi-seed form computes, for every vertex, the least cost of
-reaching it from any seed given the seeds' starting costs. PEval seeds
-with ``{source: 0}``; IncEval seeds with the border vertices whose
-update parameters just decreased — the same routine serves both, which
-is exactly the reuse the PIE model advertises.
+reaching it from any seed given the seeds' starting costs.
+``single_source`` is what tests and the benchmark verifier compare
+GRAPE against, and Blogel's block program runs ``dijkstra`` inside each
+block. The SSSP PIE program runs the same algorithm over a fragment's
+dense slots instead
+(:func:`~repro.algorithms.sequential.slots.dijkstra_slots`): PEval
+seeds it with ``{source: 0}``, IncEval with the border vertices whose
+update parameters just decreased — one routine serving both, which is
+exactly the reuse the PIE model advertises.
 """
 
 from __future__ import annotations

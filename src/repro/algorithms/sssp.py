@@ -20,23 +20,107 @@ bindings make the skeleton *this* traversal: the bounded kernel
 (``_settle``), what an edge adds to a distance (``_cost``) and when a
 distance may derive from an edge (``_depends``);
 :class:`~repro.algorithms.bfs.BFSProgram` binds the same three to BFS.
+
+Every phase computes in slot space: over the fragment's
+:class:`~repro.graph.fragment.SlotView` (dense local vertex numbers and
+``(slot, weight)`` rows, kept in step with ΔG), with the partial a
+:class:`SlotPartial` — a list of distances beside the view's ids. Offers
+and published values stay per vertex, so messages, supersteps and work
+are what the vertex-keyed program produced.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping, Sequence
+from itertools import compress
+from math import isfinite
+from typing import Hashable, Iterator, Sequence
 
-from repro.algorithms.sequential.dijkstra import INF
-from repro.algorithms.sequential.inc_sssp import incremental_sssp
+from repro.algorithms.sequential.slots import INF, dijkstra_slots
 from repro.core.aggregators import MIN, min_union
 from repro.core.pie import ParamSpec, PIEProgram
 from repro.core.update_params import UpdateParams
-from repro.graph.fragment import Fragment
+from repro.graph.fragment import Fragment, SlotView
 
 VertexId = Hashable
 
-Partial = dict  # vertex -> best known distance in this fragment
+
+class SlotPartial(Mapping):
+    """A fragment's distances over its slot view: ``dist[s]`` belongs to
+    ``ids[s]``. Read as a Mapping it holds the finite entries only —
+    ``{vertex: distance}`` for every vertex this fragment reached — so
+    Assemble's ``min_union`` and answer comparisons never see slots."""
+
+    __slots__ = ("ids", "dist")
+
+    def __init__(self, ids: list, dist: list) -> None:
+        self.ids = ids
+        self.dist = dist
+
+    def _reached(self):
+        # distances are sums of weights >= 0 (NaN is refused): finite
+        # means reached
+        return map(isfinite, self.dist)
+
+    def __getitem__(self, v: VertexId) -> float:
+        # O(n): the programs read ``dist`` by slot; this serves callers
+        # that look one vertex up (tests, debugging)
+        return dict(self.items())[v]
+
+    def __iter__(self) -> Iterator[VertexId]:
+        return compress(self.ids, self._reached())
+
+    def __len__(self) -> int:
+        return sum(self._reached())
+
+    def items(self) -> ItemsView:
+        return _Reached(self)
+
+    def __repr__(self) -> str:
+        return f"SlotPartial({dict(self.items())!r})"
+
+
+class _Reached(ItemsView):
+    """``(vertex, distance)`` pairs of a :class:`SlotPartial`, slot order."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        partial = self._mapping
+        pairs = zip(partial.ids, partial.dist)
+        if INF in partial.dist:  # a C scan; most partials reach every slot
+            return compress(pairs, partial._reached())
+        return pairs
+
+
+def slot_layout(fragment: Fragment, partial: SlotPartial) -> SlotView:
+    """The fragment's slot view, with ``partial`` laid out over it.
+
+    A partial computed here shares the view's ``ids`` list and only
+    needs INF for the slots ΔG appended since. A pickled copy of one
+    (state pushed back by resume or recovery) whose ids are a prefix
+    of the view's adopts the view's list; anything else (a fresh worker
+    pool, a checkpoint restored onto rebuilt fragments) is re-laid by
+    vertex id, once.
+    """
+    view = fragment.slot_view()
+    ids = view.ids
+    if partial.ids is not ids:
+        if partial.ids != ids[: len(partial.ids)]:
+            at = dict(zip(partial.ids, partial.dist))
+            partial.dist = [at.get(v, INF) for v in ids]
+        partial.ids = ids
+    missing = len(ids) - len(partial.dist)
+    if missing:
+        partial.dist.extend([INF] * missing)
+    return view
+
+
+def _at(view: SlotView, partial: SlotPartial, v: VertexId) -> float:
+    """``v``'s distance (INF for a vertex the fragment never held)."""
+    s = view.index.get(v)
+    return INF if s is None else partial.dist[s]
 
 
 @dataclass(frozen=True)
@@ -46,7 +130,7 @@ class SSSPQuery:
     source: VertexId
 
 
-class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
+class SSSPProgram(PIEProgram[SSSPQuery, SlotPartial, dict]):
     """Dijkstra + incremental SSSP + min-union, as a PIE program."""
 
     name = "sssp"
@@ -55,13 +139,13 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
         return ParamSpec(aggregator=MIN, default=INF)
 
     def _settle(
-        self, fragment: Fragment, query: SSSPQuery, partial: Partial,
-        offers: Mapping[VertexId, float],
-    ) -> tuple[dict[VertexId, float], int]:
-        """Bounded kernel: fold every offer that improves ``partial`` into
-        it and settle what follows; returns (the changes, work done).
-        An offer to a vertex the fragment does not hold is ignored."""
-        return incremental_sssp(fragment.graph, partial, offers)
+        self, out: list, dist: list, seeds: list, query: SSSPQuery
+    ) -> tuple[list[int], int]:
+        """Bounded kernel: fold every ``(slot, offer)`` seed that improves
+        ``dist`` into it and settle what follows; returns (the improved
+        slots, work done)."""
+        settled = dijkstra_slots(out, dist, seeds)
+        return settled, len(settled)
 
     def _cost(self, weight: float | None) -> float | None:
         """What an edge of stored ``weight`` adds to a distance (``None``:
@@ -85,39 +169,44 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
 
     def peval(
         self, fragment: Fragment, query: SSSPQuery, params: UpdateParams
-    ) -> Partial:
-        partial: Partial = {}
-        _, settled = self._settle(
-            fragment, query, partial, {query.source: 0.0}
+    ) -> SlotPartial:
+        view = fragment.slot_view()
+        partial = SlotPartial(view.ids, [INF] * len(view.ids))
+        return self._relax(
+            fragment, view, query, partial, params, {query.source: 0.0}
         )
-        params.charge(settled)
-        for v in fragment.border:
-            d = partial.get(v, INF)
-            if d < INF:
-                params.improve(v, d)
-        return partial
 
     def inceval(
-        self, fragment: Fragment, query: SSSPQuery, partial: Partial,
+        self, fragment: Fragment, query: SSSPQuery, partial: SlotPartial,
         params: UpdateParams, changed: set[VertexId],
-    ) -> Partial:
+    ) -> SlotPartial:
+        view = slot_layout(fragment, partial)
         offers = {v: params.get(v) for v in changed}
-        return self._relax(fragment, query, partial, params, offers)
+        return self._relax(fragment, view, query, partial, params, offers)
 
     def _relax(
-        self, fragment: Fragment, query: SSSPQuery, partial: Partial,
-        params: UpdateParams, offers: Mapping[VertexId, float],
-    ) -> Partial:
-        """The one step: kernel -> charge -> publish moved border values."""
-        updates, settled = self._settle(fragment, query, partial, offers)
-        params.charge(settled)
-        for v, d in updates.items():
-            if v in fragment.inner_border or v in fragment.mirrors:
-                params.improve(v, d)
+        self, fragment: Fragment, view: SlotView, query: SSSPQuery,
+        partial: SlotPartial, params: UpdateParams,
+        offers: Mapping[VertexId, float],
+    ) -> SlotPartial:
+        """The one step: kernel -> charge -> publish moved border values.
+        An offer to a vertex the fragment does not hold is ignored."""
+        index = view.index
+        held = fragment.graph.has_vertex
+        seeds = [
+            (index[v], d) for v, d in offers.items() if v in index and held(v)
+        ]
+        dist = partial.dist
+        improved, work = self._settle(view.out, dist, seeds, query)
+        params.charge(work)
+        ids, border = view.ids, view.border
+        for s in improved:
+            if border[s]:
+                params.improve(ids[s], dist[s])
         return partial
 
     def assemble(
-        self, query: SSSPQuery, partials: Sequence[Partial]
+        self, query: SSSPQuery, partials: Sequence[SlotPartial]
     ) -> dict[VertexId, float]:
         return min_union(partials)
 
@@ -129,9 +218,9 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
             yield op.dst, op.src
 
     def on_graph_update(
-        self, fragment: Fragment, query: SSSPQuery, partial: Partial,
+        self, fragment: Fragment, query: SSSPQuery, partial: SlotPartial,
         params: UpdateParams, delta,
-    ) -> Partial:
+    ) -> SlotPartial:
         """ΔG hook: safe ops can only shorten paths (decrease-only).
 
         An inserted or cheapened arc ``u -> v`` offers ``dist(u) + cost``
@@ -139,6 +228,7 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
         Deletions never arrive here — they are classified unsafe and
         repaired via :meth:`repair_partial`.
         """
+        view = slot_layout(fragment, partial)
         offers: dict[VertexId, float] = {}
         for op in delta:
             if op.kind == "delete":
@@ -147,13 +237,13 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
             if op.kind == "reweight" and cost == self._cost(op.old_weight):
                 continue  # cost-neutral: the arc offers what it always did
             for u, v in self._arcs(fragment, op):
-                offer = partial.get(u, INF) + cost
+                offer = _at(view, partial, u) + cost
                 if offer < offers.get(v, INF):
                     offers[v] = offer
-        return self._relax(fragment, query, partial, params, offers)
+        return self._relax(fragment, view, query, partial, params, offers)
 
     def delta_seeds(
-        self, fragment: Fragment, query: SSSPQuery, partial: Partial, ops
+        self, fragment: Fragment, query: SSSPQuery, partial: SlotPartial, ops
     ) -> set:
         """Vertices whose distance may have routed through an unsafe op.
 
@@ -162,29 +252,30 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
         carried a shortest path; a slack arc never did. When the old
         cost is unknown the endpoint is seeded conservatively.
         """
+        view = slot_layout(fragment, partial)
         seeds: set = set()
         for op in ops:
             old = self._cost(
                 op.weight if op.kind == "delete" else op.old_weight
             )
             for u, v in self._arcs(fragment, op):
+                dv = _at(view, partial, v)
                 if not fragment.graph.has_vertex(v):
                     # The op pruned this mirror: once it leaves known_by,
                     # no future invalidation can reach this fragment, so
-                    # its stale partial entry must be discarded *now* or
-                    # it leaks through the min-union Assemble forever.
-                    if v in partial:
+                    # its stale distance must be discarded *now* or it
+                    # leaks through the min-union Assemble forever.
+                    if dv < INF:
                         seeds.add(v)
                     continue
-                dv = partial.get(v, INF)
                 if dv == INF:
                     continue  # never reached: nothing to invalidate
-                if old is None or dv == partial.get(u, INF) + old:
+                if old is None or dv == _at(view, partial, u) + old:
                     seeds.add(v)
         return seeds
 
     def invalidated_region(
-        self, fragment: Fragment, query: SSSPQuery, partial: Partial,
+        self, fragment: Fragment, query: SSSPQuery, partial: SlotPartial,
         seeds: set,
     ) -> set:
         """Closure of ``seeds`` over out-edges a distance :meth:`_depends` on.
@@ -193,34 +284,44 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
         hence the repair — proportional to the true affected subtree
         instead of the whole reachable set.
         """
+        view = slot_layout(fragment, partial)
+        ids, index, out = view.ids, view.index, view.out
+        dist = partial.dist
         region = set(seeds)
-        stack = [v for v in seeds if fragment.graph.has_vertex(v)]
+        held = fragment.graph.has_vertex
+        stack = [index[v] for v in seeds if held(v)]
         while stack:
-            u = stack.pop()
-            du = partial.get(u, INF)
+            s = stack.pop()
+            du = dist[s]
             if du == INF:
                 continue
-            for v, weight in fragment.graph.iter_out(u):
+            for t, weight in out[s]:
+                v = ids[t]
                 if v not in region and self._depends(
-                    partial.get(v, INF), du + self._cost(weight)
+                    dist[t], du + self._cost(weight)
                 ):
                     region.add(v)
-                    stack.append(v)
+                    stack.append(t)
         return region
 
     def repair_partial(
-        self, fragment: Fragment, query: SSSPQuery, partial: Partial,
+        self, fragment: Fragment, query: SSSPQuery, partial: SlotPartial,
         params: UpdateParams, region: set,
-    ) -> Partial:
+    ) -> SlotPartial:
         """Re-derive an invalidated region's distances from its boundary.
 
-        Region entries are discarded, then offered the query source's 0
-        (if invalidated) and the best in-edge whose tail lies *outside*
-        the region — those distances are still trusted. The IncEval
-        fixpoint afterwards folds in whatever other fragments re-derive.
+        Region distances are reset to INF, then offered the query
+        source's 0 (if invalidated) and the best in-edge whose tail lies
+        *outside* the region — those distances are still trusted. The
+        IncEval fixpoint afterwards folds in whatever other fragments
+        re-derive.
         """
+        view = slot_layout(fragment, partial)
+        index, dist = view.index, partial.dist
         for v in region:
-            partial.pop(v, None)
+            s = index.get(v)
+            if s is not None:
+                dist[s] = INF
         offers: dict[VertexId, float] = {}
         if query.source in region:
             offers[query.source] = 0.0
@@ -230,7 +331,9 @@ class SSSPProgram(PIEProgram[SSSPQuery, Partial, dict]):
             best = offers.get(v, INF)
             for u, weight in fragment.graph.iter_in(v):
                 if u not in region:
-                    best = min(best, partial.get(u, INF) + self._cost(weight))
+                    best = min(
+                        best, _at(view, partial, u) + self._cost(weight)
+                    )
             if best < INF:
                 offers[v] = best
-        return self._relax(fragment, query, partial, params, offers)
+        return self._relax(fragment, view, query, partial, params, offers)

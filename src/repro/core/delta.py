@@ -252,9 +252,9 @@ def check_batch(fragmented: FragmentedGraph, delta: GraphDelta) -> None:
 
     The ways routing an op can fail: an endpoint no fragment owns, an
     edge the batch references twice (see module docstring), a delete or
-    reweight of an absent edge, a negative weight. Each edge appears at
-    most once, so no op changes what another op's check reads and the
-    pre-batch fragments decide all of them.
+    reweight of an absent edge, a negative or NaN weight. Each edge
+    appears at most once, so no op changes what another op's check reads
+    and the pre-batch fragments decide all of them.
     """
     seen: set[tuple] = set()
     for op in delta:
@@ -278,8 +278,8 @@ def check_batch(fragmented: FragmentedGraph, delta: GraphDelta) -> None:
         problem = None
         if op.kind != "insert" and not graph.has_edge(op.src, op.dst):
             problem = "no such edge"
-        elif op.kind != "delete" and op.weight < 0:
-            problem = f"negative edge weight {op.weight}"
+        elif op.kind != "delete" and not op.weight >= 0:  # NaN too
+            problem = f"edge weight must be >= 0, got {op.weight}"
         if problem:
             raise ProgramError(
                 f"cannot apply delta op {op.kind} "

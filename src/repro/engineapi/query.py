@@ -86,10 +86,9 @@ def _pagerank(**kw) -> PageRankQuery:
 
 def _bfs(**kw) -> BFSQuery:
     max_depth = kw.get("max_depth")
-    return BFSQuery(
-        source=_source("bfs", kw),
-        max_depth=int(max_depth) if max_depth is not None else None,
-    )
+    if isinstance(max_depth, float) and max_depth.is_integer():
+        max_depth = int(max_depth)  # 2.0 from a JSON form; 1.9 is refused
+    return BFSQuery(source=_source("bfs", kw), max_depth=max_depth)
 
 
 def _kcore(**kw) -> KCoreQuery:

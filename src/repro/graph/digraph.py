@@ -101,8 +101,10 @@ class Graph:
         Endpoints are created on demand. For an undirected graph the
         reverse edge is stored as well but counted once.
         """
-        if weight < 0:
-            raise GraphError(f"negative edge weight {weight} on {src}->{dst}")
+        if not weight >= 0:  # NaN compares false both ways
+            raise GraphError(
+                f"edge weight must be >= 0, got {weight} on {src}->{dst}"
+            )
         self.add_vertex(src)
         self.add_vertex(dst)
         fresh = self._store.set_arc(src, dst, weight)
@@ -292,11 +294,12 @@ class Graph:
 
         Shapes as in :meth:`GraphStore.bulk_load`, rules as in
         ``add_edge``: each edge is given once, an undirected one stores
-        its reverse arc right behind it, and a negative weight (like a
-        repeated edge) is a :class:`GraphError`.
+        its reverse arc right behind it, and a negative or NaN weight (like
+        a repeated edge) is a :class:`GraphError` naming the first one.
         """
-        if weights and min(weights) < 0:
-            raise GraphError(f"negative edge weight {min(weights)}")
+        for w in weights:
+            if not w >= 0:  # NaN compares false both ways
+                raise GraphError(f"edge weight must be >= 0, got {w}")
         num_edges = len(srcs)
         if not self.directed:
             edges, given = zip(srcs, dsts, weights), labels

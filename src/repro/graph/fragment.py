@@ -14,11 +14,16 @@ cross edges) together with the mirrors (``F_i.O``). A
 :class:`FragmentedGraph` additionally records, for every border vertex,
 the set of fragments that host a copy; the runtime uses this to route
 update-parameter messages.
+
+A fragment can also lend list-indexed kernels a :class:`SlotView` — its
+vertices numbered densely, with out-rows over those numbers — built on
+first use and kept in step with ΔG by :func:`apply_fragment_effects`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Collection, Hashable, Mapping, Sequence
 
 from repro.errors import PartitionError
@@ -48,36 +53,105 @@ def apply_fragment_effects(frag: "Fragment", records: Sequence[tuple]) -> None:
     :class:`FragmentedGraph` mutators *emit* these records while applying
     them locally, and the process backend ships the same records to the
     worker that owns a copy of the fragment — both sides execute
-    identical mutations, so fragment state can never diverge.
+    identical mutations, so fragment state can never diverge. A built
+    :class:`SlotView` is kept in step: each record refreshes the slots
+    of the vertices it may have changed.
     """
+    view = frag.__dict__.get("_slot_view")
+    graph = frag.graph
     for record in records:
         kind = record[0]
         if kind == "add_vertex":
             _, v, label, props = record
-            frag.graph.add_vertex(v, label, **props)
+            graph.add_vertex(v, label, **props)
+            touched = (v,)
         elif kind == "add_edge":
             _, src, dst, weight, label = record
-            frag.graph.add_edge(src, dst, weight, label)
+            graph.add_edge(src, dst, weight, label)
+            touched = (src, dst)
         elif kind == "remove_edge":
             _, src, dst = record
-            frag.graph.remove_edge(src, dst)
+            graph.remove_edge(src, dst)
+            touched = (src, dst)
         elif kind == "remove_vertex":
             _, v = record
-            frag.graph.remove_vertex(v)
+            if view is not None:
+                touched = (v, *graph.neighbors(v))  # rows that point at v
+            graph.remove_vertex(v)
         elif kind == "set_mirror":
             _, v, owner = record
             frag.mirrors[v] = owner
+            touched = (v,)
         elif kind == "drop_mirror":
             _, v = record
             frag.mirrors.pop(v, None)
+            touched = (v,)
         elif kind == "add_inner_border":
             _, v = record
             frag.inner_border.add(v)
+            touched = (v,)
         elif kind == "discard_inner_border":
             _, v = record
             frag.inner_border.discard(v)
+            touched = (v,)
         else:
             raise PartitionError(f"unknown fragment effect {kind!r}")
+        if view is not None:
+            view.refresh(frag, touched)
+
+
+class SlotView:
+    """A fragment's vertices numbered densely, for list-indexed kernels.
+
+    ``ids[s]`` is the vertex in slot ``s``: the owned vertices in
+    ``fragment.owned`` order, then the mirrors in ``fragment.mirrors``
+    order, then whatever ΔG adds, appended. Slots are never renumbered:
+    a vertex that leaves the fragment keeps its slot (with an empty row)
+    and gets it back if it returns. ``index`` inverts ``ids``;
+    ``out[s]`` lists the out-arcs of ``ids[s]`` as ``(slot, weight)``
+    (a mirror's too — an undirected mirror stores its arc back);
+    ``border[s]`` is whether ``ids[s]`` carries an update parameter
+    (inner border or mirror).
+    """
+
+    __slots__ = ("ids", "index", "out", "border")
+
+    def __init__(self, fragment: "Fragment") -> None:
+        graph = fragment.graph
+        # owned vertices, then mirrors, then anything else the graph holds
+        self.ids = list(
+            dict.fromkeys(
+                chain(fragment.owned, fragment.mirrors, graph.vertices())
+            )
+        )
+        self.index = {v: s for s, v in enumerate(self.ids)}
+        self.out = [self._row(graph, v) for v in self.ids]
+        inner, mirrors = fragment.inner_border, fragment.mirrors
+        self.border = [v in inner or v in mirrors for v in self.ids]
+
+    def _row(self, graph: Graph, v: VertexId) -> list:
+        if not graph.has_vertex(v):
+            return []
+        index = self.index
+        return [(index[u], w) for u, w in graph.store.out_items(v)]
+
+    def refresh(self, fragment: "Fragment", vertices) -> None:
+        """Re-read the rows and border flags of ``vertices`` after
+        ``fragment`` changed them, giving a newcomer the next slot."""
+        graph = fragment.graph
+        index = self.index
+        inner, mirrors = fragment.inner_border, fragment.mirrors
+        for v in vertices:
+            s = index.get(v)
+            if s is None:
+                if not graph.has_vertex(v):
+                    continue
+                s = index[v] = len(self.ids)
+                self.ids.append(v)
+                self.out.append([])
+                self.border.append(False)
+            self.out[s] = self._row(graph, v)
+            self.border[s] = v in inner or v in mirrors
 
 
 @dataclass
@@ -107,6 +181,20 @@ class Fragment:
     def owns(self, v: VertexId) -> bool:
         """Whether this fragment owns ``v``."""
         return v in self.owned
+
+    def slot_view(self) -> SlotView:
+        """The fragment's :class:`SlotView`, built on first use and kept
+        in step with ΔG by :func:`apply_fragment_effects` from then on."""
+        view = self.__dict__.get("_slot_view")
+        if view is None:
+            view = self._slot_view = SlotView(self)
+        return view
+
+    def __getstate__(self) -> dict:
+        # the view is derived state: a pickled copy rebuilds its own
+        state = self.__dict__.copy()
+        state.pop("_slot_view", None)
+        return state
 
     def __repr__(self) -> str:
         return (

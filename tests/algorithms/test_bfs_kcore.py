@@ -6,7 +6,6 @@ from repro.algorithms.bfs import (
     BFSProgram,
     BFSQuery,
     INF,
-    local_bfs,
     reachable_from,
 )
 from repro.algorithms.kcore import KCoreProgram, KCoreQuery
@@ -16,8 +15,10 @@ from repro.algorithms.sequential.kcore_seq import (
     h_index,
     h_index_round,
 )
+from repro.algorithms.sequential.slots import bfs_slots
 from repro.engineapi.session import Session
 from repro.graph.digraph import Graph
+from repro.graph.fragment import Fragment
 from repro.graph.generators import (
     community_graph,
     complete_graph,
@@ -30,6 +31,20 @@ from repro.graph.metrics import bfs_layers
 
 
 # ------------------------------------------------------------------ bfs
+def local_bfs(graph, seeds, known=None, max_depth=None):
+    """A fragment's local BFS: :func:`bfs_slots` over ``graph`` as one
+    fragment's slot view, from ``{vertex: depth}`` seeds against the
+    ``known`` depths; returns ({vertex: improved depth}, work)."""
+    view = Fragment(0, graph, set(), {}).slot_view()
+    known = known or {}
+    dist = [known.get(v, INF) for v in view.ids]
+    improved, work = bfs_slots(
+        view.out, dist, [(view.index[v], d) for v, d in seeds.items()],
+        max_depth,
+    )
+    return {view.ids[s]: dist[s] for s in improved}, work
+
+
 def test_local_bfs_plain():
     g = path_graph(5)
     updates, work = local_bfs(g, {0: 0.0})
@@ -92,6 +107,22 @@ def test_bfs_registered_in_library():
     assert get_program("bfs").name == "bfs"
     q = build_query("bfs", source=4, max_depth=2)
     assert q.source == 4 and q.max_depth == 2
+    assert build_query("bfs", source=4, max_depth=2.0).max_depth == 2
+    assert build_query("bfs", source=4, max_depth=0).max_depth == 0
+
+
+@pytest.mark.parametrize(
+    "depth", [-1, 1.9, True, float("nan"), float("inf"), "2"]
+)
+def test_bfs_depth_must_be_a_non_negative_integer(depth):
+    """-1 used to serve an empty answer and 1.9 was truncated to 1."""
+    from repro.engineapi.query import build_query
+    from repro.errors import QueryError
+
+    with pytest.raises(QueryError, match="max_depth"):
+        build_query("bfs", source=0, max_depth=depth)
+    with pytest.raises(ValueError, match="max_depth"):
+        BFSQuery(source=0, max_depth=depth)
 
 
 # ---------------------------------------------------------------- kcore

@@ -1,10 +1,14 @@
-"""Unit tests for (multi-seed) Dijkstra and incremental SSSP."""
+"""Unit tests for (multi-seed) Dijkstra and incremental SSSP.
 
-import pytest
+The incremental cases run the slot kernel SSSP's IncEval runs —
+:func:`dijkstra_slots` over a fragment's slot view, seeded with offers
+against the current distances.
+"""
 
 from repro.algorithms.sequential.dijkstra import INF, dijkstra, single_source
-from repro.algorithms.sequential.inc_sssp import incremental_sssp
+from repro.algorithms.sequential.slots import dijkstra_slots
 from repro.graph.digraph import Graph
+from repro.graph.fragment import Fragment
 from repro.graph.generators import random_weighted_digraph, road_network
 
 
@@ -91,6 +95,19 @@ def test_matches_bruteforce_on_random_graph():
 
 
 # ---------------------------------------------------------- incremental
+def incremental_sssp(graph, dist, offers):
+    """Fold ``offers`` into the ``{vertex: distance}`` map ``dist`` (in
+    place) with the slot kernel; returns (the changes, settled count)."""
+    view = Fragment(0, graph, set(), {}).slot_view()
+    slots = [dist.get(v, INF) for v in view.ids]
+    settled = dijkstra_slots(
+        view.out, slots, [(view.index[v], c) for v, c in offers.items()]
+    )
+    changes = {view.ids[s]: slots[s] for s in settled}
+    dist.update(changes)
+    return changes, len(settled)
+
+
 def test_incremental_applies_decreases():
     g = _diamond()
     dist = dict(single_source(g, 0))

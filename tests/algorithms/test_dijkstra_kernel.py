@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.sequential.dijkstra import INF, dijkstra
-from repro.algorithms.sequential.inc_sssp import incremental_sssp
+from repro.algorithms.sequential.slots import dijkstra_slots
 from repro.graph.digraph import Graph
+from repro.graph.fragment import Fragment
 
 IDS = [0, "a", (0, 1), 1, "b", (1, "x"), 2, "c", (2,), 3, "d", ()]
 ABSENT = [-1, "ghost", (9, 9)]
@@ -102,14 +103,20 @@ def test_known_prior_returns_only_improvements(graph, first, second):
 @CASES
 @given(graphs(), seed_maps, seed_maps)
 def test_incremental_sssp_repairs_in_place(graph, first, decreased):
-    dist = bellman_ford(graph, first)
-    before = dict(dist)
-    changes, settled = incremental_sssp(graph, dist, decreased)
-    assert dist == bellman_ford(graph, merged(first, decreased))
-    assert changes == {
-        v: d for v, d in dist.items() if d < before.get(v, INF)
+    """The slot kernel IncEval runs, over the graph as one fragment's
+    slot view: it folds the offers into the distance list in place and
+    settles exactly the slots that improved."""
+    view = Fragment(0, graph, set(), {}).slot_view()
+    before = bellman_ford(graph, first)
+    dist = [before.get(v, INF) for v in view.ids]
+    offers = [(view.index[v], c) for v, c in decreased.items() if v in graph]
+    settled = dijkstra_slots(view.out, dist, offers)
+    after = {v: d for v, d in zip(view.ids, dist) if d < INF}
+    assert after == bellman_ford(graph, merged(first, decreased))
+    assert {view.ids[s] for s in settled} == {
+        v for v, d in after.items() if d < before.get(v, INF)
     }
-    assert settled == len(changes)
+    assert len(settled) == len(set(settled))
 
 
 def test_equal_cost_ties_settle_in_insertion_order():

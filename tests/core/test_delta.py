@@ -209,6 +209,8 @@ def _road_fragments():
         ("reweight", 0, 2, 3.0),  # absent edge
         ("reweight", 0, 1, -3.0),  # negative weight
         ("delete", 0, 35),  # the edge the first op inserts
+        ("reweight", 0, 1, float("nan")),  # NaN: neither < 0 nor >= 0
+        ("insert", 0, 7, float("nan")),
     ],
 )
 def test_rejected_batch_leaves_fragments_untouched(bad):

@@ -308,6 +308,22 @@ def test_cli_run_updates_refuses_a_program_without_delta_hooks(
     assert "delta repair:" not in captured.out
 
 
+@pytest.mark.parametrize("section", ["reweight", "insert"])
+def test_cli_run_updates_refuses_a_nan_weight(capsys, tmp_path, section):
+    """JSON's ``NaN`` parses as a float; a ΔG weight of NaN is refused
+    as a typed error, before the batch touches the fragments."""
+    delta = tmp_path / "nan.json"
+    delta.write_text('{"%s": [[0, 1, NaN]]}' % section)
+    rc = main([
+        "run", "--graph", "road:5x5", "--query", "sssp",
+        "--source", "0", "--updates", str(delta),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and "nan" in captured.err
+    assert "delta repair:" not in captured.out
+
+
 def test_cli_run_updates_missing_file(capsys):
     rc = main([
         "run", "--graph", "road:5x5", "--query", "sssp",

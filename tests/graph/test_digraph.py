@@ -57,6 +57,17 @@ def test_negative_weight_rejected():
         g.add_edge(1, 2, -1.0)
 
 
+def test_nan_weight_rejected_and_inf_kept():
+    """NaN compares false both ways, so ``weight < 0`` let it in; SSSP
+    then called its head unreachable. ``+inf`` stays a legal weight."""
+    g = Graph()
+    with pytest.raises(GraphError, match="nan"):
+        g.add_edge(0, 1, float("nan"))
+    assert not g.has_edge(0, 1)
+    g.add_edge(0, 1, float("inf"))
+    assert g.edge_weight(0, 1) == float("inf")
+
+
 def test_directed_adjacency():
     g = Graph()
     g.add_edge(1, 2)

@@ -1,0 +1,138 @@
+"""A fragment's slot view stays in step with ΔG and never renumbers.
+
+``Fragment.slot_view()`` is built once; from then on every effect
+record :func:`apply_fragment_effects` replays refreshes the slots it
+touched. After any seeded sequence of inserts (creating mirrors),
+deletes (pruning them), reweights and a pruned mirror coming back, the
+maintained view must read, vertex by vertex, exactly as a fresh build
+of the mutated fragment — rows, weights and border flags — while every
+slot handed out earlier still names the same vertex.
+"""
+
+import pickle
+import random
+
+import pytest
+
+from repro.graph.csr import CSRStore
+from repro.graph.fragment import SlotView, build_fragments
+from repro.graph.generators import random_weighted_digraph, road_network
+from repro.partition.registry import get_partitioner
+
+STORES = {
+    "dict": "dict",
+    "csr": "csr",
+    "csr/compact3": CSRStore(compact_threshold=3),
+}
+
+
+def by_vertex(view: SlotView, graph) -> dict:
+    """``{vertex: (row as (vertex, weight) pairs, border)}`` over the
+    vertices ``graph`` holds — what slot numbering must not change."""
+    ids = view.ids
+    return {
+        v: ([(ids[t], w) for t, w in view.out[s]], view.border[s])
+        for s, v in enumerate(ids)
+        if graph.has_vertex(v)
+    }
+
+
+def check_view(frag, earlier: list) -> None:
+    view = frag.slot_view()
+    assert view.ids[: len(earlier)] == earlier  # nothing renumbered
+    assert view.index == {v: s for s, v in enumerate(view.ids)}
+    assert by_vertex(view, frag.graph) == by_vertex(
+        SlotView(frag), frag.graph
+    )
+    for s, v in enumerate(view.ids):
+        if not frag.graph.has_vertex(v):  # left: slot kept, row emptied
+            assert view.out[s] == [] and not view.border[s]
+
+
+def _ops(fragd, graph, rng, count: int):
+    """A seeded mix of cross inserts, deletes (of inserted and original
+    edges), reweights, and re-inserts of edges deleted before — drawn
+    lazily, each against the fragments as the ops before it left them."""
+    edges = [(e.src, e.dst) for e in graph.edges()]
+    vertices = list(graph.vertices())
+    inserted, deleted = [], []
+
+    def present(src, dst) -> bool:
+        return fragd.fragment_of(src).graph.has_edge(src, dst)
+
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.35:
+            src, dst = rng.sample(vertices, 2)
+            if fragd.owner_of(src) != fragd.owner_of(dst) and not present(
+                src, dst
+            ):
+                inserted.append((src, dst))
+                yield "insert", src, dst, rng.choice([0.5, 1.0, 3.0])
+        elif roll < 0.6 and (inserted or edges):
+            pool = inserted if inserted and rng.random() < 0.6 else edges
+            src, dst = pool.pop(rng.randrange(len(pool)))
+            if present(src, dst):
+                deleted.append((src, dst))
+                yield "delete", src, dst
+        elif roll < 0.8 and deleted:
+            src, dst = deleted.pop(rng.randrange(len(deleted)))
+            if not present(src, dst):
+                inserted.append((src, dst))
+                yield "insert", src, dst, 2.0
+        elif edges:
+            src, dst = rng.choice(edges)
+            if present(src, dst):
+                yield "reweight", src, dst, rng.choice([0.25, 4.0])
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+@pytest.mark.parametrize("directed", [False, True], ids=["undir", "dir"])
+@pytest.mark.parametrize("seed", range(4))
+def test_maintained_view_equals_a_fresh_build(store, directed, seed):
+    if directed:
+        graph = random_weighted_digraph(30, 70, seed=seed)
+    else:
+        graph = road_network(5, 6, seed=seed)
+    assignment = get_partitioner("hash")(graph, 3)
+    fragd = build_fragments(graph, assignment, 3, store=STORES[store])
+    views = [frag.slot_view() for frag in fragd.fragments]
+    rng = random.Random(seed)
+    for kind, src, dst, *weight in _ops(fragd, graph, rng, 40):
+        earlier = [list(view.ids) for view in views]
+        if kind == "insert":
+            fragd.insert_edge(src, dst, weight[0])
+        elif kind == "delete":
+            fragd.delete_edge(src, dst)
+        else:
+            fragd.reweight_edge(src, dst, weight[0])
+        for frag, view, ids in zip(fragd.fragments, views, earlier):
+            assert frag.slot_view() is view
+            check_view(frag, ids)
+
+
+def test_a_pruned_mirror_that_returns_keeps_its_slot():
+    graph = road_network(4, 4, seed=1, removal_prob=0.0)
+    fragd = build_fragments(graph, {v: int(v >= 8) for v in range(16)}, 2)
+    frag = fragd.fragments[0]
+    view = frag.slot_view()
+    fragd.insert_edge(0, 15, 1.0)  # 15: a new mirror in fragment 0
+    slot = view.index[15]
+    assert view.ids[slot] == 15 and view.border[slot]
+    fragd.delete_edge(0, 15)  # pruned again
+    assert 15 not in frag.mirrors and not frag.graph.has_vertex(15)
+    assert view.out[slot] == [] and not view.border[slot]
+    assert 15 not in SlotView(frag).index  # a fresh build drops it
+    fragd.insert_edge(0, 15, 2.0)  # back: same slot, live row
+    assert view.index[15] == slot and view.border[slot]
+    check_view(frag, list(view.ids))
+
+
+def test_the_view_is_not_pickled():
+    graph = road_network(4, 4, seed=1)
+    fragd = build_fragments(graph, get_partitioner("hash")(graph, 2), 2)
+    frag = fragd.fragments[0]
+    before = pickle.dumps(frag)
+    frag.slot_view()
+    assert pickle.dumps(frag) == before
+    assert "_slot_view" not in vars(pickle.loads(before))

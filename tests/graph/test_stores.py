@@ -284,6 +284,14 @@ def test_bulk_load_builds_and_guards(store, directed):
     rejects(dsts=[5])  # endpoint not among the vertex rows
     rejects(srcs=[5])
     rejects(weights=[-1.0])
+    rejects(weights=[float("nan")])
+    # min() of [nan, -1.0] is nan, which is not < 0: every weight is read
+    with pytest.raises(GraphError, match="nan"):
+        Graph(directed=directed, store=store).bulk_load(
+            **{**_columns(), "vids": [0, 1, 2], "vlabels": [None] * 3,
+               "srcs": [0, 1], "dsts": [1, 2],
+               "weights": [float("nan"), -1.0]}
+        )
     rejects(srcs=[0, 0], dsts=[1, 1], weights=[2.0, 3.0])  # repeated arc
     rejects(vids=[0, 1, 0], vlabels=[None, "hub", None])  # repeated vertex
     if not directed:  # the reverse arc of an undirected edge is a repeat

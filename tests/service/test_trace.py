@@ -202,6 +202,20 @@ def test_cli_malformed_trace_is_a_typed_error(
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("depth", [-1, 1.5])
+def test_cli_bfs_depth_out_of_range_is_a_typed_error(depth, capsys, tmp_path):
+    """``max_depth: -1`` used to exit 0 with an empty answer."""
+    op = {"op": "query", "class": "bfs",
+          "params": {"source": 0, "max_depth": depth}}
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"graph": "road:4x4", "ops": [op]}))
+    rc = main(["serve", "--trace", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and "max_depth" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("damping", [1.0, 1.5])
 def test_cli_pagerank_damping_out_of_range_is_a_typed_error(
     damping, capsys, tmp_path
