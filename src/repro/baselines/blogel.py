@@ -31,6 +31,9 @@ from repro.utils.dsu import DisjointSet
 
 VertexId = Hashable
 
+#: Superstep cap: a run stops here even if vertices are still active.
+MAX_SUPERSTEPS = 100_000
+
 
 @dataclass
 class Block:
@@ -103,11 +106,9 @@ class BlogelEngine:
         self,
         fragmented: FragmentedGraph,
         cost_model: CostModel | None = None,
-        max_supersteps: int = 100_000,
     ) -> None:
         self.fragmented = fragmented
         self.cost_model = cost_model or CostModel()
-        self.max_supersteps = max_supersteps
         self._blocks_of: dict[VertexId, tuple[int, int]] = {}
         self._workers = self._build_workers()
 
@@ -138,7 +139,7 @@ class BlogelEngine:
         active: set[tuple[int, int]] = {
             (w.wid, b.bid) for w in workers for b in w.blocks
         }
-        while supersteps < self.max_supersteps:
+        while supersteps < MAX_SUPERSTEPS:
             with cluster.superstep("b-compute") as step:
                 for worker in workers:
                     for msg in cluster.receive(worker.wid):

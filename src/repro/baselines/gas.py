@@ -32,6 +32,9 @@ from repro.runtime.metrics import RunMetrics
 
 VertexId = Hashable
 
+#: Superstep cap: a run stops here even if vertices are still active.
+MAX_SUPERSTEPS = 100_000
+
 
 class GASProgram(abc.ABC):
     """A gather-apply-scatter algorithm (what GraphLab users write)."""
@@ -100,12 +103,10 @@ class GASEngine:
         graph: Graph,
         fragmented: FragmentedGraph,
         cost_model: CostModel | None = None,
-        max_supersteps: int = 100_000,
     ) -> None:
         self.graph = graph
         self.fragmented = fragmented
         self.cost_model = cost_model or CostModel()
-        self.max_supersteps = max_supersteps
 
     def run(self, program: GASProgram) -> GASResult:
         """Execute the program to termination; returns values + metrics."""
@@ -124,7 +125,7 @@ class GASEngine:
 
         replica_syncs = 0
         supersteps = 0
-        while supersteps < self.max_supersteps:
+        while supersteps < MAX_SUPERSTEPS:
             any_active = False
             with cluster.superstep("gas") as step:
                 # Deliver replica updates and activations from last round.

@@ -33,6 +33,9 @@ from repro.runtime.metrics import RunMetrics
 
 VertexId = Hashable
 
+#: Superstep cap: a run stops here even if vertices are still active.
+MAX_SUPERSTEPS = 100_000
+
 
 class VertexContext:
     """Per-vertex API handed to ``compute``: value, messages, halting."""
@@ -141,11 +144,9 @@ class PregelEngine:
         self,
         fragmented: FragmentedGraph,
         cost_model: CostModel | None = None,
-        max_supersteps: int = 100_000,
     ) -> None:
         self.fragmented = fragmented
         self.cost_model = cost_model or CostModel()
-        self.max_supersteps = max_supersteps
 
     def run(self, program: VertexProgram) -> PregelResult:
         """Execute the program to termination; returns values + metrics."""
@@ -164,7 +165,7 @@ class PregelEngine:
 
         vertex_messages = 0
         superstep = 0
-        while superstep < self.max_supersteps:
+        while superstep < MAX_SUPERSTEPS:
             any_active = False
             with cluster.superstep("superstep") as step:
                 # Deliver batches that arrived at the last barrier.

@@ -53,6 +53,11 @@ class CheckpointPolicy:
                 f"CheckpointPolicy.every must be at least 1 IncEval round, "
                 f"got {self.every!r}"
             )
+        if self.keep is not None and self.keep < 1:
+            raise ProgramError(
+                f"CheckpointPolicy.keep must be at least 1 snapshot (or None "
+                f"to keep all), got {self.keep!r}"
+            )
 
     def _dir(self) -> str:
         return f"checkpoints/{self.tag}"
@@ -67,7 +72,7 @@ class CheckpointPolicy:
         self.dfs.put_json(
             f"{self._dir()}/latest.json", {"round": round_index, "path": path}
         )
-        if self.keep is not None and self.keep > 0:
+        if self.keep is not None:
             for stale in self.rounds_saved()[: -self.keep]:
                 self.dfs.delete(self._path(stale))
         return path

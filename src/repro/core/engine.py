@@ -58,7 +58,7 @@ from repro.core.pie import (
     check_declaration,
     handles_graph_updates,
 )
-from repro.core.supervisor import SupervisionPolicy, Supervisor
+from repro.core.supervisor import Supervisor
 from repro.core.termination import FixpointGuard
 from repro.errors import (
     FatalWorkerFailure,
@@ -85,6 +85,12 @@ VertexId = Hashable
 #: mode's sends against per-worker virtual clocks instead of a barrier
 #: (programs whose aggregator declares a partial order only).
 MODES = ("strict", "relaxed")
+
+#: Non-monotone ΔG repair falls back to a full recompute when any
+#: fragment's invalidated region exceeds this fraction of its local
+#: vertices (a fixed threshold: the same kept state and ΔG always take
+#: the same path).
+REPAIR_FRACTION = 0.5
 
 
 @dataclass
@@ -133,7 +139,6 @@ class GrapeEngine:
             aggregator's partial order, raising on the first violation —
             on every backend and every kind of run; the result's
             ``checker`` counts the writes that run checked.
-        max_supersteps: fixed-point cap for non-monotonic programs.
         mode: ``"strict"`` (BSP lockstep, default) or ``"relaxed"`` —
             the same fixpoint loop over the same mailboxes, but
             each IncEval round is a *wave* timed on per-worker virtual
@@ -147,11 +152,6 @@ class GrapeEngine:
             executes strict mode's sends in order, so answers, traffic,
             repair stats, checkpoints and injected faults are
             byte-identical; only virtual time differs.
-        supervision: retry/backoff/recovery knobs (defaults to
-            :class:`~repro.core.supervisor.SupervisionPolicy`).
-        repair_fraction: fixed threshold — non-monotone repair falls
-            back to a full recompute when any fragment's invalidated
-            region exceeds this fraction of its local vertices.
         backend: an :class:`~repro.runtime.backends.base.
             ExecutionBackend` built over the *same* ``fragmented``;
             defaults to a fresh in-process
@@ -163,9 +163,6 @@ class GrapeEngine:
         fragmented: FragmentedGraph,
         cost_model: CostModel | None = None,
         check_monotonic: bool = False,
-        max_supersteps: int = 10_000,
-        supervision: SupervisionPolicy | None = None,
-        repair_fraction: float = 0.5,
         tracer=None,
         backend: ExecutionBackend | None = None,
         mode: str = "strict",
@@ -174,10 +171,6 @@ class GrapeEngine:
             raise ProgramError(
                 f"unknown superstep mode {mode!r}; choose from "
                 + ", ".join(MODES)
-            )
-        if not 0.0 <= repair_fraction <= 1.0:
-            raise ProgramError(
-                f"repair_fraction must be in [0, 1], got {repair_fraction!r}"
             )
         if backend is None:
             backend = SimulatedBackend(fragmented)
@@ -190,9 +183,6 @@ class GrapeEngine:
         self.cost_model = cost_model or CostModel()
         self.mode = mode
         self.check_monotonic = check_monotonic
-        self.max_supersteps = max_supersteps
-        self.supervision = supervision or SupervisionPolicy()
-        self.repair_fraction = repair_fraction
         self.backend = backend
         #: Optional :class:`~repro.obs.Tracer` — a pure observer; never
         #: feeds back into the computation (tests/property/test_lattice.py).
@@ -294,7 +284,7 @@ class GrapeEngine:
           (``program.invalidated_region``) *across* fragments, reset the
           region's update parameters to the order's default, and re-derive
           it with ``program.repair_partial`` — unless any fragment's
-          region exceeds ``repair_fraction`` of its local vertices, in
+          region exceeds :data:`REPAIR_FRACTION` of its local vertices, in
           which case the whole fixpoint restarts from PEval over the
           mutated graph.
 
@@ -365,7 +355,7 @@ class GrapeEngine:
             repair.invalidated = sum(repair.fragments.values())
             full_restart = any(
                 len(region)
-                > self.repair_fraction
+                > REPAIR_FRACTION
                 * max(1, self.fragmented.fragments[wid].graph.num_vertices)
                 for wid, region in invalid.items()
             )
@@ -660,7 +650,6 @@ class GrapeEngine:
         )
         checker = MonotonicityChecker() if self.check_monotonic else None
         return cluster, Supervisor(
-            self.supervision,
             cluster.metrics.faults,
             tracer=self.tracer,
             checker=checker,
@@ -684,9 +673,7 @@ class GrapeEngine:
         checkpoint's). On a relaxed cluster each round is a wave timed
         on the per-worker clocks; the loop is otherwise the same.
         """
-        guard = FixpointGuard(
-            max_supersteps=self.max_supersteps, rounds=done_rounds
-        )
+        guard = FixpointGuard(rounds=done_rounds)
         rounds: list[RoundInfo] = []
         n = cluster.num_workers
         relaxed = cluster.clocks is not None

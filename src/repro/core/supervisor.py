@@ -18,8 +18,6 @@ declared aggregate function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import FatalWorkerFailure, WorkerFailure
 from repro.runtime.metrics import FaultCounters
 
@@ -30,25 +28,16 @@ def capped_backoff(retry: int, base: float, cap: float) -> float:
     return min(base * 2 ** (retry - 1), cap)
 
 
-@dataclass(frozen=True)
-class SupervisionPolicy:
-    """Knobs of the retry/recovery behaviour.
-
-    Attributes:
-        max_retries: transient failures absorbed per compute interval
-            before escalating to a fatal loss.
-        backoff_base: simulated seconds charged for the first retry;
-            doubles each retry.
-        backoff_cap: ceiling on one retry's backoff.
-        max_recoveries: checkpoint recoveries allowed per run before
-            the engine gives up (guards against a fault schedule that
-            kills every re-execution).
-    """
-
-    max_retries: int = 3
-    backoff_base: float = 0.05
-    backoff_cap: float = 1.0
-    max_recoveries: int = 8
+#: Transient failures absorbed per compute interval before escalating
+#: to a fatal loss.
+MAX_RETRIES = 3
+#: Simulated seconds charged for the first retry; doubles each retry.
+BACKOFF_BASE = 0.05
+#: Ceiling on one retry's backoff.
+BACKOFF_CAP = 1.0
+#: Checkpoint recoveries allowed per run before the engine gives up
+#: (guards against a fault schedule that kills every re-execution).
+MAX_RECOVERIES = 8
 
 
 class Supervisor:
@@ -56,12 +45,10 @@ class Supervisor:
 
     def __init__(
         self,
-        policy: SupervisionPolicy,
         counters: FaultCounters,
         tracer=None,
         checker=None,
     ) -> None:
-        self.policy = policy
         self.counters = counters
         self.tracer = tracer
         #: the run's :class:`~repro.core.assurance.MonotonicityChecker`
@@ -86,16 +73,14 @@ class Supervisor:
                 if failure.fatal:
                     raise
                 retries += 1
-                if retries > self.policy.max_retries:
+                if retries > MAX_RETRIES:
                     raise FatalWorkerFailure(
                         f"worker {worker} still failing after "
-                        f"{self.policy.max_retries} retries: {failure}",
+                        f"{MAX_RETRIES} retries: {failure}",
                         worker=worker,
                         superstep=failure.superstep,
                     ) from failure
-                backoff = capped_backoff(
-                    retries, self.policy.backoff_base, self.policy.backoff_cap
-                )
+                backoff = capped_backoff(retries, BACKOFF_BASE, BACKOFF_CAP)
                 step.charge(worker, backoff)
                 self.counters.retries += 1
                 self.counters.backoff_time += backoff
@@ -110,9 +95,9 @@ class Supervisor:
     def begin_recovery(self, failure: WorkerFailure) -> None:
         """Account one checkpoint recovery; enforce the recovery cap."""
         self._recoveries += 1
-        if self._recoveries > self.policy.max_recoveries:
+        if self._recoveries > MAX_RECOVERIES:
             raise FatalWorkerFailure(
-                f"giving up after {self.policy.max_recoveries} checkpoint "
+                f"giving up after {MAX_RECOVERIES} checkpoint "
                 f"recoveries; last failure: {failure}",
                 worker=failure.worker,
                 superstep=failure.superstep,

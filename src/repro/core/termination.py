@@ -14,20 +14,22 @@ from dataclasses import dataclass
 
 from repro.errors import EngineRuntimeError
 
+#: IncEval rounds a run may record before it is declared non-terminating.
+MAX_SUPERSTEPS = 10_000
+
 
 @dataclass
 class FixpointGuard:
     """Counts IncEval rounds and enforces the superstep cap."""
 
-    max_supersteps: int = 10_000
     rounds: int = 0
 
     def record_round(self) -> None:
         """Record one completed IncEval round."""
         self.rounds += 1
-        if self.rounds > self.max_supersteps:
+        if self.rounds > MAX_SUPERSTEPS:
             raise EngineRuntimeError(
-                f"no fixed point after {self.max_supersteps} supersteps; "
+                f"no fixed point after {MAX_SUPERSTEPS} supersteps; "
                 "is the plugged-in program monotonic?"
             )
 

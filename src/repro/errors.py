@@ -151,7 +151,6 @@ INT = ("an integer", _is_int)
 POSITIVE_INT = ("a positive integer", lambda v: _is_int(v) and v >= 1)
 INT_OR_NULL = ("an integer or null", lambda v: v is None or _is_int(v))
 NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
-NUMBER_OR_NULL = ("a number or null", lambda v: v is None or NUMBER[1](v))
 BOOL = ("a boolean", lambda v: isinstance(v, bool))
 STR = ("a string", lambda v: isinstance(v, str))
 OBJECT = ("an object", lambda v: isinstance(v, dict))

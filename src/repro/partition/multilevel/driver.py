@@ -13,30 +13,24 @@ from repro.partition.multilevel.coarsen import coarsen, make_work_graph
 from repro.partition.multilevel.initial import greedy_growth
 from repro.partition.multilevel.refine import project, refine
 
+#: Allowed part weight over ideal (1.05 = 5% slack).
+IMBALANCE = 1.05
+#: Stop coarsening at about this many coarse vertices per part.
+COARSEST_PER_PART = 25
+#: Boundary refinement sweeps per level.
+REFINE_PASSES = 4
+
 
 class MultilevelPartitioner(Partitioner):
     """Heavy-edge-matching multilevel partitioner with FM refinement.
 
     Args:
-        imbalance: allowed part weight over ideal (1.05 = 5% slack).
-        coarsest_per_part: stop coarsening at about this many coarse
-            vertices per part.
-        refine_passes: boundary sweeps per level.
         seed: randomization seed for matching order.
     """
 
     name = "multilevel"
 
-    def __init__(
-        self,
-        imbalance: float = 1.05,
-        coarsest_per_part: int = 25,
-        refine_passes: int = 4,
-        seed: int | None = 0,
-    ) -> None:
-        self.imbalance = imbalance
-        self.coarsest_per_part = coarsest_per_part
-        self.refine_passes = refine_passes
+    def __init__(self, seed: int | None = 0) -> None:
         self.seed = seed
 
     def partition(self, graph: Graph, num_parts: int) -> Assignment:
@@ -45,20 +39,20 @@ class MultilevelPartitioner(Partitioner):
         if num_parts == 1:
             return {v: 0 for v in graph.vertices()}
         wg, ids = make_work_graph(graph)
-        target = max(self.coarsest_per_part * num_parts, 64)
+        target = max(COARSEST_PER_PART * num_parts, 64)
         levels = coarsen(wg, target_size=target, seed=self.seed)
         coarsest = levels[-1].graph if levels else wg
         assignment = greedy_growth(coarsest, num_parts, seed=self.seed)
-        max_weight = self.imbalance * wg.total_vertex_weight() / num_parts
+        max_weight = IMBALANCE * wg.total_vertex_weight() / num_parts
         assignment = refine(
-            coarsest, assignment, num_parts, max_weight, self.refine_passes
+            coarsest, assignment, num_parts, max_weight, REFINE_PASSES
         )
         for level, finer in zip(
             reversed(levels), reversed([wg] + [lv.graph for lv in levels[:-1]])
         ):
             assignment = project(assignment, level.fine_to_coarse)
             assignment = refine(
-                finer, assignment, num_parts, max_weight, self.refine_passes
+                finer, assignment, num_parts, max_weight, REFINE_PASSES
             )
         inv = {i: v for v, i in ids.items()}
         return {inv[i]: p for i, p in assignment.items()}

@@ -24,8 +24,8 @@ def register_partitioner(
     _FACTORIES[name] = factory
 
 
-def get_partitioner(name: str, **kwargs) -> Partitioner:
-    """Instantiate a registered strategy; kwargs go to the constructor."""
+def get_partitioner(name: str) -> Partitioner:
+    """Instantiate a registered strategy."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
@@ -33,7 +33,7 @@ def get_partitioner(name: str, **kwargs) -> Partitioner:
             f"unknown partitioner {name!r}; available: "
             f"{sorted(_FACTORIES)}"
         ) from None
-    return factory(**kwargs) if kwargs else factory()
+    return factory()
 
 
 def available_strategies() -> list[str]:

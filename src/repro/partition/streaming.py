@@ -10,7 +10,7 @@ classic one-pass heuristics are implemented:
 * **Fennel**: maximize ``|N(v) ∩ P_i| - alpha * gamma * |P_i|^(gamma-1)``,
   an interpolation between cut and balance objectives.
 
-Both see vertices once, in a (seeded) random or natural order, and are
+Both see vertices once, in the graph's natural order, and are
 dramatically cheaper than multilevel partitioning but produce more cross
 edges — the trade-off the Section-3 numbers quantify (7.5M vs 40M
 messages).
@@ -20,7 +20,11 @@ from __future__ import annotations
 
 from repro.graph.digraph import Graph
 from repro.partition.base import Assignment, Partitioner
-from repro.utils.rng import make_rng
+
+#: Fennel's exponent: 1 weighs only cut, larger values weigh balance more.
+FENNEL_GAMMA = 1.5
+#: Part capacity over the ideal ``n / k`` (both heuristics).
+SLACK = 1.1
 
 
 class LDGPartitioner(Partitioner):
@@ -28,18 +32,11 @@ class LDGPartitioner(Partitioner):
 
     name = "ldg"
 
-    def __init__(self, seed: int | None = 0, shuffle: bool = False) -> None:
-        self.seed = seed
-        self.shuffle = shuffle
-
     def partition(self, graph: Graph, num_parts: int) -> Assignment:
-        order = list(graph.vertices())
-        if self.shuffle:
-            make_rng(self.seed, "ldg").shuffle(order)
-        capacity = max(1.0, graph.num_vertices / num_parts) * 1.1
+        capacity = max(1.0, graph.num_vertices / num_parts) * SLACK
         sizes = [0] * num_parts
         assignment: Assignment = {}
-        for v in order:
+        for v in graph.vertices():
             placed_nbrs = [0] * num_parts
             for u in graph.neighbors(v):
                 fid = assignment.get(u)
@@ -65,30 +62,15 @@ class FennelPartitioner(Partitioner):
 
     name = "fennel"
 
-    def __init__(
-        self,
-        gamma: float = 1.5,
-        seed: int | None = 0,
-        shuffle: bool = False,
-        slack: float = 1.1,
-    ) -> None:
-        self.gamma = gamma
-        self.seed = seed
-        self.shuffle = shuffle
-        self.slack = slack
-
     def partition(self, graph: Graph, num_parts: int) -> Assignment:
         n = max(1, graph.num_vertices)
         m = max(1, graph.num_edges)
-        gamma = self.gamma
+        gamma = FENNEL_GAMMA
         alpha = m * (num_parts ** (gamma - 1.0)) / (n**gamma)
-        capacity = self.slack * n / num_parts
-        order = list(graph.vertices())
-        if self.shuffle:
-            make_rng(self.seed, "fennel").shuffle(order)
+        capacity = SLACK * n / num_parts
         sizes = [0] * num_parts
         assignment: Assignment = {}
-        for v in order:
+        for v in graph.vertices():
             placed_nbrs = [0] * num_parts
             for u in graph.neighbors(v):
                 fid = assignment.get(u)

@@ -20,7 +20,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.runtime.costmodel import CostModel
+from repro.runtime.costmodel import DRAIN_OVERHEAD, CostModel
 from repro.runtime.message import COORDINATOR, Message
 from repro.runtime.metrics import RunMetrics, SuperstepMetrics
 from repro.runtime.mpi_sim import MPIController
@@ -95,7 +95,7 @@ class PipelinedClocks:
             self.clocks[worker] = (
                 start
                 + cost.compute_scale * compute.get(worker, 0.0)
-                + cost.drain_overhead
+                + DRAIN_OVERHEAD
             )
         self._starts.clear()
         self._after_wave = True

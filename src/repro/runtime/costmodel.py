@@ -9,10 +9,11 @@ We charge:
 * ``compute_i`` — *measured* wall time of worker ``i``'s sequential
   computation this superstep (real Python execution, not an estimate),
   scaled by ``compute_scale`` (1.0 by default);
-* network time — ``latency`` per communicating round plus
-  ``bytes / bandwidth``; message batches between the same pair of hosts
-  share the round latency, as MPI implementations do;
-* ``barrier`` — fixed synchronization overhead per superstep.
+* network time — :data:`LATENCY` per communicating round plus
+  ``bytes /`` :data:`BANDWIDTH`; message batches between the same pair
+  of hosts share the round latency, as MPI implementations do;
+* ``barrier`` — :data:`BARRIER_OVERHEAD`, a fixed synchronization
+  overhead per superstep (:data:`DRAIN_OVERHEAD` per relaxed wave).
 
 Defaults approximate a commodity 1 Gb/s cluster. Absolute simulated
 seconds are not meant to match the paper's testbed; *ratios* between
@@ -24,22 +25,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+#: Seconds of latency charged once per superstep in which any pair of
+#: hosts communicates.
+LATENCY = 1e-3
+#: Network bandwidth in bytes/second (shared, as on one switch).
+BANDWIDTH = 125e6  # 1 Gb/s
+#: Fixed BSP barrier overhead per superstep, seconds.
+BARRIER_OVERHEAD = 5e-4
+#: Per-worker channel-drain bookkeeping per relaxed wave, seconds.
+#: Replaces the global barrier in ``mode="relaxed"``; keeping it at or
+#: below ``BARRIER_OVERHEAD`` preserves the per-round makespan dominance
+#: argument (relaxed advance <= strict superstep time).
+DRAIN_OVERHEAD = 2.5e-4
+
+
 @dataclass(frozen=True)
 class CostModel:
-    """Parameters of the simulated cluster's performance."""
+    """How measured compute enters the simulated cluster's time; the
+    network and barrier charges are the module constants above."""
 
-    #: Seconds of latency charged once per superstep in which any pair of
-    #: hosts communicates.
-    latency: float = 1e-3
-    #: Network bandwidth in bytes/second (shared, as on one switch).
-    bandwidth: float = 125e6  # 1 Gb/s
-    #: Fixed BSP barrier overhead per superstep, seconds.
-    barrier_overhead: float = 5e-4
-    #: Per-worker channel-drain bookkeeping per relaxed wave, seconds.
-    #: Replaces the global barrier in ``mode="relaxed"``; keeping it at
-    #: or below ``barrier_overhead`` preserves the per-round makespan
-    #: dominance argument (relaxed advance <= strict superstep time).
-    drain_overhead: float = 2.5e-4
     #: Multiplier applied to measured Python compute time.
     compute_scale: float = 1.0
     #: When true, compute intervals are NOT measured with the wall clock;
@@ -52,8 +56,8 @@ class CostModel:
         """Simulated seconds to move ``total_bytes`` in ``rounds`` batches."""
         if total_bytes <= 0 and rounds <= 0:
             return 0.0
-        lat = self.latency if rounds > 0 else 0.0
-        return lat + total_bytes / self.bandwidth
+        lat = LATENCY if rounds > 0 else 0.0
+        return lat + total_bytes / BANDWIDTH
 
     def superstep_time(
         self,
@@ -65,5 +69,5 @@ class CostModel:
         return (
             self.compute_scale * compute_makespan
             + self.network_time(total_bytes, rounds)
-            + self.barrier_overhead
+            + BARRIER_OVERHEAD
         )

@@ -17,7 +17,7 @@ plain path is byte-for-byte the original):
   (and duplicate retransmissions) are applied exactly once;
 * a checksum mismatch marks the copy corrupt: it is discarded and the
   retained copy retransmitted — corruption is *detected*, never applied;
-* a message still undelivered after ``max_attempts`` flushes raises
+* a message still undelivered after :data:`MAX_ATTEMPTS` flushes raises
   :class:`~repro.errors.TransportError` (persistent drop/corruption is
   a documented failure, not an infinite fixpoint).
 """
@@ -28,6 +28,10 @@ from dataclasses import dataclass
 
 from repro.errors import EngineRuntimeError, TransportError
 from repro.runtime.message import COORDINATOR, Message, payload_checksum
+
+#: Flushes a message may stay undeliverable before the controller gives
+#: up with a :class:`~repro.errors.TransportError`.
+MAX_ATTEMPTS = 50
 
 
 @dataclass(frozen=True)
@@ -47,21 +51,13 @@ class MPIController:
         injector: optional
             :class:`~repro.runtime.faults.injector.FaultInjector`;
             installing one enables the transport-integrity layer.
-        max_attempts: flushes a message may stay undeliverable before
-            the controller gives up with a :class:`TransportError`.
     """
 
-    def __init__(
-        self,
-        num_workers: int,
-        injector=None,
-        max_attempts: int = 50,
-    ) -> None:
+    def __init__(self, num_workers: int, injector=None) -> None:
         if num_workers < 1:
             raise EngineRuntimeError("cluster needs at least one worker")
         self.num_workers = num_workers
         self._injector = injector
-        self._max_attempts = max_attempts
         self._outgoing: list[Message] = []
         self._inboxes: dict[int, list[Message]] = {
             rank: [] for rank in range(num_workers)
@@ -128,7 +124,7 @@ class MPIController:
         for key in list(self._unacked):
             entry = self._unacked[key]
             msg, attempts = entry
-            if attempts >= self._max_attempts:
+            if attempts >= MAX_ATTEMPTS:
                 raise TransportError(
                     f"message {msg.src}->{msg.dst} seq={msg.seq} "
                     f"undeliverable after {attempts} attempts "

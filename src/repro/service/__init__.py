@@ -5,7 +5,7 @@
 * :mod:`scheduler` — bounded admission queue, priorities, simulated
   worker lanes (backpressure via
   :class:`~repro.errors.ServiceOverloadedError`);
-* :mod:`cache` — versioned result cache (LRU + TTL, invalidated on
+* :mod:`cache` — versioned result cache (LRU, invalidated on
   mutation);
 * :mod:`metrics` — deterministic :class:`ServiceReport` (latency
   percentiles from simulated time, cache traffic, ΔG work ratios);

@@ -5,9 +5,7 @@ The graph version is monotonically bumped by every mutation batch, so an
 entry can never serve a stale answer: a lookup at the current version
 misses by construction after any update, and superseded entries are
 dropped eagerly by :meth:`ResultCache.invalidate_before`. Within a
-version, eviction is LRU with an optional TTL measured in *simulated*
-service time (deterministic — no wall clocks anywhere in the serving
-layer).
+version, eviction is LRU.
 
 Query parameters are canonicalized structurally (dicts order-free,
 lists/sets frozen); values the canonicalizer does not understand (e.g. a
@@ -63,8 +61,6 @@ class CacheEntry:
     answer: object
     version: int
     query_class: str
-    #: Simulated service time the entry was stored at (TTL anchor).
-    stored_at: float
     #: Simulated cost of the engine run that produced the answer.
     cost: float
     #: Original query params (needed to re-run the query when the entry
@@ -81,7 +77,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evicted_lru: int = 0
-    expired_ttl: int = 0
     invalidated: int = 0
     uncacheable: int = 0
 
@@ -98,25 +93,22 @@ class CacheStats:
             "misses": self.misses,
             "hit_rate": self.hit_rate,
             "evicted_lru": self.evicted_lru,
-            "expired_ttl": self.expired_ttl,
             "invalidated": self.invalidated,
             "uncacheable": self.uncacheable,
         }
 
 
 class ResultCache:
-    """LRU+TTL cache of assembled answers, keyed by graph version.
+    """LRU cache of assembled answers, keyed by graph version.
 
     Args:
         capacity: maximum number of entries (LRU beyond it).
-        ttl: entry lifetime in simulated seconds (None = no expiry).
     """
 
-    def __init__(self, capacity: int = 256, ttl: float | None = None) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.ttl = ttl
         self.stats = CacheStats()
         self._entries: OrderedDict[tuple, CacheEntry] = OrderedDict()
         self._last_invalidated: list[CacheEntry] = []
@@ -129,15 +121,10 @@ class ResultCache:
         return key in self._entries
 
     # ------------------------------------------------------------------
-    def get(self, key: tuple, now: float) -> CacheEntry | None:
-        """The live entry under ``key``, refreshing its LRU position."""
+    def get(self, key: tuple) -> CacheEntry | None:
+        """The entry under ``key``, refreshing its LRU position."""
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.misses += 1
-            return None
-        if self.ttl is not None and now - entry.stored_at > self.ttl:
-            del self._entries[key]
-            self.stats.expired_ttl += 1
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)

@@ -132,7 +132,6 @@ class GrapeService:
         max_pending: admission-queue bound (backpressure beyond it).
         concurrency: simulated worker lanes queries dispatch onto.
         cache_capacity: result-cache entry bound (LRU beyond it).
-        cache_ttl: result lifetime in simulated seconds (None = no TTL).
         rewarm_hottest: after every mutation batch, re-run (and
             re-cache) up to this many of the hottest invalidated cache
             entries so repeat clients stay on the hit path (0 = off).
@@ -150,7 +149,6 @@ class GrapeService:
         max_pending: int = 64,
         concurrency: int = 2,
         cache_capacity: int = 256,
-        cache_ttl: float | None = None,
         rewarm_hottest: int = 0,
         program_kwargs: dict[str, dict] | None = None,
         initial_version: int = 1,
@@ -165,7 +163,7 @@ class GrapeService:
         self._engine = session.engine()
         self._queue = AdmissionQueue(capacity=max_pending)
         self._lanes = LaneClock(concurrency=concurrency)
-        self._cache = ResultCache(capacity=cache_capacity, ttl=cache_ttl)
+        self._cache = ResultCache(capacity=cache_capacity)
         if rewarm_hottest < 0:
             raise ServiceError(
                 f"rewarm_hottest must be >= 0, got {rewarm_hottest}"
@@ -342,7 +340,7 @@ class GrapeService:
         key = None
         if request.cacheable:
             key = cache_key(self._version, request.query_class, request.params)
-            entry = self._cache.get(key, now=self._clock)
+            entry = self._cache.get(key)
             if entry is not None:
                 return entry.answer, HIT_COST, True
         program = self._program(request.query_class)
@@ -357,7 +355,6 @@ class GrapeService:
                     answer=result.answer,
                     version=self._version,
                     query_class=request.query_class,
-                    stored_at=self._clock,
                     cost=cost,
                     params=dict(request.params),
                 ),
@@ -448,7 +445,6 @@ class GrapeService:
                 answer=standing.answer,
                 version=self._version,
                 query_class=standing.query_class,
-                stored_at=self._clock,
                 cost=cost,
                 params=dict(standing.params),
             ),
@@ -622,7 +618,6 @@ class GrapeService:
         cache = self._cache.stats.as_dict()
         cache["size"] = len(self._cache)
         cache["capacity"] = self._cache.capacity
-        cache["ttl"] = self._cache.ttl
         return ServiceReport(
             graph_version=self._version,
             simulated_time=self._clock,

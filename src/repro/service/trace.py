@@ -21,7 +21,9 @@ A trace is one JSON object::
     }
 
 An update op carries any mix of ``edges`` (insertions), ``deletes``
-and ``reweights`` — at least one must be non-empty.
+and ``reweights`` — at least one must be non-empty. A key not shown
+here (plus a top-level ``"description"``) is refused, so a misspelt
+knob or op field cannot silently fall back to its default.
 
 ``replay_trace`` drives a :class:`~repro.service.service.GrapeService`
 (or a :class:`~repro.service.fleet.FleetRouter` of N copies of it)
@@ -39,7 +41,6 @@ from repro.errors import (
     INT,
     LIST,
     NUMBER,
-    NUMBER_OR_NULL,
     OBJECT,
     POSITIVE_INT,
     STR,
@@ -53,7 +54,30 @@ from repro.graph.generators import graph_from_spec
 from repro.service.scheduler import DEFAULT_PRIORITY
 from repro.service.service import GrapeService
 
-_KNOWN_OPS = {"query", "drain", "update"}
+#: The keys each level of a trace may carry.
+_TRACE_KEYS = {
+    "description", "graph", "workers", "partition", "store", "service",
+    "standing", "ops",
+}
+_SERVICE_KEYS = {
+    "max_pending", "concurrency", "cache_capacity", "rewarm_hottest",
+}
+_STANDING_KEYS = {"name", "class", "params"}
+_OP_KEYS = {
+    "query": {"op", "class", "params", "client", "priority", "repeat", "at"},
+    "drain": {"op"},
+    "update": {"op", "edges", "deletes", "reweights", "verify"},
+}
+
+
+def _check_keys(where: str, entry: dict, allowed: set) -> None:
+    """Refuse the first key of ``entry`` outside ``allowed``."""
+    for key in entry:
+        if key not in allowed:
+            raise GrapeError(
+                f"{where}: unknown key {key!r}; allowed: "
+                + ", ".join(sorted(allowed))
+            )
 
 
 def update_delta(op: dict) -> GraphDelta:
@@ -79,17 +103,18 @@ def load_trace(path: str) -> dict:
             f"workload trace {path} must be a JSON object with an 'ops' list"
         )
     where = f"workload trace {path}"
+    _check_keys(where, trace, _TRACE_KEYS)
     check_fields(where, trace, STR, "graph", "partition", "store")
     check_fields(where, trace, INT, "workers")
     check_fields(where, trace, OBJECT, "service")
     check_fields(where, trace, LIST, "standing")
     knobs, where = trace.get("service", {}), f"{where} 'service'"
+    _check_keys(where, knobs, _SERVICE_KEYS)
     check_fields(
         where, knobs, POSITIVE_INT, "max_pending", "concurrency",
         "cache_capacity",
     )
     check_fields(where, knobs, INT, "rewarm_hottest")
-    check_fields(where, knobs, NUMBER_OR_NULL, "cache_ttl")
     for idx, entry in enumerate(trace.get("standing", [])):
         where = f"trace standing entry #{idx}"
         if not isinstance(entry, dict) or not {"name", "class"} <= set(entry):
@@ -97,18 +122,20 @@ def load_trace(path: str) -> dict:
                 f"{where} must be an object with a 'name' and a 'class', "
                 f"got {entry!r}"
             )
+        _check_keys(where, entry, _STANDING_KEYS)
         check_fields(where, entry, STR, "name", "class")
         check_fields(where, entry, OBJECT, "params")
     for idx, op in enumerate(trace["ops"]):
         if not isinstance(op, dict):
             raise GrapeError(f"trace op #{idx} must be an object, got {op!r}")
         kind = op.get("op")
-        if kind not in _KNOWN_OPS:
+        if kind not in _OP_KEYS:
             raise GrapeError(
                 f"trace op #{idx} has unknown kind {kind!r}; "
-                f"expected one of {sorted(_KNOWN_OPS)}"
+                f"expected one of {sorted(_OP_KEYS)}"
             )
         where = f"trace {kind} op #{idx}"
+        _check_keys(where, op, _OP_KEYS[kind])
         if kind == "query":
             if "class" not in op:
                 raise GrapeError(f"{where} needs a 'class'")
@@ -168,7 +195,6 @@ def build_service(
         max_pending=int(knobs.get("max_pending", 64)),
         concurrency=int(knobs.get("concurrency", 2)),
         cache_capacity=int(knobs.get("cache_capacity", 256)),
-        cache_ttl=knobs.get("cache_ttl"),
         rewarm_hottest=int(knobs.get("rewarm_hottest", 0)),
         initial_version=initial_version,
     )

@@ -7,12 +7,15 @@ answer is byte-identical. A genuine bridge deletion must still route
 through the full invalidate-and-recompute path.
 """
 
+import pytest
+
 from repro.algorithms.cc import CCProgram, CCQuery
 from repro.algorithms.sequential.cc_seq import (
     connected_components,
     local_connectivity,
 )
 from repro.core.delta import EdgeDelete
+from repro.core import engine as engine_module
 from repro.core.engine import GrapeEngine
 from repro.graph.digraph import Graph
 from repro.graph.fragment import build_fragments
@@ -29,9 +32,15 @@ def _cycle_plus_tail():
     return g, build_fragments(g, assignment, 2)
 
 
+@pytest.fixture(autouse=True)
+def _never_restart(monkeypatch):
+    # The cases pin the scoped path: no region may tip it into a restart.
+    monkeypatch.setattr(engine_module, "REPAIR_FRACTION", 1.0)
+
+
 def _kept_run():
     g, fragd = _cycle_plus_tail()
-    engine = GrapeEngine(fragd, repair_fraction=1.0)
+    engine = GrapeEngine(fragd)
     program = CCProgram()
     query = CCQuery()
     first = engine.run(program, query, keep_state=True)

@@ -7,6 +7,7 @@ import pytest
 from repro.core.aggregators import MIN
 from repro.core.assurance import MonotonicityChecker, WriteAudit
 from repro.core.update_params import UpdateParams
+from repro.core import termination
 from repro.core.termination import FixpointGuard
 from repro.errors import EngineRuntimeError, MonotonicityError
 
@@ -57,7 +58,7 @@ def test_unarmed_store_audits_nothing_and_pickles_drop_the_audit():
 
 
 def test_guard_counts_rounds():
-    guard = FixpointGuard(max_supersteps=10)
+    guard = FixpointGuard()
     guard.record_round()
     guard.record_round()
     assert guard.rounds == 2
@@ -65,8 +66,9 @@ def test_guard_counts_rounds():
     assert guard.rewind(5) == 0 and guard.rounds == 1
 
 
-def test_guard_caps_supersteps():
-    guard = FixpointGuard(max_supersteps=3)
+def test_guard_caps_supersteps(monkeypatch):
+    monkeypatch.setattr(termination, "MAX_SUPERSTEPS", 3)
+    guard = FixpointGuard()
     for _ in range(3):
         guard.record_round()
     with pytest.raises(EngineRuntimeError, match="monotonic"):

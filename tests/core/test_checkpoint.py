@@ -44,6 +44,13 @@ def test_checkpoint_every_below_one_is_refused(tmp_path, every):
         CheckpointPolicy(SimulatedDFS(tmp_path), every=every)
 
 
+@pytest.mark.parametrize("keep", [0, -1])
+def test_checkpoint_keep_below_one_is_refused(tmp_path, keep):
+    # Both used to keep every snapshot instead of pruning.
+    with pytest.raises(ProgramError, match="keep must be at least 1"):
+        CheckpointPolicy(SimulatedDFS(tmp_path), keep=keep)
+
+
 def test_checkpoints_written_on_schedule(tmp_path):
     g = road_network(10, 10, seed=1, removal_prob=0.0)
     policy = CheckpointPolicy(SimulatedDFS(tmp_path), every=2, tag="sssp")

@@ -21,6 +21,7 @@ from repro.core.delta import (
     GraphDelta,
     apply_delta,
 )
+from repro.core import engine as engine_module
 from repro.core.engine import GrapeEngine
 from repro.engineapi.cli import main
 from repro.errors import ProgramError
@@ -268,10 +269,10 @@ def test_engine_state_loads_pre_provenance_pickles():
 
 
 # ------------------------------------------------------ repair-mode ladder
-def _kept_run(fraction):
+def _kept_run():
     g = _line_graph(8)
     fragd = build_fragments(g, {v: v // 4 for v in range(8)}, 2)
-    engine = GrapeEngine(fragd, repair_fraction=fraction)
+    engine = GrapeEngine(fragd)
     program = SSSPProgram()
     query = SSSPQuery(source=0)
     first = engine.run(program, query, keep_state=True)
@@ -286,8 +287,9 @@ def _kept_run(fraction):
         (0.0, [("delete", 6, 7)], "full"),
     ],
 )
-def test_repair_mode_ladder(fraction, batch, mode):
-    engine, program, query, first = _kept_run(fraction)
+def test_repair_mode_ladder(monkeypatch, fraction, batch, mode):
+    monkeypatch.setattr(engine_module, "REPAIR_FRACTION", fraction)
+    engine, program, query, first = _kept_run()
     second = engine.run_incremental(program, query, first.state, batch)
     assert second.repair.mode == mode
     if mode == "monotone":
@@ -297,13 +299,6 @@ def test_repair_mode_ladder(fraction, batch, mode):
     if mode == "scoped":
         assert 0 < second.repair.invalidated < 8
         assert second.repair.fragments  # per-fragment breakdown recorded
-
-
-@pytest.mark.parametrize("fraction", [-0.1, 1.5])
-def test_repair_fraction_out_of_range_rejected(fraction):
-    fragd = build_fragments(_line_graph(4), {v: 0 for v in range(4)}, 1)
-    with pytest.raises(ProgramError, match="repair_fraction"):
-        GrapeEngine(fragd, repair_fraction=fraction)
 
 
 def _two_delete_batches(fresh_engine_per_batch):

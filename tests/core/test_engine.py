@@ -12,6 +12,7 @@ from collections import deque
 
 import pytest
 
+from repro.core import termination
 from repro.core.aggregators import BOOL_OR, MAX
 from repro.core.engine import GrapeEngine
 from repro.core.pie import ParamSpec, PIEProgram
@@ -169,9 +170,10 @@ def test_monotonic_checker_catches_bad_program():
         engine.run(NonMonotoneProgram(), 0)
 
 
-def test_superstep_cap_stops_nonterminating_program():
+def test_superstep_cap_stops_nonterminating_program(monkeypatch):
+    monkeypatch.setattr(termination, "MAX_SUPERSTEPS", 4)
     _, fragd = _chain_fragments()
-    engine = GrapeEngine(fragd, max_supersteps=4)
+    engine = GrapeEngine(fragd)
     with pytest.raises(EngineRuntimeError, match="fixed point"):
         engine.run(EndlessProgram(), 0)
 

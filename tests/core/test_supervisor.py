@@ -6,11 +6,8 @@ from repro.algorithms.sequential.dijkstra import INF, single_source
 from repro.algorithms.sssp import SSSPProgram, SSSPQuery
 from repro.core.checkpoint import CheckpointPolicy
 from repro.core.engine import GrapeEngine
-from repro.core.supervisor import (
-    SupervisionPolicy,
-    Supervisor,
-    capped_backoff,
-)
+from repro.core import supervisor as supervisor_module
+from repro.core.supervisor import Supervisor, capped_backoff
 from repro.errors import (
     FatalWorkerFailure,
     TransientWorkerFailure,
@@ -100,11 +97,10 @@ def test_fatal_crash_before_first_checkpoint_names_missing_snapshot(tmp_path):
         )
 
 
-def test_exhausted_retries_escalate_to_fatal():
+def test_exhausted_retries_escalate_to_fatal(monkeypatch):
+    monkeypatch.setattr(supervisor_module, "MAX_RETRIES", 2)
     g = road_network(8, 8, seed=3, removal_prob=0.0)
-    engine = _engine(
-        g, workers=2, supervision=SupervisionPolicy(max_retries=2)
-    )
+    engine = _engine(g, workers=2)
     # unlimited transient crashes on every compute: retries must run out
     plan = FaultPlan(
         faults=(CrashFault(probability=1.0, fatal=False, times=None),),
@@ -140,9 +136,9 @@ def test_capped_backoff_doubles_then_caps():
     ]
 
 
-def test_recovery_cap_enforced():
-    policy = SupervisionPolicy(max_recoveries=2)
-    supervisor = Supervisor(policy, FaultCounters())
+def test_recovery_cap_enforced(monkeypatch):
+    monkeypatch.setattr(supervisor_module, "MAX_RECOVERIES", 2)
+    supervisor = Supervisor(FaultCounters())
     failure = FatalWorkerFailure("boom", worker=1, superstep=3)
     supervisor.begin_recovery(failure)
     supervisor.begin_recovery(failure)

@@ -12,6 +12,7 @@ from repro.partition.multilevel.coarsen import (
     heavy_edge_matching,
     make_work_graph,
 )
+from repro.partition.multilevel import driver
 from repro.partition.multilevel.driver import MultilevelPartitioner
 from repro.partition.multilevel.initial import greedy_growth
 from repro.partition.multilevel.refine import cut_weight, project, refine
@@ -131,9 +132,10 @@ def test_driver_empty_graph():
     assert MultilevelPartitioner()(Graph(), 3) == {}
 
 
-def test_driver_balance_within_tolerance():
+def test_driver_balance_within_tolerance(monkeypatch):
+    monkeypatch.setattr(driver, "IMBALANCE", 1.1)
     g = power_law(400, seed=11)
-    partitioner = MultilevelPartitioner(imbalance=1.1, seed=2)
+    partitioner = MultilevelPartitioner(seed=2)
     report = evaluate_partition(g, partitioner(g, 8), 8)
     assert report.balance <= 1.35
 

@@ -31,11 +31,6 @@ def test_metis_alias_is_multilevel():
     assert type(get_partitioner("metis")).__name__ == "MultilevelPartitioner"
 
 
-def test_get_with_kwargs():
-    p = get_partitioner("multilevel", imbalance=1.2)
-    assert p.imbalance == 1.2
-
-
 def test_unknown_strategy_raises_with_choices():
     with pytest.raises(RegistryError, match="hash"):
         get_partitioner("nope")

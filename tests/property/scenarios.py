@@ -112,7 +112,7 @@ def delta_batches(name: str, strategy: str) -> list[list[tuple]]:
 
 @st.composite
 def delta_scenario(draw, symmetric=False):
-    """(pre-graph, assignment, parts, mixed ops, repair_fraction).
+    """(pre-graph, assignment, parts, mixed ops, REPAIR_FRACTION).
 
     The graph is ``Graph(directed=True)`` or ``Graph(directed=False)``;
     ``symmetric=True`` instead stores and mutates both directions of

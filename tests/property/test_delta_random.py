@@ -10,6 +10,7 @@ full metrics, repair stats and checkpoint blobs must be byte-identical
 """
 
 import json
+from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from repro.algorithms.cc import CCProgram, CCQuery
 from repro.algorithms.kcore import KCoreProgram, KCoreQuery
 from repro.algorithms.sssp import SSSPProgram, SSSPQuery
 from repro.core.checkpoint import CheckpointPolicy
+from repro.core import engine as engine_module
 from repro.core.engine import GrapeEngine
 from repro.graph.fragment import build_fragments
 from repro.graph.generators import path_graph
@@ -50,15 +52,15 @@ def _repair(make_program, query, case, store, tracer=None):
     engine = GrapeEngine(
         build_fragments(pre, assignment, parts, store=store),
         cost_model=CostModel(deterministic=True),
-        repair_fraction=fraction,
         tracer=tracer,
     )
     first = engine.run(
         make_program(), query, keep_state=True, checkpoint=policy
     )
-    second = engine.run_incremental(
-        make_program(), query, first.state, ops, checkpoint=policy
-    )
+    with mock.patch.object(engine_module, "REPAIR_FRACTION", fraction):
+        second = engine.run_incremental(
+            make_program(), query, first.state, ops, checkpoint=policy
+        )
     return second, {
         "answers": [canonical_answer_bytes(r.answer) for r in (first, second)],
         "metrics": [

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.runtime import costmodel
 from repro.runtime.cluster import Cluster
 from repro.runtime.costmodel import CostModel
 from repro.runtime.message import COORDINATOR
@@ -63,9 +64,9 @@ def test_worker_compute_charged_cumulatively():
     assert cluster.metrics.load_imbalance() == pytest.approx(3.0 / 2.0)
 
 
-def test_simulated_time_uses_cost_model():
-    cm = CostModel(latency=0.0, bandwidth=1e9, barrier_overhead=1.0)
-    cluster = Cluster(1, cost_model=cm)
+def test_simulated_time_uses_cost_model(monkeypatch):
+    monkeypatch.setattr(costmodel, "BARRIER_OVERHEAD", 1.0)
+    cluster = Cluster(1, cost_model=CostModel())
     with cluster.superstep("x"):
         pass
     assert cluster.metrics.total_time == pytest.approx(1.0)

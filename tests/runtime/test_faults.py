@@ -15,6 +15,7 @@ from repro.runtime.faults import (
     StragglerFault,
     UpdateLagFault,
 )
+from repro.runtime import mpi_sim
 from repro.runtime.message import COORDINATOR
 from repro.runtime.mpi_sim import MPIController
 
@@ -106,13 +107,14 @@ def test_from_dict_rejects_junk():
         FaultPlan.from_dict({"faults": [{"kind": "drop", "sroc": 1}]})
 
 
-def test_injector_draws_are_a_pure_function_of_seed():
+def test_injector_draws_are_a_pure_function_of_seed(monkeypatch):
+    monkeypatch.setattr(mpi_sim, "MAX_ATTEMPTS", 10 ** 6)
     plan = FaultPlan(
         faults=(DropFault(probability=0.5, times=None),), seed=9
     )
 
     def schedule(injector, n=60):
-        mpi = MPIController(2, injector=injector, max_attempts=10 ** 6)
+        mpi = MPIController(2, injector=injector)
         out = []
         for i in range(n):
             mpi.send(0, 1, {"i": i})
@@ -165,9 +167,10 @@ def test_corruption_is_detected_never_applied():
     assert [m.payload for m in mpi.receive(1)] == [{"v": 3}]
 
 
-def test_persistent_drop_raises_transport_error():
+def test_persistent_drop_raises_transport_error(monkeypatch):
+    monkeypatch.setattr(mpi_sim, "MAX_ATTEMPTS", 5)
     plan = FaultPlan(faults=(DropFault(times=None),), seed=0)
-    mpi = MPIController(2, injector=plan.injector(), max_attempts=5)
+    mpi = MPIController(2, injector=plan.injector())
     mpi.send(0, 1, {"v": 4})
     for _ in range(5):
         mpi.flush()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import EngineRuntimeError
+from repro.runtime import costmodel
 from repro.runtime.costmodel import CostModel
 from repro.runtime.message import COORDINATOR, Message
 from repro.runtime.mpi_sim import MPIController
@@ -94,19 +95,23 @@ def test_network_time_zero_when_silent():
     assert CostModel().network_time(0, 0) == 0.0
 
 
-def test_network_time_latency_plus_bandwidth():
-    cm = CostModel(latency=1e-3, bandwidth=1e6)
+def test_network_time_latency_plus_bandwidth(monkeypatch):
+    monkeypatch.setattr(costmodel, "BANDWIDTH", 1e6)
+    cm = CostModel()
     assert cm.network_time(1000, 2) == pytest.approx(1e-3 + 1e-3)
 
 
-def test_superstep_time_composition():
-    cm = CostModel(
-        latency=0.0, bandwidth=1e6, barrier_overhead=0.5, compute_scale=2.0
-    )
+def test_superstep_time_composition(monkeypatch):
+    monkeypatch.setattr(costmodel, "LATENCY", 0.0)
+    monkeypatch.setattr(costmodel, "BANDWIDTH", 1e6)
+    monkeypatch.setattr(costmodel, "BARRIER_OVERHEAD", 0.5)
+    cm = CostModel(compute_scale=2.0)
     t = cm.superstep_time(1.0, 1_000_000, 0)
     assert t == pytest.approx(2.0 + 1.0 + 0.5)
 
 
-def test_compute_scale_applies_only_to_compute():
-    slow = CostModel(compute_scale=10.0, barrier_overhead=0.0, latency=0.0)
+def test_compute_scale_applies_only_to_compute(monkeypatch):
+    monkeypatch.setattr(costmodel, "LATENCY", 0.0)
+    monkeypatch.setattr(costmodel, "BARRIER_OVERHEAD", 0.0)
+    slow = CostModel(compute_scale=10.0)
     assert slow.superstep_time(0.1, 0, 0) == pytest.approx(1.0)

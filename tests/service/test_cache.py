@@ -11,12 +11,11 @@ from repro.service.cache import (
 )
 
 
-def _entry(version=1, answer="a", stored_at=0.0):
+def _entry(version=1, answer="a"):
     return CacheEntry(
         answer=answer,
         version=version,
         query_class="sssp",
-        stored_at=stored_at,
         cost=1.0,
     )
 
@@ -52,13 +51,13 @@ def test_version_is_part_of_the_key():
     )
 
 
-# ------------------------------------------------------------ LRU + TTL
+# ------------------------------------------------------------------ LRU
 def test_get_put_roundtrip_counts_hits_and_misses():
     cache = ResultCache(capacity=4)
     key = cache_key(1, "sssp", {"source": 0})
-    assert cache.get(key, now=0.0) is None
+    assert cache.get(key) is None
     cache.put(key, _entry())
-    assert cache.get(key, now=0.0).answer == "a"
+    assert cache.get(key).answer == "a"
     assert cache.stats.hits == 1
     assert cache.stats.misses == 1
     assert cache.stats.hit_rate == 0.5
@@ -69,21 +68,11 @@ def test_lru_evicts_least_recently_used():
     k1, k2, k3 = (cache_key(1, "sssp", {"source": s}) for s in (1, 2, 3))
     cache.put(k1, _entry())
     cache.put(k2, _entry())
-    cache.get(k1, now=0.0)  # refresh k1; k2 becomes the LRU tail
+    cache.get(k1)  # refresh k1; k2 becomes the LRU tail
     cache.put(k3, _entry())
-    assert cache.get(k1, now=0.0) is not None
-    assert cache.get(k2, now=0.0) is None
+    assert cache.get(k1) is not None
+    assert cache.get(k2) is None
     assert cache.stats.evicted_lru == 1
-
-
-def test_ttl_expires_in_simulated_time():
-    cache = ResultCache(capacity=4, ttl=10.0)
-    key = cache_key(1, "cc", {})
-    cache.put(key, _entry(stored_at=5.0))
-    assert cache.get(key, now=15.0) is not None  # exactly at the edge
-    assert cache.get(key, now=15.1) is None
-    assert cache.stats.expired_ttl == 1
-    assert len(cache) == 0
 
 
 def test_invalidate_before_drops_only_stale_versions():
@@ -94,7 +83,7 @@ def test_invalidate_before_drops_only_stale_versions():
     cache.put(new, _entry(version=2))
     assert cache.invalidate_before(2) == 1
     assert len(cache) == 1
-    assert cache.get(new, now=0.0) is not None
+    assert cache.get(new) is not None
     assert cache.stats.invalidated == 1
 
 
@@ -119,7 +108,6 @@ def _hot_entry(source, hits):
         answer="a",
         version=1,
         query_class="sssp",
-        stored_at=0.0,
         cost=1.0,
         params={"source": source},
         hits=0,
@@ -133,11 +121,11 @@ def test_hottest_invalidated_orders_by_hits_and_filters_cold():
         key, entry, n = _hot_entry(source, hits)
         cache.put(key, entry)
         for _ in range(n):
-            cache.get(key, now=0.0)
+            cache.get(key)
     # An entry without params can never be re-run: must not qualify.
     paramless = cache_key(1, "cc", {})
     cache.put(paramless, _entry())
-    cache.get(paramless, now=0.0)
+    cache.get(paramless)
 
     assert cache.hottest_invalidated(4) == []  # nothing invalidated yet
     assert cache.invalidate_before(2) == 4
@@ -150,7 +138,7 @@ def test_hottest_invalidated_reflects_latest_invalidation_only():
     cache = ResultCache(capacity=8)
     key, entry, _ = _hot_entry(0, 1)
     cache.put(key, entry)
-    cache.get(key, now=0.0)
+    cache.get(key)
     cache.invalidate_before(2)
     assert len(cache.hottest_invalidated(2)) == 1
     cache.invalidate_before(3)  # nothing stale now

@@ -156,6 +156,27 @@ MALFORMED_TRACES = [
                  id="service-knob-not-positive"),
     pytest.param(_trace(service={"cache_ttl": "x"}), "'cache_ttl'",
                  id="cache-ttl-not-a-number"),
+    # A key the replay would not read used to be dropped silently: a
+    # misspelt knob served at its default, a misspelt field ran once.
+    pytest.param(_trace(service={"cache_capcity": 1}),
+                 "'service': unknown key 'cache_capcity'; allowed: "
+                 "cache_capacity, concurrency, max_pending, rewarm_hottest",
+                 id="service-knob-misspelt"),
+    pytest.param(_trace(service={"cache_ttl": 5.0}), "unknown key 'cache_ttl'",
+                 id="cache-ttl-removed"),
+    pytest.param(_trace({**_Q, "repeet": 3}), "op #1: unknown key 'repeet'",
+                 id="query-field-misspelt"),
+    pytest.param(_trace({"op": "update", "edges": [[0, 1, 0.5]],
+                         "verfy": False}),
+                 "op #1: unknown key 'verfy'", id="update-field-misspelt"),
+    pytest.param(_trace({"op": "drain", "at": 1.0}), "op #1: unknown key 'at'",
+                 id="drain-field-unknown"),
+    pytest.param({**_trace(), "worker": 2}, "unknown key 'worker'",
+                 id="top-level-key-misspelt"),
+    pytest.param(_trace(standing=[{"name": "a", "class": "sssp",
+                                   "parms": {}}]),
+                 "standing entry #0: unknown key 'parms'",
+                 id="standing-key-misspelt"),
     pytest.param({**_trace(), "partition": [1]}, "'partition'",
                  id="partition-not-a-string"),
     pytest.param({**_trace(), "store": [1]}, "'store'",
