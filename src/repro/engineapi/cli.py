@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from repro.core.engine import MODES
-from repro.engineapi.query import build_query, query_classes
+from repro.engineapi.query import build_query, check_source, query_classes
 from repro.engineapi.registry import available_programs, get_program
 from repro.engineapi.report import format_report
 from repro.engineapi.session import Session
@@ -51,7 +51,9 @@ def _query_from_args(
     program_kwargs: dict[str, object] = {}
     if args.query == "pagerank":
         program_kwargs["total_vertices"] = graph.num_vertices
-    return build_query(args.query, **kwargs), program_kwargs
+    query = build_query(args.query, **kwargs)
+    check_source(query, graph)
+    return query, program_kwargs
 
 
 def _export_trace(tracer, path: str) -> None:
@@ -72,6 +74,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
     graph = _make_graph(args.graph, args.store)
+    query, program_kwargs = _query_from_args(args, graph)
     tracer = None
     if args.trace_out:
         from repro.obs import Tracer
@@ -86,7 +89,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         backend=args.backend,
         mode=args.mode,
     )
-    query, program_kwargs = _query_from_args(args, graph)
     program = get_program(args.query, **program_kwargs)
     repair = None
     try:

@@ -30,6 +30,20 @@ def _source(query_class: str, kw: dict) -> Hashable:
     return source
 
 
+def check_source(query: object, graph: Graph) -> None:
+    """Refuse a query whose ``source`` is not a vertex of ``graph``.
+
+    A ΔG batch refuses unknown endpoints, so such a source can never
+    become one: the answer would be empty at every version.
+    """
+    source = getattr(query, "source", None)
+    if source is not None and not graph.has_vertex(source):
+        raise QueryError(
+            f"{type(query).__name__} source {source!r} is not a vertex of "
+            f"the graph ({graph.num_vertices} vertices)"
+        )
+
+
 def _sssp(**kw) -> SSSPQuery:
     return SSSPQuery(source=_source("sssp", kw))
 

@@ -8,6 +8,8 @@ workload trace, a fault plan) into one of them.
 
 from __future__ import annotations
 
+import math
+
 
 class GrapeError(Exception):
     """Base class for every error raised by this library."""
@@ -151,6 +153,7 @@ INT = ("an integer", _is_int)
 POSITIVE_INT = ("a positive integer", lambda v: _is_int(v) and v >= 1)
 INT_OR_NULL = ("an integer or null", lambda v: v is None or _is_int(v))
 NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
+FINITE = ("a finite number", lambda v: NUMBER[1](v) and math.isfinite(v))
 BOOL = ("a boolean", lambda v: isinstance(v, bool))
 STR = ("a string", lambda v: isinstance(v, str))
 OBJECT = ("an object", lambda v: isinstance(v, dict))

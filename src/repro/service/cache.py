@@ -63,11 +63,25 @@ class CacheEntry:
     query_class: str
     #: Simulated cost of the engine run that produced the answer.
     cost: float
-    #: Original query params (needed to re-run the query when the entry
-    #: is selected for re-warming after a version bump); None = unknown.
+    #: Original query params (needed to keep the query warm when the
+    #: entry is picked for re-warming after a version bump); None =
+    #: unknown.
     params: dict | None = None
     #: Lookup hits served by this entry (re-warm hotness signal).
     hits: int = 0
+
+
+def hottest(entries: list[CacheEntry]) -> list[CacheEntry]:
+    """The re-warm candidates among ``entries``, most hits first.
+
+    Only entries with recorded params and at least one hit qualify.
+    The sort is stable over ``entries`` (LRU order, as
+    :meth:`ResultCache.invalidate_before` returns them), so ties go to
+    the *least* recently used entry.
+    """
+    candidates = [e for e in entries if e.params is not None and e.hits > 0]
+    candidates.sort(key=lambda entry: entry.hits, reverse=True)
+    return candidates
 
 
 @dataclass
@@ -111,7 +125,6 @@ class ResultCache:
         self.capacity = capacity
         self.stats = CacheStats()
         self._entries: OrderedDict[tuple, CacheEntry] = OrderedDict()
-        self._last_invalidated: list[CacheEntry] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -140,41 +153,19 @@ class ResultCache:
             self._entries.popitem(last=False)
             self.stats.evicted_lru += 1
 
-    def invalidate_before(self, version: int) -> int:
+    def invalidate_before(self, version: int) -> list[CacheEntry]:
         """Drop every entry cached at a graph version below ``version``.
 
         Called by the service right after a mutation batch bumps the
         version: the keys could never match again, so holding them would
-        only displace live entries. The dropped entries are stashed so
-        :meth:`hottest_invalidated` can pick re-warm candidates.
+        only displace live entries. Returns the dropped entries in LRU
+        order (the re-warm candidates, see :func:`hottest`).
         """
         stale = [
             key
             for key, entry in self._entries.items()
             if entry.version < version
         ]
-        self._last_invalidated = [self._entries[key] for key in stale]
-        for key in stale:
-            del self._entries[key]
-        self.stats.invalidated += len(stale)
-        return len(stale)
-
-    def hottest_invalidated(self, n: int | None = None) -> list[CacheEntry]:
-        """The most-hit entries dropped by the last invalidation.
-
-        Only entries that recorded their query params (and at least one
-        hit — cold entries are not worth pre-paying for) qualify; ties
-        break toward most recently used (insertion order is LRU order).
-        ``n`` caps the list (None = all qualifying entries).
-        """
-        candidates = [
-            entry
-            for entry in self._last_invalidated
-            if entry.params is not None and entry.hits > 0
-        ]
-        candidates.sort(key=lambda entry: entry.hits, reverse=True)
-        return candidates if n is None else candidates[:n]
-
-    def clear(self) -> None:
-        """Drop everything (stats are kept)."""
-        self._entries.clear()
+        dropped = [self._entries.pop(key) for key in stale]
+        self.stats.invalidated += len(dropped)
+        return dropped

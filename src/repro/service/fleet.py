@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from repro.core.checkpoint import CheckpointPolicy
 from repro.core.delta import GraphDelta, apply_delta
 from repro.core.supervisor import capped_backoff
-from repro.engineapi.query import build_query
+from repro.engineapi.query import build_query, check_source
 from repro.engineapi.registry import get_program
 from repro.errors import (
     FatalWorkerFailure,
@@ -540,7 +540,8 @@ class FleetRouter:
         rung is empty (impossible with >= 1 checkpoint) does it raise.
         """
         params = dict(params or {})
-        build_query(query_class, **params)  # validate up front
+        query = build_query(query_class, **params)  # validate up front
+        check_source(query, self._head.fragments[0].graph)
         if deadline is None:
             deadline = self.deadline
         _check_deadline(deadline)

@@ -144,8 +144,10 @@ class UpdateStats:
     edges: int = 0
     deletes: int = 0
     reweights: int = 0
-    #: Evicted hot cache entries recomputed eagerly at the new version.
+    #: Hot invalidated cache entries kept warm at the new version.
     rewarmed: int = 0
+    #: Audited hot-entry repairs that diverged from a full run.
+    mismatches: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -154,6 +156,7 @@ class UpdateStats:
             "deletes": self.deletes,
             "reweights": self.reweights,
             "rewarmed": self.rewarmed,
+            "mismatches": self.mismatches,
         }
 
 
@@ -173,8 +176,10 @@ class ServiceReport:
     # ------------------------------------------------------------------
     @property
     def survived(self) -> bool:
-        """No standing query ever diverged from a full recomputation."""
-        return all(s["mismatches"] == 0 for s in self.standing)
+        """No kept answer ever diverged from a full recomputation."""
+        return not self.updates.get("mismatches") and all(
+            s["mismatches"] == 0 for s in self.standing
+        )
 
     @property
     def cache_hit_rate(self) -> float:

@@ -38,8 +38,9 @@ class QueryRequest:
     priority: int = DEFAULT_PRIORITY
     #: Simulated service time at admission (latency is measured from here).
     submit_time: float = 0.0
-    #: False when the params cannot be canonicalized (cache bypassed).
-    cacheable: bool = True
+    #: Cache key at the admission version; None when the params cannot
+    #: be canonicalized (cache bypassed).
+    key: tuple | None = None
 
     @property
     def order_key(self) -> tuple[int, int]:

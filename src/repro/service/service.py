@@ -10,14 +10,16 @@ front of :class:`~repro.core.engine.GrapeEngine`:
 * the graph lives behind a **monotonically versioned handle**; repeated
   queries at an unchanged version are answered from a
   :class:`~repro.service.cache.ResultCache` in O(1);
-* **standing queries** registered once are kept warm across mutations:
-  ``apply_updates`` routes a mixed ΔG batch (insertions, deletions,
-  weight changes) into the fragments *once*, bumps the version,
-  invalidates the cache, and repairs every registered answer with
-  ``run_incremental`` — monotone resume for safe ops, scoped
-  non-monotone repair for the rest — then re-seeds the cache at the new
-  version with the repaired answers and optionally re-warms the
-  hottest evicted entries (``rewarm_hottest``).
+* answers are **kept warm across mutations**: ``apply_updates`` routes
+  a mixed ΔG batch (insertions, deletions, weight changes) into the
+  fragments *once*, bumps the version, invalidates the cache, then
+  brings every kept answer to the new version in one loop — the
+  registered standing queries (pinned) and the ``rewarm_hottest``
+  hottest invalidated cache entries (unpinned). Each is repaired from
+  its kept engine state with ``run_incremental`` (monotone resume for
+  safe ops, scoped non-monotone repair for the rest); a hot entry
+  without one (newly hot, or a program without ΔG hooks) runs cold.
+  The cache is re-seeded at the new version with every result.
 
 Consistency model: queries observe the graph version they were admitted
 under; ``apply_updates`` therefore drains the queue before mutating (the
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.core.delta import (
     EdgeDelete,
@@ -37,7 +40,7 @@ from repro.core.delta import (
     check_batch,
 )
 from repro.core.pie import handles_graph_updates
-from repro.engineapi.query import build_query
+from repro.engineapi.query import build_query, check_source
 from repro.engineapi.registry import get_program
 from repro.engineapi.session import Session
 from repro.errors import ServiceError
@@ -46,6 +49,7 @@ from repro.service.cache import (
     ResultCache,
     Uncacheable,
     cache_key,
+    hottest,
 )
 from repro.service.metrics import (
     ClassStats,
@@ -88,17 +92,18 @@ class ServedResult:
 
 
 @dataclass
-class StandingQuery:
-    """One registered query kept warm across graph mutations."""
+class KeptAnswer:
+    """An answer kept warm across graph mutations: a standing query
+    (pinned, with ``stats``) or a hot cache entry (unpinned)."""
 
-    name: str
     query_class: str
     params: dict
     query: object
     program: object
-    state: object
-    answer: object
-    stats: StandingStats
+    #: Engine state to repair from; None runs the query cold next batch.
+    state: object = None
+    answer: object = None
+    stats: StandingStats | None = None
 
 
 @dataclass
@@ -113,7 +118,7 @@ class UpdateOutcome:
     deletes: int = 0
     #: Reweight ops in the batch.
     reweights: int = 0
-    #: Hot evicted entries recomputed eagerly at the new version.
+    #: Hot invalidated cache entries kept warm at the new version.
     rewarmed: int = 0
     #: Results of queries drained before the mutation (seq -> result).
     drained: dict[int, ServedResult] = field(default_factory=dict)
@@ -132,9 +137,11 @@ class GrapeService:
         max_pending: admission-queue bound (backpressure beyond it).
         concurrency: simulated worker lanes queries dispatch onto.
         cache_capacity: result-cache entry bound (LRU beyond it).
-        rewarm_hottest: after every mutation batch, re-run (and
-            re-cache) up to this many of the hottest invalidated cache
-            entries so repeat clients stay on the hit path (0 = off).
+        rewarm_hottest: after every mutation batch, keep up to this
+            many of the hottest invalidated cache entries warm at the
+            new version — repaired when picked the batch before too,
+            else run cold — so repeat clients stay on the hit path
+            (0 = off).
         program_kwargs: per-query-class constructor kwargs (e.g.
             ``{"pagerank": {"total_vertices": n}}``); pagerank's
             ``total_vertices`` is defaulted from the graph automatically.
@@ -177,7 +184,10 @@ class GrapeService:
         self._version = initial_version
         self._clock = 0.0
         self._pending_queries: dict[int, object] = {}
-        self._standing: dict[str, StandingQuery] = {}
+        self._standing: dict[str, KeptAnswer] = {}
+        #: Unpinned kept answers by (query class, frozen params): the
+        #: hot entries the last batch picked.
+        self._hot: dict[tuple, KeptAnswer] = {}
         self._classes: dict[str, ClassStats] = {}
         self._updates = UpdateStats()
 
@@ -218,12 +228,12 @@ class GrapeService:
         """
         params = dict(params or {})
         query = build_query(query_class, **params)  # validate up front
+        check_source(query, self.session.graph)
         stats = self._class_stats(query_class)
-        cacheable = True
         try:
-            cache_key(self._version, query_class, params)
+            key = cache_key(self._version, query_class, params)
         except Uncacheable:
-            cacheable = False
+            key = None
             self._cache.stats.uncacheable += 1
         request = QueryRequest(
             seq=self._queue.next_seq(),
@@ -232,7 +242,7 @@ class GrapeService:
             client=client,
             priority=priority,
             submit_time=self._clock,
-            cacheable=cacheable,
+            key=key,
         )
         try:
             self._queue.admit(
@@ -337,9 +347,8 @@ class GrapeService:
         self, request: QueryRequest, query: object
     ) -> tuple[object, float, bool]:
         """(answer, simulated cost, from_cache) for one dispatch."""
-        key = None
-        if request.cacheable:
-            key = cache_key(self._version, request.query_class, request.params)
+        key = request.key
+        if key is not None:
             entry = self._cache.get(key)
             if entry is not None:
                 return entry.answer, HIT_COST, True
@@ -349,15 +358,8 @@ class GrapeService:
             result.metrics
         )
         if key is not None:
-            self._cache.put(
-                key,
-                CacheEntry(
-                    answer=result.answer,
-                    version=self._version,
-                    query_class=request.query_class,
-                    cost=cost,
-                    params=dict(request.params),
-                ),
+            self._seed_cache(
+                request.query_class, request.params, result.answer, cost
             )
         return result.answer, cost, False
 
@@ -380,16 +382,15 @@ class GrapeService:
         """
         if name in self._standing:
             raise ServiceError(f"standing query {name!r} already registered")
-        params = dict(params or {})
-        query = build_query(query_class, **params)
-        program = self._program(query_class)
-        if not handles_graph_updates(program):
+        kept = self._keep(query_class, params or {})
+        if not handles_graph_updates(kept.program):
             raise ServiceError(
                 f"cannot register standing query {name!r}: program "
                 f"{query_class!r} does not implement on_graph_update, so "
                 "its answer cannot be repaired incrementally"
             )
-        result = self._engine.run(program, query, keep_state=True)
+        result = self._engine.run(kept.program, kept.query, keep_state=True)
+        kept.state, kept.answer = result.state, result.answer
         cost = run_cost(result.metrics)
         lane, start = self._lanes.start(self._clock)
         self._lanes.occupy(lane, start + cost)
@@ -399,22 +400,11 @@ class GrapeService:
                 "svc_standing", name=name, query_class=query_class,
                 start=start, finish=start + cost,
             )
-        stats = StandingStats(
-            name=name,
-            query_class=query_class,
-            cold_work=result.metrics.work(),
+        kept.stats = StandingStats(
+            name, query_class, cold_work=result.metrics.work()
         )
-        self._standing[name] = StandingQuery(
-            name=name,
-            query_class=query_class,
-            params=params,
-            query=query,
-            program=program,
-            state=result.state,
-            answer=result.answer,
-            stats=stats,
-        )
-        self._seed_cache(self._standing[name], cost)
+        self._standing[name] = kept
+        self._seed_cache(query_class, kept.params, kept.answer, cost)
         return result.answer
 
     def standing_answer(self, name: str) -> object:
@@ -427,27 +417,16 @@ class GrapeService:
                 f"{sorted(self._standing)}"
             ) from None
 
-    def standing_queries(self) -> list[str]:
-        """Names of all registered standing queries."""
-        return sorted(self._standing)
-
-    def _seed_cache(self, standing: StandingQuery, cost: float) -> None:
-        """Warm the cache at the current version with a standing answer."""
+    def _seed_cache(
+        self, query_class: str, params: dict, answer: object, cost: float
+    ) -> None:
+        """Cache ``answer`` at the current version (if it is cacheable)."""
         try:
-            key = cache_key(
-                self._version, standing.query_class, standing.params
-            )
+            key = cache_key(self._version, query_class, params)
         except Uncacheable:
             return
         self._cache.put(
-            key,
-            CacheEntry(
-                answer=standing.answer,
-                version=self._version,
-                query_class=standing.query_class,
-                cost=cost,
-                params=dict(standing.params),
-            ),
+            key, CacheEntry(answer, self._version, query_class, cost, params)
         )
 
     # ------------------------------------------------------------------
@@ -460,20 +439,20 @@ class GrapeService:
         deletes=(),
         reweights=(),
     ) -> UpdateOutcome:
-        """Apply one mixed ΔG batch; repair standing answers.
+        """Apply one mixed ΔG batch; keep every kept answer warm.
 
         ``edges`` holds insertions (:class:`EdgeInsert`,
         ``(src, dst[, weight[, label]])`` tuples, or any tagged delta-op
         form), ``deletes`` holds ``(src, dst)`` pairs or
         :class:`EdgeDelete`, and ``reweights`` holds
         ``(src, dst, weight)`` triples or :class:`EdgeReweight`. The
-        batch is routed into the fragments exactly once; every standing
-        query is then repaired via ``run_incremental`` on the shared
-        routing — its program decides per op whether to resume
-        monotonically or enter the non-monotone repair path. With
-        ``verify=True`` each repaired answer is audited against a fresh
-        full recomputation (byte-identical or the report flags a
-        mismatch) — the audit runs off the service clock.
+        batch is routed into the fragments exactly once. Every standing
+        query (by name), then every picked hot cache entry (hottest
+        first), is brought to the new version on that shared routing
+        and re-seeded into the cache. With ``verify=True`` each repaired
+        answer is audited against a fresh full recomputation
+        (byte-identical or the report flags a mismatch) — the audit runs
+        off the service clock.
         """
         delta = self._as_delta(edges, deletes, reweights)
         # A rejected batch changes nothing: not the queue, the clock, the
@@ -483,41 +462,50 @@ class GrapeService:
         update_start = self._clock
         # Route through the engine so process-backend workers replay
         # the same fragment mutations (effect sync happens once here,
-        # then every standing repair reuses `touched`).
+        # then every repair reuses `touched`).
         touched = self._engine.apply_delta(delta)
         self._mutate_graph(delta)
         self._version += 1
-        invalidated = self._cache.invalidate_before(self._version)
+        dropped = self._cache.invalidate_before(self._version)
         outcome = UpdateOutcome(
             version=self._version,
             edges=delta.inserts,
-            invalidated=invalidated,
+            invalidated=len(dropped),
             deletes=delta.deletes,
             reweights=delta.reweights,
             drained=drained,
         )
-        for name in sorted(self._standing):
-            standing = self._standing[name]
-            result = self._engine.run_incremental(
-                standing.program,
-                standing.query,
-                standing.state,
-                delta,
-                touched=touched,
-            )
-            standing.state = result.state
-            standing.answer = result.answer
-            stats = standing.stats
-            stats.repairs += 1
-            stats.incremental_work += result.metrics.work()
-            repair_cost = run_cost(result.metrics)
-            stats.incremental_time += repair_cost
-            self._clock += repair_cost
-            self._seed_cache(standing, repair_cost)
-            outcome.repaired[name] = result.answer
-            if verify:
-                outcome.verified[name] = self._verify_standing(standing)
-        outcome.rewarmed = self._rewarm()
+        # Standing queries (pinned, by name), then the picked hot cache
+        # entries (hottest first), so cache puts land in LRU order. A
+        # kept state is repaired on the shared routing; without one the
+        # query runs cold, keeping state if its program has ΔG hooks.
+        pinned = [(n, self._standing[n]) for n in sorted(self._standing)]
+        for name, kept in chain(pinned, self._pick_hot(dropped)):
+            if kept.state is None:
+                result = self._engine.run(
+                    kept.program, kept.query,
+                    keep_state=handles_graph_updates(kept.program),
+                )
+            else:
+                result = self._engine.run_incremental(
+                    kept.program, kept.query, kept.state, delta,
+                    touched=touched,
+                )
+            kept.state, kept.answer = result.state, result.answer
+            cost = run_cost(result.metrics)
+            self._clock += cost
+            self._seed_cache(kept.query_class, kept.params, kept.answer, cost)
+            if name is None:
+                outcome.rewarmed += 1
+            else:
+                outcome.repaired[name] = kept.answer
+                kept.stats.repairs += 1
+                kept.stats.incremental_work += result.metrics.work()
+                kept.stats.incremental_time += cost
+            if verify and result.repair is not None:
+                identical = self._audit(kept)
+                if name is not None:
+                    outcome.verified[name] = identical
         self._updates.batches += 1
         self._updates.edges += delta.inserts
         self._updates.deletes += delta.deletes
@@ -530,7 +518,7 @@ class GrapeService:
                 inserts=delta.inserts,
                 deletes=delta.deletes,
                 reweights=delta.reweights,
-                invalidated=invalidated,
+                invalidated=len(dropped),
                 start=update_start,
                 finish=self._clock,
                 repaired=sorted(outcome.repaired),
@@ -551,43 +539,43 @@ class GrapeService:
                     graph.edge_label(op.src, op.dst),
                 )
 
-    def _rewarm(self) -> int:
-        """Recompute the hottest invalidated entries at the new version.
+    def _pick_hot(self, dropped: list[CacheEntry]):
+        """Yield ``(None, kept)`` for up to ``rewarm_hottest`` of the
+        :func:`hottest` ``dropped`` entries, rebuilding ``self._hot``.
 
-        Evicted-entry hotness (lookup hits) picks the queries repeat
-        clients are most likely to ask again; each re-runs through the
-        ordinary query path and lands back in the cache so the next
-        lookup hits. Entries the standing-query repair already re-seeded
-        don't need (and don't consume) a re-warm slot — the budget is
-        ``rewarm_hottest`` *recomputations*, walked in hotness order.
+        Lazy: an entry whose new key a standing query re-seeded earlier
+        in the same loop is skipped. A pick keeps its state from the
+        batch before; an entry not picked loses it (it missed a repair).
         """
-        rewarmed = 0
-        for entry in self._cache.hottest_invalidated():
-            if rewarmed >= self._rewarm_hottest:
+        before, self._hot = self._hot, {}
+        for entry in hottest(dropped):
+            if len(self._hot) >= self._rewarm_hottest:
                 break
-            try:
-                key = cache_key(self._version, entry.query_class, entry.params)
-            except Uncacheable:
-                continue
+            key = cache_key(self._version, entry.query_class, entry.params)
             if self._cache.contains(key):
                 continue
-            self.query(entry.query_class, entry.params, client="rewarm")
-            rewarmed += 1
-        return rewarmed
+            ident = key[1:]
+            kept = before.get(ident) or self._keep(
+                entry.query_class, entry.params
+            )
+            self._hot[ident] = kept
+            yield None, kept
 
-    def _verify_standing(self, standing: StandingQuery) -> bool:
-        """Audit one standing answer against a fresh full run."""
-        program = self._program(standing.query_class)
-        full = self._engine.run(program, standing.query)
-        stats = standing.stats
+    def _audit(self, kept: KeptAnswer) -> bool:
+        """Audit one repaired answer against a fresh full run (a hot
+        entry's mismatch is booked on the update counters)."""
+        full = self._engine.run(self._program(kept.query_class), kept.query)
+        identical = canonical_answer_bytes(
+            kept.answer
+        ) == canonical_answer_bytes(full.answer)
+        stats = kept.stats
+        if stats is None:
+            self._updates.mismatches += not identical
+            return identical
         stats.verified_batches += 1
         stats.full_work += full.metrics.work()
         stats.full_time += run_cost(full.metrics)
-        identical = canonical_answer_bytes(
-            standing.answer
-        ) == canonical_answer_bytes(full.answer)
-        if not identical:
-            stats.mismatches += 1
+        stats.mismatches += not identical
         return identical
 
     @staticmethod
@@ -646,6 +634,13 @@ class GrapeService:
         if query_class not in self._classes:
             self._classes[query_class] = ClassStats()
         return self._classes[query_class]
+
+    def _keep(self, query_class: str, params: dict) -> KeptAnswer:
+        query = build_query(query_class, **params)
+        check_source(query, self.session.graph)
+        return KeptAnswer(
+            query_class, dict(params), query, self._program(query_class)
+        )
 
     def _program(self, query_class: str):
         kwargs = dict(self._program_kwargs.get(query_class, {}))

@@ -38,9 +38,10 @@ import json
 
 from repro.core.delta import GraphDelta
 from repro.errors import (
+    BOOL,
+    FINITE,
     INT,
     LIST,
-    NUMBER,
     OBJECT,
     POSITIVE_INT,
     STR,
@@ -141,9 +142,11 @@ def load_trace(path: str) -> dict:
                 raise GrapeError(f"{where} needs a 'class'")
             check_fields(where, op, STR, "class")
             check_fields(where, op, OBJECT, "params")
-            check_fields(where, op, INT, "repeat", "priority")
-            check_fields(where, op, NUMBER, "at")
+            check_fields(where, op, INT, "priority")
+            check_fields(where, op, POSITIVE_INT, "repeat")
+            check_fields(where, op, FINITE, "at")
         if kind == "update":
+            check_fields(where, op, BOOL, "verify")
             if not (
                 op.get("edges") or op.get("deletes") or op.get("reweights")
             ):

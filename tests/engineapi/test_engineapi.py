@@ -263,6 +263,19 @@ def test_cli_bad_graph_spec(capsys):
     assert "error: bad graph spec 'road:axb'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("query", ["sssp", "bfs"])
+def test_cli_run_refuses_an_absent_source(capsys, query):
+    """``--source 999`` on a 16-vertex graph used to exit 0 with an
+    empty answer."""
+    rc = main(["run", "--graph", "road:4x4", "--query", query,
+               "--source", "999"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "source 999 is not a vertex" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_run_updates_reports_repair(capsys, tmp_path):
     import json
 

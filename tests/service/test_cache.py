@@ -8,6 +8,7 @@ from repro.service.cache import (
     Uncacheable,
     cache_key,
     freeze,
+    hottest,
 )
 
 
@@ -81,7 +82,7 @@ def test_invalidate_before_drops_only_stale_versions():
     new = cache_key(2, "sssp", {"source": 0})
     cache.put(old, _entry(version=1))
     cache.put(new, _entry(version=2))
-    assert cache.invalidate_before(2) == 1
+    assert cache.invalidate_before(2) == [_entry(version=1)]
     assert len(cache) == 1
     assert cache.get(new) is not None
     assert cache.stats.invalidated == 1
@@ -103,46 +104,43 @@ def test_contains_has_no_side_effects():
 
 
 # ------------------------------------------------------------ re-warm picks
-def _hot_entry(source, hits):
-    entry = CacheEntry(
-        answer="a",
-        version=1,
-        query_class="sssp",
-        cost=1.0,
-        params={"source": source},
-        hits=0,
-    )
-    return cache_key(1, "sssp", {"source": source}), entry, hits
-
-
-def test_hottest_invalidated_orders_by_hits_and_filters_cold():
+def _hot_cache(*hits):
+    """A cache holding one sssp entry per source, put in source order,
+    each looked up ``hits[source]`` times in that order."""
     cache = ResultCache(capacity=8)
-    for source, hits in ((0, 2), (1, 5), (2, 0)):
-        key, entry, n = _hot_entry(source, hits)
-        cache.put(key, entry)
+    for source, n in enumerate(hits):
+        key = cache_key(1, "sssp", {"source": source})
+        cache.put(key, CacheEntry("a", 1, "sssp", 1.0, {"source": source}))
         for _ in range(n):
             cache.get(key)
+    return cache
+
+
+def test_hottest_orders_by_hits_and_filters_cold():
+    cache = _hot_cache(2, 5, 0)
     # An entry without params can never be re-run: must not qualify.
     paramless = cache_key(1, "cc", {})
     cache.put(paramless, _entry())
     cache.get(paramless)
 
-    assert cache.hottest_invalidated(4) == []  # nothing invalidated yet
-    assert cache.invalidate_before(2) == 4
-    picks = cache.hottest_invalidated(4)
+    dropped = cache.invalidate_before(2)
+    assert len(dropped) == 4
+    picks = hottest(dropped)
     assert [e.params for e in picks] == [{"source": 1}, {"source": 0}]
-    assert cache.hottest_invalidated(1) == picks[:1]
 
 
-def test_hottest_invalidated_reflects_latest_invalidation_only():
-    cache = ResultCache(capacity=8)
-    key, entry, _ = _hot_entry(0, 1)
-    cache.put(key, entry)
-    cache.get(key)
-    cache.invalidate_before(2)
-    assert len(cache.hottest_invalidated(2)) == 1
-    cache.invalidate_before(3)  # nothing stale now
-    assert cache.hottest_invalidated(2) == []
+def test_hottest_ties_go_to_the_least_recently_used_entry():
+    """``invalidate_before`` returns entries in LRU order and the sort
+    is stable: of two equally hot entries the older one ranks first."""
+    cache = _hot_cache(2, 1, 2)  # source 2 is the most recently used
+    picks = hottest(cache.invalidate_before(2))
+    assert [e.params["source"] for e in picks] == [0, 2, 1]
+
+
+def test_invalidate_before_returns_only_this_call_s_entries():
+    cache = _hot_cache(1)
+    assert len(cache.invalidate_before(2)) == 1
+    assert cache.invalidate_before(3) == []  # nothing stale now
 
 
 # ------------------------------------------------- service-level re-warm
@@ -167,7 +165,7 @@ def test_service_rewarm_restores_hit_rate_across_updates():
     assert not workload(cold).from_cache  # invalidated, never re-warmed
 
     warm = build(rewarm_hottest=1)
-    assert workload(warm).from_cache  # hottest entry was re-run eagerly
+    assert workload(warm).from_cache  # hottest entry was kept warm
     assert (
         warm._cache.stats.hit_rate > cold._cache.stats.hit_rate
     )

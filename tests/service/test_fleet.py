@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ProgramError, ServiceError
+from repro.errors import ProgramError, QueryError, ServiceError
 from repro.runtime.faults import (
     CrashFault,
     FaultPlan,
@@ -127,6 +127,13 @@ def test_nonsense_deadline_is_refused(deadline):
     fleet = _fleet()
     with pytest.raises(ServiceError, match="deadline"):
         fleet.query("sssp", {"source": 0}, deadline=deadline)
+    assert fleet.report().admitted == 0
+
+
+def test_absent_source_is_refused_before_admission():
+    fleet = _fleet()
+    with pytest.raises(QueryError, match="source 999 is not a vertex"):
+        fleet.query("sssp", {"source": 999})
     assert fleet.report().admitted == 0
 
 

@@ -6,13 +6,21 @@ import random
 import pytest
 
 from repro.algorithms.sequential.dijkstra import INF, single_source
+from repro.engineapi.query import build_query
 from repro.engineapi.session import Session
-from repro.errors import ProgramError, ServiceError, ServiceOverloadedError
+from repro.errors import (
+    ProgramError,
+    QueryError,
+    ServiceError,
+    ServiceOverloadedError,
+)
 from repro.graph.digraph import Graph
 from repro.graph.generators import graph_from_spec, road_network
 from repro.service import GrapeService, canonical_answer_bytes
+from repro.service.cache import freeze
 from repro.service.trace import load_trace, replay_trace
 
+from tests.property.scenarios import GRAPH_SPEC, NUM_WORKERS, random_batch
 from tests.service.test_trace import TRACE
 
 
@@ -346,6 +354,95 @@ def test_standing_requires_incremental_support():
     service = _service()
     with pytest.raises(ServiceError, match="on_graph_update"):
         service.register_standing("ranks", "pagerank", {})
+
+
+def test_absent_source_is_refused_and_never_cached():
+    """ΔG refuses unknown endpoints, so a source that is not a vertex
+    can never become one: it used to serve (and cache) ``{}``."""
+    service = _service()
+    for query_class in ("sssp", "bfs"):
+        with pytest.raises(QueryError, match="source 999 is not a vertex"):
+            service.query(query_class, {"source": 999})
+        with pytest.raises(QueryError, match="source 999 is not a vertex"):
+            service.register_standing("far", query_class, {"source": 999})
+    assert len(service._cache) == 0
+    assert service.report().classes == {}
+    assert not service.query("sssp", {"source": 35}).from_cache  # usable
+
+
+# ------------------------------------------------------------ kept answers
+#: Client traffic per round, (class, params, repeats) in order: the
+#: hottest two entries change from batch to batch, cc is picked in
+#: consecutive batches, and pagerank (no ΔG hooks) is picked twice.
+_ROUNDS = [
+    [("sssp", {"source": 5}, 3), ("bfs", {"source": 9}, 2),
+     ("cc", {}, 1), ("pagerank", {}, 1)],
+    [("sssp", {"source": 5}, 1), ("cc", {}, 3), ("pagerank", {}, 3)],
+    [("cc", {}, 2), ("pagerank", {}, 1), ("sssp", {"source": 5}, 3)],
+    [("pagerank", {}, 3), ("cc", {}, 2)],
+    [("pagerank", {}, 2), ("bfs", {"source": 9}, 2), ("sssp", {"source": 5}, 1)],
+]
+
+
+def test_hot_entries_are_kept_and_repaired_like_standing_queries():
+    graph = graph_from_spec(GRAPH_SPEC)
+    service = GrapeService(
+        Session(graph, num_workers=NUM_WORKERS), rewarm_hottest=2
+    )
+    service.register_standing("hub", "sssp", {"source": 0})
+    engine = service._engine
+    calls = []  # (method, program name, query) of the current batch
+
+    def recording(method):
+        inner = getattr(engine, method)
+
+        def call(program, query, *args, **kwargs):
+            calls.append((method, program.name, query))
+            return inner(program, query, *args, **kwargs)
+
+        return call
+
+    rng = random.Random(37)
+    edges = {(e.src, e.dst) for e in graph.edges()}
+    vertices = sorted(graph.vertices())
+    sent = 0
+    picked_before: set = set()
+    repaired = cold = 0
+    for traffic in _ROUNDS:
+        for query_class, params, repeat in traffic:
+            for _ in range(repeat):
+                service.query(query_class, params)
+                sent += 1
+        engine.run = recording("run")
+        engine.run_incremental = recording("run_incremental")
+        calls.clear()
+        outcome = service.apply_updates(random_batch(rng, edges, vertices))
+        del engine.run, engine.run_incremental
+        picked = set(service._hot)
+        assert outcome.rewarmed == len(picked) <= 2
+        kept = [*service._standing.values(), *service._hot.values()]
+        assert sum(k.state is not None for k in kept) <= 2 + 1
+        # Every warmed entry answers as a cold run at the new version.
+        for entry in service._cache._entries.values():
+            query = build_query(entry.query_class, **entry.params)
+            full = engine.run(service._program(entry.query_class), query)
+            assert canonical_answer_bytes(
+                entry.answer
+            ) == canonical_answer_bytes(full.answer), entry.query_class
+        for query_class, params in (k[:2] for k in _ROUNDS[0]):
+            ident = (query_class, freeze(params))
+            if ident not in picked:
+                continue
+            query = build_query(query_class, **params)
+            (method,) = [m for m, _, q in calls if q == query]
+            again = ident in picked_before and query_class != "pagerank"
+            assert method == ("run_incremental" if again else "run")
+            repaired += again
+            cold += query_class == "pagerank" and ident in picked_before
+        picked_before = picked
+    assert repaired and cold  # both arms ran
+    report = service.report()
+    assert sum(c["submitted"] for c in report.classes.values()) == sent
 
 
 def test_unknown_standing_query_raises():

@@ -89,6 +89,10 @@ def test_bundled_trace_meets_serving_criteria():
         # Incremental repair settles strictly less than recomputation.
         assert standing["work_ratio"] < 1.0
     assert service.version == 4  # three update batches past version 1
+    # Re-warms are not client queries: 25 sent, 25 counted.
+    assert sum(c["submitted"] for c in report.classes.values()) == 25
+    assert sum(c["completed"] for c in report.classes.values()) == 25
+    assert report.updates["rewarmed"] == 2
 
 
 def test_replay_honors_spaced_arrivals(tmp_path):
@@ -202,6 +206,25 @@ MALFORMED_TRACES = [
                  id="update-endpoint-not-a-vertex"),
     pytest.param(_trace({**_Q, "params": {"source": [1]}}), "source=",
                  id="query-source-not-a-vertex"),
+    # An absent source used to serve (and cache) an empty answer.
+    pytest.param(_trace({**_Q, "params": {"source": 999}}),
+                 "source 999 is not a vertex", id="query-source-absent"),
+    pytest.param(_trace(standing=[{"name": "a", "class": "bfs",
+                                   "params": {"source": 999}}]),
+                 "source 999 is not a vertex", id="standing-source-absent"),
+    # These used to exit 0: Infinity printed non-JSON report values, NaN
+    # was ignored, a negative repeat served nothing, "no" was truthy.
+    pytest.param(_trace({**_Q, "at": float("inf")}), "op #1: 'at'",
+                 id="at-infinite"),
+    pytest.param(_trace({**_Q, "at": float("nan")}), "op #1: 'at'",
+                 id="at-nan"),
+    pytest.param(_trace({**_Q, "repeat": -2}), "op #1: 'repeat'",
+                 id="repeat-negative"),
+    pytest.param(_trace({**_Q, "repeat": 0}), "op #1: 'repeat'",
+                 id="repeat-zero"),
+    pytest.param(_trace({"op": "update", "edges": [[0, 1, 0.5]],
+                         "verify": "no"}),
+                 "op #1: 'verify'", id="verify-not-a-boolean"),
 ]
 
 
