@@ -11,13 +11,22 @@ workers, comparing the multilevel (METIS-equivalent), streaming (LDG,
 Fennel) and hash strategies. Expected shape: multilevel ships the fewest
 parameter messages and is fastest; streaming in between; hash worst —
 the gap tracking the cross-edge counts, the mechanism the paper names.
+
+Writes ``benchmarks/results/e2_partition_strategies.json`` too: the
+table's deterministic columns (messages, bytes, cross edges, balance)
+and a digest of each assignment, key order included, so a partitioner
+change that moves a single vertex shows up as a diff of that file. The
+``.txt`` table's ``Time(s)`` column is measured and moves run to run.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
-from benchmarks.helpers import format_rows, run_once, write_result
+from benchmarks.helpers import RESULTS_DIR, format_rows, run_once, write_result
 from repro.algorithms.sssp import SSSPProgram, SSSPQuery
 from repro.core.engine import GrapeEngine
 from repro.graph.fragment import build_fragments
@@ -46,22 +55,22 @@ def _run(graph, strategy):
     fragd = build_fragments(graph, assignment, WORKERS, strategy)
     report = evaluate_partition(graph, assignment, WORKERS, strategy)
     result = GrapeEngine(fragd).run(SSSPProgram(), SSSPQuery(source=0))
-    return report, result
+    digest = hashlib.sha256(repr(list(assignment.items())).encode())
+    return report, result, digest.hexdigest()
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_strategy(benchmark, social, results, strategy):
-    report, result = run_once(benchmark, lambda: _run(social, strategy))
-    results[strategy] = (report, result)
+    results[strategy] = run_once(benchmark, lambda: _run(social, strategy))
 
 
 def test_e2_shape_and_report(benchmark, social, results):
     run_once(benchmark, lambda: None)
     assert len(results) == len(STRATEGIES)
 
-    ml_report, ml = results["multilevel"]
-    hash_report, hsh = results["hash"]
-    ldg_report, ldg = results["ldg"]
+    ml_report, ml, _ = results["multilevel"]
+    hash_report, hsh, _ = results["hash"]
+    ldg_report, ldg, _ = results["ldg"]
 
     # Cross edges drive everything (the paper's stated mechanism).
     assert ml_report.cut_edges < ldg_report.cut_edges < hash_report.cut_edges
@@ -73,13 +82,21 @@ def test_e2_shape_and_report(benchmark, social, results):
     # All strategies produce the same answer.
     answers = [
         {v: round(d, 9) for v, d in r.answer.items()}
-        for _, r in results.values()
+        for _, r, _ in results.values()
     ]
     assert all(a == answers[0] for a in answers)
 
     rows = []
+    record = {}
     for strategy in STRATEGIES:
-        report, result = results[strategy]
+        report, result, digest = results[strategy]
+        record[strategy] = {
+            "messages": result.metrics.total_messages,
+            "bytes": result.metrics.total_bytes,
+            "cross_edges": report.cut_edges,
+            "balance": report.balance,
+            "assignment_sha256": digest,
+        }
         rows.append(
             [
                 "metis(multilevel)" if strategy == "multilevel" else strategy,
@@ -100,4 +117,7 @@ def test_e2_shape_and_report(benchmark, social, results):
         "E2 / Section 3 — SSSP x partition strategy "
         f"(community graph n={social.num_vertices}, {WORKERS} workers)\n"
         + table,
+    )
+    (RESULTS_DIR / "e2_partition_strategies.json").write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n"
     )

@@ -13,6 +13,7 @@ from typing import Hashable
 from repro.core.engine import GrapeEngine, GrapeResult
 from repro.core.pie import PIEProgram
 from repro.engineapi.registry import get_program
+from repro.errors import POSITIVE_INT, PartitionError
 from repro.graph.digraph import Graph
 from repro.graph.fragment import FragmentedGraph, build_fragments
 from repro.partition.base import PartitionReport, Partitioner, evaluate_partition
@@ -28,7 +29,8 @@ class Session:
 
     Args:
         graph: the data graph.
-        num_workers: number of simulated workers (fragments).
+        num_workers: number of simulated workers (fragments), an int
+            >= 1; anything else is a :class:`~repro.errors.PartitionError`.
         partition: a registered strategy name, or a
             :class:`~repro.partition.base.Partitioner` instance.
         cost_model: simulated cluster parameters.
@@ -71,7 +73,7 @@ class Session:
     ) -> None:
         self.graph = graph
         self.store = store
-        self.num_workers = num_workers
+        self.num_workers = _checked_workers(num_workers)
         self.cost_model = cost_model or CostModel()
         self.check_monotonic = check_monotonic
         self.mode = mode
@@ -79,11 +81,7 @@ class Session:
         #: Optional :class:`~repro.obs.Tracer` every engine this session
         #: builds records into (pure observer; see repro.obs).
         self.tracer = tracer
-        self._partitioner = (
-            partition
-            if isinstance(partition, Partitioner)
-            else get_partitioner(partition)
-        )
+        self._partitioner = _resolved(partition)
         self._fragmented: FragmentedGraph | None = None
         if isinstance(backend, ExecutionBackend):
             self.backend_name = backend.name
@@ -102,36 +100,48 @@ class Session:
     def fragmented(self) -> FragmentedGraph:
         """The fragmentation, computed lazily and cached."""
         if self._fragmented is None:
-            assignment = self._partitioner(self.graph, self.num_workers)
-            self._fragmented = build_fragments(
-                self.graph,
-                assignment,
-                self.num_workers,
-                strategy=self._partitioner.name,
-                store=self.store,
+            self._fragmented = self._fragment(
+                self._partitioner, self.num_workers
             )
         return self._fragmented
+
+    def _fragment(
+        self, partitioner: Partitioner, num_workers: int
+    ) -> FragmentedGraph:
+        return build_fragments(
+            self.graph,
+            partitioner(self.graph, num_workers),
+            num_workers,
+            strategy=partitioner.name,
+            store=self.store,
+        )
 
     def repartition(
         self,
         partition: str | Partitioner | None = None,
         num_workers: int | None = None,
     ) -> FragmentedGraph:
-        """Change strategy and/or worker count; invalidates fragments."""
-        if partition is not None:
-            self._partitioner = (
-                partition
-                if isinstance(partition, Partitioner)
-                else get_partitioner(partition)
-            )
-        if num_workers is not None:
-            self.num_workers = num_workers
-        self._fragmented = None
+        """Change strategy and/or worker count; replaces the fragments.
+
+        The new fragmentation is built before the old one is dropped, so
+        a refused strategy or worker count leaves the session as it was.
+        """
+        partitioner = (
+            self._partitioner if partition is None else _resolved(partition)
+        )
+        workers = (
+            self.num_workers
+            if num_workers is None
+            else _checked_workers(num_workers)
+        )
+        fragmented = self._fragment(partitioner, workers)
+        self._partitioner, self.num_workers = partitioner, workers
+        self._fragmented = fragmented
         if self._backend is not None:
             # The backend's workers own copies of the old fragments.
             self._backend.close()
             self._backend = None
-        return self.fragmented
+        return fragmented
 
     def partition_report(self) -> PartitionReport:
         """Quality metrics of the current partition."""
@@ -200,3 +210,18 @@ class Session:
     ) -> GrapeResult:
         """Run a program from the API library by its registered name."""
         return self.run(get_program(name, **program_kwargs), query)
+
+
+def _resolved(partition: str | Partitioner) -> Partitioner:
+    if isinstance(partition, Partitioner):
+        return partition
+    return get_partitioner(partition)
+
+
+def _checked_workers(num_workers: object) -> int:
+    what, admits = POSITIVE_INT
+    if not admits(num_workers):
+        raise PartitionError(
+            f"num_workers must be {what}, got {num_workers!r}"
+        )
+    return num_workers

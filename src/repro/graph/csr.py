@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, compress, repeat
 from typing import Hashable, Iterator
 
 from repro.errors import GraphError
@@ -305,6 +305,34 @@ class CSRStore(GraphStore):
             hi - lo
             - len(self._del_in.get(v, _EMPTY))
             + len(self._add_in.get(v, _EMPTY))
+        )
+
+    def out_columns(self) -> tuple:
+        n = len(self._index)
+        if len(self._ids) != n:  # dead slots: a slot is not a position
+            return super().out_columns()
+        indptr, adj, w = self._out_indptr, self._out_adj, self._out_w
+        if len(indptr) > n and not (self._add_out or self._del_out):
+            return indptr, adj, w  # the base columns, as they are
+        # one base row per slot (empty past the base), then the overlay
+        spans = list(map(slice, indptr, indptr[1:]))
+        spans += repeat(slice(0, 0), n + 1 - len(indptr))
+        rows = list(map(adj.__getitem__, spans))
+        wts = list(map(w.__getitem__, spans))
+        ids, index = self._ids, self._index
+        for v, gone in self._del_out.items():
+            s = index[v]
+            keep = [ids[t] not in gone for t in rows[s]]
+            rows[s] = list(compress(rows[s], keep))
+            wts[s] = list(compress(wts[s], keep))
+        for v, adds in self._add_out.items():
+            s = index[v]
+            rows[s] = [*rows[s], *map(index.__getitem__, adds)]
+            wts[s] = [*wts[s], *adds.values()]
+        return (
+            list(accumulate(map(len, rows), initial=0)),
+            list(chain.from_iterable(rows)),
+            list(chain.from_iterable(wts)),
         )
 
     # ------------------------------------------------------------------

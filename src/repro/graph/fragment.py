@@ -124,8 +124,17 @@ class SlotView:
                 chain(fragment.owned, fragment.mirrors, graph.vertices())
             )
         )
-        self.index = {v: s for s, v in enumerate(self.ids)}
-        self.out = [self._row(graph, v) for v in self.ids]
+        index = self.index = {v: s for s, v in enumerate(self.ids)}
+        if graph.store_kind == "csr":
+            # one pass over the store's columns (a dict store's rows read
+            # faster one by one); tr maps a store position to a slot
+            indptr, adj, w = graph.store.out_columns()
+            tr = list(map(index.__getitem__, graph.vertices()))
+            self.out = out = [[] for _ in self.ids]
+            for s, lo, hi in zip(tr, indptr, indptr[1:]):
+                out[s] = list(zip(map(tr.__getitem__, adj[lo:hi]), w[lo:hi]))
+        else:
+            self.out = [self._row(graph, v) for v in self.ids]
         inner, mirrors = fragment.inner_border, fragment.mirrors
         self.border = [v in inner or v in mirrors for v in self.ids]
 

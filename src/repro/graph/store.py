@@ -30,6 +30,7 @@ had been stored one ``set_arc`` at a time. The mutators are for ΔG.
 
 from __future__ import annotations
 
+from itertools import accumulate, chain, count
 from typing import Hashable, Iterator
 
 from repro.errors import GraphError
@@ -126,6 +127,20 @@ class GraphStore:
 
     def in_degree(self, v: VertexId) -> int:
         raise NotImplementedError
+
+    def out_columns(self) -> tuple:
+        """Every out-arc at once, as CSR columns ``(indptr, adj, w)``.
+
+        Vertex ``i`` is the ``i``-th in iteration order; its out-arcs are
+        ``adj[indptr[i]:indptr[i + 1]]`` (the targets' positions in that
+        order) with weights ``w[indptr[i]:indptr[i + 1]]``, in
+        ``out_items`` order. Set-up readers (the partitioner, the slot
+        view) take the graph this way instead of arc by arc. The columns
+        are read-only: a store may hand over its own arrays.
+        """
+        return _rows_as_columns(
+            {v: dict(self.out_items(v)) for v in self.vertices()}
+        )
 
     # -- maintenance ---------------------------------------------------
     def bulk_load(self, vids, vlabels, vprops, srcs, dsts, weights, labels):
@@ -269,8 +284,22 @@ class DictStore(GraphStore):
         self._vprops = vprops
         self._elabel = labels
 
+    def out_columns(self) -> tuple:
+        return _rows_as_columns(self._out)
+
     def fresh(self) -> "DictStore":
         return DictStore()
+
+
+def _rows_as_columns(out: dict[VertexId, dict]) -> tuple[list, list, list]:
+    """:meth:`GraphStore.out_columns` of the rows ``vertex -> {dst: w}``."""
+    position = dict(zip(out, count())).__getitem__
+    rows = out.values()
+    return (
+        list(accumulate(map(len, rows), initial=0)),
+        list(map(position, chain.from_iterable(rows))),
+        list(chain.from_iterable(map(dict.values, rows))),
+    )
 
 
 def _make_dict() -> GraphStore:

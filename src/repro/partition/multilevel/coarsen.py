@@ -3,13 +3,13 @@
 The partitioner works on a *work graph* — an undirected weighted view
 with integer vertex weights (how many original vertices a node
 represents) and edge weights (how many original edges a coarse edge
-collapses). Each level matches vertices to their heaviest unmatched
-neighbor and contracts matched pairs.
+collapses), held in lists indexed by a dense id. Each level matches
+vertices to their heaviest unmatched neighbor and contracts the pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 from repro.graph.digraph import Graph
@@ -20,128 +20,126 @@ VertexId = Hashable
 
 @dataclass
 class WorkGraph:
-    """Undirected weighted graph used internally by the partitioner."""
+    """Row ``adj[v]`` maps each neighbor of ``v`` to the edge weight."""
 
-    adj: dict[int, dict[int, float]] = field(default_factory=dict)
-    vweight: dict[int, int] = field(default_factory=dict)
+    adj: list[dict[int, int]]
+    vweight: list[int]
 
     @property
     def num_vertices(self) -> int:
         """Number of vertices."""
         return len(self.adj)
 
-    def add_vertex(self, v: int, weight: int = 1) -> None:
-        """Register vertex ``v`` with the given weight."""
-        if v not in self.adj:
-            self.adj[v] = {}
-            self.vweight[v] = weight
-
-    def add_edge_weight(self, u: int, v: int, w: float) -> None:
-        """Accumulate undirected edge weight between u and v."""
-        if u == v:
-            return
-        self.add_vertex(u)
-        self.add_vertex(v)
-        self.adj[u][v] = self.adj[u].get(v, 0.0) + w
-        self.adj[v][u] = self.adj[v].get(u, 0.0) + w
-
     def total_vertex_weight(self) -> int:
         """Sum of all vertex weights."""
-        return sum(self.vweight.values())
+        return sum(self.vweight)
 
 
-def make_work_graph(graph: Graph) -> tuple[WorkGraph, dict[VertexId, int]]:
+def make_work_graph(graph: Graph) -> tuple[WorkGraph, list[VertexId]]:
     """Convert an arbitrary Graph to a dense-id undirected work graph.
 
-    Returns the work graph and the original-id -> work-id map. Edges
-    are taken in ``Graph.edges()`` order: the ``adj`` dict order feeds
+    Returns the work graph and the vertex of each dense id. Arcs are read
+    from the store's out-arc columns in ``Graph.edges()`` order, so a row
+    lists its neighbors in order of first occurrence: that order feeds
     heavy-edge matching, so it is part of the assignment.
     """
     store = graph.store
-    ids = {v: i for i, v in enumerate(store.vertices())}
-    adj: dict[int, dict[int, float]] = {i: {} for i in range(len(ids))}
+    vids = list(store.vertices())
+    indptr, dsts, _ = store.out_columns()
+    adj: list[dict[int, int]] = [{} for _ in vids]
     # an undirected edge counts once, from the end edges() reports it at
-    rank = None if graph.directed else {v: repr(v) for v in ids}
-    for v, i in ids.items():
+    rank = None if graph.directed else list(map(repr, vids))
+    for i, lo, hi in zip(range(len(vids)), indptr, indptr[1:]):
         row = adj[i]
-        for dst, _ in store.out_items(v):
-            j = ids[dst]
-            if i == j or (rank is not None and rank[dst] < rank[v]):
+        for j in dsts[lo:hi]:
+            if i == j or rank is not None and rank[j] < rank[i]:
                 continue
-            row[j] = row.get(j, 0.0) + 1.0
-            adj[j][i] = adj[j].get(i, 0.0) + 1.0
-    return WorkGraph(adj=adj, vweight=dict.fromkeys(adj, 1)), ids
+            row[j] = row.get(j, 0) + 1
+            other = adj[j]
+            other[i] = other.get(i, 0) + 1
+    return WorkGraph(adj, [1] * len(vids)), vids
 
 
 @dataclass
 class Level:
-    """One coarsening level: the coarse graph and fine -> coarse map."""
+    """One level: coarse graph, fine -> coarse map, fine visit order."""
 
     graph: WorkGraph
-    fine_to_coarse: dict[int, int]
+    fine_to_coarse: list[int]
+    visit: list[int]
 
 
 def heavy_edge_matching(
     wg: WorkGraph, seed: int | None = 0
-) -> dict[int, int]:
+) -> tuple[list[int], list[int]]:
     """Match each vertex with its best unmatched neighbor.
 
     The score is the edge weight plus a common-neighbor bonus: on graphs
-    whose first-level edge weights carry no signal (all 1.0), plain
+    whose first-level edge weights carry no signal (all 1), plain
     heavy-edge matching merges across communities at the rate of the
     inter-edge fraction and the mistake is locked in for all coarser
     levels. Shared-neighborhood similarity is the standard corrective —
     vertices in the same dense community share many neighbors, vertices
     joined by a stray cross edge share almost none.
 
-    Returns vertex -> coarse-vertex id (matched pairs share an id).
-    Visiting order is randomized to avoid pathological chains.
+    Returns ``(matching, visit)``: ``matching[v]`` is ``v``'s coarse
+    vertex (matched pairs share one) and ``visit`` the vertices in match
+    order. Visiting order is randomized to avoid pathological chains.
     """
-    rng = make_rng(seed, "hem", wg.num_vertices)
-    order = list(wg.adj)
+    adj = wg.adj
+    rng = make_rng(seed, "hem", len(adj))
+    order = list(range(len(adj)))
     rng.shuffle(order)
-    matched: dict[int, int] = {}
+    matching = [-1] * len(adj)
+    visit: list[int] = []
     next_coarse = 0
     for v in order:
-        if v in matched:
+        if matching[v] >= 0:
             continue
-        v_nbrs = wg.adj[v]
-        best_u = None
+        v_nbrs = adj[v]
+        best_u = -1
         best_score = -1.0
         for u, w in v_nbrs.items():
-            if u in matched:
+            if matching[u] >= 0:
                 continue
-            u_nbrs = wg.adj[u]
-            # iterate the smaller adjacency for the intersection
+            u_nbrs = adj[u]
+            # sum over the smaller adjacency, with its weights
             small, large = (
                 (v_nbrs, u_nbrs)
                 if len(v_nbrs) <= len(u_nbrs)
                 else (u_nbrs, v_nbrs)
             )
-            common = sum(cw for c, cw in small.items() if c in large)
+            common = 0
+            for c, cw in small.items():
+                if c in large:
+                    common += cw
             score = w * (1.0 + common)
             if score > best_score:
                 best_score, best_u = score, u
-        matched[v] = next_coarse
-        if best_u is not None:
-            matched[best_u] = next_coarse
+        matching[v] = next_coarse
+        visit.append(v)
+        if best_u >= 0:
+            matching[best_u] = next_coarse
+            visit.append(best_u)
         next_coarse += 1
-    return matched
+    return matching, visit
 
 
-def contract(wg: WorkGraph, matching: dict[int, int]) -> WorkGraph:
+def contract(wg: WorkGraph, matching: list[int]) -> WorkGraph:
     """Build the coarse work graph induced by a matching."""
-    coarse = WorkGraph()
-    for v, cv in matching.items():
-        coarse.add_vertex(cv, 0)
-        coarse.vweight[cv] += wg.vweight[v]
-    for v, nbrs in wg.adj.items():
-        cv = matching[v]
+    vweight = [0] * (max(matching) + 1)
+    for v, cv in enumerate(matching):
+        vweight[cv] += wg.vweight[v]
+    coarse: list[dict[int, int]] = [{} for _ in vweight]
+    for cv, nbrs in zip(matching, wg.adj):
+        row = coarse[cv]
         for u, w in nbrs.items():
             cu = matching[u]
             if cv < cu:  # each undirected pair once
-                coarse.add_edge_weight(cv, cu, w)
-    return coarse
+                row[cu] = row.get(cu, 0) + w
+                other = coarse[cu]
+                other[cv] = other.get(cv, 0) + w
+    return WorkGraph(coarse, vweight)
 
 
 def coarsen(
@@ -162,16 +160,11 @@ def coarsen(
     for level_idx in range(max_levels):
         if current.num_vertices <= target_size:
             break
-        matching = heavy_edge_matching(current, seed=_mix(seed, level_idx))
+        level_seed = None if seed is None else seed * 1000003 + level_idx
+        matching, visit = heavy_edge_matching(current, seed=level_seed)
         coarse = contract(current, matching)
         if coarse.num_vertices >= current.num_vertices * min_shrink:
             break
-        levels.append(Level(graph=coarse, fine_to_coarse=matching))
+        levels.append(Level(coarse, matching, visit))
         current = coarse
     return levels
-
-
-def _mix(seed: int | None, level: int) -> int | None:
-    if seed is None:
-        return None
-    return seed * 1000003 + level

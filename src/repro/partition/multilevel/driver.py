@@ -38,21 +38,22 @@ class MultilevelPartitioner(Partitioner):
             return {}
         if num_parts == 1:
             return {v: 0 for v in graph.vertices()}
-        wg, ids = make_work_graph(graph)
+        wg, vids = make_work_graph(graph)
         target = max(COARSEST_PER_PART * num_parts, 64)
         levels = coarsen(wg, target_size=target, seed=self.seed)
         coarsest = levels[-1].graph if levels else wg
-        assignment = greedy_growth(coarsest, num_parts, seed=self.seed)
+        grown = greedy_growth(coarsest, num_parts, seed=self.seed)
+        part = [grown[v] for v in range(coarsest.num_vertices)]
         max_weight = IMBALANCE * wg.total_vertex_weight() / num_parts
-        assignment = refine(
-            coarsest, assignment, num_parts, max_weight, REFINE_PASSES
-        )
+        boundary = refine(coarsest, part, num_parts, max_weight,
+                          REFINE_PASSES, range(len(part)))
         for level, finer in zip(
             reversed(levels), reversed([wg] + [lv.graph for lv in levels[:-1]])
         ):
-            assignment = project(assignment, level.fine_to_coarse)
-            assignment = refine(
-                finer, assignment, num_parts, max_weight, REFINE_PASSES
+            part, boundary = project(part, level.fine_to_coarse, boundary)
+            boundary = refine(
+                finer, part, num_parts, max_weight, REFINE_PASSES, boundary
             )
-        inv = {i: v for v, i in ids.items()}
-        return {inv[i]: p for i, p in assignment.items()}
+        # state blobs pickle this order: level 0's visit order, else growth's
+        order = levels[0].visit if levels else grown
+        return {vids[i]: part[i] for i in order}

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.partition.multilevel.coarsen import WorkGraph
 from repro.utils.rng import make_rng
 
@@ -18,11 +16,10 @@ def greedy_growth(
     region, until the region's vertex weight reaches the ideal share.
     Leftovers (disconnected remnants) go to the lightest region.
     """
-    total = wg.total_vertex_weight()
-    ideal = total / num_parts
+    ideal = wg.total_vertex_weight() / num_parts
     rng = make_rng(seed, "greedy_growth")
     unassigned = dict.fromkeys(
-        sorted(wg.adj, key=lambda v: -wg.vweight[v])
+        sorted(range(wg.num_vertices), key=lambda v: -wg.vweight[v])
     )
     assignment: dict[int, int] = {}
     part_weight = [0.0] * num_parts
@@ -50,9 +47,7 @@ def greedy_growth(
     # Everything left belongs to the last part, unless that unbalances it
     # badly, in which case spill to the lightest parts.
     last = num_parts - 1
-    spill_queue = deque(unassigned)
-    while spill_queue:
-        v = spill_queue.popleft()
+    for v in unassigned:
         if part_weight[last] < ideal * 1.2:
             target = last
         else:

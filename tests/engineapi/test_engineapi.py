@@ -12,7 +12,7 @@ from repro.engineapi.registry import (
 )
 from repro.engineapi.report import comparison_table, format_report
 from repro.engineapi.session import Session
-from repro.errors import QueryError, RegistryError
+from repro.errors import PartitionError, QueryError, RegistryError
 from repro.graph.digraph import Graph
 from repro.graph.generators import road_network
 from repro.service.service import canonical_answer_bytes
@@ -81,6 +81,40 @@ def test_session_repartition_invalidates():
     assert canonical_answer_bytes(again.answer) == canonical_answer_bytes(
         fresh.run(SSSPProgram(), query).answer
     )
+
+
+BAD_WORKER_COUNTS = [0, -1, 2.5, "3", True, None]
+
+
+@pytest.mark.parametrize("bad", BAD_WORKER_COUNTS, ids=repr)
+def test_session_refuses_a_bad_worker_count_up_front(bad):
+    with pytest.raises(PartitionError, match="num_workers"):
+        Session(road_network(4, 4, seed=1), num_workers=bad)
+
+
+@pytest.mark.parametrize("backend", ["simulated", "process"])
+def test_a_refused_repartition_changes_nothing(backend):
+    g = road_network(5, 5, seed=1)
+    session = Session(g, num_workers=2, partition="multilevel",
+                      backend=backend)
+    try:
+        query = SSSPQuery(source=0)
+        before = canonical_answer_bytes(session.run(SSSPProgram(), query).answer)
+        fragd, pool = session.fragmented, session.backend
+        for bad in BAD_WORKER_COUNTS[:-1]:  # None means "keep the count"
+            with pytest.raises(PartitionError, match="num_workers"):
+                session.repartition(num_workers=bad)
+        with pytest.raises(RegistryError):
+            session.repartition(partition="no-such-strategy", num_workers=3)
+        assert session.num_workers == 2
+        assert session.partitioner.name == "multilevel"
+        assert session.fragmented is fragd and session.backend is pool
+        if backend == "process":
+            assert all(p.is_alive() for p in pool._procs)
+        after = session.run(SSSPProgram(), query).answer
+        assert canonical_answer_bytes(after) == before
+    finally:
+        session.close()
 
 
 def test_session_partition_report():

@@ -136,3 +136,51 @@ def test_the_view_is_not_pickled():
     frag.slot_view()
     assert pickle.dumps(frag) == before
     assert "_slot_view" not in vars(pickle.loads(before))
+
+
+def assert_view_reads_as_rows(frag) -> None:
+    """A fresh view (read from the store's columns on CSR) holds exactly
+    the rows the vertex-by-vertex ``_row`` reader gives, weight types
+    included."""
+    view = SlotView(frag)
+    inner, mirrors = frag.inner_border, frag.mirrors
+    assert view.index == {v: s for s, v in enumerate(view.ids)}
+    assert repr(view.out) == repr([view._row(frag.graph, v) for v in view.ids])
+    assert view.border == [v in inner or v in mirrors for v in view.ids]
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+@pytest.mark.parametrize("directed", [False, True], ids=["undir", "dir"])
+def test_a_view_read_from_columns_equals_the_row_reader(store, directed):
+    if directed:
+        graph = random_weighted_digraph(30, 70, seed=5)
+    else:
+        graph = road_network(5, 6, seed=5)
+    assignment = get_partitioner("hash")(graph, 3)
+    fragd = build_fragments(graph, assignment, 3, store=STORES[store])
+    for frag in fragd.fragments:  # fresh: the base columns as they are
+        assert_view_reads_as_rows(frag)
+    for kind, src, dst, *weight in _ops(fragd, graph, random.Random(5), 40):
+        if kind == "insert":
+            fragd.insert_edge(src, dst, weight[0])
+        elif kind == "delete":
+            fragd.delete_edge(src, dst)
+        else:
+            fragd.reweight_edge(src, dst, weight[0])
+    # a mirror pruned (its slot goes dead) and re-added past the base,
+    # with an integer weight the overlay keeps as given
+    src = next(v for v in fragd.fragments[0].owned)
+    dst = next(v for v in graph.vertices() if fragd.owner_of(v) != 0
+               and v not in fragd.fragments[0].mirrors)
+    fragd.insert_edge(src, dst, 1.0)
+    fragd.delete_edge(src, dst)
+    assert not fragd.fragments[0].graph.has_vertex(dst)
+    fragd.insert_edge(src, dst, 2)
+    if store == "csr":
+        dead = fragd.fragments[0].graph.store
+        assert dead.dirty() and len(dead._ids) > len(dead._index)
+    for frag in fragd.fragments:  # overlay, dead slots
+        assert_view_reads_as_rows(frag)
+    fragd.compact()
+    for frag in fragd.fragments:  # compacted: clean columns again
+        assert_view_reads_as_rows(frag)

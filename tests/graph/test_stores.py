@@ -256,6 +256,44 @@ def test_derivations_match_arc_at_a_time_oracle(g, data):
     assert_same_graph(g.subgraph(chosen), _oracle_subgraph(g, chosen))
 
 
+def _columns_by_items(g: Graph) -> tuple:
+    position = {v: i for i, v in enumerate(g.store.vertices())}
+    indptr, adj, w = [0], [], []
+    for v in position:
+        for dst, weight in g.store.out_items(v):
+            adj.append(position[dst])
+            w.append(weight)
+        indptr.append(len(adj))
+    return indptr, adj, w
+
+
+def assert_columns_read_as_items(g: Graph) -> None:
+    indptr, adj, w = g.store.out_columns()
+    want = _columns_by_items(g)
+    assert (list(indptr), list(adj)) == want[:2]
+    assert repr(list(w)) == repr(want[2])  # weight types too
+
+
+@SLOW
+@given(labelled_graphs(), st.data())
+def test_out_columns_read_as_out_items(g, data):
+    """Clean, overlaid, dead-slot and compacted stores alike."""
+    assert_columns_read_as_items(g)
+    assert_columns_read_as_items(g.copy())  # one-pass build: clean base
+    vertices = list(g.vertices())
+    for e in data.draw(st.lists(st.sampled_from(list(g.edges()) or [None]),
+                                max_size=4)):
+        if e is not None and e.src != e.dst and g.has_edge(e.src, e.dst):
+            g.remove_edge(e.src, e.dst)
+    gone = data.draw(st.sampled_from(vertices))
+    if g.directed or not g.has_edge(gone, gone):
+        g.remove_vertex(gone)
+        g.add_edge(vertices[0], gone, 3)  # re-added, an int weight kept
+    assert_columns_read_as_items(g)
+    g.compact()
+    assert_columns_read_as_items(g)
+
+
 def _columns():
     """A valid two-vertex, one-arc bulk load (each test breaks one part)."""
     return dict(vids=[0, 1], vlabels=[None, "hub"], vprops={1: {"k": 2}},
