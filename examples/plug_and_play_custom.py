@@ -90,7 +90,9 @@ class WidestPathProgram(PIEProgram):
         updates = widest_paths(fragment.graph, seeds, known=partial)
         partial.update(updates)
         for v in updates:
-            if v in fragment.border:
+            # inner_border/mirrors, not border: that property builds the
+            # union of both, an O(|border|) read per updated vertex
+            if v in fragment.inner_border or v in fragment.mirrors:
                 params.improve(v, partial[v])
         return partial
 

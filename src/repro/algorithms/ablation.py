@@ -37,9 +37,8 @@ class SSSPRecomputeProgram(SSSPProgram):
 
     name = "sssp-recompute"
 
-    # This program *is* the unbounded strawman grape-lint exists to catch;
-    # its findings are the experiment, not bugs.
-    # grape-lint: disable=GRP203
+    # IncEval ignores ``changed`` and re-runs Dijkstra from every border
+    # value: the unbounded strawman E5 measures against, on purpose.
     def inceval(
         self,
         fragment: Fragment,
@@ -66,7 +65,8 @@ class SSSPRecomputeProgram(SSSPProgram):
         for s in settled:
             if fresh[s] < dist[s]:
                 dist[s] = fresh[s]
-        for v in fragment.border:  # grape-lint: disable=GRP202
+        # the whole border is re-offered: part of the strawman
+        for v in fragment.border:
             d = dist[index[v]]
             if d < INF:
                 params.improve(v, d)

@@ -122,8 +122,8 @@ class CFProgram(PIEProgram[CFQuery, CFPartial, CFResult]):
         params: UpdateParams,
     ) -> None:
         # Publish in a stable order: params.set replaces the replica
-        # wholesale (FACTOR_BLEND is order-sensitive), and raw set
-        # iteration varies across processes (grape-lint GRP306).
+        # wholesale (FACTOR_BLEND is order-sensitive), and a set's
+        # iteration order varies with the process's hash seed.
         for item in sorted(params.declared, key=stable_hash):
             vec = partial.model.item_factors.get(item)
             if vec is not None:

@@ -50,21 +50,20 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
         # None = "estimate unknown": the first concrete estimate wins.
         return ParamSpec(aggregator=MIN, default=None)
 
-    def _external(self, fragment: Fragment, params: UpdateParams) -> dict:
-        out = {}
-        for m in fragment.mirrors:
-            value = params.get(m)
-            if value is not None:
-                out[m] = value
-        return out
+    def _external(
+        self, fragment: Fragment, params: UpdateParams
+    ) -> "_MirrorEstimates":
+        return _MirrorEstimates(fragment.mirrors, params)
 
     def _export(
-        self, fragment: Fragment, partial: Partial, params: UpdateParams
+        self, fragment: Fragment, partial: Partial, params: UpdateParams,
+        moved,
     ) -> None:
-        # Whole-border publish is deliberate: MIN.improve drops
-        # non-improvements, so only genuine refinements are shipped.
-        for v in fragment.inner_border:  # grape-lint: disable=GRP202
-            params.improve(v, partial[v])
+        """Publish the inner-border estimates among ``moved``."""
+        inner = fragment.inner_border
+        for v in moved:
+            if v in inner:
+                params.improve(v, partial[v])
 
     def peval(
         self, fragment: Fragment, query: KCoreQuery, params: UpdateParams
@@ -77,7 +76,7 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
             fragment.graph, partial, external=self._external(fragment, params)
         )
         params.charge(work)
-        self._export(fragment, partial, params)
+        self._export(fragment, partial, params, fragment.inner_border)
         return partial
 
     def inceval(
@@ -95,8 +94,8 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
             for p in fragment.graph.iter_neighbors(m)
             if p in partial
         }
-        self._settle(fragment, partial, params, dirty)
-        self._export(fragment, partial, params)
+        moved = self._settle(fragment, partial, params, dirty)
+        self._export(fragment, partial, params, moved)
         return partial
 
     def classify_update(self, query: KCoreQuery, op) -> bool:
@@ -114,11 +113,12 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
     def _settle(
         self, fragment: Fragment, partial: Partial, params: UpdateParams,
         dirty: set,
-    ) -> None:
+    ) -> dict:
         """Dirty-driven H-index rounds to the local fixed point
-        (charged to ``params``)."""
+        (charged to ``params``); returns the estimates that moved."""
         external = self._external(fragment, params)
         total_work = 0
+        moved: dict = {}
         while dirty:
             changes, work = h_index_round(
                 fragment.graph, partial, external=external, vertices=dirty
@@ -127,6 +127,7 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
             if not changes:
                 break
             partial.update(changes)
+            moved.update(changes)
             dirty = {
                 p
                 for v in changes
@@ -134,6 +135,7 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
                 if p in partial
             }
         params.charge(total_work)
+        return moved
 
     def deletion_region(
         self, fragment: Fragment, partial: Partial, params: UpdateParams,
@@ -210,11 +212,12 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
         bounds.
         """
         caps, dirty = self.deletion_region(fragment, partial, params, delta)
+        capped = {}
         for v, cap in caps.items():
             if partial[v] > cap:
-                partial[v] = cap
-        self._settle(fragment, partial, params, dirty)
-        self._export(fragment, partial, params)
+                partial[v] = capped[v] = cap
+        moved = self._settle(fragment, partial, params, dirty)
+        self._export(fragment, partial, params, {**capped, **moved})
         return partial
 
     def delta_seeds(
@@ -252,11 +255,26 @@ class KCoreProgram(PIEProgram[KCoreQuery, Partial, dict]):
                     1 for p in fragment.graph.iter_neighbors(v) if p != v
                 )
                 dirty.add(v)
-        self._settle(fragment, partial, params, dirty)
-        self._export(fragment, partial, params)
+        moved = self._settle(fragment, partial, params, dirty)
+        self._export(fragment, partial, params, dirty | moved.keys())
         return partial
 
     def assemble(
         self, query: KCoreQuery, partials: Sequence[Partial]
     ) -> dict[VertexId, int]:
         return min_union(partials)
+
+
+class _MirrorEstimates:
+    """The known mirror estimates (``None`` is unknown), read from the
+    parameter store one lookup at a time instead of copied per call."""
+
+    __slots__ = ("mirrors", "params")
+
+    def __init__(self, mirrors, params: UpdateParams) -> None:
+        self.mirrors = mirrors
+        self.params = params
+
+    def get(self, v: VertexId, default=None):
+        value = self.params.get(v) if v in self.mirrors else None
+        return default if value is None else value

@@ -125,7 +125,7 @@ class SimProgram(PIEProgram[SimQuery, Partial, dict]):
         params.charge(steps)
         # Candidate sets shrink anywhere in the refined region, so the
         # whole inner border is re-offered; improve() drops no-op writes.
-        for v in fragment.inner_border:  # grape-lint: disable=GRP202
+        for v in fragment.inner_border:
             params.improve(v, partial.get(v, frozenset()))
         return partial
 

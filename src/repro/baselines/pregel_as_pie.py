@@ -105,7 +105,7 @@ class VertexCentricAsPIE(PIEProgram):
         inbox, partial.inbox = partial.inbox, {}
         # The adapter reproduces Pregel's unbounded supersteps by design;
         # the halted-vertex check below is its voting-to-halt shortcut.
-        for v in fragment.owned:  # grape-lint: disable=GRP201
+        for v in fragment.owned:
             messages = inbox.pop(v, None)
             if messages is None and (
                 partial.halted[v] and partial.round > 0

@@ -34,9 +34,8 @@ class Violation:
     #: Name of the partial order the write violated (e.g. ``decreasing``).
     order: str = ""
 
-    #: Rule code shared with the static verifier (``grape lint``):
-    #: GRP100 is the runtime face of the GRP1xx aggregator-consistency
-    #: family, so runtime and ``grape lint`` findings read as one system.
+    #: Rule code that prefixes the error, beside the declaration
+    #: contract's runtime codes (GRP401–404, GRP501–503).
     code: ClassVar[str] = "GRP100"
 
     def __str__(self) -> str:
@@ -45,8 +44,8 @@ class Violation:
             f"[{self.code}] fragment {self.fragment}: x[{self.vertex!r}] "
             f"moved {self.old!r} -> {self.new!r} against the{order} partial "
             "order; hint: write border variables through params.improve() "
-            "so every value advances along the aggregator's order — "
-            f"`grape lint` checks this statically (rules {self.code[:4]}xx)"
+            "so every value advances along the aggregator's order "
+            "(check_monotonic audits every such write)"
         )
 
 

@@ -7,11 +7,7 @@ Examples::
     grape partitions --graph power:5000 --workers 16
     grape serve --trace benchmarks/traces/service_workload.json
     grape chaos --graph road:20x20 --query sssp --source 0
-    grape lint examples/ src/repro/algorithms/
     grape classes
-
-``grape lint`` exit codes: 0 = clean, 1 = unsuppressed findings,
-2 = usage error (bad path, unreadable source).
 """
 
 from __future__ import annotations
@@ -201,38 +197,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     print(comparison_table(results))
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Statically verify PIE programs (grape-lint)."""
-    from repro.analysis import (
-        analyze_paths,
-        findings_to_json,
-        format_findings,
-        rule_table,
-        summary_line,
-    )
-    from repro.analysis.runner import active
-
-    if args.rules:
-        print(rule_table())
-        return 0
-    if not args.paths:
-        print("error: lint needs at least one file or directory",
-              file=sys.stderr)
-        return 2
-    findings = analyze_paths(args.paths)
-    if args.json:
-        print(findings_to_json(findings))
-    else:
-        report = format_findings(
-            findings, show_suppressed=args.show_suppressed
-        )
-        if report:
-            print(report)
-            print()
-        print(summary_line(findings))
-    return 1 if active(findings, min_severity=args.min_severity) else 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -486,31 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--workers", type=int, default=8)
     compare.add_argument("--source", type=int, default=None)
     compare.set_defaults(func=_cmd_compare)
-
-    lint = sub.add_parser(
-        "lint", help="statically verify PIE programs (grape-lint)"
-    )
-    lint.add_argument(
-        "paths", nargs="*", help="files or directories to lint"
-    )
-    lint.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    lint.add_argument(
-        "--show-suppressed",
-        action="store_true",
-        help="also print pragma-suppressed findings",
-    )
-    lint.add_argument(
-        "--min-severity",
-        choices=["info", "warning", "error"],
-        default="info",
-        help="findings below this severity do not affect the exit code",
-    )
-    lint.add_argument(
-        "--rules", action="store_true", help="print the rule catalog and exit"
-    )
-    lint.set_defaults(func=_cmd_lint)
 
     chaos = sub.add_parser(
         "chaos",

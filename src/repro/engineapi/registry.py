@@ -19,34 +19,10 @@ def register_program(
     name: str,
     factory: Callable[..., PIEProgram],
     replace: bool = False,
-    validate: bool = False,
 ) -> None:
-    """Register a factory producing a PIE program under ``name``.
-
-    With ``validate=True`` the factory's source is statically verified
-    by grape-lint (:mod:`repro.analysis`) before registration and
-    error-severity findings raise
-    :class:`~repro.errors.AnalysisError` — the guarantee-before-execution
-    posture for untrusted plugged-in programs. Only class factories can
-    be verified; opaque callables (lambdas, partials) are rejected.
-    """
+    """Register a factory producing a PIE program under ``name``."""
     if name in _FACTORIES and not replace:
         raise RegistryError(f"PIE program {name!r} already registered")
-    if validate:
-        import inspect
-
-        from repro.analysis import analyze_program, require_clean
-        from repro.errors import AnalysisError
-
-        if not inspect.isclass(factory):
-            raise AnalysisError(
-                f"cannot statically verify {factory!r}: validate=True "
-                "requires a PIEProgram class as the factory"
-            )
-        require_clean(
-            analyze_program(factory),
-            subject=f"PIE program {name!r} ({factory.__qualname__})",
-        )
     _FACTORIES[name] = factory
 
 

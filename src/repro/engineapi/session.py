@@ -36,10 +36,6 @@ class Session:
         cost_model: simulated cluster parameters.
         check_monotonic: verify the Assurance Theorem's order condition
             on every parameter write.
-        validate: statically verify programs with grape-lint before
-            running them; error-severity findings raise
-            :class:`~repro.errors.AnalysisError` (the static counterpart
-            of ``check_monotonic``).
         backend: execution backend name (``"simulated"`` — the default
             in-process virtual-time cluster — or ``"process"``, a pool
             of OS worker processes) or a pre-built
@@ -65,7 +61,6 @@ class Session:
         partition: str | Partitioner = "hash",
         cost_model: CostModel | None = None,
         check_monotonic: bool = False,
-        validate: bool = False,
         tracer=None,
         backend: str | ExecutionBackend = "simulated",
         store: str | None = None,
@@ -77,7 +72,6 @@ class Session:
         self.cost_model = cost_model or CostModel()
         self.check_monotonic = check_monotonic
         self.mode = mode
-        self.validate = validate
         #: Optional :class:`~repro.obs.Tracer` every engine this session
         #: builds records into (pure observer; see repro.obs).
         self.tracer = tracer
@@ -196,13 +190,6 @@ class Session:
         :meth:`~repro.core.engine.GrapeEngine.run` (``keep_state``,
         ``checkpoint``).
         """
-        if self.validate:
-            from repro.analysis import analyze_program, require_clean
-
-            require_clean(
-                analyze_program(program),
-                subject=f"PIE program {type(program).__name__}",
-            )
         return self.engine().run(program, query, **engine_kwargs)
 
     def run_registered(

@@ -31,15 +31,6 @@ class ProgramError(GrapeError):
     """A PIE / vertex / block program violated its contract."""
 
 
-class AnalysisError(ProgramError):
-    """grape-lint rejected a PIE program (or could not analyze it).
-
-    Raised by the static verifier in :mod:`repro.analysis` when a
-    program carries error-severity findings — the static counterpart of
-    :class:`MonotonicityError` — or when a source file cannot be parsed.
-    """
-
-
 class StaleStateError(ProgramError):
     """An :class:`~repro.core.delta.EngineState` does not fit.
 

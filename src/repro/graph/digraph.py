@@ -122,7 +122,7 @@ class Graph:
         if not self.has_edge(src, dst):
             raise GraphError(f"no edge {src}->{dst}")
         self._store.delete_arc(src, dst)
-        if not self.directed:
+        if not self.directed and src != dst:  # a self-loop is one arc
             self._store.delete_arc(dst, src)
         self._num_edges -= 1
 

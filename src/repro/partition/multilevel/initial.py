@@ -13,8 +13,10 @@ def greedy_growth(
 
     Each region starts at the heaviest unassigned vertex and repeatedly
     absorbs the frontier vertex with the strongest connection to the
-    region, until the region's vertex weight reaches the ideal share.
-    Leftovers (disconnected remnants) go to the lightest region.
+    region, until the region's vertex weight reaches the ideal share; a
+    region whose frontier empties first (a disconnected remnant)
+    re-seeds at the heaviest unassigned vertex. The last region takes
+    what is left, which is at most its share.
     """
     ideal = wg.total_vertex_weight() / num_parts
     rng = make_rng(seed, "greedy_growth")
@@ -25,11 +27,10 @@ def greedy_growth(
     part_weight = [0.0] * num_parts
 
     for part in range(num_parts - 1):
-        if not unassigned:
-            break
-        seed_v = next(iter(unassigned))
-        frontier_gain: dict[int, float] = {seed_v: 0.0}
-        while frontier_gain and part_weight[part] < ideal:
+        frontier_gain: dict[int, float] = {}
+        while unassigned and part_weight[part] < ideal:
+            if not frontier_gain:
+                frontier_gain[next(iter(unassigned))] = 0.0
             v = max(
                 frontier_gain,
                 key=lambda x: (frontier_gain[x], -wg.vweight[x], rng.random()),
@@ -44,14 +45,6 @@ def greedy_growth(
                 if u in unassigned:
                     frontier_gain[u] = frontier_gain.get(u, 0.0) + w
 
-    # Everything left belongs to the last part, unless that unbalances it
-    # badly, in which case spill to the lightest parts.
-    last = num_parts - 1
     for v in unassigned:
-        if part_weight[last] < ideal * 1.2:
-            target = last
-        else:
-            target = min(range(num_parts), key=lambda p: part_weight[p])
-        assignment[v] = target
-        part_weight[target] += wg.vweight[v]
+        assignment[v] = num_parts - 1
     return assignment

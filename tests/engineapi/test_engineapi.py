@@ -131,23 +131,23 @@ def test_session_run_registered():
     assert result.answer[0] == 0.0
 
 
-def test_session_run_registered_applies_validate_gate():
-    # run_registered must go through the same grape-lint gate as run().
+def test_session_run_and_run_registered_refuse_a_write_against_the_order():
+    # run_registered goes through the same checked engine as run()
     from repro.engineapi import registry
-    from repro.errors import AnalysisError
-    from tests.analysis.fixtures.viol_grp101 import MaxUnderMinProgram
+    from repro.errors import MonotonicityError
+    from tests.core.fixtures.biting import WidestUnderMinProgram
 
-    register_program("viol-grp101", MaxUnderMinProgram)
+    register_program("bite-grp101", WidestUnderMinProgram)
     try:
         session = Session(
-            road_network(4, 4, seed=1), num_workers=2, validate=True
+            road_network(4, 4, seed=1), num_workers=2, check_monotonic=True
         )
-        with pytest.raises(AnalysisError, match="GRP101"):
-            session.run(MaxUnderMinProgram(), SSSPQuery(source=0))
-        with pytest.raises(AnalysisError, match="GRP101"):
-            session.run_registered("viol-grp101", SSSPQuery(source=0))
+        with pytest.raises(MonotonicityError, match=r"^\[GRP100\]"):
+            session.run(WidestUnderMinProgram(), SSSPQuery(source=0))
+        with pytest.raises(MonotonicityError, match=r"^\[GRP100\]"):
+            session.run_registered("bite-grp101", SSSPQuery(source=0))
     finally:
-        registry._FACTORIES.pop("viol-grp101", None)
+        registry._FACTORIES.pop("bite-grp101", None)
 
 
 def test_session_accepts_partitioner_instance():

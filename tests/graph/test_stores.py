@@ -153,6 +153,34 @@ def test_graph_errors_identical_across_stores():
             g.remove_vertex(99)
 
 
+@pytest.mark.parametrize("directed", [True, False])
+def test_self_loop_removal_agrees_across_stores(directed):
+    # an undirected self-loop is one stored arc: deleting it twice raised
+    # KeyError on the dict store and passed silently on CSR
+    def build(store):
+        g = Graph(directed=directed, store=store)
+        g.add_edge(1, 1, 2.0)
+        g.add_edge(1, 2, 1.0)
+        g.add_edge(3, 3, 1.0)
+        return g
+
+    results = {}
+    for store in ("dict", "csr"):
+        g = build(store)
+        g.remove_edge(1, 1)
+        assert not g.has_edge(1, 1)
+        with pytest.raises(GraphError):
+            g.remove_edge(1, 1)
+        g.remove_vertex(3)
+        assert not g.has_vertex(3)
+        results[store] = (
+            sorted((e.src, e.dst, e.weight) for e in g.edges()),
+            g.num_edges,
+        )
+    assert results["dict"] == results["csr"]
+    assert results["dict"][1] == 1
+
+
 # ----------------------------------------------------------------------
 # Bulk load: the one-pass derivations vs. the add_vertex/add_edge loops
 # they replaced (kept here, verbatim, as the oracle)

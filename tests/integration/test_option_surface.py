@@ -29,7 +29,7 @@ SURFACE = {
     ),
     Session: (
         "graph", "num_workers", "partition", "cost_model",
-        "check_monotonic", "validate", "tracer", "backend", "store", "mode",
+        "check_monotonic", "tracer", "backend", "store", "mode",
     ),
     GrapeService: (
         "session", "max_pending", "concurrency", "cache_capacity",
