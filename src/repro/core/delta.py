@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Hashable, Iterable, Iterator, Sequence, Union
 
-from repro.errors import PartitionError, ProgramError
+from repro.errors import NUMBER, PartitionError, ProgramError
 from repro.graph.fragment import FragmentedGraph
 
 VertexId = Hashable
@@ -87,35 +87,48 @@ class EdgeReweight:
 
 DeltaOp = Union[EdgeInsert, EdgeDelete, EdgeReweight]
 
-_KINDS = {"insert": EdgeInsert, "delete": EdgeDelete, "reweight": EdgeReweight}
+#: Each kind's op class and row: (class, fewest and most columns, shape).
+_KINDS = {
+    "insert": (EdgeInsert, 2, 4, "[src, dst, weight?, label?]"),
+    "delete": (EdgeDelete, 2, 2, "[src, dst]"),
+    "reweight": (EdgeReweight, 3, 3, "[src, dst, weight]"),
+}
 
 
-def _coerce_op(item: object) -> DeltaOp:
-    """One delta op from an op instance or a tuple form.
+def _op(kind: str, row: object) -> DeltaOp:
+    """One ``kind`` op from an op instance of that kind or a row: the
+    one ΔG row parser, behind :meth:`GraphDelta.coerce`,
+    :meth:`GraphDelta.from_dict` and ``GrapeService.apply_updates``.
 
-    Accepted tuples: ``(src, dst[, weight[, label]])`` (an insertion,
-    the historical ``apply_updates`` form) and the tagged
-    ``("insert"|"delete"|"reweight", src, dst, ...)``.
+    An insert's missing or null weight is 1.0; weights become floats.
+    A row of another shape, an unhashable endpoint, a weight that is
+    not a number (a bool is not) or a label that is not a string raises
+    :class:`ProgramError` naming the row.
     """
-    if isinstance(item, (EdgeInsert, EdgeDelete, EdgeReweight)):
-        return item
-    if isinstance(item, (tuple, list)) and item:
-        head, *rest = item
-        if isinstance(head, str) and head in _KINDS:
-            try:
-                return _KINDS[head](*rest)
-            except TypeError as exc:
-                raise ProgramError(f"malformed delta op {item!r}: {exc}")
-        src, dst, *extra = item
-        weight = (
-            float(extra[0]) if extra and extra[0] is not None else 1.0
+    cls, fewest, most, shape = _KINDS[kind]
+    if isinstance(row, cls):
+        return row
+    if not isinstance(row, (list, tuple)) or not fewest <= len(row) <= most:
+        raise ProgramError(
+            f"graph delta {kind!r} row {row!r} is not a {shape} list"
         )
-        label = extra[1] if len(extra) > 1 else None
-        return EdgeInsert(src=src, dst=dst, weight=weight, label=label)
-    raise ProgramError(
-        f"cannot interpret {item!r} as a graph delta op; expected "
-        "EdgeInsert/EdgeDelete/EdgeReweight or a tuple form"
-    )
+    src, dst, weight, label = (*row, None, None)[:4]
+    if weight is None and kind == "insert":
+        weight = 1.0
+    problem = None
+    if not (isinstance(src, Hashable) and isinstance(dst, Hashable)):
+        problem = "an endpoint is not a vertex id"
+    elif kind != "delete" and not NUMBER[1](weight):
+        problem = f"weight {weight!r} is not a number"
+    elif not (label is None or isinstance(label, str)):
+        problem = f"label {label!r} is not a string"
+    if problem:
+        raise ProgramError(f"graph delta {kind!r} row {row!r}: {problem}")
+    if kind == "delete":
+        return EdgeDelete(src, dst)
+    if kind == "reweight":
+        return EdgeReweight(src, dst, float(weight))
+    return EdgeInsert(src, dst, float(weight), label)
 
 
 @dataclass(frozen=True)
@@ -126,7 +139,9 @@ class GraphDelta:
 
     @classmethod
     def coerce(cls, updates: object) -> "GraphDelta":
-        """A :class:`GraphDelta` from a batch in any accepted form."""
+        """A :class:`GraphDelta` from a batch in any accepted form: op
+        instances, tagged ``("insert"|"delete"|"reweight", src, dst,
+        ...)`` rows and untagged insert rows (see :func:`_op`)."""
         if isinstance(updates, GraphDelta):
             return updates
         if updates is None:
@@ -135,7 +150,18 @@ class GraphDelta:
             raise ProgramError(
                 f"cannot interpret {updates!r} as a graph delta"
             )
-        return cls(ops=tuple(_coerce_op(item) for item in updates))
+        ops = []
+        for item in updates:
+            if isinstance(item, (EdgeInsert, EdgeDelete, EdgeReweight)):
+                ops.append(item)
+            elif (
+                isinstance(item, (tuple, list)) and item
+                and isinstance(item[0], str) and item[0] in _KINDS
+            ):
+                ops.append(_op(item[0], item[1:]))
+            else:
+                ops.append(_op("insert", item))
+        return cls(ops=tuple(ops))
 
     @classmethod
     def from_dict(cls, data: dict) -> "GraphDelta":
@@ -145,7 +171,7 @@ class GraphDelta:
         weight?, label?], ...]``, ``"delete"``: ``[[src, dst], ...]``,
         ``"reweight"``: ``[[src, dst, weight], ...]``. This is outside
         input: any other shape raises :class:`~repro.errors.ProgramError`
-        naming the offending key or row.
+        naming the offending key or row (:func:`_op`).
         """
         keys = " / ".join(map(repr, _KINDS))
         if not isinstance(data, dict):
@@ -166,29 +192,7 @@ class GraphDelta:
                     f"graph delta key {kind!r} must hold a list of rows, "
                     f"got {rows!r}"
                 )
-            for row in rows:
-                if not isinstance(row, (list, tuple)) or len(row) < 2:
-                    raise ProgramError(
-                        f"graph delta {kind!r} row {row!r} is not a "
-                        "[src, dst, ...] list"
-                    )
-                if not all(isinstance(v, Hashable) for v in row[:2]):
-                    raise ProgramError(
-                        f"graph delta {kind!r} row {row!r}: an endpoint "
-                        "is not a vertex id"
-                    )
-                weight = row[2] if len(row) > 2 else None
-                if not isinstance(weight, (int, float, type(None))):
-                    raise ProgramError(
-                        f"graph delta {kind!r} row {row!r}: weight "
-                        f"{weight!r} is not a number"
-                    )
-                if kind == "reweight" and weight is not None:
-                    # a new weight is a float, like an insertion's
-                    row = (row[0], row[1], float(weight), *row[3:])
-                # insertions keep the untagged form's float() coercion
-                tagged = kind != "insert"
-                ops.append(_coerce_op((kind, *row) if tagged else tuple(row)))
+            ops.extend(_op(kind, row) for row in rows)
         return cls(ops=tuple(ops))
 
     def __iter__(self) -> Iterator[DeltaOp]:

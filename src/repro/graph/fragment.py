@@ -435,27 +435,10 @@ class FragmentedGraph:
         if not any(v in f.mirrors for f in self.fragments):
             self._effect(effects, owner, "discard_inner_border", v)
 
-    def cross_edges(self) -> int:
-        """Number of edges whose endpoints live on different fragments."""
-        total = 0
-        for frag in self.fragments:
-            for v in frag.owned:
-                for u in frag.graph.out_neighbors(v):
-                    if u in frag.mirrors:
-                        total += 1
-        return total
-
-    def balance(self) -> float:
-        """Max fragment size over ideal size (1.0 = perfectly balanced)."""
-        if not self.fragments:
-            return 1.0
-        ideal = max(1.0, self.num_vertices / len(self.fragments))
-        return max(len(f.owned) for f in self.fragments) / ideal
-
     def __repr__(self) -> str:
         return (
             f"<FragmentedGraph n={self.num_fragments} "
-            f"strategy={self.strategy!r} cross={self.cross_edges()}>"
+            f"strategy={self.strategy!r}>"
         )
 
 

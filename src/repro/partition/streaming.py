@@ -27,6 +27,35 @@ FENNEL_GAMMA = 1.5
 SLACK = 1.1
 
 
+def _stream(
+    graph: Graph, num_parts: int, capacity: float, score
+) -> Assignment:
+    """One pass in vertex order: ``v`` goes to the part below
+    ``capacity`` with the best ``score(placed neighbours, part size)``
+    (the smallest part when all are full); ties go to the lower id."""
+    sizes = [0] * num_parts
+    assignment: Assignment = {}
+    for v in graph.vertices():
+        placed_nbrs = [0] * num_parts
+        for u in graph.neighbors(v):
+            fid = assignment.get(u)
+            if fid is not None:
+                placed_nbrs[fid] += 1
+        best_fid = 0
+        best_score = float("-inf")
+        for fid in range(num_parts):
+            if sizes[fid] >= capacity:
+                continue
+            fid_score = score(placed_nbrs[fid], sizes[fid])
+            if fid_score > best_score:
+                best_score, best_fid = fid_score, fid
+        if best_score == float("-inf"):
+            best_fid = min(range(num_parts), key=lambda f: sizes[f])
+        assignment[v] = best_fid
+        sizes[best_fid] += 1
+    return assignment
+
+
 class LDGPartitioner(Partitioner):
     """Linear Deterministic Greedy streaming partitioner."""
 
@@ -34,27 +63,10 @@ class LDGPartitioner(Partitioner):
 
     def partition(self, graph: Graph, num_parts: int) -> Assignment:
         capacity = max(1.0, graph.num_vertices / num_parts) * SLACK
-        sizes = [0] * num_parts
-        assignment: Assignment = {}
-        for v in graph.vertices():
-            placed_nbrs = [0] * num_parts
-            for u in graph.neighbors(v):
-                fid = assignment.get(u)
-                if fid is not None:
-                    placed_nbrs[fid] += 1
-            best_fid = 0
-            best_score = float("-inf")
-            for fid in range(num_parts):
-                if sizes[fid] >= capacity:
-                    continue
-                score = placed_nbrs[fid] * (1.0 - sizes[fid] / capacity)
-                if score > best_score:
-                    best_score, best_fid = score, fid
-            if best_score == float("-inf"):
-                best_fid = min(range(num_parts), key=lambda f: sizes[f])
-            assignment[v] = best_fid
-            sizes[best_fid] += 1
-        return assignment
+        return _stream(
+            graph, num_parts, capacity,
+            lambda placed, size: placed * (1.0 - size / capacity),
+        )
 
 
 class FennelPartitioner(Partitioner):
@@ -67,26 +79,8 @@ class FennelPartitioner(Partitioner):
         m = max(1, graph.num_edges)
         gamma = FENNEL_GAMMA
         alpha = m * (num_parts ** (gamma - 1.0)) / (n**gamma)
-        capacity = SLACK * n / num_parts
-        sizes = [0] * num_parts
-        assignment: Assignment = {}
-        for v in graph.vertices():
-            placed_nbrs = [0] * num_parts
-            for u in graph.neighbors(v):
-                fid = assignment.get(u)
-                if fid is not None:
-                    placed_nbrs[fid] += 1
-            best_fid = 0
-            best_score = float("-inf")
-            for fid in range(num_parts):
-                if sizes[fid] >= capacity:
-                    continue
-                penalty = alpha * gamma * (sizes[fid] ** (gamma - 1.0))
-                score = placed_nbrs[fid] - penalty
-                if score > best_score:
-                    best_score, best_fid = score, fid
-            if best_score == float("-inf"):
-                best_fid = min(range(num_parts), key=lambda f: sizes[f])
-            assignment[v] = best_fid
-            sizes[best_fid] += 1
-        return assignment
+        coef = alpha * gamma  # of the balance penalty
+        return _stream(
+            graph, num_parts, SLACK * n / num_parts,
+            lambda placed, size: placed - coef * (size ** (gamma - 1.0)),
+        )

@@ -8,7 +8,7 @@ belonged to; totals and a per-phase breakdown are derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -67,23 +67,7 @@ class FaultCounters:
 
     def as_dict(self) -> dict[str, float]:
         """Counters as a plain dict (for JSON reports)."""
-        return {
-            "crashes_injected": self.crashes_injected,
-            "drops_injected": self.drops_injected,
-            "duplicates_injected": self.duplicates_injected,
-            "corruptions_injected": self.corruptions_injected,
-            "stragglers_injected": self.stragglers_injected,
-            "update_lags_injected": self.update_lags_injected,
-            "straggler_delay": self.straggler_delay,
-            "retries": self.retries,
-            "backoff_time": self.backoff_time,
-            "recoveries": self.recoveries,
-            "rounds_lost": self.rounds_lost,
-            "recovery_supersteps": self.recovery_supersteps,
-            "duplicates_discarded": self.duplicates_discarded,
-            "corruptions_detected": self.corruptions_detected,
-            "retransmissions": self.retransmissions,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.checkpoint import CheckpointPolicy
 from repro.core.delta import GraphDelta, apply_delta
@@ -196,25 +196,29 @@ class Replica:
 
 @dataclass
 class FleetReport:
-    """Deterministic snapshot of a fleet's lifetime under (maybe) chaos."""
+    """Deterministic snapshot of a fleet's lifetime under (maybe) chaos.
+
+    The router counts into one as it serves; ``FleetRouter.report``
+    copies it and fills in the values read at report time.
+    """
 
     replicas: int
-    graph_version: int
-    simulated_time: float
-    admitted: int
-    answered: int
-    fresh: int
-    stale_replica_served: int
-    stale_cache_served: int
-    deadline_misses: int
-    hedges: int
-    hedge_wins: int
-    failovers: int
-    retry_budget_left: int
-    breaker_trips: int
-    recoveries: int
-    catchup_batches: int
-    audits_failed: int
+    graph_version: int = 0
+    simulated_time: float = 0.0
+    admitted: int = 0
+    answered: int = 0
+    fresh: int = 0
+    stale_replica_served: int = 0
+    stale_cache_served: int = 0
+    deadline_misses: int = 0
+    hedges: int = 0
+    hedge_wins: int = 0
+    failovers: int = 0
+    retry_budget_left: int = 0
+    breaker_trips: int = 0
+    recoveries: int = 0
+    catchup_batches: int = 0
+    audits_failed: int = 0
     latencies: list[float] = field(default_factory=list)
     replica_states: list[dict] = field(default_factory=list)
     faults: dict = field(default_factory=dict)
@@ -336,8 +340,6 @@ class FleetRouter:
             straggler, update_lag); None = fault-free.
         deadline: default per-query deadline in simulated seconds
             (None = no deadline; queries never degrade on latency).
-        checkpoint_dir: where replica snapshots go (default: a
-            temporary directory removed with the router).
         tracer: optional :class:`~repro.obs.Tracer`; the *fleet* emits
             ``fleet_*`` events into it (replicas stay untraced so the
             export reflects router activity).
@@ -354,7 +356,6 @@ class FleetRouter:
         replicas: int = 3,
         faults: FaultPlan | None = None,
         deadline: float | None = None,
-        checkpoint_dir: str | None = None,
         tracer=None,
     ) -> None:
         if replicas < 1:
@@ -364,11 +365,10 @@ class FleetRouter:
         self.deadline = _check_deadline(deadline)
         self._retry_budget = RETRY_BUDGET
         self._tracer = tracer
-        if checkpoint_dir is None:
-            # Held for the router's lifetime; removed with it.
-            self._tmp = tempfile.TemporaryDirectory(prefix="grape-fleet-")
-            checkpoint_dir = self._tmp.name
-        self._dfs = SimulatedDFS(checkpoint_dir)
+        # Replica snapshots go to a temporary directory held for the
+        # router's lifetime and removed with it.
+        self._tmp = tempfile.TemporaryDirectory(prefix="grape-fleet-")
+        self._dfs = SimulatedDFS(self._tmp.name)
         self._clock = 0.0
         self._next_seq = 0
         self._rr = 0  # round-robin routing pointer
@@ -378,21 +378,8 @@ class FleetRouter:
         self._standing_specs: list[tuple[str, str, dict]] = []
         #: Newest fresh answer per canonical query key (degraded source).
         self._answers: dict[tuple, tuple[int, object]] = {}
-        # Fleet counters (all deterministic).
-        self._admitted = 0
-        self._answered = 0
-        self._fresh = 0
-        self._stale_replica = 0
-        self._stale_cache = 0
-        self._deadline_misses = 0
-        self._hedges = 0
-        self._hedge_wins = 0
-        self._failovers = 0
-        self._breaker_trips = 0
-        self._recoveries = 0
-        self._catchup_batches = 0
-        self._audits_failed = 0
-        self._latencies: list[float] = []
+        #: Lifetime counters (all deterministic).
+        self._counts = FleetReport(replicas)
         self._replicas = [
             Replica(
                 rid=rid,
@@ -472,7 +459,7 @@ class FleetRouter:
         replica.breaker_state = state
         if state == BREAKER_OPEN:
             replica.open_until = self._clock + BREAKER_COOLDOWN
-            self._breaker_trips += 1
+            self._counts.breaker_trips += 1
         if self._tracer is not None:
             self._tracer.event(
                 "fleet_breaker", replica=replica.rid, state=state,
@@ -548,7 +535,7 @@ class FleetRouter:
         request = (query_class, params, client, priority)
         seq = self._next_seq
         self._next_seq += 1
-        self._admitted += 1
+        self._counts.admitted += 1
         start = self._clock
         elapsed = 0.0  # backoff charged before the winning attempt
         attempts = 0
@@ -589,7 +576,7 @@ class FleetRouter:
                         seq, query_class, params, start, answer,
                         winner.rid, total, attempts, "fresh", hedged,
                     )
-                self._deadline_misses += 1
+                self._counts.deadline_misses += 1
                 if late is None or (cost, winner.rid) < late[:2]:
                     late = (cost, winner.rid, answer)
                 failed_from = winner.rid
@@ -607,7 +594,7 @@ class FleetRouter:
         if self._retry_budget <= 0:
             return False
         self._retry_budget -= 1
-        self._failovers += 1
+        self._counts.failovers += 1
         return True
 
     def _hedge(self, seq, request, tried, primary, answer, cost):
@@ -616,7 +603,7 @@ class FleetRouter:
         if second is None:
             return answer, cost, primary, False
         tried.add(second.rid)
-        self._hedges += 1
+        self._counts.hedges += 1
         winner = primary
         attempt = self._attempt(second, seq, request)
         if attempt is not None:
@@ -626,7 +613,7 @@ class FleetRouter:
             # break toward the lower replica id.
             if (cost2, second.rid) < (cost, primary.rid):
                 answer, cost, winner = served.answer, cost2, second
-                self._hedge_wins += 1
+                self._counts.hedge_wins += 1
         if self._tracer is not None:
             self._tracer.event(
                 "fleet_hedge", seq=seq, primary=primary.rid,
@@ -702,18 +689,18 @@ class FleetRouter:
             version = self.version
         stale = version < self.version
         staleness = self.version - version
-        self._answered += 1
+        self._counts.answered += 1
         if stale:
             if replica_id == -1:
-                self._stale_cache += 1
+                self._counts.stale_cache_served += 1
             else:
-                self._stale_replica += 1
+                self._counts.stale_replica_served += 1
         else:
-            self._fresh += 1
+            self._counts.fresh += 1
             key = self._answer_key(query_class, params)
             if key is not None:
                 self._answers[key] = (version, answer)
-        self._latencies.append(latency)
+        self._counts.latencies.append(latency)
         self._clock = start + latency
         if self._tracer is not None:
             self._tracer.event(
@@ -816,7 +803,7 @@ class FleetRouter:
         for delta in missed:
             replica.service.apply_updates(delta)
         replica.version = replica.service.version
-        self._catchup_batches += len(missed)
+        self._counts.catchup_batches += len(missed)
         audit_ok = self._audit(replica) if audit else True
         if self._tracer is not None:
             self._tracer.event(
@@ -862,7 +849,7 @@ class FleetRouter:
             replica.service.register_standing(name, query_class, params)
         audit_ok = self._catch_up(replica, audit=True)
         if not audit_ok:
-            self._audits_failed += 1
+            self._counts.audits_failed += 1
             replica.service = None
             return False
         replica.dead = False
@@ -872,7 +859,7 @@ class FleetRouter:
             self._set_breaker(replica, BREAKER_CLOSED)
         replica.version = replica.service.version
         self._checkpoint(replica)
-        self._recoveries += 1
+        self._counts.recoveries += 1
         return True
 
     def _audit(self, replica: Replica) -> bool:
@@ -917,25 +904,12 @@ class FleetRouter:
     def report(self) -> FleetReport:
         """Deterministic snapshot of the fleet's lifetime metrics."""
         counters = self.fault_counters
-        return FleetReport(
-            replicas=len(self._replicas),
+        return replace(
+            self._counts,
             graph_version=self.version,
             simulated_time=self._clock,
-            admitted=self._admitted,
-            answered=self._answered,
-            fresh=self._fresh,
-            stale_replica_served=self._stale_replica,
-            stale_cache_served=self._stale_cache,
-            deadline_misses=self._deadline_misses,
-            hedges=self._hedges,
-            hedge_wins=self._hedge_wins,
-            failovers=self._failovers,
             retry_budget_left=self._retry_budget,
-            breaker_trips=self._breaker_trips,
-            recoveries=self._recoveries,
-            catchup_batches=self._catchup_batches,
-            audits_failed=self._audits_failed,
-            latencies=list(self._latencies),
+            latencies=list(self._counts.latencies),
             replica_states=[
                 {
                     "replica": r.rid,

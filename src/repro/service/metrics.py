@@ -13,7 +13,7 @@ The per-run engine numbers aggregate through
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.runtime.costmodel import CostModel
 from repro.runtime.metrics import RunMetrics
@@ -150,14 +150,7 @@ class UpdateStats:
     mismatches: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "batches": self.batches,
-            "edges": self.edges,
-            "deletes": self.deletes,
-            "reweights": self.reweights,
-            "rewarmed": self.rewarmed,
-            "mismatches": self.mismatches,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -33,12 +33,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain
 
-from repro.core.delta import (
-    EdgeDelete,
-    EdgeReweight,
-    GraphDelta,
-    check_batch,
-)
+from repro.core.delta import GraphDelta, check_batch
 from repro.core.pie import handles_graph_updates
 from repro.engineapi.query import build_query, check_source
 from repro.engineapi.registry import get_program
@@ -142,9 +137,6 @@ class GrapeService:
             new version — repaired when picked the batch before too,
             else run cold — so repeat clients stay on the hit path
             (0 = off).
-        program_kwargs: per-query-class constructor kwargs (e.g.
-            ``{"pagerank": {"total_vertices": n}}``); pagerank's
-            ``total_vertices`` is defaulted from the graph automatically.
         initial_version: starting graph version. A restored fleet
             replica resumes at its checkpoint's version so journal
             catch-up and cache keys stay aligned with the fleet.
@@ -157,7 +149,6 @@ class GrapeService:
         concurrency: int = 2,
         cache_capacity: int = 256,
         rewarm_hottest: int = 0,
-        program_kwargs: dict[str, dict] | None = None,
         initial_version: int = 1,
         tracer=None,
     ) -> None:
@@ -176,7 +167,6 @@ class GrapeService:
                 f"rewarm_hottest must be >= 0, got {rewarm_hottest}"
             )
         self._rewarm_hottest = rewarm_hottest
-        self._program_kwargs = dict(program_kwargs or {})
         if initial_version < 1:
             raise ServiceError(
                 f"initial_version must be >= 1, got {initial_version}"
@@ -445,7 +435,8 @@ class GrapeService:
         ``(src, dst[, weight[, label]])`` tuples, or any tagged delta-op
         form), ``deletes`` holds ``(src, dst)`` pairs or
         :class:`EdgeDelete`, and ``reweights`` holds
-        ``(src, dst, weight)`` triples or :class:`EdgeReweight`. The
+        ``(src, dst, weight)`` triples or :class:`EdgeReweight`; any
+        other row is a ``ProgramError`` and changes nothing. The
         batch is routed into the fragments exactly once. Every standing
         query (by name), then every picked hot cache entry (hottest
         first), is brought to the new version on that shared routing
@@ -464,7 +455,7 @@ class GrapeService:
         # the same fragment mutations (effect sync happens once here,
         # then every repair reuses `touched`).
         touched = self._engine.apply_delta(delta)
-        self._mutate_graph(delta)
+        self._mutate_graph(delta, touched)
         self._version += 1
         dropped = self._cache.invalidate_before(self._version)
         outcome = UpdateOutcome(
@@ -525,10 +516,15 @@ class GrapeService:
             )
         return outcome
 
-    def _mutate_graph(self, delta: GraphDelta) -> None:
-        """Mirror an already-routed delta onto the session's master graph."""
+    def _mutate_graph(self, delta: GraphDelta, touched: dict) -> None:
+        """Mirror ``delta`` onto the session's master graph as
+        ``apply_delta`` routed it into the fragments (``touched``): an
+        insert of an existing edge is a reweight and keeps its label."""
+        routed = {
+            (op.src, op.dst): op for ops in touched.values() for op in ops
+        }
         graph = self.session.graph
-        for op in delta:
+        for op in (routed[op.src, op.dst] for op in delta):
             if op.kind == "insert":
                 graph.add_edge(op.src, op.dst, op.weight, op.label)
             elif op.kind == "delete":
@@ -580,23 +576,13 @@ class GrapeService:
 
     @staticmethod
     def _as_delta(edges, deletes, reweights) -> GraphDelta:
-        """One mixed :class:`GraphDelta` from the three op sequences."""
-        ops = list(GraphDelta.coerce(list(edges)).ops)
-        for item in deletes:
-            if isinstance(item, EdgeDelete):
-                ops.append(item)
-            else:
-                src, dst, *_ = item
-                ops.append(EdgeDelete(src=src, dst=dst))
-        for item in reweights:
-            if isinstance(item, EdgeReweight):
-                ops.append(item)
-            else:
-                src, dst, weight, *_ = item
-                ops.append(
-                    EdgeReweight(src=src, dst=dst, weight=float(weight))
-                )
-        return GraphDelta(ops=tuple(ops))
+        """One mixed :class:`GraphDelta` from the three op sequences:
+        ``edges`` as :meth:`GraphDelta.coerce` reads a batch, the other
+        two as that kind's rows."""
+        rows = GraphDelta.from_dict(
+            {"delete": list(deletes), "reweight": list(reweights)}
+        )
+        return GraphDelta(GraphDelta.coerce(edges).ops + rows.ops)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -643,9 +629,8 @@ class GrapeService:
         )
 
     def _program(self, query_class: str):
-        kwargs = dict(self._program_kwargs.get(query_class, {}))
         if query_class == "pagerank":
-            kwargs.setdefault(
-                "total_vertices", self.session.graph.num_vertices
+            return get_program(
+                query_class, total_vertices=self.session.graph.num_vertices
             )
-        return get_program(query_class, **kwargs)
+        return get_program(query_class)

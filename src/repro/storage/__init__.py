@@ -4,7 +4,7 @@ The paper's storage tier "manages graph data in DFS" and is accessible to
 the query engine, Index Manager, Partition Manager and Load Balancer.
 Here a directory-backed :class:`~repro.storage.dfs.SimulatedDFS` plays
 the distributed file system (checkpoints are what it holds) and the
-Index Manager maintains label/degree indexes for graph-level
+Index Manager maintains label indexes for graph-level
 optimization (E8). The Load Balancer's job — moving work off a
 straggler fragment — is done by ``Session.repartition`` with the
 multilevel partitioner (EXPERIMENTS.md A3).

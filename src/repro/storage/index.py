@@ -6,8 +6,7 @@ algorithms, such as graph indexing" (Section 3). The Index Manager
 maintains per-fragment indexes a sequential PEval can consult:
 
 * :class:`LabelIndex` — vertex label -> vertex ids (accelerates the
-  initial candidate computation of Sim/SubIso and keyword-holder scans);
-* degree index — supports VF2's degree pruning without rescanning.
+  initial candidate computation of Sim/SubIso and keyword-holder scans).
 
 Vertex-centric programs cannot exploit such indexes (each vertex sees
 only itself); the E8 ablation quantifies the speedup they buy PEval.
@@ -45,31 +44,11 @@ class LabelIndex:
         return len(self._buckets.get(label, ()))
 
 
-class DegreeIndex:
-    """Vertices bucketed by (out_degree, in_degree) thresholds."""
-
-    def __init__(self, graph: Graph) -> None:
-        self._out: dict[VertexId, int] = {}
-        self._in: dict[VertexId, int] = {}
-        for v in graph.vertices():
-            self._out[v] = graph.out_degree(v)
-            self._in[v] = graph.in_degree(v)
-
-    def at_least(self, out_degree: int = 0, in_degree: int = 0) -> list[VertexId]:
-        """Vertices meeting the out/in-degree thresholds."""
-        return [
-            v
-            for v in self._out
-            if self._out[v] >= out_degree and self._in[v] >= in_degree
-        ]
-
-
 class IndexManager:
     """Builds and caches indexes per fragment graph (keyed by id)."""
 
     def __init__(self) -> None:
         self._label: dict[int, LabelIndex] = {}
-        self._degree: dict[int, DegreeIndex] = {}
 
     def label_index(self, graph: Graph) -> LabelIndex:
         """The (cached) label index of ``graph``."""
@@ -78,14 +57,6 @@ class IndexManager:
             self._label[key] = LabelIndex(graph)
         return self._label[key]
 
-    def degree_index(self, graph: Graph) -> DegreeIndex:
-        """The (cached) degree index of ``graph``."""
-        key = id(graph)
-        if key not in self._degree:
-            self._degree[key] = DegreeIndex(graph)
-        return self._degree[key]
-
     def invalidate(self, graph: Graph) -> None:
         """Drop cached indexes of ``graph``."""
         self._label.pop(id(graph), None)
-        self._degree.pop(id(graph), None)

@@ -83,22 +83,6 @@ def test_owner_of():
         fragd.owner_of(99)
 
 
-def test_cross_edges_count():
-    g = _line()
-    fragd = build_fragments(g, {0: 0, 1: 0, 2: 1, 3: 1}, 2)
-    assert fragd.cross_edges() == 1
-    single = build_fragments(g, {v: 0 for v in g.vertices()}, 1)
-    assert single.cross_edges() == 0
-
-
-def test_balance_metric():
-    g = _line()
-    balanced = build_fragments(g, {0: 0, 1: 0, 2: 1, 3: 1}, 2)
-    assert balanced.balance() == 1.0
-    skewed = build_fragments(g, {0: 0, 1: 0, 2: 0, 3: 1}, 2)
-    assert skewed.balance() == 1.5
-
-
 def test_unassigned_vertex_rejected():
     g = _line()
     with pytest.raises(PartitionError):

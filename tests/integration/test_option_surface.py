@@ -33,11 +33,10 @@ SURFACE = {
     ),
     GrapeService: (
         "session", "max_pending", "concurrency", "cache_capacity",
-        "rewarm_hottest", "program_kwargs", "initial_version", "tracer",
+        "rewarm_hottest", "initial_version", "tracer",
     ),
     FleetRouter: (
-        "trace", "replicas", "faults", "deadline", "checkpoint_dir",
-        "tracer",
+        "trace", "replicas", "faults", "deadline", "tracer",
     ),
     MPIController: ("num_workers", "injector"),
     ResultCache: ("capacity",),

@@ -73,13 +73,3 @@ def test_border_consistency(g, parts):
                 for other in fragd.fragments
                 if other.fid != frag.fid
             )
-
-
-@SLOW
-@given(random_graph(), st.integers(1, 4))
-def test_cross_edges_equals_cut(g, parts):
-    from repro.graph.metrics import edge_cut
-
-    assignment = get_partitioner("hash")(g, parts)
-    fragd = build_fragments(g, assignment, parts)
-    assert fragd.cross_edges() == edge_cut(g, assignment)

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.graph.generators import labeled_social, power_law
+from repro.graph.generators import labeled_social
 from repro.storage.dfs import SimulatedDFS
-from repro.storage.index import DegreeIndex, IndexManager, LabelIndex
+from repro.storage.index import IndexManager, LabelIndex
 
 
 # ----------------------------------------------------------------- dfs
@@ -60,14 +60,6 @@ def test_label_index_lookup():
     assert people == g.vertices_with_label("person")
     assert idx.count("product") == len(idx.lookup("product"))
     assert idx.lookup("ghost") == []
-
-
-def test_degree_index_thresholds():
-    g = power_law(60, seed=7)
-    idx = DegreeIndex(g)
-    hubs = idx.at_least(out_degree=5)
-    assert all(g.out_degree(v) >= 5 for v in hubs)
-    assert set(idx.at_least()) == set(g.vertices())
 
 
 def test_index_manager_caches_per_graph():
