@@ -14,7 +14,7 @@
 
 Every step after PEval is the same step — *offer some vertices a
 distance, let the bounded kernel settle what improves, publish the
-border values that moved* (:meth:`SSSPProgram._relax`) — so IncEval and
+border values that moved* (:meth:`SSSPProgram._step`) — so IncEval and
 the ΔG hooks differ only in where their offers come from. Three small
 bindings make the skeleton *this* traversal: the bounded kernel
 (``_settle``), what an edge adds to a distance (``_cost``) and when a
@@ -24,14 +24,18 @@ distance may derive from an edge (``_depends``);
 Every phase computes in slot space: over the fragment's
 :class:`~repro.graph.fragment.SlotView` (dense local vertex numbers and
 ``(slot, weight)`` rows, kept in step with ΔG), with the partial a
-:class:`SlotPartial` — a list of distances beside the view's ids. Offers
-and published values stay per vertex, so messages, supersteps and work
-are what the vertex-keyed program produced.
+:class:`SlotPartial` — a list of distances beside the view's ids. The
+parameter store is declared from the view's border slots; IncEval reads
+its seeds by the store positions its mail changed, and the improved
+slots are published in one call
+(:meth:`~repro.core.update_params.UpdateParams.improve_slots`).
+Messages, supersteps and work are what the vertex-keyed program
+produced.
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import ItemsView, Iterable, Mapping
 from dataclasses import dataclass
 from itertools import compress
 from math import isfinite
@@ -167,13 +171,18 @@ class SSSPProgram(PIEProgram[SSSPQuery, SlotPartial, dict]):
         """
         return dv >= offer
 
+    def declare_params(
+        self, fragment: Fragment, query: SSSPQuery, params: UpdateParams
+    ) -> None:
+        params.declare_border(fragment.slot_view())
+
     def peval(
         self, fragment: Fragment, query: SSSPQuery, params: UpdateParams
     ) -> SlotPartial:
         view = fragment.slot_view()
         partial = SlotPartial(view.ids, [INF] * len(view.ids))
         return self._relax(
-            fragment, view, query, partial, params, {query.source: 0.0}
+            fragment, view, query, partial, params, [(query.source, 0.0)]
         )
 
     def inceval(
@@ -181,28 +190,34 @@ class SSSPProgram(PIEProgram[SSSPQuery, SlotPartial, dict]):
         params: UpdateParams, changed: set[VertexId],
     ) -> SlotPartial:
         view = slot_layout(fragment, partial)
-        offers = {v: params.get(v) for v in changed}
-        return self._relax(fragment, view, query, partial, params, offers)
+        seeds = params.received(view, fragment.graph.has_vertex)
+        return self._step(view, query, partial, params, seeds)
 
     def _relax(
         self, fragment: Fragment, view: SlotView, query: SSSPQuery,
         partial: SlotPartial, params: UpdateParams,
-        offers: Mapping[VertexId, float],
+        offers: Iterable[tuple[VertexId, float]],
     ) -> SlotPartial:
-        """The one step: kernel -> charge -> publish moved border values.
-        An offer to a vertex the fragment does not hold is ignored."""
-        index = view.index
+        """:meth:`_step` from ``(vertex, distance)`` offers; an offer to
+        a vertex the fragment does not hold is ignored (a border slot's
+        vertex always is held)."""
+        index, border = view.index, view.border
         held = fragment.graph.has_vertex
         seeds = [
-            (index[v], d) for v, d in offers.items() if v in index and held(v)
+            (s, d) for v, d in offers
+            if (s := index.get(v)) is not None and (border[s] or held(v))
         ]
+        return self._step(view, query, partial, params, seeds)
+
+    def _step(
+        self, view: SlotView, query: SSSPQuery, partial: SlotPartial,
+        params: UpdateParams, seeds: list,
+    ) -> SlotPartial:
+        """The one step: kernel -> charge -> publish moved border values."""
         dist = partial.dist
         improved, work = self._settle(view.out, dist, seeds, query)
         params.charge(work)
-        ids, border = view.ids, view.border
-        for s in improved:
-            if border[s]:
-                params.improve(ids[s], dist[s])
+        params.improve_slots(view, improved, dist)
         return partial
 
     def assemble(
@@ -240,7 +255,9 @@ class SSSPProgram(PIEProgram[SSSPQuery, SlotPartial, dict]):
                 offer = _at(view, partial, u) + cost
                 if offer < offers.get(v, INF):
                     offers[v] = offer
-        return self._relax(fragment, view, query, partial, params, offers)
+        return self._relax(
+            fragment, view, query, partial, params, offers.items()
+        )
 
     def delta_seeds(
         self, fragment: Fragment, query: SSSPQuery, partial: SlotPartial, ops
@@ -336,4 +353,6 @@ class SSSPProgram(PIEProgram[SSSPQuery, SlotPartial, dict]):
                     )
             if best < INF:
                 offers[v] = best
-        return self._relax(fragment, view, query, partial, params, offers)
+        return self._relax(
+            fragment, view, query, partial, params, offers.items()
+        )

@@ -103,18 +103,21 @@ def _op(kind: str, row: object) -> DeltaOp:
     An insert's missing or null weight is 1.0; weights become floats.
     A row of another shape, an unhashable endpoint, a weight that is
     not a number (a bool is not) or a label that is not a string raises
-    :class:`ProgramError` naming the row.
+    :class:`ProgramError` naming the row. An op instance passes the same
+    checks and is returned as it is.
     """
     cls, fewest, most, shape = _KINDS[kind]
     if isinstance(row, cls):
-        return row
-    if not isinstance(row, (list, tuple)) or not fewest <= len(row) <= most:
+        src, dst, weight = row.src, row.dst, row.weight
+        label = getattr(row, "label", None)
+    elif isinstance(row, (list, tuple)) and fewest <= len(row) <= most:
+        src, dst, weight, label = (*row, None, None)[:4]
+        if weight is None and kind == "insert":
+            weight = 1.0
+    else:
         raise ProgramError(
             f"graph delta {kind!r} row {row!r} is not a {shape} list"
         )
-    src, dst, weight, label = (*row, None, None)[:4]
-    if weight is None and kind == "insert":
-        weight = 1.0
     problem = None
     if not (isinstance(src, Hashable) and isinstance(dst, Hashable)):
         problem = "an endpoint is not a vertex id"
@@ -124,6 +127,8 @@ def _op(kind: str, row: object) -> DeltaOp:
         problem = f"label {label!r} is not a string"
     if problem:
         raise ProgramError(f"graph delta {kind!r} row {row!r}: {problem}")
+    if isinstance(row, cls):
+        return row
     if kind == "delete":
         return EdgeDelete(src, dst)
     if kind == "reweight":
@@ -153,7 +158,7 @@ class GraphDelta:
         ops = []
         for item in updates:
             if isinstance(item, (EdgeInsert, EdgeDelete, EdgeReweight)):
-                ops.append(item)
+                ops.append(_op(item.kind, item))
             elif (
                 isinstance(item, (tuple, list)) and item
                 and isinstance(item[0], str) and item[0] in _KINDS

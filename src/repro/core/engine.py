@@ -14,9 +14,11 @@ Workflow (Fig. 1):
 
 The paper routes every message through P0, which aggregates and fans
 out. Here the aggregate is applied where the value lands
-(``UpdateParams.apply_remote``), as GraphX's routing table and
-libgrape-lite do; for a commutative, associative aggregator the
-fixpoint is the one P0's merge reaches. P0 keeps the inactivity test,
+(``UpdateParams.apply_columns``): each writer ships one ``(keys,
+values)`` column pair to every fragment its routing table
+(``FragmentedGraph.routes``) names, as GraphX and libgrape-lite do;
+for a commutative, associative aggregator the fixpoint is the one P0's
+merge reaches. P0 keeps the inactivity test,
 ΔG routing, checkpoint recovery and Assemble. Every message is a batch of update
 parameters; the run ends when none is pending and no worker is active.
 
@@ -44,8 +46,9 @@ deterministically (simulated backend only).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
-from typing import Generic, Hashable
+from typing import Generic
 
 from repro.core.assurance import MonotonicityChecker
 from repro.core.delta import DeltaRepairStats, EngineState
@@ -78,7 +81,6 @@ from repro.runtime.costmodel import CostModel
 from repro.runtime.message import COORDINATOR
 from repro.runtime.metrics import RunMetrics
 
-VertexId = Hashable
 
 #: Superstep engine modes — a clock policy, nothing else: ``"strict"``
 #: is the BSP lockstep of the paper; ``"relaxed"`` executes strict
@@ -91,6 +93,14 @@ MODES = ("strict", "relaxed")
 #: vertices (a fixed threshold: the same kept state and ΔG always take
 #: the same path).
 REPAIR_FRACTION = 0.5
+
+
+def _like(column, items: list):
+    """``items`` as a message column of ``column``'s kind (an ``array``
+    keeps its typecode)."""
+    if type(column) is array:
+        return array(column.typecode, items)
+    return items
 
 
 @dataclass
@@ -438,8 +448,9 @@ class GrapeEngine:
 
         def _ship(step, wid: int, verts: set) -> bool:
             by_dst: dict[int, set] = {}
+            route = self.fragmented.routes
             for v in verts:
-                for fid in self.fragmented.hosts(v):
+                for fid in route[v]:
                     if fid != wid:
                         by_dst.setdefault(fid, set()).add(v)
             for fid, vs in sorted(by_dst.items()):
@@ -796,7 +807,7 @@ class GrapeEngine:
                 step.work(wid, work)
                 if audit is not None:
                     supervisor.checker.absorb(audit)
-                if changes:
+                if changes[0]:
                     self._emit(step, wid, changes)
 
             self.backend.execute(step, supervisor, calls, on_result=_done)
@@ -811,16 +822,25 @@ class GrapeEngine:
             num_fragments=self.fragmented.num_fragments,
         )
 
-    def _emit(self, step, wid: int, changes: dict[VertexId, object]) -> None:
-        """Send changed parameters to every other hosting fragment — the
-        mode never shapes a send."""
-        by_dst: dict[int, dict[VertexId, object]] = {}
-        for v, value in changes.items():
-            for fid in self.fragmented.hosts(v):
-                if fid != wid:
-                    by_dst.setdefault(fid, {})[v] = value
-        for fid, batch in by_dst.items():
-            step.send(wid, fid, batch)
+    def _emit(self, step, wid: int, changes: tuple) -> None:
+        """Send the changed ``(keys, values)`` columns to every other
+        fragment hosting a key, one column pair per destination, as the
+        routing table names them — the mode never shapes a send."""
+        keys, values = changes
+        route = self.fragmented.routes
+        columns: dict[int, tuple[list, list]] = {}
+        for k, x in zip(keys, values):
+            for fid in route[k]:
+                if fid == wid:
+                    continue
+                pair = columns.get(fid)
+                if pair is None:
+                    columns[fid] = ([k], [x])
+                else:
+                    pair[0].append(k)
+                    pair[1].append(x)
+        for fid, (ks, xs) in columns.items():
+            step.send(wid, fid, (_like(keys, ks), _like(values, xs)))
 
     def _inceval_round(
         self,
@@ -876,11 +896,11 @@ class GrapeEngine:
             step.work(wid, work)
             if audit is not None:
                 supervisor.checker.absorb(audit)
-            applied += len(changed)
+            applied += changed
             if changed or was_active[wid]:
                 active += 1
-            if changes:
-                shipped += len(changes)
+            if changes[0]:
+                shipped += len(changes[0])
                 self._emit(step, wid, changes)
 
         self.backend.execute(step, supervisor, calls, on_result=_shipped)

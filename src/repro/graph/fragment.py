@@ -23,7 +23,7 @@ first use and kept in step with ΔG by :func:`apply_fragment_effects`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from typing import Collection, Hashable, Mapping, Sequence
 
 from repro.errors import PartitionError
@@ -35,9 +35,46 @@ VertexId = Hashable
 
 class Slot(tuple):
     """``(vertices, writer)``: fragment ``writer``'s cumulative column
-    toward ``vertices`` (one owner's), routed to that owner (``hosts``)."""
+    toward ``vertices`` (one owner's), routed to that owner
+    (:class:`Routes`)."""
 
     __slots__ = ()
+
+
+class Routes(dict):
+    """The routing table, GraphX's: vertex -> the fragments hosting a
+    copy, for every vertex more than one fragment hosts (``known_by``
+    as tuples), built once per partitioning; ΔG drops the routes it
+    changes and a dropped or missing one is looked up again on first
+    use — a :class:`Slot`'s are its vertices' owner and its writer. A
+    writer sends to every host but itself."""
+
+    __slots__ = ("fragmented",)
+
+    def __init__(self, fragmented: "FragmentedGraph") -> None:
+        super().__init__(
+            (v, tuple(hosts))
+            for v, hosts in fragmented.known_by.items() if len(hosts) > 1
+        )
+        self.fragmented = fragmented
+
+    def __missing__(self, key: VertexId) -> tuple[int, ...]:
+        if type(key) is Slot:
+            hosts = (self.fragmented.assignment[key[0][0]], key[1])
+        else:
+            hosts = tuple(self.fragmented.known_by.get(key, ()))
+        if len(hosts) > 1:
+            self[key] = hosts
+        return hosts
+
+
+def machine_ints(keys) -> bool:
+    """Whether every one of ``keys`` is an int that fits 64 bits (an
+    ``array('q')`` holds them)."""
+    return not keys or (
+        set(map(type, keys)) == {int} and -(1 << 63) <= min(keys)
+        and max(keys) < 1 << 63
+    )
 
 
 #: One per-fragment mutation record — a plain tuple so effect logs can
@@ -111,10 +148,13 @@ class SlotView:
     ``out[s]`` lists the out-arcs of ``ids[s]`` as ``(slot, weight)``
     (a mirror's too — an undirected mirror stores its arc back);
     ``border[s]`` is whether ``ids[s]`` carries an update parameter
-    (inner border or mirror).
+    (inner border or mirror); ``border_slots`` lists every slot that
+    has carried one, once, in the order it first did (slot order at
+    build, then as ΔG flags them) — what a parameter store declares
+    from; ``ints`` is whether every id is a machine int.
     """
 
-    __slots__ = ("ids", "index", "out", "border")
+    __slots__ = ("ids", "index", "out", "border", "border_slots", "ints")
 
     def __init__(self, fragment: "Fragment") -> None:
         graph = fragment.graph
@@ -137,6 +177,8 @@ class SlotView:
             self.out = [self._row(graph, v) for v in self.ids]
         inner, mirrors = fragment.inner_border, fragment.mirrors
         self.border = [v in inner or v in mirrors for v in self.ids]
+        self.border_slots = list(compress(range(len(self.ids)), self.border))
+        self.ints = machine_ints(self.ids)
 
     def _row(self, graph: Graph, v: VertexId) -> list:
         if not graph.has_vertex(v):
@@ -157,10 +199,14 @@ class SlotView:
                     continue
                 s = index[v] = len(self.ids)
                 self.ids.append(v)
+                self.ints = self.ints and machine_ints([v])
                 self.out.append([])
                 self.border.append(False)
             self.out[s] = self._row(graph, v)
-            self.border[s] = v in inner or v in mirrors
+            flagged = v in inner or v in mirrors
+            if flagged and not self.border[s] and s not in self.border_slots:
+                self.border_slots.append(s)
+            self.border[s] = flagged
 
 
 @dataclass
@@ -234,6 +280,8 @@ class FragmentedGraph:
                 self.known_by.setdefault(v, set()).add(frag.fid)
             for v in frag.mirrors:
                 self.known_by.setdefault(v, set()).add(frag.fid)
+        #: where the engine sends a changed parameter (:class:`Routes`)
+        self.routes = Routes(self)
 
     @property
     def num_fragments(self) -> int:
@@ -273,11 +321,13 @@ class FragmentedGraph:
         return self.fragments[self.owner_of(v)]
 
     def hosts(self, v: VertexId) -> Collection[int]:
-        """All fragment ids holding a copy (owner + mirrors); for a
-        :class:`Slot`, its vertices' owner and its writer."""
-        if type(v) is Slot:
-            return self.assignment[v[0][0]], v[1]
+        """All fragment ids holding a copy of vertex ``v`` (owner +
+        mirrors)."""
         return self.known_by.get(v, set())
+
+    def _reroute(self, v: VertexId) -> None:
+        """Drop ``v``'s route: ``known_by[v]`` changed."""
+        self.routes.pop(v, None)
 
     # ------------------------------------------------------------------
     # Delta application (ΔG): one edge at a time, with border/mirror
@@ -334,6 +384,7 @@ class FragmentedGraph:
             self._effect(effects, src_fid, "set_mirror", dst, dst_fid)
             self._effect(effects, dst_fid, "add_inner_border", dst)
             self.known_by.setdefault(dst, set()).add(src_fid)
+            self._reroute(dst)
             touched.append(dst_fid)
             if not directed:
                 if not dst_frag.graph.has_vertex(src):
@@ -351,6 +402,7 @@ class FragmentedGraph:
                 self._effect(effects, dst_fid, "set_mirror", src, src_fid)
                 self._effect(effects, src_fid, "add_inner_border", src)
                 self.known_by.setdefault(src, set()).add(dst_fid)
+                self._reroute(src)
         self.last_effects = effects
         return touched
 
@@ -432,6 +484,7 @@ class FragmentedGraph:
         hosts = self.known_by.get(v)
         if hosts is not None:
             hosts.discard(frag.fid)
+            self._reroute(v)
         if not any(v in f.mirrors for f in self.fragments):
             self._effect(effects, owner, "discard_inner_border", v)
 

@@ -19,14 +19,10 @@ on ``self`` is refused on either backend.
 
 from __future__ import annotations
 
-from typing import Hashable
-
 from repro.core.assurance import WriteAudit
 from repro.core.pie import check_declaration
 from repro.core.update_params import UpdateParams
 from repro.graph.fragment import Fragment, apply_fragment_effects
-
-VertexId = Hashable
 
 
 class WorkerContext:
@@ -139,22 +135,19 @@ def op_peval(ctx: WorkerContext):
 
 
 def op_inceval(ctx: WorkerContext, payloads, locally_active):
-    """Apply routed messages M_i, run IncEval if anything moved.
+    """Apply routed messages M_i, run IncEval if anything moved; the
+    reply leads with how many parameters the messages changed.
 
     Idempotent under the aggregate function (re-applying the same
     payloads and re-running IncEval is safe), which is what lets the
     supervisor retry this op in place after a transient failure.
     """
-    changed: set[VertexId] = set()
-    for payload in payloads:
-        for v, value in payload.items():
-            if ctx.params.apply_remote(v, value):
-                changed.add(v)
+    changed = ctx.params.apply_columns(payloads)
     if changed or locally_active:
         ctx.partial = ctx.program.inceval(
             ctx.frag, ctx.query, ctx.partial, ctx.params, changed
         )
-    return (changed, *_reply(ctx, "inceval"))
+    return (len(changed), *_reply(ctx, "inceval"))
 
 
 def op_repair(ctx: WorkerContext, region):
@@ -203,10 +196,7 @@ def op_reship(ctx: WorkerContext):
 # ----------------------------------------------------------------------
 def op_declare_fresh(ctx: WorkerContext):
     """Declare parameters for border vertices a ΔG batch created."""
-    fresh = ctx.frag.border - ctx.params.declared
-    if fresh:
-        ctx.params.declare(fresh)
-    return len(fresh)
+    return ctx.params.declare_fresh(ctx.frag)
 
 
 def op_reset_params(ctx: WorkerContext, region):

@@ -164,12 +164,13 @@ class FaultInjector:
         return True
 
     def _tamper(self, msg: Message) -> Message:
-        """A copy of ``msg`` whose payload no longer matches its checksum."""
+        """A copy of ``msg`` whose payload no longer matches its checksum:
+        a ``(keys, values)`` column pair loses its first value, any other
+        payload is replaced whole."""
         payload = msg.payload
-        if isinstance(payload, dict) and payload:
-            tampered: object = dict(payload)
-            victim = next(iter(tampered))
-            tampered[victim] = TAMPER
+        if type(payload) is tuple:
+            keys, values = payload
+            tampered: object = (keys, [TAMPER, *values[1:]])
         else:
             tampered = TAMPER
         return Message(

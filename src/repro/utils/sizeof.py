@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from array import array as _array
 
-from repro.graph.fragment import Slot
-
 _NUMERIC_BYTES = 8
 _BOOL_BYTES = 1
 
@@ -50,9 +48,6 @@ def _dict_size(value: dict) -> int:
     total = 0
     for k, v in value.items():
         ks = scalars.get(type(k))
-        if ks is None and type(k) is Slot:
-            # (vertices, writer fid): the column's ids plus the writer.
-            ks = _iter_size(k[0]) + _NUMERIC_BYTES
         total += ks if ks is not None else _value_size_slow(k)
         vs = scalars.get(type(v))
         total += vs if vs is not None else _value_size_slow(v)

@@ -2,10 +2,10 @@
 
 ``Slot((vertices, fid))`` is fragment ``fid``'s cumulative push toward
 ``vertices``, its mirrors of one other fragment, as a tuple: one column
-per (writer → owner) pair. ``FragmentedGraph.hosts`` routes a column to
-that owner (and names the writer, which the sender's ``fid != wid``
-skips), so every message a worker receives carries only columns of
-vertices it owns — in either superstep mode, with answers byte-identical
+per (writer → owner) pair. The routing table
+(``FragmentedGraph.routes``) names that owner and the writer, which the
+sender skips, so every message a worker receives carries only columns
+of vertices it owns — in either superstep mode, with answers byte-identical
 across them. The stock ``MAX`` keeps the newest column because a
 column's totals only grow, so each newer tuple is lexicographically
 larger; the audit checks exactly that. Recovery re-ships columns from
@@ -65,7 +65,7 @@ class OwnerOnly(SimulatedBackend):
             if call.op != "inceval":
                 continue
             for payload in call.args["payloads"]:
-                for key, totals in payload.items():
+                for key, totals in zip(*payload):
                     assert type(key) is Slot, key
                     vertices, writer = key
                     assert len(totals) == len(vertices)
@@ -90,13 +90,14 @@ def test_a_slot_is_hosted_by_its_vertex_owner_and_its_writer():
             owners = {fragmented.owner_of(v) for v in vertices}
             assert len(owners) == 1 and writer not in owners
             assert all(v in frag.mirrors for v in vertices)
-            assert fragmented.hosts(slot) == (owners.pop(), writer)
+            assert fragmented.routes[slot] == (owners.pop(), writer)
             covered.extend(vertices)
         # The columns partition the mirrors: each exactly once.
         assert sorted(covered) == sorted(frag.mirrors)
     # A plain vertex key still reaches every copy.
     v = next(iter(fragmented.fragments[0].mirrors))
     assert fragmented.hosts(v) == fragmented.known_by[v]
+    assert set(fragmented.routes[v]) == fragmented.known_by[v]
 
 
 def test_pagerank_mail_reaches_only_the_owner_under_every_routing():

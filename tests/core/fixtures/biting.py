@@ -155,7 +155,9 @@ class OwnedScanProgram(SSSPProgram):
         view = slot_layout(fragment, partial)
         offers = {v: _at(view, partial, v) for v in fragment.owned}
         offers.update((v, params.get(v)) for v in changed)
-        return self._relax(fragment, view, query, partial, params, offers)
+        return self._relax(
+            fragment, view, query, partial, params, offers.items()
+        )
 
 
 class BorderRepublishProgram(SSSPProgram):

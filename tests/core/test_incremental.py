@@ -190,7 +190,7 @@ def test_traversal_entry_points_are_one_step(make_program, query):
         return (
             sorted(partial.items()),
             params.take_work(),
-            params.consume_changes(),
+            dict(zip(*params.consume_changes())),
             params.snapshot(),
         )
 

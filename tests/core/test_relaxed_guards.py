@@ -301,7 +301,7 @@ def test_first_wave_payload_order_matches_strict_direct_mailbox():
                 (
                     step.phase,
                     [
-                        (c.wid, [list(p.items()) for p in c.args["payloads"]])
+                        (c.wid, [list(zip(*p)) for p in c.args["payloads"]])
                         for c in calls
                         if c.op == "inceval"
                     ],

@@ -15,6 +15,7 @@ import pickle
 import pytest
 
 from repro.algorithms.sssp import SSSPProgram, SSSPQuery
+from repro.core.delta import EdgeInsert, EdgeReweight
 from repro.engineapi.cli import main
 from repro.engineapi.session import Session
 from repro.errors import ProgramError
@@ -40,6 +41,16 @@ MALFORMED = [
     pytest.param("reweight", (1, 2, 2.0, "lab"), id="reweight-4-cols"),
 ]
 
+#: Op instances whose weight a row of their kind could not carry: the
+#: same check refuses them (they used to reach ``check_batch`` and end
+#: in a raw ``TypeError``, or be taken with a bool weight).
+BAD_INSTANCES = [
+    pytest.param("reweight", EdgeReweight(1, 2, "x"), id="reweight-text"),
+    pytest.param("reweight", EdgeReweight(1, 2, True), id="reweight-bool"),
+    pytest.param("insert", EdgeInsert(0, 5, "x"), id="insert-text"),
+    pytest.param("insert", EdgeInsert(0, 5, True), id="insert-bool"),
+]
+
 #: ``apply_updates`` keyword per JSON section.
 KWARG = {"insert": "edges", "delete": "deletes", "reweight": "reweights"}
 
@@ -51,6 +62,20 @@ def _tuple_forms(section, row):
     if section == "insert":
         forms.append(row)
     return forms
+
+
+@pytest.mark.parametrize("section,op", BAD_INSTANCES)
+def test_every_entry_point_refuses_a_bad_op_instance(section, op):
+    session = Session(graph_from_spec(SPEC), num_workers=2)
+    cold = session.run(SSSPProgram(), SSSPQuery(source=0), keep_state=True)
+    before = pickle.dumps(session.fragmented.fragments)
+    with pytest.raises(ProgramError, match="row .*is not a number"):
+        session.engine().run_incremental(
+            SSSPProgram(), SSSPQuery(source=0), cold.state, [op]
+        )
+    assert pickle.dumps(session.fragmented.fragments) == before
+    test_service_refuses_the_row(section, op)
+    test_fleet_refuses_the_row(section, op)
 
 
 @pytest.mark.parametrize("section,row", MALFORMED)

@@ -167,6 +167,40 @@ def test_corruption_is_detected_never_applied():
     assert [m.payload for m in mpi.receive(1)] == [{"v": 3}]
 
 
+def test_a_corrupted_column_is_caught_and_the_answer_kept():
+    """Engine mail is a ``(keys, values)`` column pair: the injector
+    tampers one value, the receiver's checksum refuses the copy, and the
+    retransmission gives the clean run's answer."""
+    from repro.algorithms.sssp import SSSPProgram, SSSPQuery
+    from repro.core.engine import GrapeEngine
+    from repro.graph.fragment import build_fragments
+    from repro.graph.generators import road_network
+    from repro.partition.registry import get_partitioner
+    from repro.runtime.faults.injector import TAMPER, FaultInjector
+
+    tampered = []
+    tamper = FaultInjector._tamper
+
+    def recording(self, msg):
+        copy = tamper(self, msg)
+        tampered.append(copy.payload)
+        return copy
+
+    graph = road_network(8, 8, seed=3)
+    assignment = get_partitioner("hash")(graph, 3)
+    fragmented = build_fragments(graph, assignment, 3, "hash")
+    query = SSSPQuery(source=0)
+    clean = GrapeEngine(fragmented).run(SSSPProgram(), query)
+    plan = FaultPlan(faults=(CorruptFault(probability=0.2),), seed=4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FaultInjector, "_tamper", recording)
+        run = GrapeEngine(fragmented).run(SSSPProgram(), query, faults=plan)
+    assert run.answer == clean.answer
+    assert run.metrics.faults.corruptions_detected == len(tampered) > 0
+    for keys, values in tampered:
+        assert values[0] == TAMPER and len(keys) == len(values)
+
+
 def test_persistent_drop_raises_transport_error(monkeypatch):
     monkeypatch.setattr(mpi_sim, "MAX_ATTEMPTS", 5)
     plan = FaultPlan(faults=(DropFault(times=None),), seed=0)

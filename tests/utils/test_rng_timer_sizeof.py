@@ -72,6 +72,30 @@ def test_slot_keys_cost_their_two_components():
     assert value_size({Slot(((7, 8), 3)): (0.5, 0.25)}) == 16 + 8 + 16
 
 
+def test_a_column_pair_costs_what_the_dict_did():
+    """A message is a ``(keys, values)`` column pair: it is priced as
+    the ``{key: value}`` dict it replaced, for the three entry shapes
+    the programs ship."""
+    from array import array
+
+    from repro.graph.fragment import Slot
+
+    cases = [
+        ({1: 2.0, 7: 0.5}, array("q", [1, 7]), array("d", [2.0, 0.5])),
+        ({1: 3, 7: 4}, array("q", [1, 7]), [3, 4]),
+        (
+            {Slot(((7, 8), 3)): (0.5, 0.25), Slot((("ab",), 4)): None},
+            [Slot(((7, 8), 3)), Slot((("ab",), 4))],
+            [(0.5, 0.25), None],
+        ),
+    ]
+    for entries, keys, values in cases:
+        assert message_size((keys, values)) == message_size(entries)
+        assert message_size((list(keys), list(values))) == message_size(
+            entries
+        )
+
+
 def test_nested_structure():
     payload = {"ab": [1, 2], "c": {"d": 5}}
     assert value_size(payload) == 2 + 16 + 1 + (1 + 8)
