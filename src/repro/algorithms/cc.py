@@ -125,7 +125,6 @@ class CCProgram(PIEProgram[CCQuery, Partial, dict]):
                 # the merge can flow backwards across the new edge.
                 label = partial.get(ins.dst)
                 if label is not None:
-                    params.declare([ins.dst])
                     params.improve(ins.dst, label)
                     params.touch(ins.dst)  # new mirror must hear it
             lu = partial.get(ins.src)

@@ -11,10 +11,11 @@ of cumulative masses fragment ``fid`` has pushed toward ``vertices``,
 its mirrors of one other fragment. One writer, and every total only
 grows, so each newer tuple is lexicographically larger: the stock
 ``MAX`` keeps the newest and the Assurance Theorem applies. Routing
-delivers a column to its owner alone
-(:meth:`~repro.graph.fragment.FragmentedGraph.hosts`), which turns each
-component's growth since its last read into residual. ``tolerance``
-truncates the geometric tail to make the fixed point finite.
+delivers a column to its owner alone (a :class:`Slot`'s route in
+:class:`~repro.graph.fragment.Routes` is its owner and its writer),
+which turns each component's growth since its last read into residual.
+``tolerance`` truncates the geometric tail to make the fixed point
+finite.
 """
 
 from __future__ import annotations

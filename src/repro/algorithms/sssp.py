@@ -278,8 +278,8 @@ class SSSPProgram(PIEProgram[SSSPQuery, SlotPartial, dict]):
             for u, v in self._arcs(fragment, op):
                 dv = _at(view, partial, v)
                 if not fragment.graph.has_vertex(v):
-                    # The op pruned this mirror: once it leaves known_by,
-                    # no future invalidation can reach this fragment, so
+                    # The op pruned this mirror: once this fragment leaves
+                    # v's route, no future invalidation can reach it, so
                     # its stale distance must be discarded *now* or it
                     # leaks through the min-union Assemble forever.
                     if dv < INF:

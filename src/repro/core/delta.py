@@ -247,12 +247,9 @@ def apply_delta(
     check_batch(fragmented, delta)
     touched: dict[int, list[DeltaOp]] = {}
     for op in delta:
-        routed, fids = _route_op(fragmented, op)
+        routed, fids = _route_op(fragmented, op, effects)
         for fid in fids:
             touched.setdefault(fid, []).append(routed)
-        if effects is not None:
-            for fid, records in fragmented.last_effects.items():
-                effects.setdefault(fid, []).extend(records)
     return touched
 
 
@@ -297,22 +294,25 @@ def check_batch(fragmented: FragmentedGraph, delta: GraphDelta) -> None:
 
 
 def _route_op(
-    fragmented: FragmentedGraph, op: DeltaOp
+    fragmented: FragmentedGraph, op: DeltaOp, effects: dict | None
 ) -> tuple[DeltaOp, list[int]]:
-    """Apply one op to the fragments; returns (op as routed, touched)."""
+    """Apply one op to the fragments, logging to ``effects``; returns
+    (op as routed, touched)."""
     if op.kind == "insert":
         src_frag = fragmented.fragments[fragmented.owner_of(op.src)]
         if src_frag.graph.has_edge(op.src, op.dst):
             # Inserting an existing edge is a weight change in disguise;
             # reclassify so a weight increase is not mistaken for a
             # monotone-safe insertion.
-            fids, old = fragmented.reweight_edge(op.src, op.dst, op.weight)
+            fids, old = fragmented.reweight_edge(
+                op.src, op.dst, op.weight, effects
+            )
             return (
                 EdgeReweight(op.src, op.dst, op.weight, old_weight=old),
                 fids,
             )
         return op, fragmented.insert_edge(
-            op.src, op.dst, op.weight, op.label
+            op.src, op.dst, op.weight, op.label, effects
         )
     if op.kind == "delete":
         src_graph = fragmented.fragments[fragmented.owner_of(op.src)].graph
@@ -321,9 +321,9 @@ def _route_op(
             if src_graph.has_edge(op.src, op.dst)
             else None
         )
-        fids = fragmented.delete_edge(op.src, op.dst)
+        fids = fragmented.delete_edge(op.src, op.dst, effects)
         return replace(op, weight=weight), fids
-    fids, old = fragmented.reweight_edge(op.src, op.dst, op.weight)
+    fids, old = fragmented.reweight_edge(op.src, op.dst, op.weight, effects)
     return replace(op, old_weight=old), fids
 
 

@@ -15,8 +15,9 @@ Workflow (Fig. 1):
 The paper routes every message through P0, which aggregates and fans
 out. Here the aggregate is applied where the value lands
 (``UpdateParams.apply_columns``): each writer ships one ``(keys,
-values)`` column pair to every fragment its routing table
-(``FragmentedGraph.routes``) names, as GraphX and libgrape-lite do;
+values)`` pair of lists to every fragment the routing table
+(``FragmentedGraph.routes``, the one vertex -> hosts map, edited in
+place by ΔG) names, as GraphX and libgrape-lite do;
 for a commutative, associative aggregator the fixpoint is the one P0's
 merge reaches. P0 keeps the inactivity test,
 ΔG routing, checkpoint recovery and Assemble. Every message is a batch of update
@@ -46,7 +47,6 @@ deterministically (simulated backend only).
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field, replace
 from typing import Generic
 
@@ -93,14 +93,6 @@ MODES = ("strict", "relaxed")
 #: vertices (a fixed threshold: the same kept state and ΔG always take
 #: the same path).
 REPAIR_FRACTION = 0.5
-
-
-def _like(column, items: list):
-    """``items`` as a message column of ``column``'s kind (an ``array``
-    keeps its typecode)."""
-    if type(column) is array:
-        return array(column.typecode, items)
-    return items
 
 
 @dataclass
@@ -839,8 +831,8 @@ class GrapeEngine:
                 else:
                     pair[0].append(k)
                     pair[1].append(x)
-        for fid, (ks, xs) in columns.items():
-            step.send(wid, fid, (_like(keys, ks), _like(values, xs)))
+        for fid, pair in columns.items():
+            step.send(wid, fid, pair)
 
     def _inceval_round(
         self,

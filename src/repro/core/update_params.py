@@ -21,20 +21,17 @@ through :meth:`declare_border` is laid over the fragment's
 :class:`~repro.graph.fragment.SlotView` — it shares the view's ids and
 index, so a position is a slot and SSSP/BFS publish and seed by slot;
 any other store numbers its keys as they are declared. A message is a
-``(keys, values)`` column pair: ``array('q')`` keys while every key is a
-machine int, ``array('d')`` values while every value is a float, lists
-otherwise. A store pickles by key, never its layout.
+``(keys, values)`` pair of lists. A store pickles by key, never its
+layout.
 """
 
 from __future__ import annotations
 
-from array import array
 from itertools import compress
 from typing import Hashable, Iterable, Mapping
 
 from repro.core.aggregators import MAX, MIN, Aggregator
 from repro.errors import ProgramError
-from repro.graph.fragment import machine_ints
 
 VertexId = Hashable
 
@@ -83,8 +80,6 @@ class UpdateParams:
         self._marked = bytearray()
         self._changed: list[int] = []  # the marked positions, in mark order
         self._moved: list[int] = []  # the positions mail last changed
-        self._ints = True  # every key a machine int (unless laid)
-        self._floats = type(default) is float  # every value a float
         self._view = None  # the slot view the store is laid over
         self._grown = 0  # ... and how many of its border slots it saw
         self._by_slot = False  # declared from a view (it pickles this)
@@ -120,9 +115,6 @@ class UpdateParams:
         for k, x in values.items():
             self._values[index[k]] = x
             self._declared[index[k]] = 1
-        self._floats = self._floats and set(map(type, values.values())) <= {
-            float
-        }
         self._keys, self._pos, self._view = view.ids, index, view
         self._by_slot, self._moved = by_slot, [index[k] for k in moved]
         for k in pending:
@@ -143,13 +135,11 @@ class UpdateParams:
         if not all(map(self._pos.__contains__, keys)):
             fresh = [v for v in dict.fromkeys(keys) if v not in self._pos]
             if self._view is not None:  # keys outside its view
-                self._ints = self._view.ints
                 self._keys, self._pos = list(self._keys), dict(self._pos)
                 self._view = None
             n = len(self._keys)
             self._pos.update(zip(fresh, range(n, n + len(fresh))))
             self._keys += fresh
-            self._ints = self._ints and machine_ints(fresh)
             self._fit()
         elif self._view is not None:
             self._fit()
@@ -157,7 +147,7 @@ class UpdateParams:
         for v in keys:
             declared[pos[v]] = 1
             if initial is not None and v in initial:
-                self._put(pos[v], initial[v])
+                self._values[pos[v]] = initial[v]
 
     def declare_border(self, view) -> int:
         """Declare the border vertices of a fragment's slot view this
@@ -223,11 +213,6 @@ class UpdateParams:
     def __getitem__(self, v: VertexId) -> object:
         return self.get(v)
 
-    def _put(self, p: int, value: object) -> None:
-        self._values[p] = value
-        if self._floats and type(value) is not float:
-            self._floats = False
-
     def _mark(self, p: int) -> None:
         if not self._marked[p]:
             self._marked[p] = 1
@@ -248,7 +233,7 @@ class UpdateParams:
             return False
         if self.audit is not None:
             self.audit.check(self.aggregator.order, v, old, value)
-        self._put(p, value)
+        self._values[p] = value
         self._mark(p)
         return True
 
@@ -290,8 +275,6 @@ class UpdateParams:
         if self.audit is not None:
             self.audit.check(self.aggregator.order, v, old, resolved)
         self._values[p] = resolved
-        if self._floats and type(resolved) is not float:
-            self._floats = False
         if not self._marked[p]:
             self._marked[p] = 1
             self._changed.append(p)
@@ -315,8 +298,6 @@ class UpdateParams:
                 if audit is not None:
                     audit.check(self.aggregator.order, ids[s], values[s], x)
                 values[s] = x
-                if type(x) is not float:
-                    self._floats = False
                 if not marked[s]:
                     marked[s] = 1
                     self._changed.append(s)
@@ -354,37 +335,24 @@ class UpdateParams:
         if not changed:
             return (), ()
         self._changed, self._marked = [], bytearray(len(self._keys))
-        keys = list(map(self._keys.__getitem__, changed))
-        values = list(map(self._values.__getitem__, changed))
-        ints = self._ints if self._view is None else self._view.ints
         return (
-            array("q", keys) if ints else keys,
-            array("d", values) if self._floats else values,
+            list(map(self._keys.__getitem__, changed)),
+            list(map(self._values.__getitem__, changed)),
         )
 
-    def apply_remote(self, v: VertexId, value: object) -> bool:
-        """Aggregate an incoming candidate value into the local store.
-
-        Returns True if the local value changed (the vertex then belongs
-        to IncEval's update set ``M_i``). Remote applications do *not*
-        mark the variable as changed-for-sending; only subsequent local
-        improvements by IncEval are shipped back, which keeps the
-        fixed-point from echoing messages forever.
-        """
-        return v in self.apply_columns([((v,), (value,))])
-
     def apply_columns(self, payloads: list[tuple]) -> set[VertexId]:
-        """:meth:`apply_remote` every entry of each ``(keys, values)``
-        column pair, ``MIN``/``MAX`` compared inline; returns the keys
-        whose value changed (``M_i``), whose positions :meth:`received`
-        reads back."""
+        """Aggregate every entry of each incoming ``(keys, values)``
+        column pair into the store, ``MIN``/``MAX`` compared inline;
+        returns the keys whose value changed (IncEval's update set
+        ``M_i``), whose positions :meth:`received` reads back. A remote
+        write does *not* mark its variable for sending: only later local
+        improvements are shipped back, which keeps the fixpoint from
+        echoing messages forever."""
         self._fit()
         self._moved = moved = []
         pos, values, declared = self._pos, self._values, self._declared
         sign, resolve, audit = self._sign, self.aggregator.resolve, self.audit
         for keys, xs in payloads:
-            if self._floats and type(xs) is not array:
-                self._floats = all(type(x) is float for x in xs)
             for k, x in zip(keys, xs):
                 p = pos.get(k)
                 if p is None or not declared[p]:
@@ -474,10 +442,6 @@ class UpdateParams:
         self._values = list(values.values())
         self._declared = bytearray(b"\x01") * len(keys)
         self._marked = bytearray(len(keys))
-        self._ints = machine_ints(keys)
-        self._floats = self._floats and set(map(type, self._values)) <= {
-            float
-        }
         for k in state["pending"]:
             self._mark(self._pos[k])
         self._by_slot = state["by_slot"]

@@ -11,9 +11,9 @@ consists of
 The *border nodes* of ``F_i`` — where update parameters live — are the
 owned vertices known to some other fragment (``F_i.I``, i.e. targets of
 cross edges) together with the mirrors (``F_i.O``). A
-:class:`FragmentedGraph` additionally records, for every border vertex,
-the set of fragments that host a copy; the runtime uses this to route
-update-parameter messages.
+:class:`FragmentedGraph` additionally records, for every vertex, the set
+of fragments that host a copy (:class:`Routes`, edited in place by ΔG);
+the runtime routes update-parameter messages by it.
 
 A fragment can also lend list-indexed kernels a :class:`SlotView` — its
 vertices numbered densely, with out-rows over those numbers — built on
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, compress
-from typing import Collection, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from repro.errors import PartitionError
 from repro.graph.digraph import Graph
@@ -42,39 +42,23 @@ class Slot(tuple):
 
 
 class Routes(dict):
-    """The routing table, GraphX's: vertex -> the fragments hosting a
-    copy, for every vertex more than one fragment hosts (``known_by``
-    as tuples), built once per partitioning; ΔG drops the routes it
-    changes and a dropped or missing one is looked up again on first
-    use — a :class:`Slot`'s are its vertices' owner and its writer. A
-    writer sends to every host but itself."""
+    """The routing table, GraphX's: vertex -> the set of fragments
+    hosting a copy (owner and mirrors), built once per partitioning and
+    edited in place by ΔG. A :class:`Slot` is routed by rule on first
+    use: to its vertices' owner and its writer. A writer sends to every
+    host but itself."""
 
     __slots__ = ("fragmented",)
 
     def __init__(self, fragmented: "FragmentedGraph") -> None:
-        super().__init__(
-            (v, tuple(hosts))
-            for v, hosts in fragmented.known_by.items() if len(hosts) > 1
-        )
+        super().__init__()
         self.fragmented = fragmented
 
     def __missing__(self, key: VertexId) -> tuple[int, ...]:
-        if type(key) is Slot:
-            hosts = (self.fragmented.assignment[key[0][0]], key[1])
-        else:
-            hosts = tuple(self.fragmented.known_by.get(key, ()))
-        if len(hosts) > 1:
-            self[key] = hosts
+        if type(key) is not Slot:
+            raise KeyError(key)
+        hosts = self[key] = (self.fragmented.assignment[key[0][0]], key[1])
         return hosts
-
-
-def machine_ints(keys) -> bool:
-    """Whether every one of ``keys`` is an int that fits 64 bits (an
-    ``array('q')`` holds them)."""
-    return not keys or (
-        set(map(type, keys)) == {int} and -(1 << 63) <= min(keys)
-        and max(keys) < 1 << 63
-    )
 
 
 #: One per-fragment mutation record — a plain tuple so effect logs can
@@ -151,10 +135,10 @@ class SlotView:
     (inner border or mirror); ``border_slots`` lists every slot that
     has carried one, once, in the order it first did (slot order at
     build, then as ΔG flags them) — what a parameter store declares
-    from; ``ints`` is whether every id is a machine int.
+    from.
     """
 
-    __slots__ = ("ids", "index", "out", "border", "border_slots", "ints")
+    __slots__ = ("ids", "index", "out", "border", "border_slots")
 
     def __init__(self, fragment: "Fragment") -> None:
         graph = fragment.graph
@@ -178,7 +162,6 @@ class SlotView:
         inner, mirrors = fragment.inner_border, fragment.mirrors
         self.border = [v in inner or v in mirrors for v in self.ids]
         self.border_slots = list(compress(range(len(self.ids)), self.border))
-        self.ints = machine_ints(self.ids)
 
     def _row(self, graph: Graph, v: VertexId) -> list:
         if not graph.has_vertex(v):
@@ -199,7 +182,6 @@ class SlotView:
                     continue
                 s = index[v] = len(self.ids)
                 self.ids.append(v)
-                self.ints = self.ints and machine_ints([v])
                 self.out.append([])
                 self.border.append(False)
             self.out[s] = self._row(graph, v)
@@ -270,18 +252,12 @@ class FragmentedGraph:
         self.fragments = list(fragments)
         self.assignment = dict(assignment)
         self.strategy = strategy
-        #: fid -> effect records of the most recent mutator call (what the
-        #: process backend replays on its workers' fragment copies).
-        self.last_effects: dict[int, list] = {}
-        # vid -> set of fids hosting a copy (owner first by convention).
-        self.known_by: dict[VertexId, set[int]] = {}
+        #: vertex -> the fids hosting a copy, where the engine sends a
+        #: changed parameter (:class:`Routes`)
+        self.routes = routes = Routes(self)
         for frag in self.fragments:
-            for v in frag.owned:
-                self.known_by.setdefault(v, set()).add(frag.fid)
-            for v in frag.mirrors:
-                self.known_by.setdefault(v, set()).add(frag.fid)
-        #: where the engine sends a changed parameter (:class:`Routes`)
-        self.routes = Routes(self)
+            for v in chain(frag.owned, frag.mirrors):
+                routes.setdefault(v, set()).add(frag.fid)
 
     @property
     def num_fragments(self) -> int:
@@ -320,32 +296,24 @@ class FragmentedGraph:
         """The fragment owning vertex ``v``."""
         return self.fragments[self.owner_of(v)]
 
-    def hosts(self, v: VertexId) -> Collection[int]:
-        """All fragment ids holding a copy of vertex ``v`` (owner +
-        mirrors)."""
-        return self.known_by.get(v, set())
-
-    def _reroute(self, v: VertexId) -> None:
-        """Drop ``v``'s route: ``known_by[v]`` changed."""
-        self.routes.pop(v, None)
-
     # ------------------------------------------------------------------
     # Delta application (ΔG): one edge at a time, with border/mirror
     # bookkeeping for removals as well as additions. The batch-level
     # entry point is :func:`repro.core.delta.apply_delta`.
     #
-    # Every mutator records the per-fragment effects it applied in
-    # ``self.last_effects`` (fid -> effect records); the process backend
-    # replays those records on its workers' fragment copies through the
-    # same :func:`apply_fragment_effects` interpreter.
+    # Every mutator appends the per-fragment effects it applied to the
+    # caller's ``effects`` (fid -> effect records), when one is passed;
+    # the process backend replays those records on its workers' fragment
+    # copies through the same :func:`apply_fragment_effects` interpreter.
     # ------------------------------------------------------------------
     def _effect(
-        self, effects: dict[int, list], fid: int, *record: object
+        self, effects: dict[int, list] | None, fid: int, *record: object
     ) -> None:
         """Apply one effect to ``fid``'s fragment and log it."""
         rec = tuple(record)
         apply_fragment_effects(self.fragments[fid], [rec])
-        effects.setdefault(fid, []).append(rec)
+        if effects is not None:
+            effects.setdefault(fid, []).append(rec)
 
     def insert_edge(
         self,
@@ -353,6 +321,7 @@ class FragmentedGraph:
         dst: VertexId,
         weight: float = 1.0,
         label: str | None = None,
+        effects: dict[int, list] | None = None,
     ) -> list[int]:
         """Insert one edge; returns the fragment ids that must repair.
 
@@ -367,7 +336,6 @@ class FragmentedGraph:
         src_frag = self.fragments[src_fid]
         dst_frag = self.fragments[dst_fid]
         directed = src_frag.graph.directed
-        effects: dict[int, list] = {}
 
         if not src_frag.graph.has_vertex(dst):
             self._effect(
@@ -383,8 +351,7 @@ class FragmentedGraph:
         if dst_fid != src_fid:
             self._effect(effects, src_fid, "set_mirror", dst, dst_fid)
             self._effect(effects, dst_fid, "add_inner_border", dst)
-            self.known_by.setdefault(dst, set()).add(src_fid)
-            self._reroute(dst)
+            self.routes[dst].add(src_fid)
             touched.append(dst_fid)
             if not directed:
                 if not dst_frag.graph.has_vertex(src):
@@ -401,18 +368,21 @@ class FragmentedGraph:
                 )
                 self._effect(effects, dst_fid, "set_mirror", src, src_fid)
                 self._effect(effects, src_fid, "add_inner_border", src)
-                self.known_by.setdefault(src, set()).add(dst_fid)
-                self._reroute(src)
-        self.last_effects = effects
+                self.routes[src].add(dst_fid)
         return touched
 
-    def delete_edge(self, src: VertexId, dst: VertexId) -> list[int]:
+    def delete_edge(
+        self,
+        src: VertexId,
+        dst: VertexId,
+        effects: dict[int, list] | None = None,
+    ) -> list[int]:
         """Remove one edge; returns the fragment ids that must repair.
 
         The inverse of :meth:`insert_edge`: the edge leaves the
         source-owner's local graph; when the removal strands a mirror
         (no local edge references it anymore) the mirror copy is dropped,
-        ``known_by`` shrinks, and the owner's ``inner_border`` entry is
+        its route shrinks, and the owner's ``inner_border`` entry is
         retired once *no* fragment mirrors the vertex. The target's owner
         is always touched — in a directed graph the target's value may
         have depended on the deleted edge even though its own fragment
@@ -423,7 +393,6 @@ class FragmentedGraph:
         src_frag = self.fragments[src_fid]
         dst_frag = self.fragments[dst_fid]
         directed = src_frag.graph.directed
-        effects: dict[int, list] = {}
 
         if not src_frag.graph.has_edge(src, dst):
             # Match Graph.remove_edge's error without logging any effect.
@@ -436,11 +405,14 @@ class FragmentedGraph:
             if not directed:
                 self._effect(effects, dst_fid, "remove_edge", dst, src)
                 self._prune_mirror(effects, dst_frag, src)
-        self.last_effects = effects
         return touched
 
     def reweight_edge(
-        self, src: VertexId, dst: VertexId, weight: float
+        self,
+        src: VertexId,
+        dst: VertexId,
+        weight: float,
+        effects: dict[int, list] | None = None,
     ) -> tuple[list[int], float]:
         """Change one edge's weight; returns (touched fids, old weight).
 
@@ -453,7 +425,6 @@ class FragmentedGraph:
         src_frag = self.fragments[src_fid]
         dst_frag = self.fragments[dst_fid]
         directed = src_frag.graph.directed
-        effects: dict[int, list] = {}
 
         old = src_frag.graph.edge_weight(src, dst)  # GraphError if absent
         label = src_frag.graph.edge_label(src, dst)
@@ -465,7 +436,6 @@ class FragmentedGraph:
                 self._effect(
                     effects, dst_fid, "add_edge", dst, src, weight, label
                 )
-        self.last_effects = effects
         return touched, old
 
     def _prune_mirror(
@@ -481,10 +451,7 @@ class FragmentedGraph:
         self._effect(effects, frag.fid, "drop_mirror", v)
         if v in g:
             self._effect(effects, frag.fid, "remove_vertex", v)
-        hosts = self.known_by.get(v)
-        if hosts is not None:
-            hosts.discard(frag.fid)
-            self._reroute(v)
+        self.routes[v].discard(frag.fid)
         if not any(v in f.mirrors for f in self.fragments):
             self._effect(effects, owner, "discard_inner_border", v)
 

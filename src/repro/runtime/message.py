@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pickle
 import zlib
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.utils.sizeof import message_size
 
@@ -25,8 +25,7 @@ def payload_checksum(payload: object) -> int:
     return zlib.crc32(pickle.dumps(payload, protocol=4))
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One point-to-point message with its accounted wire size.
 
     ``seq`` and ``checksum`` are only populated when the transport
@@ -38,7 +37,7 @@ class Message:
     src: int
     dst: int
     payload: object
-    size: int = field(default=0)
+    size: int = 0
     seq: int | None = None
     checksum: int | None = None
 
@@ -52,10 +51,10 @@ class Message:
     ) -> "Message":
         """Build a message, computing its wire size (and checksum) once."""
         return Message(
-            src=src,
-            dst=dst,
-            payload=payload,
-            size=message_size(payload),
-            seq=seq,
-            checksum=payload_checksum(payload) if with_checksum else None,
+            src,
+            dst,
+            payload,
+            message_size(payload),
+            seq,
+            payload_checksum(payload) if with_checksum else None,
         )

@@ -96,8 +96,9 @@ def test_a_slot_is_hosted_by_its_vertex_owner_and_its_writer():
         assert sorted(covered) == sorted(frag.mirrors)
     # A plain vertex key still reaches every copy.
     v = next(iter(fragmented.fragments[0].mirrors))
-    assert fragmented.hosts(v) == fragmented.known_by[v]
-    assert set(fragmented.routes[v]) == fragmented.known_by[v]
+    assert fragmented.routes[v] == {fragmented.owner_of(v)} | {
+        f.fid for f in fragmented.fragments if v in f.mirrors
+    }
 
 
 def test_pagerank_mail_reaches_only_the_owner_under_every_routing():

@@ -24,7 +24,7 @@ def _audited(fragment=0):
 def test_checker_accepts_monotone_writes():
     params, checker = _audited()
     params.set(1, 10)
-    params.apply_remote(1, 5)
+    params.apply_columns([([1], [5])])
     params.set(1, 5)  # no change: not a write
     checker.absorb(params.take_audit())
     assert checker.writes_seen == 2

@@ -193,7 +193,7 @@ def test_cross_fragment_delete_prunes_stranded_mirror():
     assert fragd.fragments[0].mirrors == {2: 1}  # 1->2 still references it
     apply_delta(fragd, [("delete", 1, 2)])
     assert fragd.fragments[0].mirrors == {}  # stranded mirror dropped
-    assert fragd.hosts(2) == {1}
+    assert fragd.routes[2] == {1}
 
 
 # ------------------------------------------------------------ atomicity
@@ -218,10 +218,10 @@ def test_rejected_batch_leaves_fragments_untouched(bad):
     """A ΔG batch is atomic: whichever op is bad, the ops before it
     must not have landed."""
     fragd = _road_fragments()
-    before = pickle.dumps((fragd.fragments, fragd.known_by))
+    before = pickle.dumps((fragd.fragments, dict(fragd.routes)))
     with pytest.raises(ProgramError):
         apply_delta(fragd, [("insert", 0, 35, 0.5), bad])
-    assert pickle.dumps((fragd.fragments, fragd.known_by)) == before
+    assert pickle.dumps((fragd.fragments, dict(fragd.routes))) == before
 
 
 def test_rejected_batch_is_invisible_on_every_backend():

@@ -57,7 +57,7 @@ def test_apply_insertion_cross_edge_updates_borders():
     f0, f1 = fragd.fragments
     assert f0.mirrors == {1: 1}
     assert f1.inner_border == {1}
-    assert fragd.hosts(1) == {0, 1}
+    assert fragd.routes[1] == {0, 1}
     assert f0.graph.has_edge(0, 1)
 
 
@@ -185,7 +185,7 @@ def test_traversal_entry_points_are_one_step(make_program, query):
     def step(call):
         partial = copy.deepcopy(state.partials[0])
         params = copy.deepcopy(state.params[0])
-        params.apply_remote(2, 1.0)  # the offer, as M_i delivers it
+        params.apply_columns([([2], [1.0])])  # the offer, as M_i delivers it
         call(frag, query, partial, params)
         return (
             sorted(partial.items()),
@@ -262,7 +262,7 @@ def test_incremental_without_support_raises():
 @pytest.mark.parametrize("backend", ["simulated", "process"])
 def test_refused_batch_leaves_fragments_and_state_untouched(backend):
     """A program without ΔG hooks is refused before the batch is routed:
-    an insert and a delete both leave the fragments, ``known_by``, the
+    an insert and a delete both leave the fragments, the routes, the
     kept state and the workers' copies as they were."""
     graph = power_law(60)
     fragmented = build_fragments(graph, get_partitioner("hash")(graph, 3), 3)
@@ -274,7 +274,7 @@ def test_refused_batch_leaves_fragments_and_state_untouched(backend):
     def observed():
         return (
             pickle.dumps(fragmented.fragments),
-            pickle.dumps(fragmented.known_by),
+            pickle.dumps(dict(fragmented.routes)),
             pickle.dumps(cold.state),
         )
 

@@ -1,7 +1,6 @@
 """Unit tests for the update-parameter store (message protocol core)."""
 
 import pickle
-from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -135,7 +134,7 @@ def test_a_laid_store_seeds_and_publishes_by_slot():
     view = view_of([1, 2, 3], inner=[4])
     params = make_store()
     params.declare_border(view)
-    params.apply_columns([(array("q", [3, 1]), array("d", [2.0, 5.0]))])
+    params.apply_columns([([3, 1], [2.0, 5.0])])
     assert params.received(view, held=lambda v: True) == [(2, 2.0), (0, 5.0)]
     params.apply_columns([([3, 9], [1.0, 0.5])])  # 9 lies outside the view
     assert params.received(view, held=lambda v: True) == [(2, 1.0)]
@@ -149,22 +148,22 @@ def test_apply_remote_aggregates():
     params.declare([1])
     params.set(1, 5.0)
     params.consume_changes()
-    assert params.apply_remote(1, 8.0) is False  # worse: no change
-    assert params.apply_remote(1, 2.0) is True
+    assert params.apply_columns([([1], [8.0])]) == set()  # worse: no change
+    assert params.apply_columns([([1], [2.0])]) == {1}
     assert params.get(1) == 2.0
 
 
 def test_apply_remote_does_not_mark_for_send():
     params = make_store()
     params.declare([1])
-    params.apply_remote(1, 2.0)
-    assert params.apply_columns([(array("q", [1]), array("d", [1.0]))]) == {1}
+    params.apply_columns([([1], [2.0])])
+    assert params.apply_columns([([1], [1.0])]) == {1}
     assert sent(params) == {}  # no echo
 
 
 def test_apply_remote_lazily_declares():
     params = make_store()
-    assert params.apply_remote(42, 1.0) is True
+    assert params.apply_columns([([42], [1.0])]) == {42}
     assert params.is_declared(42)
     assert params.apply_columns([([43], [INF])]) == set()  # no change ...
     assert params.is_declared(43)  # ... but declared all the same
@@ -184,7 +183,7 @@ def test_apply_columns_folds_every_column_through_the_aggregator():
 def test_local_improvement_after_remote_is_shipped():
     params = make_store()
     params.declare([1])
-    params.apply_remote(1, 5.0)
+    params.apply_columns([([1], [5.0])])
     params.improve(1, 3.0)
     assert sent(params) == {1: 3.0}
 
@@ -212,9 +211,9 @@ def test_audit_sees_all_writes():
     params.audit = Seen(fragment=0)
     params.declare([1, 2])
     params.set(1, 5.0)
-    params.apply_remote(1, 2.0)
-    params.apply_remote(1, 9.0)  # resolved away: no write
-    params.apply_columns([(array("q", [1, 2]), array("d", [1.0, 7.0]))])
+    params.apply_columns([([1], [2.0])])
+    params.apply_columns([([1], [9.0])])  # resolved away: no write
+    params.apply_columns([([1, 2], [1.0, 7.0])])
     params.improve_slots(view_of([1, 2]), [1, 0], [3.0, 6.0])  # 3.0 is not
     params.reset([1])  # resets bypass the audit by design
     assert seen == [
@@ -224,26 +223,29 @@ def test_audit_sees_all_writes():
     assert params.take_audit() == 5
 
 
-def test_columns_are_typed_once_per_store_and_keep_value_types():
+def test_columns_are_lists_and_keep_value_types():
     sssp = make_store()
     sssp.declare([3, 1])
     sssp.improve(1, 2.0)
     sssp.improve(3, 1.0)
     keys, values = sssp.consume_changes()
-    assert keys == array("q", [1, 3]) and values == array("d", [2.0, 1.0])
-    # A CC label is an int under a None default: the values stay a list
+    assert type(keys) is list and type(values) is list
+    assert (keys, values) == ([1, 3], [2.0, 1.0])
+    # A CC label is an int under a None default: the values are a list
     # of ints, and None keeps meaning "no label yet".
     cc = UpdateParams(MIN, None)
     cc.declare([5, 6])
     cc.improve(6, 2)
-    assert cc.consume_changes() == (array("q", [6]), [2])
-    assert cc.apply_columns([(array("q", [5]), [None])]) == set()
+    keys, values = cc.consume_changes()
+    assert (keys, values) == ([6], [2]) and type(values[0]) is int
+    assert cc.apply_columns([([5], [None])]) == set()
     assert cc.get(5) is None
-    # Keys that are not machine ints travel as a list.
+    # Keys of any kind travel as they are.
     named = make_store()
     named.declare(["x", 1 << 70])
     named.improve("x", 1.0)
-    assert named.consume_changes() == (["x"], array("d", [1.0]))
+    named.improve(1 << 70, 2.0)
+    assert named.consume_changes() == (["x", 1 << 70], [1.0, 2.0])
     # An int written into a float store comes back an int.
     mixed = make_store()
     mixed.declare([1])
@@ -318,7 +320,7 @@ def test_a_store_pickles_by_key_not_by_layout():
     for params in (one, two):
         params.improve(2, 5.0)
         params.improve(1, 4.0)
-        params.apply_remote(3, 1.0)
+        params.apply_columns([([3], [1.0])])
     assert pickle.dumps(one) == pickle.dumps(two)
     clone = pickle.loads(pickle.dumps(one))
     assert clone.snapshot() == one.snapshot()

@@ -1,14 +1,22 @@
 """Unit tests for fragments, border bookkeeping and d-hop expansion."""
 
+import random
+
 import pytest
 
+from repro.core.delta import apply_delta
 from repro.errors import PartitionError
 from repro.graph.digraph import Graph
 from repro.graph.fragment import (
     FragmentedGraph,
+    Slot,
     build_fragments,
     expand_fragments,
 )
+from repro.graph.generators import road_network
+from repro.partition import get_partitioner
+
+from tests.property.scenarios import random_batch
 
 
 def _line() -> Graph:
@@ -71,8 +79,50 @@ def test_local_graph_has_only_owned_out_edges():
 def test_hosts_routing_table():
     g = _line()
     fragd = build_fragments(g, {0: 0, 1: 0, 2: 1, 3: 1}, 2)
-    assert fragd.hosts(2) == {0, 1}
-    assert fragd.hosts(0) == {0}
+    assert fragd.routes[2] == {0, 1}
+    assert fragd.routes[0] == {0}
+
+
+def _live_edges(fragd: FragmentedGraph) -> set:
+    """Every edge, from its source owner's fragment — one arc per edge
+    of an undirected graph."""
+    edges = {
+        (e.src, e.dst)
+        for f in fragd.fragments
+        for e in f.graph.edges()
+        if e.src in f.owned
+    }
+    if fragd.fragments[0].graph.directed:
+        return edges
+    return {(min(e), max(e)) for e in edges}
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_routes_hold_every_host_through_delta_batches(directed):
+    """The one host map is edited in place by ΔG and stays exact: a
+    vertex's route is its owner and every fragment mirroring it, as
+    mirrors come and go, and a Slot's is its owner and its writer."""
+    graph = Graph(directed=directed)
+    for e in road_network(6, 6, seed=2).edges():
+        if not graph.has_edge(e.src, e.dst):
+            graph.add_edge(e.src, e.dst, e.weight)
+    fragd = build_fragments(graph, get_partitioner("hash")(graph, 3), 3)
+    rng = random.Random(11)
+    vertices = sorted(graph.vertices())
+    grew = shrank = 0
+    for _ in range(10):
+        before = {v: set(hosts) for v, hosts in fragd.routes.items()}
+        apply_delta(fragd, random_batch(rng, _live_edges(fragd), vertices))
+        for v, owner in fragd.assignment.items():
+            mirrored = {f.fid for f in fragd.fragments if v in f.mirrors}
+            assert fragd.routes[v] == {owner} | mirrored, v
+            grew += fragd.routes[v] > before[v]
+            shrank += fragd.routes[v] < before[v]
+    assert grew and shrank  # mirrors both appeared and were pruned
+    for f in fragd.fragments:
+        for v, owner in f.mirrors.items():
+            slot = Slot(((v,), f.fid))
+            assert fragd.routes[slot] == (owner, f.fid)
 
 
 def test_owner_of():

@@ -422,7 +422,7 @@ def test_one_pass_build_matches_oracle(g, parts, strategy, store):
     assignment = get_partitioner(strategy)(g, parts)
     built = build_fragments(g, assignment, parts, store=store)
     oracle = _oracle_build_fragments(g, assignment, parts, store=store)
-    assert built.known_by == oracle.known_by
+    assert built.routes == oracle.routes
     for new, old in zip(built.fragments, oracle.fragments, strict=True):
         assert_same_graph(new.graph, old.graph)
         assert list(new.mirrors.items()) == list(old.mirrors.items())
