@@ -9,13 +9,14 @@ Reproduction: graph simulation over a 25-label random graph with a
 3-label pattern, with PEval either scanning every vertex for initial
 candidates or consulting the Index Manager's prebuilt label index
 (indices are populated at load time, per Fig. 2). Same answers; the
-indexed run performs a fraction of the refinement work and less
-compute. (A vertex-centric engine cannot skip vertices at all — every
-vertex runs in superstep 0 — which is the point of the claim.)
+indexed run performs under half the refinement work, asserted on the
+deterministic step counter. (A vertex-centric engine cannot skip
+vertices at all — every vertex runs in superstep 0 — which is the point
+of the claim.)
 
-Both variants run twice, interleaved, and the best compute per variant
-is compared — wall-clock measurement at millisecond scale needs the
-pairing to cancel machine drift.
+Both variants run three times, interleaved, and the table reports the
+best compute per variant. That column is wall-clock time at millisecond
+scale, so machine load can reorder it: it is reported, not asserted.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ def test_e8_index_ablation(benchmark, setup):
 
     assert indexed_answer == plain_answer
     assert indexed_steps * 2 < plain_steps
-    assert indexed_compute < plain_compute
 
     rows = [
         ["PEval full scan", plain_steps, plain_compute],

@@ -97,6 +97,7 @@ class CFProgram(PIEProgram[CFQuery, CFPartial, CFResult]):
             for v in fragment.border
             if fragment.graph.vertex_label(v) == "item"
         }
+        params.lay(fragment.slot_view())
         params.declare(items)
 
     # ------------------------------------------------------------------

@@ -112,9 +112,8 @@ class KeywordProgram(PIEProgram[KeywordQuery, Partial, dict]):
             visited_total += visited
             improved.update(updates)
         params.charge(visited_total)
-        self._export(
-            fragment, query, params, partial, improved & fragment.border
-        )
+        exports = [v for v in improved if params.is_declared(v)]
+        self._export(fragment, query, params, partial, exports)
         return partial
 
     def assemble(

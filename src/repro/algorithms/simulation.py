@@ -88,10 +88,10 @@ class SimProgram(PIEProgram[SimQuery, Partial, dict]):
     ) -> None:
         # Initial assumption: label-based candidates (computable by every
         # host, since fragments copy vertex labels onto mirrors).
-        initial = initial_candidates(
-            fragment.graph, query.pattern, fragment.border
-        )
-        params.declare(fragment.border, initial=initial)
+        border = fragment.border
+        initial = initial_candidates(fragment.graph, query.pattern, border)
+        params.lay(fragment.slot_view())
+        params.declare(border, initial=initial)
 
     def peval(
         self, fragment: Fragment, query: SimQuery, params: UpdateParams

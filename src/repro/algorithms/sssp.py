@@ -25,7 +25,8 @@ Every phase computes in slot space: over the fragment's
 :class:`~repro.graph.fragment.SlotView` (dense local vertex numbers and
 ``(slot, weight)`` rows, kept in step with ΔG), with the partial a
 :class:`SlotPartial` — a list of distances beside the view's ids. The
-parameter store is declared from the view's border slots; IncEval reads
+parameter store is laid over the view by the default ``declare_params``
+and declared from its border slots; IncEval reads
 its seeds by the store positions its mail changed, and the improved
 slots are published in one call
 (:meth:`~repro.core.update_params.UpdateParams.improve_slots`).
@@ -170,11 +171,6 @@ class SSSPProgram(PIEProgram[SSSPQuery, SlotPartial, dict]):
         deletions.
         """
         return dv >= offer
-
-    def declare_params(
-        self, fragment: Fragment, query: SSSPQuery, params: UpdateParams
-    ) -> None:
-        params.declare_border(fragment.slot_view())
 
     def peval(
         self, fragment: Fragment, query: SSSPQuery, params: UpdateParams

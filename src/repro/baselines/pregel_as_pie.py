@@ -140,9 +140,6 @@ class VertexCentricAsPIE(PIEProgram):
         partial.round += 1
 
     # ------------------------------------------------------------------
-    def declare_params(self, fragment, query, params) -> None:
-        params.declare(fragment.border)
-
     def peval(self, fragment: Fragment, query, params) -> _SimPartial:
         partial = _SimPartial()
         for v in fragment.owned:

@@ -132,10 +132,13 @@ class PIEProgram(abc.ABC, Generic[Q, P, R]):
         """Declare which vertices carry update parameters.
 
         Default: every border vertex of the fragment (``F_i.I ∪ F_i.O``),
-        which suits most traversal-style programs; override to narrow or
-        extend (e.g. CF declares parameters on shared items only).
+        with the store laid over the fragment's slot view
+        (:meth:`~repro.core.update_params.UpdateParams.declare_border`),
+        which suits most traversal-style programs. An override may lay
+        the store too (``params.lay(fragment.slot_view())``) and then
+        declare a narrower set or initial values, as CF and Sim do.
         """
-        params.declare(fragment.border)
+        params.declare_border(fragment.slot_view())
 
     @abc.abstractmethod
     def peval(self, fragment: Fragment, query: Q, params: UpdateParams) -> P:

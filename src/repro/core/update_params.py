@@ -16,11 +16,14 @@ armed one, and the engine books :meth:`take_work` / :meth:`take_audit`
 from each op reply.
 
 Values sit in a list over *positions*, beside a ``bytearray`` flag per
-position for "declared" and one for "pending send". A store declared
-through :meth:`declare_border` is laid over the fragment's
-:class:`~repro.graph.fragment.SlotView` — it shares the view's ids and
-index, so a position is a slot and SSSP/BFS publish and seed by slot;
-any other store numbers its keys as they are declared. A message is a
+position for "declared" and one for "pending send". A vertex-keyed
+store is laid over its fragment's
+:class:`~repro.graph.fragment.SlotView` (:meth:`lay`, which
+:meth:`declare_border` and the default ``declare_params`` call): it
+shares the view's ids and index, so a position is a slot and programs
+publish and seed by slot. Only a store that never meets a view —
+PageRank's ``Slot`` columns, a program that calls :meth:`declare`
+itself — numbers its keys as they are declared. A message is a
 ``(keys, values)`` pair of lists. A store pickles by key, never its
 layout.
 """
@@ -82,7 +85,6 @@ class UpdateParams:
         self._moved: list[int] = []  # the positions mail last changed
         self._view = None  # the slot view the store is laid over
         self._grown = 0  # ... and how many of its border slots it saw
-        self._by_slot = False  # declared from a view (it pickles this)
 
     # ------------------------------------------------------------------
     # Layout and declaration
@@ -95,31 +97,32 @@ class UpdateParams:
             self._declared += bytes(n)
             self._marked += bytes(n)
 
-    def _lay(self, view) -> bool:
-        """Lay the store over ``view``, position = slot, unless it holds
-        a key outside the view (then it stays as it is: False). A store
-        new to the view — fresh, or loaded from a pickle — is re-laid."""
+    def lay(self, view) -> None:
+        """Lay the store over a fragment's slot ``view``, position =
+        slot. A store new to the view — fresh, or loaded from a pickle —
+        is re-laid; a key whose vertex the view does not hold (a mirror
+        ΔG pruned, met again on a rebuilt view) is dropped with its
+        marks."""
         if self._view is view:
             self._fit()
-            return True
+            return
         keys, values = self._keys, self.snapshot()
         pending = [keys[p] for p in self._changed]
-        moved, by_slot = [keys[p] for p in self._moved], self._by_slot
+        moved = [keys[p] for p in self._moved]
         index = view.index
-        if not all(map(index.__contains__, values)):
-            return False
         self.__init__(self.aggregator, self.default)
         n = len(view.ids)
         self._values, self._declared = [self.default] * n, bytearray(n)
         self._marked = bytearray(n)
         for k, x in values.items():
-            self._values[index[k]] = x
-            self._declared[index[k]] = 1
+            if k in index:
+                self._values[index[k]] = x
+                self._declared[index[k]] = 1
         self._keys, self._pos, self._view = view.ids, index, view
-        self._by_slot, self._moved = by_slot, [index[k] for k in moved]
+        self._moved = [index[k] for k in moved if k in index]
         for k in pending:
-            self._mark(index[k])
-        return True
+            if k in index:
+                self._mark(index[k])
 
     def declare(
         self,
@@ -129,20 +132,20 @@ class UpdateParams:
         """Declare update parameters for ``vertices``.
 
         Initial values come from ``initial`` where present, otherwise the
-        default. Declaration does not mark variables as changed.
+        default. Declaration does not mark variables as changed. A laid
+        store declares only vertices its view holds.
         """
         keys = list(vertices)
-        if not all(map(self._pos.__contains__, keys)):
-            fresh = [v for v in dict.fromkeys(keys) if v not in self._pos]
-            if self._view is not None:  # keys outside its view
-                self._keys, self._pos = list(self._keys), dict(self._pos)
-                self._view = None
-            n = len(self._keys)
-            self._pos.update(zip(fresh, range(n, n + len(fresh))))
-            self._keys += fresh
-            self._fit()
-        elif self._view is not None:
-            self._fit()
+        fresh = [v for v in dict.fromkeys(keys) if v not in self._pos]
+        if fresh and self._view is not None:
+            raise ProgramError(
+                f"[GRP402] declare of {fresh[0]!r}, which the fragment "
+                "does not hold: update parameters live on fragment.border"
+            )
+        n = len(self._keys)
+        self._pos.update(zip(fresh, range(n, n + len(fresh))))
+        self._keys += fresh
+        self._fit()
         pos, declared = self._pos, self._declared
         for v in keys:
             declared[pos[v]] = 1
@@ -150,21 +153,14 @@ class UpdateParams:
                 self._values[pos[v]] = initial[v]
 
     def declare_border(self, view) -> int:
-        """Declare the border vertices of a fragment's slot view this
-        store lacks, laying it over the view: all of them the first time
-        the store meets ``view``, then the border slots the view
-        appended since (ΔG's fresh border). Returns how many."""
+        """Lay the store over a fragment's slot view and declare the
+        border vertices it lacks: all of them the first time the store
+        meets ``view``, then the border slots the view appended since
+        (ΔG's fresh border). Returns how many."""
         start = self._grown if self._view is view else 0
-        laid, self._by_slot = self._lay(view), True
-        slots, border, ids = view.border_slots, view.border, view.ids
+        self.lay(view)
+        slots, border = view.border_slots, view.border
         self._grown = len(slots)
-        if not laid:  # it holds a key outside the view: by vertex
-            fresh = [
-                ids[s] for s in slots[start:]
-                if border[s] and not self.is_declared(ids[s])
-            ]
-            self.declare(fresh)
-            return len(fresh)
         if not start and not any(self._declared):
             self._declared = bytearray(border)  # a fresh store
             return self._declared.count(1)
@@ -172,16 +168,6 @@ class UpdateParams:
         fresh = [s for s in slots[start:] if border[s] and not declared[s]]
         for s in fresh:
             declared[s] = 1
-        return len(fresh)
-
-    def declare_fresh(self, fragment) -> int:
-        """Declare the border vertices ΔG gave ``fragment`` that this
-        store lacks — by :meth:`declare_border` for a store declared
-        from the fragment's slot view. Returns how many."""
-        if self._by_slot:
-            return self.declare_border(fragment.slot_view())
-        fresh = fragment.border.difference(self._pos)
-        self.declare(fresh)
         return len(fresh)
 
     def _find(self, v: VertexId) -> int | None:
@@ -285,14 +271,14 @@ class UpdateParams:
         view with its ``dist[s]``, ``MIN``/``MAX`` compared inline — how
         SSSP/BFS publish."""
         border, ids = view.border, view.ids
-        laid = self._lay(view)
+        self.lay(view)
         values, declared, marked = self._values, self._declared, self._marked
         sign, audit = self._sign, self.audit
         for s in slots:
             if not border[s]:
                 continue
             x = dist[s]
-            if not (laid and declared[s] and sign) or values[s] is None:
+            if not (declared[s] and sign) or values[s] is None:
                 self.improve(ids[s], x)
             elif x < values[s] if sign > 0 else x > values[s]:
                 if audit is not None:
@@ -380,18 +366,10 @@ class UpdateParams:
         """``(slot, value)`` of each parameter the last mail changed —
         IncEval's seeds, read by position — whose vertex the fragment
         holds (``held``; a border slot's vertex always is)."""
-        laid = self._lay(view)
+        self.lay(view)
         border, ids, values = view.border, view.ids, self._values
-        if laid:
-            return [
-                (s, values[s]) for s in self._moved
-                if border[s] or held(ids[s])
-            ]
-        index, keys = view.index, self._keys
         return [
-            (s, values[p]) for p in self._moved
-            if (s := index.get(keys[p])) is not None
-            and (border[s] or held(ids[s]))
+            (s, values[s]) for s in self._moved if border[s] or held(ids[s])
         ]
 
     def charge(self, units: int) -> None:
@@ -419,10 +397,9 @@ class UpdateParams:
 
     # ------------------------------------------------------------------
     # Pickling (checkpoints, state shipped to process workers): by key,
-    # sorted — ``{key: value}``, the pending keys and whether the store
-    # was declared from a view — never the layout, which a loaded store
-    # rebuilds; pending work and the audit stay with the run that owns
-    # them.
+    # sorted — ``{key: value}`` and the pending keys — never the layout,
+    # which a loaded store rebuilds; pending work and the audit stay with
+    # the run that owns them.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         values = self.snapshot()
@@ -431,7 +408,6 @@ class UpdateParams:
             "default": self.default,
             "values": {k: values[k] for k in _sorted(list(values))},
             "pending": _sorted([self._keys[p] for p in self._changed]),
-            "by_slot": self._by_slot,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -444,7 +420,6 @@ class UpdateParams:
         self._marked = bytearray(len(keys))
         for k in state["pending"]:
             self._mark(self._pos[k])
-        self._by_slot = state["by_slot"]
 
     def __len__(self) -> int:
         return self._declared.count(1)

@@ -23,6 +23,7 @@ first use and kept in step with ΔG by :func:`apply_fragment_effects`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress
 from typing import Hashable, Mapping, Sequence
 
@@ -79,6 +80,9 @@ def apply_fragment_effects(frag: "Fragment", records: Sequence[tuple]) -> None:
     of the vertices it may have changed.
     """
     view = frag.__dict__.get("_slot_view")
+    # a view whose rows are unbuilt holds only slots and border flags,
+    # which no edge record changes (add_vertex records bring endpoints)
+    rows = view is not None and "out" in vars(view)
     graph = frag.graph
     for record in records:
         kind = record[0]
@@ -89,15 +93,15 @@ def apply_fragment_effects(frag: "Fragment", records: Sequence[tuple]) -> None:
         elif kind == "add_edge":
             _, src, dst, weight, label = record
             graph.add_edge(src, dst, weight, label)
-            touched = (src, dst)
+            touched = (src, dst) if rows else ()
         elif kind == "remove_edge":
             _, src, dst = record
             graph.remove_edge(src, dst)
-            touched = (src, dst)
+            touched = (src, dst) if rows else ()
         elif kind == "remove_vertex":
             _, v = record
-            if view is not None:
-                touched = (v, *graph.neighbors(v))  # rows that point at v
+            # with rows: v's and those that point at v
+            touched = (v, *graph.neighbors(v)) if rows else (v,)
             graph.remove_vertex(v)
         elif kind == "set_mirror":
             _, v, owner = record
@@ -117,7 +121,7 @@ def apply_fragment_effects(frag: "Fragment", records: Sequence[tuple]) -> None:
             touched = (v,)
         else:
             raise PartitionError(f"unknown fragment effect {kind!r}")
-        if view is not None:
+        if view is not None and touched:
             view.refresh(frag, touched)
 
 
@@ -135,33 +139,37 @@ class SlotView:
     (inner border or mirror); ``border_slots`` lists every slot that
     has carried one, once, in the order it first did (slot order at
     build, then as ΔG flags them) — what a parameter store declares
-    from.
+    from. The rows are built when ``out`` is first read: a view read
+    only for its slots, as a parameter store reads it, never pays for
+    them, nor for their upkeep under ΔG.
     """
 
-    __slots__ = ("ids", "index", "out", "border", "border_slots")
-
     def __init__(self, fragment: "Fragment") -> None:
-        graph = fragment.graph
+        graph = self._graph = fragment.graph
         # owned vertices, then mirrors, then anything else the graph holds
         self.ids = list(
             dict.fromkeys(
                 chain(fragment.owned, fragment.mirrors, graph.vertices())
             )
         )
-        index = self.index = {v: s for s, v in enumerate(self.ids)}
-        if graph.store_kind == "csr":
-            # one pass over the store's columns (a dict store's rows read
-            # faster one by one); tr maps a store position to a slot
-            indptr, adj, w = graph.store.out_columns()
-            tr = list(map(index.__getitem__, graph.vertices()))
-            self.out = out = [[] for _ in self.ids]
-            for s, lo, hi in zip(tr, indptr, indptr[1:]):
-                out[s] = list(zip(map(tr.__getitem__, adj[lo:hi]), w[lo:hi]))
-        else:
-            self.out = [self._row(graph, v) for v in self.ids]
+        self.index = {v: s for s, v in enumerate(self.ids)}
         inner, mirrors = fragment.inner_border, fragment.mirrors
         self.border = [v in inner or v in mirrors for v in self.ids]
         self.border_slots = list(compress(range(len(self.ids)), self.border))
+
+    @cached_property
+    def out(self) -> list[list]:
+        graph, index = self._graph, self.index
+        if graph.store_kind != "csr":
+            return [self._row(graph, v) for v in self.ids]
+        # one pass over the store's columns (a dict store's rows read
+        # faster one by one); tr maps a store position to a slot
+        indptr, adj, w = graph.store.out_columns()
+        tr = list(map(index.__getitem__, graph.vertices()))
+        out = [[] for _ in self.ids]
+        for s, lo, hi in zip(tr, indptr, indptr[1:]):
+            out[s] = list(zip(map(tr.__getitem__, adj[lo:hi]), w[lo:hi]))
+        return out
 
     def _row(self, graph: Graph, v: VertexId) -> list:
         if not graph.has_vertex(v):
@@ -170,10 +178,12 @@ class SlotView:
         return [(index[u], w) for u, w in graph.store.out_items(v)]
 
     def refresh(self, fragment: "Fragment", vertices) -> None:
-        """Re-read the rows and border flags of ``vertices`` after
-        ``fragment`` changed them, giving a newcomer the next slot."""
+        """Re-read the border flags of ``vertices`` after ``fragment``
+        changed them, and their rows once built, giving a newcomer the
+        next slot."""
         graph = fragment.graph
         index = self.index
+        out = self.__dict__.get("out")
         inner, mirrors = fragment.inner_border, fragment.mirrors
         for v in vertices:
             s = index.get(v)
@@ -182,9 +192,11 @@ class SlotView:
                     continue
                 s = index[v] = len(self.ids)
                 self.ids.append(v)
-                self.out.append([])
                 self.border.append(False)
-            self.out[s] = self._row(graph, v)
+                if out is not None:
+                    out.append([])
+            if out is not None:
+                out[s] = self._row(graph, v)
             flagged = v in inner or v in mirrors
             if flagged and not self.border[s] and s not in self.border_slots:
                 self.border_slots.append(s)

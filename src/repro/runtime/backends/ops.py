@@ -196,7 +196,7 @@ def op_reship(ctx: WorkerContext):
 # ----------------------------------------------------------------------
 def op_declare_fresh(ctx: WorkerContext):
     """Declare parameters for border vertices a ΔG batch created."""
-    return ctx.params.declare_fresh(ctx.frag)
+    return ctx.params.declare_border(ctx.frag.slot_view())
 
 
 def op_reset_params(ctx: WorkerContext, region):

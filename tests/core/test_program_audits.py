@@ -425,10 +425,10 @@ EXPECTED_UNBOUNDED = {
     "sim": "cold rounds only; each call freezes every mirror's candidate "
            "set and re-offers the whole inner border "
            "(114 -> 439 -> 1660, x14.6)",
-    "keyword": "cold rounds only; each call builds fragment.border to "
-               "filter its exports, and a cold round's frontier is the "
-               "PEval cut, which grows with the fragment "
-               "(59 -> 229 -> 1058, x17.9)",
+    "keyword": "cold rounds only; a cold round's frontier is the PEval "
+               "cut, which grows with the fragment, and each call reads "
+               "that frontier back and asks the store which improved "
+               "vertex to export (56 -> 209 -> 1014, x18.1)",
     "widest-path": "cold rounds only; a cold round settles what the new "
                    "border values reach, most of the fragment "
                    "(122 -> 372 -> 1602, x13.1)",

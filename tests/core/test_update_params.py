@@ -11,9 +11,22 @@ from repro.core.aggregators import MIN, SET_INTERSECT
 from repro.core.assurance import WriteAudit
 from repro.core.delta import apply_delta
 from repro.core.update_params import UpdateParams
+from repro.engineapi.query import build_query
+from repro.engineapi.registry import get_program
 from repro.engineapi.session import Session
 from repro.errors import ProgramError
-from repro.graph.generators import road_network
+from repro.graph.fragment import Slot, build_fragments
+from repro.graph.generators import graph_from_spec, road_network
+from repro.partition.registry import get_partitioner
+from repro.runtime.backends.ops import WorkerContext, op_bind
+
+from tests.property.scenarios import (
+    COLD_PROGRAMS,
+    DELTA_PROGRAMS,
+    GRAPH_SPEC,
+    NUM_WORKERS,
+    cold_case,
+)
 
 INF = float("inf")
 
@@ -126,21 +139,28 @@ def test_improve_slots_publishes_improved_border_slots_once():
     assert sent(params) == {2: 1.0, 3: 1.5, 1: 6.0}  # 4 is not border
 
 
-def test_a_laid_store_seeds_and_publishes_by_slot():
+def test_a_relaid_store_drops_the_keys_its_view_lacks():
     """Over a slot view a position is a slot: mail's changes come back
-    as ``(slot, value)`` seeds, and a key outside the view (a mirror ΔG
-    pruned, met again after a pickle) moves the store off the view
-    without losing a value."""
-    view = view_of([1, 2, 3], inner=[4])
+    as ``(slot, value)`` seeds. A pickled store re-laid over a rebuilt
+    view that lacks one of its keys (a mirror ΔG pruned) drops that key
+    with its marks; every other value, pending mark and seed survives,
+    and the laid store refuses to declare the key again."""
+    view = view_of([1, 2, 3, 9], inner=[4])
     params = make_store()
     params.declare_border(view)
     params.apply_columns([([3, 1], [2.0, 5.0])])
     assert params.received(view, held=lambda v: True) == [(2, 2.0), (0, 5.0)]
-    params.apply_columns([([3, 9], [1.0, 0.5])])  # 9 lies outside the view
-    assert params.received(view, held=lambda v: True) == [(2, 1.0)]
-    params.improve_slots(view, [1, 3], [0.0, 4.0, 0.0, 0.1])
-    assert sent(params) == {2: 4.0}
-    assert params.snapshot() == {1: 5.0, 2: 4.0, 3: 1.0, 9: 0.5}
+    params.improve_slots(view, [1, 3], [0.0, 4.0, 0.0, 0.5, 0.0])
+    clone = pickle.loads(pickle.dumps(params))
+    clone.apply_columns([([3, 9], [1.0, 0.25])])
+    rebuilt = view_of([1, 2, 3], inner=[4])  # 9 lies outside it
+    assert clone.received(rebuilt, held=lambda v: True) == [(2, 1.0)]
+    assert sent(clone) == {2: 4.0}
+    assert clone.snapshot() == {1: 5.0, 2: 4.0, 3: 1.0}
+    with pytest.raises(ProgramError, match=r"^\[GRP402\] declare of 9"):
+        clone.declare([9])
+    with pytest.raises(ProgramError, match=r"^\[GRP402\] declare of 9"):
+        clone.apply_columns([([9], [0.1])])
 
 
 def test_apply_remote_aggregates():
@@ -348,3 +368,43 @@ def test_a_kept_store_pickles_no_larger_than_the_vertex_keyed_one(
     sizes = [len(pickle.dumps(params)) for params in state.params]
     limits = VERTEX_KEYED_BYTES[program.name]
     assert all(size <= limit for size, limit in zip(sizes, limits)), sizes
+
+
+def _bound_stores(name: str):
+    """``(fragment, store)`` of each worker right after a built-in's
+    bind, on the oracle lattice's graph for it."""
+    if name in DELTA_PROGRAMS:
+        graph, program = graph_from_spec(GRAPH_SPEC), get_program(name)
+        query = build_query(name, **DELTA_PROGRAMS[name][0])
+    else:
+        graph, kwargs, query = cold_case(name)
+        program = get_program(name, **kwargs)
+    assignment = get_partitioner("hash")(graph, NUM_WORKERS)
+    fragd = build_fragments(graph, assignment, NUM_WORKERS, "hash")
+    for wid, frag in enumerate(fragd.fragments):
+        ctx = WorkerContext(wid, frag)
+        op_bind(ctx, program, query, audit=False)
+        yield frag, ctx.params
+
+
+@pytest.mark.parametrize("name", [*DELTA_PROGRAMS, *COLD_PROGRAMS])
+def test_every_vertex_keyed_store_is_laid_over_its_fragments_view(name):
+    """Every built-in's vertex-keyed store shares its fragment's slot
+    view (position = slot); PageRank's ``Slot`` columns stay keyed and
+    SubIso declares nothing. A pickle from before the layout flag went
+    (one still carrying ``by_slot``) loads as the store it holds."""
+    for frag, params in _bound_stores(name):
+        view = frag.__dict__.get("_slot_view")
+        if name == "pagerank":
+            assert view is None and params._view is None
+            assert params.declared
+            assert all(type(k) is Slot for k in params.declared)
+        elif name == "subiso":
+            assert len(params) == 0
+        else:
+            assert params._keys is view.ids and params._pos is view.index
+            assert params.declared <= frag.border
+        state = {**params.__getstate__(), "by_slot": name != "pagerank"}
+        clone = UpdateParams.__new__(UpdateParams)
+        clone.__setstate__(state)
+        assert clone.snapshot() == params.snapshot()

@@ -14,6 +14,8 @@ import random
 
 import pytest
 
+from repro.algorithms.cc import CCProgram, CCQuery
+from repro.engineapi.session import Session
 from repro.graph.csr import CSRStore
 from repro.graph.fragment import SlotView, build_fragments
 from repro.graph.generators import random_weighted_digraph, road_network
@@ -37,13 +39,19 @@ def by_vertex(view: SlotView, graph) -> dict:
     }
 
 
-def check_view(frag, earlier: list) -> None:
+def check_view(frag, earlier: list, rows: bool = True) -> None:
+    """The maintained view against a fresh build; ``rows=False`` leaves
+    the rows unread (unbuilt, if nothing read them yet)."""
     view = frag.slot_view()
     assert view.ids[: len(earlier)] == earlier  # nothing renumbered
     assert view.index == {v: s for s, v in enumerate(view.ids)}
-    assert by_vertex(view, frag.graph) == by_vertex(
-        SlotView(frag), frag.graph
-    )
+    fresh = SlotView(frag)
+    if not rows:
+        flags = {v: f for v, f in zip(view.ids, view.border)
+                 if frag.graph.has_vertex(v)}
+        assert flags == dict(zip(fresh.ids, fresh.border))
+        return
+    assert by_vertex(view, frag.graph) == by_vertex(fresh, frag.graph)
     for s, v in enumerate(view.ids):
         if not frag.graph.has_vertex(v):  # left: slot kept, row emptied
             assert view.out[s] == [] and not view.border[s]
@@ -86,10 +94,11 @@ def _ops(fragd, graph, rng, count: int):
                 yield "reweight", src, dst, rng.choice([0.25, 4.0])
 
 
-@pytest.mark.parametrize("store", sorted(STORES))
-@pytest.mark.parametrize("directed", [False, True], ids=["undir", "dir"])
-@pytest.mark.parametrize("seed", range(4))
-def test_maintained_view_equals_a_fresh_build(store, directed, seed):
+def _replay(store: str, directed: bool, seed: int, rows: bool) -> None:
+    """Seeded ΔG over 3 fragments whose views are held to a fresh build
+    after every op. With ``rows``, the rows are built up front and every
+    op refreshes them; without, ops keep only slots and border flags,
+    and the rows built after the last op read as a fresh build's."""
     if directed:
         graph = random_weighted_digraph(30, 70, seed=seed)
     else:
@@ -97,6 +106,9 @@ def test_maintained_view_equals_a_fresh_build(store, directed, seed):
     assignment = get_partitioner("hash")(graph, 3)
     fragd = build_fragments(graph, assignment, 3, store=STORES[store])
     views = [frag.slot_view() for frag in fragd.fragments]
+    for view in views:
+        if rows:
+            view.out
     rng = random.Random(seed)
     for kind, src, dst, *weight in _ops(fragd, graph, rng, 40):
         earlier = [list(view.ids) for view in views]
@@ -108,7 +120,23 @@ def test_maintained_view_equals_a_fresh_build(store, directed, seed):
             fragd.reweight_edge(src, dst, weight[0])
         for frag, view, ids in zip(fragd.fragments, views, earlier):
             assert frag.slot_view() is view
-            check_view(frag, ids)
+            check_view(frag, ids, rows)
+    for frag, view in zip(fragd.fragments, views):
+        assert ("out" in vars(view)) is rows
+        check_view(frag, list(view.ids))
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+@pytest.mark.parametrize("directed", [False, True], ids=["undir", "dir"])
+@pytest.mark.parametrize("seed", range(4))
+def test_maintained_view_equals_a_fresh_build(store, directed, seed):
+    _replay(store, directed, seed, rows=True)
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+@pytest.mark.parametrize("directed", [False, True], ids=["undir", "dir"])
+def test_a_rowless_view_keeps_its_slots_and_flags(store, directed):
+    _replay(store, directed, seed=0, rows=False)
 
 
 def test_a_pruned_mirror_that_returns_keeps_its_slot():
@@ -184,3 +212,19 @@ def test_a_view_read_from_columns_equals_the_row_reader(store, directed):
     fragd.compact()
     for frag in fragd.fragments:  # compacted: clean columns again
         assert_view_reads_as_rows(frag)
+
+
+def test_a_kept_cc_run_under_delta_never_builds_rows():
+    """CC's parameter store is laid over each fragment's view, but CC
+    never reads a ``(slot, weight)`` row: a kept run absorbing a ΔG
+    batch leaves the rows unbuilt, so no effect record pays to refresh
+    them."""
+    session = Session(road_network(8, 8, seed=1), num_workers=3)
+    program, query = CCProgram(), CCQuery()
+    state = session.run(program, query, keep_state=True).state
+    batch = [(0, 63, 1.0), (9, 54, 2.0)]
+    session.engine().run_incremental(program, query, state, batch)
+    views = [frag.__dict__.get("_slot_view")
+             for frag in session.fragmented.fragments]
+    assert all(view is not None for view in views)
+    assert not any("out" in vars(view) for view in views)
