@@ -155,8 +155,8 @@ class UpdateParams:
     def declare_border(self, view) -> int:
         """Lay the store over a fragment's slot view and declare the
         border vertices it lacks: all of them the first time the store
-        meets ``view``, then the border slots the view appended since
-        (ΔG's fresh border). Returns how many."""
+        meets ``view``, then the slots its border log gained since (ΔG's
+        fresh border, a returning one too). Returns how many."""
         start = self._grown if self._view is view else 0
         self.lay(view)
         slots, border = view.border_slots, view.border

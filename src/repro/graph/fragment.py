@@ -80,12 +80,10 @@ def apply_fragment_effects(frag: "Fragment", records: Sequence[tuple]) -> None:
     of the vertices it may have changed.
     """
     view = frag.__dict__.get("_slot_view")
-    # a view whose rows are unbuilt holds only slots and border flags,
-    # which no edge record changes (add_vertex records bring endpoints)
-    rows = view is not None and "out" in vars(view)
     graph = frag.graph
     for record in records:
         kind = record[0]
+        touched = rows = ()  # slots to refresh; slots whose rows alone moved
         if kind == "add_vertex":
             _, v, label, props = record
             graph.add_vertex(v, label, **props)
@@ -93,16 +91,16 @@ def apply_fragment_effects(frag: "Fragment", records: Sequence[tuple]) -> None:
         elif kind == "add_edge":
             _, src, dst, weight, label = record
             graph.add_edge(src, dst, weight, label)
-            touched = (src, dst) if rows else ()
+            rows = (src, dst)
         elif kind == "remove_edge":
             _, src, dst = record
             graph.remove_edge(src, dst)
-            touched = (src, dst) if rows else ()
+            rows = (src, dst)
         elif kind == "remove_vertex":
             _, v = record
-            # with rows: v's and those that point at v
-            touched = (v, *graph.neighbors(v)) if rows else (v,)
+            rows = graph.neighbors(v)  # those that point at v
             graph.remove_vertex(v)
+            touched = (v,)
         elif kind == "set_mirror":
             _, v, owner = record
             frag.mirrors[v] = owner
@@ -121,8 +119,11 @@ def apply_fragment_effects(frag: "Fragment", records: Sequence[tuple]) -> None:
             touched = (v,)
         else:
             raise PartitionError(f"unknown fragment effect {kind!r}")
-        if view is not None and touched:
-            view.refresh(frag, touched)
+        if view is not None:
+            if touched:
+                view.refresh(frag, touched)
+            if rows:
+                view.refresh_rows(frag, rows)
 
 
 class SlotView:
@@ -136,12 +137,12 @@ class SlotView:
     ``out[s]`` lists the out-arcs of ``ids[s]`` as ``(slot, weight)``
     (a mirror's too — an undirected mirror stores its arc back);
     ``border[s]`` is whether ``ids[s]`` carries an update parameter
-    (inner border or mirror); ``border_slots`` lists every slot that
-    has carried one, once, in the order it first did (slot order at
-    build, then as ΔG flags them) — what a parameter store declares
-    from. The rows are built when ``out`` is first read: a view read
-    only for its slots, as a parameter store reads it, never pays for
-    them, nor for their upkeep under ΔG.
+    (inner border or mirror); ``border_slots`` logs each slot as it
+    becomes flagged (slot order at build, then each time ΔG flags one,
+    so a slot that ΔG unflags and flags again appears again) — what a
+    parameter store declares from. The rows are built when ``out`` is
+    first read: a view read only for its slots, as a parameter store
+    reads it, never pays for them, nor for their upkeep under ΔG.
     """
 
     def __init__(self, fragment: "Fragment") -> None:
@@ -198,9 +199,17 @@ class SlotView:
             if out is not None:
                 out[s] = self._row(graph, v)
             flagged = v in inner or v in mirrors
-            if flagged and not self.border[s] and s not in self.border_slots:
+            if flagged and not self.border[s]:
                 self.border_slots.append(s)
             self.border[s] = flagged
+
+    def refresh_rows(self, fragment: "Fragment", vertices) -> None:
+        """:meth:`refresh` after a change to the edges of ``vertices``
+        alone: nothing to do while the rows are unbuilt (an edge record
+        moves no border flag, and its endpoints arrive by ``add_vertex``
+        records)."""
+        if "out" in self.__dict__:
+            self.refresh(fragment, vertices)
 
 
 @dataclass

@@ -138,6 +138,7 @@ class _Meter:
     reads = 0
     counting = False
     auditing = False
+    in_store = False  # inside a call to the parameter store
 
 
 METER = _Meter()
@@ -211,18 +212,52 @@ class CountingDict(dict):
         return _counted(dict.items(self))
 
 
+class ViewIndex(CountingDict):
+    """A slot view's ``index``, which a laid parameter store shares as
+    its own key map: a lookup made inside a store call is not charged
+    again, so a laid store, like a keyed one (whose map is its own), is
+    charged per call."""
+
+    def __getitem__(self, key):
+        if METER.in_store:
+            return dict.__getitem__(self, key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        if METER.in_store:
+            return dict.get(self, key, default)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        if METER.in_store:
+            return dict.__contains__(self, key)
+        return super().__contains__(key)
+
+
 class Counted:
     """Read-counting stand-in for a graph, a fragment's vertex sets or a
-    parameter store: every call is charged by the size of its result."""
+    parameter store (``store``): every call is charged by the size of
+    its result."""
 
-    def __init__(self, target) -> None:
+    def __init__(self, target, store: bool = False) -> None:
         self._target = target
+        self._store = store
 
     def __getattr__(self, name):
         value = getattr(self._target, name)
         if not callable(value):
             return _counted(value)
-        return lambda *args, **kwargs: _counted(value(*args, **kwargs))
+        if not self._store:
+            return lambda *args, **kwargs: _counted(value(*args, **kwargs))
+
+        def call(*args, **kwargs):
+            METER.in_store = True
+            try:
+                return _counted(value(*args, **kwargs))
+            finally:
+                METER.in_store = False
+
+        return call
 
     def __contains__(self, item):
         _read()
@@ -290,7 +325,7 @@ def _count_view(fragment) -> None:
     before any partial is laid over it (partials share ``ids``)."""
     view = fragment.slot_view()
     view.ids = CountingList(view.ids)
-    view.index = CountingDict(view.index)
+    view.index = ViewIndex(view.index)
     view.out = CountingList(view.out)
     view.border = CountingList(view.border)
 
@@ -329,7 +364,7 @@ def audited(program):
         try:
             return base.inceval(
                 self, CountedFragment(fragment), query, partial,
-                Counted(params), changed,
+                Counted(params, store=True), changed,
             )
         finally:
             METER.counting = False
@@ -416,9 +451,9 @@ EXPECTED_UNBOUNDED = {
     "cf": "every IncEval call runs an SGD epoch over every local rating "
           "(48 -> 173 -> 661, x13.8)",
     "bite-grp201": "re-offers every owned vertex each call "
-                   "(49 -> 133 -> 469, x9.6)",
+                   "(41 -> 113 -> 401, x9.8)",
     "bite-grp202": "re-publishes the whole border each call "
-                   "(58 -> 186 -> 730, x12.6)",
+                   "(53 -> 181 -> 725, x13.7)",
     "pagerank": "cold rounds only; each call's _drain scans every local "
                 "residual for its worklist and re-offers every column "
                 "(417 -> 2356 -> 7049, x16.9)",

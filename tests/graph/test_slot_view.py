@@ -153,7 +153,31 @@ def test_a_pruned_mirror_that_returns_keeps_its_slot():
     assert 15 not in SlotView(frag).index  # a fresh build drops it
     fragd.insert_edge(0, 15, 2.0)  # back: same slot, live row
     assert view.index[15] == slot and view.border[slot]
+    assert view.border_slots.count(slot) == 2  # flagged twice, logged twice
     check_view(frag, list(view.ids))
+
+
+def test_a_fresh_kept_run_declares_a_pruned_mirror_that_returns():
+    """A store bound after ΔG pruned a mirror declares from the flags of
+    the day; when the cross edge comes back, the view logs the slot
+    again, so the store declares it and CC's ΔG hook may write it."""
+    session = Session(
+        road_network(4, 4, seed=1, removal_prob=0.0), num_workers=2,
+        partition="range",
+    )
+    program, query = CCProgram(), CCQuery()
+    engine = session.engine()
+    assert session.fragmented.owner_of(0) != session.fragmented.owner_of(15)
+    state = session.run(program, query, keep_state=True).state
+    state = engine.run_incremental(
+        program, query, state, [("insert", 0, 15, 1.0)]
+    ).state
+    engine.run_incremental(program, query, state, [("delete", 0, 15)])
+    state = session.run(program, query, keep_state=True).state  # fresh
+    result = engine.run_incremental(
+        program, query, state, [("insert", 0, 15, 2.0)]
+    )
+    assert result.answer == session.run(program, query).answer
 
 
 def test_the_view_is_not_pickled():
