@@ -22,11 +22,9 @@ signal). Numbers land in ``benchmarks/results/e11_delta_repair.json``.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from benchmarks.helpers import RESULTS_DIR, format_rows, run_once, write_result
+from benchmarks.helpers import COST_MODEL, run_once, write_record
 from repro.engineapi.query import build_query
 from repro.engineapi.registry import get_program
 from repro.engineapi.session import Session
@@ -78,7 +76,9 @@ def _mixed_batch(graph) -> list[tuple]:
 
 def _run_one(name: str) -> dict:
     graph = road_network(ROWS, COLS, seed=7)
-    session = Session(graph, num_workers=WORKERS, partition="bfs")
+    session = Session(
+        graph, num_workers=WORKERS, partition="bfs", cost_model=COST_MODEL
+    )
     engine = session.engine()
     query = build_query(name, **PROGRAMS[name])
     batch = _mixed_batch(graph)
@@ -111,11 +111,7 @@ def _run_one(name: str) -> dict:
 
 @pytest.fixture(scope="module")
 def results():
-    data = {}
-    yield data
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / "e11_delta_repair.json"
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return {}
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
@@ -134,38 +130,4 @@ def test_report(results):
     assert scoped, "no program took the scoped repair path"
     for row in scoped:
         assert row["work_ratio"] < 1.0, row
-    rows = [
-        [
-            row["program"],
-            row["ops"],
-            row["mode"],
-            f"{row['safe_ops']}/{row['unsafe_ops']}",
-            row["invalidated"],
-            row["inc_work"],
-            row["full_work"],
-            f"{row['work_ratio']:.2f}x",
-            row["inc_cost"],
-            row["full_cost"],
-        ]
-        for _, row in sorted(results.items())
-    ]
-    write_result(
-        "E11_delta_repair",
-        "E11 — mixed ΔG (insert+delete+reweight) repair vs recompute, "
-        f"road:{ROWS}x{COLS}, {WORKERS} workers\n"
-        + format_rows(
-            [
-                "program",
-                "ops",
-                "mode",
-                "safe/unsafe",
-                "invalidated",
-                "inc work",
-                "full work",
-                "work ratio",
-                "inc cost (s)",
-                "full cost (s)",
-            ],
-            rows,
-        ),
-    )
+    write_record("e11_delta_repair", results)

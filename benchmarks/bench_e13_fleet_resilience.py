@@ -19,11 +19,9 @@ serves everything fresh. Numbers land in
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from benchmarks.helpers import RESULTS_DIR, format_rows, run_once, write_result
+from benchmarks.helpers import run_once, write_record
 from repro.service.fleet import FleetRouter, default_chaos_plan
 
 GRAPH = "road:8x8"
@@ -75,11 +73,7 @@ def _run_one(rate: float) -> dict:
 
 @pytest.fixture(scope="module")
 def results():
-    data = {}
-    yield data
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / "e13_fleet_resilience.json"
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return {}
 
 
 @pytest.mark.parametrize("rate", FAULT_RATES)
@@ -102,37 +96,4 @@ def test_report(results):
     # The sweep must actually exercise the machinery it claims to test.
     assert any(r["faults_injected"] > 0 for r in chaotic)
     assert any(r["failovers"] > 0 or r["recoveries"] > 0 for r in chaotic)
-    rows = [
-        [
-            f"{row['fault_rate']:.1f}",
-            row["faults_injected"],
-            f"{row['availability']:.0%}",
-            f"{row['stale_rate']:.0%}",
-            row["failovers"],
-            row["hedges"],
-            row["recoveries"],
-            row["catchup_batches"],
-            row["p99"],
-        ]
-        for _, row in sorted(results.items())
-    ]
-    write_result(
-        "E13_fleet_resilience",
-        f"E13 — fleet availability vs fault rate, {REPLICAS} replicas on "
-        f"{GRAPH}, seed {SEED}, deadline {DEADLINE}s, "
-        f"{QUERIES} queries + ΔG batches\n"
-        + format_rows(
-            [
-                "rate",
-                "faults",
-                "avail",
-                "stale",
-                "failovers",
-                "hedges",
-                "recoveries",
-                "catchup",
-                "p99 (s)",
-            ],
-            rows,
-        ),
-    )
+    write_record("e13_fleet_resilience", results)

@@ -5,8 +5,8 @@ process backend must produce exactly the simulator's answers and
 deterministic metrics, with only wall clock free to differ. This bench
 locks that down on road:40x40 and records the wall-clock curve (median
 of ``REPEATS`` timed runs per backend per worker count, after one
-untimed warmup that starts the pool) into
-``benchmarks/results/e14_backend_ab.json``.
+untimed warmup that starts the pool) into the git-ignored
+``benchmarks/measured/e14_backend_ab.json``, which CI uploads.
 
 Honest-measurement note: OS-process parallelism can only pay for its
 IPC when there are cores to run the workers on. The recorded JSON
@@ -20,17 +20,15 @@ which waits out the host's slow stretches.
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import time
 
-from benchmarks.helpers import RESULTS_DIR, format_rows, write_result
+from benchmarks.helpers import COST_MODEL, MEASURED_DIR, write_record
 from repro.engineapi.query import build_query
 from repro.engineapi.registry import get_program
 from repro.engineapi.session import Session
 from repro.graph.generators import graph_from_spec
-from repro.runtime.costmodel import CostModel
 from repro.service.service import canonical_answer_bytes
 
 GRAPH_SPEC = "road:40x40"
@@ -60,7 +58,7 @@ def _timed_runs(backend: str, name: str, params: dict, workers: int):
         graph,
         num_workers=workers,
         partition="hash",
-        cost_model=CostModel(deterministic=True),
+        cost_model=COST_MODEL,
         backend=backend,
     )
     kwargs = {"total_vertices": graph.num_vertices} if name == "pagerank" \
@@ -94,7 +92,6 @@ def test_e14_backend_ab():
         "cpus_available": cpus,
         "programs": {},
     }
-    rows = []
     for name, params in PROGRAMS.items():
         curve: dict = {}
         for workers in WORKER_COUNTS:
@@ -118,36 +115,6 @@ def test_e14_backend_ab():
                 "process_median_s": round(process["median_s"], 4),
                 "process_speedup": round(speedup, 3),
             }
-            rows.append(
-                [
-                    name,
-                    workers,
-                    f"{simulated['median_s'] * 1000:.1f}",
-                    f"{process['median_s'] * 1000:.1f}",
-                    f"{speedup:.2f}x",
-                    "yes",
-                ]
-            )
         record["programs"][name] = curve
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "e14_backend_ab.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n"
-    )
-    caveat = (
-        ""
-        if cpus >= 2
-        else f"\n(single-core host: {cpus} cpu visible — process rows "
-        "measure dispatch overhead, not parallel speedup)"
-    )
-    write_result(
-        "e14_backend_ab",
-        f"E14 backend A/B on {GRAPH_SPEC} "
-        f"({cpus} cpu(s), median of {REPEATS})\n"
-        + format_rows(
-            ["program", "workers", "simulated ms", "process ms",
-             "speedup", "byte-identical"],
-            rows,
-        )
-        + caveat,
-    )
+    write_record("e14_backend_ab", record, MEASURED_DIR)

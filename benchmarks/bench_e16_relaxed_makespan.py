@@ -19,11 +19,10 @@ Writes ``benchmarks/results/e16_relaxed_makespan.json``.
 
 from __future__ import annotations
 
-import json
 import pickle
 import re
 
-from benchmarks.helpers import RESULTS_DIR, format_rows, write_result
+from benchmarks.helpers import COST_MODEL, write_record
 from repro.core.engine import GrapeEngine
 from repro.engineapi.query import build_query
 from repro.engineapi.registry import get_program
@@ -32,7 +31,6 @@ from repro.graph.generators import graph_from_spec
 from repro.obs.skew import report_for_tracer
 from repro.obs.tracer import Tracer
 from repro.partition.registry import get_partitioner
-from repro.runtime.costmodel import CostModel
 from repro.service.service import canonical_answer_bytes
 
 GRAPH_SPEC = "road:40x40"
@@ -59,7 +57,7 @@ def _run(mode: str, graph, assignment, strategy="skewed"):
     tracer = Tracer()
     engine = GrapeEngine(
         fragmented,
-        cost_model=CostModel(deterministic=True),
+        cost_model=COST_MODEL,
         mode=mode,
         tracer=tracer,
     )
@@ -143,27 +141,4 @@ def test_e16_relaxed_makespan():
         "byte_identical": True,
         "timeline_slack": slack_lines[0],
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "e16_relaxed_makespan.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n"
-    )
-
-    rows = [
-        ["strict/direct", f"{strict['total_time'] * 1000:.2f}", "-", "yes"],
-        ["relaxed", f"{relaxed['total_time'] * 1000:.2f}",
-         f"-{reclaimed_pct:.1f}%", "yes"],
-        ["strict/direct, multilevel",
-         f"{repartitioned['total_time'] * 1000:.2f}",
-         f"-{repartitioned_pct:.1f}%", "yes"],
-    ]
-    write_result(
-        "e16_relaxed_makespan",
-        f"E16 relaxed vs strict makespan on skewed {GRAPH_SPEC} "
-        f"({NUM_WORKERS} workers, {HEAVY_FRACTION:.0%} on w0, "
-        f"{len(strict['rounds'])} IncEval rounds)\n"
-        + format_rows(
-            ["mode", "virtual ms", "vs strict/direct", "byte-identical"],
-            rows,
-        )
-        + "\n" + slack_lines[0],
-    )
+    write_record("e16_relaxed_makespan", record)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.helpers import format_rows, run_once, write_result
+from benchmarks.helpers import COST_MODEL, run_once, write_record
 from repro.algorithms.sssp import SSSPProgram, SSSPQuery
 from repro.baselines.blogel import BlogelEngine
 from repro.baselines.blogel_programs import BlogelSSSP
@@ -34,18 +34,6 @@ from repro.partition.registry import get_partitioner
 
 WORKERS = 24
 SOURCE = 0
-REPEATS = 2
-
-
-def _best_of(fn):
-    """Run twice, keep the faster — cancels scheduler noise without
-    changing any ordering a single clean run would show."""
-    best = None
-    for _ in range(REPEATS):
-        result = fn()
-        if best is None or result.metrics.total_time < best.metrics.total_time:
-            best = result
-    return best
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +58,8 @@ def results():
 def test_giraph_style(benchmark, road, fragments, results):
     r = run_once(
         benchmark,
-        lambda: _best_of(
-            lambda: PregelEngine(fragments["hash"]).run(PregelSSSP(SOURCE))
+        lambda: PregelEngine(fragments["hash"], COST_MODEL).run(
+            PregelSSSP(SOURCE)
         ),
     )
     results["Giraph (vertex-centric)"] = r.metrics
@@ -80,8 +68,8 @@ def test_giraph_style(benchmark, road, fragments, results):
 def test_graphlab_style(benchmark, road, fragments, results):
     r = run_once(
         benchmark,
-        lambda: _best_of(
-            lambda: GASEngine(road, fragments["hash"]).run(GASSSSP(SOURCE))
+        lambda: GASEngine(road, fragments["hash"], COST_MODEL).run(
+            GASSSSP(SOURCE)
         ),
     )
     results["GraphLab (vertex-centric)"] = r.metrics
@@ -90,8 +78,8 @@ def test_graphlab_style(benchmark, road, fragments, results):
 def test_blogel_style(benchmark, road, fragments, results):
     r = run_once(
         benchmark,
-        lambda: _best_of(
-            lambda: BlogelEngine(fragments["bfs"]).run(BlogelSSSP(SOURCE))
+        lambda: BlogelEngine(fragments["bfs"], COST_MODEL).run(
+            BlogelSSSP(SOURCE)
         ),
     )
     results["Blogel (block-centric)"] = r.metrics
@@ -100,10 +88,8 @@ def test_blogel_style(benchmark, road, fragments, results):
 def test_grape(benchmark, road, fragments, results):
     r = run_once(
         benchmark,
-        lambda: _best_of(
-            lambda: GrapeEngine(fragments["multilevel"]).run(
-                SSSPProgram(), SSSPQuery(source=SOURCE)
-            )
+        lambda: GrapeEngine(fragments["multilevel"], COST_MODEL).run(
+            SSSPProgram(), SSSPQuery(source=SOURCE)
         ),
     )
     results["GRAPE (auto-parallelization)"] = r.metrics
@@ -127,20 +113,14 @@ def test_table1_shape_and_report(benchmark, road, results):
     assert grape.communication_mb * 5 < graphlab.communication_mb
     assert grape.communication_mb <= blogel.communication_mb * 1.25
 
-    rows = [
-        [
-            name,
-            metrics.total_time,
-            metrics.communication_mb,
-            metrics.num_supersteps,
-        ]
-        for name, metrics in results.items()
-    ]
-    table = format_rows(
-        ["System", "Time(s, simulated)", "Comm.(MB)", "Supersteps"], rows
-    )
-    write_result(
-        "E1_table1_sssp",
-        "E1 / Table 1 — SSSP on road network (60x60 grid, 24 workers)\n"
-        + table,
+    write_record(
+        "e1_table1_sssp",
+        {
+            name: {
+                "time_s": metrics.total_time,
+                "comm_mb": metrics.communication_mb,
+                "supersteps": metrics.num_supersteps,
+            }
+            for name, metrics in results.items()
+        },
     )

@@ -12,21 +12,19 @@ Fennel) and hash strategies. Expected shape: multilevel ships the fewest
 parameter messages and is fastest; streaming in between; hash worst —
 the gap tracking the cross-edge counts, the mechanism the paper names.
 
-Writes ``benchmarks/results/e2_partition_strategies.json`` too: the
-table's deterministic columns (messages, bytes, cross edges, balance)
-and a digest of each assignment, key order included, so a partitioner
-change that moves a single vertex shows up as a diff of that file. The
-``.txt`` table's ``Time(s)`` column is measured and moves run to run.
+Writes ``benchmarks/results/e2_partition_strategies.json``: messages,
+bytes, cross edges, balance and a digest of each assignment, key order
+included, so a partitioner change that moves a single vertex shows up
+as a diff of that file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 
 import pytest
 
-from benchmarks.helpers import RESULTS_DIR, format_rows, run_once, write_result
+from benchmarks.helpers import COST_MODEL, run_once, write_record
 from repro.algorithms.sssp import SSSPProgram, SSSPQuery
 from repro.core.engine import GrapeEngine
 from repro.graph.fragment import build_fragments
@@ -54,7 +52,9 @@ def _run(graph, strategy):
     assignment = get_partitioner(strategy)(graph, WORKERS)
     fragd = build_fragments(graph, assignment, WORKERS, strategy)
     report = evaluate_partition(graph, assignment, WORKERS, strategy)
-    result = GrapeEngine(fragd).run(SSSPProgram(), SSSPQuery(source=0))
+    result = GrapeEngine(fragd, COST_MODEL).run(
+        SSSPProgram(), SSSPQuery(source=0)
+    )
     digest = hashlib.sha256(repr(list(assignment.items())).encode())
     return report, result, digest.hexdigest()
 
@@ -86,7 +86,6 @@ def test_e2_shape_and_report(benchmark, social, results):
     ]
     assert all(a == answers[0] for a in answers)
 
-    rows = []
     record = {}
     for strategy in STRATEGIES:
         report, result, digest = results[strategy]
@@ -97,27 +96,4 @@ def test_e2_shape_and_report(benchmark, social, results):
             "balance": report.balance,
             "assignment_sha256": digest,
         }
-        rows.append(
-            [
-                "metis(multilevel)" if strategy == "multilevel" else strategy,
-                result.total_time,
-                result.metrics.total_messages,
-                result.metrics.communication_mb,
-                report.cut_edges,
-                report.balance,
-            ]
-        )
-    table = format_rows(
-        ["Partition", "Time(s)", "Messages", "Comm.(MB)", "CrossEdges",
-         "Balance"],
-        rows,
-    )
-    write_result(
-        "E2_partition_strategies",
-        "E2 / Section 3 — SSSP x partition strategy "
-        f"(community graph n={social.num_vertices}, {WORKERS} workers)\n"
-        + table,
-    )
-    (RESULTS_DIR / "e2_partition_strategies.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n"
-    )
+    write_record("e2_partition_strategies", record)

@@ -2,25 +2,20 @@
 
 The demo invites the audience to "observe its scalability by varying the
 number of workers ... datasets and query classes". For each query class
-we sweep n ∈ {2, 4, 8, 16, 24} workers and report simulated time and
-communication. Expected shape: time falls as workers are added until
-fixed costs (supersteps x barrier + communication) dominate; answers
-never change with n.
-
-Calibration note: the paper's fragments hold millions of vertices, so
-per-superstep compute dwarfs the per-superstep barrier/latency constants
-of the cost model. Our generated graphs are ~1000x smaller; to preserve
-the compute/overhead ratio of the paper's regime we scale measured
-compute by ``COMPUTE_SCALE`` (a disclosed knob of the simulator, applied
-identically across all worker counts — it cannot manufacture a speedup
-that is not there).
+we sweep n ∈ {2, 4, 8, 16, 24} workers and report virtual time,
+critical-path work and communication. Expected shape: the critical-path
+work — the busiest worker's work, summed over supersteps — falls as
+workers are added, while virtual time (network + barrier per round)
+does not: at laptop scale the fixed cost of each round is what it
+measures, which is why the claim is asserted on work (Das et al.'s
+split of the busiest machine's work from the per-round cost).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.helpers import format_rows, run_once, write_result
+from benchmarks.helpers import COST_MODEL, run_once, write_record
 from repro.algorithms.cc import CCProgram, CCQuery
 from repro.algorithms.keyword import KeywordProgram, KeywordQuery
 from repro.algorithms.simulation import SimProgram, SimQuery
@@ -30,11 +25,8 @@ from repro.graph.digraph import Graph
 from repro.graph.fragment import build_fragments
 from repro.graph.generators import community_graph, labeled_social
 from repro.partition.registry import get_partitioner
-from repro.runtime.costmodel import CostModel
 
 WORKER_COUNTS = (2, 4, 8, 16, 24)
-COMPUTE_SCALE = 50.0
-COST_MODEL = CostModel(compute_scale=COMPUTE_SCALE)
 
 
 def _pattern() -> Graph:
@@ -62,33 +54,20 @@ def results():
     return {}
 
 
-def _sweep(graph, make_program, query, repeats: int = 2):
-    """Per worker count, run ``repeats`` times and keep the fastest.
-
-    The simulator's time comes from real measured compute; taking the
-    best of a couple of runs removes scheduler noise without changing
-    any trend the sweep could show.
-    """
-    rows = []
+def _sweep(graph, make_program, query):
+    rows = {}
     for n in WORKER_COUNTS:
         assignment = get_partitioner("multilevel")(graph, n)
         fragd = build_fragments(graph, assignment, n, "multilevel")
-        best = None
-        for _ in range(repeats):
-            result = GrapeEngine(fragd, cost_model=COST_MODEL).run(
-                make_program(), query
-            )
-            if best is None or result.total_time < best.total_time:
-                best = result
-        rows.append(
-            (
-                n,
-                best.total_time,
-                best.metrics.total_compute,
-                best.metrics.communication_mb,
-                best.num_supersteps,
-            )
-        )
+        metrics = GrapeEngine(fragd, COST_MODEL).run(
+            make_program(), query
+        ).metrics
+        rows[str(n)] = {
+            "time_s": metrics.total_time,
+            "critical_path_work": metrics.critical_path_work,
+            "comm_mb": metrics.communication_mb,
+            "supersteps": metrics.num_supersteps,
+        }
     return rows
 
 
@@ -97,7 +76,7 @@ CLASSES = {
     "cc": ("traversal", CCProgram, CCQuery()),
     "sim": ("labeled", SimProgram, SimQuery(pattern=_pattern())),
     # Rare keywords + a large radius make the per-fragment BFS heavy
-    # enough that compute (not fixed round costs) is what n divides.
+    # enough that work (not fixed round costs) is what n divides.
     "keyword": (
         "labeled",
         KeywordProgram,
@@ -118,32 +97,10 @@ def test_scalability(benchmark, graphs, results, qclass):
 def test_e3_shape_and_report(benchmark, results):
     run_once(benchmark, lambda: None)
     assert len(results) == len(CLASSES)
-    lines = []
-    for qclass, rows in sorted(results.items()):
-        # Scale-up claim: the best time in the sweep beats the 2-worker
-        # time; for compute-heavy classes the largest worker count does
-        # too. Keyword's per-fragment BFS is light enough that at this
-        # scale its curve flattens near the end (measurement noise can
-        # flip the last point), so only the best-of-sweep is asserted.
-        time_at = {n: t for n, t, _, _, _ in rows}
-        assert min(time_at.values()) < time_at[WORKER_COUNTS[0]], (
-            f"{qclass}: no configuration beats {WORKER_COUNTS[0]} workers"
-        )
-        if qclass != "keyword":
-            assert time_at[WORKER_COUNTS[-1]] < time_at[WORKER_COUNTS[0]], (
-                f"{qclass}: no speedup from {WORKER_COUNTS[0]} to "
-                f"{WORKER_COUNTS[-1]} workers"
-            )
-        lines.append(f"\n{qclass}:")
-        lines.append(
-            format_rows(
-                ["Workers", "Time(s)", "TotalCompute(s)", "Comm.(MB)",
-                 "Supersteps"],
-                [list(r) for r in rows],
-            )
-        )
-    write_result(
-        "E3_scalability_workers",
-        "E3 / Fig 3(4) — time vs workers per query class\n"
-        + "\n".join(lines),
-    )
+    first, last = str(WORKER_COUNTS[0]), str(WORKER_COUNTS[-1])
+    for qclass, rows in results.items():
+        # Scale-up claim: the critical path at the largest worker count
+        # is below the smallest's, for every class.
+        work = {n: row["critical_path_work"] for n, row in rows.items()}
+        assert work[last] < work[first], (qclass, work)
+    write_record("e3_scalability_workers", results)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.helpers import format_rows, run_once, write_result
+from benchmarks.helpers import COST_MODEL, run_once, write_record
 from repro.algorithms.cc import CCProgram, CCQuery
 from repro.algorithms.pagerank import PageRankProgram, PageRankQuery
 from repro.algorithms.sssp import SSSPProgram, SSSPQuery
@@ -63,10 +63,12 @@ def results():
 
 def _grape_runner(qclass, graph, fragd):
     if qclass == "sssp":
-        return GrapeEngine(fragd).run(SSSPProgram(), SSSPQuery(source=0))
+        return GrapeEngine(fragd, COST_MODEL).run(
+            SSSPProgram(), SSSPQuery(source=0)
+        )
     if qclass == "cc":
-        return GrapeEngine(fragd).run(CCProgram(), CCQuery())
-    return GrapeEngine(fragd).run(
+        return GrapeEngine(fragd, COST_MODEL).run(CCProgram(), CCQuery())
+    return GrapeEngine(fragd, COST_MODEL).run(
         PageRankProgram(total_vertices=graph.num_vertices),
         PageRankQuery(tolerance=1e-6),
     )
@@ -74,24 +76,24 @@ def _grape_runner(qclass, graph, fragd):
 
 def _pregel_runner(qclass, graph, fragd):
     if qclass == "sssp":
-        return PregelEngine(fragd).run(PregelSSSP(source=0))
+        return PregelEngine(fragd, COST_MODEL).run(PregelSSSP(source=0))
     if qclass == "cc":
-        return PregelEngine(fragd).run(PregelWCC())
-    return PregelEngine(fragd).run(
+        return PregelEngine(fragd, COST_MODEL).run(PregelWCC())
+    return PregelEngine(fragd, COST_MODEL).run(
         PregelPageRank(num_vertices=graph.num_vertices, iterations=30)
     )
 
 
 def _gas_runner(qclass, graph, fragd):
     if qclass == "sssp":
-        return GASEngine(graph, fragd).run(GASSSSP(source=0))
+        return GASEngine(graph, fragd, COST_MODEL).run(GASSSSP(source=0))
     if qclass == "cc":
-        return GASEngine(graph, fragd).run(GASWCC())
+        return GASEngine(graph, fragd, COST_MODEL).run(GASWCC())
     degrees = {v: graph.out_degree(v) for v in graph.vertices()}
     # Tolerance must scale with 1/n: ranks are O(1/n), so an absolute
     # 1e-4 cutoff on a few-thousand-vertex graph converges instantly to
     # a wrong answer.
-    return GASEngine(graph, fragd).run(
+    return GASEngine(graph, fragd, COST_MODEL).run(
         GASPageRank(
             num_vertices=graph.num_vertices,
             out_degree=degrees,
@@ -102,8 +104,8 @@ def _gas_runner(qclass, graph, fragd):
 
 def _blogel_runner(qclass, graph, fragd):
     if qclass == "sssp":
-        return BlogelEngine(fragd).run(BlogelSSSP(source=0))
-    return BlogelEngine(fragd).run(BlogelWCC())
+        return BlogelEngine(fragd, COST_MODEL).run(BlogelSSSP(source=0))
+    return BlogelEngine(fragd, COST_MODEL).run(BlogelWCC())
 
 
 ENGINES = {
@@ -137,28 +139,6 @@ def test_engine_on_dataset(benchmark, setups, results, dataset, engine):
 def test_e4_shape_and_report(benchmark, results):
     run_once(benchmark, lambda: None)
     assert len(results) == 8
-    lines = []
-    for dataset in ("road", "social"):
-        for qclass in CLASSES:
-            rows = []
-            for engine in ("GRAPE", "Blogel", "Giraph", "GraphLab"):
-                metrics = results[(dataset, engine)].get(qclass)
-                if metrics is None:
-                    continue
-                rows.append(
-                    [
-                        engine,
-                        metrics.total_time,
-                        metrics.communication_mb,
-                        metrics.num_supersteps,
-                    ]
-                )
-            lines.append(f"\n{dataset} / {qclass}:")
-            lines.append(
-                format_rows(
-                    ["System", "Time(s)", "Comm.(MB)", "Supersteps"], rows
-                )
-            )
     # Shape: GRAPE wins traversal on the road network decisively.
     grape_road = results[("road", "GRAPE")]["sssp"]
     giraph_road = results[("road", "Giraph")]["sssp"]
@@ -166,15 +146,27 @@ def test_e4_shape_and_report(benchmark, results):
     assert grape_road.total_time * 2 < giraph_road.total_time
     assert grape_road.total_time * 2 < graphlab_road.total_time
     # Shape: GRAPE CC at least comparable everywhere (2x slack for
-    # Blogel, whose block-level CC is structurally GRAPE's own PEval;
-    # run-to-run wall-clock noise at millisecond scale needs headroom).
+    # Blogel, whose block-level CC is structurally GRAPE's own PEval).
     for dataset in ("road", "social"):
         grape_cc = results[(dataset, "GRAPE")]["cc"]
         for other in ("Giraph", "GraphLab", "Blogel"):
             other_cc = results[(dataset, other)]["cc"]
             assert grape_cc.total_time < other_cc.total_time * 2.0
-    write_result(
-        "E4_query_classes",
-        "E4 / Fig 3(5) — engines x query classes x datasets "
-        f"({WORKERS} workers)\n" + "\n".join(lines),
+    write_record(
+        "e4_query_classes",
+        {
+            dataset: {
+                qclass: {
+                    engine: {
+                        "time_s": metrics.total_time,
+                        "comm_mb": metrics.communication_mb,
+                        "supersteps": metrics.num_supersteps,
+                    }
+                    for engine in ("GRAPE", "Blogel", "Giraph", "GraphLab")
+                    if (metrics := results[(dataset, engine)].get(qclass))
+                }
+                for qclass in CLASSES
+            }
+            for dataset in ("road", "social")
+        },
     )

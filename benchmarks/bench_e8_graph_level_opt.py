@@ -13,17 +13,13 @@ indexed run performs under half the refinement work, asserted on the
 deterministic step counter. (A vertex-centric engine cannot skip
 vertices at all — every vertex runs in superstep 0 — which is the point
 of the claim.)
-
-Both variants run three times, interleaved, and the table reports the
-best compute per variant. That column is wall-clock time at millisecond
-scale, so machine load can reorder it: it is reported, not asserted.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.helpers import format_rows, run_once, write_result
+from benchmarks.helpers import COST_MODEL, run_once, write_record
 from repro.algorithms.simulation import SimProgram, SimQuery
 from repro.core.engine import GrapeEngine
 from repro.graph.digraph import Graph
@@ -33,7 +29,6 @@ from repro.partition.registry import get_partitioner
 from repro.storage.index import IndexManager
 
 WORKERS = 8
-REPEATS = 3
 
 
 def _pattern() -> Graph:
@@ -65,37 +60,23 @@ def test_e8_index_ablation(benchmark, setup):
 
     def run_variant(use_index):
         program = SimProgram(use_index=use_index, index_manager=manager)
-        result = GrapeEngine(fragd).run(program, query)
-        return result.metrics.work(), result
+        return GrapeEngine(fragd, COST_MODEL).run(program, query)
 
-    def run_all():
-        runs = {False: [], True: []}
-        for _ in range(REPEATS):
-            for use_index in (False, True):
-                runs[use_index].append(run_variant(use_index))
-        return runs
-
-    runs = run_once(benchmark, run_all)
-
-    plain_steps = runs[False][0][0]
-    indexed_steps = runs[True][0][0]
-    plain_compute = min(r.metrics.total_compute for _, r in runs[False])
-    indexed_compute = min(r.metrics.total_compute for _, r in runs[True])
-    plain_answer = runs[False][0][1].answer
-    indexed_answer = runs[True][0][1].answer
-
-    assert indexed_answer == plain_answer
-    assert indexed_steps * 2 < plain_steps
-
-    rows = [
-        ["PEval full scan", plain_steps, plain_compute],
-        ["PEval + label index", indexed_steps, indexed_compute],
-    ]
-    table = format_rows(
-        ["Variant", "RefineSteps", "BestTotalCompute(s)"], rows
+    plain, indexed = run_once(
+        benchmark, lambda: [run_variant(False), run_variant(True)]
     )
-    write_result(
-        "E8_graph_level_opt",
-        "E8 — graph-level optimization: label-indexed Sim PEval "
-        f"(25-label graph, {WORKERS} workers, best of {REPEATS})\n" + table,
+    assert indexed.answer == plain.answer
+    assert indexed.metrics.work() * 2 < plain.metrics.work()
+    write_record(
+        "e8_graph_level_opt",
+        {
+            variant: {
+                "refine_steps": result.metrics.work(),
+                "time_s": result.total_time,
+            }
+            for variant, result in (
+                ("PEval full scan", plain),
+                ("PEval + label index", indexed),
+            )
+        },
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.helpers import format_rows, run_once, write_result
+from benchmarks.helpers import COST_MODEL, run_once, write_record
 from repro.baselines.pregel import PregelEngine
 from repro.baselines.pregel_as_pie import VertexCentricAsPIE
 from repro.baselines.pregel_programs import (
@@ -69,11 +69,11 @@ def test_simulate(benchmark, setup, results, case):
     fragd = fragments[graph_key]
 
     def run():
-        native = PregelEngine(fragd).run(make_program(graph))
+        native = PregelEngine(fragd, COST_MODEL).run(make_program(graph))
         adapter = VertexCentricAsPIE(
             make_program(graph), num_vertices=graph.num_vertices
         )
-        simulated = GrapeEngine(fragd).run(adapter, None)
+        simulated = GrapeEngine(fragd, COST_MODEL).run(adapter, None)
         return native, simulated
 
     results[case] = run_once(benchmark, run)
@@ -82,7 +82,7 @@ def test_simulate(benchmark, setup, results, case):
 def test_e9_shape_and_report(benchmark, results):
     run_once(benchmark, lambda: None)
     assert len(results) == len(CASES)
-    rows = []
+    record = {}
     for case in sorted(CASES):
         native, simulated = results[case]
         # identical values (PageRank: approx — float summation order)
@@ -93,24 +93,12 @@ def test_e9_shape_and_report(benchmark, results):
             assert simulated.answer == native.values
         # same superstep count, +1 for GRAPE's Assemble step
         assert simulated.num_supersteps - 1 == native.supersteps
-        rows.append(
-            [
-                case,
-                native.supersteps,
-                simulated.num_supersteps - 1,
-                native.metrics.total_time,
-                simulated.metrics.total_time,
-                simulated.metrics.total_time
-                / max(1e-12, native.metrics.total_time),
-            ]
-        )
-    table = format_rows(
-        ["Program", "Pregel ss", "GRAPE ss", "Pregel t(s)", "GRAPE t(s)",
-         "Overhead"],
-        rows,
-    )
-    write_result(
-        "E9_simulation_theorem",
-        "E9 — Simulation Theorem: vertex programs on GRAPE "
-        f"({WORKERS} workers)\n" + table,
-    )
+        record[case] = {
+            "pregel_supersteps": native.supersteps,
+            "grape_supersteps": simulated.num_supersteps - 1,
+            "pregel_time_s": native.metrics.total_time,
+            "grape_time_s": simulated.metrics.total_time,
+            "overhead": simulated.metrics.total_time
+            / native.metrics.total_time,
+        }
+    write_record("e9_simulation_theorem", record)

@@ -17,11 +17,9 @@ and writes the measured numbers to
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from benchmarks.helpers import RESULTS_DIR, format_rows, run_once, write_result
+from benchmarks.helpers import RESULTS_DIR, run_once, write_record
 from repro.service.trace import load_trace, replay_trace
 
 TRACE = RESULTS_DIR.parent / "traces" / "service_workload.json"
@@ -29,11 +27,7 @@ TRACE = RESULTS_DIR.parent / "traces" / "service_workload.json"
 
 @pytest.fixture(scope="module")
 def results():
-    data = {}
-    yield data
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / "service_throughput.json"
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return {}
 
 
 def _replay(cache_capacity=None):
@@ -86,26 +80,5 @@ def test_serving_layer_wins(results):
     # Same workload, strictly less engine time and simulated latency.
     assert served["engine_time"] < recompute["engine_time"]
     assert served["simulated_time"] < recompute["simulated_time"]
-    speedup = (
-        recompute["simulated_time"] / served["simulated_time"]
-    )
-    rows = [
-        [
-            name,
-            stats["queries_completed"],
-            f"{stats['cache_hit_rate']:.1%}",
-            stats["simulated_time"],
-            stats["queries_per_simulated_second"],
-        ]
-        for name, stats in (("served", served), ("recompute", recompute))
-    ]
-    write_result(
-        "E10_service_throughput",
-        "E10 — serving throughput on the bundled workload trace\n"
-        + format_rows(
-            ["config", "queries", "hit rate", "sim time (s)", "q/s (sim)"],
-            rows,
-        )
-        + f"\n\nserving layer speedup: {speedup:.2f}x",
-    )
-    results["speedup"] = speedup
+    results["speedup"] = recompute["simulated_time"] / served["simulated_time"]
+    write_record("service_throughput", results)

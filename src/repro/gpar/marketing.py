@@ -40,6 +40,8 @@ class MarketingCampaign:
     total_time: float = 0.0
     total_comm_mb: float = 0.0
     candidates_checked: int = 0
+    #: Summed over the rules' SubIso runs (``RunMetrics.critical_path_work``).
+    critical_path_work: int = 0
 
     def top(self, k: int) -> list[Recommendation]:
         """The ``k`` highest-confidence recommendations."""
@@ -94,12 +96,14 @@ def find_potential_customers(
     total_time = 0.0
     total_mb = 0.0
     checked = 0
+    work = 0
     for rule in rules:
         pairs, result = find_rule_matches(
             graph, fragmented, rule, cost_model=cost_model
         )
         total_time += result.total_time
         total_mb += result.metrics.communication_mb
+        work += result.metrics.critical_path_work
         checked += len(pairs)
         support, confidence = rule.support_confidence(graph, pairs)
         stats[rule.name] = (support, confidence)
@@ -122,4 +126,5 @@ def find_potential_customers(
         total_time=total_time,
         total_comm_mb=total_mb,
         candidates_checked=checked,
+        critical_path_work=work,
     )

@@ -90,12 +90,9 @@ class PipelinedClocks:
     def close_wave(self, compute: dict[int, float]) -> float:
         """Advance every drained worker past its metered compute plus the
         drain handoff; returns the wave's duration (frontier movement)."""
-        cost = self._cost
         for worker, start in self._starts.items():
             self.clocks[worker] = (
-                start
-                + cost.compute_scale * compute.get(worker, 0.0)
-                + DRAIN_OVERHEAD
+                start + compute.get(worker, 0.0) + DRAIN_OVERHEAD
             )
         self._starts.clear()
         self._after_wave = True

@@ -7,8 +7,8 @@ A BSP superstep on a real cluster costs::
 We charge:
 
 * ``compute_i`` — *measured* wall time of worker ``i``'s sequential
-  computation this superstep (real Python execution, not an estimate),
-  scaled by ``compute_scale`` (1.0 by default);
+  computation this superstep (real Python execution, not an estimate);
+  under ``deterministic=True`` only injected delays;
 * network time — :data:`LATENCY` per communicating round plus
   ``bytes /`` :data:`BANDWIDTH`; message batches between the same pair
   of hosts share the round latency, as MPI implementations do;
@@ -44,8 +44,6 @@ class CostModel:
     """How measured compute enters the simulated cluster's time; the
     network and barrier charges are the module constants above."""
 
-    #: Multiplier applied to measured Python compute time.
-    compute_scale: float = 1.0
     #: When true, compute intervals are NOT measured with the wall clock;
     #: only deterministic charges (injected straggler delays, supervisor
     #: backoff) enter the makespan. Replays then produce byte-identical
@@ -67,7 +65,7 @@ class CostModel:
     ) -> float:
         """Simulated duration of one superstep."""
         return (
-            self.compute_scale * compute_makespan
+            compute_makespan
             + self.network_time(total_bytes, rounds)
             + BARRIER_OVERHEAD
         )

@@ -10,8 +10,6 @@ meaningful across engines.
 
 from __future__ import annotations
 
-from array import array as _array
-
 _NUMERIC_BYTES = 8
 _BOOL_BYTES = 1
 
@@ -54,18 +52,6 @@ def _dict_size(value: dict) -> int:
     return total
 
 
-def _buffer_size(typecode: str, count: int, nbytes: int) -> int:
-    # Typed buffers carry their element kind, so they can be charged
-    # exactly in O(1): raw byte buffers cost their length (like bytes),
-    # numeric buffers cost 8 bytes per element (like a list of numbers —
-    # the CSR stores ship adjacency/weight columns as array('q')/('d')).
-    if typecode in ("b", "B", "c"):
-        return nbytes
-    if typecode in ("h", "H", "i", "I", "l", "L", "q", "Q", "f", "d"):
-        return count * _NUMERIC_BYTES
-    return nbytes
-
-
 def _value_size_slow(value: object) -> int:
     # Exact-type dispatch first (the hot shapes); isinstance fallbacks
     # below keep subclasses charged exactly as before.
@@ -76,11 +62,6 @@ def _value_size_slow(value: object) -> int:
         return _dict_size(value)
     if t is str:
         return len(value.encode("utf-8"))
-    if t is _array or isinstance(value, _array):
-        return _buffer_size(value.typecode, len(value), len(value) * value.itemsize)
-    if t is memoryview:
-        itemsize = value.itemsize or 1
-        return _buffer_size(value.format, value.nbytes // itemsize, value.nbytes)
     if isinstance(value, bool):
         return _BOOL_BYTES
     if isinstance(value, (int, float)):

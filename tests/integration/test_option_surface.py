@@ -40,7 +40,7 @@ SURFACE = {
     ),
     MPIController: ("num_workers", "injector"),
     ResultCache: ("capacity",),
-    CostModel: ("compute_scale", "deterministic"),
+    CostModel: ("deterministic",),
     PregelEngine: ("fragmented", "cost_model"),
     GASEngine: ("graph", "fragmented", "cost_model"),
     BlogelEngine: ("fragmented", "cost_model"),

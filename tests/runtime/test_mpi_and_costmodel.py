@@ -105,13 +105,5 @@ def test_superstep_time_composition(monkeypatch):
     monkeypatch.setattr(costmodel, "LATENCY", 0.0)
     monkeypatch.setattr(costmodel, "BANDWIDTH", 1e6)
     monkeypatch.setattr(costmodel, "BARRIER_OVERHEAD", 0.5)
-    cm = CostModel(compute_scale=2.0)
-    t = cm.superstep_time(1.0, 1_000_000, 0)
-    assert t == pytest.approx(2.0 + 1.0 + 0.5)
-
-
-def test_compute_scale_applies_only_to_compute(monkeypatch):
-    monkeypatch.setattr(costmodel, "LATENCY", 0.0)
-    monkeypatch.setattr(costmodel, "BARRIER_OVERHEAD", 0.0)
-    slow = CostModel(compute_scale=10.0)
-    assert slow.superstep_time(0.1, 0, 0) == pytest.approx(1.0)
+    t = CostModel().superstep_time(1.0, 1_000_000, 0)
+    assert t == pytest.approx(1.0 + 1.0 + 0.5)
